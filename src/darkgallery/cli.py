@@ -13,18 +13,12 @@ Three subcommands, one job each:
 All machine output is canonical JSON (sorted keys, fixed indent), so
 rerunning a command on the same inputs reproduces files byte for byte.
 Errors print a one-line JSON object on stderr and exit 1.
-
-The environment variable DARKGALLERY_THREADS, when set, must be a
-positive integer.  It caps internal parallelism; today's exact engine
-is a single-process vectorized scan, so the cap is validated, recorded,
-and otherwise inert.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -39,8 +33,8 @@ from .documents import (
     point_from_json,
     region_from_dict,
 )
-from .fixtures import FIXTURES, builtin_fixture
-from .geometry import ConvexPolygon, Point2, SimplePolygon, Wedge
+from .fixtures import builtin_fixture
+from .geometry import ConvexPolygon, SimplePolygon, Wedge
 from .render import render_placement
 from .sampling import sample_depth
 from .simple import fisk_cover
@@ -54,22 +48,6 @@ BUILTIN_REGIONS = ("triangle", "square", "wedge")
 
 class UsageError(Exception):
     """Bad arguments or bad input files; exits with code 1."""
-
-
-def thread_cap() -> int:
-    """The validated DARKGALLERY_THREADS value (1 when unset)."""
-    raw = os.environ.get("DARKGALLERY_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise UsageError(
-            "DARKGALLERY_THREADS must be a positive integer, got %r" % (raw,)
-        )
-    return cap
 
 
 def _read_json(path: str):
@@ -353,7 +331,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         return args.run(args)
     except (UsageError, DocumentError, ConstructionError, ValueError, TypeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

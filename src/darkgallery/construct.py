@@ -53,9 +53,10 @@ REGIME_ONE_EXTRA = "one-extra"       # g = k + 1
 REGIME_TWO_EXTRA = "two-extra"       # g = k + 2
 
 # dyadic snapping: start at this many fractional bits, escalate if the
-# rounded point violates a strict constraint.  Kept low on purpose: the
-# verifier's vectorized prefilter only engages while scaled coordinates
-# fit comfortably in machine words.
+# rounded point violates a strict constraint.  Kept low on purpose: short
+# denominators keep the verifier's scaled integer coordinates short, which
+# its exact arithmetic pays for and its int64 sign tests need (they only
+# join the pair scan below 2**28).
 _SNAP_BITS = 12
 _SNAP_STEPS = 10
 

@@ -13,17 +13,21 @@ to integer coordinates, enumerates the "dark portions" of every line
 carrying >= 2 guards, clips them to the region, and evaluates darkness at
 a complete set of candidate points: one representative per crossing-free
 portion piece, every pairwise crossing of clipped portions from distinct
-lines, and every guard position.  A vectorized int64 prefilter discards
-the bulk of non-crossing portion pairs whenever the coordinate magnitudes
-make the products provably overflow-free; everything that survives is
-confirmed with exact big-integer arithmetic.
+lines, and every guard position.
+
+One pair scan (`_pair_hits`) finds every crossing, for the certificates,
+the j-dark queries and the concurrency check alike.  From 48 pieces up it
+always runs a conservative cell-box prefilter; int64 sign tests join it
+only while the scaled coordinates stay below 2**28, where their products
+provably cannot overflow.  Every pair that survives is confirmed with
+exact big-integer arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -210,6 +214,13 @@ def _coord_denominators(region, guards):
     return dens
 
 
+def _scaled_guards(guards, region=None):
+    """(scale, gx, gy): the guards times the lcm of every coordinate
+    denominator of the guards and the region, as integer lists."""
+    scale = lcm(*_coord_denominators(region, guards))
+    return scale, [int(g.x * scale) for g in guards], [int(g.y * scale) for g in guards]
+
+
 def _int_direction(d: Point2):
     """Reduce a rational direction to primitive integers, same orientation."""
     m = lcm(d.x.denominator, d.y.denominator)
@@ -221,14 +232,12 @@ def _int_direction(d: Point2):
 class _Scene:
     """Region and guards rescaled by a common factor to integer coords."""
 
-    __slots__ = ("scale", "gx", "gy", "halfplanes", "region", "max_abs")
+    __slots__ = ("scale", "gx", "gy", "halfplanes", "region", "exact64")
 
     def __init__(self, region, guards):
         self.region = region
-        self.scale = lcm(*_coord_denominators(region, guards))
-        s = self.scale
-        self.gx = [int(g.x * s) for g in guards]
-        self.gy = [int(g.y * s) for g in guards]
+        s, self.gx, self.gy = _scaled_guards(guards, region)
+        self.scale = s
         hps = []
         if isinstance(region, ConvexPolygon):
             vs = [(int(v.x * s), int(v.y * s)) for v in region.vertices]
@@ -252,7 +261,8 @@ class _Scene:
             corner_mag = 0
         self.halfplanes = hps
         guard_mag = max(max(abs(x) for x in self.gx), max(abs(y) for y in self.gy))
-        self.max_abs = max(corner_mag, guard_mag)
+        # the int64 sign tests of the pair scan are exact at this size
+        self.exact64 = max(corner_mag, guard_mag) < _NUMPY_COORD_LIMIT
 
     def unscale(self, xn, yn, den) -> Point2:
         s = self.scale
@@ -338,18 +348,21 @@ def _group_collinear(gx, gy):
     return out
 
 
+def _guard_lines(records, guards) -> List[GuardLine]:
+    """GuardLine objects for the records of _group_collinear."""
+    out = []
+    for _ux, _uy, _c, members in records:
+        idxs = [i for _, i in members]
+        pts = [guards[i] for i in idxs]
+        out.append(GuardLine(Line.through(pts[0], pts[-1]), pts, idxs))
+    return out
+
+
 def collinear_groups(guards) -> List[GuardLine]:
     """Maximal groups of >= 2 collinear guards, each with its carrier."""
     gset = GuardSet.coerce(guards)
-    scale = lcm(*_coord_denominators(None, gset.guards))
-    gx = [int(g.x * scale) for g in gset.guards]
-    gy = [int(g.y * scale) for g in gset.guards]
-    out = []
-    for ux, uy, c, members in _group_collinear(gx, gy):
-        idxs = [i for _, i in members]
-        pts = [gset.guards[i] for i in idxs]
-        out.append(GuardLine(Line.through(pts[0], pts[-1]), pts, idxs))
-    return out
+    _, gx, gy = _scaled_guards(gset.guards)
+    return _guard_lines(_group_collinear(gx, gy), gset.guards)
 
 
 def dark_portions(line: GuardLine) -> List[DarkPortion]:
@@ -373,22 +386,191 @@ def dark_portions(line: GuardLine) -> List[DarkPortion]:
 
 
 # ---------------------------------------------------------------------------
+# the pair scan
+#
+# A piece is one straight part of a guard line, anchored at a member guard
+# and parameterized as anchor + t*(dx, dy):
+#
+#     (ax, ay, dx, dy, lon, lod, lo_strict,
+#      hin, hid, hi_strict, blocked, line_id)
+#
+# Bounds are rationals lon/lod <= t <= hin/hid with positive denominators;
+# hin is None when the piece never ends.  lo_strict/hi_strict mark open
+# ends (guard positions).  blocked is the piece's own blocked count.
+
+
+def _confirm(p, q):
+    """Exact crossing test of pieces p and q.
+
+    Returns (un, vn, D) with D > 0 (params un/D on p, vn/D on q) when
+    the pieces truly cross, else None.
+    """
+    D = p[2] * q[3] - p[3] * q[2]
+    if D == 0:
+        return None
+    ex = q[0] - p[0]
+    ey = q[1] - p[1]
+    un = ex * q[3] - ey * q[2]
+    vn = ex * p[3] - ey * p[2]
+    if D < 0:
+        D, un, vn = -D, -un, -vn
+    s = un * p[5] - p[4] * D
+    if s < 0 or (s == 0 and p[6]):
+        return None
+    if p[7] is not None:
+        s = un * p[8] - p[7] * D
+        if s > 0 or (s == 0 and p[9]):
+            return None
+    s = vn * q[5] - q[4] * D
+    if s < 0 or (s == 0 and q[6]):
+        return None
+    if q[7] is not None:
+        s = vn * q[8] - q[7] * D
+        if s > 0 or (s == 0 and q[9]):
+            return None
+    return (un, vn, D)
+
+
+def _piece_boxes(pieces):
+    """Conservative integer cell boxes, one per piece.
+
+    The pieces' joint extent is divided into 1024 columns and rows
+    and every endpoint is floored onto that grid with exact rational
+    arithmetic, so two pieces whose true spans overlap always land
+    in overlapping cell ranges.  An unbounded end spills into a
+    sentinel cell past the grid edge.  Cell numbers stay tiny no
+    matter how large the scene coordinates are, which is the point:
+    the pair scan keeps a vectorized prefilter even when the
+    coordinates themselves are too big for int64 products.
+    """
+    # endpoints as unreduced rationals (numerator, positive denominator):
+    # no gcd normalization anywhere, comparisons cross-multiply instead
+    spans = []
+    for ax, ay, dx, dy, lon, lod, _ls, hin, hid, _hs, _b, _lid in pieces:
+        e0 = (ax * lod + dx * lon, ay * lod + dy * lon, lod)
+        if hin is None:
+            e1 = None
+        else:
+            e1 = (ax * hid + dx * hin, ay * hid + dy * hin, hid)
+        spans.append((e0, e1, dx, dy))
+
+    def smaller(a, b):
+        return a if a[0] * b[1] < b[0] * a[1] else b
+
+    def larger(a, b):
+        return a if a[0] * b[1] > b[0] * a[1] else b
+
+    mnx = mxx = (spans[0][0][0], spans[0][0][2])
+    mny = mxy = (spans[0][0][1], spans[0][0][2])
+    for e0, e1, _dx, _dy in spans:
+        for e in (e0, e1) if e1 is not None else (e0,):
+            mnx = smaller(mnx, (e[0], e[2]))
+            mxx = larger(mxx, (e[0], e[2]))
+            mny = smaller(mny, (e[1], e[2]))
+            mxy = larger(mxy, (e[1], e[2]))
+    spanx = (mxx[0] * mnx[1] - mnx[0] * mxx[1], mxx[1] * mnx[1])
+    spany = (mxy[0] * mny[1] - mny[0] * mxy[1], mxy[1] * mny[1])
+    en, ed = larger(spanx, spany)
+    if en == 0:
+        en, ed = 1, 1
+    cells = 1024
+
+    def cell(vn, vd, lo):
+        # floor of ((vn/vd - lo) * cells / extent); vn/vd >= lo always
+        return (vn * lo[1] - lo[0] * vd) * cells * ed // (vd * lo[1] * en)
+
+    n = len(spans)
+    lox = np.empty(n, dtype=np.int64)
+    hix = np.empty(n, dtype=np.int64)
+    loy = np.empty(n, dtype=np.int64)
+    hiy = np.empty(n, dtype=np.int64)
+    for k, (e0, e1, dx, dy) in enumerate(spans):
+        cx = cell(e0[0], e0[2], mnx)
+        cy = cell(e0[1], e0[2], mny)
+        if e1 is None:
+            lox[k], hix[k] = (cx, cells + 1) if dx > 0 else (-1, cx)
+            if dx == 0:
+                lox[k] = hix[k] = cx
+            loy[k], hiy[k] = (cy, cells + 1) if dy > 0 else (-1, cy)
+            if dy == 0:
+                loy[k] = hiy[k] = cy
+        else:
+            c1x = cell(e1[0], e1[2], mnx)
+            c1y = cell(e1[1], e1[2], mny)
+            lox[k], hix[k] = min(cx, c1x), max(cx, c1x)
+            loy[k], hiy[k] = min(cy, c1y), max(cy, c1y)
+    return lox, hix, loy, hiy
+
+
+def _pair_hits(pieces, exact64: bool):
+    """Every confirmed crossing (i, j, un, vn, D) of pieces from distinct
+    lines, as _confirm reports it, in increasing (i, j) order.
+
+    From _NUMPY_MIN_ITEMS pieces up, the cell boxes of _piece_boxes
+    discard pairs that cannot meet; when exact64 holds (the scaled guard
+    and region coordinates stay below _NUMPY_COORD_LIMIT in magnitude, so
+    anchors and directions are small enough) int64 sign tests discard
+    pairs whose parameters have the wrong sign.  Both filters are
+    conservative, so every branch yields the same hits in the same order
+    as the plain loop over all pairs.
+    """
+    R = len(pieces)
+    filtered = R >= _NUMPY_MIN_ITEMS
+    if filtered:
+        lox, hix, loy, hiy = _piece_boxes(pieces)
+        lid = np.array([p[11] for p in pieces], dtype=np.int64)
+        if exact64:
+            ax, ay, dx, dy = (
+                np.array([p[k] for p in pieces], dtype=np.int64) for k in range(4))
+    for i in range(R - 1):
+        if filtered:
+            jx = slice(i + 1, R)
+            mask = (
+                (lox[jx] <= hix[i])
+                & (lox[i] <= hix[jx])
+                & (loy[jx] <= hiy[i])
+                & (loy[i] <= hiy[jx])
+                & (lid[jx] != lid[i])
+            )
+            if exact64:
+                D = dx[i] * dy[jx] - dy[i] * dx[jx]
+                ex = ax[jx] - ax[i]
+                ey = ay[jx] - ay[i]
+                un = ex * dy[jx] - ey * dx[jx]
+                vn = ex * dy[i] - ey * dx[i]
+                sgn = np.sign(D)
+                mask &= (D != 0) & (un * sgn >= 0) & (vn * sgn >= 0)
+            js = (i + 1 + np.nonzero(mask)[0]).tolist()
+        else:
+            li = pieces[i][11]
+            js = [j for j in range(i + 1, R) if pieces[j][11] != li]
+        for j in js:
+            hit = _confirm(pieces[i], pieces[j])
+            if hit is not None:
+                yield (i, j) + hit
+
+
+def _point_key(piece, un, D):
+    """Normalized homogeneous key (xn, yn, den) of the point at parameter
+    un/D of the piece."""
+    xn = piece[0] * D + un * piece[2]
+    yn = piece[1] * D + un * piece[3]
+    g = gcd(gcd(abs(xn), abs(yn)), D)
+    return (xn // g, yn // g, D // g)
+
+
+# ---------------------------------------------------------------------------
 # the exact verifier core
 
 
 class _Analysis:
     """Scaled scene plus the dark-portion pieces clipped to the region.
 
-    A piece is the in-region part of one dark portion, re-anchored at a
-    member guard so its parameter interval starts at 0:
-
-        (ax, ay, dx, dy, lon, lod, lo_strict,
-         hin, hid, hi_strict, blocked, line_id)
-
-    Bounds are rationals lon/lod <= t <= hin/hid with positive
-    denominators; hin is None when the region leaves the piece unbounded
-    (wedges).  lo_strict/hi_strict mark open ends (guard positions).
-    Only pieces blocking >= 1 guard are kept.
+    Each piece (the tuple layout of the pair scan above) is the in-region
+    part of one dark portion, re-anchored at a member guard so its
+    parameter interval starts at 0.  hin is None where the region leaves
+    the piece unbounded (wedges).  Only pieces blocking >= 1 guard are
+    kept.
     """
 
     def __init__(self, region: Region, gset: GuardSet):
@@ -440,12 +622,7 @@ class _Analysis:
     # -- public-facing line objects -------------------------------------
     def public_lines(self) -> List[GuardLine]:
         if self._public_lines is None:
-            out = []
-            for ux, uy, c, members in self.lines:
-                idxs = [i for _, i in members]
-                pts = [self.gset.guards[i] for i in idxs]
-                out.append(GuardLine(Line.through(pts[0], pts[-1]), pts, idxs))
-            self._public_lines = out
+            self._public_lines = _guard_lines(self.lines, self.gset.guards)
         return self._public_lines
 
     # -- darkness at an exact rational point (scaled frame) --------------
@@ -485,109 +662,6 @@ class _Analysis:
         return total, contributions
 
     # -- pairwise crossings of pieces ------------------------------------
-    def _confirm(self, i, j):
-        """Exact crossing test of pieces i and j.
-
-        Returns (un, vn, D) with D > 0 (params un/D on i, vn/D on j) when
-        the pieces truly cross, else None.
-        """
-        p = self.pieces[i]
-        q = self.pieces[j]
-        D = p[2] * q[3] - p[3] * q[2]
-        if D == 0:
-            return None
-        ex = q[0] - p[0]
-        ey = q[1] - p[1]
-        un = ex * q[3] - ey * q[2]
-        vn = ex * p[3] - ey * p[2]
-        if D < 0:
-            D, un, vn = -D, -un, -vn
-        s = un * p[5] - p[4] * D
-        if s < 0 or (s == 0 and p[6]):
-            return None
-        if p[7] is not None:
-            s = un * p[8] - p[7] * D
-            if s > 0 or (s == 0 and p[9]):
-                return None
-        s = vn * q[5] - q[4] * D
-        if s < 0 or (s == 0 and q[6]):
-            return None
-        if q[7] is not None:
-            s = vn * q[8] - q[7] * D
-            if s > 0 or (s == 0 and q[9]):
-                return None
-        return (un, vn, D)
-
-    def _piece_boxes(self):
-        """Conservative integer cell boxes, one per piece.
-
-        The pieces' joint extent is divided into 1024 columns and rows
-        and every endpoint is floored onto that grid with exact rational
-        arithmetic, so two pieces whose true spans overlap always land
-        in overlapping cell ranges.  An unbounded end spills into a
-        sentinel cell past the grid edge.  Cell numbers stay tiny no
-        matter how large the scene coordinates are, which is the point:
-        the pair scan keeps a vectorized prefilter even when the
-        coordinates themselves are too big for int64 products.
-        """
-        # endpoints as unreduced rationals (numerator, positive denominator):
-        # no gcd normalization anywhere, comparisons cross-multiply instead
-        spans = []
-        for ax, ay, dx, dy, lon, lod, _ls, hin, hid, _hs, _b, _lid in self.pieces:
-            e0 = (ax * lod + dx * lon, ay * lod + dy * lon, lod)
-            if hin is None:
-                e1 = None
-            else:
-                e1 = (ax * hid + dx * hin, ay * hid + dy * hin, hid)
-            spans.append((e0, e1, dx, dy))
-
-        def smaller(a, b):
-            return a if a[0] * b[1] < b[0] * a[1] else b
-
-        def larger(a, b):
-            return a if a[0] * b[1] > b[0] * a[1] else b
-
-        mnx = mxx = (spans[0][0][0], spans[0][0][2])
-        mny = mxy = (spans[0][0][1], spans[0][0][2])
-        for e0, e1, _dx, _dy in spans:
-            for e in (e0, e1) if e1 is not None else (e0,):
-                mnx = smaller(mnx, (e[0], e[2]))
-                mxx = larger(mxx, (e[0], e[2]))
-                mny = smaller(mny, (e[1], e[2]))
-                mxy = larger(mxy, (e[1], e[2]))
-        spanx = (mxx[0] * mnx[1] - mnx[0] * mxx[1], mxx[1] * mnx[1])
-        spany = (mxy[0] * mny[1] - mny[0] * mxy[1], mxy[1] * mny[1])
-        en, ed = larger(spanx, spany)
-        if en == 0:
-            en, ed = 1, 1
-        cells = 1024
-
-        def cell(vn, vd, lo):
-            # floor of ((vn/vd - lo) * cells / extent); vn/vd >= lo always
-            return (vn * lo[1] - lo[0] * vd) * cells * ed // (vd * lo[1] * en)
-
-        n = len(spans)
-        lox = np.empty(n, dtype=np.int64)
-        hix = np.empty(n, dtype=np.int64)
-        loy = np.empty(n, dtype=np.int64)
-        hiy = np.empty(n, dtype=np.int64)
-        for k, (e0, e1, dx, dy) in enumerate(spans):
-            cx = cell(e0[0], e0[2], mnx)
-            cy = cell(e0[1], e0[2], mny)
-            if e1 is None:
-                lox[k], hix[k] = (cx, cells + 1) if dx > 0 else (-1, cx)
-                if dx == 0:
-                    lox[k] = hix[k] = cx
-                loy[k], hiy[k] = (cy, cells + 1) if dy > 0 else (-1, cy)
-                if dy == 0:
-                    loy[k] = hiy[k] = cy
-            else:
-                c1x = cell(e1[0], e1[2], mnx)
-                c1y = cell(e1[1], e1[2], mny)
-                lox[k], hix[k] = min(cx, c1x), max(cx, c1x)
-                loy[k], hiy[k] = min(cy, c1y), max(cy, c1y)
-        return lox, hix, loy, hiy
-
     def crossings(self):
         """All in-region crossing points of pieces from distinct lines.
 
@@ -595,72 +669,14 @@ class _Analysis:
         point key (xn, yn, den) to the set of piece indices through it;
         events maps a piece index to its crossing parameters.
         """
-        if self._crossings is not None:
-            return self._crossings
-        pieces = self.pieces
-        R = len(pieces)
-        points = {}
-        events = {}
-
-        def note(i, j, un, vn, D):
-            pi = pieces[i]
-            xn = pi[0] * D + un * pi[2]
-            yn = pi[1] * D + un * pi[3]
-            g = gcd(gcd(abs(xn), abs(yn)), D)
-            key = (xn // g, yn // g, D // g)
-            s = points.get(key)
-            if s is None:
-                points[key] = {i, j}
-            else:
-                s.add(i)
-                s.add(j)
-            events.setdefault(i, []).append(Fraction(un, D))
-            events.setdefault(j, []).append(Fraction(vn, D))
-
-        if R >= _NUMPY_MIN_ITEMS:
-            lox, hix, loy, hiy = self._piece_boxes()
-            lid = np.array([p[11] for p in pieces], dtype=np.int64)
-            # sign tests need int64 products of the coordinates themselves,
-            # so they only join in when the scene is small enough
-            exact64 = self.scene.max_abs < _NUMPY_COORD_LIMIT
-            if exact64:
-                ax = np.array([p[0] for p in pieces], dtype=np.int64)
-                ay = np.array([p[1] for p in pieces], dtype=np.int64)
-                dx = np.array([p[2] for p in pieces], dtype=np.int64)
-                dy = np.array([p[3] for p in pieces], dtype=np.int64)
-            for i in range(R - 1):
-                jx = slice(i + 1, R)
-                mask = (
-                    (lox[jx] <= hix[i])
-                    & (lox[i] <= hix[jx])
-                    & (loy[jx] <= hiy[i])
-                    & (loy[i] <= hiy[jx])
-                    & (lid[jx] != lid[i])
-                )
-                if exact64:
-                    D = dx[i] * dy[jx] - dy[i] * dx[jx]
-                    ex = ax[jx] - ax[i]
-                    ey = ay[jx] - ay[i]
-                    un = ex * dy[jx] - ey * dx[jx]
-                    vn = ex * dy[i] - ey * dx[i]
-                    sgn = np.sign(D)
-                    mask &= (D != 0) & (un * sgn >= 0) & (vn * sgn >= 0)
-                for off in np.nonzero(mask)[0]:
-                    j = i + 1 + int(off)
-                    hit = self._confirm(i, j)
-                    if hit is not None:
-                        note(i, j, *hit)
-        else:
-            for i in range(R - 1):
-                li = pieces[i][11]
-                for j in range(i + 1, R):
-                    if pieces[j][11] == li:
-                        continue
-                    hit = self._confirm(i, j)
-                    if hit is not None:
-                        note(i, j, *hit)
-
-        self._crossings = (points, events)
+        if self._crossings is None:
+            points = {}
+            events = {}
+            for i, j, un, vn, D in _pair_hits(self.pieces, self.scene.exact64):
+                points.setdefault(_point_key(self.pieces[i], un, D), set()).update((i, j))
+                events.setdefault(i, []).append(Fraction(un, D))
+                events.setdefault(j, []).append(Fraction(vn, D))
+            self._crossings = (points, events)
         return self._crossings
 
     # -- candidate enumeration -------------------------------------------
@@ -773,8 +789,11 @@ def has_j_dark(region: Region, guards, j: int):
     """(found, witness) for a point of the region with darkness >= j.
 
     Early-exits where it can: a portion whose own blocked count reaches j
-    settles it immediately, and the crossing scan stops at the first
-    confirmed hit of sufficient darkness.
+    settles it immediately.  Otherwise, after the guard positions, it
+    walks the crossings of the shared pair scan (`_pair_hits`, the one
+    behind max_darkness) and stops at the first of darkness >= j.  The
+    scan yields crossings in increasing (i, j) piece order on every
+    branch, so the witness does not depend on which branch runs.
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
@@ -803,21 +822,11 @@ def has_j_dark(region: Region, guards, j: int):
 
     # otherwise the darkness must stack up at a portion crossing
     pieces = analysis.pieces
-    R = len(pieces)
-    for i in range(R - 1):
-        li = pieces[i][11]
-        for jdx in range(i + 1, R):
-            if pieces[jdx][11] == li:
-                continue
-            hit = analysis._confirm(i, jdx)
-            if hit is None:
-                continue
-            un, vn, D = hit
-            xn = pieces[i][0] * D + un * pieces[i][2]
-            yn = pieces[i][1] * D + un * pieces[i][3]
-            total, contr = analysis.darkness_at_scaled(xn, yn, D)
-            if total >= j:
-                return True, analysis.witness_from(total, xn, yn, D, contr)
+    for i, _, un, _, D in _pair_hits(pieces, analysis.scene.exact64):
+        key = _point_key(pieces[i], un, D)
+        total, contr = analysis.darkness_at_scaled(*key)
+        if total >= j:
+            return True, analysis.witness_from(total, *key, contr)
     return False, None
 
 
@@ -828,9 +837,7 @@ def has_j_dark(region: Region, guards, j: int):
 def find_collinear_triple(guards):
     """Indices of three collinear guards, or None."""
     gset = GuardSet.coerce(guards)
-    scale = lcm(*_coord_denominators(None, gset.guards))
-    gx = [int(g.x * scale) for g in gset.guards]
-    gy = [int(g.y * scale) for g in gset.guards]
+    _, gx, gy = _scaled_guards(gset.guards)
     for _, _, _, members in _group_collinear(gx, gy):
         if len(members) >= 3:
             return tuple(i for _, i in members[:3])
@@ -844,79 +851,20 @@ def find_concurrent_dark_rays(guards):
     for the lexicographically smallest such point, or None.
     """
     gset = GuardSet.coerce(guards)
-    scale = lcm(*_coord_denominators(None, gset.guards))
-    gx = [int(g.x * scale) for g in gset.guards]
-    gy = [int(g.y * scale) for g in gset.guards]
-    lines = _group_collinear(gx, gy)
+    scale, gx, gy = _scaled_guards(gset.guards)
 
-    # every dark ray lies in one of the two unbounded ends of its line
+    # every dark ray lies in one of the two unbounded ends of its line; as
+    # a piece it is open at its root guard and has no far end
     rays = []
-    for line_id, (ux, uy, c, members) in enumerate(lines):
-        first, last = members[0][1], members[-1][1]
-        rays.append((gx[first], gy[first], -ux, -uy, line_id))
-        rays.append((gx[last], gy[last], ux, uy, line_id))
+    for line_id, (ux, uy, _c, members) in enumerate(_group_collinear(gx, gy)):
+        for root, dx, dy in ((members[0][1], -ux, -uy), (members[-1][1], ux, uy)):
+            rays.append((gx[root], gy[root], dx, dy, 0, 1, True,
+                         None, None, False, len(members) - 1, line_id))
 
-    R = len(rays)
-    max_abs = max(
-        (max(abs(r[0]), abs(r[1]), abs(r[2]), abs(r[3])) for r in rays), default=0
-    )
+    exact64 = max(map(abs, gx + gy)) < _NUMPY_COORD_LIMIT
     points = {}
-
-    def note(i, j, un, D):
-        xn = rays[i][0] * D + un * rays[i][2]
-        yn = rays[i][1] * D + un * rays[i][3]
-        g = gcd(gcd(abs(xn), abs(yn)), D)
-        key = (xn // g, yn // g, D // g)
-        s = points.get(key)
-        if s is None:
-            points[key] = {rays[i][4], rays[j][4]}
-        else:
-            s.add(rays[i][4])
-            s.add(rays[j][4])
-
-    def confirm(i, j):
-        axi, ayi, dxi, dyi, _ = rays[i]
-        axj, ayj, dxj, dyj, _ = rays[j]
-        D = dxi * dyj - dyi * dxj
-        if D == 0:
-            return None
-        ex, ey = axj - axi, ayj - ayi
-        un = ex * dyj - ey * dxj
-        vn = ex * dyi - ey * dxi
-        if D < 0:
-            D, un, vn = -D, -un, -vn
-        if un <= 0 or vn <= 0:  # rays are open at their roots
-            return None
-        return (un, D)
-
-    if R >= _NUMPY_MIN_ITEMS and max_abs < _NUMPY_COORD_LIMIT:
-        ax = np.array([r[0] for r in rays], dtype=np.int64)
-        ay = np.array([r[1] for r in rays], dtype=np.int64)
-        dx = np.array([r[2] for r in rays], dtype=np.int64)
-        dy = np.array([r[3] for r in rays], dtype=np.int64)
-        lid = np.array([r[4] for r in rays], dtype=np.int64)
-        for i in range(R - 1):
-            jx = slice(i + 1, R)
-            D = dx[i] * dy[jx] - dy[i] * dx[jx]
-            ex = ax[jx] - ax[i]
-            ey = ay[jx] - ay[i]
-            un = ex * dy[jx] - ey * dx[jx]
-            vn = ex * dy[i] - ey * dx[i]
-            sgn = np.sign(D)
-            mask = (D != 0) & (lid[jx] != lid[i]) & (un * sgn > 0) & (vn * sgn > 0)
-            for off in np.nonzero(mask)[0]:
-                j = i + 1 + int(off)
-                hit = confirm(i, j)
-                if hit is not None:
-                    note(i, j, *hit)
-    else:
-        for i in range(R - 1):
-            for j in range(i + 1, R):
-                if rays[i][4] == rays[j][4]:
-                    continue
-                hit = confirm(i, j)
-                if hit is not None:
-                    note(i, j, *hit)
+    for i, j, un, _, D in _pair_hits(rays, exact64):
+        points.setdefault(_point_key(rays[i], un, D), set()).update((rays[i][11], rays[j][11]))
 
     hits = [
         (Fraction(xn, den * scale), Fraction(yn, den * scale), len(ids))

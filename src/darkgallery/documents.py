@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .darkness import GuardSet
 from .geometry import ConvexPolygon, Point2, SimplePolygon, Wedge

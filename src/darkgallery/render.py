@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .darkness import GuardSet
 from .geometry import ConvexPolygon, Point2, SimplePolygon, Wedge

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 

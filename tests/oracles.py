@@ -78,6 +78,30 @@ def group_lines_oracle(guards: Sequence[Point2]) -> Dict[Tuple[int, int, int], L
     return {k: sorted(v, key=lambda p: (p.x, p.y)) for k, v in groups.items()}
 
 
+def dark_ray_crossings_oracle(guards: Sequence[Point2]) -> Dict[Point2, set]:
+    """Every point where dark rays of distinct guard lines cross, mapped to
+    the keys of the lines whose rays pass through it.
+
+    A line's two dark rays leave its extreme members, open there, pointing
+    away from the other members.  Every pair of rays is intersected.
+    """
+    rays = []
+    for key, members in group_lines_oracle(guards).items():
+        a, b = members[0], members[-1]
+        rays.append((key, a, a - b))
+        rays.append((key, b, b - a))
+    hits: Dict[Point2, set] = {}
+    for i in range(len(rays)):
+        ki, pi, di = rays[i]
+        for kj, pj, dj in rays[i + 1:]:
+            if kj == ki:
+                continue
+            hit = line_intersection(Line.through(pi, pi + di), Line.through(pj, pj + dj))
+            if isinstance(hit, Point2) and (hit - pi).dot(di) > 0 and (hit - pj).dot(dj) > 0:
+                hits.setdefault(hit, set()).update((ki, kj))
+    return hits
+
+
 # --- exhaustive maximum darkness ---------------------------------------------
 
 def _param_on(anchor: Point2, d: Point2, p: Point2) -> Fraction:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from darkgallery import darkness
 from darkgallery.darkness import (
     GuardSet,
     boundary_census,
@@ -25,7 +26,7 @@ from darkgallery.darkness import (
     min_depth,
 )
 from darkgallery.fixtures import builtin_fixture
-from darkgallery.geometry import ConvexPolygon, Point2, centroid
+from darkgallery.geometry import ConvexPolygon, Point2, Wedge, centroid
 
 import oracles
 from conftest import (
@@ -312,6 +313,122 @@ def test_find_concurrent_dark_rays():
     assert point == Point2(0, 0)
     assert count == 3
     assert find_concurrent_dark_rays([Point2(0, 0), Point2(1, 0), Point2(0, 1)]) is None
+
+
+# --- scan branches ------------------------------------------------------------
+#
+# The pair scan picks its branch by size: the plain loop below
+# _NUMPY_MIN_ITEMS pieces, else the cell-box prefilter, joined by int64
+# sign tests while coordinates stay below _NUMPY_COORD_LIMIT.  Every branch
+# must report the same crossings in the same order.
+
+SCAN_BRANCHES = {
+    "loop": (10 ** 9, darkness._NUMPY_COORD_LIMIT),
+    "loop-big": (10 ** 9, 0),
+    "box+int64": (0, darkness._NUMPY_COORD_LIMIT),
+    "box": (0, 0),
+}
+
+
+def count_box_runs(monkeypatch):
+    """Spy on the box prefilter: the piece counts it ran on, in order."""
+    runs = []
+    boxes = darkness._piece_boxes
+
+    def counted(pieces):
+        runs.append(len(pieces))
+        return boxes(pieces)
+
+    monkeypatch.setattr(darkness, "_piece_boxes", counted)
+    return runs
+
+
+BRANCH_SCENES = {
+    # integer lattice: rows and columns of three collinear guards
+    "lattice": (
+        ConvexPolygon([Point2(0, 0), Point2(12, 0), Point2(12, 12), Point2(0, 12)]),
+        [Point2(x, y) for x in (2, 5, 9) for y in (1, 6, 10)],
+    ),
+    # rational, with its apex hidden from both lower corners (2-dark)
+    "two-dark": (
+        ConvexPolygon([Point2(0, 0), Point2(6, 0), Point2(3, 6)]),
+        [Point2(0, 0), Point2(6, 0), Point2(Fraction(9, 2), 3), Point2(Fraction(3, 2), 3)],
+    ),
+    # the five-guard triangle shape with no 2-dark point
+    "no-two-dark": (
+        ConvexPolygon([Point2(0, 0), Point2(4, 0), Point2(2, 4)]),
+        [Point2(0, 0), Point2(4, 0), Point2(2, 4), Point2(1, 0), Point2(Fraction(3, 2), 2)],
+    ),
+    # guards on two edges and a diagonal: three dark portions meet at the
+    # corner (12, 12), where the pieces' boxes only touch
+    "corner": (
+        ConvexPolygon([Point2(0, 0), Point2(12, 0), Point2(12, 12), Point2(0, 12)]),
+        [Point2(12, 4), Point2(12, 8), Point2(4, 12), Point2(8, 12), Point2(6, 6),
+         Point2(9, 9)],
+    ),
+    # unbounded pieces: the box sentinels and open far ends
+    "wedge": (
+        Wedge(Point2(0, 0), Point2(1, 0), Point2(1, 2)),
+        [Point2(1, 1), Point2(3, 1), Point2(2, 3), Point2(5, 2), Point2(4, 6), Point2(7, 3)],
+    ),
+}
+
+
+def scan_results(region, guards):
+    w = max_darkness(region, guards)
+    out = [("max", w.point, w.darkness)]
+    for j in (1, 2, 3):
+        found, witness = has_j_dark(region, guards, j)
+        out.append((j, found, None if witness is None else witness.point))
+        if found:
+            assert region.contains(witness.point)
+            assert oracles.darkness_oracle(guards, witness.point) == witness.darkness >= j
+    assert oracles.darkness_oracle(guards, w.point) == w.darkness
+    out.append(("concurrent", find_concurrent_dark_rays(guards)))
+    return out
+
+
+@pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))
+def test_scan_branches_agree(monkeypatch, scene):
+    region, guards = BRANCH_SCENES[scene]
+    runs = count_box_runs(monkeypatch)
+    results = {}
+    for name, (min_items, coord_limit) in SCAN_BRANCHES.items():
+        monkeypatch.setattr(darkness, "_NUMPY_MIN_ITEMS", min_items)
+        monkeypatch.setattr(darkness, "_NUMPY_COORD_LIMIT", coord_limit)
+        runs.clear()
+        results[name] = scan_results(region, guards)
+        assert bool(runs) == name.startswith("box")
+    assert all(r == results["loop"] for r in results.values())
+    _, found2, _ = results["loop"][2]
+    assert found2 == (scene != "no-two-dark")
+
+
+@pytest.mark.parametrize("coord_limit", [darkness._NUMPY_COORD_LIMIT, 0],
+                         ids=["box+int64", "box"])
+def test_find_concurrent_dark_rays_on_the_filtered_scan(monkeypatch, coord_limit):
+    # three guard pairs whose outward rays meet at c, among random guards
+    # that bring the scene to dozens of lines (two dark rays each)
+    c = Point2(Fraction(1, 3), Fraction(2, 7))
+    guards = [c + d * s for d in (Point2(1, 2), Point2(-3, 1), Point2(2, -5)) for s in (1, 2)]
+    rng = random.Random(37)
+    while len(guards) < 10:
+        p = Point2(Fraction(rng.randint(-60, 60), 7), Fraction(rng.randint(-60, 60), 5))
+        if p not in guards:
+            guards.append(p)
+    lines = len(collinear_groups(guards))
+    assert lines >= 24
+
+    monkeypatch.setattr(darkness, "_NUMPY_COORD_LIMIT", coord_limit)
+    runs = count_box_runs(monkeypatch)
+    hit = find_concurrent_dark_rays(guards)
+    assert runs == [2 * lines]  # filtered at the default size threshold
+
+    crossings = oracles.dark_ray_crossings_oracle(guards)
+    assert len(crossings[c]) == 3
+    point = min((p for p, keys in crossings.items() if len(keys) >= 3),
+                key=lambda p: (p.x, p.y))
+    assert hit == (point, len(crossings[point]))
 
 
 # --- boundary census ----------------------------------------------------------

@@ -8,7 +8,6 @@ exactly as a user would see them.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -38,11 +37,10 @@ COMB_REGION = {
 }
 
 
-def run_cli(*argv, env=None, expect=0):
+def run_cli(*argv, expect=0):
     proc = subprocess.run(
         [sys.executable, "-m", "darkgallery", *argv],
         capture_output=True, text=True,
-        env=env if env is not None else dict(os.environ),
     )
     assert proc.returncode == expect, (
         "exit %d != %d\nargv: %r\nstdout: %s\nstderr: %s"
@@ -290,11 +288,3 @@ def test_cli_error_paths():
     run_cli("verify", "--region", "triangle", "--guards", "/nonexistent.json",
             expect=1)
 
-
-def test_thread_cap_environment_variable():
-    env = dict(os.environ, DARKGALLERY_THREADS="banana")
-    proc = run_cli("verify", "--region", "triangle", "--guards", "triangle",
-                   env=env, expect=1)
-    assert "DARKGALLERY_THREADS" in json.loads(proc.stderr)["error"]
-    env = dict(os.environ, DARKGALLERY_THREADS="4")
-    run_cli("verify", "--region", "triangle", "--guards", "triangle", env=env)

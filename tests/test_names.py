@@ -1,16 +1,21 @@
-"""Every global name the package loads is bound somewhere.
+"""Every global name the package loads is bound, and every import is used.
 
 A name that is used but never imported, defined or assigned raises
 NameError only when its line runs, so a fault on a path that few callers
-take stays hidden until then.  This check reads each module's symbol
-tables (stdlib ``symtable``) and needs no linter.
+take stays hidden until then.  An import that nothing reads is dead code
+that outlives the code it served.  These checks read each module's
+symbol tables (stdlib ``symtable``) and syntax tree (stdlib ``ast``) and
+need no linter.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import io
+import re
 import symtable
+import tokenize
 from pathlib import Path
 from typing import List, Set, Tuple
 
@@ -70,3 +75,52 @@ def test_unbound_names_flags_what_nothing_binds():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_package_module_has_no_unbound_names(path):
     assert unbound_names(path.read_text(), str(path)) == []
+
+
+# __init__.py imports in order to re-export, so its imports count as used
+IMPORTING_MODULES = [p for p in MODULES if p.name != "__init__.py"]
+
+
+def _type_comment_names(source: str) -> Set[str]:
+    """Identifiers in ``# type:`` comments, which the syntax tree drops."""
+    out: Set[str] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT and tok.string.startswith("# type:"):
+            out.update(re.findall(r"[A-Za-z_]\w*", tok.string[len("# type:"):]))
+    return out
+
+
+def unused_imports(source: str, filename: str) -> List[Tuple[str, int]]:
+    """(name, line) for each name an import binds that nothing reads."""
+    tree = ast.parse(source, filename)
+    imported: List[Tuple[str, int]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds a; "import a.b as c" binds c
+                imported.append(((alias.asname or alias.name).split(".")[0], node.lineno))
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    used |= _type_comment_names(source)
+    return sorted((name, line) for name, line in imported if name not in used)
+
+
+def test_unused_imports_flags_what_nothing_reads():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import List, Optional, Tuple\n"
+        "from math import gcd, lcm\n"
+        "def f(a) -> List[int]:\n"
+        "    x = None  # type: Optional[int]\n"
+        "    return np.zeros(gcd(a, 2))\n"
+    )
+    assert unused_imports(source, "example.py") == [("Tuple", 4), ("lcm", 5), ("os", 2)]
+
+
+@pytest.mark.parametrize("path", IMPORTING_MODULES, ids=[p.name for p in IMPORTING_MODULES])
+def test_package_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text(), str(path)) == []
