@@ -209,7 +209,7 @@ def cmd_verify(args) -> int:
     if mode == "exact":
         cert = _exact_certificate(region, gset, js)
     else:
-        sampler = ("grid", args.grid) if args.grid else None
+        sampler = None if args.grid is None else ("grid", args.grid)
         cert = _sampled_certificate(region, gset, js, sampler, target)
     violated = any(r.found for r in cert.j_dark)
     if target is not None and cert.min_depth < target:

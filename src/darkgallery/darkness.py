@@ -10,10 +10,16 @@ Strategy: all guards blocked from p lie on lines through p that carry at
 least two guards, so darkness is a sum of per-line counts that are
 piecewise constant along each line.  The verifier scales the whole scene
 to integer coordinates, enumerates the "dark portions" of every line
-carrying >= 2 guards, clips them to the region, and evaluates darkness at
-a complete set of candidate points: one representative per crossing-free
-portion piece, every pairwise crossing of clipped portions from distinct
-lines, and every guard position.
+carrying >= 2 guards and clips them to the region as pieces.  A complete
+set of candidate points is every pairwise crossing of pieces from
+distinct lines, every guard position, and one representative per
+crossing-free sub-piece.  Three facts let the maximum skip most of it:
+a crossing is never a guard position and carries exactly one piece of
+each line dark there, so its darkness is the sum of the blocked counts
+the pair scan recorded through it (only the g guard points are rescanned
+over all lines); a piece whose blocked count is the maximum has no
+crossing on it, so its one representative is its only candidate; and
+only the candidates at the maximum enter the lexicographic tie-break.
 
 One pair scan (`_pair_hits`) finds every crossing, for the certificates,
 the j-dark queries and the concurrency check alike.  From 48 pieces up it
@@ -269,33 +275,22 @@ class _Scene:
         return Point2(Fraction(xn, den * s), Fraction(yn, den * s))
 
 
-def _clip_ray_int(ax, ay, dx, dy, halfplanes):
-    """Clip {anchor + t*d : t >= 0} against integer halfplanes ax+by>=c.
+def _ray_exit(ax, ay, dx, dy, halfplanes):
+    """Where {anchor + t*d : t >= 0} leaves the integer halfplanes
+    ax+by >= c, as (num, den) with den > 0, or None when it never does.
 
-    Returns ((lo_n, lo_d), (hi_n, hi_d) or None) with positive
-    denominators, or None when the intersection is empty.
+    The anchor must satisfy every halfplane, so the ray starts inside
+    (t = 0) and only halfplanes it runs against can end it.
     """
-    lo_n, lo_d = 0, 1
     hi_n = hi_d = None
     for a, b, c in halfplanes:
         den = a * dx + b * dy
-        num = c - (a * ax + b * ay)
-        if den == 0:
-            if num > 0:
-                return None
-            continue
-        if den > 0:
-            # t >= num/den
-            if num * lo_d > lo_n * den:
-                lo_n, lo_d = num, den
-        else:
-            # t <= num/den == (-num)/(-den)
-            n2, d2 = -num, -den
-            if hi_n is None or n2 * hi_d < hi_n * d2:
-                hi_n, hi_d = n2, d2
-    if hi_n is not None and lo_n * hi_d > hi_n * lo_d:
-        return None
-    return ((lo_n, lo_d), None if hi_n is None else (hi_n, hi_d))
+        if den < 0:
+            # t <= (c - (a*ax + b*ay)) / den, both sides of the fraction <= 0
+            n, d = a * ax + b * ay - c, -den
+            if hi_n is None or n * hi_d < hi_n * d:
+                hi_n, hi_d = n, d
+    return None if hi_n is None else (hi_n, hi_d)
 
 
 # ---------------------------------------------------------------------------
@@ -574,18 +569,18 @@ class _Analysis:
     """
 
     def __init__(self, region: Region, gset: GuardSet):
-        for g in gset.guards:
-            if not region.contains(g):
-                raise ValueError("guard %r lies outside the region" % (g,))
         self.gset = gset
         self.scene = _Scene(region, gset.guards)
-        self.lines = _group_collinear(self.scene.gx, self.scene.gy)
-        self._public_lines = None
+        gx, gy = self.scene.gx, self.scene.gy
+        hps = self.scene.halfplanes
+        # the closed region is the intersection of its scaled halfplanes
+        for g, x, y in zip(gset.guards, gx, gy):
+            if any(a * x + b * y < c for a, b, c in hps):
+                raise ValueError("guard %r lies outside the region" % (g,))
+        self.lines = _group_collinear(gx, gy)
         self._crossings = None
 
         pieces = []
-        gx, gy = self.scene.gx, self.scene.gy
-        hps = self.scene.halfplanes
         for line_id, (ux, uy, c, members) in enumerate(self.lines):
             m = len(members)
             first, last = members[0][1], members[-1][1]
@@ -597,11 +592,9 @@ class _Analysis:
                 for (t0, i0), (t1, _) in zip(members, members[1:]):
                     spans.append((i0, ux, uy, t1 - t0, m - 2))
             for anchor, dx, dy, length, blocked in spans:
-                clip = _clip_ray_int(gx[anchor], gy[anchor], dx, dy, hps)
-                if clip is None:
-                    continue
-                (lon, lod), hi = clip
-                lo_strict = lon == 0  # open at the anchoring guard
+                # the anchor lies in the region, so every piece starts open
+                # at its anchoring guard (t = 0) and no piece is a single point
+                hi = _ray_exit(gx[anchor], gy[anchor], dx, dy, hps)
                 if hi is None:
                     hin = hid = None
                 else:
@@ -609,21 +602,13 @@ class _Analysis:
                 hi_strict = False
                 if length is not None and (hin is None or hin >= length * hid):
                     hin, hid, hi_strict = length, 1, True  # open at far guard
-                if hin is not None:
-                    d = lon * hid - hin * lod
-                    if d > 0 or (d == 0 and (lo_strict or hi_strict)):
-                        continue
+                if hin == 0:
+                    continue  # the region ends at the anchoring guard
                 pieces.append(
                     (gx[anchor], gy[anchor], dx, dy,
-                     lon, lod, lo_strict, hin, hid, hi_strict, blocked, line_id)
+                     0, 1, True, hin, hid, hi_strict, blocked, line_id)
                 )
         self.pieces = pieces
-
-    # -- public-facing line objects -------------------------------------
-    def public_lines(self) -> List[GuardLine]:
-        if self._public_lines is None:
-            self._public_lines = _guard_lines(self.lines, self.gset.guards)
-        return self._public_lines
 
     # -- darkness at an exact rational point (scaled frame) --------------
     def darkness_at_scaled(self, xn: int, yn: int, den: int):
@@ -667,101 +652,124 @@ class _Analysis:
 
         Returns (points, events): points maps a normalized homogeneous
         point key (xn, yn, den) to the set of piece indices through it;
-        events maps a piece index to its crossing parameters.
+        events maps a piece index to its crossing parameters as integer
+        (num, den) pairs with den > 0.
         """
         if self._crossings is None:
             points = {}
             events = {}
             for i, j, un, vn, D in _pair_hits(self.pieces, self.scene.exact64):
                 points.setdefault(_point_key(self.pieces[i], un, D), set()).update((i, j))
-                events.setdefault(i, []).append(Fraction(un, D))
-                events.setdefault(j, []).append(Fraction(vn, D))
+                events.setdefault(i, []).append((un, D))
+                events.setdefault(j, []).append((vn, D))
             self._crossings = (points, events)
         return self._crossings
 
     # -- candidate enumeration -------------------------------------------
-    def candidates(self):
-        """(darkness, xn, yn, den, contributions) over the complete
-        candidate set: crossings, guard points, piece representatives."""
-        points, events = self.crossings()
+    def point_candidates(self):
+        """(darkness, xn, yn, den, contributions) at every crossing, in
+        the order crossings() found them, then at every guard point.
+
+        Crossing darkness comes from the recorded pieces.  No guard lies
+        on a piece of a line it is not a member of (it would be a member),
+        and pieces are open at their own members, so a crossing is never
+        a guard position.  Every line with a positive count there then
+        has exactly one piece through it, and _pair_hits pairs that piece
+        with each of the others: the darkness is the sum of `blocked`
+        over points[key], and the contributions (line_id, blocked) sorted
+        by line_id are the list darkness_at_scaled returns.  Only the g
+        guard points need that rescan.
+        """
+        points, _ = self.crossings()
+        counts = [(p[11], p[10]) for p in self.pieces]
         out = []
-
-        for xn, yn, den in points:
-            total, contr = self.darkness_at_scaled(xn, yn, den)
-            out.append((total, xn, yn, den, contr))
-
+        for (xn, yn, den), ids in points.items():
+            contr = sorted([counts[k] for k in ids])
+            out.append((sum([cnt for _, cnt in contr]), xn, yn, den, contr))
         gx, gy = self.scene.gx, self.scene.gy
         for i in range(len(gx)):
             total, contr = self.darkness_at_scaled(gx[i], gy[i], 1)
             out.append((total, gx[i], gy[i], 1, contr))
+        return out
+
+    def candidates(self):
+        """(darkness, xn, yn, den, contributions) over the complete
+        candidate set: crossings, guard points, piece representatives.
+
+        Crossings and guard points come from point_candidates, shared
+        with max_darkness.  Every piece is then subdivided at its crossing
+        parameters, with one representative per sub-piece.  max_darkness
+        needs none of that (a piece at the top level has no crossings);
+        the full set is for the sampler, which needs every point.
+        """
+        _, events = self.crossings()
+        out = self.point_candidates()
 
         # Representatives of crossing-free sub-pieces.  Darkness there is
         # exactly the piece's blocked count: after subdividing at every
         # crossing parameter no other portion passes through a sub-piece
         # interior, and no guard can lie on a piece at all (a guard
-        # collinear with a line's members would itself be a member).
+        # collinear with a line's members would itself be a member).  An
+        # unbounded piece ends its last sub-piece at an imagined bound two
+        # past the last cut, so its representative is one past that cut.
         for idx, piece in enumerate(self.pieces):
-            ax, ay, dx, dy, lon, lod, lo_strict, hin, hid, hi_strict, blocked, line_id = piece
+            ax, ay, dx, dy, lon, lod, _ls, hin, hid, _hs, blocked, line_id = piece
             lo = Fraction(lon, lod)
             hi = None if hin is None else Fraction(hin, hid)
-            cuts = sorted(set(events.get(idx, [])))
+            cuts = sorted({Fraction(n, d) for n, d in events.get(idx, ())})
             bounds = [lo] + [t for t in cuts if lo < t and (hi is None or t < hi)]
-            reps = []
-            single = False
-            if hi is None:
-                for a, b in zip(bounds, bounds[1:]):
-                    reps.append((a + b) / 2)
-                reps.append(bounds[-1] + 1)
-            elif lo == hi:
-                reps.append(lo)  # single-point piece (both ends closed)
-                single = True
-            else:
-                bounds.append(hi)
-                for a, b in zip(bounds, bounds[1:]):
-                    reps.append((a + b) / 2)
-            for t in reps:
+            bounds.append(bounds[-1] + 2 if hi is None else hi)
+            for a, b in zip(bounds, bounds[1:]):
+                t = (a + b) / 2
                 xn = ax * t.denominator + t.numerator * dx
                 yn = ay * t.denominator + t.numerator * dy
-                if single:
-                    total, contr = self.darkness_at_scaled(xn, yn, t.denominator)
-                    out.append((total, xn, yn, t.denominator, contr))
-                else:
-                    out.append((blocked, xn, yn, t.denominator, [(line_id, blocked)]))
+                out.append((blocked, xn, yn, t.denominator, [(line_id, blocked)]))
         return out
 
     def witness_from(self, total, xn, yn, den, contr) -> DarknessWitness:
-        pub = self.public_lines()
+        """The witness at (xn/den, yn/den); GuardLine objects are built for
+        the contributing lines only."""
+        lines = _guard_lines([self.lines[line_id] for line_id, _ in contr], self.gset.guards)
         point = self.scene.unscale(xn, yn, den)
-        lines = [(pub[line_id], cnt) for line_id, cnt in contr]
-        return DarknessWitness(point, total, lines)
+        return DarknessWitness(point, total, [(gl, cnt) for gl, (_, cnt) in zip(lines, contr)])
 
     def piece_representative(self, piece):
-        """A parameter value interior to the piece (or its single point)."""
-        lon, lod, hin, hid = piece[4], piece[5], piece[7], piece[8]
-        lo = Fraction(lon, lod)
-        if hin is None:
-            return lo + 1
-        hi = Fraction(hin, hid)
-        if lo == hi:
-            return lo
-        return (lo + hi) / 2
+        """The scaled point (xn, yn, den) at a parameter interior to the
+        piece."""
+        lo = Fraction(piece[4], piece[5])
+        t = lo + 1 if piece[7] is None else (lo + Fraction(piece[7], piece[8])) / 2
+        return (piece[0] * t.denominator + t.numerator * piece[2],
+                piece[1] * t.denominator + t.numerator * piece[3], t.denominator)
 
 
 def max_darkness(region: Region, guards) -> DarknessWitness:
     """Exact maximum darkness over the closed region, with witness.
 
-    Ties between witness points are broken by lexicographic point order,
-    so the certificate does not depend on guard ordering.
+    Let top be the maximum over the crossing and guard-point totals of
+    point_candidates and every piece's blocked count: it is the maximum
+    darkness, since every sub-piece representative has darkness equal to
+    its piece's blocked count.  Top-level pieces have no crossings: a
+    crossing on a piece has darkness >= its blocked count + 1, so a piece
+    with blocked == top has no crossing events and its only candidate is
+    piece_representative(piece).  Only the candidates at top need the
+    tie-break, which takes the lexicographically smallest point (the
+    first in the order crossings, guards, pieces on equal points), so the
+    certificate does not depend on guard ordering.
     """
     gset = GuardSet.coerce(guards)
     analysis = _Analysis(region, gset)
-    best = None
-    for cand in analysis.candidates():
-        total, xn, yn, den, contr = cand
-        key = (-total, Fraction(xn, den), Fraction(yn, den))
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return analysis.witness_from(*best[1])
+    cands = analysis.point_candidates()
+    top = max([c[0] for c in cands] + [p[10] for p in analysis.pieces])
+    at_top = [c for c in cands if c[0] == top]
+    at_top += [(top, *analysis.piece_representative(p), [(p[11], top)])
+               for p in analysis.pieces if p[10] == top]
+    best = at_top[0]
+    for c in at_top[1:]:
+        # lexicographic (x, y) order, cross-multiplied: every den is > 0
+        dx = c[1] * best[3] - best[1] * c[3]
+        if dx < 0 or (dx == 0 and c[2] * best[3] < best[2] * c[3]):
+            best = c
+    return analysis.witness_from(*best)
 
 
 def darkness_at(region: Region, guards, p: Point2) -> DarknessWitness:
@@ -804,11 +812,9 @@ def has_j_dark(region: Region, guards, j: int):
     for piece in analysis.pieces:
         if piece[10] < j:
             continue
-        t = analysis.piece_representative(piece)
-        xn = piece[0] * t.denominator + t.numerator * piece[2]
-        yn = piece[1] * t.denominator + t.numerator * piece[3]
-        total, contr = analysis.darkness_at_scaled(xn, yn, t.denominator)
-        return True, analysis.witness_from(total, xn, yn, t.denominator, contr)
+        key = analysis.piece_representative(piece)
+        total, contr = analysis.darkness_at_scaled(*key)
+        return True, analysis.witness_from(total, *key, contr)
 
     # guard positions (3+ collinear guards darken the middle ones' spots)
     gx, gy = analysis.scene.gx, analysis.scene.gy

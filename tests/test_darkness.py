@@ -7,12 +7,14 @@ definition.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from darkgallery import darkness
+from darkgallery.construct import place_4n_minus_2
 from darkgallery.darkness import (
     GuardSet,
     boundary_census,
@@ -429,6 +431,108 @@ def test_find_concurrent_dark_rays_on_the_filtered_scan(monkeypatch, coord_limit
     point = min((p for p, keys in crossings.items() if len(keys) >= 3),
                 key=lambda p: (p.x, p.y))
     assert hit == (point, len(crossings[point]))
+
+
+# --- crossing darkness -------------------------------------------------------
+#
+# max_darkness reads a crossing's darkness off the pieces recorded through
+# it and evaluates only the pieces at the top level; these tests pin the
+# facts that make this exact.
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_octagon():
+    """16 guards on a 6-spaced integer lattice in a random 8-gon: lines
+    of up to seven guards, 191 pieces, 247 crossings."""
+    rng = random.Random(2)
+    P = random_convex_polygon(rng, 8, size=60)
+    pts = [Point2(x, y) for x in range(0, 61, 6) for y in range(0, 61, 6)
+           if P.where(Point2(x, y)) == "interior"]
+    return P, rng.sample(pts, 16)
+
+
+@functools.lru_cache(maxsize=None)
+def placement_4n_minus_2():
+    """A full 4n-2 placement on a random 6-gon (22 guards, no 2-dark point)."""
+    P = random_convex_polygon(random.Random(6), 6)
+    return P, list(place_4n_minus_2(P)[0])
+
+
+INVARIANT_SCENES = sorted(BRANCH_SCENES) + ["lattice-8gon", "4n-2"]
+
+
+def invariant_scene(name):
+    if name == "lattice-8gon":
+        return lattice_octagon()
+    if name == "4n-2":
+        return placement_4n_minus_2()
+    return BRANCH_SCENES[name]
+
+
+@pytest.mark.parametrize("scene", INVARIANT_SCENES)
+def test_crossings_know_their_darkness(monkeypatch, scene):
+    region, guards = invariant_scene(scene)
+    for name, (min_items, coord_limit) in SCAN_BRANCHES.items():
+        monkeypatch.setattr(darkness, "_NUMPY_MIN_ITEMS", min_items)
+        monkeypatch.setattr(darkness, "_NUMPY_COORD_LIMIT", coord_limit)
+        analysis = darkness._Analysis(region, GuardSet(guards))
+        points, events = analysis.crossings()
+        cands = analysis.point_candidates()
+        assert [c[1:4] for c in cands[:len(points)]] == list(points)
+        # the darkness read off the recorded pieces is the full rescan
+        for total, xn, yn, den, contr in cands[:len(points)]:
+            assert (total, contr) == analysis.darkness_at_scaled(xn, yn, den), name
+        top = max([c[0] for c in cands] + [p[10] for p in analysis.pieces])
+        # the witness is the smallest point at top of the complete set
+        w = max_darkness(region, guards)
+        full = [analysis.scene.unscale(xn, yn, den)
+                for total, xn, yn, den, _ in analysis.candidates() if total == top]
+        assert w.darkness == top
+        assert w.point == min(full, key=lambda p: (p.x, p.y)), name
+        at_top = [idx for idx, p in enumerate(analysis.pieces) if p[10] == top]
+        # top-level pieces have no crossings
+        assert not any(idx in events for idx in at_top), name
+    if scene == "lattice-8gon":
+        assert len(analysis.pieces) >= 48 and len(points) > 200 and top > 2
+    if scene == "4n-2":
+        assert not points and top == 1 and len(at_top) == len(analysis.pieces)
+
+
+def test_max_darkness_rescans_only_the_guard_points(monkeypatch):
+    region, guards = lattice_octagon()
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    points, _ = analysis.crossings()
+    # every piece starts open at its anchoring guard, so no piece is a
+    # single point that would need a rescan of its own
+    assert all(p[4] == 0 and p[6] for p in analysis.pieces)
+
+    calls = []
+    rescan = darkness._Analysis.darkness_at_scaled
+
+    def spy(self, xn, yn, den):
+        calls.append((xn, yn, den))
+        return rescan(self, xn, yn, den)
+
+    monkeypatch.setattr(darkness._Analysis, "darkness_at_scaled", spy)
+    w = max_darkness(region, guards)
+    assert len(points) > 10 * len(guards)
+    assert len(calls) == len(guards)
+    assert not set(calls) & set(points)
+    assert oracles.darkness_oracle(guards, w.point) == w.darkness
+
+
+@pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))
+def test_min_depth_matches_the_oracle_on_every_branch(monkeypatch, scene):
+    region, guards = BRANCH_SCENES[scene]
+    best, _ = oracles.max_darkness_oracle(region, guards)
+    for name, (min_items, coord_limit) in SCAN_BRANCHES.items():
+        monkeypatch.setattr(darkness, "_NUMPY_MIN_ITEMS", min_items)
+        monkeypatch.setattr(darkness, "_NUMPY_COORD_LIMIT", coord_limit)
+        cert = min_depth(region, guards)
+        assert cert.max_darkness == best, name
+        assert cert.min_depth == len(guards) - best
+        assert region.contains(cert.witness.point)
+        assert oracles.darkness_oracle(guards, cert.witness.point) == best, name
 
 
 # --- boundary census ----------------------------------------------------------

@@ -240,6 +240,20 @@ def test_sampled_verify_echoes_its_sampler(work, tmp_path):
     assert cert["min_depth"] >= 2
 
 
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_sampled_verify_rejects_a_grid_below_one(tmp_path, grid):
+    # 0 is a resolution too, not "no grid"
+    regfile = str(tmp_path / "comb.json")
+    with open(regfile, "w") as fh:
+        json.dump(COMB_REGION, fh)
+    out = str(tmp_path / "place.json")
+    run_cli("construct", "--shape", regfile, "--k", "2", "--out", out)
+    proc = run_cli("verify", "--region", regfile, "--guards", out,
+                   "--grid", grid, "--format", "json", expect=1)
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "grid resolution must be at least 1"}
+
+
 # --- render -------------------------------------------------------------------------
 
 def test_render_guards_only(work):
