@@ -30,6 +30,7 @@ from .documents import (
     DocumentError,
     JDarkResult,
     PlacementDocument,
+    _dumps,
     point_from_json,
     region_from_dict,
 )
@@ -98,7 +99,7 @@ def _load_guards(spec: str) -> GuardSet:
 
 
 def _emit(args, payload: dict, summary_lines: List[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _dumps(payload)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -20,19 +20,20 @@ the pair scan recorded through it (only the g guard points are rescanned
 over all lines); a piece whose blocked count is the maximum has no
 crossing on it, so its one representative is its only candidate; and
 only the candidates at the maximum enter the lexicographic tie-break.
+The j-dark queries read crossing darkness the same way.
 
 One pair scan (`_pair_hits`) finds every crossing, for the certificates,
 the j-dark queries and the concurrency check alike.  From 48 pieces up it
-always runs a conservative cell-box prefilter; int64 sign tests join it
-only while the scaled coordinates stay below 2**28, where their products
-provably cannot overflow.  Every pair that survives is confirmed with
-exact big-integer arithmetic.
+always runs a conservative prefilter on float bounding boxes; int64 sign
+tests join it only while the scaled coordinates stay below 2**28, where
+their products provably cannot overflow.  Every pair that survives is
+confirmed with exact big-integer arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -386,12 +387,12 @@ def dark_portions(line: GuardLine) -> List[DarkPortion]:
 # A piece is one straight part of a guard line, anchored at a member guard
 # and parameterized as anchor + t*(dx, dy):
 #
-#     (ax, ay, dx, dy, lon, lod, lo_strict,
-#      hin, hid, hi_strict, blocked, line_id)
+#     (ax, ay, dx, dy, hin, hid, hi_strict, blocked, line_id)
 #
-# Bounds are rationals lon/lod <= t <= hin/hid with positive denominators;
-# hin is None when the piece never ends.  lo_strict/hi_strict mark open
-# ends (guard positions).  blocked is the piece's own blocked count.
+# It covers 0 < t <= hin/hid (hid > 0), open at its anchor because every
+# anchor is a guard position; hin is None when the piece never ends, and
+# hi_strict marks a far end that is open too (another guard).  blocked is
+# the piece's own blocked count.
 
 
 def _confirm(p, q):
@@ -409,99 +410,57 @@ def _confirm(p, q):
     vn = ex * p[3] - ey * p[2]
     if D < 0:
         D, un, vn = -D, -un, -vn
-    s = un * p[5] - p[4] * D
-    if s < 0 or (s == 0 and p[6]):
+    if un <= 0 or vn <= 0:
         return None
-    if p[7] is not None:
-        s = un * p[8] - p[7] * D
-        if s > 0 or (s == 0 and p[9]):
+    if p[4] is not None:
+        s = un * p[5] - p[4] * D
+        if s > 0 or (s == 0 and p[6]):
             return None
-    s = vn * q[5] - q[4] * D
-    if s < 0 or (s == 0 and q[6]):
-        return None
-    if q[7] is not None:
-        s = vn * q[8] - q[7] * D
-        if s > 0 or (s == 0 and q[9]):
+    if q[4] is not None:
+        s = vn * q[5] - q[4] * D
+        if s > 0 or (s == 0 and q[6]):
             return None
     return (un, vn, D)
 
 
+def _nearest(n, d):
+    """n/d (d > 0) rounded to the nearest float, or +-inf past the float
+    range.  The int / int division is correctly rounded; math.copysign
+    would convert n to float and overflow itself."""
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
+
+
 def _piece_boxes(pieces):
-    """Conservative integer cell boxes, one per piece.
+    """Conservative float boxes (lox, hix, loy, hiy), one per piece.
 
-    The pieces' joint extent is divided into 1024 columns and rows
-    and every endpoint is floored onto that grid with exact rational
-    arithmetic, so two pieces whose true spans overlap always land
-    in overlapping cell ranges.  An unbounded end spills into a
-    sentinel cell past the grid edge.  Cell numbers stay tiny no
-    matter how large the scene coordinates are, which is the point:
-    the pair scan keeps a vectorized prefilter even when the
-    coordinates themselves are too big for int64 products.
+    Every endpoint coordinate is rounded to the nearest float and an
+    unbounded end becomes +-inf.  Rounding is monotone (a <= b implies
+    round(a) <= round(b)), so two pieces whose true spans overlap keep
+    overlapping boxes under <=.  That holds however large the scaled
+    coordinates are, so the pair scan keeps a vectorized prefilter even
+    where int64 products would overflow.
     """
-    # endpoints as unreduced rationals (numerator, positive denominator):
-    # no gcd normalization anywhere, comparisons cross-multiply instead
-    spans = []
-    for ax, ay, dx, dy, lon, lod, _ls, hin, hid, _hs, _b, _lid in pieces:
-        e0 = (ax * lod + dx * lon, ay * lod + dy * lon, lod)
+    box = np.empty((len(pieces), 4))
+    for k, (ax, ay, dx, dy, hin, hid, *_) in enumerate(pieces):
+        x0, y0 = _nearest(ax, 1), _nearest(ay, 1)
         if hin is None:
-            e1 = None
+            x1 = x0 if dx == 0 else inf if dx > 0 else -inf
+            y1 = y0 if dy == 0 else inf if dy > 0 else -inf
         else:
-            e1 = (ax * hid + dx * hin, ay * hid + dy * hin, hid)
-        spans.append((e0, e1, dx, dy))
-
-    def smaller(a, b):
-        return a if a[0] * b[1] < b[0] * a[1] else b
-
-    def larger(a, b):
-        return a if a[0] * b[1] > b[0] * a[1] else b
-
-    mnx = mxx = (spans[0][0][0], spans[0][0][2])
-    mny = mxy = (spans[0][0][1], spans[0][0][2])
-    for e0, e1, _dx, _dy in spans:
-        for e in (e0, e1) if e1 is not None else (e0,):
-            mnx = smaller(mnx, (e[0], e[2]))
-            mxx = larger(mxx, (e[0], e[2]))
-            mny = smaller(mny, (e[1], e[2]))
-            mxy = larger(mxy, (e[1], e[2]))
-    spanx = (mxx[0] * mnx[1] - mnx[0] * mxx[1], mxx[1] * mnx[1])
-    spany = (mxy[0] * mny[1] - mny[0] * mxy[1], mxy[1] * mny[1])
-    en, ed = larger(spanx, spany)
-    if en == 0:
-        en, ed = 1, 1
-    cells = 1024
-
-    def cell(vn, vd, lo):
-        # floor of ((vn/vd - lo) * cells / extent); vn/vd >= lo always
-        return (vn * lo[1] - lo[0] * vd) * cells * ed // (vd * lo[1] * en)
-
-    n = len(spans)
-    lox = np.empty(n, dtype=np.int64)
-    hix = np.empty(n, dtype=np.int64)
-    loy = np.empty(n, dtype=np.int64)
-    hiy = np.empty(n, dtype=np.int64)
-    for k, (e0, e1, dx, dy) in enumerate(spans):
-        cx = cell(e0[0], e0[2], mnx)
-        cy = cell(e0[1], e0[2], mny)
-        if e1 is None:
-            lox[k], hix[k] = (cx, cells + 1) if dx > 0 else (-1, cx)
-            if dx == 0:
-                lox[k] = hix[k] = cx
-            loy[k], hiy[k] = (cy, cells + 1) if dy > 0 else (-1, cy)
-            if dy == 0:
-                loy[k] = hiy[k] = cy
-        else:
-            c1x = cell(e1[0], e1[2], mnx)
-            c1y = cell(e1[1], e1[2], mny)
-            lox[k], hix[k] = min(cx, c1x), max(cx, c1x)
-            loy[k], hiy[k] = min(cy, c1y), max(cy, c1y)
-    return lox, hix, loy, hiy
+            x1 = _nearest(ax * hid + dx * hin, hid)
+            y1 = _nearest(ay * hid + dy * hin, hid)
+        box[k] = min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)
+    return box.T
 
 
 def _pair_hits(pieces, exact64: bool):
     """Every confirmed crossing (i, j, un, vn, D) of pieces from distinct
     lines, as _confirm reports it, in increasing (i, j) order.
 
-    From _NUMPY_MIN_ITEMS pieces up, the cell boxes of _piece_boxes
+    From _NUMPY_MIN_ITEMS pieces up, the float boxes of _piece_boxes
     discard pairs that cannot meet; when exact64 holds (the scaled guard
     and region coordinates stay below _NUMPY_COORD_LIMIT in magnitude, so
     anchors and directions are small enough) int64 sign tests discard
@@ -513,7 +472,7 @@ def _pair_hits(pieces, exact64: bool):
     filtered = R >= _NUMPY_MIN_ITEMS
     if filtered:
         lox, hix, loy, hiy = _piece_boxes(pieces)
-        lid = np.array([p[11] for p in pieces], dtype=np.int64)
+        lid = np.array([p[8] for p in pieces], dtype=np.int64)
         if exact64:
             ax, ay, dx, dy = (
                 np.array([p[k] for p in pieces], dtype=np.int64) for k in range(4))
@@ -534,11 +493,11 @@ def _pair_hits(pieces, exact64: bool):
                 un = ex * dy[jx] - ey * dx[jx]
                 vn = ex * dy[i] - ey * dx[i]
                 sgn = np.sign(D)
-                mask &= (D != 0) & (un * sgn >= 0) & (vn * sgn >= 0)
+                mask &= (un * sgn > 0) & (vn * sgn > 0)  # also rules out D == 0
             js = (i + 1 + np.nonzero(mask)[0]).tolist()
         else:
-            li = pieces[i][11]
-            js = [j for j in range(i + 1, R) if pieces[j][11] != li]
+            li = pieces[i][8]
+            js = [j for j in range(i + 1, R) if pieces[j][8] != li]
         for j in js:
             hit = _confirm(pieces[i], pieces[j])
             if hit is not None:
@@ -554,6 +513,26 @@ def _point_key(piece, un, D):
     return (xn // g, yn // g, D // g)
 
 
+def _sub_piece_points(piece, cuts):
+    """One scaled point (xn, yn, den) interior to each sub-piece that the
+    crossing parameters cuts, as (num, den) pairs, divide the piece into.
+
+    An unbounded piece ends its last sub-piece at an imagined bound two
+    past the last cut, so its point is one past that cut.
+    """
+    ax, ay, dx, dy, hin, hid = piece[:6]
+    hi = None if hin is None else Fraction(hin, hid)
+    ts = sorted({Fraction(n, d) for n, d in cuts})
+    bounds = [Fraction(0)] + [t for t in ts if hi is None or t < hi]
+    bounds.append(bounds[-1] + 2 if hi is None else hi)
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        t = (a + b) / 2
+        out.append((ax * t.denominator + t.numerator * dx,
+                    ay * t.denominator + t.numerator * dy, t.denominator))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the exact verifier core
 
@@ -563,9 +542,10 @@ class _Analysis:
 
     Each piece (the tuple layout of the pair scan above) is the in-region
     part of one dark portion, re-anchored at a member guard so its
-    parameter interval starts at 0.  hin is None where the region leaves
-    the piece unbounded (wedges).  Only pieces blocking >= 1 guard are
-    kept.
+    parameter interval starts open at 0.  hin is None where the region
+    leaves the piece unbounded (wedges, or region None: the whole plane,
+    where the unbounded pieces are exactly the dark rays).  Only pieces
+    blocking >= 1 guard are kept.
     """
 
     def __init__(self, region: Region, gset: GuardSet):
@@ -605,9 +585,7 @@ class _Analysis:
                 if hin == 0:
                     continue  # the region ends at the anchoring guard
                 pieces.append(
-                    (gx[anchor], gy[anchor], dx, dy,
-                     0, 1, True, hin, hid, hi_strict, blocked, line_id)
-                )
+                    (gx[anchor], gy[anchor], dx, dy, hin, hid, hi_strict, blocked, line_id))
         self.pieces = pieces
 
     # -- darkness at an exact rational point (scaled frame) --------------
@@ -666,31 +644,39 @@ class _Analysis:
         return self._crossings
 
     # -- candidate enumeration -------------------------------------------
-    def point_candidates(self):
+    def crossing_candidates(self):
         """(darkness, xn, yn, den, contributions) at every crossing, in
-        the order crossings() found them, then at every guard point.
+        the order crossings() found them.
 
-        Crossing darkness comes from the recorded pieces.  No guard lies
-        on a piece of a line it is not a member of (it would be a member),
-        and pieces are open at their own members, so a crossing is never
-        a guard position.  Every line with a positive count there then
-        has exactly one piece through it, and _pair_hits pairs that piece
-        with each of the others: the darkness is the sum of `blocked`
-        over points[key], and the contributions (line_id, blocked) sorted
-        by line_id are the list darkness_at_scaled returns.  Only the g
-        guard points need that rescan.
+        The darkness comes from the recorded pieces.  No guard lies on a
+        piece of a line it is not a member of (it would be a member), and
+        pieces are open at their own members, so a crossing is never a
+        guard position.  Every line with a positive count there then has
+        exactly one piece through it, and _pair_hits pairs that piece with
+        each of the others: the darkness is the sum of `blocked` over
+        points[key], and the contributions (line_id, blocked) sorted by
+        line_id are the list darkness_at_scaled returns.
         """
         points, _ = self.crossings()
-        counts = [(p[11], p[10]) for p in self.pieces]
+        counts = [(p[8], p[7]) for p in self.pieces]
         out = []
         for (xn, yn, den), ids in points.items():
             contr = sorted([counts[k] for k in ids])
             out.append((sum([cnt for _, cnt in contr]), xn, yn, den, contr))
-        gx, gy = self.scene.gx, self.scene.gy
-        for i in range(len(gx)):
-            total, contr = self.darkness_at_scaled(gx[i], gy[i], 1)
-            out.append((total, gx[i], gy[i], 1, contr))
         return out
+
+    def guard_candidates(self):
+        """(darkness, xn, yn, den, contributions) at every guard point, the
+        only points that need a rescan over all lines."""
+        out = []
+        for x, y in zip(self.scene.gx, self.scene.gy):
+            total, contr = self.darkness_at_scaled(x, y, 1)
+            out.append((total, x, y, 1, contr))
+        return out
+
+    def point_candidates(self):
+        """crossing_candidates() followed by guard_candidates()."""
+        return self.crossing_candidates() + self.guard_candidates()
 
     def candidates(self):
         """(darkness, xn, yn, den, contributions) over the complete
@@ -704,26 +690,15 @@ class _Analysis:
         """
         _, events = self.crossings()
         out = self.point_candidates()
-
-        # Representatives of crossing-free sub-pieces.  Darkness there is
-        # exactly the piece's blocked count: after subdividing at every
-        # crossing parameter no other portion passes through a sub-piece
-        # interior, and no guard can lie on a piece at all (a guard
-        # collinear with a line's members would itself be a member).  An
-        # unbounded piece ends its last sub-piece at an imagined bound two
-        # past the last cut, so its representative is one past that cut.
+        # Darkness at a sub-piece point is exactly the piece's blocked
+        # count: after subdividing at every crossing parameter no other
+        # portion passes through a sub-piece interior, and no guard can lie
+        # on a piece at all (a guard collinear with a line's members would
+        # itself be a member).
         for idx, piece in enumerate(self.pieces):
-            ax, ay, dx, dy, lon, lod, _ls, hin, hid, _hs, blocked, line_id = piece
-            lo = Fraction(lon, lod)
-            hi = None if hin is None else Fraction(hin, hid)
-            cuts = sorted({Fraction(n, d) for n, d in events.get(idx, ())})
-            bounds = [lo] + [t for t in cuts if lo < t and (hi is None or t < hi)]
-            bounds.append(bounds[-1] + 2 if hi is None else hi)
-            for a, b in zip(bounds, bounds[1:]):
-                t = (a + b) / 2
-                xn = ax * t.denominator + t.numerator * dx
-                yn = ay * t.denominator + t.numerator * dy
-                out.append((blocked, xn, yn, t.denominator, [(line_id, blocked)]))
+            blocked, line_id = piece[7], piece[8]
+            for key in _sub_piece_points(piece, events.get(idx, ())):
+                out.append((blocked, *key, [(line_id, blocked)]))
         return out
 
     def witness_from(self, total, xn, yn, den, contr) -> DarknessWitness:
@@ -733,36 +708,28 @@ class _Analysis:
         point = self.scene.unscale(xn, yn, den)
         return DarknessWitness(point, total, [(gl, cnt) for gl, (_, cnt) in zip(lines, contr)])
 
-    def piece_representative(self, piece):
-        """The scaled point (xn, yn, den) at a parameter interior to the
-        piece."""
-        lo = Fraction(piece[4], piece[5])
-        t = lo + 1 if piece[7] is None else (lo + Fraction(piece[7], piece[8])) / 2
-        return (piece[0] * t.denominator + t.numerator * piece[2],
-                piece[1] * t.denominator + t.numerator * piece[3], t.denominator)
-
 
 def max_darkness(region: Region, guards) -> DarknessWitness:
     """Exact maximum darkness over the closed region, with witness.
 
     Let top be the maximum over the crossing and guard-point totals of
     point_candidates and every piece's blocked count: it is the maximum
-    darkness, since every sub-piece representative has darkness equal to
-    its piece's blocked count.  Top-level pieces have no crossings: a
-    crossing on a piece has darkness >= its blocked count + 1, so a piece
-    with blocked == top has no crossing events and its only candidate is
-    piece_representative(piece).  Only the candidates at top need the
-    tie-break, which takes the lexicographically smallest point (the
-    first in the order crossings, guards, pieces on equal points), so the
-    certificate does not depend on guard ordering.
+    darkness, since every sub-piece point has darkness equal to its
+    piece's blocked count.  Top-level pieces have no crossings: a crossing
+    on a piece has darkness >= its blocked count + 1, so a piece with
+    blocked == top has no crossing events and its only candidate is the
+    one point of _sub_piece_points(piece, ()).  Only the candidates at top
+    need the tie-break, which takes the lexicographically smallest point
+    (the first in the order crossings, guards, pieces on equal points), so
+    the certificate does not depend on guard ordering.
     """
     gset = GuardSet.coerce(guards)
     analysis = _Analysis(region, gset)
     cands = analysis.point_candidates()
-    top = max([c[0] for c in cands] + [p[10] for p in analysis.pieces])
+    top = max([c[0] for c in cands] + [p[7] for p in analysis.pieces])
     at_top = [c for c in cands if c[0] == top]
-    at_top += [(top, *analysis.piece_representative(p), [(p[11], top)])
-               for p in analysis.pieces if p[10] == top]
+    at_top += [(top, *_sub_piece_points(p, ())[0], [(p[8], top)])
+               for p in analysis.pieces if p[7] == top]
     best = at_top[0]
     for c in at_top[1:]:
         # lexicographic (x, y) order, cross-multiplied: every den is > 0
@@ -796,11 +763,12 @@ def min_depth(region: Region, guards) -> DepthCertificate:
 def has_j_dark(region: Region, guards, j: int):
     """(found, witness) for a point of the region with darkness >= j.
 
-    Early-exits where it can: a portion whose own blocked count reaches j
-    settles it immediately.  Otherwise, after the guard positions, it
-    walks the crossings of the shared pair scan (`_pair_hits`, the one
-    behind max_darkness) and stops at the first of darkness >= j.  The
-    scan yields crossings in increasing (i, j) piece order on every
+    A portion whose own blocked count reaches j settles it at once;
+    otherwise the guard positions come next, then the crossings.  Every
+    crossing is 2-dark, so for j == 2 the first hit of the shared pair
+    scan (`_pair_hits`) is the witness.  For j >= 3 it is the first
+    crossing, in crossings() order, whose recorded darkness reaches j.
+    The scan yields crossings in increasing (i, j) piece order on every
     branch, so the witness does not depend on which branch runs.
     """
     if j < 1:
@@ -810,29 +778,27 @@ def has_j_dark(region: Region, guards, j: int):
 
     # pieces whose own blocked count already reaches j
     for piece in analysis.pieces:
-        if piece[10] < j:
-            continue
-        key = analysis.piece_representative(piece)
-        total, contr = analysis.darkness_at_scaled(*key)
-        return True, analysis.witness_from(total, *key, contr)
+        if piece[7] >= j:
+            key = _sub_piece_points(piece, ())[0]
+            total, contr = analysis.darkness_at_scaled(*key)
+            return True, analysis.witness_from(total, *key, contr)
 
     # guard positions (3+ collinear guards darken the middle ones' spots)
-    gx, gy = analysis.scene.gx, analysis.scene.gy
-    for i in range(len(gx)):
-        total, contr = analysis.darkness_at_scaled(gx[i], gy[i], 1)
-        if total >= j:
-            return True, analysis.witness_from(total, gx[i], gy[i], 1, contr)
-
-    if j == 1:
-        return False, None
+    for cand in analysis.guard_candidates():
+        if cand[0] >= j:
+            return True, analysis.witness_from(*cand)
 
     # otherwise the darkness must stack up at a portion crossing
-    pieces = analysis.pieces
-    for i, _, un, _, D in _pair_hits(pieces, analysis.scene.exact64):
-        key = _point_key(pieces[i], un, D)
-        total, contr = analysis.darkness_at_scaled(*key)
-        if total >= j:
+    if j == 2:
+        pieces = analysis.pieces
+        for i, _, un, _, D in _pair_hits(pieces, analysis.scene.exact64):
+            key = _point_key(pieces[i], un, D)
+            total, contr = analysis.darkness_at_scaled(*key)
             return True, analysis.witness_from(total, *key, contr)
+        return False, None
+    for cand in analysis.crossing_candidates():
+        if cand[0] >= j:
+            return True, analysis.witness_from(*cand)
     return False, None
 
 
@@ -856,32 +822,18 @@ def find_concurrent_dark_rays(guards):
     The scan is plane-wide (no region clipping).  Returns (point, count)
     for the lexicographically smallest such point, or None.
     """
-    gset = GuardSet.coerce(guards)
-    scale, gx, gy = _scaled_guards(gset.guards)
-
-    # every dark ray lies in one of the two unbounded ends of its line; as
-    # a piece it is open at its root guard and has no far end
-    rays = []
-    for line_id, (ux, uy, _c, members) in enumerate(_group_collinear(gx, gy)):
-        for root, dx, dy in ((members[0][1], -ux, -uy), (members[-1][1], ux, uy)):
-            rays.append((gx[root], gy[root], dx, dy, 0, 1, True,
-                         None, None, False, len(members) - 1, line_id))
-
-    exact64 = max(map(abs, gx + gy)) < _NUMPY_COORD_LIMIT
+    analysis = _Analysis(None, GuardSet.coerce(guards))
+    # with no region the unbounded pieces are the dark rays, each open at
+    # its root guard
+    rays = [p for p in analysis.pieces if p[4] is None]
     points = {}
-    for i, j, un, _, D in _pair_hits(rays, exact64):
-        points.setdefault(_point_key(rays[i], un, D), set()).update((rays[i][11], rays[j][11]))
-
-    hits = [
-        (Fraction(xn, den * scale), Fraction(yn, den * scale), len(ids))
-        for (xn, yn, den), ids in points.items()
-        if len(ids) >= 3
-    ]
+    for i, j, un, _, D in _pair_hits(rays, analysis.scene.exact64):
+        points.setdefault(_point_key(rays[i], un, D), set()).update((rays[i][8], rays[j][8]))
+    hits = [(analysis.scene.unscale(*key), len(ids)) for key, ids in points.items()
+            if len(ids) >= 3]
     if not hits:
         return None
-    hits.sort()
-    x, y, count = hits[0]
-    return Point2(x, y), count
+    return min(hits, key=lambda hit: (hit[0].x, hit[0].y))
 
 
 # ---------------------------------------------------------------------------

@@ -82,14 +82,8 @@ class Point2:
     def dot(self, other: "Point2") -> Rat:
         return self.x * other.x + self.y * other.y
 
-    def norm2(self) -> Rat:
-        return self.x * self.x + self.y * self.y
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
-
-
-ORIGIN = Point2(0, 0)
 
 
 def cross(o: Point2, a: Point2, b: Point2) -> Rat:
@@ -415,7 +409,7 @@ def convex_hull(points: Sequence[Point2]) -> HullResult:
 
     order = sorted(set(pts), key=lambda p: (p.x, p.y))
     if len(order) == 1:
-        return HullResult([order[0]], ["corner" if p == order[0] else "corner" for p in pts], True)
+        return HullResult([order[0]], ["corner"] * len(pts), True)
 
     def build(seq):
         chain = []
@@ -435,7 +429,6 @@ def convex_hull(points: Sequence[Point2]) -> HullResult:
     corner_set = set(corners)
     labels = []
     if degenerate:
-        a, b = corners[0], corners[-1]
         for p in pts:
             labels.append("corner" if p in corner_set else "edge")
         return HullResult(corners, labels, True)
@@ -554,13 +547,6 @@ class ConvexPolygon:
         xs = [v.x for v in self.vertices]
         ys = [v.y for v in self.vertices]
         return (min(xs), min(ys), max(xs), max(ys))
-
-    def area2(self) -> Rat:
-        """Twice the signed area (positive for ccw input)."""
-        total = Fraction(0)
-        for a, b in self.edges():
-            total += a.cross(b)
-        return total
 
 
 class Wedge:
@@ -685,12 +671,6 @@ class SimplePolygon:
         for i in range(n):
             yield vs[i], vs[(i + 1) % n]
 
-    def area2(self) -> Rat:
-        total = Fraction(0)
-        for a, b in self.edges():
-            total += a.cross(b)
-        return total
-
     def where(self, p: Point2) -> str:
         for a, b in self.edges():
             if on_segment(p, a, b):
@@ -716,10 +696,3 @@ class SimplePolygon:
         xs = [v.x for v in self.vertices]
         ys = [v.y for v in self.vertices]
         return (min(xs), min(ys), max(xs), max(ys))
-
-    def is_convex(self) -> bool:
-        vs = self.vertices
-        n = len(vs)
-        return all(
-            orientation(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) > 0 for i in range(n)
-        )

@@ -320,7 +320,7 @@ def test_find_concurrent_dark_rays():
 # --- scan branches ------------------------------------------------------------
 #
 # The pair scan picks its branch by size: the plain loop below
-# _NUMPY_MIN_ITEMS pieces, else the cell-box prefilter, joined by int64
+# _NUMPY_MIN_ITEMS pieces, else the float-box prefilter, joined by int64
 # sign tests while coordinates stay below _NUMPY_COORD_LIMIT.  Every branch
 # must report the same crossings in the same order.
 
@@ -345,6 +345,9 @@ def count_box_runs(monkeypatch):
     return runs
 
 
+DYADIC = Fraction(1, 2 ** 33)
+BIG_DEN = 3 ** 25
+
 BRANCH_SCENES = {
     # integer lattice: rows and columns of three collinear guards
     "lattice": (
@@ -368,12 +371,36 @@ BRANCH_SCENES = {
         [Point2(12, 4), Point2(12, 8), Point2(4, 12), Point2(8, 12), Point2(6, 6),
          Point2(9, 9)],
     ),
-    # unbounded pieces: the box sentinels and open far ends
+    # unbounded pieces: infinite box ends and open far ends
     "wedge": (
         Wedge(Point2(0, 0), Point2(1, 0), Point2(1, 2)),
         [Point2(1, 1), Point2(3, 1), Point2(2, 3), Point2(5, 2), Point2(4, 6), Point2(7, 3)],
     ),
+    # dyadic coordinates down to 2**-33 with a collinear triple: the scaled
+    # scene outgrows int64 on its own
+    "dyadic": (
+        ConvexPolygon([Point2(0, 0), Point2(12, 0), Point2(12, 12), Point2(0, 12)]),
+        [Point2(2 + DYADIC, 1), Point2(Fraction(3, 4), Fraction(29, 8)),
+         Point2(7, 4 + 5 * DYADIC), Point2(9 + 3 * DYADIC, Fraction(33, 16)),
+         Point2(Fraction(21, 4), Fraction(9, 2)), Point2(Fraction(11, 2), 8 - DYADIC),
+         # the midpoint of the first and third guards
+         Point2(Fraction(9, 2) + DYADIC / 2, Fraction(5, 2) + 5 * DYADIC / 2)],
+    ),
+    # 3**25 denominators
+    "big-denominator": (
+        ConvexPolygon([Point2(0, 0), Point2(9, 0), Point2(9, 9), Point2(0, 9)]),
+        [Point2(Fraction(a, BIG_DEN), Fraction(b, BIG_DEN))
+         for a, b in ((BIG_DEN + 1, BIG_DEN + 2), (4 * BIG_DEN - 5, 2 * BIG_DEN + 7),
+                      (7 * BIG_DEN + 2, 3 * BIG_DEN + 12), (2 * BIG_DEN + 1, 8 * BIG_DEN),
+                      (5 * BIG_DEN, BIG_DEN + 1), (8 * BIG_DEN - 4, 7 * BIG_DEN))],
+    ),
 }
+
+
+def test_dyadic_and_big_denominator_scenes_outgrow_int64():
+    for scene in ("dyadic", "big-denominator"):
+        region, guards = BRANCH_SCENES[scene]
+        assert not darkness._Analysis(region, GuardSet(guards)).scene.exact64, scene
 
 
 def scan_results(region, guards):
@@ -433,6 +460,29 @@ def test_find_concurrent_dark_rays_on_the_filtered_scan(monkeypatch, coord_limit
     assert hit == (point, len(crossings[point]))
 
 
+def test_box_prefilter_survives_coordinates_past_the_float_range(monkeypatch):
+    # the lattice scene with x shifted by 3**-700: every scaled x is an
+    # integer of over 1100 bits, which rounds to +inf in the float boxes
+    region, lattice = BRANCH_SCENES["lattice"]
+    shift = Fraction(1, 3 ** 700)
+    guards = [Point2(p.x + shift, p.y) for p in lattice]
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    assert min(analysis.scene.gx).bit_length() > 1100
+    assert len(analysis.pieces) >= darkness._NUMPY_MIN_ITEMS
+    runs = count_box_runs(monkeypatch)
+    results = {}
+    for name in ("loop", "box"):
+        monkeypatch.setattr(darkness, "_NUMPY_MIN_ITEMS", SCAN_BRANCHES[name][0])
+        runs.clear()
+        w = max_darkness(region, guards)
+        results[name] = [(w.point, w.darkness)] + [
+            (found, witness and witness.point)
+            for found, witness in (has_j_dark(region, guards, j) for j in range(1, w.darkness + 2))]
+        assert bool(runs) == (name == "box")
+    assert results["box"] == results["loop"]
+    assert results["loop"][0][1] == oracles.darkness_oracle(guards, results["loop"][0][0]) == 3
+
+
 # --- crossing darkness -------------------------------------------------------
 #
 # max_darkness reads a crossing's darkness off the pieces recorded through
@@ -482,14 +532,14 @@ def test_crossings_know_their_darkness(monkeypatch, scene):
         # the darkness read off the recorded pieces is the full rescan
         for total, xn, yn, den, contr in cands[:len(points)]:
             assert (total, contr) == analysis.darkness_at_scaled(xn, yn, den), name
-        top = max([c[0] for c in cands] + [p[10] for p in analysis.pieces])
+        top = max([c[0] for c in cands] + [p[7] for p in analysis.pieces])
         # the witness is the smallest point at top of the complete set
         w = max_darkness(region, guards)
         full = [analysis.scene.unscale(xn, yn, den)
                 for total, xn, yn, den, _ in analysis.candidates() if total == top]
         assert w.darkness == top
         assert w.point == min(full, key=lambda p: (p.x, p.y)), name
-        at_top = [idx for idx, p in enumerate(analysis.pieces) if p[10] == top]
+        at_top = [idx for idx, p in enumerate(analysis.pieces) if p[7] == top]
         # top-level pieces have no crossings
         assert not any(idx in events for idx in at_top), name
     if scene == "lattice-8gon":
@@ -502,9 +552,6 @@ def test_max_darkness_rescans_only_the_guard_points(monkeypatch):
     region, guards = lattice_octagon()
     analysis = darkness._Analysis(region, GuardSet(guards))
     points, _ = analysis.crossings()
-    # every piece starts open at its anchoring guard, so no piece is a
-    # single point that would need a rescan of its own
-    assert all(p[4] == 0 and p[6] for p in analysis.pieces)
 
     calls = []
     rescan = darkness._Analysis.darkness_at_scaled
@@ -519,6 +566,43 @@ def test_max_darkness_rescans_only_the_guard_points(monkeypatch):
     assert len(calls) == len(guards)
     assert not set(calls) & set(points)
     assert oracles.darkness_oracle(guards, w.point) == w.darkness
+
+
+def test_has_j_dark_reads_crossing_darkness(monkeypatch):
+    region, guards = lattice_octagon()
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    points, _ = analysis.crossings()
+    dark = {key: oracles.darkness_oracle(guards, analysis.scene.unscale(*key))
+            for key in points}
+    top = max(dark.values())
+    # the pieces and guard points reach only lower levels, so the top j
+    # are settled at crossings
+    below = max([p[7] for p in analysis.pieces]
+                + [oracles.darkness_oracle(guards, g) for g in guards])
+    assert below < top
+
+    calls = []
+    rescan = darkness._Analysis.darkness_at_scaled
+
+    def spy(self, xn, yn, den):
+        calls.append((xn, yn, den))
+        return rescan(self, xn, yn, den)
+
+    monkeypatch.setattr(darkness._Analysis, "darkness_at_scaled", spy)
+    for name, (min_items, coord_limit) in SCAN_BRANCHES.items():
+        monkeypatch.setattr(darkness, "_NUMPY_MIN_ITEMS", min_items)
+        monkeypatch.setattr(darkness, "_NUMPY_COORD_LIMIT", coord_limit)
+        for j in range(3, top + 2):
+            calls.clear()
+            found, witness = has_j_dark(region, guards, j)
+            assert not set(calls) & set(points), (name, j)
+            assert found == (j <= top), (name, j)
+            if not found:
+                continue
+            assert oracles.darkness_oracle(guards, witness.point) == witness.darkness >= j
+            if j > below:
+                first = next(key for key in points if dark[key] >= j)
+                assert witness.point == analysis.scene.unscale(*first), (name, j)
 
 
 @pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))

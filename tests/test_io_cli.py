@@ -1,6 +1,7 @@
 """The JSON document layer and the command line, end to end.
 
-CLI tests run the installed module in a subprocess, so they exercise
+CLI tests run `python -m darkgallery` in a subprocess, with the package
+these tests import first on its path, so they exercise
 argument parsing, exit codes, stdout/stderr framing, and file output
 exactly as a user would see them.
 """
@@ -8,12 +9,14 @@ exactly as a user would see them.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import darkgallery
 from darkgallery.documents import (
     CertificateDocument,
     DocumentError,
@@ -37,10 +40,15 @@ COMB_REGION = {
 }
 
 
+SRC = os.path.dirname(os.path.dirname(darkgallery.__file__))
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def run_cli(*argv, expect=0):
     proc = subprocess.run(
         [sys.executable, "-m", "darkgallery", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CLI_ENV,
     )
     assert proc.returncode == expect, (
         "exit %d != %d\nargv: %r\nstdout: %s\nstderr: %s"
