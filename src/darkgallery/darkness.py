@@ -33,7 +33,9 @@ confirmed with exact big-integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, inf, lcm
+from operator import itemgetter
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -644,39 +646,32 @@ class _Analysis:
         return self._crossings
 
     # -- candidate enumeration -------------------------------------------
-    def crossing_candidates(self):
-        """(darkness, xn, yn, den, contributions) at every crossing, in
-        the order crossings() found them.
+    def crossing_candidate(self, key, ids):
+        """(darkness, xn, yn, den, contributions) at the crossing key of
+        the pieces ids.
 
-        The darkness comes from the recorded pieces.  No guard lies on a
-        piece of a line it is not a member of (it would be a member), and
-        pieces are open at their own members, so a crossing is never a
-        guard position.  Every line with a positive count there then has
-        exactly one piece through it, and _pair_hits pairs that piece with
-        each of the others: the darkness is the sum of `blocked` over
-        points[key], and the contributions (line_id, blocked) sorted by
-        line_id are the list darkness_at_scaled returns.
+        No guard lies on a piece of a line it is not a member of (it would
+        be a member), and pieces are open at their own members, so a
+        crossing is never a guard position.  Every line with a positive
+        count there then has exactly one piece through it, and _pair_hits
+        pairs the lowest-indexed of those pieces with each of the others:
+        once that piece's row of the scan has ended, the darkness is the
+        sum of `blocked` over ids, and the contributions (line_id, blocked)
+        sorted by line_id are the list darkness_at_scaled returns.
         """
-        points, _ = self.crossings()
-        counts = [(p[8], p[7]) for p in self.pieces]
-        out = []
-        for (xn, yn, den), ids in points.items():
-            contr = sorted([counts[k] for k in ids])
-            out.append((sum([cnt for _, cnt in contr]), xn, yn, den, contr))
-        return out
+        contr = sorted([(self.pieces[k][8], self.pieces[k][7]) for k in ids])
+        return (sum([cnt for _, cnt in contr]), *key, contr)
 
-    def guard_candidates(self):
-        """(darkness, xn, yn, den, contributions) at every guard point, the
-        only points that need a rescan over all lines."""
-        out = []
+    def point_candidates(self):
+        """(darkness, xn, yn, den, contributions) at every crossing, in the
+        order crossings() found them, then at every guard point.  Only the
+        g guard points need a rescan over all lines."""
+        points, _ = self.crossings()
+        out = [self.crossing_candidate(key, ids) for key, ids in points.items()]
         for x, y in zip(self.scene.gx, self.scene.gy):
             total, contr = self.darkness_at_scaled(x, y, 1)
             out.append((total, x, y, 1, contr))
         return out
-
-    def point_candidates(self):
-        """crossing_candidates() followed by guard_candidates()."""
-        return self.crossing_candidates() + self.guard_candidates()
 
     def candidates(self):
         """(darkness, xn, yn, den, contributions) over the complete
@@ -764,12 +759,13 @@ def has_j_dark(region: Region, guards, j: int):
     """(found, witness) for a point of the region with darkness >= j.
 
     A portion whose own blocked count reaches j settles it at once;
-    otherwise the guard positions come next, then the crossings.  Every
-    crossing is 2-dark, so for j == 2 the first hit of the shared pair
-    scan (`_pair_hits`) is the witness.  For j >= 3 it is the first
-    crossing, in crossings() order, whose recorded darkness reaches j.
-    The scan yields crossings in increasing (i, j) piece order on every
-    branch, so the witness does not depend on which branch runs.
+    otherwise the guard positions come next, then the crossings of the
+    shared pair scan (`_pair_hits`), read row by row: a crossing's
+    darkness is complete when the row of its lowest-indexed piece ends
+    (crossing_candidate), so the crossings new in that row are checked
+    then, in crossings() order, and the scan stops at the first that
+    reaches j.  The scan yields crossings in increasing (i, j) piece order
+    on every branch, so the witness does not depend on which branch runs.
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
@@ -784,21 +780,26 @@ def has_j_dark(region: Region, guards, j: int):
             return True, analysis.witness_from(total, *key, contr)
 
     # guard positions (3+ collinear guards darken the middle ones' spots)
-    for cand in analysis.guard_candidates():
-        if cand[0] >= j:
-            return True, analysis.witness_from(*cand)
+    gx, gy = analysis.scene.gx, analysis.scene.gy
+    for i in range(len(gx)):
+        total, contr = analysis.darkness_at_scaled(gx[i], gy[i], 1)
+        if total >= j:
+            return True, analysis.witness_from(total, gx[i], gy[i], 1, contr)
 
     # otherwise the darkness must stack up at a portion crossing
-    if j == 2:
-        pieces = analysis.pieces
-        for i, _, un, _, D in _pair_hits(pieces, analysis.scene.exact64):
+    pieces = analysis.pieces
+    seen = set()
+    for i, hits in groupby(_pair_hits(pieces, analysis.scene.exact64), key=itemgetter(0)):
+        row = {}
+        for _, k, un, _, D in hits:
             key = _point_key(pieces[i], un, D)
-            total, contr = analysis.darkness_at_scaled(*key)
-            return True, analysis.witness_from(total, *key, contr)
-        return False, None
-    for cand in analysis.crossing_candidates():
-        if cand[0] >= j:
-            return True, analysis.witness_from(*cand)
+            if key not in seen:
+                row.setdefault(key, {i}).add(k)
+        for key, ids in row.items():
+            cand = analysis.crossing_candidate(key, ids)
+            if cand[0] >= j:
+                return True, analysis.witness_from(*cand)
+        seen.update(row)
     return False, None
 
 

@@ -508,6 +508,15 @@ def placement_4n_minus_2():
     return P, list(place_4n_minus_2(P)[0])
 
 
+def concurrent_star():
+    """Five guard pairs on lines through the origin, each pair's dark ray
+    passing through it: darkness 5 there, where pieces and guard points
+    reach 2 and every other crossing at most 3."""
+    region = ConvexPolygon([Point2(-10, -10), Point2(10, -10), Point2(10, 10), Point2(-10, 10)])
+    steps = zip([(1, 0), (0, 1), (1, 1), (1, -1), (-1, 2)], [(2, 3), (3, 5), (1, 4), (2, 7), (1, 3)])
+    return region, [Point2(a * t, b * t) for (a, b), ts in steps for t in ts]
+
+
 INVARIANT_SCENES = sorted(BRANCH_SCENES) + ["lattice-8gon", "4n-2"]
 
 
@@ -568,8 +577,9 @@ def test_max_darkness_rescans_only_the_guard_points(monkeypatch):
     assert oracles.darkness_oracle(guards, w.point) == w.darkness
 
 
-def test_has_j_dark_reads_crossing_darkness(monkeypatch):
-    region, guards = lattice_octagon()
+@pytest.mark.parametrize("scene", [lattice_octagon, concurrent_star])
+def test_has_j_dark_reads_crossing_darkness(monkeypatch, scene):
+    region, guards = scene()
     analysis = darkness._Analysis(region, GuardSet(guards))
     points, _ = analysis.crossings()
     dark = {key: oracles.darkness_oracle(guards, analysis.scene.unscale(*key))
