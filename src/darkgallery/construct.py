@@ -54,9 +54,8 @@ REGIME_TWO_EXTRA = "two-extra"       # g = k + 2
 
 # dyadic snapping: start at this many fractional bits, escalate if the
 # rounded point violates a strict constraint.  Kept low on purpose: short
-# denominators keep the verifier's scaled integer coordinates short, which
-# its exact arithmetic pays for and its int64 sign tests need (they only
-# join the pair scan below 2**28).
+# denominators keep the verifier's scaled integer coordinates, and so its
+# big-integer arithmetic, short.
 _SNAP_BITS = 12
 _SNAP_STEPS = 10
 

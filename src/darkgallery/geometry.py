@@ -9,7 +9,7 @@ convert it to rationals yourself and own the rounding.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
@@ -278,10 +278,10 @@ class Halfplane:
 class HalfplaneResult:
     """Outcome of intersecting halfplanes.
 
-    status is one of 'empty', 'bounded', 'unbounded'.  For 'bounded'
-    regions with interior, ``vertices`` lists the corners in ccw order.
-    Lower-dimensional intersections (a point, a segment, a line) are
-    reported with the vertices that were found on them.
+    status is one of 'empty', 'bounded', 'unbounded'.  ``vertices`` are
+    the region's corners (points on two non-parallel constraint lines):
+    ccw from the lexicographically smallest when there are 3 or more,
+    else in lexicographic (x, y) order, whatever the input order.
     """
 
     __slots__ = ("status", "vertices")
@@ -294,17 +294,15 @@ class HalfplaneResult:
         return "HalfplaneResult(%r, %d vertices)" % (self.status, len(self.vertices))
 
 
-def _clip_line_by_halfplanes(anchor: Point2, d: Point2, halfplanes, skip=None):
+def _clip_line_by_halfplanes(anchor: Point2, d: Point2, halfplanes):
     """Clip the full line anchor + t*d (t in R) against closed halfplanes.
 
     Returns (lo, hi) with None meaning unbounded on that end, or None if
-    the clipped set is empty.  skip is an index to leave out.
+    the clipped set is empty.
     """
     lo = None  # type: Optional[Rat]
     hi = None  # type: Optional[Rat]
-    for i, h in enumerate(halfplanes):
-        if i == skip:
-            continue
+    for h in halfplanes:
         ln = h.line
         denom = ln.a * d.x + ln.b * d.y
         num = ln.c - (ln.a * anchor.x + ln.b * anchor.y)
@@ -325,63 +323,61 @@ def _clip_line_by_halfplanes(anchor: Point2, d: Point2, halfplanes, skip=None):
 
 
 def halfplane_intersection(halfplanes: Sequence[Halfplane]) -> HalfplaneResult:
-    """Intersect a small set of closed halfplanes exactly.
+    """Intersect closed halfplanes exactly in O(h^2) integer steps.
 
-    Not a sweep -- quadratic in the number of halfplanes, which is fine
-    for the handful of constraints this library ever feeds it.
+    Every constraint line a*x + b*y = c, scaled to integers, is clipped by
+    every constraint.  Along (b, -a) a point of the line sits at
+    s = b*x - a*y, and constraint j keeps rate*s >= r with rate =
+    a_j*b - b_j*a and r = c_j*(a^2 + b^2) - c*(a*a_j + b*b_j): integer
+    bounds that compare by cross-multiplication.  A parallel constraint
+    (rate == 0) keeps the whole line when r <= 0, else none of it.  The
+    region is empty when no line keeps a piece, unbounded when a kept
+    piece has an open end, and its corners are the kept pieces' ends.
     """
     hs = list(halfplanes)
     if not hs:
         return HalfplaneResult("unbounded", [])
-
-    # candidate corners: pairwise line intersections inside everything
-    corners = []
-    seen = set()
-    n = len(hs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = line_intersection(hs[i].line, hs[j].line)
-            if not isinstance(p, Point2):
-                continue
-            if p in seen:
-                continue
-            if all(h.contains(p) for h in hs):
-                seen.add(p)
-                corners.append(p)
-
-    feasible = bool(corners)
-    if not feasible:
-        # no corners: region may still be a strip / halfplane / empty
-        for i, h in enumerate(hs):
-            ln = h.line
-            anchor = _point_on_line(ln)
-            if _clip_line_by_halfplanes(anchor, ln.direction(), hs, skip=None) is not None:
-                feasible = True
-                break
-    if not feasible:
-        return HalfplaneResult("empty", [])
-
-    # unbounded iff the recession cone contains a nonzero direction; any
-    # such cone touches the boundary direction of one of the constraints
+    lines = []
     for h in hs:
-        d = h.line.direction()
-        for cand in (d, -d):
-            if all(hh.line.a * cand.x + hh.line.b * cand.y >= 0 for hh in hs):
-                return HalfplaneResult("unbounded", _hull_or_all(corners))
+        a, b, c = h.line.a, h.line.b, h.line.c
+        m = lcm(a.denominator, b.denominator, c.denominator)
+        lines.append((int(a * m), int(b * m), int(c * m)))
 
-    return HalfplaneResult("bounded", _hull_or_all(corners))
-
-
-def _point_on_line(ln: Line) -> Point2:
-    if ln.b != 0:
-        return Point2(0, ln.c / ln.b)
-    return Point2(ln.c / ln.a, 0)
-
-
-def _hull_or_all(points):
-    if len(points) < 3:
-        return list(points)
-    return convex_hull(points).corners
+    corners = set()
+    kept = unbounded = False
+    for a, b, c in lines:
+        n2 = a * a + b * b
+        lo = hi = None  # (r, q, j): s >= r/q, resp. s <= r/q, with q > 0
+        # the piece can only empty when a bound moves, so each move checks
+        # lo > hi; a line whose loop ends without a break keeps a piece
+        for j, (aj, bj, cj) in enumerate(lines):
+            rate = aj * b - bj * a
+            r = cj * n2 - c * (a * aj + b * bj)
+            if rate > 0:
+                if lo is None or r * lo[1] > lo[0] * rate:
+                    lo = (r, rate, j)
+                    if hi is not None and r * hi[1] > hi[0] * rate:
+                        break
+            elif rate < 0:
+                if hi is None or r * hi[1] > hi[0] * rate:
+                    hi = (-r, -rate, j)
+                    if lo is not None and lo[0] * -rate > -r * lo[1]:
+                        break
+            elif r > 0:
+                break
+        else:
+            kept = True
+            for end in (lo, hi):
+                if end is None:
+                    unbounded = True
+                    continue
+                aj, bj, cj = lines[end[2]]
+                w = a * bj - aj * b
+                corners.add(Point2(Fraction(c * bj - cj * b, w), Fraction(a * cj - aj * c, w)))
+    if not kept:
+        return HalfplaneResult("empty", [])
+    return HalfplaneResult("unbounded" if unbounded else "bounded",
+                           convex_hull(list(corners)).corners)
 
 
 class HullResult:

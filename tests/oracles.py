@@ -17,8 +17,11 @@ import numpy as np
 
 from darkgallery.geometry import (
     ConvexPolygon,
+    HalfplaneResult,
     Point2,
+    _clip_line_by_halfplanes,
     collinear,
+    convex_hull,
     line_intersection,
     Line,
     on_segment,
@@ -246,6 +249,71 @@ def census_oracle(P: ConvexPolygon, guards: Sequence[Point2]):
             if hidden:
                 darkening_edges[vi].append(ei)
     return weights, darkening_edges, shrunken_ok
+
+
+# --- halfplane intersection by pairwise corners -------------------------------
+
+def halfplane_intersection_oracle(halfplanes) -> HalfplaneResult:
+    """Brute-force halfplane intersection, O(h^3).
+
+    Every pairwise line crossing is tested against every halfplane; with no
+    such corner, each line is clipped to decide feasibility; a region is
+    unbounded when the boundary direction of some constraint recedes in
+    all of them.  Fewer than 3 corners are listed in the order the pair
+    scan meets them.
+    """
+    hs = list(halfplanes)
+    if not hs:
+        return HalfplaneResult("unbounded", [])
+
+    # candidate corners: pairwise line intersections inside everything
+    corners = []
+    seen = set()
+    n = len(hs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = line_intersection(hs[i].line, hs[j].line)
+            if not isinstance(p, Point2):
+                continue
+            if p in seen:
+                continue
+            if all(h.contains(p) for h in hs):
+                seen.add(p)
+                corners.append(p)
+
+    feasible = bool(corners)
+    if not feasible:
+        # no corners: region may still be a strip / halfplane / empty
+        for i, h in enumerate(hs):
+            ln = h.line
+            anchor = _point_on_line(ln)
+            if _clip_line_by_halfplanes(anchor, ln.direction(), hs) is not None:
+                feasible = True
+                break
+    if not feasible:
+        return HalfplaneResult("empty", [])
+
+    # unbounded iff the recession cone contains a nonzero direction; any
+    # such cone touches the boundary direction of one of the constraints
+    for h in hs:
+        d = h.line.direction()
+        for cand in (d, -d):
+            if all(hh.line.a * cand.x + hh.line.b * cand.y >= 0 for hh in hs):
+                return HalfplaneResult("unbounded", _hull_or_all(corners))
+
+    return HalfplaneResult("bounded", _hull_or_all(corners))
+
+
+def _point_on_line(ln: Line) -> Point2:
+    if ln.b != 0:
+        return Point2(0, ln.c / ln.b)
+    return Point2(ln.c / ln.a, 0)
+
+
+def _hull_or_all(points):
+    if len(points) < 3:
+        return list(points)
+    return convex_hull(points).corners
 
 
 # --- misc ----------------------------------------------------------------------

@@ -394,7 +394,28 @@ BRANCH_SCENES = {
                       (7 * BIG_DEN + 2, 3 * BIG_DEN + 12), (2 * BIG_DEN + 1, 8 * BIG_DEN),
                       (5 * BIG_DEN, BIG_DEN + 1), (8 * BIG_DEN - 4, 7 * BIG_DEN))],
     ),
+    # two three-guard lines whose outer dark rays (2 blocked each) meet
+    # only at (6, 12) on the top edge, the unique 4-dark point: the earlier
+    # piece comes from the left and its box ends at x = 6, where the later
+    # piece's box begins
+    "box-edge": (
+        ConvexPolygon([Point2(0, 0), Point2(12, 0), Point2(12, 12), Point2(0, 12)]),
+        [Point2(3, 3), Point2(4, 6), Point2(5, 9),
+         Point2(7, Fraction(19, 2)), Point2(8, 7), Point2(10, 2)],
+    ),
 }
+
+
+def test_box_edge_scene_touches_only_at_the_unique_maximum():
+    region, guards = BRANCH_SCENES["box-edge"]
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    top = [c for c in analysis.candidates() if c[0] >= 4]
+    assert [(c[0], analysis.scene.unscale(*c[1:4])) for c in top] == [(4, Point2(6, 12))]
+    points, _ = analysis.crossings()
+    i, j = sorted(points[top[0][1:4]])
+    lox, hix, _, _ = darkness._piece_boxes(analysis.pieces)
+    assert analysis.pieces[i][8] != analysis.pieces[j][8]
+    assert hix[i] == lox[j] == analysis.scene.scale * 6 and lox[i] < hix[i]
 
 
 def test_dyadic_and_big_denominator_scenes_outgrow_int64():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,9 +25,11 @@ from darkgallery.geometry import (
     line_intersection,
     orientation,
 )
+from darkgallery.construct import place_4n_minus_2
 from darkgallery.fixtures import triangle_region, wedge_region
 
 from conftest import random_convex_polygon
+from oracles import halfplane_intersection_oracle
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(Point2, coords, coords)
@@ -141,6 +145,101 @@ def test_halfplane_intersection_vertices_satisfy_constraints():
         for v in res.vertices:
             assert all(hp.contains(v) for hp in hps)
         assert set(res.vertices) == set(P.vertices)
+
+
+def _assert_matches_oracle(hps):
+    res = halfplane_intersection(hps)
+    ref = halfplane_intersection_oracle(hps)
+    assert res.status == ref.status, hps
+    if len(ref.vertices) >= 3:
+        assert res.vertices == ref.vertices, hps
+    else:
+        assert sorted(res.vertices, key=lambda p: (p.x, p.y)) == sorted(
+            ref.vertices, key=lambda p: (p.x, p.y)), hps
+    return res
+
+
+def test_halfplane_intersection_matches_the_oracle_on_scaffold_constraints(monkeypatch):
+    construct_module = sys.modules["darkgallery.construct"]
+    captured = []
+
+    def spy(halfplanes):
+        captured.append(list(halfplanes))
+        return halfplane_intersection(halfplanes)
+
+    monkeypatch.setattr(construct_module, "halfplane_intersection", spy)
+    rng = random.Random(6)
+    for n in (6, 8, 10):
+        before = len(captured)
+        place_4n_minus_2(random_convex_polygon(rng, n))
+        assert len(captured) - before >= n
+    for hps in captured:
+        _assert_matches_oracle(hps)
+
+
+# shape: (status, corner count, a*x + b*y >= c for each triple); none has
+# 3 corners or more
+_DEGENERATE_SETS = {
+    "point": ("bounded", 1, [(1, 0, 1), (-1, 0, -1), (0, 1, 2), (-1, -1, -3)]),
+    "point-by-three-lines": ("bounded", 1, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]),
+    "segment": ("bounded", 2, [(0, 1, 1), (0, -1, -1), (1, 0, 0), (-1, 0, -2)]),
+    "diagonal-segment": ("bounded", 2, [(1, -1, 0), (-1, 1, 0), (1, 0, 0), (-2, 0, -3)]),
+    "ray": ("unbounded", 1, [(0, 1, Fraction(1, 2)), (0, -1, Fraction(-1, 2)), (1, 0, 1)]),
+    "line": ("unbounded", 0, [(1, 2, 3), (-1, -2, -3)]),
+    "coincident-duplicates": ("unbounded", 0, [(1, 2, 3), (2, 4, 6), (-3, -6, -9), (1, 2, 3)]),
+    "strip": ("unbounded", 0, [(1, 0, 0), (-1, 0, -5), (2, 0, -1)]),
+    "halfplane-from-duplicates": ("unbounded", 0, [(0, 1, 1), (0, 3, 3), (0, 1, 0)]),
+    "empty-parallel": ("empty", 0, [(1, 0, 1), (-1, 0, 0)]),
+    "empty-triangle": ("empty", 0, [(1, 0, 1), (0, 1, 1), (-1, -1, -1)]),
+    "wedge": ("unbounded", 1, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+    "two-corner": ("unbounded", 2, [(0, 1, 0), (1, 1, 0), (-1, 1, -4)]),
+}
+
+
+def _degenerate_set(name):
+    return [Halfplane(Line(*t)) for t in _DEGENERATE_SETS[name][2]]
+
+
+def test_halfplane_intersection_matches_the_oracle_on_degenerate_random_sets():
+    rng = random.Random(2024)
+
+    def small():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    shapes = set()
+    for _ in range(1500):
+        hps = []
+        for _ in range(rng.randint(1, 6)):
+            if hps and rng.random() < 0.3:
+                # parallel, coincident, opposite or duplicate of an earlier line
+                ln = rng.choice(hps).line
+                m = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+                c = ln.c * m + rng.choice([0, 0, -1, 1])
+                hps.append(Halfplane(Line(ln.a * m, ln.b * m, c)))
+                continue
+            a, b = small(), small()
+            if a == 0 and b == 0:
+                a = Fraction(1)
+            hps.append(Halfplane(Line(a, b, Fraction(rng.randint(-4, 4), rng.randint(1, 2)))))
+        res = _assert_matches_oracle(hps)
+        shapes.add((res.status, min(len(res.vertices), 3)))
+    # every status turns up, with 0, 1, 2 and 3+ corners where possible
+    assert shapes == {("empty", 0), ("bounded", 1), ("bounded", 2), ("bounded", 3),
+                      ("unbounded", 0), ("unbounded", 1), ("unbounded", 2),
+                      ("unbounded", 3)}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE_SETS))
+def test_halfplane_intersection_degenerate_shapes_in_any_input_order(name):
+    status, count, _ = _DEGENERATE_SETS[name]
+    hps = _degenerate_set(name)
+    expected = _assert_matches_oracle(hps).vertices
+    # fewer than 3 corners: lexicographic, in every input order below
+    assert len(expected) == count
+    assert expected == sorted(expected, key=lambda p: (p.x, p.y))
+    for perm in itertools.permutations(hps):
+        res = halfplane_intersection(perm)
+        assert (res.status, res.vertices) == (status, expected)
 
 
 def test_convex_hull_classification():
