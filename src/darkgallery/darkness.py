@@ -23,11 +23,13 @@ only the candidates at the maximum enter the lexicographic tie-break.
 The j-dark queries read crossing darkness the same way.
 
 One pair scan (`_pair_hits`) finds every crossing, for the certificates,
-the j-dark queries and the concurrency check alike.  From 48 pieces up it
-always runs a conservative prefilter on float bounding boxes; int64 sign
-tests join it only while the scaled coordinates stay below 2**28, where
-their products provably cannot overflow.  Every pair that survives is
-confirmed with exact big-integer arithmetic.
+the j-dark queries and the concurrency check alike.  It takes one path at
+every piece count and coordinate size: over fixed-size 2-D tiles of the
+pair triangle it keeps a pair only if the pieces' float boxes overlap,
+they differ in primitive direction and in anchor guard (exact integer
+class tests), and a float sign test with a derived rounding-error bound
+cannot rule the crossing out.  Every pair that survives is confirmed
+with exact big-integer arithmetic.
 """
 
 from __future__ import annotations
@@ -51,11 +53,6 @@ from .geometry import (
 )
 
 Region = Union[ConvexPolygon, Wedge]
-
-# int64 stays exact below this coordinate magnitude: the largest
-# intermediate product is 8*M^2 and 8*(2**28)**2 = 2**59 < 2**63
-_NUMPY_COORD_LIMIT = 1 << 28
-_NUMPY_MIN_ITEMS = 48
 
 
 class GuardSet:
@@ -241,7 +238,7 @@ def _int_direction(d: Point2):
 class _Scene:
     """Region and guards rescaled by a common factor to integer coords."""
 
-    __slots__ = ("scale", "gx", "gy", "halfplanes", "region", "exact64")
+    __slots__ = ("scale", "gx", "gy", "halfplanes", "region")
 
     def __init__(self, region, guards):
         self.region = region
@@ -256,7 +253,6 @@ class _Scene:
                 a = py - qy
                 b = qx - px
                 hps.append((a, b, a * px + b * py))
-            corner_mag = max(max(abs(x), abs(y)) for x, y in vs)
         elif isinstance(region, Wedge):
             ax, ay = int(region.apex.x * s), int(region.apex.y * s)
             # reduce edge directions to primitive integers, keeping their
@@ -265,13 +261,7 @@ class _Scene:
             d2x, d2y = _int_direction(region.dir2)
             hps.append((-d1y, d1x, -d1y * ax + d1x * ay))
             hps.append((d2y, -d2x, d2y * ax - d2x * ay))
-            corner_mag = max(abs(ax), abs(ay), abs(d1x), abs(d1y), abs(d2x), abs(d2y))
-        else:
-            corner_mag = 0
         self.halfplanes = hps
-        guard_mag = max(max(abs(x) for x in self.gx), max(abs(y) for y in self.gy))
-        # the int64 sign tests of the pair scan are exact at this size
-        self.exact64 = max(corner_mag, guard_mag) < _NUMPY_COORD_LIMIT
 
     def unscale(self, xn, yn, den) -> Point2:
         s = self.scale
@@ -436,16 +426,17 @@ def _nearest(n, d):
 
 
 def _piece_boxes(pieces):
-    """Conservative float boxes (lox, hix, loy, hiy), one per piece.
+    """(x0, y0, lox, hix, loy, hiy): every piece's float anchor and its
+    conservative float box, one column per piece.
 
     Every endpoint coordinate is rounded to the nearest float and an
     unbounded end becomes +-inf.  Rounding is monotone (a <= b implies
     round(a) <= round(b)), so two pieces whose true spans overlap keep
     overlapping boxes under <=.  That holds however large the scaled
-    coordinates are, so the pair scan keeps a vectorized prefilter even
-    where int64 products would overflow.
+    coordinates are.  The anchors are the rounded x0, y0 the boxes start
+    from, which the sign test of _pair_hits reuses.
     """
-    box = np.empty((len(pieces), 4))
+    out = np.empty((len(pieces), 6))
     for k, (ax, ay, dx, dy, hin, hid, *_) in enumerate(pieces):
         x0, y0 = _nearest(ax, 1), _nearest(ay, 1)
         if hin is None:
@@ -454,53 +445,100 @@ def _piece_boxes(pieces):
         else:
             x1 = _nearest(ax * hid + dx * hin, hid)
             y1 = _nearest(ay * hid + dy * hin, hid)
-        box[k] = min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)
-    return box.T
+        out[k] = x0, y0, min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)
+    return out.T
 
 
-def _pair_hits(pieces, exact64: bool):
+def _class_ids(keys):
+    """Small integers, equal exactly where the keys are equal."""
+    ids = {}
+    return np.array([ids.setdefault(k, len(ids)) for k in keys], dtype=np.int64)
+
+
+# Float sign test of _pair_hits.  With u = 2**-53 and every input a
+# correctly rounded integer (no overflow), ex = ax_j - ax_i is off by at
+# most (2u + u^2)*Ax, Ax = |ax_i| + |ax_j|; each product ex*dy_j adds
+# two more roundings, and the final subtraction a third, so
+#     |fl(un) - un| <= (5u + O(u^2)) * (Ax*|dy_j| + Ay*|dx_j|)
+# and likewise for vn (with dy_i, dx_i), while D = dx_i*dy_j - dy_i*dx_j
+# stays within (4u + O(u^2)) * (|dx_i*dy_j| + |dy_i*dx_j|).  Computing
+# the bound in floats loses at most five more roundings, a factor
+# (1 - u)^5, so 2**-50 = 8u times the float magnitudes covers the error
+# with room to spare.  A value beyond its bound has its true sign; inf or
+# NaN anywhere fails every comparison and keeps the pair.
+_SIGN_SLACK = 2.0 ** -50
+
+# elements of one 2-D tile of the pair scan's masks: bounded memory at
+# any piece count, few numpy calls per row
+_TILE = 1 << 16
+
+
+def _tiles(R):
+    """(i0, i1, j0, j1) blocks covering the pairs i < j of R pieces in
+    increasing (i, j) order, each at most _TILE elements: several whole
+    rows at once, or one row cut into column runs when it is longer."""
+    i = 0
+    while i < R - 1:
+        width = R - 1 - i
+        if width > _TILE:
+            for j in range(i + 1, R, _TILE):
+                yield i, i + 1, j, min(j + _TILE, R)
+            i += 1
+        else:
+            i1 = min(R - 1, i + _TILE // width)
+            yield i, i1, i + 1, R
+            i = i1
+
+
+def _pair_hits(pieces):
     """Every confirmed crossing (i, j, un, vn, D) of pieces from distinct
     lines, as _confirm reports it, in increasing (i, j) order.
 
-    From _NUMPY_MIN_ITEMS pieces up, the float boxes of _piece_boxes
-    discard pairs that cannot meet; when exact64 holds (the scaled guard
-    and region coordinates stay below _NUMPY_COORD_LIMIT in magnitude, so
-    anchors and directions are small enough) int64 sign tests discard
-    pairs whose parameters have the wrong sign.  Both filters are
-    conservative, so every branch yields the same hits in the same order
-    as the plain loop over all pairs.
+    One path at every size and scale, over the _tiles of the pair
+    triangle.  Three conservative filters run before _confirm: the float
+    boxes of _piece_boxes must overlap; two exact class tests drop pairs
+    with the same primitive direction up to sign (parallel or collinear,
+    which covers pieces of one line) or the same anchor guard (they meet
+    only there, where both are open); and a float sign test drops a pair
+    whose un/D or vn/D is certainly <= 0 (_SIGN_SLACK).  No filter drops a
+    crossing, so the hits and their order are those of the plain loop over
+    all pairs.
     """
-    R = len(pieces)
-    filtered = R >= _NUMPY_MIN_ITEMS
-    if filtered:
-        lox, hix, loy, hiy = _piece_boxes(pieces)
-        lid = np.array([p[8] for p in pieces], dtype=np.int64)
-        if exact64:
-            ax, ay, dx, dy = (
-                np.array([p[k] for p in pieces], dtype=np.int64) for k in range(4))
-    for i in range(R - 1):
-        if filtered:
-            jx = slice(i + 1, R)
-            mask = (
-                (lox[jx] <= hix[i])
-                & (lox[i] <= hix[jx])
-                & (loy[jx] <= hiy[i])
-                & (loy[i] <= hiy[jx])
-                & (lid[jx] != lid[i])
-            )
-            if exact64:
-                D = dx[i] * dy[jx] - dy[i] * dx[jx]
-                ex = ax[jx] - ax[i]
-                ey = ay[jx] - ay[i]
-                un = ex * dy[jx] - ey * dx[jx]
-                vn = ex * dy[i] - ey * dx[i]
-                sgn = np.sign(D)
-                mask &= (un * sgn > 0) & (vn * sgn > 0)  # also rules out D == 0
-            js = (i + 1 + np.nonzero(mask)[0]).tolist()
-        else:
-            li = pieces[i][8]
-            js = [j for j in range(i + 1, R) if pieces[j][8] != li]
-        for j in js:
+    x0, y0, lox, hix, loy, hiy = _piece_boxes(pieces)
+    dx = np.array([_nearest(p[2], 1) for p in pieces])
+    dy = np.array([_nearest(p[3], 1) for p in pieces])
+    direction = _class_ids(
+        (p[2], p[3]) if p[2] > 0 or (p[2] == 0 and p[3] > 0) else (-p[2], -p[3])
+        for p in pieces)
+    anchor = _class_ids((p[0], p[1]) for p in pieces)
+    mx, my, mdx, mdy = np.abs(x0), np.abs(y0), np.abs(dx), np.abs(dy)
+    for i0, i1, j0, j1 in _tiles(len(pieces)):
+        rows, cols = slice(i0, i1), slice(j0, j1)
+        mask = (
+            (np.arange(j0, j1) > np.arange(i0, i1)[:, None])
+            & (lox[cols] <= hix[rows, None])
+            & (lox[rows, None] <= hix[cols])
+            & (loy[cols] <= hiy[rows, None])
+            & (loy[rows, None] <= hiy[cols])
+            & (direction[cols] != direction[rows, None])
+            & (anchor[cols] != anchor[rows, None])
+        )
+        ii, jj = np.nonzero(mask)
+        ii += i0
+        jj += j0
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = dx[ii] * dy[jj] - dy[ii] * dx[jj]
+            ex = x0[jj] - x0[ii]
+            ey = y0[jj] - y0[ii]
+            un = ex * dy[jj] - ey * dx[jj]
+            vn = ex * dy[ii] - ey * dx[ii]
+            sx = mx[ii] + mx[jj]
+            sy = my[ii] + my[jj]
+            s = np.sign(D)
+            keep = ~((np.abs(D) > _SIGN_SLACK * (mdx[ii] * mdy[jj] + mdy[ii] * mdx[jj])) & (
+                (s * un < -_SIGN_SLACK * (sx * mdy[jj] + sy * mdx[jj]))
+                | (s * vn < -_SIGN_SLACK * (sx * mdy[ii] + sy * mdx[ii]))))
+        for i, j in zip(ii[keep].tolist(), jj[keep].tolist()):
             hit = _confirm(pieces[i], pieces[j])
             if hit is not None:
                 yield (i, j) + hit
@@ -638,7 +676,7 @@ class _Analysis:
         if self._crossings is None:
             points = {}
             events = {}
-            for i, j, un, vn, D in _pair_hits(self.pieces, self.scene.exact64):
+            for i, j, un, vn, D in _pair_hits(self.pieces):
                 points.setdefault(_point_key(self.pieces[i], un, D), set()).update((i, j))
                 events.setdefault(i, []).append((un, D))
                 events.setdefault(j, []).append((vn, D))
@@ -764,8 +802,8 @@ def has_j_dark(region: Region, guards, j: int):
     darkness is complete when the row of its lowest-indexed piece ends
     (crossing_candidate), so the crossings new in that row are checked
     then, in crossings() order, and the scan stops at the first that
-    reaches j.  The scan yields crossings in increasing (i, j) piece order
-    on every branch, so the witness does not depend on which branch runs.
+    reaches j.  The scan yields crossings in increasing (i, j) piece order,
+    the order of the plain loop over all pairs.
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
@@ -789,7 +827,7 @@ def has_j_dark(region: Region, guards, j: int):
     # otherwise the darkness must stack up at a portion crossing
     pieces = analysis.pieces
     seen = set()
-    for i, hits in groupby(_pair_hits(pieces, analysis.scene.exact64), key=itemgetter(0)):
+    for i, hits in groupby(_pair_hits(pieces), key=itemgetter(0)):
         row = {}
         for _, k, un, _, D in hits:
             key = _point_key(pieces[i], un, D)
@@ -828,7 +866,7 @@ def find_concurrent_dark_rays(guards):
     # its root guard
     rays = [p for p in analysis.pieces if p[4] is None]
     points = {}
-    for i, j, un, _, D in _pair_hits(rays, analysis.scene.exact64):
+    for i, j, un, _, D in _pair_hits(rays):
         points.setdefault(_point_key(rays[i], un, D), set()).update((rays[i][8], rays[j][8]))
     hits = [(analysis.scene.unscale(*key), len(ids)) for key, ids in points.items()
             if len(ids) >= 3]

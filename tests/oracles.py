@@ -4,6 +4,9 @@ These deliberately share no code with the library's verifier: darkness is
 recounted from the definition (a guard is blocked from p exactly when some
 other guard stands strictly between), lines are regrouped pairwise, and
 maxima are found by exhaustive evaluation at every combinatorial event.
+The one exception is pair_hits_oracle, which runs the library's exact
+crossing test on every pair, so that what it checks is the pair scan's
+filtering; the darkness oracles check that crossing test itself.
 Slow on purpose; exact everywhere.
 """
 
@@ -15,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from darkgallery.darkness import _confirm
 from darkgallery.geometry import (
     ConvexPolygon,
     HalfplaneResult,
@@ -249,6 +253,21 @@ def census_oracle(P: ConvexPolygon, guards: Sequence[Point2]):
             if hidden:
                 darkening_edges[vi].append(ei)
     return weights, darkening_edges, shrunken_ok
+
+
+# --- the pair scan over every pair -------------------------------------------
+
+def pair_hits_oracle(pieces):
+    """Every confirmed crossing (i, j, un, vn, D) of pieces from distinct
+    lines, in increasing (i, j) order: _confirm on every pair of pieces
+    whose line ids (the last tuple field) differ, with no prefilter."""
+    R = len(pieces)
+    for i in range(R - 1):
+        li = pieces[i][8]
+        for j in [j for j in range(i + 1, R) if pieces[j][8] != li]:
+            hit = _confirm(pieces[i], pieces[j])
+            if hit is not None:
+                yield (i, j) + hit
 
 
 # --- halfplane intersection by pairwise corners -------------------------------

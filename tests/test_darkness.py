@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darkgallery import darkness
 from darkgallery.construct import place_4n_minus_2
@@ -317,42 +318,53 @@ def test_find_concurrent_dark_rays():
     assert find_concurrent_dark_rays([Point2(0, 0), Point2(1, 0), Point2(0, 1)]) is None
 
 
-# --- scan branches ------------------------------------------------------------
+# --- the pair scan -------------------------------------------------------------
 #
-# The pair scan picks its branch by size: the plain loop below
-# _NUMPY_MIN_ITEMS pieces, else the float-box prefilter, joined by int64
-# sign tests while coordinates stay below _NUMPY_COORD_LIMIT.  Every branch
-# must report the same crossings in the same order.
-
-SCAN_BRANCHES = {
-    "loop": (10 ** 9, darkness._NUMPY_COORD_LIMIT),
-    "loop-big": (10 ** 9, 0),
-    "box+int64": (0, darkness._NUMPY_COORD_LIMIT),
-    "box": (0, 0),
-}
+# _pair_hits takes one path at every piece count and coordinate size.  Its
+# filters only drop pairs that cannot cross, so it must yield exactly the
+# hits of the plain loop over all pairs, in the same order.
 
 
-def count_box_runs(monkeypatch):
-    """Spy on the box prefilter: the piece counts it ran on, in order."""
-    runs = []
-    boxes = darkness._piece_boxes
+def assert_scan_matches_the_oracle(pieces):
+    hits = list(darkness._pair_hits(pieces))
+    assert hits == list(oracles.pair_hits_oracle(pieces))
+    return hits
 
-    def counted(pieces):
-        runs.append(len(pieces))
-        return boxes(pieces)
 
-    monkeypatch.setattr(darkness, "_piece_boxes", counted)
-    return runs
+def dark_rays(guards):
+    """The pieces of the plane-wide scan of find_concurrent_dark_rays."""
+    return [p for p in darkness._Analysis(None, GuardSet(guards)).pieces if p[4] is None]
 
 
 DYADIC = Fraction(1, 2 ** 33)
 BIG_DEN = 3 ** 25
+LATTICE = [Point2(x, y) for x in (2, 5, 9) for y in (1, 6, 10)]
+
+
+def nudged_lattice(den):
+    """The lattice guards moved by +-1/den off their rows and columns.
+
+    At den = 2**53 or 2**53 + 1 the scale is den, so the guards near y = 1
+    have scaled y straddling 2**53, and every other scaled coordinate is a
+    few times 2**53: distinct integer anchors round to the same float.
+    Near-collinear triples make pieces that cross or miss within a few
+    scaled units of a guard, where the float sign test with no error bound
+    drops true crossings (both dens) and a bound of 2**-54 is still too
+    tight (den = 2**53 + 1).
+    """
+    nudges = [(-1, 1), (0, 0), (-1, 1), (-1, 1), (0, 0), (1, 0), (0, -1), (1, 0), (-1, -1)]
+    e = Fraction(1, den)
+    return (
+        ConvexPolygon([Point2(0, 0), Point2(12, 0), Point2(12, 12), Point2(0, 12)]),
+        [Point2(p.x + a * e, p.y + b * e) for p, (a, b) in zip(LATTICE, nudges)],
+    )
+
 
 BRANCH_SCENES = {
     # integer lattice: rows and columns of three collinear guards
     "lattice": (
         ConvexPolygon([Point2(0, 0), Point2(12, 0), Point2(12, 12), Point2(0, 12)]),
-        [Point2(x, y) for x in (2, 5, 9) for y in (1, 6, 10)],
+        LATTICE,
     ),
     # rational, with its apex hidden from both lower corners (2-dark)
     "two-dark": (
@@ -403,6 +415,17 @@ BRANCH_SCENES = {
         [Point2(3, 3), Point2(4, 6), Point2(5, 9),
          Point2(7, Fraction(19, 2)), Point2(8, 7), Point2(10, 2)],
     ),
+    "nudged-2^53": nudged_lattice(2 ** 53),
+    "nudged-2^53+1": nudged_lattice(2 ** 53 + 1),
+    # three guards on the bottom edge.  The dark ray down from (4, 3) ends
+    # on the edge at (4, 0), a closed far end on the gap piece from (2, 0)
+    # to (5, 0): a crossing.  That gap piece ends open at the guard (5, 0),
+    # where the pieces of the column x = 5 start open: no crossing.
+    "far-ends": (
+        ConvexPolygon([Point2(0, 0), Point2(12, 0), Point2(12, 12), Point2(0, 12)]),
+        [Point2(2, 0), Point2(5, 0), Point2(9, 0), Point2(4, 3), Point2(4, 6),
+         Point2(5, 3), Point2(5, 7)],
+    ),
 }
 
 
@@ -413,15 +436,18 @@ def test_box_edge_scene_touches_only_at_the_unique_maximum():
     assert [(c[0], analysis.scene.unscale(*c[1:4])) for c in top] == [(4, Point2(6, 12))]
     points, _ = analysis.crossings()
     i, j = sorted(points[top[0][1:4]])
-    lox, hix, _, _ = darkness._piece_boxes(analysis.pieces)
+    _, _, lox, hix, _, _ = darkness._piece_boxes(analysis.pieces)
     assert analysis.pieces[i][8] != analysis.pieces[j][8]
     assert hix[i] == lox[j] == analysis.scene.scale * 6 and lox[i] < hix[i]
 
 
 def test_dyadic_and_big_denominator_scenes_outgrow_int64():
+    # past 28 bits, products like 8*M**2 of the scaled coordinates no longer
+    # fit int64: these scenes keep the scan pinned on large integers
     for scene in ("dyadic", "big-denominator"):
         region, guards = BRANCH_SCENES[scene]
-        assert not darkness._Analysis(region, GuardSet(guards)).scene.exact64, scene
+        _, gx, gy = darkness._scaled_guards(guards, region)
+        assert max(map(abs, gx + gy)).bit_length() > 28, scene
 
 
 def scan_results(region, guards):
@@ -439,24 +465,56 @@ def scan_results(region, guards):
 
 
 @pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))
-def test_scan_branches_agree(monkeypatch, scene):
+def test_scan_branches_agree(scene):
     region, guards = BRANCH_SCENES[scene]
-    runs = count_box_runs(monkeypatch)
-    results = {}
-    for name, (min_items, coord_limit) in SCAN_BRANCHES.items():
-        monkeypatch.setattr(darkness, "_NUMPY_MIN_ITEMS", min_items)
-        monkeypatch.setattr(darkness, "_NUMPY_COORD_LIMIT", coord_limit)
-        runs.clear()
-        results[name] = scan_results(region, guards)
-        assert bool(runs) == name.startswith("box")
-    assert all(r == results["loop"] for r in results.values())
-    _, found2, _ = results["loop"][2]
+    assert_scan_matches_the_oracle(darkness._Analysis(region, GuardSet(guards)).pieces)
+    assert_scan_matches_the_oracle(dark_rays(guards))
+    _, found2, _ = scan_results(region, guards)[2]
     assert found2 == (scene != "no-two-dark")
 
 
-@pytest.mark.parametrize("coord_limit", [darkness._NUMPY_COORD_LIMIT, 0],
-                         ids=["box+int64", "box"])
-def test_find_concurrent_dark_rays_on_the_filtered_scan(monkeypatch, coord_limit):
+def test_far_ends_scene_crosses_only_at_the_closed_end():
+    region, guards = BRANCH_SCENES["far-ends"]
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    ends = {}
+    for i, j, un, vn, D in assert_scan_matches_the_oracle(analysis.pieces):
+        for k, t in ((i, un), (j, vn)):
+            p = analysis.pieces[k]
+            if p[4] is not None and t * p[5] == p[4] * D:
+                ends[analysis.scene.unscale(*darkness._point_key(p, t, D))] = p[6]
+    # the gap piece along the edge ends open at the guard (5, 0)
+    s = analysis.scene.scale
+    assert any(p[6] and (p[0] + p[4] * p[2], p[1] + p[4] * p[3]) == (5 * s, 0)
+               for p in analysis.pieces)
+    # every hit at a far end is at a closed one, (4, 0) among them, and
+    # none lands on (5, 0)
+    assert ends[Point2(4, 0)] is False and not any(ends.values())
+    assert Point2(5, 0) not in ends
+    assert darkness_at(region, guards, Point2(4, 0)).darkness == 2
+
+
+@st.composite
+def nudged_lattice_guards(draw):
+    """3 to 9 points of the 4-spaced lattice in a 16 x 16 square, each moved
+    by k/2**b (|k| <= 3) for one b drawn per scene.  The coarse lattice
+    makes collinear triples common, so the nudges leave near misses."""
+    b = draw(st.sampled_from((0, 20, 52, 53, 54, 80, 1100)))
+    c = st.integers(0, 4).map(lambda v: 4 * v)
+    k = st.integers(-3, 3)
+    cells = draw(st.lists(st.tuples(c, c, k, k), min_size=3, max_size=9))
+    return list(dict.fromkeys(Point2(x + Fraction(kx, 2 ** b), y + Fraction(ky, 2 ** b))
+                              for x, y, kx, ky in cells))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(nudged_lattice_guards())
+def test_pair_scan_matches_the_oracle_on_nudged_lattices(guards):
+    region = ConvexPolygon([Point2(-4, -4), Point2(20, -4), Point2(20, 20), Point2(-4, 20)])
+    assert_scan_matches_the_oracle(darkness._Analysis(region, GuardSet(guards)).pieces)
+    assert_scan_matches_the_oracle(dark_rays(guards))
+
+
+def test_find_concurrent_dark_rays_on_the_filtered_scan():
     # three guard pairs whose outward rays meet at c, among random guards
     # that bring the scene to dozens of lines (two dark rays each)
     c = Point2(Fraction(1, 3), Fraction(2, 7))
@@ -469,10 +527,8 @@ def test_find_concurrent_dark_rays_on_the_filtered_scan(monkeypatch, coord_limit
     lines = len(collinear_groups(guards))
     assert lines >= 24
 
-    monkeypatch.setattr(darkness, "_NUMPY_COORD_LIMIT", coord_limit)
-    runs = count_box_runs(monkeypatch)
+    assert len(assert_scan_matches_the_oracle(dark_rays(guards))) > 0
     hit = find_concurrent_dark_rays(guards)
-    assert runs == [2 * lines]  # filtered at the default size threshold
 
     crossings = oracles.dark_ray_crossings_oracle(guards)
     assert len(crossings[c]) == 3
@@ -481,27 +537,23 @@ def test_find_concurrent_dark_rays_on_the_filtered_scan(monkeypatch, coord_limit
     assert hit == (point, len(crossings[point]))
 
 
-def test_box_prefilter_survives_coordinates_past_the_float_range(monkeypatch):
+def test_box_prefilter_survives_coordinates_past_the_float_range():
     # the lattice scene with x shifted by 3**-700: every scaled x is an
     # integer of over 1100 bits, which rounds to +inf in the float boxes
+    # and makes the float sign test inf or NaN
     region, lattice = BRANCH_SCENES["lattice"]
     shift = Fraction(1, 3 ** 700)
     guards = [Point2(p.x + shift, p.y) for p in lattice]
     analysis = darkness._Analysis(region, GuardSet(guards))
     assert min(analysis.scene.gx).bit_length() > 1100
-    assert len(analysis.pieces) >= darkness._NUMPY_MIN_ITEMS
-    runs = count_box_runs(monkeypatch)
-    results = {}
-    for name in ("loop", "box"):
-        monkeypatch.setattr(darkness, "_NUMPY_MIN_ITEMS", SCAN_BRANCHES[name][0])
-        runs.clear()
-        w = max_darkness(region, guards)
-        results[name] = [(w.point, w.darkness)] + [
-            (found, witness and witness.point)
-            for found, witness in (has_j_dark(region, guards, j) for j in range(1, w.darkness + 2))]
-        assert bool(runs) == (name == "box")
-    assert results["box"] == results["loop"]
-    assert results["loop"][0][1] == oracles.darkness_oracle(guards, results["loop"][0][0]) == 3
+    assert assert_scan_matches_the_oracle(analysis.pieces)
+    w = max_darkness(region, guards)
+    assert w.darkness == oracles.darkness_oracle(guards, w.point) == 3
+    for j in range(1, w.darkness + 2):
+        found, witness = has_j_dark(region, guards, j)
+        assert found == (j <= w.darkness)
+        if found:
+            assert oracles.darkness_oracle(guards, witness.point) == witness.darkness >= j
 
 
 # --- crossing darkness -------------------------------------------------------
@@ -550,28 +602,26 @@ def invariant_scene(name):
 
 
 @pytest.mark.parametrize("scene", INVARIANT_SCENES)
-def test_crossings_know_their_darkness(monkeypatch, scene):
+def test_crossings_know_their_darkness(scene):
     region, guards = invariant_scene(scene)
-    for name, (min_items, coord_limit) in SCAN_BRANCHES.items():
-        monkeypatch.setattr(darkness, "_NUMPY_MIN_ITEMS", min_items)
-        monkeypatch.setattr(darkness, "_NUMPY_COORD_LIMIT", coord_limit)
-        analysis = darkness._Analysis(region, GuardSet(guards))
-        points, events = analysis.crossings()
-        cands = analysis.point_candidates()
-        assert [c[1:4] for c in cands[:len(points)]] == list(points)
-        # the darkness read off the recorded pieces is the full rescan
-        for total, xn, yn, den, contr in cands[:len(points)]:
-            assert (total, contr) == analysis.darkness_at_scaled(xn, yn, den), name
-        top = max([c[0] for c in cands] + [p[7] for p in analysis.pieces])
-        # the witness is the smallest point at top of the complete set
-        w = max_darkness(region, guards)
-        full = [analysis.scene.unscale(xn, yn, den)
-                for total, xn, yn, den, _ in analysis.candidates() if total == top]
-        assert w.darkness == top
-        assert w.point == min(full, key=lambda p: (p.x, p.y)), name
-        at_top = [idx for idx, p in enumerate(analysis.pieces) if p[7] == top]
-        # top-level pieces have no crossings
-        assert not any(idx in events for idx in at_top), name
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    assert_scan_matches_the_oracle(analysis.pieces)
+    points, events = analysis.crossings()
+    cands = analysis.point_candidates()
+    assert [c[1:4] for c in cands[:len(points)]] == list(points)
+    # the darkness read off the recorded pieces is the full rescan
+    for total, xn, yn, den, contr in cands[:len(points)]:
+        assert (total, contr) == analysis.darkness_at_scaled(xn, yn, den)
+    top = max([c[0] for c in cands] + [p[7] for p in analysis.pieces])
+    # the witness is the smallest point at top of the complete set
+    w = max_darkness(region, guards)
+    full = [analysis.scene.unscale(xn, yn, den)
+            for total, xn, yn, den, _ in analysis.candidates() if total == top]
+    assert w.darkness == top
+    assert w.point == min(full, key=lambda p: (p.x, p.y))
+    at_top = [idx for idx, p in enumerate(analysis.pieces) if p[7] == top]
+    # top-level pieces have no crossings
+    assert not any(idx in events for idx in at_top)
     if scene == "lattice-8gon":
         assert len(analysis.pieces) >= 48 and len(points) > 200 and top > 2
     if scene == "4n-2":
@@ -620,34 +670,30 @@ def test_has_j_dark_reads_crossing_darkness(monkeypatch, scene):
         return rescan(self, xn, yn, den)
 
     monkeypatch.setattr(darkness._Analysis, "darkness_at_scaled", spy)
-    for name, (min_items, coord_limit) in SCAN_BRANCHES.items():
-        monkeypatch.setattr(darkness, "_NUMPY_MIN_ITEMS", min_items)
-        monkeypatch.setattr(darkness, "_NUMPY_COORD_LIMIT", coord_limit)
-        for j in range(3, top + 2):
-            calls.clear()
-            found, witness = has_j_dark(region, guards, j)
-            assert not set(calls) & set(points), (name, j)
-            assert found == (j <= top), (name, j)
-            if not found:
-                continue
-            assert oracles.darkness_oracle(guards, witness.point) == witness.darkness >= j
-            if j > below:
-                first = next(key for key in points if dark[key] >= j)
-                assert witness.point == analysis.scene.unscale(*first), (name, j)
+    assert_scan_matches_the_oracle(analysis.pieces)
+    for j in range(3, top + 2):
+        calls.clear()
+        found, witness = has_j_dark(region, guards, j)
+        assert not set(calls) & set(points), j
+        assert found == (j <= top), j
+        if not found:
+            continue
+        assert oracles.darkness_oracle(guards, witness.point) == witness.darkness >= j
+        if j > below:
+            first = next(key for key in points if dark[key] >= j)
+            assert witness.point == analysis.scene.unscale(*first), j
 
 
 @pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))
-def test_min_depth_matches_the_oracle_on_every_branch(monkeypatch, scene):
+def test_min_depth_matches_the_oracle_on_every_branch(scene):
     region, guards = BRANCH_SCENES[scene]
+    assert_scan_matches_the_oracle(darkness._Analysis(region, GuardSet(guards)).pieces)
     best, _ = oracles.max_darkness_oracle(region, guards)
-    for name, (min_items, coord_limit) in SCAN_BRANCHES.items():
-        monkeypatch.setattr(darkness, "_NUMPY_MIN_ITEMS", min_items)
-        monkeypatch.setattr(darkness, "_NUMPY_COORD_LIMIT", coord_limit)
-        cert = min_depth(region, guards)
-        assert cert.max_darkness == best, name
-        assert cert.min_depth == len(guards) - best
-        assert region.contains(cert.witness.point)
-        assert oracles.darkness_oracle(guards, cert.witness.point) == best, name
+    cert = min_depth(region, guards)
+    assert cert.max_darkness == best
+    assert cert.min_depth == len(guards) - best
+    assert region.contains(cert.witness.point)
+    assert oracles.darkness_oracle(guards, cert.witness.point) == best
 
 
 # --- boundary census ----------------------------------------------------------
