@@ -514,18 +514,26 @@ def test_pair_scan_matches_the_oracle_on_nudged_lattices(guards):
     assert_scan_matches_the_oracle(dark_rays(guards))
 
 
-def test_find_concurrent_dark_rays_on_the_filtered_scan():
+# the ids name the scan branches of earlier versions; both cases now run
+# the one filtered scan, on scaled coordinates that fit in 28 bits and, with
+# x shifted by 3**-40, on ones past 64 bits
+@pytest.mark.parametrize("shift", [Fraction(0), Fraction(1, 3 ** 40)],
+                         ids=["box+int64", "box"])
+def test_find_concurrent_dark_rays_on_the_filtered_scan(shift):
     # three guard pairs whose outward rays meet at c, among random guards
     # that bring the scene to dozens of lines (two dark rays each)
-    c = Point2(Fraction(1, 3), Fraction(2, 7))
+    c = Point2(Fraction(1, 3) + shift, Fraction(2, 7))
     guards = [c + d * s for d in (Point2(1, 2), Point2(-3, 1), Point2(2, -5)) for s in (1, 2)]
     rng = random.Random(37)
     while len(guards) < 10:
-        p = Point2(Fraction(rng.randint(-60, 60), 7), Fraction(rng.randint(-60, 60), 5))
+        p = Point2(Fraction(rng.randint(-60, 60), 7) + shift, Fraction(rng.randint(-60, 60), 5))
         if p not in guards:
             guards.append(p)
     lines = len(collinear_groups(guards))
     assert lines >= 24
+    _, gx, gy = darkness._scaled_guards(guards)
+    bits = max(map(abs, gx + gy)).bit_length()
+    assert bits <= 28 if shift == 0 else bits > 64
 
     assert len(assert_scan_matches_the_oracle(dark_rays(guards))) > 0
     hit = find_concurrent_dark_rays(guards)
