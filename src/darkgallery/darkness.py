@@ -26,7 +26,7 @@ One pair scan (`_pair_hits`) finds every crossing, for the certificates,
 the j-dark queries and the concurrency check alike.  It takes one path at
 every piece count and coordinate size: over fixed-size 2-D tiles of the
 pair triangle it keeps a pair only if the pieces' float boxes overlap,
-they differ in primitive direction and in anchor guard (exact integer
+they lie on different lines and have different anchor guards (exact
 class tests), and a float sign test with a derived rounding-error bound
 cannot rule the crossing out.  Every pair that survives is confirmed
 with exact big-integer arithmetic.
@@ -426,17 +426,16 @@ def _nearest(n, d):
 
 
 def _piece_boxes(pieces):
-    """(x0, y0, lox, hix, loy, hiy): every piece's float anchor and its
-    conservative float box, one column per piece.
+    """(x0, y0, fdx, fdy, lox, hix, loy, hiy): every piece's float anchor,
+    float direction and conservative float box, one column per piece.
 
-    Every endpoint coordinate is rounded to the nearest float and an
-    unbounded end becomes +-inf.  Rounding is monotone (a <= b implies
-    round(a) <= round(b)), so two pieces whose true spans overlap keep
-    overlapping boxes under <=.  That holds however large the scaled
-    coordinates are.  The anchors are the rounded x0, y0 the boxes start
-    from, which the sign test of _pair_hits reuses.
+    Every coordinate is rounded to the nearest float and an unbounded end
+    becomes +-inf.  Rounding is monotone (a <= b implies round(a) <=
+    round(b)), so two pieces whose true spans overlap keep overlapping
+    boxes under <=.  That holds however large the scaled coordinates are.
+    The anchors and directions feed the sign test of _pair_hits.
     """
-    out = np.empty((len(pieces), 6))
+    out = np.empty((len(pieces), 8))
     for k, (ax, ay, dx, dy, hin, hid, *_) in enumerate(pieces):
         x0, y0 = _nearest(ax, 1), _nearest(ay, 1)
         if hin is None:
@@ -445,7 +444,8 @@ def _piece_boxes(pieces):
         else:
             x1 = _nearest(ax * hid + dx * hin, hid)
             y1 = _nearest(ay * hid + dy * hin, hid)
-        out[k] = x0, y0, min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)
+        out[k] = (x0, y0, _nearest(dx, 1), _nearest(dy, 1),
+                  min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
     return out.T
 
 
@@ -474,20 +474,14 @@ _TILE = 1 << 16
 
 
 def _tiles(R):
-    """(i0, i1, j0, j1) blocks covering the pairs i < j of R pieces in
-    increasing (i, j) order, each at most _TILE elements: several whole
-    rows at once, or one row cut into column runs when it is longer."""
+    """(i0, i1, j0, j1) blocks of whole rows covering the pairs i < j of R
+    pieces in increasing (i, j) order, each at most _TILE elements unless
+    one row alone is longer."""
     i = 0
     while i < R - 1:
-        width = R - 1 - i
-        if width > _TILE:
-            for j in range(i + 1, R, _TILE):
-                yield i, i + 1, j, min(j + _TILE, R)
-            i += 1
-        else:
-            i1 = min(R - 1, i + _TILE // width)
-            yield i, i1, i + 1, R
-            i = i1
+        i1 = min(R - 1, i + max(1, _TILE // (R - 1 - i)))
+        yield i, i1, i + 1, R
+        i = i1
 
 
 def _pair_hits(pieces):
@@ -497,19 +491,14 @@ def _pair_hits(pieces):
     One path at every size and scale, over the _tiles of the pair
     triangle.  Three conservative filters run before _confirm: the float
     boxes of _piece_boxes must overlap; two exact class tests drop pairs
-    with the same primitive direction up to sign (parallel or collinear,
-    which covers pieces of one line) or the same anchor guard (they meet
-    only there, where both are open); and a float sign test drops a pair
+    on the same line or with the same anchor guard (they meet only there,
+    where both are open); and a float sign test drops a pair
     whose un/D or vn/D is certainly <= 0 (_SIGN_SLACK).  No filter drops a
     crossing, so the hits and their order are those of the plain loop over
     all pairs.
     """
-    x0, y0, lox, hix, loy, hiy = _piece_boxes(pieces)
-    dx = np.array([_nearest(p[2], 1) for p in pieces])
-    dy = np.array([_nearest(p[3], 1) for p in pieces])
-    direction = _class_ids(
-        (p[2], p[3]) if p[2] > 0 or (p[2] == 0 and p[3] > 0) else (-p[2], -p[3])
-        for p in pieces)
+    x0, y0, dx, dy, lox, hix, loy, hiy = _piece_boxes(pieces)
+    line = np.array([p[8] for p in pieces])
     anchor = _class_ids((p[0], p[1]) for p in pieces)
     mx, my, mdx, mdy = np.abs(x0), np.abs(y0), np.abs(dx), np.abs(dy)
     for i0, i1, j0, j1 in _tiles(len(pieces)):
@@ -520,7 +509,7 @@ def _pair_hits(pieces):
             & (lox[rows, None] <= hix[cols])
             & (loy[cols] <= hiy[rows, None])
             & (loy[rows, None] <= hiy[cols])
-            & (direction[cols] != direction[rows, None])
+            & (line[cols] != line[rows, None])
             & (anchor[cols] != anchor[rows, None])
         )
         ii, jj = np.nonzero(mask)

@@ -436,7 +436,7 @@ def test_box_edge_scene_touches_only_at_the_unique_maximum():
     assert [(c[0], analysis.scene.unscale(*c[1:4])) for c in top] == [(4, Point2(6, 12))]
     points, _ = analysis.crossings()
     i, j = sorted(points[top[0][1:4]])
-    _, _, lox, hix, _, _ = darkness._piece_boxes(analysis.pieces)
+    _, _, _, _, lox, hix, _, _ = darkness._piece_boxes(analysis.pieces)
     assert analysis.pieces[i][8] != analysis.pieces[j][8]
     assert hix[i] == lox[j] == analysis.scene.scale * 6 and lox[i] < hix[i]
 
