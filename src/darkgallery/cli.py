@@ -204,6 +204,8 @@ def cmd_verify(args) -> int:
     if mode == "sample" and isinstance(region, Wedge):
         raise UsageError("sample mode needs a bounded polygon, not a wedge")
     js = list(args.j or [])
+    if any(j < 1 for j in js):
+        raise UsageError("j must be a positive integer")
     target = args.depth
     if not js and target is None:
         js = [2]  # the default question: is there a 2-dark point?

@@ -20,7 +20,9 @@ the pair scan recorded through it (only the g guard points are rescanned
 over all lines); a piece whose blocked count is the maximum has no
 crossing on it, so its one representative is its only candidate; and
 only the candidates at the maximum enter the lexicographic tie-break.
-The j-dark queries read crossing darkness the same way.
+The j-dark queries read the same candidates: one analysis, built on the
+first query in a region and held on the GuardSet, serves every query on
+that guard set.
 
 One pair scan (`_pair_hits`) finds every crossing, for the certificates,
 the j-dark queries and the concurrency check alike.  It takes one path at
@@ -35,9 +37,7 @@ with exact big-integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
 from math import gcd, inf, lcm
-from operator import itemgetter
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -56,9 +56,10 @@ Region = Union[ConvexPolygon, Wedge]
 
 
 class GuardSet:
-    """Ordered collection of pairwise-distinct guard positions."""
+    """Ordered collection of pairwise-distinct guard positions, immutable
+    to callers; one analysis (_analysis) serves every query on it."""
 
-    __slots__ = ("guards",)
+    __slots__ = ("guards", "_analysis")
 
     def __init__(self, guards: Sequence[Point2]):
         gs = list(guards)
@@ -70,6 +71,7 @@ class GuardSet:
         if len(set(gs)) != len(gs):
             raise ValueError("guards cannot be co-located")
         object.__setattr__(self, "guards", tuple(gs))
+        object.__setattr__(self, "_analysis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GuardSet is immutable")
@@ -574,11 +576,13 @@ class _Analysis:
     parameter interval starts open at 0.  hin is None where the region
     leaves the piece unbounded (wedges, or region None: the whole plane,
     where the unbounded pieces are exactly the dark rays).  Only pieces
-    blocking >= 1 guard are kept.
+    blocking >= 1 guard are kept.  It keeps the guards tuple, not the
+    GuardSet that holds it: a reference cycle would wait for the cyclic
+    collector.
     """
 
     def __init__(self, region: Region, gset: GuardSet):
-        self.gset = gset
+        self.guards = gset.guards
         self.scene = _Scene(region, gset.guards)
         gx, gy = self.scene.gx, self.scene.gy
         hps = self.scene.halfplanes
@@ -588,6 +592,7 @@ class _Analysis:
                 raise ValueError("guard %r lies outside the region" % (g,))
         self.lines = _group_collinear(gx, gy)
         self._crossings = None
+        self._point_candidates = None
 
         pieces = []
         for line_id, (ux, uy, c, members) in enumerate(self.lines):
@@ -673,32 +678,32 @@ class _Analysis:
         return self._crossings
 
     # -- candidate enumeration -------------------------------------------
-    def crossing_candidate(self, key, ids):
-        """(darkness, xn, yn, den, contributions) at the crossing key of
-        the pieces ids.
+    def point_candidates(self):
+        """(darkness, xn, yn, den, contributions) at every crossing, in the
+        order crossings() found them, then at every guard point.  Built
+        once; callers must not change the list.
 
         No guard lies on a piece of a line it is not a member of (it would
         be a member), and pieces are open at their own members, so a
         crossing is never a guard position.  Every line with a positive
         count there then has exactly one piece through it, and _pair_hits
-        pairs the lowest-indexed of those pieces with each of the others:
-        once that piece's row of the scan has ended, the darkness is the
-        sum of `blocked` over ids, and the contributions (line_id, blocked)
-        sorted by line_id are the list darkness_at_scaled returns.
+        pairs the lowest-indexed of those pieces with each of the others,
+        so crossings() records them all: the darkness is the sum of their
+        `blocked`, and the contributions (line_id, blocked) sorted by
+        line_id are the list darkness_at_scaled returns.  Only the g guard
+        points need a rescan over all lines.
         """
-        contr = sorted([(self.pieces[k][8], self.pieces[k][7]) for k in ids])
-        return (sum([cnt for _, cnt in contr]), *key, contr)
-
-    def point_candidates(self):
-        """(darkness, xn, yn, den, contributions) at every crossing, in the
-        order crossings() found them, then at every guard point.  Only the
-        g guard points need a rescan over all lines."""
-        points, _ = self.crossings()
-        out = [self.crossing_candidate(key, ids) for key, ids in points.items()]
-        for x, y in zip(self.scene.gx, self.scene.gy):
-            total, contr = self.darkness_at_scaled(x, y, 1)
-            out.append((total, x, y, 1, contr))
-        return out
+        if self._point_candidates is None:
+            points, _ = self.crossings()
+            out = []
+            for key, ids in points.items():
+                contr = sorted([(self.pieces[k][8], self.pieces[k][7]) for k in ids])
+                out.append((sum([cnt for _, cnt in contr]), *key, contr))
+            for x, y in zip(self.scene.gx, self.scene.gy):
+                total, contr = self.darkness_at_scaled(x, y, 1)
+                out.append((total, x, y, 1, contr))
+            self._point_candidates = out
+        return self._point_candidates
 
     def candidates(self):
         """(darkness, xn, yn, den, contributions) over the complete
@@ -711,7 +716,7 @@ class _Analysis:
         the full set is for the sampler, which needs every point.
         """
         _, events = self.crossings()
-        out = self.point_candidates()
+        out = list(self.point_candidates())
         # Darkness at a sub-piece point is exactly the piece's blocked
         # count: after subdividing at every crossing parameter no other
         # portion passes through a sub-piece interior, and no guard can lie
@@ -726,9 +731,20 @@ class _Analysis:
     def witness_from(self, total, xn, yn, den, contr) -> DarknessWitness:
         """The witness at (xn/den, yn/den); GuardLine objects are built for
         the contributing lines only."""
-        lines = _guard_lines([self.lines[line_id] for line_id, _ in contr], self.gset.guards)
+        lines = _guard_lines([self.lines[line_id] for line_id, _ in contr], self.guards)
         point = self.scene.unscale(xn, yn, den)
         return DarknessWitness(point, total, [(gl, cnt) for gl, (_, cnt) in zip(lines, contr)])
+
+
+def _analysis(region: Region, gset: GuardSet) -> _Analysis:
+    """The analysis of gset in region, held on gset until a query names
+    another region object.  It holds its region, so `is` cannot match a
+    new region at a reused address."""
+    analysis = gset._analysis
+    if analysis is None or analysis.scene.region is not region:
+        analysis = _Analysis(region, gset)
+        object.__setattr__(gset, "_analysis", analysis)
+    return analysis
 
 
 def max_darkness(region: Region, guards) -> DarknessWitness:
@@ -745,8 +761,7 @@ def max_darkness(region: Region, guards) -> DarknessWitness:
     (the first in the order crossings, guards, pieces on equal points), so
     the certificate does not depend on guard ordering.
     """
-    gset = GuardSet.coerce(guards)
-    analysis = _Analysis(region, gset)
+    analysis = _analysis(region, GuardSet.coerce(guards))
     cands = analysis.point_candidates()
     top = max([c[0] for c in cands] + [p[7] for p in analysis.pieces])
     at_top = [c for c in cands if c[0] == top]
@@ -766,7 +781,7 @@ def darkness_at(region: Region, guards, p: Point2) -> DarknessWitness:
     gset = GuardSet.coerce(guards)
     if not region.contains(p):
         raise ValueError("query point %r lies outside the region" % (p,))
-    analysis = _Analysis(region, gset)
+    analysis = _analysis(region, gset)
     s = analysis.scene.scale
     xq, yq = p.x * s, p.y * s
     den = lcm(xq.denominator, yq.denominator)
@@ -785,19 +800,15 @@ def min_depth(region: Region, guards) -> DepthCertificate:
 def has_j_dark(region: Region, guards, j: int):
     """(found, witness) for a point of the region with darkness >= j.
 
-    A portion whose own blocked count reaches j settles it at once;
-    otherwise the guard positions come next, then the crossings of the
-    shared pair scan (`_pair_hits`), read row by row: a crossing's
-    darkness is complete when the row of its lowest-indexed piece ends
-    (crossing_candidate), so the crossings new in that row are checked
-    then, in crossings() order, and the scan stops at the first that
-    reaches j.  The scan yields crossings in increasing (i, j) piece order,
-    the order of the plain loop over all pairs.
+    A reader of the one analysis that max_darkness shares.  A portion
+    whose own blocked count reaches j settles it at once; otherwise the
+    first of the guard points, then the crossings of point_candidates
+    (in crossings() order, that of a row-by-row walk of the pair scan)
+    at darkness >= j is the witness.
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
-    gset = GuardSet.coerce(guards)
-    analysis = _Analysis(region, gset)
+    analysis = _analysis(region, GuardSet.coerce(guards))
 
     # pieces whose own blocked count already reaches j
     for piece in analysis.pieces:
@@ -806,27 +817,13 @@ def has_j_dark(region: Region, guards, j: int):
             total, contr = analysis.darkness_at_scaled(*key)
             return True, analysis.witness_from(total, *key, contr)
 
-    # guard positions (3+ collinear guards darken the middle ones' spots)
-    gx, gy = analysis.scene.gx, analysis.scene.gy
-    for i in range(len(gx)):
-        total, contr = analysis.darkness_at_scaled(gx[i], gy[i], 1)
-        if total >= j:
-            return True, analysis.witness_from(total, gx[i], gy[i], 1, contr)
-
-    # otherwise the darkness must stack up at a portion crossing
-    pieces = analysis.pieces
-    seen = set()
-    for i, hits in groupby(_pair_hits(pieces), key=itemgetter(0)):
-        row = {}
-        for _, k, un, _, D in hits:
-            key = _point_key(pieces[i], un, D)
-            if key not in seen:
-                row.setdefault(key, {i}).add(k)
-        for key, ids in row.items():
-            cand = analysis.crossing_candidate(key, ids)
-            if cand[0] >= j:
-                return True, analysis.witness_from(*cand)
-        seen.update(row)
+    # guard positions (3+ collinear guards darken the middle ones' spots),
+    # then the crossings where darkness stacks up
+    cands = analysis.point_candidates()
+    crossings = len(analysis.crossings()[0])
+    for cand in cands[crossings:] + cands[:crossings]:
+        if cand[0] >= j:
+            return True, analysis.witness_from(*cand)
     return False, None
 
 

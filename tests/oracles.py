@@ -4,21 +4,25 @@ These deliberately share no code with the library's verifier: darkness is
 recounted from the definition (a guard is blocked from p exactly when some
 other guard stands strictly between), lines are regrouped pairwise, and
 maxima are found by exhaustive evaluation at every combinatorial event.
-The one exception is pair_hits_oracle, which runs the library's exact
-crossing test on every pair, so that what it checks is the pair scan's
-filtering; the darkness oracles check that crossing test itself.
+Two exceptions: pair_hits_oracle runs the library's exact crossing test
+on every pair, so that what it checks is the pair scan's filtering (the
+darkness oracles check that crossing test itself); has_j_dark_oracle
+walks those pairs row by row on the library's pieces, so that what it
+checks is the order in which has_j_dark reads the shared candidates.
 Slow on purpose; exact everywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from darkgallery.darkness import _confirm
+from darkgallery.darkness import GuardSet, _Analysis, _confirm, _point_key, _sub_piece_points
 from darkgallery.geometry import (
     ConvexPolygon,
     HalfplaneResult,
@@ -268,6 +272,42 @@ def pair_hits_oracle(pieces):
             hit = _confirm(pieces[i], pieces[j])
             if hit is not None:
                 yield (i, j) + hit
+
+
+def has_j_dark_oracle(region, guards, j):
+    """(found, witness) of has_j_dark by a lazy walk of the pair scan.
+
+    Pieces whose own blocked count reaches j come first, then guard
+    points.  Then the pairs are read row by row: a crossing's darkness is
+    complete when the row of its lowest-indexed piece ends, so the
+    crossings new in that row are checked then, and the walk stops at the
+    first that reaches j.
+    """
+    analysis = _Analysis(region, GuardSet(guards))
+    pieces = analysis.pieces
+    for piece in pieces:
+        if piece[7] >= j:
+            key = _sub_piece_points(piece, ())[0]
+            total, contr = analysis.darkness_at_scaled(*key)
+            return True, analysis.witness_from(total, *key, contr)
+    for x, y in zip(analysis.scene.gx, analysis.scene.gy):
+        total, contr = analysis.darkness_at_scaled(x, y, 1)
+        if total >= j:
+            return True, analysis.witness_from(total, x, y, 1, contr)
+    seen = set()
+    for i, hits in groupby(pair_hits_oracle(pieces), key=itemgetter(0)):
+        row = {}
+        for _, k, un, _, D in hits:
+            key = _point_key(pieces[i], un, D)
+            if key not in seen:
+                row.setdefault(key, {i}).add(k)
+        for key, ids in row.items():
+            contr = sorted([(pieces[k][8], pieces[k][7]) for k in ids])
+            total = sum([cnt for _, cnt in contr])
+            if total >= j:
+                return True, analysis.witness_from(total, *key, contr)
+        seen.update(row)
+    return False, None
 
 
 # --- halfplane intersection by pairwise corners -------------------------------

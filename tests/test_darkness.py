@@ -8,13 +8,17 @@ definition.
 from __future__ import annotations
 
 import functools
+import gc
+import importlib
+import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darkgallery import darkness
+from darkgallery import cli, darkness
 from darkgallery.construct import place_4n_minus_2
 from darkgallery.darkness import (
     GuardSet,
@@ -28,6 +32,7 @@ from darkgallery.darkness import (
     max_darkness,
     min_depth,
 )
+from darkgallery.documents import PlacementDocument, region_to_dict
 from darkgallery.fixtures import builtin_fixture
 from darkgallery.geometry import ConvexPolygon, Point2, Wedge, centroid
 
@@ -690,6 +695,137 @@ def test_has_j_dark_reads_crossing_darkness(monkeypatch, scene):
         if j > below:
             first = next(key for key in points if dark[key] >= j)
             assert witness.point == analysis.scene.unscale(*first), j
+
+
+def witness_facts(witness):
+    if witness is None:
+        return None
+    return (witness.point, witness.darkness,
+            [(tuple(gl.member_indices), cnt) for gl, cnt in witness.contributing_lines])
+
+
+def guard_corner():
+    """Three 3-guard lines end at the origin guard: its darkness 3 tops
+    every piece's blocked count (2), and crossings reach 3 too, so the
+    guard points must be read before the crossings."""
+    region = ConvexPolygon([Point2(-10, -10), Point2(10, -10), Point2(10, 10), Point2(-10, 10)])
+    corner = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 2)]
+    return region, [Point2(x, y) for x, y in corner]
+
+
+ROW_WALK_SCENES = {"concurrent-star": concurrent_star, "guard-corner": guard_corner}
+
+
+@pytest.mark.parametrize("scene", INVARIANT_SCENES + sorted(ROW_WALK_SCENES))
+def test_has_j_dark_matches_the_row_walk(scene):
+    make = ROW_WALK_SCENES.get(scene, lambda: invariant_scene(scene))
+    region, guards = make()
+    gs = GuardSet(guards)
+    top = max_darkness(region, gs).darkness
+    for j in range(1, top + 2):
+        found, witness = has_j_dark(region, gs, j)
+        want, want_witness = oracles.has_j_dark_oracle(region, guards, j)
+        assert found == want == (j <= top), j
+        assert witness_facts(witness) == witness_facts(want_witness), j
+
+
+# --- one analysis per guard set ---------------------------------------------
+
+
+@pytest.fixture
+def count_scans(monkeypatch):
+    """Call to start counting _Analysis builds and _pair_hits calls."""
+    def start():
+        counts = {"builds": 0, "scans": 0}
+        build, scan = darkness._Analysis.__init__, darkness._pair_hits
+
+        def counted_build(self, region, gset):
+            counts["builds"] += 1
+            build(self, region, gset)
+
+        def counted_scan(pieces):
+            counts["scans"] += 1
+            return scan(pieces)
+
+        monkeypatch.setattr(darkness._Analysis, "__init__", counted_build)
+        monkeypatch.setattr(darkness, "_pair_hits", counted_scan)
+        return counts
+    return start
+
+
+def test_queries_on_one_guard_set_share_one_analysis(count_scans):
+    region, guards = placement_4n_minus_2()
+    gs = GuardSet(guards)
+    scan_counts = count_scans()
+    assert min_depth(region, gs).max_darkness == 1
+    assert has_j_dark(region, gs, 2) == (False, None)
+    assert has_j_dark(region, gs, 3) == (False, None)
+    assert scan_counts == {"builds": 1, "scans": 1}
+
+
+def test_exact_verify_scans_once_for_every_j(count_scans, tmp_path, capsys):
+    region, guards = placement_4n_minus_2()
+    path = str(tmp_path / "placement.json")
+    PlacementDocument(region, GuardSet(guards)).save(path)
+    scan_counts = count_scans()
+    argv = ["verify", "--region", path, "--guards", path, "--j", "2", "--j", "3"]
+    assert cli.main(argv + ["--format", "json"]) == cli.EXIT_OK
+    cert = json.loads(capsys.readouterr().out)
+    assert [(r["j"], r["found"]) for r in cert["j_dark"]] == [(2, False), (3, False)]
+    assert scan_counts == {"builds": 1, "scans": 1}
+
+
+def test_one_extra_construct_certifies_its_prefix_once(count_scans, monkeypatch, tmp_path, capsys):
+    # every max_darkness call construct.py makes is a scaffold attempt or
+    # construct's check of the prefix; the CLI's min_depth and has_j_dark
+    # then read the prefix's analysis
+    region, _ = placement_4n_minus_2()
+    path = str(tmp_path / "region.json")
+    with open(path, "w") as fh:
+        json.dump(region_to_dict(region), fh)
+    calls = []
+    construct_module = importlib.import_module("darkgallery.construct")
+    certify = construct_module.max_darkness
+    monkeypatch.setattr(construct_module, "max_darkness",
+                        lambda region, guards: calls.append(1) or certify(region, guards))
+    scan_counts = count_scans()
+    assert cli.main(["construct", "--shape", path, "--k", "7", "--format", "json"]) == 0
+    assert "placement" in capsys.readouterr().out
+    assert len(calls) >= 2
+    assert scan_counts["builds"] == len(calls)
+
+
+def test_a_guard_set_follows_the_region_it_is_asked_about():
+    region, guards = lattice_octagon()
+    around = ConvexPolygon([Point2(-60, -60), Point2(120, -60), Point2(120, 120), Point2(-60, 120)])
+
+    def certificate(region, gs):
+        w = max_darkness(region, gs)
+        return (witness_facts(w), [witness_facts(has_j_dark(region, gs, j)[1]) for j in (2, 3, 8)],
+                witness_facts(darkness_at(region, gs, Point2(6, 30))))
+
+    fresh = [certificate(r, GuardSet(guards)) for r in (region, around)]
+    assert fresh[0] != fresh[1]
+    gs = GuardSet(guards)
+    for r, want in zip((region, around) * 2, fresh * 2):
+        assert certificate(r, gs) == want
+
+
+def test_the_held_analysis_is_freed_by_reference_counting():
+    region, guards = lattice_octagon()
+    gs = GuardSet(guards)
+    gc.disable()
+    try:
+        min_depth(region, gs)
+        held = weakref.ref(gs._analysis)
+        del gs
+        assert held() is None
+    finally:
+        gc.enable()
+    gs = GuardSet(guards)
+    for name in ("guards", "_analysis", "other"):
+        with pytest.raises(AttributeError):
+            setattr(gs, name, None)
 
 
 @pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))

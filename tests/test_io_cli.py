@@ -262,6 +262,24 @@ def test_sampled_verify_rejects_a_grid_below_one(tmp_path, grid):
     assert json.loads(proc.stderr) == {"error": "grid resolution must be at least 1"}
 
 
+@pytest.mark.parametrize("j", ["0", "-3"])
+@pytest.mark.parametrize("mode", ["exact", "sample"])
+def test_verify_rejects_j_below_one(tmp_path, mode, j):
+    # sampling once reported a "0-dark point FOUND": g - d >= j always holds
+    regfile = guardfile = "triangle"
+    if mode == "sample":
+        regfile = str(tmp_path / "comb.json")
+        guardfile = str(tmp_path / "guards.json")
+        with open(regfile, "w") as fh:
+            json.dump(COMB_REGION, fh)
+        with open(guardfile, "w") as fh:
+            json.dump([[1, 1], [3, 1], [5, 1]], fh)
+    proc = run_cli("verify", "--region", regfile, "--guards", guardfile,
+                   "--mode", mode, "--j", j, "--format", "json", expect=1)
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "j must be a positive integer"}
+
+
 # --- render -------------------------------------------------------------------------
 
 def test_render_guards_only(work):
