@@ -203,6 +203,8 @@ def cmd_verify(args) -> int:
         )
     if mode == "sample" and isinstance(region, Wedge):
         raise UsageError("sample mode needs a bounded polygon, not a wedge")
+    if mode == "exact" and args.grid is not None:
+        raise UsageError("--grid needs --mode sample")
     js = list(args.j or [])
     if any(j < 1 for j in js):
         raise UsageError("j must be a positive integer")

@@ -15,12 +15,12 @@ hull, where the exact machinery applies, then filtered to the polygon):
 those are the points where coverage is most likely to dip.  Grid or
 seeded-random samples are layered on top via the sampler spec.
 
-Every verdict is exact.  Bulk scans run through a float prefilter
-first: coordinates are correctly-rounded floats, so any orientation
-value whose magnitude clears a certified error margin has the sign of
-the true rational value, and only the pairs inside the margin fall back
-to the rational predicates.  The fast path and the plain loop therefore
-produce identical reports.
+Every verdict is exact.  Depths and polygon membership take one path at
+every batch size and coordinate scale: a float pass whose only verdicts
+are strict comparisons against a certified error margin, then the exact
+predicates (``visible``, ``depth_at_sample``, ``contains``) for whatever
+it leaves open.  A NaN, an inf, or any value once a product could
+overflow (the margin is then infinite) decides nothing.
 
 A sampled report can prove a placement bad (a witness below target) but
 never certifies it good -- that asymmetry is inherent, and callers
@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import inf
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .darkness import GuardSet, _Analysis
+from .darkness import GuardSet, _Analysis, _nearest
 from .geometry import (
     ConvexPolygon,
     Point2,
@@ -56,20 +57,25 @@ _RANDOM_GRID = 1 << 20
 # so anything larger than M^2 * 2^-46 in magnitude has the true sign.
 _CERT_SHIFT = 46
 
-# below this many point*vertex (or point*guard) products, the plain
-# exact loops beat the cost of building numpy arrays
-_FAST_MIN_WORK = 4096
+
+def _floats(values: List) -> "np.ndarray":
+    return np.array([_nearest(v.numerator, v.denominator) for v in values], dtype=np.float64)
 
 
-def _floats(values: List) -> Optional["np.ndarray"]:
-    try:
-        return np.array([float(v) for v in values], dtype=np.float64)
-    except OverflowError:
-        return None
+def _bound(*columns) -> float:
+    """M of the sign margin: the largest |coordinate|, at least 1.
+
+    An orientation value built from these columns is at most 8*M^2.
+    When that could overflow (or a coordinate already rounded to +-inf),
+    M is inf, so every margin is inf and no float verdict is certain.
+    """
+    m = max(1.0, *(float(np.abs(c).max(initial=0.0)) for c in columns))
+    return m if 16.0 * m * m < inf else inf
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN only ever defer
 def _contains_mask(P: AnyPolygon, pts: Sequence[Point2]) -> List[bool]:
-    """[P.contains(p) for p in pts], float-prefiltered for bulk inputs.
+    """[P.contains(p) for p in pts], float-prefiltered.
 
     The float pass settles points whose membership is certain by the
     sign margin; boundary-grazing points (and anything else inside the
@@ -77,23 +83,13 @@ def _contains_mask(P: AnyPolygon, pts: Sequence[Point2]) -> List[bool]:
     loop bit for bit.
     """
     verts = P.vertices
-    if len(pts) * len(verts) < _FAST_MIN_WORK:
-        return [P.contains(p) for p in pts]
     px = _floats([p.x for p in pts])
     py = _floats([p.y for p in pts])
     ax = _floats([v.x for v in verts])
     ay = _floats([v.y for v in verts])
-    if px is None or py is None or ax is None or ay is None:
-        return [P.contains(p) for p in pts]
     bx = np.roll(ax, -1)
     by = np.roll(ay, -1)
-    m = max(
-        1.0,
-        float(np.max(np.abs(px))),
-        float(np.max(np.abs(py))),
-        float(np.max(np.abs(ax))),
-        float(np.max(np.abs(ay))),
-    )
+    m = _bound(px, py, ax, ay)
     cert = m * m * 2.0 ** -_CERT_SHIFT
     ex = bx - ax
     ey = by - ay
@@ -108,15 +104,14 @@ def _contains_mask(P: AnyPolygon, pts: Sequence[Point2]) -> List[bool]:
         pyc = py[:, None]
         lo = np.minimum(ay, by)[None, :]
         hi = np.maximum(ay, by)[None, :]
-        strict = (pyc > lo + eps) & (pyc < hi - eps)
-        loose = (pyc > lo - eps) & (pyc < hi + eps)
+        level = (pyc > lo + eps) & (pyc < hi - eps)
         upward = (by > ay)[None, :]
-        crossing = strict & np.where(upward, o > cert, o < -cert)
-        # shaky rows: the ray passes within the margin of an endpoint or
-        # a horizontal edge, or the point sits within the margin of an
-        # edge line it is level with -- parity can't be trusted there
-        shaky = (loose & ~strict) | (strict & (np.abs(o) <= cert))
-        certain = ~shaky.any(axis=1)
+        crossing = level & np.where(upward, o > cert, o < -cert)
+        # parity is certain only when every edge is certainly apart from
+        # the ray's height, or certainly level with it and certainly off
+        # to one side of the point
+        apart = (pyc < lo - eps) | (pyc > hi + eps)
+        certain = (apart | (level & (np.abs(o) > cert))).all(axis=1)
         inside = (crossing.sum(axis=1) % 2).astype(bool)
     return [
         bool(inside[i]) if certain[i] else P.contains(pts[i])
@@ -124,18 +119,17 @@ def _contains_mask(P: AnyPolygon, pts: Sequence[Point2]) -> List[bool]:
     ]
 
 
-def _depths_fast(P: AnyPolygon, gset: GuardSet, pts: Sequence[Point2]) -> Optional[List[int]]:
-    """Exact depths for a batch of samples, or None for tiny workloads.
+@np.errstate(over="ignore", invalid="ignore")
+def _depths(P: AnyPolygon, gset: GuardSet, pts: Sequence[Point2]) -> List[int]:
+    """[depth_at_sample(P, gset, p) for p in pts], float-prefiltered.
 
     Preconditions: every sample lies in the closed polygon (the guards
     are validated by the caller).  The float pass certifies the clear
     wall crossings, clear misses, and clear non-collinearities; every
-    pair it cannot certify is re-decided by the exact predicates, so
-    the output equals [depth_at_sample(P, gset, p) for p in pts].
+    pair it cannot certify, which is every pair once a value could leave
+    the float range, is re-decided by the exact predicates.
     """
     guards = gset.guards
-    if len(pts) * len(guards) < _FAST_MIN_WORK:
-        return None
     verts = P.vertices
     px = _floats([p.x for p in pts])
     py = _floats([p.y for p in pts])
@@ -143,9 +137,7 @@ def _depths_fast(P: AnyPolygon, gset: GuardSet, pts: Sequence[Point2]) -> Option
     gy = _floats([g.y for g in guards])
     ax = _floats([v.x for v in verts])
     ay = _floats([v.y for v in verts])
-    if any(a is None for a in (px, py, gx, gy, ax, ay)):
-        return None
-    m = max(1.0, *(float(np.max(np.abs(a))) for a in (px, py, gx, gy, ax, ay)))
+    m = _bound(px, py, gx, gy, ax, ay)
     cert = m * m * 2.0 ** -_CERT_SHIFT
     convex = isinstance(P, ConvexPolygon)
     if not convex:
@@ -187,7 +179,7 @@ def _depths_fast(P: AnyPolygon, gset: GuardSet, pts: Sequence[Point2]) -> Option
         # guard-blocking: only a guard exactly on the segment's line can
         # block, so certain non-collinearity rules a blocker out
         crh = (gx - qx)[None, :] * dy[:, None] - (gy - qy)[None, :] * dx[:, None]
-        maybe = np.abs(crh) <= cert
+        maybe = ~(np.abs(crh) > cert)
         maybe[:, gi] = False
         for s in np.nonzero(wall_unsure)[0]:
             vis[s] = _segment_inside(P, q, pts[s])
@@ -402,7 +394,4 @@ def sample_depth(P: AnyPolygon, guards, sampler=None, target: Optional[int] = No
         if p not in seen:
             seen.add(p)
             unique.append(p)
-    depths = _depths_fast(P, gset, unique)
-    if depths is None:
-        depths = [depth_at_sample(P, gset, p) for p in unique]
-    return SampleReport(list(zip(unique, depths)), target=target)
+    return SampleReport(list(zip(unique, _depths(P, gset, unique))), target=target)

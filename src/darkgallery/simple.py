@@ -39,7 +39,7 @@ from .geometry import (
     convex_hull,
     orientation,
 )
-from .sampling import depth_at_sample
+from .sampling import _depths
 
 MOUTH_LEVEL = Fraction(2)  # corridor ceiling: spike mouths sit on this line
 TIP_LEVEL = Fraction(10)   # spike tips: 4x the corridor height above the mouths
@@ -453,7 +453,8 @@ def fisk_cover(P: SimplePolygon, k: int, arc_scale=Fraction(1, 4)) -> GuardSet:
     more than two of them to blocking.  arc_scale (at most 1/4 of the
     vertex clearance) controls how tightly the arcs hug their vertices;
     the construction halves it on its own when a cluster cannot be
-    placed or a vertex fails the depth spot-check.
+    placed or a vertex fails the depth spot-check, which runs every
+    vertex and guard through the sampler's batch, as ``sample_depth`` does.
     """
     if k < 1:
         raise ValueError("coverage depth must be at least 1")
@@ -477,7 +478,7 @@ def fisk_cover(P: SimplePolygon, k: int, arc_scale=Fraction(1, 4)) -> GuardSet:
         if complete:
             gset = GuardSet(guards)
             probes = list(P.vertices) + list(gset.guards)
-            if all(depth_at_sample(P, gset, p) >= k for p in probes):
+            if min(_depths(P, gset, probes)) >= k:
                 return gset
         scale /= 2
     raise ConstructionError(

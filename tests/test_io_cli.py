@@ -262,6 +262,16 @@ def test_sampled_verify_rejects_a_grid_below_one(tmp_path, grid):
     assert json.loads(proc.stderr) == {"error": "grid resolution must be at least 1"}
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "exact"]], ids=["default", "exact"])
+@pytest.mark.parametrize("grid", ["8", "-3"])
+def test_exact_verify_refuses_a_grid(mode, grid):
+    # exact mode has no samples: a grid there was once ignored, exit 0
+    proc = run_cli("verify", "--region", "triangle", "--guards", "triangle", *mode,
+                   "--grid", grid, "--format", "json", expect=1)
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "--grid needs --mode sample"}
+
+
 @pytest.mark.parametrize("j", ["0", "-3"])
 @pytest.mark.parametrize("mode", ["exact", "sample"])
 def test_verify_rejects_j_below_one(tmp_path, mode, j):

@@ -11,7 +11,8 @@ from darkgallery.darkness import GuardSet, darkness_at
 from darkgallery.geometry import ConvexPolygon, Point2, SimplePolygon
 from darkgallery.sampling import (
     SampleReport,
-    _depths_fast,
+    _contains_mask,
+    _depths,
     depth_at_sample,
     sample_depth,
     visible,
@@ -178,26 +179,21 @@ def test_adding_a_guard_accounts_exactly_with_walls():
     added_guard_accounting(L_HEXAGON, S, Point2(1, 3), samples)
 
 
-# --- the vectorized scan equals the plain loop ------------------------------------------
+# --- the float-prefiltered batch equals the exact predicates ------------------------
 
 def test_fast_depths_match_the_loop_on_convex_scenes():
     rng = random.Random(5)
     P = random_convex_polygon(rng, 6)
     gs = GuardSet(distinct_interior_points(rng, P, 8))
     pts = [p for p, _ in sample_depth(P, gs, sampler=("random", 3, 300)).samples]
-    fast = _depths_fast(P, gs, pts)
-    assert fast is not None
-    assert fast == [depth_at_sample(P, gs, p) for p in pts]
+    assert _depths(P, gs, pts) == [depth_at_sample(P, gs, p) for p in pts]
 
 
 def test_fast_depths_match_the_loop_with_walls():
     gs = GuardSet([Point2(1, 1), Point2(3, 1), Point2(1, 3),
                    Point2(Fraction(1, 2), Fraction(1, 2)), Point2(2, 1)])
-    # enough samples that the vectorized path actually engages
     pts = [p for p, _ in sample_depth(L_HEXAGON, gs, sampler=("random", 9, 900)).samples]
-    fast = _depths_fast(L_HEXAGON, gs, pts)
-    assert fast is not None
-    assert fast == [depth_at_sample(L_HEXAGON, gs, p) for p in pts]
+    assert _depths(L_HEXAGON, gs, pts) == [depth_at_sample(L_HEXAGON, gs, p) for p in pts]
 
 
 def test_fast_depths_survive_adversarial_coordinates():
@@ -209,12 +205,91 @@ def test_fast_depths_survive_adversarial_coordinates():
     pts = [Point2(Fraction(i, 7), Fraction(j, 11))
            for i in range(-14, 15) for j in range(-14, 15)]
     pts = [p for p in pts if T.contains(p)]
-    fast = _depths_fast(T, gs, pts)
-    if fast is not None:
-        assert fast == [depth_at_sample(T, gs, p) for p in pts]
+    assert _depths(T, gs, pts) == [depth_at_sample(T, gs, p) for p in pts]
     gs2 = GuardSet([Point2(0, 0), Point2(1, 0), Point2(3, 0), Point2(1, 2), Point2(2, 3)])
     pts2 = [Point2(Fraction(i, 8), Fraction(j, 8)) for i in range(-39, 65) for j in range(0, 65)]
     pts2 = [p for p in pts2 if T.contains(p)]
-    fast2 = _depths_fast(T, gs2, pts2)
-    assert fast2 is not None
-    assert fast2 == [depth_at_sample(T, gs2, p) for p in pts2]
+    assert _depths(T, gs2, pts2) == [depth_at_sample(T, gs2, p) for p in pts2]
+
+
+def _probe_points(P):
+    """Points where float membership is hard: every vertex, points on
+    every edge, points level with each vertex and horizontal edge, and
+    points just inside and just outside all of them."""
+    xs = sorted({v.x for v in P.vertices})
+    ys = sorted({v.y for v in P.vertices})
+    near = [Fraction(0), Fraction(1, 1000), Fraction(1, 10 ** 20)]
+    near += [-d for d in near[1:]]
+    cols = {x + d for x in xs + [xs[0] - 1, xs[-1] + 1] for d in near}
+    cols |= {(a + b) / 2 for a, b in zip(xs, xs[1:])}
+    rows = {y + d for y in ys for d in near}
+    rows |= {(a + b) / 2 for a, b in zip(ys, ys[1:])}
+    pts = [Point2(x, y) for x in sorted(cols) for y in sorted(rows)]
+    for a, b in P.edges():
+        e = b - a
+        for t in (Fraction(1, 3), Fraction(1, 2)):
+            on = a + e * t
+            pts += [on] + [Point2(on.x - d * e.y, on.y + d * e.x) for d in near[1:]]
+    return pts
+
+
+@pytest.mark.parametrize("P", [L_HEXAGON, make_comb(3).polygon], ids=["L-hexagon", "comb-s3"])
+def test_contains_mask_matches_contains_point_by_point(P):
+    pts = _probe_points(P)
+    truth = [P.contains(p) for p in pts]
+    assert True in truth and False in truth
+    assert _contains_mask(P, pts) == truth
+    assert _contains_mask(P, []) == []
+
+
+def _scaled(P, guards, pts, factor):
+    def up(p):
+        return Point2(p.x * factor, p.y * factor)
+    P = type(P)([up(v) for v in P.vertices])
+    return P, GuardSet([up(g) for g in guards]), [up(p) for p in pts]
+
+
+def _batch_scenes():
+    comb = make_comb(3)
+    walls = [Point2(1, 1), Point2(3, 1), Point2(1, 3), Point2(Fraction(1, 2), Fraction(1, 2)),
+             Point2(2, 1)]
+    triangle = ConvexPolygon([Point2(0, 0), Point2(8, 0), Point2(4, 8)])
+    inner = [Point2(2, 1), Point2(4, 1), Point2(6, 1), Point2(4, 3), Point2(4, 5)]
+    return [("L-hexagon", L_HEXAGON, walls), ("comb-s3-k2", comb.polygon, comb_cover(comb, 2).guards),
+            ("triangle", triangle, inner)]
+
+
+@pytest.mark.parametrize("scene", _batch_scenes(), ids=lambda s: s[0])
+@pytest.mark.parametrize("factor", [1, 2 ** 520, 2 ** 1100], ids=["1", "2^520", "2^1100"])
+def test_batch_matches_the_exact_predicates_at_every_scale(scene, factor):
+    # 2^520: coordinates fit a float but their products overflow; 2^1100:
+    # the coordinates themselves round to inf, and differences to NaN.
+    # Either way every float verdict must defer to the exact predicates.
+    _, P, guards = scene
+    report = sample_depth(P, guards, sampler=("grid", 4))
+    pts = [p for p, _ in report.samples]
+    Pb, gsb, ptsb = _scaled(P, guards, pts, factor)
+    exact = [depth_at_sample(Pb, gsb, p) for p in ptsb]
+    assert exact == [d for _, d in report.samples]
+    assert min(exact) < len(guards)  # some sample loses a guard to blocking
+    assert _depths(Pb, gsb, ptsb) == exact
+    assert [_depths(Pb, gsb, [p]) for p in ptsb] == [[d] for d in exact]
+    _, _, probes = _scaled(P, guards, _probe_points(P), factor)
+    inside = [Pb.contains(p) for p in probes]
+    assert _contains_mask(Pb, probes) == inside
+    assert [_contains_mask(Pb, [p]) for p in probes[::7]] == [[c] for c in inside[::7]]
+
+
+def test_an_overflowing_product_defers_to_the_exact_test():
+    # h lies exactly between q and p, so it blocks q.  Every coordinate is
+    # a finite float below 2^512, so M^2 is finite, but one product of the
+    # float collinearity value of (q, h, p) rounds to inf (a search found
+    # these coordinates and t = 3/11).  Only a margin made infinite by the
+    # overflow bound keeps that "certain" inf from unblocking q.
+    C = 2 ** 512 - 2 ** 459
+    q, p = Point2(-C, -16513198633691819 * 2 ** 458), Point2(C, 16513198633691819 * 2 ** 458)
+    h = q + (p - q) * Fraction(3, 11)
+    square = ConvexPolygon([Point2(-C, -C), Point2(C, -C), Point2(C, C), Point2(-C, C)])
+    gs = GuardSet([q, h])
+    assert depth_at_sample(square, gs, p) == 1
+    assert _depths(square, gs, [p, q, h]) == [depth_at_sample(square, gs, s) for s in (p, q, h)]
