@@ -209,6 +209,8 @@ def cmd_verify(args) -> int:
     if any(j < 1 for j in js):
         raise UsageError("j must be a positive integer")
     target = args.depth
+    if target is not None and target < 0:
+        raise UsageError("depth must be a non-negative integer")
     if not js and target is None:
         js = [2]  # the default question: is there a 2-dark point?
     if mode == "exact":

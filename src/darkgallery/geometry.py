@@ -1,9 +1,13 @@
 """Exact 2-D geometry kernel built on rational arithmetic.
 
-Everything in here works over ``fractions.Fraction`` so that orientation
-tests, intersections and containment queries are decided exactly.  Floats
-are rejected at construction time: if you need to import measured data,
-convert it to rationals yourself and own the rounding.
+Points and regions hold ``fractions.Fraction`` coordinates, and every
+orientation test, intersection and containment query is decided exactly.
+Where that is cheaper, a predicate scales its inputs to integers by the
+lcm of their denominators and decides there: ``halfplane_intersection``
+clips integer lines, and a ``SimplePolygon`` keeps integer copies of its
+vertices that its validation and ``where`` (through ``_locate``) read.
+Floats are rejected at construction time: if you need to import measured
+data, convert it to rationals yourself and own the rounding.
 """
 
 from __future__ import annotations
@@ -228,25 +232,6 @@ def line_intersection(l1: Line, l2: Line):
     x = (l1.c * l2.b - l2.c * l1.b) / det
     y = (l1.a * l2.c - l2.a * l1.c) / det
     return Point2(x, y)
-
-
-def segments_intersect(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
-    """Closed segments [a,b] and [c,d] share at least one point."""
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_segment(c, a, b):
-        return True
-    if o2 == 0 and on_segment(d, a, b):
-        return True
-    if o3 == 0 and on_segment(a, c, d):
-        return True
-    if o4 == 0 and on_segment(b, c, d):
-        return True
-    return False
 
 
 class Halfplane:
@@ -613,13 +598,91 @@ class Wedge:
         return (lo, hi)
 
 
+def _integers(points: Sequence[Point2], base: int = 1):
+    """(scale, [(x, y), ...]): the points times scale, the lcm of base
+    and of their denominators."""
+    scale = lcm(base, *(c.denominator for p in points for c in (p.x, p.y)))
+    return scale, [(p.x.numerator * (scale // p.x.denominator),
+                    p.y.numerator * (scale // p.y.denominator)) for p in points]
+
+
+def _homogeneous(p: Point2, scale: int):
+    """Integers (X, Y, W), W > 0, with (X/W, Y/W) = scale * p."""
+    x, y = p.x, p.y
+    gx = gcd(scale, x.denominator)
+    gy = gcd(scale, y.denominator)
+    dx = x.denominator // gx
+    dy = y.denominator // gy
+    w = dx * dy // gcd(dx, dy)
+    return (x.numerator * (scale // gx) * (w // dx),
+            y.numerator * (scale // gy) * (w // dy), w)
+
+
+def _locate(verts, X: int, Y: int, W: int) -> str:
+    """Where the point (X/W, Y/W), W > 0, lies against the closed
+    polygon with integer vertices verts (ccw, no repeats).
+
+    A point on some edge is 'boundary'; otherwise the parity of the
+    edges crossed by the ray to +x decides 'interior' or 'exterior'.  An
+    edge straddles the ray's height half-open, as (a.y > y) != (b.y > y),
+    and is crossed right of the point when the point is on its left for
+    an upward edge, on its right for a downward one.  The side test c
+    is never 0 for a straddling edge that passed the boundary test.
+    """
+    inside = False
+    ax, ay = verts[-1]
+    for bx, by in verts:
+        ex = bx - ax
+        ey = by - ay
+        rx = X - ax * W
+        ry = Y - ay * W
+        c = ex * ry - ey * rx
+        if c == 0:
+            if 0 <= ex * rx + ey * ry <= (ex * ex + ey * ey) * W:
+                return "boundary"
+        elif (ay * W > Y) != (by * W > Y) and (c > 0) == (ey > 0):
+            inside = not inside
+        ax, ay = bx, by
+    return "interior" if inside else "exterior"
+
+
+def _orient(a, b, c) -> int:
+    """Sign of cross(a, b, c) over integer pairs."""
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 0) - (v < 0)
+
+
+def _on_closed(p, a, b) -> bool:
+    """p lies on the closed segment [a, b] (integer pairs, a != b)."""
+    ex = b[0] - a[0]
+    ey = b[1] - a[1]
+    rx = p[0] - a[0]
+    ry = p[1] - a[1]
+    return ex * ry == ey * rx and 0 <= ex * rx + ey * ry <= ex * ex + ey * ey
+
+
+def _segments_meet(a, b, c, d) -> bool:
+    """Closed segments [a, b] and [c, d] of integer pairs share a point."""
+    o1 = _orient(a, b, c)
+    o2 = _orient(a, b, d)
+    o3 = _orient(c, d, a)
+    o4 = _orient(c, d, b)
+    if o1 != o2 and o3 != o4:
+        return True
+    return ((o1 == 0 and _on_closed(c, a, b)) or (o2 == 0 and _on_closed(d, a, b))
+            or (o3 == 0 and _on_closed(a, c, d)) or (o4 == 0 and _on_closed(b, c, d)))
+
+
 class SimplePolygon:
     """Simple (non-self-intersecting) polygon, ccw, possibly reflex.
 
-    Validation is the straightforward quadratic pass over edge pairs.
+    ``scale`` is the lcm of the vertices' denominators and ``ints`` the
+    vertices times scale, as integer pairs.  Validation is the
+    straightforward quadratic pass over edge pairs, on ``ints``: every
+    test in it is a sign, which a positive scale keeps.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "scale", "ints")
 
     def __init__(self, vertices: Iterable[Point2]):
         vs = list(vertices)
@@ -628,29 +691,29 @@ class SimplePolygon:
             raise ValueError("a polygon needs at least 3 vertices")
         if len(set(vs)) != n:
             raise ValueError("repeated vertex")
+        scale, iv = _integers(vs)
         for i in range(n):
-            a, b = vs[i], vs[(i + 1) % n]
+            a, b = iv[i], iv[(i + 1) % n]
             if a == b:
                 raise ValueError("zero-length edge")
             for j in range(i + 1, n):
-                c, d = vs[j], vs[(j + 1) % n]
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                c, d = iv[j], iv[(j + 1) % n]
+                if (j + 1) % n == i or (i + 1) % n == j:
                     # adjacent edges may continue straight through the shared
-                    # vertex (a "straight" vertex) but must not fold back
-                    if collinear(a, b, c) and collinear(a, b, d):
-                        if (i + 1) % n == j:  # edge j leaves where edge i ends
-                            into, out = b - a, d - c
-                        else:  # edge j arrives where edge i starts
-                            into, out = a - c, b - a
-                        if into.dot(out) < 0:
-                            raise ValueError("adjacent edges overlap")
+                    # vertex (a "straight" vertex) but must not fold back:
+                    # collinear, their directions must not point apart
+                    if (_orient(a, b, c) == 0 and _orient(a, b, d) == 0
+                            and (b[0] - a[0]) * (d[0] - c[0]) + (b[1] - a[1]) * (d[1] - c[1]) < 0):
+                        raise ValueError("adjacent edges overlap")
                     continue
-                if segments_intersect(a, b, c, d):
+                if _segments_meet(a, b, c, d):
                     raise ValueError("edges %d and %d cross" % (i, j))
-        area2 = sum((vs[i].cross(vs[(i + 1) % n]) for i in range(n)), Fraction(0))
+        area2 = sum(iv[i - 1][0] * iv[i][1] - iv[i - 1][1] * iv[i][0] for i in range(n))
         if area2 <= 0:
             raise ValueError("vertices must wind counterclockwise")
         object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ints", iv)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplePolygon is immutable")
@@ -668,19 +731,8 @@ class SimplePolygon:
             yield vs[i], vs[(i + 1) % n]
 
     def where(self, p: Point2) -> str:
-        for a, b in self.edges():
-            if on_segment(p, a, b):
-                return "boundary"
-        # exact crossing-number test with a horizontal ray to the right
-        inside = False
-        for a, b in self.edges():
-            if (a.y > p.y) != (b.y > p.y):
-                # x coordinate where edge crosses the horizontal line
-                t = (p.y - a.y) / (b.y - a.y)
-                xc = a.x + t * (b.x - a.x)
-                if xc > p.x:
-                    inside = not inside
-        return "interior" if inside else "exterior"
+        """'interior', 'boundary' or 'exterior'."""
+        return _locate(self.ints, *_homogeneous(p, self.scale))
 
     def contains(self, p: Point2, closed: bool = True) -> bool:
         w = self.where(p)

@@ -17,10 +17,15 @@ seeded-random samples are layered on top via the sampler spec.
 
 Every verdict is exact.  Depths and polygon membership take one path at
 every batch size and coordinate scale: a float pass whose only verdicts
-are strict comparisons against a certified error margin, then the exact
-predicates (``visible``, ``depth_at_sample``, ``contains``) for whatever
-it leaves open.  A NaN, an inf, or any value once a product could
-overflow (the margin is then infinite) decides nothing.
+are strict comparisons against a certified error margin, then one
+integer kernel for whatever it leaves open.  A NaN, an inf, or any value
+once a product could overflow (the margin is then infinite) decides
+nothing.  The kernel scales the polygon and the guards to integers once
+per call (``_Frame``) and each sample to homogeneous integers (X, Y, W);
+``_wall_free`` decides whether a segment stays inside, ``_between``
+whether a guard blocks it, and ``geometry._locate`` (which
+``SimplePolygon.where`` reads too) decides membership.  ``visible`` and
+``depth_at_sample`` are that kernel on one pair and one sample.
 
 A sampled report can prove a placement bad (a witness below target) but
 never certifies it good -- that asymmetry is inherent, and callers
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import inf
 from typing import List, Optional, Sequence, Union
 
@@ -42,8 +48,10 @@ from .geometry import (
     ConvexPolygon,
     Point2,
     SimplePolygon,
+    _homogeneous,
+    _integers,
+    _locate,
     convex_hull,
-    strictly_between,
 )
 
 AnyPolygon = Union[ConvexPolygon, SimplePolygon]
@@ -127,7 +135,7 @@ def _depths(P: AnyPolygon, gset: GuardSet, pts: Sequence[Point2]) -> List[int]:
     are validated by the caller).  The float pass certifies the clear
     wall crossings, clear misses, and clear non-collinearities; every
     pair it cannot certify, which is every pair once a value could leave
-    the float range, is re-decided by the exact predicates.
+    the float range, is re-decided by the integer kernel.
     """
     guards = gset.guards
     verts = P.vertices
@@ -149,8 +157,16 @@ def _depths(P: AnyPolygon, gset: GuardSet, pts: Sequence[Point2]) -> List[int]:
         c4 = ex[None, :] * (py[:, None] - ay[None, :]) - ey[None, :] * (px[:, None] - ax[None, :])
         p4 = c4 > cert
         n4 = c4 < -cert
+    frame = _Frame(P, guards)
+    hom = [None] * len(pts)  # each sample's homogeneous integers, on first use
+
+    def sample(s):
+        if hom[s] is None:
+            hom[s] = frame.sample(pts[s])
+        return hom[s]
+
     depths = np.zeros(len(pts), dtype=np.int64)
-    for gi, q in enumerate(guards):
+    for gi, q in enumerate(frame.ints):
         qx = gx[gi]
         qy = gy[gi]
         dx = px - qx
@@ -182,56 +198,105 @@ def _depths(P: AnyPolygon, gset: GuardSet, pts: Sequence[Point2]) -> List[int]:
         maybe = ~(np.abs(crh) > cert)
         maybe[:, gi] = False
         for s in np.nonzero(wall_unsure)[0]:
-            vis[s] = _segment_inside(P, q, pts[s])
+            vis[s] = _wall_free(frame.walls, q, sample(s))
         for s in np.nonzero(vis & maybe.any(axis=1))[0]:
-            p = pts[s]
-            for hi_ in np.nonzero(maybe[s])[0]:
-                h = guards[hi_]
-                if h != p and strictly_between(q, h, p):
-                    vis[s] = False
-                    break
+            if any(_between(frame.ints[h], q, sample(s)) for h in np.nonzero(maybe[s])[0]):
+                vis[s] = False
         depths += vis
     return [int(v) for v in depths]
 
 
-def _segment_inside(P: AnyPolygon, q: Point2, p: Point2) -> bool:
-    """Does the open segment (q, p) stay inside the closed polygon?
+class _Frame:
+    """A polygon and some points, scaled to integers by one factor.
+
+    ``scale`` is the lcm of every denominator of P's vertices and of the
+    points; ``walls`` holds the vertices (ccw) and ``ints`` the points
+    times scale, as integer pairs, and ``sample(p)`` gives homogeneous
+    integers (X, Y, W), W > 0, with (X/W, Y/W) = scale * p.
+    """
+
+    __slots__ = ("scale", "walls", "ints")
+
+    def __init__(self, P: AnyPolygon, pts: Sequence[Point2]):
+        base, walls = (P.scale, P.ints) if isinstance(P, SimplePolygon) else _integers(P.vertices)
+        self.scale, self.ints = _integers(pts, base)
+        f = self.scale // base
+        self.walls = [(x * f, y * f) for x, y in walls]
+
+    def sample(self, p: Point2):
+        return _homogeneous(p, self.scale)
+
+
+def _between(h, q, s) -> bool:
+    """The integer point h lies on the open segment from the integer
+    point q to the homogeneous point s = (X, Y, W).
+
+    With the integer vector D = W*(s - q) and H = h - q, that is
+    H x D == 0 and 0 < W*(H.D) < D.D, which also rules out h == q,
+    h == s and s == q.
+    """
+    X, Y, W = s
+    dx = X - q[0] * W
+    dy = Y - q[1] * W
+    hx = h[0] - q[0]
+    hy = h[1] - q[1]
+    return hx * dy == hy * dx and 0 < (hx * dx + hy * dy) * W < dx * dx + dy * dy
+
+
+_RATIO = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # (num, den > 0)
+
+
+def _wall_free(walls, q, s) -> bool:
+    """Does the open segment from the integer point q to the homogeneous
+    point s stay inside the closed polygon with integer vertices walls?
 
     Touching the boundary is allowed; leaving it is not.  The segment
     changes sides only where it meets a boundary edge, so it suffices to
-    collect every meeting parameter and probe one interior point of
-    each gap.
+    collect every parameter t in (0, 1) where it meets a closed edge
+    transversally, as an integer ratio along D = W*(s - q), and probe
+    one interior point of each gap.  Edges parallel to the segment add
+    no cut: a run of edges along it ends at vertices where a transversal
+    edge cuts (or beyond the segment), and a gap along such a run is
+    boundary throughout.  Equal cuts are skipped: their probe would be
+    a boundary point.
     """
-    if p == q:
-        return P.contains(p)
-    if isinstance(P, ConvexPolygon):
-        # convex region: the segment is inside iff its endpoints are
-        return P.contains(p) and P.contains(q)
-    d = p - q
-    dd = d.dot(d)
-    cuts = {Fraction(0), Fraction(1)}
-    for a, b in P.edges():
-        e = b - a
-        den = d.cross(e)
-        if den != 0:
-            w = a - q
-            t = w.cross(e) / den
-            s = w.cross(d) / den
-            if 0 <= t <= 1 and 0 <= s <= 1:
-                cuts.add(t)
-        elif e.cross(q - a) == 0:
-            # collinear edge: both endpoint parameters bound the overlap
-            for end in (a, b):
-                t = (end - q).dot(d) / dd
-                if 0 < t < 1:
-                    cuts.add(t)
-    ts = sorted(cuts)
-    for t0, t1 in zip(ts, ts[1:]):
-        mid = t0 + (t1 - t0) / 2
-        probe = Point2(q.x + mid * d.x, q.y + mid * d.y)
-        if P.where(probe) == "exterior":
+    qx, qy = q
+    X, Y, W = s
+    dx = X - qx * W
+    dy = Y - qy * W
+    if not dx and not dy:
+        return _locate(walls, X, Y, W) != "exterior"
+    cuts = [(0, 1), (1, 1)]
+    ax, ay = walls[-1]
+    for bx, by in walls:
+        ex = bx - ax
+        ey = by - ay
+        den = dx * ey - dy * ex
+        if den:
+            wx = ax - qx
+            wy = ay - qy
+            t = (wx * ey - wy * ex) * W
+            u = wx * dy - wy * dx
+            if den < 0:
+                den, t, u = -den, -t, -u
+            if 0 < t < den and 0 <= u <= den:
+                cuts.append((t, den))
+        ax, ay = bx, by
+    cuts.sort(key=_RATIO)
+    for (t0, d0), (t1, d1) in zip(cuts, cuts[1:]):
+        if t0 * d1 == t1 * d0:
+            continue
+        mid = t0 * d1 + t1 * d0
+        w = 2 * d0 * d1 * W
+        if _locate(walls, qx * w + mid * dx, qy * w + mid * dy, w) == "exterior":
             return False
     return True
+
+
+def _sees(walls, guards, q, s) -> bool:
+    """The kernel's visibility: the segment from q to s stays inside and
+    no point of guards stands strictly between."""
+    return _wall_free(walls, q, s) and not any(_between(h, q, s) for h in guards)
 
 
 def visible(P: AnyPolygon, guards, q: Point2, p: Point2) -> bool:
@@ -242,19 +307,16 @@ def visible(P: AnyPolygon, guards, q: Point2, p: Point2) -> bool:
     guard stands strictly between the two.  Symmetric in p and q.
     """
     gset = GuardSet.coerce(guards)
-    if not _segment_inside(P, q, p):
-        return False
-    if p != q:
-        for h in gset.guards:
-            if h != q and h != p and strictly_between(q, h, p):
-                return False
-    return True
+    frame = _Frame(P, gset.guards + (q,))
+    return _sees(frame.walls, frame.ints[:-1], frame.ints[-1], frame.sample(p))
 
 
 def depth_at_sample(P: AnyPolygon, guards, p: Point2) -> int:
     """Number of guards that see p (exact, wall- and guard-blocking)."""
     gset = GuardSet.coerce(guards)
-    return sum(1 for q in gset.guards if visible(P, gset, q, p))
+    frame = _Frame(P, gset.guards)
+    s = frame.sample(p)
+    return sum(1 for q in frame.ints if _sees(frame.walls, frame.ints, q, s))
 
 
 class SampleReport:

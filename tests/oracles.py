@@ -9,6 +9,9 @@ on every pair, so that what it checks is the pair scan's filtering (the
 darkness oracles check that crossing test itself); has_j_dark_oracle
 walks those pairs row by row on the library's pieces, so that what it
 checks is the order in which has_j_dark reads the shared candidates.
+The simple-polygon predicates (membership, validation, segment-inside,
+visibility, depth) are the library's former Fraction bodies; the library
+now decides them on integer-scaled coordinates.
 Slow on purpose; exact everywhere.
 """
 
@@ -27,12 +30,14 @@ from darkgallery.geometry import (
     ConvexPolygon,
     HalfplaneResult,
     Point2,
+    SimplePolygon,
     _clip_line_by_halfplanes,
     collinear,
     convex_hull,
     line_intersection,
     Line,
     on_segment,
+    orientation,
     strictly_between,
 )
 
@@ -373,6 +378,128 @@ def _hull_or_all(points):
     if len(points) < 3:
         return list(points)
     return convex_hull(points).corners
+
+
+# --- simple polygons over Fractions -----------------------------------------
+
+def simple_where_oracle(P, p: Point2) -> str:
+    """'interior', 'boundary' or 'exterior' of p in the closed P: a
+    boundary test, then crossing parity with a horizontal ray to +x."""
+    if not isinstance(P, SimplePolygon):
+        return P.where(p)
+    for a, b in P.edges():
+        if on_segment(p, a, b):
+            return "boundary"
+    inside = False
+    for a, b in P.edges():
+        if (a.y > p.y) != (b.y > p.y):
+            t = (p.y - a.y) / (b.y - a.y)
+            xc = a.x + t * (b.x - a.x)
+            if xc > p.x:
+                inside = not inside
+    return "interior" if inside else "exterior"
+
+
+def segments_intersect(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
+    """Closed segments [a,b] and [c,d] share at least one point."""
+    o1 = orientation(a, b, c)
+    o2 = orientation(a, b, d)
+    o3 = orientation(c, d, a)
+    o4 = orientation(c, d, b)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and on_segment(c, a, b):
+        return True
+    if o2 == 0 and on_segment(d, a, b):
+        return True
+    if o3 == 0 and on_segment(a, c, d):
+        return True
+    if o4 == 0 and on_segment(b, c, d):
+        return True
+    return False
+
+
+def simple_polygon_error_oracle(vertices) -> Optional[str]:
+    """The ValueError message SimplePolygon(vertices) should raise, or None."""
+    vs = list(vertices)
+    n = len(vs)
+    if n < 3:
+        return "a polygon needs at least 3 vertices"
+    if len(set(vs)) != n:
+        return "repeated vertex"
+    for i in range(n):
+        a, b = vs[i], vs[(i + 1) % n]
+        if a == b:
+            return "zero-length edge"
+        for j in range(i + 1, n):
+            c, d = vs[j], vs[(j + 1) % n]
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                if collinear(a, b, c) and collinear(a, b, d):
+                    if (i + 1) % n == j:
+                        into, out = b - a, d - c
+                    else:
+                        into, out = a - c, b - a
+                    if into.dot(out) < 0:
+                        return "adjacent edges overlap"
+                continue
+            if segments_intersect(a, b, c, d):
+                return "edges %d and %d cross" % (i, j)
+    area2 = sum((vs[i].cross(vs[(i + 1) % n]) for i in range(n)), Fraction(0))
+    if area2 <= 0:
+        return "vertices must wind counterclockwise"
+    return None
+
+
+def segment_inside_oracle(P, q: Point2, p: Point2) -> bool:
+    """Does the open segment (q, p) stay inside the closed polygon?
+
+    Collects every parameter where the segment meets a boundary edge and
+    probes the midpoint of each gap.
+    """
+    if p == q:
+        return simple_where_oracle(P, p) != "exterior"
+    if isinstance(P, ConvexPolygon):
+        return P.contains(p) and P.contains(q)
+    d = p - q
+    dd = d.dot(d)
+    cuts = {Fraction(0), Fraction(1)}
+    for a, b in P.edges():
+        e = b - a
+        den = d.cross(e)
+        if den != 0:
+            w = a - q
+            t = w.cross(e) / den
+            s = w.cross(d) / den
+            if 0 <= t <= 1 and 0 <= s <= 1:
+                cuts.add(t)
+        elif e.cross(q - a) == 0:
+            for end in (a, b):
+                t = (end - q).dot(d) / dd
+                if 0 < t < 1:
+                    cuts.add(t)
+    ts = sorted(cuts)
+    for t0, t1 in zip(ts, ts[1:]):
+        mid = t0 + (t1 - t0) / 2
+        probe = Point2(q.x + mid * d.x, q.y + mid * d.y)
+        if simple_where_oracle(P, probe) == "exterior":
+            return False
+    return True
+
+
+def visible_oracle(P, guards: Sequence[Point2], q: Point2, p: Point2) -> bool:
+    """The segment stays inside and no other guard is strictly between."""
+    if not segment_inside_oracle(P, q, p):
+        return False
+    if p != q:
+        for h in guards:
+            if h != q and h != p and strictly_between(q, h, p):
+                return False
+    return True
+
+
+def depth_at_sample_oracle(P, guards: Sequence[Point2], p: Point2) -> int:
+    guards = list(guards)
+    return sum(1 for q in guards if visible_oracle(P, guards, q, p))
 
 
 # --- misc ----------------------------------------------------------------------

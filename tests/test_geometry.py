@@ -27,9 +27,10 @@ from darkgallery.geometry import (
 )
 from darkgallery.construct import place_4n_minus_2
 from darkgallery.fixtures import triangle_region, wedge_region
+from darkgallery.simple import make_comb
 
-from conftest import random_convex_polygon
-from oracles import halfplane_intersection_oracle
+from conftest import random_convex_polygon, random_star_polygon
+from oracles import halfplane_intersection_oracle, simple_polygon_error_oracle
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(Point2, coords, coords)
@@ -303,6 +304,62 @@ def test_simple_polygon_validation():
     # straight vertices (collinear but advancing) are allowed
     P = SimplePolygon([Point2(0, 0), Point2(1, 0), Point2(2, 0), Point2(2, 2), Point2(0, 2)])
     assert len(P.vertices) == 5
+
+
+def _validation_verdict(vertices):
+    try:
+        SimplePolygon(vertices)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _validation_inputs():
+    """(name, vertex list): polygons the tests build, seeded bad inputs,
+    and random orderings of small lattice points (mostly rejected)."""
+    def pts(*xy):
+        return [Point2(x, y) for x, y in xy]
+    out = [
+        ("L-hexagon", pts((0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4))),
+        ("quad", pts((0, 0), (4, 0), (4, 4), (0, 4))),
+        ("cli-comb", pts((0, 0), (6, 0), (6, 2), (5, 10), (4, 2), (3, 10), (2, 2),
+                         (1, 10), (0, 2))),
+        ("straight-vertex", pts((0, 0), (1, 0), (2, 0), (2, 2), (0, 2))),
+        ("crossing", pts((0, 0), (2, 2), (2, 0), (0, 2))),
+        ("folds-back", pts((0, 0), (2, 0), (1, 0), (1, 2))),
+        ("folds-back-at-0", pts((1, 0), (3, 0), (3, 2), (0, 0))),
+        ("repeated-vertex", pts((0, 0), (4, 0), (2, 2), (4, 4), (2, 2), (0, 4))),
+        ("cw", pts((0, 0), (0, 2), (2, 2), (2, 0))),
+        ("vertex-on-edge", pts((0, 0), (4, 0), (4, 4), (2, 0), (0, 4))),
+        ("overlapping-walls", pts((0, 0), (4, 0), (4, 1), (3, 1), (3, 0), (2, 0), (2, 2), (0, 2))),
+        ("two-vertices", pts((0, 0), (1, 1))),
+        ("flat", pts((0, 0), (1, 0), (2, 0))),
+    ]
+    out += [("comb-%d" % s, make_comb(s).polygon.vertices) for s in range(2, 7)]
+    for seed, count, lo, hi in ((11, 5, 6, 14), (17, 3, 6, 12), (1, 1, 30, 30)):
+        rng = random.Random(seed)
+        for i in range(count):
+            star = random_star_polygon(rng, rng.randint(lo, hi))
+            out.append(("star-%d-%d" % (seed, i), star.vertices))
+    rng = random.Random(23)
+    for i in range(150):
+        vs = [Point2(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 7))]
+        out.append(("lattice-%d" % i, vs))
+    return out
+
+
+@pytest.mark.parametrize("shift", [Fraction(0), Fraction(1, 3 ** 40)], ids=["0", "3^-40"])
+@pytest.mark.parametrize("factor", [1, Fraction(1, 3 ** 40), 2 ** 1100], ids=["1", "3^-40", "2^1100"])
+def test_simple_polygon_validation_matches_the_fraction_oracle(factor, shift):
+    # same accept/reject decision and the same message as the Fraction
+    # validation, for every input under a scale and a shift
+    verdicts = set()
+    for name, vs in _validation_inputs():
+        vs = [Point2(v.x * factor + shift, v.y * factor - shift) for v in vs]
+        verdict = _validation_verdict(vs)
+        assert verdict == simple_polygon_error_oracle(vs), name
+        verdicts.add(verdict if verdict is None else verdict.split(" ")[0])
+    assert verdicts == {None, "a", "repeated", "adjacent", "edges", "vertices"}
 
 
 def test_point_arithmetic_is_exact():

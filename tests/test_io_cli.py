@@ -272,22 +272,40 @@ def test_exact_verify_refuses_a_grid(mode, grid):
     assert json.loads(proc.stderr) == {"error": "--grid needs --mode sample"}
 
 
+def _verify_inputs(tmp_path, mode):
+    """(region, guards) arguments: the builtin triangle, or a comb region
+    file and three guards under its spikes for sample mode."""
+    if mode == "exact":
+        return "triangle", "triangle"
+    regfile = str(tmp_path / "comb.json")
+    guardfile = str(tmp_path / "guards.json")
+    with open(regfile, "w") as fh:
+        json.dump(COMB_REGION, fh)
+    with open(guardfile, "w") as fh:
+        json.dump([[1, 1], [3, 1], [5, 1]], fh)
+    return regfile, guardfile
+
+
 @pytest.mark.parametrize("j", ["0", "-3"])
 @pytest.mark.parametrize("mode", ["exact", "sample"])
 def test_verify_rejects_j_below_one(tmp_path, mode, j):
     # sampling once reported a "0-dark point FOUND": g - d >= j always holds
-    regfile = guardfile = "triangle"
-    if mode == "sample":
-        regfile = str(tmp_path / "comb.json")
-        guardfile = str(tmp_path / "guards.json")
-        with open(regfile, "w") as fh:
-            json.dump(COMB_REGION, fh)
-        with open(guardfile, "w") as fh:
-            json.dump([[1, 1], [3, 1], [5, 1]], fh)
+    regfile, guardfile = _verify_inputs(tmp_path, mode)
     proc = run_cli("verify", "--region", regfile, "--guards", guardfile,
                    "--mode", mode, "--j", j, "--format", "json", expect=1)
     assert proc.stdout == ""
     assert json.loads(proc.stderr) == {"error": "j must be a positive integer"}
+
+
+@pytest.mark.parametrize("depth", ["-1", "-5"])
+@pytest.mark.parametrize("mode", ["exact", "sample"])
+def test_verify_rejects_a_negative_depth(tmp_path, mode, depth):
+    # a negative target was once "met", exit 0
+    regfile, guardfile = _verify_inputs(tmp_path, mode)
+    proc = run_cli("verify", "--region", regfile, "--guards", guardfile,
+                   "--mode", mode, "--depth", depth, "--format", "json", expect=1)
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "depth must be a non-negative integer"}
 
 
 # --- render -------------------------------------------------------------------------

@@ -6,13 +6,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darkgallery.darkness import GuardSet, darkness_at
-from darkgallery.geometry import ConvexPolygon, Point2, SimplePolygon
+from darkgallery.geometry import ConvexPolygon, Point2, SimplePolygon, _locate, strictly_between
 from darkgallery.sampling import (
     SampleReport,
+    _Frame,
+    _between,
     _contains_mask,
     _depths,
+    _wall_free,
     depth_at_sample,
     sample_depth,
     visible,
@@ -20,7 +24,7 @@ from darkgallery.sampling import (
 from darkgallery.simple import fisk_cover, make_comb, comb_cover
 
 import oracles
-from conftest import distinct_interior_points, random_convex_polygon
+from conftest import distinct_interior_points, random_convex_polygon, random_star_polygon
 
 L_HEXAGON = SimplePolygon(
     [Point2(0, 0), Point2(4, 0), Point2(4, 2), Point2(2, 2), Point2(2, 4), Point2(0, 4)])
@@ -186,14 +190,18 @@ def test_fast_depths_match_the_loop_on_convex_scenes():
     P = random_convex_polygon(rng, 6)
     gs = GuardSet(distinct_interior_points(rng, P, 8))
     pts = [p for p, _ in sample_depth(P, gs, sampler=("random", 3, 300)).samples]
-    assert _depths(P, gs, pts) == [depth_at_sample(P, gs, p) for p in pts]
+    exact = [oracles.depth_at_sample_oracle(P, gs.guards, p) for p in pts]
+    assert _depths(P, gs, pts) == exact
+    assert [depth_at_sample(P, gs, p) for p in pts] == exact
 
 
 def test_fast_depths_match_the_loop_with_walls():
     gs = GuardSet([Point2(1, 1), Point2(3, 1), Point2(1, 3),
                    Point2(Fraction(1, 2), Fraction(1, 2)), Point2(2, 1)])
     pts = [p for p, _ in sample_depth(L_HEXAGON, gs, sampler=("random", 9, 900)).samples]
-    assert _depths(L_HEXAGON, gs, pts) == [depth_at_sample(L_HEXAGON, gs, p) for p in pts]
+    exact = [oracles.depth_at_sample_oracle(L_HEXAGON, gs.guards, p) for p in pts]
+    assert _depths(L_HEXAGON, gs, pts) == exact
+    assert [depth_at_sample(L_HEXAGON, gs, p) for p in pts] == exact
 
 
 def test_fast_depths_survive_adversarial_coordinates():
@@ -205,11 +213,15 @@ def test_fast_depths_survive_adversarial_coordinates():
     pts = [Point2(Fraction(i, 7), Fraction(j, 11))
            for i in range(-14, 15) for j in range(-14, 15)]
     pts = [p for p in pts if T.contains(p)]
-    assert _depths(T, gs, pts) == [depth_at_sample(T, gs, p) for p in pts]
+    exact = [oracles.depth_at_sample_oracle(T, gs.guards, p) for p in pts]
+    assert _depths(T, gs, pts) == exact
+    assert [depth_at_sample(T, gs, p) for p in pts] == exact
     gs2 = GuardSet([Point2(0, 0), Point2(1, 0), Point2(3, 0), Point2(1, 2), Point2(2, 3)])
     pts2 = [Point2(Fraction(i, 8), Fraction(j, 8)) for i in range(-39, 65) for j in range(0, 65)]
     pts2 = [p for p in pts2 if T.contains(p)]
-    assert _depths(T, gs2, pts2) == [depth_at_sample(T, gs2, p) for p in pts2]
+    exact2 = [oracles.depth_at_sample_oracle(T, gs2.guards, p) for p in pts2]
+    assert _depths(T, gs2, pts2) == exact2
+    assert [depth_at_sample(T, gs2, p) for p in pts2] == exact2
 
 
 def _probe_points(P):
@@ -236,8 +248,9 @@ def _probe_points(P):
 @pytest.mark.parametrize("P", [L_HEXAGON, make_comb(3).polygon], ids=["L-hexagon", "comb-s3"])
 def test_contains_mask_matches_contains_point_by_point(P):
     pts = _probe_points(P)
-    truth = [P.contains(p) for p in pts]
+    truth = [oracles.simple_where_oracle(P, p) != "exterior" for p in pts]
     assert True in truth and False in truth
+    assert [P.contains(p) for p in pts] == truth
     assert _contains_mask(P, pts) == truth
     assert _contains_mask(P, []) == []
 
@@ -269,13 +282,15 @@ def test_batch_matches_the_exact_predicates_at_every_scale(scene, factor):
     report = sample_depth(P, guards, sampler=("grid", 4))
     pts = [p for p, _ in report.samples]
     Pb, gsb, ptsb = _scaled(P, guards, pts, factor)
-    exact = [depth_at_sample(Pb, gsb, p) for p in ptsb]
+    exact = [oracles.depth_at_sample_oracle(Pb, gsb.guards, p) for p in ptsb]
     assert exact == [d for _, d in report.samples]
+    assert [depth_at_sample(Pb, gsb, p) for p in ptsb] == exact
     assert min(exact) < len(guards)  # some sample loses a guard to blocking
     assert _depths(Pb, gsb, ptsb) == exact
     assert [_depths(Pb, gsb, [p]) for p in ptsb] == [[d] for d in exact]
     _, _, probes = _scaled(P, guards, _probe_points(P), factor)
-    inside = [Pb.contains(p) for p in probes]
+    inside = [oracles.simple_where_oracle(Pb, p) != "exterior" for p in probes]
+    assert [Pb.contains(p) for p in probes] == inside
     assert _contains_mask(Pb, probes) == inside
     assert [_contains_mask(Pb, [p]) for p in probes[::7]] == [[c] for c in inside[::7]]
 
@@ -292,4 +307,113 @@ def test_an_overflowing_product_defers_to_the_exact_test():
     square = ConvexPolygon([Point2(-C, -C), Point2(C, -C), Point2(C, C), Point2(-C, C)])
     gs = GuardSet([q, h])
     assert depth_at_sample(square, gs, p) == 1
-    assert _depths(square, gs, [p, q, h]) == [depth_at_sample(square, gs, s) for s in (p, q, h)]
+    exact = [oracles.depth_at_sample_oracle(square, gs.guards, s) for s in (p, q, h)]
+    assert _depths(square, gs, [p, q, h]) == exact
+    assert [depth_at_sample(square, gs, s) for s in (p, q, h)] == exact
+
+
+# --- the integer kernel equals the Fraction oracles -----------------------------------
+
+def _kernel_verdicts(P, gs, samples):
+    """Check every kernel predicate on every (guard, sample) pair against
+    the oracles; return the verdicts seen, to show which cases ran."""
+    frame = _Frame(P, gs.guards)
+    seen = set()
+    inner, inner_depths = [], []
+    for p in samples:
+        s = frame.sample(p)
+        where = oracles.simple_where_oracle(P, p)
+        assert _locate(frame.walls, *s) == where
+        assert P.where(p) == where
+        seen.add(where)
+        depth = 0
+        for q, qi in zip(gs.guards, frame.ints):
+            inside = oracles.segment_inside_oracle(P, q, p)
+            assert _wall_free(frame.walls, qi, s) == inside
+            seen.add(("inside", inside))
+            blocked = False
+            for h, hi in zip(gs.guards, frame.ints):
+                between = h != q and h != p and strictly_between(q, h, p)
+                assert _between(hi, qi, s) == between
+                seen.add(("between", between))
+                blocked |= between
+            # visible_oracle, from the verdicts above
+            assert visible(P, gs, q, p) == (inside and not blocked)
+            depth += inside and not blocked
+        assert depth_at_sample(P, gs, p) == depth
+        if where != "exterior":
+            inner.append(p)
+            inner_depths.append(depth)
+    assert _depths(P, gs, inner) == inner_depths
+    return seen
+
+
+def _kernel_scenes():
+    """(name, polygon, guards, extra samples): samples at every vertex and
+    guard come on top.  The L-hexagon has a guard exactly between two
+    others, guards on a wall and at a vertex, sight lines grazing the
+    reflex corner (2, 2) and running along walls, and samples 3^-40 off
+    vertices and edges; the comb adds sight lines through each reflex
+    corner of a spike mouth."""
+    tiny = Fraction(1, 3 ** 40)
+    walls = [Point2(1, 1), Point2(3, 1), Point2(2, 1), Point2(1, 3), Point2(1, 0),
+             Point2(0, 0), Point2(4, Fraction(1, 2)), Point2(Fraction(1, 2), Fraction(1, 2))]
+    l_extra = [Point2(3, 0), Point2(2, 0), Point2(0, 2), Point2(3, 3), Point2(5, 1),
+               Point2(2 - tiny, 2 - tiny), Point2(2 + tiny, 2 + tiny), Point2(1 + tiny, 1),
+               Point2(4, 1 + tiny), Point2(-tiny, 2), Point2(3, 2), Point2(2, 3),
+               Point2(Fraction(7, 2), 1), Point2(1, Fraction(7, 2))]
+    for a, b in L_HEXAGON.edges():
+        l_extra += [a + (b - a) * Fraction(1, 3), a + (b - a) * (1 - tiny)]
+    comb = make_comb(3)
+    cover = comb_cover(comb, 2).guards
+    reflex = [v for v in comb.polygon.vertices if v.y == 2 and 0 < v.x < 6]
+    c_extra = [q + (r - q) * t for q in cover[::2] for r in reflex for t in (2, Fraction(3, 2))]
+    c_extra += [comb.spike_tip(i) for i in range(3)]
+    c_extra += [q + (h - q) * 2 for q, h in zip(cover, cover[1:])]
+    triangle = ConvexPolygon([Point2(0, 0), Point2(8, 0), Point2(4, 8)])
+    inner = [Point2(2, 1), Point2(4, 1), Point2(6, 1), Point2(4, 3), Point2(4, 0)]
+    t_extra = [Point2(8, 1), Point2(4, 8), Point2(5, 1), Point2(1 + tiny, 1)]
+    return [("L-hexagon", L_HEXAGON, walls, l_extra),
+            ("comb-s3-k2", comb.polygon, cover, c_extra),
+            ("triangle", triangle, inner, t_extra)]
+
+
+@pytest.mark.parametrize("scene", _kernel_scenes(), ids=lambda s: s[0])
+@pytest.mark.parametrize("factor", [1, 2 ** 520, 2 ** 1100], ids=["1", "2^520", "2^1100"])
+def test_integer_kernel_matches_the_fraction_oracles(scene, factor):
+    _, P, guards, extra = scene
+    samples = list(P.vertices) + list(guards) + extra
+    P, gs, samples = _scaled(P, guards, samples, factor)
+    seen = _kernel_verdicts(P, gs, samples)
+    assert {"interior", "boundary", "exterior", ("inside", True), ("inside", False),
+            ("between", True), ("between", False)} <= seen
+
+
+@st.composite
+def star_scenes(draw):
+    """A random star polygon, guards among its vertices, edge points,
+    chords between second neighbours and the origin (plus, sometimes, a
+    guard exactly between two others), and samples at all of those,
+    scaled by 1, 3^-40, 2^520 or 2^1100."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    P = random_star_polygon(rng, draw(st.integers(4, 9)), size=draw(st.sampled_from((6, 60))))
+    vs = P.vertices
+    cands = list(vs) + [Point2(0, 0)]
+    for a, b in P.edges():
+        cands += [a + (b - a) * Fraction(1, 2), a + (b - a) * Fraction(1, 3)]
+    cands += [a + (b - a) * Fraction(1, 2) for a, b in zip(vs, vs[2:] + vs[:2])]
+    inner = [p for p in dict.fromkeys(cands) if oracles.simple_where_oracle(P, p) != "exterior"]
+    guards = draw(st.lists(st.sampled_from(inner), min_size=1, max_size=4, unique=True))
+    if len(guards) >= 2 and draw(st.booleans()):
+        mid = guards[0] + (guards[1] - guards[0]) * Fraction(1, 2)
+        if mid not in guards and oracles.simple_where_oracle(P, mid) != "exterior":
+            guards.append(mid)
+    factor = draw(st.sampled_from((1, Fraction(1, 3 ** 40), 2 ** 520, 2 ** 1100)))
+    return _scaled(P, guards, list(dict.fromkeys(cands + guards)), factor)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(star_scenes())
+def test_integer_kernel_matches_the_oracles_on_star_polygons(scene):
+    P, gs, samples = scene
+    _kernel_verdicts(P, gs, samples)
