@@ -43,6 +43,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .geometry import (
+    _RATIO,
     ConvexPolygon,
     Line,
     Point2,
@@ -546,21 +547,36 @@ def _point_key(piece, un, D):
 
 def _sub_piece_points(piece, cuts):
     """One scaled point (xn, yn, den) interior to each sub-piece that the
-    crossing parameters cuts, as (num, den) pairs, divide the piece into.
+    crossing parameters cuts, as (num, den) pairs with den > 0, divide the
+    piece into.
 
-    An unbounded piece ends its last sub-piece at an imagined bound two
-    past the last cut, so its point is one past that cut.
+    The cuts are reduced by their gcd, deduplicated and ordered by
+    cross-multiplication; a sub-piece's point is at the midpoint t of its
+    ends, reduced by one gcd, as (ax*den(t) + num(t)*dx, ..., den(t)), so
+    the keys are those of the Fraction midpoints.  An unbounded piece ends
+    its last sub-piece at an imagined bound two past the last cut, so its
+    point is one past that cut.
     """
     ax, ay, dx, dy, hin, hid = piece[:6]
-    hi = None if hin is None else Fraction(hin, hid)
-    ts = sorted({Fraction(n, d) for n, d in cuts})
-    bounds = [Fraction(0)] + [t for t in ts if hi is None or t < hi]
-    bounds.append(bounds[-1] + 2 if hi is None else hi)
+    ts = set()
+    for n, d in cuts:
+        g = gcd(n, d)
+        ts.add((n // g, d // g))
+    bounds = [(0, 1)] + [t for t in sorted(ts, key=_RATIO)
+                         if hin is None or t[0] * hid < hin * t[1]]
+    if hin is None:
+        n, d = bounds[-1]
+        bounds.append((n + 2 * d, d))
+    else:
+        bounds.append((hin, hid))
     out = []
-    for a, b in zip(bounds, bounds[1:]):
-        t = (a + b) / 2
-        out.append((ax * t.denominator + t.numerator * dx,
-                    ay * t.denominator + t.numerator * dy, t.denominator))
+    for (n0, d0), (n1, d1) in zip(bounds, bounds[1:]):
+        num = n0 * d1 + n1 * d0
+        den = 2 * d0 * d1
+        g = gcd(num, den)
+        num //= g
+        den //= g
+        out.append((ax * den + num * dx, ay * den + num * dy, den))
     return out
 
 
@@ -847,15 +863,22 @@ def find_concurrent_dark_rays(guards):
     The scan is plane-wide (no region clipping).  Returns (point, count)
     for the lexicographically smallest such point, or None.
     """
-    analysis = _Analysis(None, GuardSet.coerce(guards))
-    # with no region the unbounded pieces are the dark rays, each open at
-    # its root guard
-    rays = [p for p in analysis.pieces if p[4] is None]
+    gset = GuardSet.coerce(guards)
+    scale, gx, gy = _scaled_guards(gset.guards)
+    # each line's two dark rays leave its extreme members, open there,
+    # pointing away from the other members: the unbounded pieces of the
+    # plane-wide analysis
+    rays = []
+    for line_id, (ux, uy, _c, members) in enumerate(_group_collinear(gx, gy)):
+        first, last = members[0][1], members[-1][1]
+        blocked = len(members) - 1
+        rays.append((gx[first], gy[first], -ux, -uy, None, None, False, blocked, line_id))
+        rays.append((gx[last], gy[last], ux, uy, None, None, False, blocked, line_id))
     points = {}
     for i, j, un, _, D in _pair_hits(rays):
         points.setdefault(_point_key(rays[i], un, D), set()).update((rays[i][8], rays[j][8]))
-    hits = [(analysis.scene.unscale(*key), len(ids)) for key, ids in points.items()
-            if len(ids) >= 3]
+    hits = [(Point2(Fraction(xn, den * scale), Fraction(yn, den * scale)), len(ids))
+            for (xn, yn, den), ids in points.items() if len(ids) >= 3]
     if not hits:
         return None
     return min(hits, key=lambda hit: (hit[0].x, hit[0].y))

@@ -13,6 +13,7 @@ data, convert it to rationals yourself and own the rounding.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -382,49 +383,54 @@ class HullResult:
         self.degenerate = degenerate
 
 
-def convex_hull(points: Sequence[Point2]) -> HullResult:
-    """Monotone-chain convex hull over exact coordinates."""
-    pts = list(points)
-    if not pts:
-        return HullResult([], [], True)
+def _hull_corners(pairs) -> list:
+    """Indices of the convex hull corners of integer pairs, in ccw order
+    from the lexicographically smallest pair: a monotone chain.
 
-    order = sorted(set(pts), key=lambda p: (p.x, p.y))
+    Points on a hull edge are not corners.  Collinear input gives the
+    indices of its two extreme pairs, and a single distinct pair one
+    index; where pairs repeat, the first index of each is used.
+    """
+    order = []
+    for i in sorted(range(len(pairs)), key=pairs.__getitem__):
+        if not order or pairs[order[-1]] != pairs[i]:
+            order.append(i)
     if len(order) == 1:
-        return HullResult([order[0]], ["corner"] * len(pts), True)
+        return order
 
     def build(seq):
         chain = []
-        for p in seq:
-            while len(chain) >= 2 and orientation(chain[-2], chain[-1], p) <= 0:
+        for i in seq:
+            while len(chain) >= 2 and _orient(pairs[chain[-2]], pairs[chain[-1]], pairs[i]) <= 0:
                 chain.pop()
-            chain.append(p)
+            chain.append(i)
         return chain
 
-    lower = build(order)
-    upper = build(reversed(order))
-    corners = lower[:-1] + upper[:-1]
-    degenerate = len(corners) < 3
-    if degenerate:
-        corners = [order[0], order[-1]]
+    corners = build(order)[:-1] + build(reversed(order))[:-1]
+    return corners if len(corners) >= 3 else [order[0], order[-1]]
 
-    corner_set = set(corners)
+
+def convex_hull(points: Sequence[Point2]) -> HullResult:
+    """Monotone-chain convex hull over exact coordinates, decided on the
+    points scaled to integers."""
+    pts = list(points)
+    if not pts:
+        return HullResult([], [], True)
+    _, ints = _integers(pts)
+    idx = _hull_corners(ints)
+    corners = [pts[i] for i in idx]
+    ring = [ints[i] for i in idx]
+    corner_set = set(ring)
+    if len(ring) < 3:
+        return HullResult(corners, ["corner" if p in corner_set else "edge" for p in ints], True)
     labels = []
-    if degenerate:
-        for p in pts:
-            labels.append("corner" if p in corner_set else "edge")
-        return HullResult(corners, labels, True)
-
-    m = len(corners)
-    for p in pts:
+    for p in ints:
         if p in corner_set:
             labels.append("corner")
-            continue
-        lab = "interior"
-        for i in range(m):
-            if on_segment(p, corners[i], corners[(i + 1) % m]):
-                lab = "edge"
-                break
-        labels.append(lab)
+        elif any(_on_closed(p, a, b) for a, b in zip(ring, ring[1:] + ring[:1])):
+            labels.append("edge")
+        else:
+            labels.append("interior")
     return HullResult(corners, labels, False)
 
 
@@ -604,6 +610,10 @@ def _integers(points: Sequence[Point2], base: int = 1):
     scale = lcm(base, *(c.denominator for p in points for c in (p.x, p.y)))
     return scale, [(p.x.numerator * (scale // p.x.denominator),
                     p.y.numerator * (scale // p.y.denominator)) for p in points]
+
+
+# sort key of integer ratios (num, den > 0) in value order, by cross-multiplication
+_RATIO = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
 def _homogeneous(p: Point2, scale: int):

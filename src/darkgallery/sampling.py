@@ -15,15 +15,22 @@ hull, where the exact machinery applies, then filtered to the polygon):
 those are the points where coverage is most likely to dip.  Grid or
 seeded-random samples are layered on top via the sampler spec.
 
+Every sample is homogeneous integers (X, Y, W), W > 0, in one frame
+from the moment it is generated until the report is built: ``_Frame``
+scales the polygon and the guards to integers once per call, the
+crossing points and gap midpoints come from the exact analysis as
+integers, and grid and seeded-random points are built in the frame's
+integers.  Samples are ordered by cross-multiplication and deduplicated
+on gcd-normalised keys; a ``Point2`` is built only for each sample of
+the ``SampleReport``.
+
 Every verdict is exact.  Depths and polygon membership take one path at
 every batch size and coordinate scale: a float pass whose only verdicts
 are strict comparisons against a certified error margin, then one
 integer kernel for whatever it leaves open.  A NaN, an inf, or any value
 once a product could overflow (the margin is then infinite) decides
-nothing.  The kernel scales the polygon and the guards to integers once
-per call (``_Frame``) and each sample to homogeneous integers (X, Y, W);
-``_wall_free`` decides whether a segment stays inside, ``_between``
-whether a guard blocks it, and ``geometry._locate`` (which
+nothing.  ``_wall_free`` decides whether a segment stays inside,
+``_between`` whether a guard blocks it, and ``geometry._locate`` (which
 ``SimplePolygon.where`` reads too) decides membership.  ``visible`` and
 ``depth_at_sample`` are that kernel on one pair and one sample.
 
@@ -38,20 +45,21 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from math import inf
+from math import gcd, inf
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .darkness import GuardSet, _Analysis, _nearest
 from .geometry import (
+    _RATIO,
     ConvexPolygon,
     Point2,
     SimplePolygon,
     _homogeneous,
+    _hull_corners,
     _integers,
     _locate,
-    convex_hull,
 )
 
 AnyPolygon = Union[ConvexPolygon, SimplePolygon]
@@ -66,8 +74,19 @@ _RANDOM_GRID = 1 << 20
 _CERT_SHIFT = 46
 
 
-def _floats(values: List) -> "np.ndarray":
-    return np.array([_nearest(v.numerator, v.denominator) for v in values], dtype=np.float64)
+def _columns(frame: "_Frame", pts):
+    """Float columns (x, y), in the polygon's own units, of the frame's
+    integer pairs or homogeneous samples (X, Y, W): each value is
+    X / (W * scale) correctly rounded, the float of the coordinate it
+    stands for."""
+    s = frame.scale
+    xs = []
+    ys = []
+    for p in pts:
+        d = s * p[2] if len(p) == 3 else s
+        xs.append(_nearest(p[0], d))
+        ys.append(_nearest(p[1], d))
+    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
 
 
 def _bound(*columns) -> float:
@@ -82,19 +101,17 @@ def _bound(*columns) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN only ever defer
-def _contains_mask(P: AnyPolygon, pts: Sequence[Point2]) -> List[bool]:
-    """[P.contains(p) for p in pts], float-prefiltered.
+def _contains_mask(frame: "_Frame", samples) -> List[bool]:
+    """Whether each homogeneous sample of the frame lies in the closed
+    polygon, float-prefiltered.
 
-    The float pass settles points whose membership is certain by the
-    sign margin; boundary-grazing points (and anything else inside the
-    margin) are re-decided exactly, so the result matches the plain
-    loop bit for bit.
+    The float pass settles samples whose membership is certain by the
+    sign margin; boundary-grazing samples (and anything else inside the
+    margin) are re-decided exactly by ``_locate``, so the result matches
+    the plain loop bit for bit.
     """
-    verts = P.vertices
-    px = _floats([p.x for p in pts])
-    py = _floats([p.y for p in pts])
-    ax = _floats([v.x for v in verts])
-    ay = _floats([v.y for v in verts])
+    px, py = _columns(frame, samples)
+    ax, ay = _columns(frame, frame.walls)
     bx = np.roll(ax, -1)
     by = np.roll(ay, -1)
     m = _bound(px, py, ax, ay)
@@ -103,7 +120,7 @@ def _contains_mask(P: AnyPolygon, pts: Sequence[Point2]) -> List[bool]:
     ey = by - ay
     # orientation of each point against each (ccw) edge
     o = ex[None, :] * (py[:, None] - ay[None, :]) - ey[None, :] * (px[:, None] - ax[None, :])
-    if isinstance(P, ConvexPolygon):
+    if frame.convex:
         inside = (o > cert).all(axis=1)
         certain = inside | (o < -cert).any(axis=1)
     else:
@@ -122,32 +139,29 @@ def _contains_mask(P: AnyPolygon, pts: Sequence[Point2]) -> List[bool]:
         certain = (apart | (level & (np.abs(o) > cert))).all(axis=1)
         inside = (crossing.sum(axis=1) % 2).astype(bool)
     return [
-        bool(inside[i]) if certain[i] else P.contains(pts[i])
-        for i in range(len(pts))
+        bool(inside[i]) if certain[i] else _locate(frame.walls, *samples[i]) != "exterior"
+        for i in range(len(samples))
     ]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _depths(P: AnyPolygon, gset: GuardSet, pts: Sequence[Point2]) -> List[int]:
-    """[depth_at_sample(P, gset, p) for p in pts], float-prefiltered.
+def _depths(frame: "_Frame", samples) -> List[int]:
+    """[depth at each homogeneous sample of the frame], float-prefiltered.
 
-    Preconditions: every sample lies in the closed polygon (the guards
-    are validated by the caller).  The float pass certifies the clear
-    wall crossings, clear misses, and clear non-collinearities; every
-    pair it cannot certify, which is every pair once a value could leave
-    the float range, is re-decided by the integer kernel.
+    Preconditions: every sample lies in the closed polygon and the
+    frame's points are the guards, validated by the caller.  The float
+    pass certifies the clear wall crossings, clear misses, and clear
+    non-collinearities; every pair it cannot certify, which is every pair
+    once a value could leave the float range, is re-decided by the
+    integer kernel.
     """
-    guards = gset.guards
-    verts = P.vertices
-    px = _floats([p.x for p in pts])
-    py = _floats([p.y for p in pts])
-    gx = _floats([g.x for g in guards])
-    gy = _floats([g.y for g in guards])
-    ax = _floats([v.x for v in verts])
-    ay = _floats([v.y for v in verts])
+    guards = frame.ints
+    px, py = _columns(frame, samples)
+    gx, gy = _columns(frame, guards)
+    ax, ay = _columns(frame, frame.walls)
     m = _bound(px, py, gx, gy, ax, ay)
     cert = m * m * 2.0 ** -_CERT_SHIFT
-    convex = isinstance(P, ConvexPolygon)
+    convex = frame.convex
     if not convex:
         bx = np.roll(ax, -1)
         by = np.roll(ay, -1)
@@ -157,24 +171,17 @@ def _depths(P: AnyPolygon, gset: GuardSet, pts: Sequence[Point2]) -> List[int]:
         c4 = ex[None, :] * (py[:, None] - ay[None, :]) - ey[None, :] * (px[:, None] - ax[None, :])
         p4 = c4 > cert
         n4 = c4 < -cert
-    frame = _Frame(P, guards)
-    hom = [None] * len(pts)  # each sample's homogeneous integers, on first use
 
-    def sample(s):
-        if hom[s] is None:
-            hom[s] = frame.sample(pts[s])
-        return hom[s]
-
-    depths = np.zeros(len(pts), dtype=np.int64)
-    for gi, q in enumerate(frame.ints):
+    depths = np.zeros(len(samples), dtype=np.int64)
+    for gi, q in enumerate(guards):
         qx = gx[gi]
         qy = gy[gi]
         dx = px - qx
         dy = py - qy
         if convex:
             # segment inside iff endpoints inside, which holds by precondition
-            vis = np.ones(len(pts), dtype=bool)
-            wall_unsure = np.zeros(len(pts), dtype=bool)
+            vis = np.ones(len(samples), dtype=bool)
+            wall_unsure = np.zeros(len(samples), dtype=bool)
         else:
             c1 = dx[:, None] * (ay[None, :] - qy) - dy[:, None] * (ax[None, :] - qx)
             c2 = dx[:, None] * (by[None, :] - qy) - dy[:, None] * (bx[None, :] - qx)
@@ -198,9 +205,9 @@ def _depths(P: AnyPolygon, gset: GuardSet, pts: Sequence[Point2]) -> List[int]:
         maybe = ~(np.abs(crh) > cert)
         maybe[:, gi] = False
         for s in np.nonzero(wall_unsure)[0]:
-            vis[s] = _wall_free(frame.walls, q, sample(s))
+            vis[s] = _wall_free(frame.walls, q, samples[s])
         for s in np.nonzero(vis & maybe.any(axis=1))[0]:
-            if any(_between(frame.ints[h], q, sample(s)) for h in np.nonzero(maybe[s])[0]):
+            if any(_between(guards[h], q, samples[s]) for h in np.nonzero(maybe[s])[0]):
                 vis[s] = False
         depths += vis
     return [int(v) for v in depths]
@@ -211,20 +218,31 @@ class _Frame:
 
     ``scale`` is the lcm of every denominator of P's vertices and of the
     points; ``walls`` holds the vertices (ccw) and ``ints`` the points
-    times scale, as integer pairs, and ``sample(p)`` gives homogeneous
-    integers (X, Y, W), W > 0, with (X/W, Y/W) = scale * p.
+    times scale, as integer pairs, and ``convex`` tells whether P is a
+    ConvexPolygon.  ``sample(p)`` gives homogeneous integers (X, Y, W),
+    W > 0, with (X/W, Y/W) = scale * p, and ``point`` maps them back.
     """
 
-    __slots__ = ("scale", "walls", "ints")
+    __slots__ = ("scale", "walls", "ints", "convex")
 
     def __init__(self, P: AnyPolygon, pts: Sequence[Point2]):
         base, walls = (P.scale, P.ints) if isinstance(P, SimplePolygon) else _integers(P.vertices)
         self.scale, self.ints = _integers(pts, base)
         f = self.scale // base
         self.walls = [(x * f, y * f) for x, y in walls]
+        self.convex = isinstance(P, ConvexPolygon)
 
     def sample(self, p: Point2):
         return _homogeneous(p, self.scale)
+
+    def point(self, s) -> Point2:
+        X, Y, W = s
+        d = W * self.scale
+        return Point2(Fraction(X, d), Fraction(Y, d))
+
+    def corners(self):
+        """The vertices, then the points, as homogeneous samples."""
+        return [(x, y, 1) for x, y in self.walls + self.ints]
 
 
 def _between(h, q, s) -> bool:
@@ -241,9 +259,6 @@ def _between(h, q, s) -> bool:
     hx = h[0] - q[0]
     hy = h[1] - q[1]
     return hx * dy == hy * dx and 0 < (hx * dx + hy * dy) * W < dx * dx + dy * dy
-
-
-_RATIO = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # (num, den > 0)
 
 
 def _wall_free(walls, q, s) -> bool:
@@ -353,77 +368,94 @@ class SampleReport:
         )
 
 
-def _suspicious_points(P: AnyPolygon, gset: GuardSet) -> List[Point2]:
-    """Dark-ray crossing points and gap midpoints that land inside P.
+def _xy_cmp(a, b) -> int:
+    """Sign of the lexicographic (x, y) comparison of two homogeneous
+    samples (X, Y, W), W > 0, by cross-multiplication."""
+    c = a[0] * b[2] - b[0] * a[2]
+    return c if c else a[1] * b[2] - b[1] * a[2]
 
-    The rays are analyzed on the convex hull of P, where the exact
-    dark-portion machinery applies (walls ignored), because a depth dip
-    in the polygon can only happen at guard blockings, and those live on
-    the hull's dark-ray arrangement.
+
+_XY = cmp_to_key(_xy_cmp)
+
+
+def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
+    """Dark-ray crossing points and gap midpoints that land inside P, as
+    homogeneous samples of the frame in (x, y) order.
+
+    The rays are analyzed on the convex hull of P and the guards, where
+    the exact dark-portion machinery applies (walls ignored), because a
+    depth dip in the polygon can only happen at guard blockings, and
+    those live on the hull's dark-ray arrangement.  The hull corners are
+    vertices or guards, so the analysis's scale divides the frame's, and
+    one integer factor maps each candidate (xn, yn, den) into the frame.
     """
-    hull = convex_hull(list(P.vertices) + list(gset.guards))
-    region = ConvexPolygon(hull.corners)
+    pts = list(P.vertices) + list(gset.guards)
+    region = ConvexPolygon([pts[i] for i in _hull_corners(frame.walls + frame.ints)])
     analysis = _Analysis(region, gset)
-    cands = [
-        analysis.scene.unscale(xn, yn, den)
-        for _total, xn, yn, den, _contr in analysis.candidates()
-    ]
-    out = [pt for pt, ok in zip(cands, _contains_mask(P, cands)) if ok]
-    out.sort(key=lambda v: (v.x, v.y))
+    f = frame.scale // analysis.scene.scale
+    cands = [(xn * f, yn * f, den) for _total, xn, yn, den, _contr in analysis.candidates()]
+    out = [c for c, ok in zip(cands, _contains_mask(frame, cands)) if ok]
+    out.sort(key=_XY)
     return out
 
 
-def _grid_points(P: AnyPolygon, resolution: int) -> List[Point2]:
+def _box(frame: _Frame):
+    """(minX, minY, maxX, maxY): the polygon's bounding box in the frame."""
+    xs = [x for x, _ in frame.walls]
+    ys = [y for _, y in frame.walls]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _grid_points(frame: _Frame, resolution: int):
     if resolution < 1:
         raise ValueError("grid resolution must be at least 1")
-    minx, miny, maxx, maxy = P.bounding_box()
+    n = resolution
+    minx, miny, maxx, maxy = _box(frame)
     cands = [
-        Point2(
-            minx + (maxx - minx) * Fraction(i, resolution),
-            miny + (maxy - miny) * Fraction(j, resolution),
-        )
-        for i in range(resolution + 1)
-        for j in range(resolution + 1)
+        (minx * n + (maxx - minx) * i, miny * n + (maxy - miny) * j, n)
+        for i in range(n + 1)
+        for j in range(n + 1)
     ]
-    return [pt for pt, ok in zip(cands, _contains_mask(P, cands)) if ok]
+    return [c for c, ok in zip(cands, _contains_mask(frame, cands)) if ok]
 
 
-def _random_points(P: AnyPolygon, seed: int, count: int) -> List[Point2]:
+def _random_points(frame: _Frame, seed: int, count: int):
     if count < 0:
         raise ValueError("sample count cannot be negative")
-    minx, miny, maxx, maxy = P.bounding_box()
+    minx, miny, maxx, maxy = _box(frame)
+    n = _RANDOM_GRID
     rng = random.Random(seed)
     out = []
     budget = 64 * count + 64  # thin polygons reject a lot; stay finite
     while len(out) < count and budget > 0:
         budget -= 1
-        x = minx + (maxx - minx) * Fraction(rng.randrange(_RANDOM_GRID + 1), _RANDOM_GRID)
-        y = miny + (maxy - miny) * Fraction(rng.randrange(_RANDOM_GRID + 1), _RANDOM_GRID)
-        pt = Point2(x, y)
-        if P.contains(pt):
-            out.append(pt)
+        s = (minx * n + (maxx - minx) * rng.randrange(n + 1),
+             miny * n + (maxy - miny) * rng.randrange(n + 1), n)
+        if _locate(frame.walls, *s) != "exterior":
+            out.append(s)
     return out
 
 
-def _sampler_points(P: AnyPolygon, sampler) -> List[Point2]:
+def _sampler_points(frame: _Frame, sampler):
     if sampler is None:
         return []
     if isinstance(sampler, (list, tuple)) and sampler and sampler[0] == "grid":
         (_, resolution) = sampler
-        return _grid_points(P, int(resolution))
+        return _grid_points(frame, int(resolution))
     if isinstance(sampler, (list, tuple)) and sampler and sampler[0] == "random":
         (_, seed, count) = sampler
-        return _random_points(P, int(seed), int(count))
+        return _random_points(frame, int(seed), int(count))
     if isinstance(sampler, (list, tuple)) and sampler and sampler[0] == "points":
         (_, pts) = sampler
-        out = []
+        given = []
         for p in pts:
             if isinstance(p, Point2):
-                out.append(p)
+                given.append(p)
             else:
                 x, y = p
-                out.append(Point2(x, y))
-        for p, ok in zip(out, _contains_mask(P, out)):
+                given.append(Point2(x, y))
+        out = [frame.sample(p) for p in given]
+        for p, ok in zip(given, _contains_mask(frame, out)):
             if not ok:
                 raise ValueError("sample point %r lies outside the polygon" % (p,))
         return out
@@ -442,18 +474,21 @@ def sample_depth(P: AnyPolygon, guards, sampler=None, target: Optional[int] = No
     collected as failing witnesses.
     """
     gset = GuardSet.coerce(guards)
-    for g in gset.guards:
-        if not P.contains(g):
+    frame = _Frame(P, gset.guards)
+    for g, (x, y) in zip(gset.guards, frame.ints):
+        if _locate(frame.walls, x, y, 1) == "exterior":
             raise ValueError("guard %r lies outside the polygon" % (g,))
-    pts: List[Point2] = []
-    pts.extend(P.vertices)
-    pts.extend(gset.guards)
-    pts.extend(_suspicious_points(P, gset))
-    pts.extend(_sampler_points(P, sampler))
+    samples = frame.corners()
+    samples += _suspicious_points(frame, P, gset)
+    samples += _sampler_points(frame, sampler)
     seen = set()
-    unique: List[Point2] = []
-    for p in pts:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return SampleReport(list(zip(unique, _depths(P, gset, unique))), target=target)
+    unique = []
+    for s in samples:
+        X, Y, W = s
+        g = gcd(gcd(X, Y), W)
+        key = (X // g, Y // g, W // g)
+        if key not in seen:
+            seen.add(key)
+            unique.append(s)
+    depths = _depths(frame, unique)
+    return SampleReport([(frame.point(s), d) for s, d in zip(unique, depths)], target=target)

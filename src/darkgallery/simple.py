@@ -39,7 +39,7 @@ from .geometry import (
     convex_hull,
     orientation,
 )
-from .sampling import _depths
+from .sampling import _Frame, _depths
 
 MOUTH_LEVEL = Fraction(2)  # corridor ceiling: spike mouths sit on this line
 TIP_LEVEL = Fraction(10)   # spike tips: 4x the corridor height above the mouths
@@ -477,8 +477,8 @@ def fisk_cover(P: SimplePolygon, k: int, arc_scale=Fraction(1, 4)) -> GuardSet:
             guards.extend(got)
         if complete:
             gset = GuardSet(guards)
-            probes = list(P.vertices) + list(gset.guards)
-            if min(_depths(P, gset, probes)) >= k:
+            frame = _Frame(P, gset.guards)
+            if min(_depths(frame, frame.corners())) >= k:
                 return gset
         scale /= 2
     raise ConstructionError(

@@ -10,13 +10,16 @@ darkness oracles check that crossing test itself); has_j_dark_oracle
 walks those pairs row by row on the library's pieces, so that what it
 checks is the order in which has_j_dark reads the shared candidates.
 The simple-polygon predicates (membership, validation, segment-inside,
-visibility, depth) are the library's former Fraction bodies; the library
-now decides them on integer-scaled coordinates.
+visibility, depth), the convex hull, the sampler's glue (sub-piece
+points, suspicious points, grid and random samples, deduplication) and
+the concurrent-rays scan are the library's former Fraction bodies; the
+library now decides them on integer-scaled coordinates.
 Slow on purpose; exact everywhere.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
@@ -25,10 +28,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from darkgallery.darkness import GuardSet, _Analysis, _confirm, _point_key, _sub_piece_points
+from darkgallery.darkness import (
+    GuardSet,
+    _Analysis,
+    _confirm,
+    _pair_hits,
+    _point_key,
+    _sub_piece_points,
+)
 from darkgallery.geometry import (
     ConvexPolygon,
     HalfplaneResult,
+    HullResult,
     Point2,
     SimplePolygon,
     _clip_line_by_halfplanes,
@@ -500,6 +511,160 @@ def visible_oracle(P, guards: Sequence[Point2], q: Point2, p: Point2) -> bool:
 def depth_at_sample_oracle(P, guards: Sequence[Point2], p: Point2) -> int:
     guards = list(guards)
     return sum(1 for q in guards if visible_oracle(P, guards, q, p))
+
+
+# --- the convex hull over Fractions -------------------------------------------
+
+def convex_hull_oracle(points: Sequence[Point2]) -> HullResult:
+    """Monotone-chain convex hull over the Fraction points themselves."""
+    pts = list(points)
+    if not pts:
+        return HullResult([], [], True)
+
+    order = sorted(set(pts), key=lambda p: (p.x, p.y))
+    if len(order) == 1:
+        return HullResult([order[0]], ["corner"] * len(pts), True)
+
+    def build(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and orientation(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    lower = build(order)
+    upper = build(reversed(order))
+    corners = lower[:-1] + upper[:-1]
+    degenerate = len(corners) < 3
+    if degenerate:
+        corners = [order[0], order[-1]]
+
+    corner_set = set(corners)
+    labels = []
+    if degenerate:
+        for p in pts:
+            labels.append("corner" if p in corner_set else "edge")
+        return HullResult(corners, labels, True)
+
+    m = len(corners)
+    for p in pts:
+        if p in corner_set:
+            labels.append("corner")
+            continue
+        lab = "interior"
+        for i in range(m):
+            if on_segment(p, corners[i], corners[(i + 1) % m]):
+                lab = "edge"
+                break
+        labels.append(lab)
+    return HullResult(corners, labels, False)
+
+
+# --- the sampler's glue over Fractions ----------------------------------------
+
+def sub_piece_points_oracle(piece, cuts):
+    """_sub_piece_points with the cuts as a sorted set of Fractions and
+    each midpoint a Fraction."""
+    ax, ay, dx, dy, hin, hid = piece[:6]
+    hi = None if hin is None else Fraction(hin, hid)
+    ts = sorted({Fraction(n, d) for n, d in cuts})
+    bounds = [Fraction(0)] + [t for t in ts if hi is None or t < hi]
+    bounds.append(bounds[-1] + 2 if hi is None else hi)
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        t = (a + b) / 2
+        out.append((ax * t.denominator + t.numerator * dx,
+                    ay * t.denominator + t.numerator * dy, t.denominator))
+    return out
+
+
+def _inside(P, p: Point2) -> bool:
+    return simple_where_oracle(P, p) != "exterior"
+
+
+def suspicious_points_oracle(P, guards: Sequence[Point2]) -> List[Point2]:
+    """Dark-ray crossing points and gap midpoints inside P, sorted by
+    their Fraction (x, y): the analysis of the Fraction hull of P and the
+    guards, with every piece subdivided by sub_piece_points_oracle and
+    every candidate unscaled to a Point2."""
+    gset = GuardSet(guards)
+    hull = convex_hull_oracle(list(P.vertices) + list(gset.guards))
+    analysis = _Analysis(ConvexPolygon(hull.corners), gset)
+    _, events = analysis.crossings()
+    keys = [c[1:4] for c in analysis.point_candidates()]
+    for idx, piece in enumerate(analysis.pieces):
+        keys += sub_piece_points_oracle(piece, events.get(idx, ()))
+    cands = [analysis.scene.unscale(*key) for key in keys]
+    out = [p for p in cands if _inside(P, p)]
+    out.sort(key=lambda v: (v.x, v.y))
+    return out
+
+
+def grid_points_oracle(P, resolution: int) -> List[Point2]:
+    minx, miny, maxx, maxy = P.bounding_box()
+    cands = [
+        Point2(
+            minx + (maxx - minx) * Fraction(i, resolution),
+            miny + (maxy - miny) * Fraction(j, resolution),
+        )
+        for i in range(resolution + 1)
+        for j in range(resolution + 1)
+    ]
+    return [p for p in cands if _inside(P, p)]
+
+
+RANDOM_GRID = 1 << 20
+
+
+def random_points_oracle(P, seed: int, count: int) -> List[Point2]:
+    minx, miny, maxx, maxy = P.bounding_box()
+    rng = random.Random(seed)
+    out = []
+    budget = 64 * count + 64
+    while len(out) < count and budget > 0:
+        budget -= 1
+        x = minx + (maxx - minx) * Fraction(rng.randrange(RANDOM_GRID + 1), RANDOM_GRID)
+        y = miny + (maxy - miny) * Fraction(rng.randrange(RANDOM_GRID + 1), RANDOM_GRID)
+        pt = Point2(x, y)
+        if _inside(P, pt):
+            out.append(pt)
+    return out
+
+
+def sample_depth_oracle(P, guards: Sequence[Point2], sampler=None, depth=None):
+    """The samples (point, depth) of sample_depth, in its order: the
+    vertices, the guards, the suspicious points, then the sampler's
+    points, deduplicated through a set of Point2.  depth(P, guards, p)
+    defaults to depth_at_sample_oracle."""
+    guards = list(GuardSet(guards).guards)
+    pts = list(P.vertices) + guards + suspicious_points_oracle(P, guards)
+    if sampler is not None and sampler[0] == "grid":
+        pts += grid_points_oracle(P, sampler[1])
+    elif sampler is not None and sampler[0] == "random":
+        pts += random_points_oracle(P, sampler[1], sampler[2])
+    elif sampler is not None:
+        raise ValueError("unknown sampler %r" % (sampler,))
+    unique = list(dict.fromkeys(pts))
+    depth = depth or depth_at_sample_oracle
+    return [(p, depth(P, guards, p)) for p in unique]
+
+
+# --- dark-ray concurrency over a full plane-wide analysis ---------------------
+
+def find_concurrent_dark_rays_oracle(guards):
+    """find_concurrent_dark_rays from the unbounded pieces of the
+    plane-wide analysis, which clips every gap piece too."""
+    analysis = _Analysis(None, GuardSet.coerce(guards))
+    rays = [p for p in analysis.pieces if p[4] is None]
+    points = {}
+    for i, j, un, _, D in _pair_hits(rays):
+        points.setdefault(_point_key(rays[i], un, D), set()).update((rays[i][8], rays[j][8]))
+    hits = [(analysis.scene.unscale(*key), len(ids)) for key, ids in points.items()
+            if len(ids) >= 3]
+    if not hits:
+        return None
+    return min(hits, key=lambda hit: (hit[0].x, hit[0].y))
 
 
 # --- misc ----------------------------------------------------------------------

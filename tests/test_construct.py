@@ -30,7 +30,9 @@ from darkgallery.darkness import (
 from darkgallery.fixtures import builtin_fixture, wedge_region
 from darkgallery.geometry import ConvexPolygon, Point2, Wedge, strictly_between
 
+import oracles
 from conftest import random_affine_map, random_convex_polygon
+from test_darkness import concurrent_star
 
 TRIANGLE = ConvexPolygon([Point2(0, 0), Point2(8, 0), Point2(4, 8)])
 SQUARE = ConvexPolygon([Point2(0, 0), Point2(8, 0), Point2(8, 8), Point2(0, 8)])
@@ -175,6 +177,20 @@ def test_general_position_has_no_triple_alignments():
         assert find_concurrent_dark_rays(gs.guards) is None
         cert = min_depth(region, gs)
         assert cert.min_depth >= g - 2
+
+
+def test_concurrent_dark_rays_come_straight_from_the_lines():
+    # two rays per collinear group, against the unbounded pieces of a full
+    # plane-wide analysis, on this file's placements
+    sets = [concurrent_star()[1], place_general_position(TRIANGLE, 12).guards,
+            place_general_position(wedge_region(), 8).guards,
+            place_vertex_guards(PENTAGON, 5).guards, place_wedge(wedge_region(), 9).guards,
+            construct(SQUARE, 13).guards, construct(TRIANGLE, 10).guards]
+    sets += [place_4n_minus_2(P)[0].guards
+             for P in (TRIANGLE, SQUARE, PENTAGON, random_convex_polygon(random.Random(77), 7))]
+    hits = [find_concurrent_dark_rays(guards) for guards in sets]
+    assert hits == [oracles.find_concurrent_dark_rays_oracle(guards) for guards in sets]
+    assert hits[0] == (Point2(-4, 6), 3) and hits[4] is not None
 
 
 def test_general_position_rejects_zero_guards():

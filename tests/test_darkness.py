@@ -622,9 +622,15 @@ def test_crossings_know_their_darkness(scene):
     points, events = analysis.crossings()
     cands = analysis.point_candidates()
     assert [c[1:4] for c in cands[:len(points)]] == list(points)
-    # the darkness read off the recorded pieces is the full rescan
+    # the darkness read off the recorded pieces is the full rescan: the
+    # same total and the same contributions list, over at least two
+    # distinct lines sorted by line id (INVARIANT_SCENES holds every
+    # BRANCH_SCENES entry)
     for total, xn, yn, den, contr in cands[:len(points)]:
         assert (total, contr) == analysis.darkness_at_scaled(xn, yn, den)
+        ids = [line_id for line_id, _ in contr]
+        assert len(ids) >= 2 and ids == sorted(set(ids))
+        assert total == sum(cnt for _, cnt in contr)
     top = max([c[0] for c in cands] + [p[7] for p in analysis.pieces])
     # the witness is the smallest point at top of the complete set
     w = max_darkness(region, guards)
@@ -639,6 +645,27 @@ def test_crossings_know_their_darkness(scene):
         assert len(analysis.pieces) >= 48 and len(points) > 200 and top > 2
     if scene == "4n-2":
         assert not points and top == 1 and len(at_top) == len(analysis.pieces)
+
+
+@pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))
+def test_sub_piece_points_match_the_fraction_midpoints(scene):
+    # the crossing cuts of every piece as the scan records them, then
+    # repeated, unreduced and out of order, with cuts at and past a
+    # bounded piece's far end
+    region, guards = BRANCH_SCENES[scene]
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    _, events = analysis.crossings()
+    for idx, piece in enumerate(analysis.pieces):
+        cuts = list(events.get(idx, ()))
+        noisy = cuts + [(3 * n, 3 * d) for n, d in reversed(cuts)] + cuts[:1]
+        if piece[4] is None:
+            noisy += [(7, 2), (14, 4)]
+        else:
+            noisy += [(5 * piece[4], 5 * piece[5]), (2 * piece[4] + 1, piece[5])]
+        for c in ((), cuts, noisy):
+            assert darkness._sub_piece_points(piece, c) == oracles.sub_piece_points_oracle(piece, c)
+    # the wedge's pieces include unbounded ones
+    assert any(p[4] is None for p in analysis.pieces) == (scene == "wedge")
 
 
 def test_max_darkness_rescans_only_the_guard_points(monkeypatch):

@@ -30,7 +30,7 @@ from darkgallery.fixtures import triangle_region, wedge_region
 from darkgallery.simple import make_comb
 
 from conftest import random_convex_polygon, random_star_polygon
-from oracles import halfplane_intersection_oracle, simple_polygon_error_oracle
+from oracles import convex_hull_oracle, halfplane_intersection_oracle, simple_polygon_error_oracle
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(Point2, coords, coords)
@@ -276,6 +276,18 @@ def test_convex_hull_stable_under_permutation(pts, rnd):
         by_point[p] = lab
     for p, lab in zip(shuffled, perm.labels):
         assert by_point[p] == lab
+
+
+# small rationals, so that repeated, collinear and edge points are common
+hull_coords = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.builds(Point2, hull_coords, hull_coords), min_size=1, max_size=12))
+def test_convex_hull_matches_the_fraction_chain(pts):
+    got = convex_hull(pts)
+    want = convex_hull_oracle(pts)
+    assert (got.corners, got.labels, got.degenerate) == (want.corners, want.labels, want.degenerate)
 
 
 def test_convex_polygon_validation():

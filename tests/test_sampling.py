@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darkgallery import darkness, geometry, sampling
 from darkgallery.darkness import GuardSet, darkness_at
 from darkgallery.geometry import ConvexPolygon, Point2, SimplePolygon, _locate, strictly_between
 from darkgallery.sampling import (
@@ -16,6 +18,7 @@ from darkgallery.sampling import (
     _between,
     _contains_mask,
     _depths,
+    _random_points,
     _wall_free,
     depth_at_sample,
     sample_depth,
@@ -185,13 +188,25 @@ def test_adding_a_guard_accounts_exactly_with_walls():
 
 # --- the float-prefiltered batch equals the exact predicates ------------------------
 
+def batch_depths(P, gs, pts):
+    """_depths on the Point2 samples pts, each converted once by the frame."""
+    frame = _Frame(P, gs.guards)
+    return _depths(frame, [frame.sample(p) for p in pts])
+
+
+def batch_contains(P, pts):
+    """_contains_mask on the Point2 samples pts, through a frame of P."""
+    frame = _Frame(P, ())
+    return _contains_mask(frame, [frame.sample(p) for p in pts])
+
+
 def test_fast_depths_match_the_loop_on_convex_scenes():
     rng = random.Random(5)
     P = random_convex_polygon(rng, 6)
     gs = GuardSet(distinct_interior_points(rng, P, 8))
     pts = [p for p, _ in sample_depth(P, gs, sampler=("random", 3, 300)).samples]
     exact = [oracles.depth_at_sample_oracle(P, gs.guards, p) for p in pts]
-    assert _depths(P, gs, pts) == exact
+    assert batch_depths(P, gs, pts) == exact
     assert [depth_at_sample(P, gs, p) for p in pts] == exact
 
 
@@ -200,7 +215,7 @@ def test_fast_depths_match_the_loop_with_walls():
                    Point2(Fraction(1, 2), Fraction(1, 2)), Point2(2, 1)])
     pts = [p for p, _ in sample_depth(L_HEXAGON, gs, sampler=("random", 9, 900)).samples]
     exact = [oracles.depth_at_sample_oracle(L_HEXAGON, gs.guards, p) for p in pts]
-    assert _depths(L_HEXAGON, gs, pts) == exact
+    assert batch_depths(L_HEXAGON, gs, pts) == exact
     assert [depth_at_sample(L_HEXAGON, gs, p) for p in pts] == exact
 
 
@@ -214,13 +229,13 @@ def test_fast_depths_survive_adversarial_coordinates():
            for i in range(-14, 15) for j in range(-14, 15)]
     pts = [p for p in pts if T.contains(p)]
     exact = [oracles.depth_at_sample_oracle(T, gs.guards, p) for p in pts]
-    assert _depths(T, gs, pts) == exact
+    assert batch_depths(T, gs, pts) == exact
     assert [depth_at_sample(T, gs, p) for p in pts] == exact
     gs2 = GuardSet([Point2(0, 0), Point2(1, 0), Point2(3, 0), Point2(1, 2), Point2(2, 3)])
     pts2 = [Point2(Fraction(i, 8), Fraction(j, 8)) for i in range(-39, 65) for j in range(0, 65)]
     pts2 = [p for p in pts2 if T.contains(p)]
     exact2 = [oracles.depth_at_sample_oracle(T, gs2.guards, p) for p in pts2]
-    assert _depths(T, gs2, pts2) == exact2
+    assert batch_depths(T, gs2, pts2) == exact2
     assert [depth_at_sample(T, gs2, p) for p in pts2] == exact2
 
 
@@ -251,8 +266,8 @@ def test_contains_mask_matches_contains_point_by_point(P):
     truth = [oracles.simple_where_oracle(P, p) != "exterior" for p in pts]
     assert True in truth and False in truth
     assert [P.contains(p) for p in pts] == truth
-    assert _contains_mask(P, pts) == truth
-    assert _contains_mask(P, []) == []
+    assert batch_contains(P, pts) == truth
+    assert batch_contains(P, []) == []
 
 
 def _scaled(P, guards, pts, factor):
@@ -286,13 +301,13 @@ def test_batch_matches_the_exact_predicates_at_every_scale(scene, factor):
     assert exact == [d for _, d in report.samples]
     assert [depth_at_sample(Pb, gsb, p) for p in ptsb] == exact
     assert min(exact) < len(guards)  # some sample loses a guard to blocking
-    assert _depths(Pb, gsb, ptsb) == exact
-    assert [_depths(Pb, gsb, [p]) for p in ptsb] == [[d] for d in exact]
+    assert batch_depths(Pb, gsb, ptsb) == exact
+    assert [batch_depths(Pb, gsb, [p]) for p in ptsb] == [[d] for d in exact]
     _, _, probes = _scaled(P, guards, _probe_points(P), factor)
     inside = [oracles.simple_where_oracle(Pb, p) != "exterior" for p in probes]
     assert [Pb.contains(p) for p in probes] == inside
-    assert _contains_mask(Pb, probes) == inside
-    assert [_contains_mask(Pb, [p]) for p in probes[::7]] == [[c] for c in inside[::7]]
+    assert batch_contains(Pb, probes) == inside
+    assert [batch_contains(Pb, [p]) for p in probes[::7]] == [[c] for c in inside[::7]]
 
 
 def test_an_overflowing_product_defers_to_the_exact_test():
@@ -308,7 +323,7 @@ def test_an_overflowing_product_defers_to_the_exact_test():
     gs = GuardSet([q, h])
     assert depth_at_sample(square, gs, p) == 1
     exact = [oracles.depth_at_sample_oracle(square, gs.guards, s) for s in (p, q, h)]
-    assert _depths(square, gs, [p, q, h]) == exact
+    assert batch_depths(square, gs, [p, q, h]) == exact
     assert [depth_at_sample(square, gs, s) for s in (p, q, h)] == exact
 
 
@@ -344,7 +359,7 @@ def _kernel_verdicts(P, gs, samples):
         if where != "exterior":
             inner.append(p)
             inner_depths.append(depth)
-    assert _depths(P, gs, inner) == inner_depths
+    assert batch_depths(P, gs, inner) == inner_depths
     return seen
 
 
@@ -417,3 +432,83 @@ def star_scenes(draw):
 def test_integer_kernel_matches_the_oracles_on_star_polygons(scene):
     P, gs, samples = scene
     _kernel_verdicts(P, gs, samples)
+
+
+# --- the integer sample path equals the former Fraction glue -------------------------
+
+REPORT_SCENES = ["L-hexagon", "comb-s3-k2", "triangle", "box-crossing", "comb-s3-k4",
+                 "comb-s2-flat", "fisk-L-k2", "fisk-quad-k1", "fisk-star-k1"]
+
+
+@functools.lru_cache(maxsize=None)
+def report_scene(name):
+    """(polygon, guards) of the sampled scenes of this file and of
+    test_simple.py, by name."""
+    batch = {n: (P, guards) for n, P, guards in _batch_scenes()}
+    if name in batch:
+        return batch[name]
+    if name == "box-crossing":
+        return BOX, [Point2(2, 5), Point2(4, 5), Point2(5, 2), Point2(5, 4)]
+    if name == "comb-s3-k4":
+        comb = make_comb(3)
+        return comb.polygon, comb_cover(comb, 4).guards
+    if name == "comb-s2-flat":
+        comb = make_comb(2)
+        return comb.polygon, comb_cover(comb, 2, staggered=False).guards
+    if name == "fisk-L-k2":
+        return L_HEXAGON, fisk_cover(L_HEXAGON, 2).guards
+    if name == "fisk-quad-k1":
+        quad = SimplePolygon([Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)])
+        return quad, fisk_cover(quad, 1).guards
+    star = random_star_polygon(random.Random(17), 9)
+    return star, fisk_cover(star, 1).guards
+
+
+@pytest.mark.parametrize("name", REPORT_SCENES)
+@pytest.mark.parametrize("factor", [1, 2 ** 520, 2 ** 1100], ids=["1", "2^520", "2^1100"])
+def test_reports_match_the_fraction_glue(name, factor):
+    # points, depths and order of every sample, for the built-in samples
+    # alone and with a grid, against the Fraction bodies of the sampler;
+    # each depth is the one-sample kernel's, which the tests above pin to
+    # the Fraction depth oracle, computed once per point
+    P, guards = report_scene(name)
+    P, gs, _ = _scaled(P, guards, [], factor)
+    known = {}
+
+    def depth(P, guards, p):
+        if p not in known:
+            known[p] = depth_at_sample(P, guards, p)
+        return known[p]
+
+    for sampler in (None, ("grid", 5)):
+        report = sample_depth(P, gs, sampler=sampler)
+        assert report.samples == oracles.sample_depth_oracle(P, gs.guards, sampler, depth=depth)
+    assert len(report.samples) > len(P.vertices) + len(gs)
+
+
+@pytest.mark.parametrize("P", [L_HEXAGON, make_comb(3).polygon], ids=["L-hexagon", "comb-s3"])
+def test_random_samples_match_the_fraction_draws(P):
+    frame = _Frame(P, ())
+    for seed in range(10):
+        got = [frame.point(s) for s in _random_points(frame, seed, 40)]
+        assert got == oracles.random_points_oracle(P, seed, 40)
+        assert len(got) == 40
+
+
+def test_the_sample_path_builds_no_fraction_points(monkeypatch):
+    # the sampler keeps samples in the frame's integers: unscaling a
+    # candidate, a Fraction hull or float columns built from Fractions
+    # would mean Fraction glue crept back onto the path.  _floats (the
+    # former Fraction column builder) is gone; patching it anyway makes a
+    # reintroduced one fail here.
+    comb = make_comb(3)
+    gs = comb_cover(comb, 2)
+    before = sample_depth(comb.polygon, gs, sampler=("grid", 8)).samples
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction glue on the sample path")
+
+    monkeypatch.setattr(darkness._Scene, "unscale", refuse)
+    monkeypatch.setattr(geometry, "convex_hull", refuse)
+    monkeypatch.setattr(sampling, "_floats", refuse, raising=False)
+    assert sample_depth(comb.polygon, gs, sampler=("grid", 8)).samples == before
