@@ -15,12 +15,15 @@ set of candidate points is every pairwise crossing of pieces from
 distinct lines, every guard position, and one representative per
 crossing-free sub-piece.  Three facts let the maximum skip most of it:
 a crossing is never a guard position and carries exactly one piece of
-each line dark there, so its darkness is the sum of the blocked counts
-the pair scan recorded through it (only the g guard points are rescanned
-over all lines); a piece whose blocked count is the maximum has no
-crossing on it, so its one representative is its only candidate; and
-only the candidates at the maximum enter the lexicographic tie-break.
-The j-dark queries read the same candidates: one analysis, built on the
+each line dark there, so its darkness is a running total that the walk
+of the pair scan sums from the blocked counts of its lowest piece and of
+each piece that piece meets there (a guard point's darkness is a count
+over the lines it is a member of); a piece whose blocked count is the
+maximum has no crossing on it, so its one representative is its only
+candidate; and only the candidates at the maximum enter the
+lexicographic tie-break.  A candidate keeps its total alone: the
+per-line breakdown is rescanned for the one reported witness.  The
+j-dark queries read the same candidates: one analysis, built on the
 first query in a region and held on the GuardSet, serves every query on
 that guard set.
 
@@ -541,7 +544,7 @@ def _point_key(piece, un, D):
     un/D of the piece."""
     xn = piece[0] * D + un * piece[2]
     yn = piece[1] * D + un * piece[3]
-    g = gcd(gcd(abs(xn), abs(yn)), D)
+    g = gcd(xn, yn, D)
     return (xn // g, yn // g, D // g)
 
 
@@ -608,6 +611,7 @@ class _Analysis:
                 raise ValueError("guard %r lies outside the region" % (g,))
         self.lines = _group_collinear(gx, gy)
         self._crossings = None
+        self._cuts = None
         self._point_candidates = None
 
         pieces = []
@@ -675,63 +679,94 @@ class _Analysis:
         return total, contributions
 
     # -- pairwise crossings of pieces ------------------------------------
-    def crossings(self):
-        """All in-region crossing points of pieces from distinct lines.
+    def _walk(self, cuts=None):
+        """One walk of _pair_hits: {point key (xn, yn, den): darkness} over
+        the in-region crossings of pieces from distinct lines, in the order
+        their first hits come.  With a dict for cuts, every piece index
+        also gets its crossing parameters there, as integer (num, den)
+        pairs with den > 0.
 
-        Returns (points, events): points maps a normalized homogeneous
-        point key (xn, yn, den) to the set of piece indices through it;
-        events maps a piece index to its crossing parameters as integer
-        (num, den) pairs with den > 0.
+        A crossing is never a guard position (see point_candidates), so
+        every line dark there has exactly one piece through it, and every
+        two of those pieces cross.  Hits come in increasing (i, j) order,
+        so the first hit of a key has the lowest of those pieces as i, and
+        the later hits (i, j) of that key bring each other line's piece
+        once: the darkness is blocked[i] plus their blocked[j].  Hits of
+        the key in a later row are skipped.
         """
+        pieces = self.pieces
+        blocked = [p[7] for p in pieces]
+        low = {}
+        totals = {}
+        for i, j, un, vn, D in _pair_hits(pieces):
+            key = _point_key(pieces[i], un, D)
+            first = low.get(key)
+            if first is None:
+                low[key] = i
+                totals[key] = blocked[i] + blocked[j]
+            elif first == i:
+                totals[key] += blocked[j]
+            if cuts is not None:
+                cuts.setdefault(i, []).append((un, D))
+                cuts.setdefault(j, []).append((vn, D))
+        return totals
+
+    def crossings(self):
+        """{point key (xn, yn, den): darkness} at every crossing, in the
+        order of _walk; built once, callers must not change it."""
         if self._crossings is None:
-            points = {}
-            events = {}
-            for i, j, un, vn, D in _pair_hits(self.pieces):
-                points.setdefault(_point_key(self.pieces[i], un, D), set()).update((i, j))
-                events.setdefault(i, []).append((un, D))
-                events.setdefault(j, []).append((vn, D))
-            self._crossings = (points, events)
+            self._crossings = self._walk()
         return self._crossings
+
+    def cuts(self):
+        """{piece index: crossing parameters as (num, den), den > 0}.
+
+        Only the sampler's candidates need them.  On an analysis that has
+        no crossings yet, the one walk that finds them also finds the
+        crossings; an analysis that a certificate already scanned walks
+        the pairs a second time.
+        """
+        if self._cuts is None:
+            cuts = {}
+            self._crossings = self._walk(cuts)
+            self._cuts = cuts
+        return self._cuts
 
     # -- candidate enumeration -------------------------------------------
     def point_candidates(self):
-        """(darkness, xn, yn, den, contributions) at every crossing, in the
-        order crossings() found them, then at every guard point.  Built
-        once; callers must not change the list.
+        """(darkness, xn, yn, den) at every crossing, in crossings() order,
+        then at every guard point.  Built once; callers must not change
+        the list.
 
         No guard lies on a piece of a line it is not a member of (it would
         be a member), and pieces are open at their own members, so a
-        crossing is never a guard position.  Every line with a positive
-        count there then has exactly one piece through it, and _pair_hits
-        pairs the lowest-indexed of those pieces with each of the others,
-        so crossings() records them all: the darkness is the sum of their
-        `blocked`, and the contributions (line_id, blocked) sorted by
-        line_id are the list darkness_at_scaled returns.  Only the g guard
-        points need a rescan over all lines.
+        crossing is never a guard position: its darkness is the total that
+        crossings() summed from the blocked counts of its pieces.  A guard
+        point lies on exactly the lines it is a member of, and on each it
+        is dark to every member but its nearest neighbour on either side:
+        darkness_at_scaled's count at a member.
         """
         if self._point_candidates is None:
-            points, _ = self.crossings()
-            out = []
-            for key, ids in points.items():
-                contr = sorted([(self.pieces[k][8], self.pieces[k][7]) for k in ids])
-                out.append((sum([cnt for _, cnt in contr]), *key, contr))
-            for x, y in zip(self.scene.gx, self.scene.gy):
-                total, contr = self.darkness_at_scaled(x, y, 1)
-                out.append((total, x, y, 1, contr))
+            out = [(total, *key) for key, total in self.crossings().items()]
+            dark = [0] * len(self.guards)
+            for _, _, _, members in self.lines:
+                last = len(members) - 1
+                for k, (_, i) in enumerate(members):
+                    dark[i] += last - (k > 0) - (k < last)
+            out += [(d, x, y, 1) for d, x, y in zip(dark, self.scene.gx, self.scene.gy)]
             self._point_candidates = out
         return self._point_candidates
 
     def candidates(self):
-        """(darkness, xn, yn, den, contributions) over the complete
-        candidate set: crossings, guard points, piece representatives.
+        """(darkness, xn, yn, den) over the complete candidate set:
+        crossings, guard points, piece representatives.
 
-        Crossings and guard points come from point_candidates, shared
-        with max_darkness.  Every piece is then subdivided at its crossing
-        parameters, with one representative per sub-piece.  max_darkness
-        needs none of that (a piece at the top level has no crossings);
-        the full set is for the sampler, which needs every point.
+        Every piece is subdivided at its crossing parameters (cuts()),
+        with one representative per sub-piece.  max_darkness needs none of
+        that (a piece at the top level has no crossings); the full set is
+        for the sampler, which needs every point.
         """
-        _, events = self.crossings()
+        cuts = self.cuts()
         out = list(self.point_candidates())
         # Darkness at a sub-piece point is exactly the piece's blocked
         # count: after subdividing at every crossing parameter no other
@@ -739,14 +774,17 @@ class _Analysis:
         # on a piece at all (a guard collinear with a line's members would
         # itself be a member).
         for idx, piece in enumerate(self.pieces):
-            blocked, line_id = piece[7], piece[8]
-            for key in _sub_piece_points(piece, events.get(idx, ())):
-                out.append((blocked, *key, [(line_id, blocked)]))
+            blocked = piece[7]
+            for key in _sub_piece_points(piece, cuts.get(idx, ())):
+                out.append((blocked, *key))
         return out
 
-    def witness_from(self, total, xn, yn, den, contr) -> DarknessWitness:
-        """The witness at (xn/den, yn/den); GuardLine objects are built for
-        the contributing lines only."""
+    def witness_from(self, xn, yn, den) -> DarknessWitness:
+        """The witness at (xn/den, yn/den): its darkness and contributions
+        are darkness_at_scaled's, and GuardLine objects are built for the
+        contributing lines only.  Candidates carry a total alone, so this
+        one rescan per reported point builds the breakdown."""
+        total, contr = self.darkness_at_scaled(xn, yn, den)
         lines = _guard_lines([self.lines[line_id] for line_id, _ in contr], self.guards)
         point = self.scene.unscale(xn, yn, den)
         return DarknessWitness(point, total, [(gl, cnt) for gl, (_, cnt) in zip(lines, contr)])
@@ -771,23 +809,23 @@ def max_darkness(region: Region, guards) -> DarknessWitness:
     darkness, since every sub-piece point has darkness equal to its
     piece's blocked count.  Top-level pieces have no crossings: a crossing
     on a piece has darkness >= its blocked count + 1, so a piece with
-    blocked == top has no crossing events and its only candidate is the
-    one point of _sub_piece_points(piece, ()).  Only the candidates at top
+    blocked == top has no crossings and its only candidate is the one
+    point of _sub_piece_points(piece, ()).  Only the candidates at top
     need the tie-break, which takes the lexicographically smallest point
     (the first in the order crossings, guards, pieces on equal points), so
-    the certificate does not depend on guard ordering.
+    the certificate does not depend on guard ordering.  The crossings
+    need no cuts, and only the winner gets its per-line breakdown.
     """
     analysis = _analysis(region, GuardSet.coerce(guards))
     cands = analysis.point_candidates()
     top = max([c[0] for c in cands] + [p[7] for p in analysis.pieces])
-    at_top = [c for c in cands if c[0] == top]
-    at_top += [(top, *_sub_piece_points(p, ())[0], [(p[8], top)])
-               for p in analysis.pieces if p[7] == top]
+    at_top = [c[1:] for c in cands if c[0] == top]
+    at_top += [_sub_piece_points(p, ())[0] for p in analysis.pieces if p[7] == top]
     best = at_top[0]
     for c in at_top[1:]:
         # lexicographic (x, y) order, cross-multiplied: every den is > 0
-        dx = c[1] * best[3] - best[1] * c[3]
-        if dx < 0 or (dx == 0 and c[2] * best[3] < best[2] * c[3]):
+        dx = c[0] * best[2] - best[0] * c[2]
+        if dx < 0 or (dx == 0 and c[1] * best[2] < best[1] * c[2]):
             best = c
     return analysis.witness_from(*best)
 
@@ -802,8 +840,7 @@ def darkness_at(region: Region, guards, p: Point2) -> DarknessWitness:
     xq, yq = p.x * s, p.y * s
     den = lcm(xq.denominator, yq.denominator)
     xn, yn = int(xq * den), int(yq * den)
-    total, contr = analysis.darkness_at_scaled(xn, yn, den)
-    return analysis.witness_from(total, xn, yn, den, contr)
+    return analysis.witness_from(xn, yn, den)
 
 
 def min_depth(region: Region, guards) -> DepthCertificate:
@@ -820,7 +857,8 @@ def has_j_dark(region: Region, guards, j: int):
     whose own blocked count reaches j settles it at once; otherwise the
     first of the guard points, then the crossings of point_candidates
     (in crossings() order, that of a row-by-row walk of the pair scan)
-    at darkness >= j is the witness.
+    at darkness >= j is the witness, the one point rescanned for its
+    per-line breakdown.
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
@@ -829,17 +867,15 @@ def has_j_dark(region: Region, guards, j: int):
     # pieces whose own blocked count already reaches j
     for piece in analysis.pieces:
         if piece[7] >= j:
-            key = _sub_piece_points(piece, ())[0]
-            total, contr = analysis.darkness_at_scaled(*key)
-            return True, analysis.witness_from(total, *key, contr)
+            return True, analysis.witness_from(*_sub_piece_points(piece, ())[0])
 
     # guard positions (3+ collinear guards darken the middle ones' spots),
     # then the crossings where darkness stacks up
     cands = analysis.point_candidates()
-    crossings = len(analysis.crossings()[0])
+    crossings = len(analysis.crossings())
     for cand in cands[crossings:] + cands[:crossings]:
         if cand[0] >= j:
-            return True, analysis.witness_from(*cand)
+            return True, analysis.witness_from(*cand[1:])
     return False, None
 
 

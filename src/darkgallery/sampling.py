@@ -29,7 +29,9 @@ every batch size and coordinate scale: a float pass whose only verdicts
 are strict comparisons against a certified error margin, then one
 integer kernel for whatever it leaves open.  A NaN, an inf, or any value
 once a product could overflow (the margin is then infinite) decides
-nothing.  ``_wall_free`` decides whether a segment stays inside,
+nothing; a frame past the float range divides its float columns by a
+power of two, which changes no verdict, so that this never happens to
+its own points.  ``_wall_free`` decides whether a segment stays inside,
 ``_between`` whether a guard blocks it, and ``geometry._locate`` (which
 ``SimplePolygon.where`` reads too) decides membership.  ``visible`` and
 ``depth_at_sample`` are that kernel on one pair and one sample.
@@ -73,13 +75,20 @@ _RANDOM_GRID = 1 << 20
 # so anything larger than M^2 * 2^-46 in magnitude has the true sign.
 _CERT_SHIFT = 46
 
+# A frame whose largest coordinate may pass 2^(_FLOAT_BITS + 1) could
+# overflow 16*M*M, the test of _bound, and would leave every verdict to
+# the integer kernel; its float columns are divided by a power of two
+# instead (_Frame.unit).  Every sign test and margin of the float pass
+# scales by that power exactly, so the verdicts do not change.
+_FLOAT_BITS = 508
+
 
 def _columns(frame: "_Frame", pts):
-    """Float columns (x, y), in the polygon's own units, of the frame's
-    integer pairs or homogeneous samples (X, Y, W): each value is
-    X / (W * scale) correctly rounded, the float of the coordinate it
-    stands for."""
-    s = frame.scale
+    """Float columns (x, y) of the frame's integer pairs or homogeneous
+    samples (X, Y, W): each value is X / (W * unit) correctly rounded,
+    the float of the coordinate it stands for in the polygon's own units,
+    divided by unit / scale (a power of two, 1 below 2^_FLOAT_BITS)."""
+    s = frame.unit
     xs = []
     ys = []
     for p in pts:
@@ -95,6 +104,8 @@ def _bound(*columns) -> float:
     An orientation value built from these columns is at most 8*M^2.
     When that could overflow (or a coordinate already rounded to +-inf),
     M is inf, so every margin is inf and no float verdict is certain.
+    The frame's unit keeps its own points below that, so only a given
+    sample far outside the polygon can reach it.
     """
     m = max(1.0, *(float(np.abs(c).max(initial=0.0)) for c in columns))
     return m if 16.0 * m * m < inf else inf
@@ -151,8 +162,7 @@ def _depths(frame: "_Frame", samples) -> List[int]:
     Preconditions: every sample lies in the closed polygon and the
     frame's points are the guards, validated by the caller.  The float
     pass certifies the clear wall crossings, clear misses, and clear
-    non-collinearities; every pair it cannot certify, which is every pair
-    once a value could leave the float range, is re-decided by the
+    non-collinearities; every pair it cannot certify is re-decided by the
     integer kernel.
     """
     guards = frame.ints
@@ -221,9 +231,12 @@ class _Frame:
     times scale, as integer pairs, and ``convex`` tells whether P is a
     ConvexPolygon.  ``sample(p)`` gives homogeneous integers (X, Y, W),
     W > 0, with (X/W, Y/W) = scale * p, and ``point`` maps them back.
+    ``unit`` divides the frame's integers into the float columns: scale,
+    or past the float range (_FLOAT_BITS) scale times the power of two
+    that brings the largest coordinate into (1, 4).
     """
 
-    __slots__ = ("scale", "walls", "ints", "convex")
+    __slots__ = ("scale", "walls", "ints", "convex", "unit")
 
     def __init__(self, P: AnyPolygon, pts: Sequence[Point2]):
         base, walls = (P.scale, P.ints) if isinstance(P, SimplePolygon) else _integers(P.vertices)
@@ -231,6 +244,10 @@ class _Frame:
         f = self.scale // base
         self.walls = [(x * f, y * f) for x, y in walls]
         self.convex = isinstance(P, ConvexPolygon)
+        # the largest coordinate lies in (2^(bits-1), 2^(bits+1))
+        top = max(max(abs(x), abs(y)) for x, y in self.walls + self.ints)
+        bits = top.bit_length() - self.scale.bit_length()
+        self.unit = self.scale << (bits - 1) if bits > _FLOAT_BITS else self.scale
 
     def sample(self, p: Point2):
         return _homogeneous(p, self.scale)
@@ -393,7 +410,7 @@ def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
     region = ConvexPolygon([pts[i] for i in _hull_corners(frame.walls + frame.ints)])
     analysis = _Analysis(region, gset)
     f = frame.scale // analysis.scene.scale
-    cands = [(xn * f, yn * f, den) for _total, xn, yn, den, _contr in analysis.candidates()]
+    cands = [(xn * f, yn * f, den) for _total, xn, yn, den in analysis.candidates()]
     out = [c for c, ok in zip(cands, _contains_mask(frame, cands)) if ok]
     out.sort(key=_XY)
     return out

@@ -4,11 +4,13 @@ These deliberately share no code with the library's verifier: darkness is
 recounted from the definition (a guard is blocked from p exactly when some
 other guard stands strictly between), lines are regrouped pairwise, and
 maxima are found by exhaustive evaluation at every combinatorial event.
-Two exceptions: pair_hits_oracle runs the library's exact crossing test
+Three exceptions: pair_hits_oracle runs the library's exact crossing test
 on every pair, so that what it checks is the pair scan's filtering (the
 darkness oracles check that crossing test itself); has_j_dark_oracle
 walks those pairs row by row on the library's pieces, so that what it
-checks is the order in which has_j_dark reads the shared candidates.
+checks is the order in which has_j_dark reads the shared candidates; and
+crossings_oracle walks them too, keeping the piece set of every crossing
+where the library keeps only a total.
 The simple-polygon predicates (membership, validation, segment-inside,
 visibility, depth), the convex hull, the sampler's glue (sub-piece
 points, suspicious points, grid and random samples, deduplication) and
@@ -29,9 +31,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from darkgallery.darkness import (
+    DarknessWitness,
     GuardSet,
     _Analysis,
     _confirm,
+    _guard_lines,
     _pair_hits,
     _point_key,
     _sub_piece_points,
@@ -290,6 +294,30 @@ def pair_hits_oracle(pieces):
                 yield (i, j) + hit
 
 
+def crossings_oracle(pieces):
+    """(points, events) of every crossing of pieces from distinct lines:
+    points maps each normalized point key (xn, yn, den) to the set of
+    piece indices through it, in the order of its first hit; events maps
+    a piece index to its crossing parameters as (num, den) pairs with
+    den > 0, in hit order.  The library's former crossings() body, on
+    pair_hits_oracle; the library now keeps only each key's total."""
+    points = {}
+    events = {}
+    for i, j, un, vn, D in pair_hits_oracle(pieces):
+        points.setdefault(_point_key(pieces[i], un, D), set()).update((i, j))
+        events.setdefault(i, []).append((un, D))
+        events.setdefault(j, []).append((vn, D))
+    return points, events
+
+
+def _witness(analysis, key, contr):
+    """The DarknessWitness at the scaled key with the given contributions
+    [(line_id, count)]: no rescan of the library's."""
+    lines = _guard_lines([analysis.lines[line_id] for line_id, _ in contr], analysis.guards)
+    return DarknessWitness(analysis.scene.unscale(*key), sum(cnt for _, cnt in contr),
+                           [(gl, cnt) for gl, (_, cnt) in zip(lines, contr)])
+
+
 def has_j_dark_oracle(region, guards, j):
     """(found, witness) of has_j_dark by a lazy walk of the pair scan.
 
@@ -304,12 +332,11 @@ def has_j_dark_oracle(region, guards, j):
     for piece in pieces:
         if piece[7] >= j:
             key = _sub_piece_points(piece, ())[0]
-            total, contr = analysis.darkness_at_scaled(*key)
-            return True, analysis.witness_from(total, *key, contr)
+            return True, _witness(analysis, key, analysis.darkness_at_scaled(*key)[1])
     for x, y in zip(analysis.scene.gx, analysis.scene.gy):
         total, contr = analysis.darkness_at_scaled(x, y, 1)
         if total >= j:
-            return True, analysis.witness_from(total, x, y, 1, contr)
+            return True, _witness(analysis, (x, y, 1), contr)
     seen = set()
     for i, hits in groupby(pair_hits_oracle(pieces), key=itemgetter(0)):
         row = {}
@@ -319,9 +346,8 @@ def has_j_dark_oracle(region, guards, j):
                 row.setdefault(key, {i}).add(k)
         for key, ids in row.items():
             contr = sorted([(pieces[k][8], pieces[k][7]) for k in ids])
-            total = sum([cnt for _, cnt in contr])
-            if total >= j:
-                return True, analysis.witness_from(total, *key, contr)
+            if sum([cnt for _, cnt in contr]) >= j:
+                return True, _witness(analysis, key, contr)
         seen.update(row)
     return False, None
 
@@ -591,8 +617,8 @@ def suspicious_points_oracle(P, guards: Sequence[Point2]) -> List[Point2]:
     gset = GuardSet(guards)
     hull = convex_hull_oracle(list(P.vertices) + list(gset.guards))
     analysis = _Analysis(ConvexPolygon(hull.corners), gset)
-    _, events = analysis.crossings()
-    keys = [c[1:4] for c in analysis.point_candidates()]
+    points, events = crossings_oracle(analysis.pieces)
+    keys = list(points) + [(x, y, 1) for x, y in zip(analysis.scene.gx, analysis.scene.gy)]
     for idx, piece in enumerate(analysis.pieces):
         keys += sub_piece_points_oracle(piece, events.get(idx, ()))
     cands = [analysis.scene.unscale(*key) for key in keys]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darkgallery import cli, darkness
-from darkgallery.construct import place_4n_minus_2
+from darkgallery.construct import place_4n_minus_2, place_general_position
 from darkgallery.darkness import (
     GuardSet,
     boundary_census,
@@ -35,6 +35,8 @@ from darkgallery.darkness import (
 from darkgallery.documents import PlacementDocument, region_to_dict
 from darkgallery.fixtures import builtin_fixture
 from darkgallery.geometry import ConvexPolygon, Point2, Wedge, centroid
+from darkgallery.sampling import sample_depth
+from darkgallery.simple import comb_cover, make_comb
 
 import oracles
 from conftest import (
@@ -439,7 +441,7 @@ def test_box_edge_scene_touches_only_at_the_unique_maximum():
     analysis = darkness._Analysis(region, GuardSet(guards))
     top = [c for c in analysis.candidates() if c[0] >= 4]
     assert [(c[0], analysis.scene.unscale(*c[1:4])) for c in top] == [(4, Point2(6, 12))]
-    points, _ = analysis.crossings()
+    points, _ = oracles.crossings_oracle(analysis.pieces)
     i, j = sorted(points[top[0][1:4]])
     _, _, _, _, lox, hix, _, _ = darkness._piece_boxes(analysis.pieces)
     assert analysis.pieces[i][8] != analysis.pieces[j][8]
@@ -571,9 +573,10 @@ def test_box_prefilter_survives_coordinates_past_the_float_range():
 
 # --- crossing darkness -------------------------------------------------------
 #
-# max_darkness reads a crossing's darkness off the pieces recorded through
-# it and evaluates only the pieces at the top level; these tests pin the
-# facts that make this exact.
+# The pair scan keeps one total per crossing, summed from the blocked
+# counts of the pieces through it; max_darkness evaluates only the pieces
+# at the top level, and only the reported point gets its per-line
+# breakdown.  These tests pin the facts that make this exact.
 
 
 @functools.lru_cache(maxsize=None)
@@ -603,6 +606,14 @@ def concurrent_star():
     return region, [Point2(a * t, b * t) for (a, b), ts in steps for t in ts]
 
 
+@functools.lru_cache(maxsize=None)
+def general_position_20():
+    """20 guards of place_general_position in a random 8-gon: 380 dark
+    rays, every crossing on exactly two of them."""
+    P = random_convex_polygon(random.Random(1), 8)
+    return P, list(place_general_position(P, 20))
+
+
 INVARIANT_SCENES = sorted(BRANCH_SCENES) + ["lattice-8gon", "4n-2"]
 
 
@@ -619,32 +630,76 @@ def test_crossings_know_their_darkness(scene):
     region, guards = invariant_scene(scene)
     analysis = darkness._Analysis(region, GuardSet(guards))
     assert_scan_matches_the_oracle(analysis.pieces)
-    points, events = analysis.crossings()
+    points = analysis.crossings()
     cands = analysis.point_candidates()
-    assert [c[1:4] for c in cands[:len(points)]] == list(points)
-    # the darkness read off the recorded pieces is the full rescan: the
-    # same total and the same contributions list, over at least two
-    # distinct lines sorted by line id (INVARIANT_SCENES holds every
-    # BRANCH_SCENES entry)
-    for total, xn, yn, den, contr in cands[:len(points)]:
-        assert (total, contr) == analysis.darkness_at_scaled(xn, yn, den)
+    assert [c[1:] for c in cands[:len(points)]] == list(points)
+    # the total summed from the pieces is the full rescan's and the
+    # definition's, at a point of at least two distinct lines, where the
+    # rescan's contributions are sorted by line id and sum to it
+    # (INVARIANT_SCENES holds every BRANCH_SCENES entry)
+    for total, xn, yn, den in cands[:len(points)]:
+        rescan, contr = analysis.darkness_at_scaled(xn, yn, den)
+        assert total == rescan == oracles.darkness_oracle(
+            guards, analysis.scene.unscale(xn, yn, den))
         ids = [line_id for line_id, _ in contr]
         assert len(ids) >= 2 and ids == sorted(set(ids))
         assert total == sum(cnt for _, cnt in contr)
+    # the guard points' counts over their lines are the rescan's too
+    for total, x, y, den in cands[len(points):]:
+        assert total == analysis.darkness_at_scaled(x, y, den)[0]
     top = max([c[0] for c in cands] + [p[7] for p in analysis.pieces])
-    # the witness is the smallest point at top of the complete set
+    # the witness is the smallest point at top of the complete set, and
+    # its contributions are the rescan's list at that point
     w = max_darkness(region, guards)
-    full = [analysis.scene.unscale(xn, yn, den)
-            for total, xn, yn, den, _ in analysis.candidates() if total == top]
+    full = [(analysis.scene.unscale(xn, yn, den), (xn, yn, den))
+            for total, xn, yn, den in analysis.candidates() if total == top]
+    point, key = min(full, key=lambda c: (c[0].x, c[0].y))
     assert w.darkness == top
-    assert w.point == min(full, key=lambda p: (p.x, p.y))
+    assert w.point == point
+    rescan, contr = analysis.darkness_at_scaled(*key)
+    assert rescan == top
+    assert [(tuple(gl.member_indices), cnt) for gl, cnt in w.contributing_lines] == \
+        [(tuple(i for _, i in analysis.lines[line_id][3]), cnt) for line_id, cnt in contr]
     at_top = [idx for idx, p in enumerate(analysis.pieces) if p[7] == top]
     # top-level pieces have no crossings
-    assert not any(idx in events for idx in at_top)
+    cuts = analysis.cuts()
+    assert not any(idx in cuts for idx in at_top)
     if scene == "lattice-8gon":
         assert len(analysis.pieces) >= 48 and len(points) > 200 and top > 2
     if scene == "4n-2":
         assert not points and top == 1 and len(at_top) == len(analysis.pieces)
+
+
+DIFFERENTIAL_SCENES = {"concurrent-star": concurrent_star, "general-position-20": general_position_20,
+                       "guard-corner": lambda: guard_corner()}
+
+
+@pytest.mark.parametrize("scene", INVARIANT_SCENES + sorted(DIFFERENTIAL_SCENES))
+def test_crossing_totals_match_the_piece_sets(scene):
+    # the former crossings() body keeps every crossing's piece set and
+    # every piece's crossing parameters; the analysis keeps one total per
+    # key, in the same order, and builds the same candidates from one walk
+    region, guards = DIFFERENTIAL_SCENES.get(scene, lambda: invariant_scene(scene))()
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    pieces = analysis.pieces
+    points, events = oracles.crossings_oracle(pieces)
+    totals = analysis.crossings()
+    assert list(totals) == list(points)
+    assert list(totals.values()) == [sum(pieces[k][7] for k in ids) for ids in points.values()]
+
+    fresh = darkness._Analysis(region, GuardSet(guards))
+    want = [(sum(pieces[k][7] for k in ids), *key) for key, ids in points.items()]
+    want += [(oracles.darkness_oracle(guards, g), x, y, 1)
+             for g, x, y in zip(guards, fresh.scene.gx, fresh.scene.gy)]
+    for idx, piece in enumerate(pieces):
+        want += [(piece[7], *key)
+                 for key in oracles.sub_piece_points_oracle(piece, events.get(idx, ()))]
+    assert fresh.candidates() == want
+    assert fresh.cuts() == analysis.cuts() == events
+    if scene == "general-position-20":
+        assert len(points) > 1000 and all(len(ids) == 2 for ids in points.values())
+    if scene == "concurrent-star":
+        assert max(len(ids) for ids in points.values()) == 5
 
 
 @pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))
@@ -654,7 +709,7 @@ def test_sub_piece_points_match_the_fraction_midpoints(scene):
     # bounded piece's far end
     region, guards = BRANCH_SCENES[scene]
     analysis = darkness._Analysis(region, GuardSet(guards))
-    _, events = analysis.crossings()
+    events = analysis.cuts()
     for idx, piece in enumerate(analysis.pieces):
         cuts = list(events.get(idx, ()))
         noisy = cuts + [(3 * n, 3 * d) for n, d in reversed(cuts)] + cuts[:1]
@@ -668,10 +723,12 @@ def test_sub_piece_points_match_the_fraction_midpoints(scene):
     assert any(p[4] is None for p in analysis.pieces) == (scene == "wedge")
 
 
-def test_max_darkness_rescans_only_the_guard_points(monkeypatch):
+def test_max_darkness_rescans_only_the_witness(monkeypatch):
+    # guard points are counted from their lines and crossings summed from
+    # their pieces: the reported witness is the one point rescanned
     region, guards = lattice_octagon()
     analysis = darkness._Analysis(region, GuardSet(guards))
-    points, _ = analysis.crossings()
+    points = analysis.crossings()
 
     calls = []
     rescan = darkness._Analysis.darkness_at_scaled
@@ -683,8 +740,8 @@ def test_max_darkness_rescans_only_the_guard_points(monkeypatch):
     monkeypatch.setattr(darkness._Analysis, "darkness_at_scaled", spy)
     w = max_darkness(region, guards)
     assert len(points) > 10 * len(guards)
-    assert len(calls) == len(guards)
-    assert not set(calls) & set(points)
+    assert len(calls) == 1 and calls[0] in points
+    assert analysis.scene.unscale(*calls[0]) == w.point
     assert oracles.darkness_oracle(guards, w.point) == w.darkness
 
 
@@ -692,7 +749,7 @@ def test_max_darkness_rescans_only_the_guard_points(monkeypatch):
 def test_has_j_dark_reads_crossing_darkness(monkeypatch, scene):
     region, guards = scene()
     analysis = darkness._Analysis(region, GuardSet(guards))
-    points, _ = analysis.crossings()
+    points = analysis.crossings()
     dark = {key: oracles.darkness_oracle(guards, analysis.scene.unscale(*key))
             for key in points}
     top = max(dark.values())
@@ -714,14 +771,18 @@ def test_has_j_dark_reads_crossing_darkness(monkeypatch, scene):
     for j in range(3, top + 2):
         calls.clear()
         found, witness = has_j_dark(region, guards, j)
-        assert not set(calls) & set(points), j
+        # one rescan, at the reported witness, and none without one
+        rescanned = [key for key in calls if key in points]
         assert found == (j <= top), j
         if not found:
+            assert not calls, j
             continue
         assert oracles.darkness_oracle(guards, witness.point) == witness.darkness >= j
+        assert [analysis.scene.unscale(*key) for key in calls] == [witness.point], j
         if j > below:
             first = next(key for key in points if dark[key] >= j)
             assert witness.point == analysis.scene.unscale(*first), j
+            assert rescanned == [first], j
 
 
 def witness_facts(witness):
@@ -788,6 +849,39 @@ def test_queries_on_one_guard_set_share_one_analysis(count_scans):
     assert has_j_dark(region, gs, 2) == (False, None)
     assert has_j_dark(region, gs, 3) == (False, None)
     assert scan_counts == {"builds": 1, "scans": 1}
+
+
+def test_certificates_scan_once_and_keep_only_totals(count_scans):
+    # crossings here stack up to darkness 5, so the walk sums totals over
+    # several hits per key; no per-piece crossing parameters are kept
+    region, guards = concurrent_star()
+    gs = GuardSet(guards)
+    scan_counts = count_scans()
+    assert min_depth(region, gs).max_darkness == 5
+    assert has_j_dark(region, gs, 2)[0] and has_j_dark(region, gs, 3)[0]
+    assert scan_counts == {"builds": 1, "scans": 1}
+    assert gs._analysis._cuts is None
+    assert all(type(total) is int for total in gs._analysis.crossings().values())
+
+
+def test_candidates_first_scans_once(count_scans):
+    region, guards = lattice_octagon()
+    scan_counts = count_scans()
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    cands = analysis.candidates()
+    analysis.point_candidates()
+    analysis.crossings()
+    assert scan_counts == {"builds": 1, "scans": 1}
+    assert len(cands) > len(analysis.crossings()) + len(guards)
+
+
+def test_sample_depth_scans_once(count_scans):
+    comb = make_comb(3)
+    gs = comb_cover(comb, 4)
+    scan_counts = count_scans()
+    report = sample_depth(comb.polygon, gs, sampler=("grid", 6))
+    assert scan_counts == {"builds": 1, "scans": 1}
+    assert len(report.samples) > len(comb.polygon.vertices) + len(gs)
 
 
 def test_exact_verify_scans_once_for_every_j(count_scans, tmp_path, capsys):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from math import inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -315,12 +317,17 @@ def test_an_overflowing_product_defers_to_the_exact_test():
     # a finite float below 2^512, so M^2 is finite, but one product of the
     # float collinearity value of (q, h, p) rounds to inf (a search found
     # these coordinates and t = 3/11).  Only a margin made infinite by the
-    # overflow bound keeps that "certain" inf from unblocking q.
+    # overflow bound keeps that "certain" inf from unblocking q.  A frame
+    # this large divides its float columns by a power of two (unit), so
+    # the batch forms no inf here and must still find the blocker.
     C = 2 ** 512 - 2 ** 459
     q, p = Point2(-C, -16513198633691819 * 2 ** 458), Point2(C, 16513198633691819 * 2 ** 458)
     h = q + (p - q) * Fraction(3, 11)
     square = ConvexPolygon([Point2(-C, -C), Point2(C, -C), Point2(C, C), Point2(-C, C)])
     gs = GuardSet([q, h])
+    assert sampling._bound(np.array([float(C)])) == inf
+    frame = _Frame(square, gs.guards)
+    assert frame.unit > frame.scale
     assert depth_at_sample(square, gs, p) == 1
     exact = [oracles.depth_at_sample_oracle(square, gs.guards, s) for s in (p, q, h)]
     assert batch_depths(square, gs, [p, q, h]) == exact
@@ -484,6 +491,36 @@ def test_reports_match_the_fraction_glue(name, factor):
         report = sample_depth(P, gs, sampler=sampler)
         assert report.samples == oracles.sample_depth_oracle(P, gs.guards, sampler, depth=depth)
     assert len(report.samples) > len(P.vertices) + len(gs)
+
+
+def test_the_float_pass_settles_the_same_pairs_past_the_float_range(monkeypatch):
+    # past 2^508 a frame divides its float columns by a power of two:
+    # every sign test and margin scales by it exactly, so the float pass
+    # leaves the integer kernel the same pairs as at scale 1
+    comb = make_comb(3)
+    gs = comb_cover(comb, 4)
+    calls = {}
+    for name in ("_between", "_wall_free"):
+        def counted(*args, _name=name, _real=getattr(sampling, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(sampling, name, counted)
+
+    def run(factor):
+        P, gsb, _ = _scaled(comb.polygon, gs.guards, [], factor)
+        frame = _Frame(P, gsb.guards)
+        calls.clear()
+        report = sample_depth(P, gsb)
+        return frame.unit // frame.scale, dict(calls), [d for _, d in report.samples]
+
+    shift, base_calls, base_depths = run(1)
+    assert shift == 1 and base_calls["_between"] > 0 and base_calls["_wall_free"] > 0
+    assert len(base_depths) > 1000
+    for factor in (2 ** 520, 2 ** 1100):
+        shift, got_calls, got_depths = run(factor)
+        assert shift > factor // 2 ** 8
+        assert got_calls == base_calls
+        assert got_depths == base_depths
 
 
 @pytest.mark.parametrize("P", [L_HEXAGON, make_comb(3).polygon], ids=["L-hexagon", "comb-s3"])
