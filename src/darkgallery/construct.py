@@ -36,13 +36,13 @@ from .geometry import (
     Line,
     Point2,
     Wedge,
+    _forward_step,
     centroid,
     convex_hull,
     halfplane_intersection,
     lerp,
     line_intersection,
     midpoint,
-    primitive_direction,
     strictly_between,
 )
 
@@ -479,12 +479,6 @@ def place_4n_minus_2(P: ConvexPolygon):
 
 # ---------------------------------------------------------------------------
 # general position: no 3 collinear guards, no 3 concurrent guard lines
-
-
-def _forward_step(d: Point2) -> Point2:
-    """Primitive integer vector pointing the same way as d."""
-    step = primitive_direction(d)
-    return step if step.dot(d) > 0 else Point2(-step.x, -step.y)
 
 
 class _StreamPlacer:

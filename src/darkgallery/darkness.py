@@ -9,23 +9,24 @@ a closed convex region (polygon or wedge).
 Strategy: all guards blocked from p lie on lines through p that carry at
 least two guards, so darkness is a sum of per-line counts that are
 piecewise constant along each line.  The verifier scales the whole scene
-to integer coordinates, enumerates the "dark portions" of every line
-carrying >= 2 guards and clips them to the region as pieces.  A complete
-set of candidate points is every pairwise crossing of pieces from
-distinct lines, every guard position, and one representative per
-crossing-free sub-piece.  Three facts let the maximum skip most of it:
-a crossing is never a guard position and carries exactly one piece of
-each line dark there, so its darkness is a running total that the walk
-of the pair scan sums from the blocked counts of its lowest piece and of
-each piece that piece meets there (a guard point's darkness is a count
-over the lines it is a member of); a piece whose blocked count is the
-maximum has no crossing on it, so its one representative is its only
-candidate; and only the candidates at the maximum enter the
-lexicographic tie-break.  A candidate keeps its total alone: the
-per-line breakdown is rescanned for the one reported witness.  The
-j-dark queries read the same candidates: one analysis, built on the
-first query in a region and held on the GuardSet, serves every query on
-that guard set.
+to integer coordinates once, in a ``geometry._Frame`` (the frame the
+sampler uses too; this module reads no denominator itself), enumerates
+the "dark portions" of every line carrying >= 2 guards and clips them to
+the region's integer halfplanes as pieces.  A complete set of candidate
+points is every pairwise crossing of pieces from distinct lines, every
+guard position, and one representative per crossing-free sub-piece.
+Three facts let the maximum skip most of it: a crossing is never a guard
+position and carries exactly one piece of each line dark there, so its
+darkness is a running total that the walk of the pair scan sums from the
+blocked counts of its lowest piece and of each piece that piece meets
+there (a guard point's darkness is a count over the lines it is a member
+of); a piece whose blocked count is the maximum has no crossing on it,
+so its one representative is its only candidate; and only the candidates
+at the maximum enter the lexicographic tie-break.  A candidate keeps its
+total alone: the per-line breakdown is rescanned for the one reported
+witness.  The j-dark queries read the same candidates: one analysis,
+built on the first query in a region and held on the GuardSet, serves
+every query on that guard set.
 
 One pair scan (`_pair_hits`) finds every crossing, for the certificates,
 the j-dark queries and the concurrency check alike.  It takes one path at
@@ -40,17 +41,21 @@ with exact big-integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf
 from typing import List, Sequence, Union
 
 import numpy as np
 
 from .geometry import (
     _RATIO,
+    _XY,
     ConvexPolygon,
     Line,
     Point2,
     Wedge,
+    _forward_step,
+    _Frame,
+    _integers,
     on_segment,
     primitive_direction,
     strictly_between,
@@ -206,72 +211,30 @@ class BoundaryCensus:
 
 
 # ---------------------------------------------------------------------------
-# scene scaling: everything becomes integers
+# the region in its frame's integers
 
 
-def _coord_denominators(region, guards):
-    dens = []
+def _halfplanes(region, walls):
+    """The closed region as integer halfplanes a*x + b*y >= c, given the
+    walls of its frame: a polygon's ccw edges, a wedge's two rays from its
+    apex, and none for the whole plane (None)."""
     if isinstance(region, ConvexPolygon):
-        for v in region.vertices:
-            dens.append(v.x.denominator)
-            dens.append(v.y.denominator)
-    elif isinstance(region, Wedge):
-        dens.append(region.apex.x.denominator)
-        dens.append(region.apex.y.denominator)
-    elif region is not None:
-        raise TypeError("region must be ConvexPolygon or Wedge, got %r" % (region,))
-    for g in guards:
-        dens.append(g.x.denominator)
-        dens.append(g.y.denominator)
-    return dens
-
-
-def _scaled_guards(guards, region=None):
-    """(scale, gx, gy): the guards times the lcm of every coordinate
-    denominator of the guards and the region, as integer lists."""
-    scale = lcm(*_coord_denominators(region, guards))
-    return scale, [int(g.x * scale) for g in guards], [int(g.y * scale) for g in guards]
-
-
-def _int_direction(d: Point2):
-    """Reduce a rational direction to primitive integers, same orientation."""
-    m = lcm(d.x.denominator, d.y.denominator)
-    ix, iy = int(d.x * m), int(d.y * m)
-    g = gcd(ix, iy)
-    return ix // g, iy // g
-
-
-class _Scene:
-    """Region and guards rescaled by a common factor to integer coords."""
-
-    __slots__ = ("scale", "gx", "gy", "halfplanes", "region")
-
-    def __init__(self, region, guards):
-        self.region = region
-        s, self.gx, self.gy = _scaled_guards(guards, region)
-        self.scale = s
         hps = []
-        if isinstance(region, ConvexPolygon):
-            vs = [(int(v.x * s), int(v.y * s)) for v in region.vertices]
-            n = len(vs)
-            for i in range(n):
-                (px, py), (qx, qy) = vs[i], vs[(i + 1) % n]
-                a = py - qy
-                b = qx - px
-                hps.append((a, b, a * px + b * py))
-        elif isinstance(region, Wedge):
-            ax, ay = int(region.apex.x * s), int(region.apex.y * s)
-            # reduce edge directions to primitive integers, keeping their
-            # orientation (the sign decides which side is inside)
-            d1x, d1y = _int_direction(region.dir1)
-            d2x, d2y = _int_direction(region.dir2)
-            hps.append((-d1y, d1x, -d1y * ax + d1x * ay))
-            hps.append((d2y, -d2x, d2y * ax - d2x * ay))
-        self.halfplanes = hps
-
-    def unscale(self, xn, yn, den) -> Point2:
-        s = self.scale
-        return Point2(Fraction(xn, den * s), Fraction(yn, den * s))
+        for (px, py), (qx, qy) in zip(walls, walls[1:] + walls[:1]):
+            a = py - qy
+            b = qx - px
+            hps.append((a, b, a * px + b * py))
+        return hps
+    if isinstance(region, Wedge):
+        (ax, ay), = walls
+        # primitive integer edge directions keep their orientation (the
+        # sign decides which side is inside)
+        d1, d2 = _forward_step(region.dir1), _forward_step(region.dir2)
+        d1x, d1y, d2x, d2y = int(d1.x), int(d1.y), int(d2.x), int(d2.y)
+        return [(-d1y, d1x, -d1y * ax + d1x * ay), (d2y, -d2x, d2y * ax - d2x * ay)]
+    if region is None:
+        return []
+    raise TypeError("region must be ConvexPolygon or Wedge, got %r" % (region,))
 
 
 def _ray_exit(ax, ay, dx, dy, halfplanes):
@@ -296,8 +259,8 @@ def _ray_exit(ax, ay, dx, dy, halfplanes):
 # collinear structure
 
 
-def _group_collinear(gx, gy):
-    """Group guard indices by carrier line.
+def _group_collinear(pts):
+    """Group the indices of integer points (x, y) by carrier line.
 
     Returns a list of (dx, dy, c, members) where (dx, dy) is the primitive
     direction, c = dx*y - dy*x for every point on the line, and members is
@@ -305,11 +268,10 @@ def _group_collinear(gx, gy):
     measured from the lowest-index member.
     """
     lines = {}
-    n = len(gx)
-    for i in range(n):
-        xi, yi = gx[i], gy[i]
-        for j in range(i + 1, n):
-            ux, uy = gx[j] - xi, gy[j] - yi
+    for i, (xi, yi) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            xj, yj = pts[j]
+            ux, uy = xj - xi, yj - yi
             g = gcd(abs(ux), abs(uy))
             ux //= g
             uy //= g
@@ -326,13 +288,12 @@ def _group_collinear(gx, gy):
     out = []
     for (ux, uy, c), members in lines.items():
         idx = sorted(members)
-        a = idx[0]
-        axp, ayp = gx[a], gy[a]
+        axp, ayp = pts[idx[0]]
         withparam = []
         for i in idx:
             # deltas between lattice points of the line are exact integer
             # multiples of its primitive direction
-            t = (gx[i] - axp) // ux if ux != 0 else (gy[i] - ayp) // uy
+            t = (pts[i][0] - axp) // ux if ux != 0 else (pts[i][1] - ayp) // uy
             withparam.append((t, i))
         withparam.sort()
         base = withparam[0][0]  # rebase so the first member sits at t = 0
@@ -355,8 +316,7 @@ def _guard_lines(records, guards) -> List[GuardLine]:
 def collinear_groups(guards) -> List[GuardLine]:
     """Maximal groups of >= 2 collinear guards, each with its carrier."""
     gset = GuardSet.coerce(guards)
-    _, gx, gy = _scaled_guards(gset.guards)
-    return _guard_lines(_group_collinear(gx, gy), gset.guards)
+    return _guard_lines(_group_collinear(_integers(gset.guards)[1]), gset.guards)
 
 
 def dark_portions(line: GuardLine) -> List[DarkPortion]:
@@ -588,7 +548,8 @@ def _sub_piece_points(piece, cuts):
 
 
 class _Analysis:
-    """Scaled scene plus the dark-portion pieces clipped to the region.
+    """The scene in its frame plus the dark-portion pieces clipped to the
+    region.
 
     Each piece (the tuple layout of the pair scan above) is the in-region
     part of one dark portion, re-anchored at a member guard so its
@@ -601,15 +562,16 @@ class _Analysis:
     """
 
     def __init__(self, region: Region, gset: GuardSet):
+        self.region = region
         self.guards = gset.guards
-        self.scene = _Scene(region, gset.guards)
-        gx, gy = self.scene.gx, self.scene.gy
-        hps = self.scene.halfplanes
+        self.frame = _Frame(region, gset.guards)
+        ints = self.frame.ints
+        hps = _halfplanes(region, self.frame.walls)
         # the closed region is the intersection of its scaled halfplanes
-        for g, x, y in zip(gset.guards, gx, gy):
+        for g, (x, y) in zip(gset.guards, ints):
             if any(a * x + b * y < c for a, b, c in hps):
                 raise ValueError("guard %r lies outside the region" % (g,))
-        self.lines = _group_collinear(gx, gy)
+        self.lines = _group_collinear(ints)
         self._crossings = None
         self._cuts = None
         self._point_candidates = None
@@ -626,9 +588,10 @@ class _Analysis:
                 for (t0, i0), (t1, _) in zip(members, members[1:]):
                     spans.append((i0, ux, uy, t1 - t0, m - 2))
             for anchor, dx, dy, length, blocked in spans:
+                ax, ay = ints[anchor]
                 # the anchor lies in the region, so every piece starts open
                 # at its anchoring guard (t = 0) and no piece is a single point
-                hi = _ray_exit(gx[anchor], gy[anchor], dx, dy, hps)
+                hi = _ray_exit(ax, ay, dx, dy, hps)
                 if hi is None:
                     hin = hid = None
                 else:
@@ -638,8 +601,7 @@ class _Analysis:
                     hin, hid, hi_strict = length, 1, True  # open at far guard
                 if hin == 0:
                     continue  # the region ends at the anchoring guard
-                pieces.append(
-                    (gx[anchor], gy[anchor], dx, dy, hin, hid, hi_strict, blocked, line_id))
+                pieces.append((ax, ay, dx, dy, hin, hid, hi_strict, blocked, line_id))
         self.pieces = pieces
 
     # -- darkness at an exact rational point (scaled frame) --------------
@@ -647,14 +609,14 @@ class _Analysis:
         """(darkness, [(line_id, count)]) at the point (xn/den, yn/den)."""
         total = 0
         contributions = []
-        gx, gy = self.scene.gx, self.scene.gy
+        ints = self.frame.ints
         for line_id, (ux, uy, c, members) in enumerate(self.lines):
             if ux * yn - uy * xn != c * den:
                 continue
             m = len(members)
-            a = members[0][1]
+            ax, ay = ints[members[0][1]]
             # parameter of the query along (ux, uy) vs integer member params
-            tn = (xn - gx[a] * den) * ux + (yn - gy[a] * den) * uy
+            tn = (xn - ax * den) * ux + (yn - ay * den) * uy
             td = (ux * ux + uy * uy) * den
             below = 0
             at = False
@@ -753,7 +715,7 @@ class _Analysis:
                 last = len(members) - 1
                 for k, (_, i) in enumerate(members):
                     dark[i] += last - (k > 0) - (k < last)
-            out += [(d, x, y, 1) for d, x, y in zip(dark, self.scene.gx, self.scene.gy)]
+            out += [(d, x, y, 1) for d, (x, y) in zip(dark, self.frame.ints)]
             self._point_candidates = out
         return self._point_candidates
 
@@ -786,7 +748,7 @@ class _Analysis:
         one rescan per reported point builds the breakdown."""
         total, contr = self.darkness_at_scaled(xn, yn, den)
         lines = _guard_lines([self.lines[line_id] for line_id, _ in contr], self.guards)
-        point = self.scene.unscale(xn, yn, den)
+        point = self.frame.point((xn, yn, den))
         return DarknessWitness(point, total, [(gl, cnt) for gl, (_, cnt) in zip(lines, contr)])
 
 
@@ -795,7 +757,7 @@ def _analysis(region: Region, gset: GuardSet) -> _Analysis:
     another region object.  It holds its region, so `is` cannot match a
     new region at a reused address."""
     analysis = gset._analysis
-    if analysis is None or analysis.scene.region is not region:
+    if analysis is None or analysis.region is not region:
         analysis = _Analysis(region, gset)
         object.__setattr__(gset, "_analysis", analysis)
     return analysis
@@ -821,13 +783,7 @@ def max_darkness(region: Region, guards) -> DarknessWitness:
     top = max([c[0] for c in cands] + [p[7] for p in analysis.pieces])
     at_top = [c[1:] for c in cands if c[0] == top]
     at_top += [_sub_piece_points(p, ())[0] for p in analysis.pieces if p[7] == top]
-    best = at_top[0]
-    for c in at_top[1:]:
-        # lexicographic (x, y) order, cross-multiplied: every den is > 0
-        dx = c[0] * best[2] - best[0] * c[2]
-        if dx < 0 or (dx == 0 and c[1] * best[2] < best[1] * c[2]):
-            best = c
-    return analysis.witness_from(*best)
+    return analysis.witness_from(*min(at_top, key=_XY))
 
 
 def darkness_at(region: Region, guards, p: Point2) -> DarknessWitness:
@@ -836,11 +792,7 @@ def darkness_at(region: Region, guards, p: Point2) -> DarknessWitness:
     if not region.contains(p):
         raise ValueError("query point %r lies outside the region" % (p,))
     analysis = _analysis(region, gset)
-    s = analysis.scene.scale
-    xq, yq = p.x * s, p.y * s
-    den = lcm(xq.denominator, yq.denominator)
-    xn, yn = int(xq * den), int(yq * den)
-    return analysis.witness_from(xn, yn, den)
+    return analysis.witness_from(*analysis.frame.sample(p))
 
 
 def min_depth(region: Region, guards) -> DepthCertificate:
@@ -886,8 +838,7 @@ def has_j_dark(region: Region, guards, j: int):
 def find_collinear_triple(guards):
     """Indices of three collinear guards, or None."""
     gset = GuardSet.coerce(guards)
-    _, gx, gy = _scaled_guards(gset.guards)
-    for _, _, _, members in _group_collinear(gx, gy):
+    for _, _, _, members in _group_collinear(_integers(gset.guards)[1]):
         if len(members) >= 3:
             return tuple(i for _, i in members[:3])
     return None
@@ -900,21 +851,21 @@ def find_concurrent_dark_rays(guards):
     for the lexicographically smallest such point, or None.
     """
     gset = GuardSet.coerce(guards)
-    scale, gx, gy = _scaled_guards(gset.guards)
+    frame = _Frame(None, gset.guards)
+    ints = frame.ints
     # each line's two dark rays leave its extreme members, open there,
     # pointing away from the other members: the unbounded pieces of the
     # plane-wide analysis
     rays = []
-    for line_id, (ux, uy, _c, members) in enumerate(_group_collinear(gx, gy)):
-        first, last = members[0][1], members[-1][1]
+    for line_id, (ux, uy, _c, members) in enumerate(_group_collinear(ints)):
+        (fx, fy), (lx, ly) = ints[members[0][1]], ints[members[-1][1]]
         blocked = len(members) - 1
-        rays.append((gx[first], gy[first], -ux, -uy, None, None, False, blocked, line_id))
-        rays.append((gx[last], gy[last], ux, uy, None, None, False, blocked, line_id))
+        rays.append((fx, fy, -ux, -uy, None, None, False, blocked, line_id))
+        rays.append((lx, ly, ux, uy, None, None, False, blocked, line_id))
     points = {}
     for i, j, un, _, D in _pair_hits(rays):
         points.setdefault(_point_key(rays[i], un, D), set()).update((rays[i][8], rays[j][8]))
-    hits = [(Point2(Fraction(xn, den * scale), Fraction(yn, den * scale)), len(ids))
-            for (xn, yn, den), ids in points.items() if len(ids) >= 3]
+    hits = [(frame.point(key), len(ids)) for key, ids in points.items() if len(ids) >= 3]
     if not hits:
         return None
     return min(hits, key=lambda hit: (hit[0].x, hit[0].y))

@@ -6,6 +6,10 @@ Where that is cheaper, a predicate scales its inputs to integers by the
 lcm of their denominators and decides there: ``halfplane_intersection``
 clips integer lines, and a ``SimplePolygon`` keeps integer copies of its
 vertices that its validation and ``where`` (through ``_locate``) read.
+``_Frame`` is the one place where a scene is scaled whole: a region and
+some points times one lcm, with homogeneous integers for any other point
+and a way back to ``Point2``.  The exact darkness engine and the sampler
+both decide on a frame's integers.
 Floats are rejected at construction time: if you need to import measured
 data, convert it to rationals yourself and own the rounding.
 """
@@ -155,6 +159,12 @@ def primitive_direction(d: Point2) -> Point2:
     if ax < 0 or (ax == 0 and ay < 0):
         ax, ay = -ax, -ay
     return Point2(ax, ay)
+
+
+def _forward_step(d: Point2) -> Point2:
+    """Primitive integer vector pointing the same way as d."""
+    step = primitive_direction(d)
+    return step if step.dot(d) > 0 else Point2(-step.x, -step.y)
 
 
 class _LineRelation:
@@ -519,17 +529,6 @@ class ConvexPolygon:
         assert lo is not None and hi is not None
         return (lo, hi)
 
-    def clip_ray(self, anchor: Point2, d: Point2):
-        """Like clip_line but for the ray t >= 0.  None when it misses."""
-        res = self.clip_line(anchor, d)
-        if res is None:
-            return None
-        lo, hi = res
-        lo = max(lo, Fraction(0))
-        if lo > hi:
-            return None
-        return (lo, hi)
-
     def bounding_box(self):
         xs = [v.x for v in self.vertices]
         ys = [v.y for v in self.vertices]
@@ -592,17 +591,6 @@ class Wedge:
             raise ValueError("zero direction")
         return _clip_line_by_halfplanes(anchor, d, self.halfplanes())
 
-    def clip_ray(self, anchor: Point2, d: Point2):
-        res = self.clip_line(anchor, d)
-        if res is None:
-            return None
-        lo, hi = res
-        if lo is None or lo < 0:
-            lo = Fraction(0)
-        if hi is not None and lo > hi:
-            return None
-        return (lo, hi)
-
 
 def _integers(points: Sequence[Point2], base: int = 1):
     """(scale, [(x, y), ...]): the points times scale, the lcm of base
@@ -616,6 +604,17 @@ def _integers(points: Sequence[Point2], base: int = 1):
 _RATIO = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
+def _xy_cmp(a, b) -> int:
+    """Sign of the lexicographic (x, y) comparison of two homogeneous
+    points (X, Y, W), W > 0, by cross-multiplication."""
+    c = a[0] * b[2] - b[0] * a[2]
+    return c if c else a[1] * b[2] - b[1] * a[2]
+
+
+# sort key of homogeneous points in lexicographic (x, y) order
+_XY = cmp_to_key(_xy_cmp)
+
+
 def _homogeneous(p: Point2, scale: int):
     """Integers (X, Y, W), W > 0, with (X/W, Y/W) = scale * p."""
     x, y = p.x, p.y
@@ -626,6 +625,66 @@ def _homogeneous(p: Point2, scale: int):
     w = dx * dy // gcd(dx, dy)
     return (x.numerator * (scale // gx) * (w // dx),
             y.numerator * (scale // gy) * (w // dy), w)
+
+
+# A frame whose largest coordinate may pass 2^(_FLOAT_BITS + 1) could
+# overflow 16*M*M, the float margin test of the sampler (sampling._bound),
+# and would leave every verdict to the integer kernel; its float columns
+# are divided by a power of two instead (_Frame.unit).  Every sign test
+# and margin of the float pass scales by that power exactly, so the
+# verdicts do not change.
+_FLOAT_BITS = 508
+
+
+class _Frame:
+    """A region and some points, scaled to integers by one factor.
+
+    The region is a ConvexPolygon or a SimplePolygon, whose vertices
+    (ccw) are its walls, a Wedge, whose one wall is its apex, or None,
+    the whole plane, with no walls.  ``scale`` is the lcm of every
+    denominator of the walls and of the points; ``walls`` and ``ints``
+    hold them times scale, as integer pairs, and ``convex`` tells whether
+    the region is a ConvexPolygon.  ``sample(p)`` gives homogeneous
+    integers (X, Y, W), W > 0, with (X/W, Y/W) = scale * p, and ``point``
+    maps them back.  ``unit`` divides the frame's integers into the
+    sampler's float columns: scale, or past the float range (_FLOAT_BITS)
+    scale times the power of two that brings the largest coordinate into
+    (1, 4).
+    """
+
+    __slots__ = ("scale", "walls", "ints", "convex", "unit")
+
+    def __init__(self, region, pts: Sequence[Point2]):
+        if isinstance(region, SimplePolygon):
+            base, walls = region.scale, region.ints
+        elif isinstance(region, ConvexPolygon):
+            base, walls = _integers(region.vertices)
+        elif isinstance(region, Wedge):
+            base, walls = _integers([region.apex])
+        elif region is None:
+            base, walls = 1, []
+        else:
+            raise TypeError("region must be a polygon, a Wedge or None, got %r" % (region,))
+        self.scale, self.ints = _integers(pts, base)
+        f = self.scale // base
+        self.walls = [(x * f, y * f) for x, y in walls]
+        self.convex = isinstance(region, ConvexPolygon)
+        # the largest coordinate lies in (2^(bits-1), 2^(bits+1))
+        top = max((max(abs(x), abs(y)) for x, y in self.walls + self.ints), default=0)
+        bits = top.bit_length() - self.scale.bit_length()
+        self.unit = self.scale << (bits - 1) if bits > _FLOAT_BITS else self.scale
+
+    def sample(self, p: Point2):
+        return _homogeneous(p, self.scale)
+
+    def point(self, s) -> Point2:
+        X, Y, W = s
+        d = W * self.scale
+        return Point2(Fraction(X, d), Fraction(Y, d))
+
+    def corners(self):
+        """The walls, then the points, as homogeneous samples."""
+        return [(x, y, 1) for x, y in self.walls + self.ints]
 
 
 def _locate(verts, X: int, Y: int, W: int) -> str:

@@ -16,13 +16,16 @@ those are the points where coverage is most likely to dip.  Grid or
 seeded-random samples are layered on top via the sampler spec.
 
 Every sample is homogeneous integers (X, Y, W), W > 0, in one frame
-from the moment it is generated until the report is built: ``_Frame``
-scales the polygon and the guards to integers once per call, the
-crossing points and gap midpoints come from the exact analysis as
-integers, and grid and seeded-random points are built in the frame's
-integers.  Samples are ordered by cross-multiplication and deduplicated
-on gcd-normalised keys; a ``Point2`` is built only for each sample of
-the ``SampleReport``.
+from the moment it is generated until the report is built:
+``geometry._Frame``, the same frame the exact engine scales its scene
+with, scales the polygon and the guards to integers once per call, the
+crossing points and gap midpoints come from the exact analysis (in its
+own frame, which one integer factor maps into this one) as integers, and
+grid and seeded-random points are built in the frame's integers.  This
+module reads no denominator itself.  Samples are ordered by
+cross-multiplication (``geometry._XY``) and deduplicated on
+gcd-normalised keys; a ``Point2`` is built only for each sample of the
+``SampleReport``.
 
 Every verdict is exact.  Depths and polygon membership take one path at
 every batch size and coordinate scale: a float pass whose only verdicts
@@ -45,22 +48,20 @@ minimum depth.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd, inf
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from .darkness import GuardSet, _Analysis, _nearest
 from .geometry import (
     _RATIO,
+    _XY,
     ConvexPolygon,
     Point2,
     SimplePolygon,
-    _homogeneous,
+    _Frame,
     _hull_corners,
-    _integers,
     _locate,
 )
 
@@ -75,19 +76,12 @@ _RANDOM_GRID = 1 << 20
 # so anything larger than M^2 * 2^-46 in magnitude has the true sign.
 _CERT_SHIFT = 46
 
-# A frame whose largest coordinate may pass 2^(_FLOAT_BITS + 1) could
-# overflow 16*M*M, the test of _bound, and would leave every verdict to
-# the integer kernel; its float columns are divided by a power of two
-# instead (_Frame.unit).  Every sign test and margin of the float pass
-# scales by that power exactly, so the verdicts do not change.
-_FLOAT_BITS = 508
 
-
-def _columns(frame: "_Frame", pts):
+def _columns(frame: _Frame, pts):
     """Float columns (x, y) of the frame's integer pairs or homogeneous
     samples (X, Y, W): each value is X / (W * unit) correctly rounded,
     the float of the coordinate it stands for in the polygon's own units,
-    divided by unit / scale (a power of two, 1 below 2^_FLOAT_BITS)."""
+    divided by unit / scale (a power of two, 1 below 2^geometry._FLOAT_BITS)."""
     s = frame.unit
     xs = []
     ys = []
@@ -112,7 +106,7 @@ def _bound(*columns) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN only ever defer
-def _contains_mask(frame: "_Frame", samples) -> List[bool]:
+def _contains_mask(frame: _Frame, samples) -> List[bool]:
     """Whether each homogeneous sample of the frame lies in the closed
     polygon, float-prefiltered.
 
@@ -156,7 +150,7 @@ def _contains_mask(frame: "_Frame", samples) -> List[bool]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _depths(frame: "_Frame", samples) -> List[int]:
+def _depths(frame: _Frame, samples) -> List[int]:
     """[depth at each homogeneous sample of the frame], float-prefiltered.
 
     Preconditions: every sample lies in the closed polygon and the
@@ -221,45 +215,6 @@ def _depths(frame: "_Frame", samples) -> List[int]:
                 vis[s] = False
         depths += vis
     return [int(v) for v in depths]
-
-
-class _Frame:
-    """A polygon and some points, scaled to integers by one factor.
-
-    ``scale`` is the lcm of every denominator of P's vertices and of the
-    points; ``walls`` holds the vertices (ccw) and ``ints`` the points
-    times scale, as integer pairs, and ``convex`` tells whether P is a
-    ConvexPolygon.  ``sample(p)`` gives homogeneous integers (X, Y, W),
-    W > 0, with (X/W, Y/W) = scale * p, and ``point`` maps them back.
-    ``unit`` divides the frame's integers into the float columns: scale,
-    or past the float range (_FLOAT_BITS) scale times the power of two
-    that brings the largest coordinate into (1, 4).
-    """
-
-    __slots__ = ("scale", "walls", "ints", "convex", "unit")
-
-    def __init__(self, P: AnyPolygon, pts: Sequence[Point2]):
-        base, walls = (P.scale, P.ints) if isinstance(P, SimplePolygon) else _integers(P.vertices)
-        self.scale, self.ints = _integers(pts, base)
-        f = self.scale // base
-        self.walls = [(x * f, y * f) for x, y in walls]
-        self.convex = isinstance(P, ConvexPolygon)
-        # the largest coordinate lies in (2^(bits-1), 2^(bits+1))
-        top = max(max(abs(x), abs(y)) for x, y in self.walls + self.ints)
-        bits = top.bit_length() - self.scale.bit_length()
-        self.unit = self.scale << (bits - 1) if bits > _FLOAT_BITS else self.scale
-
-    def sample(self, p: Point2):
-        return _homogeneous(p, self.scale)
-
-    def point(self, s) -> Point2:
-        X, Y, W = s
-        d = W * self.scale
-        return Point2(Fraction(X, d), Fraction(Y, d))
-
-    def corners(self):
-        """The vertices, then the points, as homogeneous samples."""
-        return [(x, y, 1) for x, y in self.walls + self.ints]
 
 
 def _between(h, q, s) -> bool:
@@ -385,16 +340,6 @@ class SampleReport:
         )
 
 
-def _xy_cmp(a, b) -> int:
-    """Sign of the lexicographic (x, y) comparison of two homogeneous
-    samples (X, Y, W), W > 0, by cross-multiplication."""
-    c = a[0] * b[2] - b[0] * a[2]
-    return c if c else a[1] * b[2] - b[1] * a[2]
-
-
-_XY = cmp_to_key(_xy_cmp)
-
-
 def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
     """Dark-ray crossing points and gap midpoints that land inside P, as
     homogeneous samples of the frame in (x, y) order.
@@ -409,7 +354,7 @@ def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
     pts = list(P.vertices) + list(gset.guards)
     region = ConvexPolygon([pts[i] for i in _hull_corners(frame.walls + frame.ints)])
     analysis = _Analysis(region, gset)
-    f = frame.scale // analysis.scene.scale
+    f = frame.scale // analysis.frame.scale
     cands = [(xn * f, yn * f, den) for _total, xn, yn, den in analysis.candidates()]
     out = [c for c, ok in zip(cands, _contains_mask(frame, cands)) if ok]
     out.sort(key=_XY)

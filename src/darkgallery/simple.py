@@ -36,10 +36,11 @@ from .geometry import (
     Point2,
     SimplePolygon,
     Wedge,
+    _Frame,
     convex_hull,
     orientation,
 )
-from .sampling import _Frame, _depths
+from .sampling import _depths
 
 MOUTH_LEVEL = Fraction(2)  # corridor ceiling: spike mouths sit on this line
 TIP_LEVEL = Fraction(10)   # spike tips: 4x the corridor height above the mouths

@@ -13,9 +13,10 @@ crossings_oracle walks them too, keeping the piece set of every crossing
 where the library keeps only a total.
 The simple-polygon predicates (membership, validation, segment-inside,
 visibility, depth), the convex hull, the sampler's glue (sub-piece
-points, suspicious points, grid and random samples, deduplication) and
-the concurrent-rays scan are the library's former Fraction bodies; the
-library now decides them on integer-scaled coordinates.
+points, suspicious points, grid and random samples, deduplication), the
+concurrent-rays scan and the scene scaling are the library's former
+Fraction bodies; the library now decides them on integer-scaled
+coordinates.
 Slow on purpose; exact everywhere.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import groupby
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,6 +47,7 @@ from darkgallery.geometry import (
     HullResult,
     Point2,
     SimplePolygon,
+    Wedge,
     _clip_line_by_halfplanes,
     collinear,
     convex_hull,
@@ -279,6 +281,61 @@ def census_oracle(P: ConvexPolygon, guards: Sequence[Point2]):
     return weights, darkening_edges, shrunken_ok
 
 
+# --- scene scaling, one denominator at a time --------------------------------
+
+def _coord_denominators(region, guards):
+    dens = []
+    if isinstance(region, ConvexPolygon):
+        for v in region.vertices:
+            dens.append(v.x.denominator)
+            dens.append(v.y.denominator)
+    elif isinstance(region, Wedge):
+        dens.append(region.apex.x.denominator)
+        dens.append(region.apex.y.denominator)
+    elif region is not None:
+        raise TypeError("region must be ConvexPolygon or Wedge, got %r" % (region,))
+    for g in guards:
+        dens.append(g.x.denominator)
+        dens.append(g.y.denominator)
+    return dens
+
+
+def int_direction_oracle(d: Point2):
+    """Reduce a rational direction to primitive integers, same orientation."""
+    m = lcm(d.x.denominator, d.y.denominator)
+    ix, iy = int(d.x * m), int(d.y * m)
+    g = gcd(ix, iy)
+    return ix // g, iy // g
+
+
+def scene_oracle(region, guards):
+    """(scale, gx, gy, halfplanes): the region and guards times the lcm of
+    every coordinate denominator, by Fraction products, and the region's
+    integer halfplanes a*x + b*y >= c.  The library's former scene body;
+    the library now scales through geometry._Frame."""
+    s = lcm(*_coord_denominators(region, guards))
+    gx = [int(g.x * s) for g in guards]
+    gy = [int(g.y * s) for g in guards]
+    hps = []
+    if isinstance(region, ConvexPolygon):
+        vs = [(int(v.x * s), int(v.y * s)) for v in region.vertices]
+        n = len(vs)
+        for i in range(n):
+            (px, py), (qx, qy) = vs[i], vs[(i + 1) % n]
+            a = py - qy
+            b = qx - px
+            hps.append((a, b, a * px + b * py))
+    elif isinstance(region, Wedge):
+        ax, ay = int(region.apex.x * s), int(region.apex.y * s)
+        # reduce edge directions to primitive integers, keeping their
+        # orientation (the sign decides which side is inside)
+        d1x, d1y = int_direction_oracle(region.dir1)
+        d2x, d2y = int_direction_oracle(region.dir2)
+        hps.append((-d1y, d1x, -d1y * ax + d1x * ay))
+        hps.append((d2y, -d2x, d2y * ax - d2x * ay))
+    return s, gx, gy, hps
+
+
 # --- the pair scan over every pair -------------------------------------------
 
 def pair_hits_oracle(pieces):
@@ -314,7 +371,7 @@ def _witness(analysis, key, contr):
     """The DarknessWitness at the scaled key with the given contributions
     [(line_id, count)]: no rescan of the library's."""
     lines = _guard_lines([analysis.lines[line_id] for line_id, _ in contr], analysis.guards)
-    return DarknessWitness(analysis.scene.unscale(*key), sum(cnt for _, cnt in contr),
+    return DarknessWitness(analysis.frame.point(key), sum(cnt for _, cnt in contr),
                            [(gl, cnt) for gl, (_, cnt) in zip(lines, contr)])
 
 
@@ -333,7 +390,7 @@ def has_j_dark_oracle(region, guards, j):
         if piece[7] >= j:
             key = _sub_piece_points(piece, ())[0]
             return True, _witness(analysis, key, analysis.darkness_at_scaled(*key)[1])
-    for x, y in zip(analysis.scene.gx, analysis.scene.gy):
+    for x, y in analysis.frame.ints:
         total, contr = analysis.darkness_at_scaled(x, y, 1)
         if total >= j:
             return True, _witness(analysis, (x, y, 1), contr)
@@ -618,10 +675,10 @@ def suspicious_points_oracle(P, guards: Sequence[Point2]) -> List[Point2]:
     hull = convex_hull_oracle(list(P.vertices) + list(gset.guards))
     analysis = _Analysis(ConvexPolygon(hull.corners), gset)
     points, events = crossings_oracle(analysis.pieces)
-    keys = list(points) + [(x, y, 1) for x, y in zip(analysis.scene.gx, analysis.scene.gy)]
+    keys = list(points) + [(x, y, 1) for x, y in analysis.frame.ints]
     for idx, piece in enumerate(analysis.pieces):
         keys += sub_piece_points_oracle(piece, events.get(idx, ()))
-    cands = [analysis.scene.unscale(*key) for key in keys]
+    cands = [analysis.frame.point(key) for key in keys]
     out = [p for p in cands if _inside(P, p)]
     out.sort(key=lambda v: (v.x, v.y))
     return out
@@ -686,7 +743,7 @@ def find_concurrent_dark_rays_oracle(guards):
     points = {}
     for i, j, un, _, D in _pair_hits(rays):
         points.setdefault(_point_key(rays[i], un, D), set()).update((rays[i][8], rays[j][8]))
-    hits = [(analysis.scene.unscale(*key), len(ids)) for key, ids in points.items()
+    hits = [(analysis.frame.point(key), len(ids)) for key, ids in points.items()
             if len(ids) >= 3]
     if not hits:
         return None

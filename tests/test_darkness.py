@@ -16,7 +16,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from darkgallery import cli, darkness
 from darkgallery.construct import place_4n_minus_2, place_general_position
@@ -34,7 +34,16 @@ from darkgallery.darkness import (
 )
 from darkgallery.documents import PlacementDocument, region_to_dict
 from darkgallery.fixtures import builtin_fixture
-from darkgallery.geometry import ConvexPolygon, Point2, Wedge, centroid
+from darkgallery.geometry import (
+    ConvexPolygon,
+    Point2,
+    SimplePolygon,
+    Wedge,
+    _forward_step,
+    _Frame,
+    _integers,
+    centroid,
+)
 from darkgallery.sampling import sample_depth
 from darkgallery.simple import comb_cover, make_comb
 
@@ -440,12 +449,12 @@ def test_box_edge_scene_touches_only_at_the_unique_maximum():
     region, guards = BRANCH_SCENES["box-edge"]
     analysis = darkness._Analysis(region, GuardSet(guards))
     top = [c for c in analysis.candidates() if c[0] >= 4]
-    assert [(c[0], analysis.scene.unscale(*c[1:4])) for c in top] == [(4, Point2(6, 12))]
+    assert [(c[0], analysis.frame.point(c[1:4])) for c in top] == [(4, Point2(6, 12))]
     points, _ = oracles.crossings_oracle(analysis.pieces)
     i, j = sorted(points[top[0][1:4]])
     _, _, _, _, lox, hix, _, _ = darkness._piece_boxes(analysis.pieces)
     assert analysis.pieces[i][8] != analysis.pieces[j][8]
-    assert hix[i] == lox[j] == analysis.scene.scale * 6 and lox[i] < hix[i]
+    assert hix[i] == lox[j] == analysis.frame.scale * 6 and lox[i] < hix[i]
 
 
 def test_dyadic_and_big_denominator_scenes_outgrow_int64():
@@ -453,8 +462,8 @@ def test_dyadic_and_big_denominator_scenes_outgrow_int64():
     # fit int64: these scenes keep the scan pinned on large integers
     for scene in ("dyadic", "big-denominator"):
         region, guards = BRANCH_SCENES[scene]
-        _, gx, gy = darkness._scaled_guards(guards, region)
-        assert max(map(abs, gx + gy)).bit_length() > 28, scene
+        ints = _Frame(region, guards).ints
+        assert max(abs(c) for p in ints for c in p).bit_length() > 28, scene
 
 
 def scan_results(region, guards):
@@ -488,9 +497,9 @@ def test_far_ends_scene_crosses_only_at_the_closed_end():
         for k, t in ((i, un), (j, vn)):
             p = analysis.pieces[k]
             if p[4] is not None and t * p[5] == p[4] * D:
-                ends[analysis.scene.unscale(*darkness._point_key(p, t, D))] = p[6]
+                ends[analysis.frame.point(darkness._point_key(p, t, D))] = p[6]
     # the gap piece along the edge ends open at the guard (5, 0)
-    s = analysis.scene.scale
+    s = analysis.frame.scale
     assert any(p[6] and (p[0] + p[4] * p[2], p[1] + p[4] * p[3]) == (5 * s, 0)
                for p in analysis.pieces)
     # every hit at a far end is at a closed one, (4, 0) among them, and
@@ -538,8 +547,8 @@ def test_find_concurrent_dark_rays_on_the_filtered_scan(shift):
             guards.append(p)
     lines = len(collinear_groups(guards))
     assert lines >= 24
-    _, gx, gy = darkness._scaled_guards(guards)
-    bits = max(map(abs, gx + gy)).bit_length()
+    _, ints = _integers(guards)
+    bits = max(abs(c) for p in ints for c in p).bit_length()
     assert bits <= 28 if shift == 0 else bits > 64
 
     assert len(assert_scan_matches_the_oracle(dark_rays(guards))) > 0
@@ -560,7 +569,7 @@ def test_box_prefilter_survives_coordinates_past_the_float_range():
     shift = Fraction(1, 3 ** 700)
     guards = [Point2(p.x + shift, p.y) for p in lattice]
     analysis = darkness._Analysis(region, GuardSet(guards))
-    assert min(analysis.scene.gx).bit_length() > 1100
+    assert min(x for x, _ in analysis.frame.ints).bit_length() > 1100
     assert assert_scan_matches_the_oracle(analysis.pieces)
     w = max_darkness(region, guards)
     assert w.darkness == oracles.darkness_oracle(guards, w.point) == 3
@@ -640,7 +649,7 @@ def test_crossings_know_their_darkness(scene):
     for total, xn, yn, den in cands[:len(points)]:
         rescan, contr = analysis.darkness_at_scaled(xn, yn, den)
         assert total == rescan == oracles.darkness_oracle(
-            guards, analysis.scene.unscale(xn, yn, den))
+            guards, analysis.frame.point((xn, yn, den)))
         ids = [line_id for line_id, _ in contr]
         assert len(ids) >= 2 and ids == sorted(set(ids))
         assert total == sum(cnt for _, cnt in contr)
@@ -651,7 +660,7 @@ def test_crossings_know_their_darkness(scene):
     # the witness is the smallest point at top of the complete set, and
     # its contributions are the rescan's list at that point
     w = max_darkness(region, guards)
-    full = [(analysis.scene.unscale(xn, yn, den), (xn, yn, den))
+    full = [(analysis.frame.point((xn, yn, den)), (xn, yn, den))
             for total, xn, yn, den in analysis.candidates() if total == top]
     point, key = min(full, key=lambda c: (c[0].x, c[0].y))
     assert w.darkness == top
@@ -690,7 +699,7 @@ def test_crossing_totals_match_the_piece_sets(scene):
     fresh = darkness._Analysis(region, GuardSet(guards))
     want = [(sum(pieces[k][7] for k in ids), *key) for key, ids in points.items()]
     want += [(oracles.darkness_oracle(guards, g), x, y, 1)
-             for g, x, y in zip(guards, fresh.scene.gx, fresh.scene.gy)]
+             for g, (x, y) in zip(guards, fresh.frame.ints)]
     for idx, piece in enumerate(pieces):
         want += [(piece[7], *key)
                  for key in oracles.sub_piece_points_oracle(piece, events.get(idx, ()))]
@@ -723,6 +732,70 @@ def test_sub_piece_points_match_the_fraction_midpoints(scene):
     assert any(p[4] is None for p in analysis.pieces) == (scene == "wedge")
 
 
+# --- the scene's frame -------------------------------------------------------
+#
+# The exact engine scales its scene through geometry._Frame and builds the
+# region's integer halfplanes from the frame's walls; the former scene body
+# (scene_oracle) scaled every coordinate by Fraction products.
+
+
+def frame_scene(name):
+    if name == "past-2^1100":
+        region, lattice = BRANCH_SCENES["lattice"]
+        shift = Fraction(1, 3 ** 700)
+        return region, [Point2(p.x + shift, p.y) for p in lattice]
+    if name == "fixture-wedge":
+        region, gset = builtin_fixture("wedge")
+        return region, list(gset)
+    if name == "fraction-wedge":
+        # a rational apex and directions, guards with other denominators
+        W = Wedge(Point2(Fraction(1, 3), Fraction(-2, 7)), Point2(Fraction(3, 2), Fraction(1, 5)),
+                  Point2(Fraction(-1, 4), Fraction(5, 3)))
+        return W, [W.apex + W.dir1 * a + W.dir2 * b for a, b in
+                   ((1, 1), (2, HALF), (HALF, 3), (3, 2), (Fraction(5, 11), 0))]
+    if name == "plane":
+        return None, BRANCH_SCENES["dyadic"][1]
+    return invariant_scene(name)
+
+
+FRAME_SCENES = INVARIANT_SCENES + ["past-2^1100", "fixture-wedge", "fraction-wedge", "plane"]
+
+
+@pytest.mark.parametrize("scene", FRAME_SCENES)
+def test_frame_scales_the_scene_as_the_oracle(scene):
+    region, guards = frame_scene(scene)
+    scale, gx, gy, halfplanes = oracles.scene_oracle(region, guards)
+    frame = _Frame(region, guards)
+    assert frame.scale == scale
+    assert frame.ints == list(zip(gx, gy))
+    assert darkness._halfplanes(region, frame.walls) == halfplanes
+    assert (len(halfplanes) == 0) == (region is None)
+    if scene == "past-2^1100":
+        assert min(x for x, _ in frame.ints).bit_length() > 1100
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.fractions(max_denominator=40), st.fractions(max_denominator=40))
+@example(Fraction(0), Fraction(3, 7))
+@example(Fraction(0), Fraction(-5))
+@example(Fraction(-2, 9), Fraction(0))
+@example(Fraction(4), Fraction(0))
+def test_forward_step_is_the_former_int_direction(x, y):
+    d = Point2(x, y)
+    if d.is_zero():
+        return
+    step = _forward_step(d)
+    assert (step.x, step.y) == oracles.int_direction_oracle(d)
+
+
+def test_the_exact_engine_refuses_a_simple_polygon():
+    P = SimplePolygon([Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)])
+    with pytest.raises(TypeError):
+        max_darkness(P, [Point2(1, 1), Point2(2, 2), Point2(3, 3)])
+    with pytest.raises(TypeError):
+        _Frame("not a region", [Point2(1, 1)])
+
+
 def test_max_darkness_rescans_only_the_witness(monkeypatch):
     # guard points are counted from their lines and crossings summed from
     # their pieces: the reported witness is the one point rescanned
@@ -741,7 +814,7 @@ def test_max_darkness_rescans_only_the_witness(monkeypatch):
     w = max_darkness(region, guards)
     assert len(points) > 10 * len(guards)
     assert len(calls) == 1 and calls[0] in points
-    assert analysis.scene.unscale(*calls[0]) == w.point
+    assert analysis.frame.point(calls[0]) == w.point
     assert oracles.darkness_oracle(guards, w.point) == w.darkness
 
 
@@ -750,7 +823,7 @@ def test_has_j_dark_reads_crossing_darkness(monkeypatch, scene):
     region, guards = scene()
     analysis = darkness._Analysis(region, GuardSet(guards))
     points = analysis.crossings()
-    dark = {key: oracles.darkness_oracle(guards, analysis.scene.unscale(*key))
+    dark = {key: oracles.darkness_oracle(guards, analysis.frame.point(key))
             for key in points}
     top = max(dark.values())
     # the pieces and guard points reach only lower levels, so the top j
@@ -778,10 +851,10 @@ def test_has_j_dark_reads_crossing_darkness(monkeypatch, scene):
             assert not calls, j
             continue
         assert oracles.darkness_oracle(guards, witness.point) == witness.darkness >= j
-        assert [analysis.scene.unscale(*key) for key in calls] == [witness.point], j
+        assert [analysis.frame.point(key) for key in calls] == [witness.point], j
         if j > below:
             first = next(key for key in points if dark[key] >= j)
-            assert witness.point == analysis.scene.unscale(*first), j
+            assert witness.point == analysis.frame.point(first), j
             assert rescanned == [first], j
 
 

@@ -87,36 +87,45 @@ def test_wedge_contains_point_below_apex():
     assert not W.contains(Point2(0, 300), closed=True)  # above the apex
 
 
-def test_clip_ray_in_unit_square():
-    lo, hi = UNIT_SQUARE.clip_ray(Point2(Fraction(1, 2), Fraction(1, 2)), Point2(1, 0))
-    assert (lo, hi) == (0, Fraction(1, 2))
-    assert UNIT_SQUARE.clip_ray(Point2(2, 2), Point2(1, 0)) is None
+def test_clip_line_in_unit_square():
+    anchor, d = Point2(Fraction(1, 2), Fraction(1, 2)), Point2(1, 0)
+    lo, hi = UNIT_SQUARE.clip_line(anchor, d)
+    assert (lo, hi) == (Fraction(-1, 2), Fraction(1, 2))
+    assert UNIT_SQUARE.where(anchor + d * lo) == UNIT_SQUARE.where(anchor + d * hi) == "boundary"
+    assert UNIT_SQUARE.where(anchor + d * ((lo + hi) / 2)) == "interior"
+    assert UNIT_SQUARE.clip_line(Point2(2, 2), Point2(1, 0)) is None
 
 
-def test_clip_ray_hits_triangle_base_exactly():
+def test_clip_line_hits_triangle_base_exactly():
     T = triangle_region()
-    lo, hi = T.clip_ray(Point2(0, 0), Point2(0, -1))
-    assert (lo, hi) == (0, 100)  # base edge lies on y = -100
-    assert T.where(Point2(0, -100)) == "boundary"
+    lo, hi = T.clip_line(Point2(0, 0), Point2(0, -1))
+    assert (lo, hi) == (-200, 100)  # apex at (0, 200), base edge on y = -100
+    assert T.where(Point2(0, -100)) == T.where(Point2(0, 200)) == "boundary"
 
 
-def test_clip_ray_endpoints_lie_on_boundary():
+def test_clip_line_endpoints_lie_on_boundary():
     rng = random.Random(101)
+    misses = hits = 0
     for _ in range(40):
         P = random_convex_polygon(rng, rng.randint(3, 7))
         anchor = Point2(rng.randint(-600, 600), rng.randint(-600, 600))
         d = Point2(rng.randint(-9, 9), rng.randint(-9, 9))
         if d.is_zero():
             continue
-        res = P.clip_ray(anchor, d)
+        res = P.clip_line(anchor, d)
         if res is None:
+            # a line misses a convex polygon iff every vertex lies strictly
+            # on one side of it
+            sides = {orientation(anchor, anchor + d, v) for v in P.vertices}
+            assert sides in ({1}, {-1})
+            misses += 1
             continue
         lo, hi = res
-        p_hi = anchor + d * hi
-        assert P.where(p_hi) == "boundary"
-        p_lo = anchor + d * lo
-        assert lo == 0 or P.where(p_lo) == "boundary"
+        assert P.where(anchor + d * hi) == "boundary"
+        assert P.where(anchor + d * lo) == "boundary"
         assert P.contains(anchor + d * (lo + (hi - lo) / 2))
+        hits += 1
+    assert misses > 0 and hits > 0
 
 
 def test_halfplane_intersection_triangle():

@@ -124,3 +124,40 @@ def test_unused_imports_flags_what_nothing_reads():
 @pytest.mark.parametrize("path", IMPORTING_MODULES, ids=[p.name for p in IMPORTING_MODULES])
 def test_package_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(), str(path)) == []
+
+
+# geometry._Frame scales a scene to integers; the exact engine and the
+# sampler decide on its integers and scale nothing themselves
+FRAME_READERS = [PACKAGE / "darkness.py", PACKAGE / "sampling.py"]
+
+
+def scaling_uses(source: str, filename: str) -> List[Tuple[str, int]]:
+    """(what, line) for each read of a ``.denominator`` and each call of
+    ``lcm`` (by name or as an attribute, such as ``math.lcm``)."""
+    out: List[Tuple[str, int]] = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Attribute) and node.attr == "denominator":
+            out.append((".denominator", node.lineno))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "lcm":
+                out.append(("lcm()", node.lineno))
+    return sorted(out)
+
+
+def test_scaling_uses_flags_denominators_and_lcm():
+    source = (
+        "import math\n"
+        "from math import lcm\n"
+        "def f(p, q):\n"
+        "    d = p.x.denominator\n"
+        "    return lcm(d, 2) + math.lcm(q.denominator, 3) + p.numerator\n"
+    )
+    assert scaling_uses(source, "example.py") == [
+        (".denominator", 4), (".denominator", 5), ("lcm()", 5), ("lcm()", 5)]
+
+
+@pytest.mark.parametrize("path", FRAME_READERS, ids=[p.name for p in FRAME_READERS])
+def test_frame_readers_scale_nothing_themselves(path):
+    assert scaling_uses(path.read_text(), str(path)) == []

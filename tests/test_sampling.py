@@ -11,12 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darkgallery import darkness, geometry, sampling
+from darkgallery import geometry, sampling
 from darkgallery.darkness import GuardSet, darkness_at
-from darkgallery.geometry import ConvexPolygon, Point2, SimplePolygon, _locate, strictly_between
+from darkgallery.geometry import (
+    ConvexPolygon,
+    Point2,
+    SimplePolygon,
+    _Frame,
+    _locate,
+    strictly_between,
+)
 from darkgallery.sampling import (
     SampleReport,
-    _Frame,
     _between,
     _contains_mask,
     _depths,
@@ -533,11 +539,11 @@ def test_random_samples_match_the_fraction_draws(P):
 
 
 def test_the_sample_path_builds_no_fraction_points(monkeypatch):
-    # the sampler keeps samples in the frame's integers: unscaling a
-    # candidate, a Fraction hull or float columns built from Fractions
-    # would mean Fraction glue crept back onto the path.  _floats (the
-    # former Fraction column builder) is gone; patching it anyway makes a
-    # reintroduced one fail here.
+    # the sampler keeps samples in the frame's integers: a Point2 built
+    # for anything but a reported sample, a Fraction hull or float columns
+    # built from Fractions would mean Fraction glue crept back onto the
+    # path.  _floats (the former Fraction column builder) is gone;
+    # patching it anyway makes a reintroduced one fail here.
     comb = make_comb(3)
     gs = comb_cover(comb, 2)
     before = sample_depth(comb.polygon, gs, sampler=("grid", 8)).samples
@@ -545,7 +551,18 @@ def test_the_sample_path_builds_no_fraction_points(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction glue on the sample path")
 
-    monkeypatch.setattr(darkness._Scene, "unscale", refuse)
+    made = []
+    to_point = _Frame.point
+
+    def spy(self, s):
+        made.append(to_point(self, s))
+        return made[-1]
+
+    monkeypatch.setattr(_Frame, "point", spy)
     monkeypatch.setattr(geometry, "convex_hull", refuse)
     monkeypatch.setattr(sampling, "_floats", refuse, raising=False)
-    assert sample_depth(comb.polygon, gs, sampler=("grid", 8)).samples == before
+    report = sample_depth(comb.polygon, gs, sampler=("grid", 8))
+    assert report.samples == before
+    # _Frame.point runs exactly once per reported sample
+    assert made == [p for p, _ in report.samples]
+    assert len(made) > len(comb.polygon.vertices) + len(gs)
