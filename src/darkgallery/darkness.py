@@ -10,9 +10,13 @@ Strategy: all guards blocked from p lie on lines through p that carry at
 least two guards, so darkness is a sum of per-line counts that are
 piecewise constant along each line.  The verifier scales the whole scene
 to integer coordinates once, in a ``geometry._Frame`` (the frame the
-sampler uses too; this module reads no denominator itself), enumerates
-the "dark portions" of every line carrying >= 2 guards and clips them to
-the region's integer halfplanes as pieces.  A complete set of candidate
+sampler uses too; this module reads no denominator itself), and takes the
+region as the frame's integer halfplanes (``geometry._halfplanes``).  It
+clips every line carrying >= 2 guards to them once (``geometry._clip``)
+and cuts it into its "dark portions" as pieces: the two dark rays end
+where the clipped line does, and the gaps between members lie inside.
+The guards and every query point are tested on the same halfplanes.  A
+complete set of candidate
 points is every pairwise crossing of pieces from distinct lines, every
 guard position, and one representative per crossing-free sub-piece.
 Three facts let the maximum skip most of it: a crossing is never a guard
@@ -53,8 +57,9 @@ from .geometry import (
     Line,
     Point2,
     Wedge,
-    _forward_step,
+    _clip,
     _Frame,
+    _halfplanes,
     _integers,
     on_segment,
     primitive_direction,
@@ -208,51 +213,6 @@ class BoundaryCensus:
             self.darkened,
             self.applicable,
         )
-
-
-# ---------------------------------------------------------------------------
-# the region in its frame's integers
-
-
-def _halfplanes(region, walls):
-    """The closed region as integer halfplanes a*x + b*y >= c, given the
-    walls of its frame: a polygon's ccw edges, a wedge's two rays from its
-    apex, and none for the whole plane (None)."""
-    if isinstance(region, ConvexPolygon):
-        hps = []
-        for (px, py), (qx, qy) in zip(walls, walls[1:] + walls[:1]):
-            a = py - qy
-            b = qx - px
-            hps.append((a, b, a * px + b * py))
-        return hps
-    if isinstance(region, Wedge):
-        (ax, ay), = walls
-        # primitive integer edge directions keep their orientation (the
-        # sign decides which side is inside)
-        d1, d2 = _forward_step(region.dir1), _forward_step(region.dir2)
-        d1x, d1y, d2x, d2y = int(d1.x), int(d1.y), int(d2.x), int(d2.y)
-        return [(-d1y, d1x, -d1y * ax + d1x * ay), (d2y, -d2x, d2y * ax - d2x * ay)]
-    if region is None:
-        return []
-    raise TypeError("region must be ConvexPolygon or Wedge, got %r" % (region,))
-
-
-def _ray_exit(ax, ay, dx, dy, halfplanes):
-    """Where {anchor + t*d : t >= 0} leaves the integer halfplanes
-    ax+by >= c, as (num, den) with den > 0, or None when it never does.
-
-    The anchor must satisfy every halfplane, so the ray starts inside
-    (t = 0) and only halfplanes it runs against can end it.
-    """
-    hi_n = hi_d = None
-    for a, b, c in halfplanes:
-        den = a * dx + b * dy
-        if den < 0:
-            # t <= (c - (a*ax + b*ay)) / den, both sides of the fraction <= 0
-            n, d = a * ax + b * ay - c, -den
-            if hi_n is None or n * hi_d < hi_n * d:
-                hi_n, hi_d = n, d
-    return None if hi_n is None else (hi_n, hi_d)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +508,8 @@ def _sub_piece_points(piece, cuts):
 
 
 class _Analysis:
-    """The scene in its frame plus the dark-portion pieces clipped to the
-    region.
+    """The scene in its frame, the region as the frame's integer
+    halfplanes, and the dark-portion pieces clipped to the region.
 
     Each piece (the tuple layout of the pair scan above) is the in-region
     part of one dark portion, re-anchored at a member guard so its
@@ -566,10 +526,9 @@ class _Analysis:
         self.guards = gset.guards
         self.frame = _Frame(region, gset.guards)
         ints = self.frame.ints
-        hps = _halfplanes(region, self.frame.walls)
-        # the closed region is the intersection of its scaled halfplanes
+        self.halfplanes = _halfplanes(region, self.frame.walls)
         for g, (x, y) in zip(gset.guards, ints):
-            if any(a * x + b * y < c for a, b, c in hps):
+            if self.outside(x, y, 1):
                 raise ValueError("guard %r lies outside the region" % (g,))
         self.lines = _group_collinear(ints)
         self._crossings = None
@@ -579,30 +538,29 @@ class _Analysis:
         pieces = []
         for line_id, (ux, uy, c, members) in enumerate(self.lines):
             m = len(members)
-            first, last = members[0][1], members[-1][1]
-            spans = [
-                (first, -ux, -uy, None, m - 1),
-                (last, ux, uy, None, m - 1),
-            ]
+            (fx, fy), (lx, ly) = ints[members[0][1]], ints[members[-1][1]]
+            # the whole line in the region, from its first member: the
+            # guards lie in the region, so lo <= 0 <= t_last <= hi, and
+            # each dark ray runs from its extreme member to that end
+            lo, hi = _clip(fx, fy, 1, ux, uy, self.halfplanes)
+            t_last = members[-1][0]
+            rays = [(fx, fy, -ux, -uy, (None, None) if lo is None else (-lo[0], lo[1])),
+                    (lx, ly, ux, uy, (None, None) if hi is None else (hi[0] - t_last * hi[1], hi[1]))]
+            for ax, ay, dx, dy, (hin, hid) in rays:
+                if hin != 0:  # else the region ends at the anchoring guard
+                    pieces.append((ax, ay, dx, dy, hin, hid, False, m - 1, line_id))
             if m >= 3:
+                # a gap between members is open at both guards, which lie
+                # in the convex region, so it needs no clip
                 for (t0, i0), (t1, _) in zip(members, members[1:]):
-                    spans.append((i0, ux, uy, t1 - t0, m - 2))
-            for anchor, dx, dy, length, blocked in spans:
-                ax, ay = ints[anchor]
-                # the anchor lies in the region, so every piece starts open
-                # at its anchoring guard (t = 0) and no piece is a single point
-                hi = _ray_exit(ax, ay, dx, dy, hps)
-                if hi is None:
-                    hin = hid = None
-                else:
-                    hin, hid = hi
-                hi_strict = False
-                if length is not None and (hin is None or hin >= length * hid):
-                    hin, hid, hi_strict = length, 1, True  # open at far guard
-                if hin == 0:
-                    continue  # the region ends at the anchoring guard
-                pieces.append((ax, ay, dx, dy, hin, hid, hi_strict, blocked, line_id))
+                    ax, ay = ints[i0]
+                    pieces.append((ax, ay, ux, uy, t1 - t0, 1, True, m - 2, line_id))
         self.pieces = pieces
+
+    def outside(self, X: int, Y: int, W: int) -> bool:
+        """The point (X/W, Y/W), W > 0, of the frame lies outside the
+        closed region: it fails one of the region's integer halfplanes."""
+        return any(a * X + b * Y < c * W for a, b, c in self.halfplanes)
 
     # -- darkness at an exact rational point (scaled frame) --------------
     def darkness_at_scaled(self, xn: int, yn: int, den: int):
@@ -788,11 +746,11 @@ def max_darkness(region: Region, guards) -> DarknessWitness:
 
 def darkness_at(region: Region, guards, p: Point2) -> DarknessWitness:
     """Exact darkness at one point of the closed region."""
-    gset = GuardSet.coerce(guards)
-    if not region.contains(p):
+    analysis = _analysis(region, GuardSet.coerce(guards))
+    X, Y, W = analysis.frame.sample(p)
+    if analysis.outside(X, Y, W):
         raise ValueError("query point %r lies outside the region" % (p,))
-    analysis = _analysis(region, gset)
-    return analysis.witness_from(*analysis.frame.sample(p))
+    return analysis.witness_from(X, Y, W)
 
 
 def min_depth(region: Region, guards) -> DepthCertificate:

@@ -53,6 +53,14 @@ def rat_from_json(value) -> Fraction:
     raise DocumentError("not a rational (int or \"p/q\"): %r" % (value,))
 
 
+def _typed(value, kind: type, field: str):
+    """value when its type is exactly kind (int or bool: true is not an
+    integer here), else DocumentError."""
+    if type(value) is kind:
+        return value
+    raise DocumentError("%s must be %s, got %r" % (field, kind.__name__, value))
+
+
 def point_to_json(p: Point2) -> List[Union[int, str]]:
     return [rat_to_json(p.x), rat_to_json(p.y)]
 
@@ -127,7 +135,45 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-class PlacementDocument:
+class _Document:
+    """An immutable document with a canonical JSON text: subclasses give
+    to_dict and from_dict, and compare and hash by them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __hash__(self):
+        return hash(self.dumps())
+
+    def dumps(self) -> str:
+        return _dumps(self.to_dict())
+
+    @classmethod
+    def loads(cls, text: str):
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DocumentError("invalid JSON: %s" % (exc,)) from None
+        return cls.from_dict(payload)
+
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            fh.write(self.dumps())
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            return cls.loads(fh.read())
+
+
+class PlacementDocument(_Document):
     """A region, its guards, and the recipe that produced them."""
 
     __slots__ = ("region", "guards", "name", "parameters", "seed")
@@ -146,19 +192,8 @@ class PlacementDocument:
         object.__setattr__(self, "parameters", dict(parameters or {}))
         object.__setattr__(self, "seed", None if seed is None else int(seed))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PlacementDocument is immutable")
-
     def __repr__(self):
         return "PlacementDocument(%r, %d guards)" % (self.name, len(self.guards))
-
-    def __eq__(self, other):
-        if not isinstance(other, PlacementDocument):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __hash__(self):
-        return hash(self.dumps())
 
     def to_dict(self) -> dict:
         return {
@@ -191,33 +226,13 @@ class PlacementDocument:
         if not isinstance(meta, dict):
             raise DocumentError("metadata must be an object, got %r" % (meta,))
         seed = meta.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise DocumentError("seed must be an integer, got %r" % (seed,))
+        if seed is not None:
+            seed = _typed(seed, int, "seed")
         raw = meta.get("parameters", {})
         if not isinstance(raw, dict):
             raise DocumentError("parameters must be an object, got %r" % (raw,))
         params = {key: _scalar_from_json(raw[key]) for key in raw}
         return cls(region, guards, meta.get("name", ""), params, seed)
-
-    def dumps(self) -> str:
-        return _dumps(self.to_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "PlacementDocument":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("invalid JSON: %s" % (exc,)) from None
-        return cls.from_dict(payload)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-
-    @classmethod
-    def load(cls, path) -> "PlacementDocument":
-        with open(path) as fh:
-            return cls.loads(fh.read())
 
 
 class JDarkResult:
@@ -260,9 +275,9 @@ def sampler_from_json(d):
     kind = d.get("kind")
     try:
         if kind == "grid":
-            return ("grid", int(d["resolution"]))
+            return ("grid", _typed(d["resolution"], int, "resolution"))
         if kind == "random":
-            return ("random", int(d["seed"]), int(d["count"]))
+            return ("random", _typed(d["seed"], int, "seed"), _typed(d["count"], int, "count"))
         if kind == "points":
             return ("points", tuple(point_from_json(p) for p in d["points"]))
     except KeyError as exc:
@@ -270,7 +285,7 @@ def sampler_from_json(d):
     raise DocumentError("unknown sampler kind %r" % (kind,))
 
 
-class CertificateDocument:
+class CertificateDocument(_Document):
     """What one verification run concluded about one placement.
 
     Exact mode states the true minimum depth over the whole region;
@@ -314,23 +329,12 @@ class CertificateDocument:
         object.__setattr__(self, "j_dark", tuple(j_dark))
         object.__setattr__(self, "sampler", sampler)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CertificateDocument is immutable")
-
     def __repr__(self):
         return "CertificateDocument(%s, g=%d, min_depth=%d)" % (
             self.mode,
             self.guard_count,
             self.min_depth,
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, CertificateDocument):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __hash__(self):
-        return hash(self.dumps())
 
     def to_dict(self) -> dict:
         return {
@@ -358,40 +362,20 @@ class CertificateDocument:
             witness = d["witness"]
             results = [
                 JDarkResult(
-                    r["j"],
-                    r["found"],
+                    _typed(r["j"], int, "j"),
+                    _typed(r["found"], bool, "found"),
                     None if r["witness"] is None else point_from_json(r["witness"]),
                 )
                 for r in d["j_dark"]
             ]
             return cls(
                 d["mode"],
-                d["guard_count"],
-                d["min_depth"],
-                d["max_darkness"],
+                _typed(d["guard_count"], int, "guard_count"),
+                _typed(d["min_depth"], int, "min_depth"),
+                _typed(d["max_darkness"], int, "max_darkness"),
                 None if witness is None else point_from_json(witness),
                 results,
                 sampler_from_json(d.get("sampler")),
             )
         except KeyError as exc:
             raise DocumentError("certificate document missing %s" % (exc,)) from None
-
-    def dumps(self) -> str:
-        return _dumps(self.to_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "CertificateDocument":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("invalid JSON: %s" % (exc,)) from None
-        return cls.from_dict(payload)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-
-    @classmethod
-    def load(cls, path) -> "CertificateDocument":
-        with open(path) as fh:
-            return cls.loads(fh.read())

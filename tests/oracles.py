@@ -4,14 +4,17 @@ These deliberately share no code with the library's verifier: darkness is
 recounted from the definition (a guard is blocked from p exactly when some
 other guard stands strictly between), lines are regrouped pairwise, and
 maxima are found by exhaustive evaluation at every combinatorial event.
-Three exceptions: pair_hits_oracle runs the library's exact crossing test
+Four exceptions: pair_hits_oracle runs the library's exact crossing test
 on every pair, so that what it checks is the pair scan's filtering (the
 darkness oracles check that crossing test itself); has_j_dark_oracle
 walks those pairs row by row on the library's pieces, so that what it
-checks is the order in which has_j_dark reads the shared candidates; and
+checks is the order in which has_j_dark reads the shared candidates;
 crossings_oracle walks them too, keeping the piece set of every crossing
-where the library keeps only a total.
-The simple-polygon predicates (membership, validation, segment-inside,
+where the library keeps only a total; and pieces_oracle cuts the
+library's lines and integer halfplanes with one clip per piece, so that
+what it checks is the one clip per line.
+The line clipper and convex-polygon membership and validation, the
+simple-polygon predicates (membership, validation, segment-inside,
 visibility, depth), the convex hull, the sampler's glue (sub-piece
 points, suspicious points, grid and random samples, deduplication), the
 concurrent-rays scan and the scene scaling are the library's former
@@ -48,7 +51,6 @@ from darkgallery.geometry import (
     Point2,
     SimplePolygon,
     Wedge,
-    _clip_line_by_halfplanes,
     collinear,
     convex_hull,
     line_intersection,
@@ -163,7 +165,7 @@ def max_darkness_oracle(region, guards: Sequence[Point2]):
         candidates.append(region.apex)
 
     for key, (anchor, d, members) in lines.items():
-        clip = region.clip_line(anchor, d)
+        clip = clip_line_oracle(anchor, d, region.halfplanes())
         if clip is None:
             continue
         tlo, thi = clip
@@ -188,7 +190,7 @@ def max_darkness_oracle(region, guards: Sequence[Point2]):
             reps.append(events[-1] + 1)  # representative of the open end
         for t in reps:
             p = anchor + d * t
-            if region.contains(p):
+            if where_oracle(region, p) != "exterior":
                 candidates.append(p)
 
     best: Optional[Tuple[int, Point2]] = None
@@ -233,7 +235,7 @@ def grid_min_depth_oracle(region, guards: Sequence[Point2], resolution: int = 20
             seen.add(p)
             if A * p.x + B * p.y + C != 0:
                 continue  # float fuzz, not actually on the line
-            if region.contains(p):
+            if where_oracle(region, p) != "exterior":
                 best = min(best, depth_oracle(pts, p))
     return best
 
@@ -409,6 +411,129 @@ def has_j_dark_oracle(region, guards, j):
     return False, None
 
 
+# --- convex regions over Fractions -------------------------------------------
+
+def clip_line_oracle(anchor: Point2, d: Point2, halfplanes):
+    """Clip the full line anchor + t*d (t in R) against closed Fraction
+    halfplanes: (lo, hi) with None for an open end, or None when nothing
+    is left.  The library's former clipper; it now clips integer lines
+    (geometry._clip)."""
+    lo = None  # type: Optional[Fraction]
+    hi = None  # type: Optional[Fraction]
+    for h in halfplanes:
+        ln = h.line
+        denom = ln.a * d.x + ln.b * d.y
+        num = ln.c - (ln.a * anchor.x + ln.b * anchor.y)
+        if denom == 0:
+            if num > 0:  # line entirely outside this halfplane
+                return None
+            continue
+        t = num / denom
+        if denom > 0:
+            if lo is None or t > lo:
+                lo = t
+        else:
+            if hi is None or t < hi:
+                hi = t
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return (lo, hi)
+
+
+def convex_where_oracle(P: ConvexPolygon, p: Point2) -> str:
+    """'interior', 'boundary' or 'exterior' of p in the closed convex P,
+    by the orientation of p against every edge: the library's former
+    Fraction body."""
+    on_edge = False
+    for a, b in P.edges():
+        s = orientation(a, b, p)
+        if s < 0:
+            return "exterior"
+        if s == 0:
+            on_edge = True
+    return "boundary" if on_edge else "interior"
+
+
+def where_oracle(region, p: Point2) -> str:
+    """Where p lies in a ConvexPolygon (convex_where_oracle) or a Wedge
+    (its own where, over Fractions)."""
+    if isinstance(region, ConvexPolygon):
+        return convex_where_oracle(region, p)
+    return region.where(p)
+
+
+def convex_polygon_error_oracle(vertices) -> Optional[str]:
+    """The ValueError message ConvexPolygon(vertices) should raise, or
+    None: the library's former Fraction validation (a left turn at every
+    corner), then one winding.  With every turn left and below 180
+    degrees, the edge direction turns ccw and passes from the lower half
+    of the circle of directions (angles in [180, 360)) to the upper one
+    exactly once per turn around."""
+    vs = list(vertices)
+    if len(vs) < 3:
+        return "a polygon needs at least 3 vertices"
+    n = len(vs)
+    for i in range(n):
+        o = orientation(vs[i], vs[(i + 1) % n], vs[(i + 2) % n])
+        if o < 0:
+            return "vertices must wind counterclockwise"
+        if o == 0:
+            return "degenerate corner at index %d (repeated or collinear vertices)" % ((i + 1) % n)
+    edges = [vs[(i + 1) % n] - vs[i] for i in range(n)]
+    upper = [e.y > 0 or (e.y == 0 and e.x > 0) for e in edges]
+    if sum(not upper[i - 1] and upper[i] for i in range(n)) != 1:
+        return "vertices wind around more than once (a star is not convex)"
+    return None
+
+
+def ray_exit_oracle(ax, ay, dx, dy, halfplanes):
+    """Where {anchor + t*d : t >= 0} leaves the integer halfplanes
+    ax+by >= c, as (num, den) with den > 0, or None when it never does;
+    the anchor satisfies every halfplane.  The library's former per-piece
+    clip."""
+    hi_n = hi_d = None
+    for a, b, c in halfplanes:
+        den = a * dx + b * dy
+        if den < 0:
+            # t <= (c - (a*ax + b*ay)) / den, both sides of the fraction <= 0
+            n, d = a * ax + b * ay - c, -den
+            if hi_n is None or n * hi_d < hi_n * d:
+                hi_n, hi_d = n, d
+    return None if hi_n is None else (hi_n, hi_d)
+
+
+def pieces_oracle(analysis):
+    """The pieces of an analysis by the library's former loop: every dark
+    portion re-anchored at a member guard and clipped on its own
+    (ray_exit_oracle), the gaps between members too."""
+    ints = analysis.frame.ints
+    pieces = []
+    for line_id, (ux, uy, c, members) in enumerate(analysis.lines):
+        m = len(members)
+        first, last = members[0][1], members[-1][1]
+        spans = [
+            (first, -ux, -uy, None, m - 1),
+            (last, ux, uy, None, m - 1),
+        ]
+        if m >= 3:
+            for (t0, i0), (t1, _) in zip(members, members[1:]):
+                spans.append((i0, ux, uy, t1 - t0, m - 2))
+        for anchor, dx, dy, length, blocked in spans:
+            ax, ay = ints[anchor]
+            hi = ray_exit_oracle(ax, ay, dx, dy, analysis.halfplanes)
+            if hi is None:
+                hin = hid = None
+            else:
+                hin, hid = hi
+            hi_strict = False
+            if length is not None and (hin is None or hin >= length * hid):
+                hin, hid, hi_strict = length, 1, True  # open at far guard
+            if hin == 0:
+                continue  # the region ends at the anchoring guard
+            pieces.append((ax, ay, dx, dy, hin, hid, hi_strict, blocked, line_id))
+    return pieces
+
+
 # --- halfplane intersection by pairwise corners -------------------------------
 
 def halfplane_intersection_oracle(halfplanes) -> HalfplaneResult:
@@ -445,7 +570,7 @@ def halfplane_intersection_oracle(halfplanes) -> HalfplaneResult:
         for i, h in enumerate(hs):
             ln = h.line
             anchor = _point_on_line(ln)
-            if _clip_line_by_halfplanes(anchor, ln.direction(), hs) is not None:
+            if clip_line_oracle(anchor, ln.direction(), hs) is not None:
                 feasible = True
                 break
     if not feasible:
@@ -480,7 +605,7 @@ def simple_where_oracle(P, p: Point2) -> str:
     """'interior', 'boundary' or 'exterior' of p in the closed P: a
     boundary test, then crossing parity with a horizontal ray to +x."""
     if not isinstance(P, SimplePolygon):
-        return P.where(p)
+        return where_oracle(P, p)
     for a, b in P.edges():
         if on_segment(p, a, b):
             return "boundary"

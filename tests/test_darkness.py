@@ -40,7 +40,9 @@ from darkgallery.geometry import (
     SimplePolygon,
     Wedge,
     _forward_step,
+    _clip,
     _Frame,
+    _halfplanes,
     _integers,
     centroid,
 )
@@ -169,6 +171,20 @@ def test_darkness_at_a_guard_point_sees_itself():
     # the guard at (2,0) is hidden from (0,0) but sees itself and (1,0)
     w = darkness_at(big, guards, Point2(2, 0))
     assert w.darkness == 1
+
+
+@pytest.mark.parametrize("region", [TRIANGLE, Wedge(Point2(0, 0), Point2(1, 0), Point2(1, 2))],
+                         ids=["polygon", "wedge"])
+def test_darkness_at_refuses_points_outside_and_takes_the_boundary(region):
+    # both regions have the edge y = 2x through the origin, which the
+    # guard line y = 1 meets at (1/2, 1): two guards hide behind (1, 1)
+    guards = [Point2(1, 1), Point2(2, 1), Point2(3, 1)]
+    for p, dark in ((Point2(HALF, 1), 2), (Point2(0, 0), 0), (Point2(5, 0), 0)):
+        assert region.where(p) == "boundary"
+        assert darkness_at(region, guards, p).darkness == dark == oracles.darkness_oracle(guards, p)
+    for p in (Point2(Fraction(1, 4), 1), Point2(5, Fraction(-1, 3 ** 40)), Point2(-1, 0)):
+        with pytest.raises(ValueError, match="query point .* lies outside the region"):
+            darkness_at(region, guards, p)
 
 
 def test_witness_invariants_on_random_scenes():
@@ -768,10 +784,31 @@ def test_frame_scales_the_scene_as_the_oracle(scene):
     frame = _Frame(region, guards)
     assert frame.scale == scale
     assert frame.ints == list(zip(gx, gy))
-    assert darkness._halfplanes(region, frame.walls) == halfplanes
+    assert _halfplanes(region, frame.walls) == halfplanes
     assert (len(halfplanes) == 0) == (region is None)
     if scene == "past-2^1100":
         assert min(x for x, _ in frame.ints).bit_length() > 1100
+
+
+@pytest.mark.parametrize("scene", INVARIANT_SCENES + ["plane"])
+def test_pieces_come_from_one_clip_per_line(scene, monkeypatch):
+    # the former loop clipped every dark portion on its own; the analysis
+    # clips each guard line once, from its first member, and cuts the same
+    # pieces, in the same order, from that one clip
+    region, guards = frame_scene(scene)
+    calls = []
+
+    def spy(*args):
+        calls.append(args[:5])
+        return _clip(*args)
+
+    monkeypatch.setattr(darkness, "_clip", spy)
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    assert analysis.pieces == oracles.pieces_oracle(analysis)
+    ints = analysis.frame.ints
+    assert calls == [(*ints[members[0][1]], 1, ux, uy) for ux, uy, _, members in analysis.lines]
+    if scene == "plane":
+        assert sum(p[4] is None for p in analysis.pieces) == 2 * len(analysis.lines)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

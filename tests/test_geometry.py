@@ -30,12 +30,20 @@ from darkgallery.fixtures import triangle_region, wedge_region
 from darkgallery.simple import make_comb
 
 from conftest import random_convex_polygon, random_star_polygon
-from oracles import convex_hull_oracle, halfplane_intersection_oracle, simple_polygon_error_oracle
+from oracles import (
+    clip_line_oracle,
+    convex_hull_oracle,
+    convex_polygon_error_oracle,
+    convex_where_oracle,
+    halfplane_intersection_oracle,
+    simple_polygon_error_oracle,
+)
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(Point2, coords, coords)
 
 
+HALF = Fraction(1, 2)
 UNIT_SQUARE = ConvexPolygon([Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)])
 
 
@@ -306,6 +314,158 @@ def test_convex_polygon_validation():
         ConvexPolygon([Point2(0, 0), Point2(0, 1), Point2(1, 1), Point2(1, 0)])
     with pytest.raises(ValueError):
         ConvexPolygon([Point2(0, 0), Point2(1, 0), Point2(1, 0), Point2(0, 1)])
+
+
+# a regular pentagon, rounded to integers, and its pentagram order: every
+# corner of the star turns left, but it winds around twice
+PENTAGON = [Point2(100, 0), Point2(31, 95), Point2(-81, 59), Point2(-81, -59), Point2(31, -95)]
+PENTAGRAM = [PENTAGON[i] for i in (0, 2, 4, 1, 3)]
+
+
+def test_convex_polygon_refuses_a_star():
+    assert all(orientation(PENTAGRAM[i - 2], PENTAGRAM[i - 1], PENTAGRAM[i]) == 1 for i in range(5))
+    assert len(ConvexPolygon(PENTAGON)) == 5
+    with pytest.raises(ValueError, match="wind around more than once"):
+        ConvexPolygon(PENTAGRAM)
+
+
+def _convex_verdict(vertices):
+    try:
+        ConvexPolygon(vertices)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _convex_inputs():
+    """(name, vertex list): random convex polygons in every rotation and
+    reversed, stars and doubly wound polygons, and random orderings of
+    small lattice points (mostly rejected)."""
+    def pts(*xy):
+        return [Point2(x, y) for x, y in xy]
+    square = pts((0, 0), (4, 0), (4, 4), (0, 4))
+    heptagon = pts((100, 0), (62, 78), (-22, 97), (-90, 43), (-90, -43), (-22, -97), (62, -78))
+    out = [
+        ("square", square),
+        ("square-twice", square + square),
+        ("pentagram", PENTAGRAM),
+        ("heptagram-2", [heptagon[2 * i % 7] for i in range(7)]),
+        ("heptagram-3", [heptagon[3 * i % 7] for i in range(7)]),
+        ("collinear", pts((0, 0), (1, 0), (2, 0), (0, 1))),
+        ("repeated", pts((0, 0), (1, 0), (1, 0), (0, 1))),
+        ("cw", pts((0, 0), (0, 1), (1, 1), (1, 0))),
+        ("two-vertices", pts((0, 0), (1, 1))),
+    ]
+    rng = random.Random(31)
+    for i in range(200):
+        vs = random_convex_polygon(rng, rng.randint(3, 9)).vertices
+        k = rng.randrange(len(vs))
+        out.append(("convex-%d" % i, vs[k:] + vs[:k]))
+        if i < 20:
+            out.append(("reversed-%d" % i, vs[::-1]))
+    for i in range(150):
+        vs = [Point2(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))]
+        out.append(("lattice-%d" % i, vs))
+    return out
+
+
+SCALES = [(1, Fraction(0)), (Fraction(1, 3 ** 40), Fraction(1, 3 ** 40)), (2 ** 1100, Fraction(0))]
+SCALE_IDS = ["1", "3^-40", "2^1100"]
+
+
+@pytest.mark.parametrize("factor, shift", SCALES, ids=SCALE_IDS)
+def test_convex_polygon_validation_matches_the_fraction_oracle(factor, shift):
+    verdicts = set()
+    for name, vs in _convex_inputs():
+        vs = [Point2(v.x * factor + shift, v.y * factor - shift) for v in vs]
+        verdict = _convex_verdict(vs)
+        assert verdict == convex_polygon_error_oracle(vs), name
+        verdicts.add(verdict if verdict is None else " ".join(verdict.split(" ")[:2]))
+    assert verdicts == {None, "a polygon", "vertices must", "vertices wind", "degenerate corner"}
+
+
+@pytest.mark.parametrize("factor, shift", SCALES, ids=SCALE_IDS)
+def test_convex_where_matches_the_fraction_oracle(factor, shift):
+    # vertices, points on edges, inside and outside, and points just off
+    # a vertex or an edge by 1/3 of the scale
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(30):
+        P = random_convex_polygon(rng, rng.randint(3, 7), size=30)
+        P = ConvexPolygon([Point2(v.x * factor + shift, v.y * factor - shift) for v in P.vertices])
+        probes = []
+        for a, b in P.edges():
+            probes += [a, (a + b) * HALF, a + (b - a) * Fraction(1, 3)]
+            probes += [a + Point2(factor, 0) * Fraction(1, 3), a - Point2(0, factor) * Fraction(1, 3)]
+        x0, y0, x1, y1 = P.bounding_box()
+        probes += [Point2(x0 + (x1 - x0) * Fraction(rng.randint(-2, 12), 10),
+                          y0 + (y1 - y0) * Fraction(rng.randint(-2, 12), 10)) for _ in range(40)]
+        for p in probes:
+            w = P.where(p)
+            assert w == convex_where_oracle(P, p)
+            seen.add(w)
+    assert seen == {"interior", "boundary", "exterior"}
+
+
+def _clip_lines(region, rng):
+    """(anchor, d) lines for a region: through each corner along its
+    edges (on the boundary), the same lines moved outward (missing),
+    tangent at each corner (touching one point), just past each corner
+    (missing), and random lines through the region's box."""
+    if isinstance(region, Wedge):
+        v, dirs = region.apex, [(region.dir1, region.dir2)]
+        corners = [(v, region.dir1, -region.dir2, region.dir1 - region.dir2)]
+    else:
+        vs = region.vertices
+        n = len(vs)
+        corners = [(vs[i], vs[(i + 1) % n] - vs[i], vs[i - 1] - vs[i],
+                    (vs[i] - vs[i - 1]) + (vs[(i + 1) % n] - vs[i])) for i in range(n)]
+    out = []
+    for v, e_next, e_prev, tangent in corners:
+        outward = Point2(e_next.y, -e_next.x)  # right of the next edge
+        out += [(v, e_next), (v, -e_prev), (v + outward, e_next), (v, tangent),
+                (v + outward, tangent), (v - tangent, Point2(tangent.y, -tangent.x))]
+    box = [v for v, *_ in corners]
+    span = max(max(abs(p.x), abs(p.y)) for p in box) + 1
+    for _ in range(20):
+        anchor = Point2(span * Fraction(rng.randint(-20, 20), 10), span * Fraction(rng.randint(-20, 20), 10))
+        d = Point2(rng.randint(-5, 5), rng.randint(-5, 5))
+        if not d.is_zero():
+            out.append((anchor, d))
+    return out
+
+
+@pytest.mark.parametrize("factor, shift", SCALES, ids=SCALE_IDS)
+def test_clip_line_matches_the_fraction_oracle(factor, shift):
+    rng = random.Random(9)
+    regions = [random_convex_polygon(rng, rng.randint(3, 7)) for _ in range(8)]
+    regions += [triangle_region(), wedge_region(),
+                Wedge(Point2(Fraction(1, 3), Fraction(-2, 7)), Point2(Fraction(3, 2), Fraction(1, 5)),
+                      Point2(Fraction(-1, 4), Fraction(5, 3)))]
+    shapes = set()
+    for region in regions:
+        if isinstance(region, Wedge):
+            region = Wedge(Point2(region.apex.x * factor + shift, region.apex.y * factor - shift),
+                           region.dir1 * factor, region.dir2)
+        else:
+            region = ConvexPolygon([Point2(v.x * factor + shift, v.y * factor - shift)
+                                    for v in region.vertices])
+        for anchor, d in _clip_lines(region, rng):
+            got = region.clip_line(anchor, d)
+            assert got == clip_line_oracle(anchor, d, region.halfplanes())
+            if got is None:
+                shapes.add("miss")
+            else:
+                shapes.add(("point" if got[0] == got[1] else "segment") if None not in got
+                           else "ray" if got.count(None) == 1 else "line")
+                assert all(t is None or isinstance(t, Fraction) for t in got)
+            if isinstance(region, ConvexPolygon):
+                assert got is None or None not in got
+    assert shapes == {"miss", "point", "segment", "ray"}
+    with pytest.raises(ValueError):
+        UNIT_SQUARE.clip_line(Point2(0, 0), Point2(0, 0))
+    with pytest.raises(ValueError):
+        wedge_region().clip_line(Point2(0, 0), Point2(0, 0))
 
 
 def test_wedge_validation_and_orientation():

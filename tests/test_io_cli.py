@@ -125,6 +125,49 @@ def test_sampler_codec_round_trips():
         sampler_to_json(("everywhere",))
 
 
+def _certificate_dict():
+    cert = CertificateDocument("sampled", 12, 9, 3, Point2(1, 2), sampler=("grid", 4))
+    return cert.to_dict()
+
+
+@pytest.mark.parametrize("path, bad", [
+    pytest.param(("j_dark", 0, "found"), "no", id="found-no"),
+    pytest.param(("j_dark", 0, "found"), 1, id="found-1"),
+    pytest.param(("j_dark", 0, "j"), 2.0, id="j-2.0"),
+    pytest.param(("min_depth",), 9.7, id="min_depth-9.7"),
+    pytest.param(("guard_count",), "12", id="guard_count-str"),
+    pytest.param(("guard_count",), True, id="guard_count-true"),
+    pytest.param(("max_darkness",), None, id="max_darkness-null"),
+    pytest.param(("sampler", "resolution"), 2.5, id="resolution-2.5"),
+    pytest.param(("sampler", "resolution"), "x", id="resolution-x"),
+])
+def test_certificate_parsing_is_strict(path, bad):
+    good = _certificate_dict()
+    good["j_dark"] = [{"j": 2, "found": False, "witness": None}]
+    assert CertificateDocument.from_dict(good).to_dict() == good
+    node = good
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with pytest.raises(DocumentError, match=path[-1]):
+        CertificateDocument.from_dict(good)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "7"], ids=["true", "1.5", "str"])
+def test_placement_and_random_sampler_seeds_are_integers(bad):
+    region, guards = builtin_fixture("triangle")
+    d = PlacementDocument(region, guards, seed=7).to_dict()
+    assert PlacementDocument.from_dict(d).seed == 7
+    d["metadata"]["seed"] = bad
+    with pytest.raises(DocumentError, match="seed"):
+        PlacementDocument.from_dict(d)
+    for field in ("seed", "count"):
+        spec = {"kind": "random", "seed": 3, "count": 10}
+        spec[field] = bad
+        with pytest.raises(DocumentError, match=field):
+            sampler_from_json(spec)
+
+
 def test_placement_documents_are_immutable_and_comparable():
     region, guards = builtin_fixture("triangle")
     doc = PlacementDocument(region, guards, name="triangle")
@@ -348,6 +391,18 @@ def test_render_zoom_window(work):
 
 
 # --- failure modes --------------------------------------------------------------------
+
+def test_construct_refuses_a_star_region(tmp_path):
+    # a regular pentagon's vertices in pentagram order turn left at every
+    # corner, but wind around twice
+    star = {"kind": "convex",
+            "vertices": [[100, 0], [-81, 59], [31, -95], [31, 95], [-81, -59]]}
+    regfile = str(tmp_path / "star.json")
+    with open(regfile, "w") as fh:
+        json.dump(star, fh)
+    proc = run_cli("construct", "--shape", regfile, "--k", "3", expect=1)
+    assert "wind around more than once" in json.loads(proc.stderr)["error"]
+
 
 def test_cli_error_paths():
     proc = run_cli("construct", "--shape", "nonesuch", "--k", "3", expect=1)

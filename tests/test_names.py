@@ -161,3 +161,70 @@ def test_scaling_uses_flags_denominators_and_lcm():
 @pytest.mark.parametrize("path", FRAME_READERS, ids=[p.name for p in FRAME_READERS])
 def test_frame_readers_scale_nothing_themselves(path):
     assert scaling_uses(path.read_text(), str(path)) == []
+
+
+# one question, one implementation: two functions whose bodies are the
+# same statements are one function written twice
+def duplicate_bodies(sources) -> List[List[str]]:
+    """Groups of two or more functions ("file:qualified name") whose
+    bodies are identical and hold two or more statements, docstrings not
+    counted; sources are (file name, source) pairs."""
+    seen = {}
+
+    def visit(node, file, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    body = child.body
+                    if (body and isinstance(body[0], ast.Expr)
+                            and isinstance(body[0].value, ast.Constant)
+                            and isinstance(body[0].value.value, str)):
+                        body = body[1:]
+                    if len(body) >= 2:
+                        key = ast.dump(ast.Module(body=body, type_ignores=[]))
+                        seen.setdefault(key, []).append("%s:%s" % (file, name))
+                visit(child, file, name + ".")
+            else:
+                visit(child, file, prefix)
+
+    for file, source in sources:
+        visit(ast.parse(source, file), file, "")
+    return sorted(sorted(names) for names in seen.values() if len(names) >= 2)
+
+
+def test_duplicate_bodies_flags_functions_written_twice():
+    a = (
+        "def f(x):\n"
+        "    '''One docstring.'''\n"
+        "    y = x + 1\n"
+        "    return y\n"
+        "def short(x):\n"
+        "    return x\n"
+        "class C:\n"
+        "    def m(self, x):\n"
+        "        y = x + 1\n"
+        "        return y\n"
+        "    def other(self, x):\n"
+        "        y = x + 2\n"
+        "        return y\n"
+    )
+    b = (
+        "def g(x):\n"
+        "    '''Another docstring.'''\n"
+        "    y = x + 1\n"
+        "    return y\n"
+        "def short2(x):\n"
+        "    return x\n"
+        "def outer():\n"
+        "    def inner(self, x):\n"
+        "        y = x + 2\n"
+        "        return y\n"
+        "    return inner\n"
+    )
+    assert duplicate_bodies([("a.py", a), ("b.py", b)]) == [
+        ["a.py:C.m", "a.py:f", "b.py:g"], ["a.py:C.other", "b.py:outer.inner"]]
+
+
+def test_package_has_no_function_written_twice():
+    assert duplicate_bodies([(p.name, p.read_text()) for p in MODULES]) == []
