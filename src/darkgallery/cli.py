@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .construct import ConstructionError, construct, place_wedge
 from .darkness import GuardSet, has_j_dark, min_depth
@@ -37,7 +37,7 @@ from .documents import (
 from .fixtures import builtin_fixture
 from .geometry import ConvexPolygon, SimplePolygon, Wedge
 from .render import render_placement
-from .sampling import sample_depth
+from .sampling import _scan
 from .simple import fisk_cover
 
 EXIT_OK = 0
@@ -126,17 +126,15 @@ def _exact_certificate(region, gset: GuardSet, js: List[int]) -> CertificateDocu
     )
 
 
-def _sampled_certificate(
-    region, gset: GuardSet, js: List[int], sampler, target: Optional[int]
-) -> CertificateDocument:
-    report = sample_depth(region, gset, sampler=sampler, target=target)
+def _sampled_certificate(region, gset: GuardSet, js: List[int], sampler) -> CertificateDocument:
+    frame, samples, depths = _scan(region, gset, sampler)
     g = len(gset)
-    low = report.min_sampled_depth
-    witness = next(p for p, d in report.samples if d == low)
+    low = min(depths)
+    witness = frame.point(samples[depths.index(low)])
     results = []
     for j in js:
-        hit = next((p for p, d in report.samples if g - d >= j), None)
-        results.append(JDarkResult(j, hit is not None, hit))
+        i = next((i for i, d in enumerate(depths) if g - d >= j), None)
+        results.append(JDarkResult(j, i is not None, None if i is None else frame.point(samples[i])))
     return CertificateDocument("sampled", g, low, g - low, witness, results, sampler)
 
 
@@ -170,7 +168,7 @@ def cmd_construct(args) -> int:
         gset = fisk_cover(region, k)
         name = "coloring-cover"
     if isinstance(region, SimplePolygon):
-        cert = _sampled_certificate(region, gset, [], None, target=k)
+        cert = _sampled_certificate(region, gset, [], None)
     else:
         cert = _exact_certificate(region, gset, [2] if k > 1 else [])
     placement = PlacementDocument(
@@ -217,7 +215,7 @@ def cmd_verify(args) -> int:
         cert = _exact_certificate(region, gset, js)
     else:
         sampler = None if args.grid is None else ("grid", args.grid)
-        cert = _sampled_certificate(region, gset, js, sampler, target)
+        cert = _sampled_certificate(region, gset, js, sampler)
     violated = any(r.found for r in cert.j_dark)
     if target is not None and cert.min_depth < target:
         violated = True

@@ -61,6 +61,23 @@ def _typed(value, kind: type, field: str):
     raise DocumentError("%s must be %s, got %r" % (field, kind.__name__, value))
 
 
+def _array(value, field: str):
+    """value when it is a JSON array (a list or tuple), else DocumentError."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise DocumentError("%s must be an array, got %r" % (field, value))
+
+
+def _built(make, field: str, *args):
+    """make(*args), with a ValueError of the constructor (a clockwise or
+    crossing vertex list, co-located guards) as a DocumentError naming
+    field."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise DocumentError("%s: %s" % (field, exc)) from None
+
+
 def point_to_json(p: Point2) -> List[Union[int, str]]:
     return [rat_to_json(p.x), rat_to_json(p.y)]
 
@@ -96,17 +113,16 @@ def region_from_dict(d) -> Region:
         raise DocumentError("a region descriptor is an object, got %r" % (d,))
     kind = d.get("kind")
     try:
-        if kind == "convex":
-            return ConvexPolygon([point_from_json(v) for v in d["vertices"]])
-        if kind == "simple":
-            return SimplePolygon([point_from_json(v) for v in d["vertices"]])
+        if kind in ("convex", "simple"):
+            vertices = [point_from_json(v) for v in _array(d["vertices"], "vertices")]
+            make = ConvexPolygon if kind == "convex" else SimplePolygon
+            return _built(make, "vertices", vertices)
         if kind == "wedge":
-            d1, d2 = d["directions"]
-            return Wedge(
-                point_from_json(d["apex"]),
-                point_from_json(d1),
-                point_from_json(d2),
-            )
+            directions = _array(d["directions"], "directions")
+            if len(directions) != 2:
+                raise DocumentError("directions must hold two points, got %r" % (directions,))
+            apex = point_from_json(d["apex"])
+            return _built(Wedge, "directions", apex, *map(point_from_json, directions))
     except KeyError as exc:
         raise DocumentError("region descriptor missing %s" % (exc,)) from None
     raise DocumentError("unknown region kind %r" % (kind,))
@@ -219,9 +235,10 @@ class PlacementDocument(_Document):
                 raise DocumentError("'placement' must be an object, got %r" % (d,))
         try:
             region = region_from_dict(d["region"])
-            guards = [point_from_json(g) for g in d["guards"]]
+            guards = [point_from_json(g) for g in _array(d["guards"], "guards")]
         except KeyError as exc:
             raise DocumentError("placement document missing %s" % (exc,)) from None
+        guards = _built(GuardSet, "guards", guards)
         meta = d.get("metadata", {})
         if not isinstance(meta, dict):
             raise DocumentError("metadata must be an object, got %r" % (meta,))
@@ -279,7 +296,7 @@ def sampler_from_json(d):
         if kind == "random":
             return ("random", _typed(d["seed"], int, "seed"), _typed(d["count"], int, "count"))
         if kind == "points":
-            return ("points", tuple(point_from_json(p) for p in d["points"]))
+            return ("points", tuple(point_from_json(p) for p in _array(d["points"], "points")))
     except KeyError as exc:
         raise DocumentError("sampler spec missing %s" % (exc,)) from None
     raise DocumentError("unknown sampler kind %r" % (kind,))
@@ -360,13 +377,16 @@ class CertificateDocument(_Document):
             raise DocumentError("a certificate document is an object, got %r" % (d,))
         try:
             witness = d["witness"]
+            entries = _array(d["j_dark"], "j_dark")
+            if not all(isinstance(r, dict) for r in entries):
+                raise DocumentError("j_dark entries must be objects, got %r" % (entries,))
             results = [
                 JDarkResult(
                     _typed(r["j"], int, "j"),
                     _typed(r["found"], bool, "found"),
                     None if r["witness"] is None else point_from_json(r["witness"]),
                 )
-                for r in d["j_dark"]
+                for r in entries
             ]
             return cls(
                 d["mode"],

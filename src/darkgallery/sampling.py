@@ -24,8 +24,10 @@ own frame, which one integer factor maps into this one) as integers, and
 grid and seeded-random points are built in the frame's integers.  This
 module reads no denominator itself.  Samples are ordered by
 cross-multiplication (``geometry._XY``) and deduplicated on
-gcd-normalised keys; a ``Point2`` is built only for each sample of the
-``SampleReport``.
+gcd-normalised keys.  ``_scan`` returns them with their depths and
+builds no point: ``sample_depth`` builds one ``Point2`` per sample of
+its ``SampleReport``, and the CLI certificate one per witness it
+reports.
 
 Every verdict is exact.  Depths and polygon membership take one path at
 every batch size and coordinate scale: a float pass whose only verdicts
@@ -36,8 +38,10 @@ nothing; a frame past the float range divides its float columns by a
 power of two, which changes no verdict, so that this never happens to
 its own points.  ``_wall_free`` decides whether a segment stays inside,
 ``_between`` whether a guard blocks it, and ``geometry._locate`` (which
-``SimplePolygon.where`` reads too) decides membership.  ``visible`` and
-``depth_at_sample`` are that kernel on one pair and one sample.
+``SimplePolygon.where`` reads too) decides membership.  Guard blocking
+is decided per guard, over all the (sample, other guard) pairs the float
+pass leaves open for it.  ``visible`` and ``depth_at_sample`` are that
+kernel on one pair and one sample.
 
 A sampled report can prove a placement bad (a witness below target) but
 never certifies it good -- that asymmetry is inherent, and callers
@@ -157,7 +161,10 @@ def _depths(frame: _Frame, samples) -> List[int]:
     frame's points are the guards, validated by the caller.  The float
     pass certifies the clear wall crossings, clear misses, and clear
     non-collinearities; every pair it cannot certify is re-decided by the
-    integer kernel.
+    integer kernel.  Guard blocking is decided per guard q: one batch
+    gives every (sample, other guard) pair the float pass leaves open,
+    and ``_between`` decides them in sample order, skipping the samples
+    q already cannot see.
     """
     guards = frame.ints
     px, py = _columns(frame, samples)
@@ -210,8 +217,11 @@ def _depths(frame: _Frame, samples) -> List[int]:
         maybe[:, gi] = False
         for s in np.nonzero(wall_unsure)[0]:
             vis[s] = _wall_free(frame.walls, q, samples[s])
-        for s in np.nonzero(vis & maybe.any(axis=1))[0]:
-            if any(_between(guards[h], q, samples[s]) for h in np.nonzero(maybe[s])[0]):
+        # every (sample, guard) pair left open, in sample order: the first
+        # guard between q and a sample blocks it, and settles the sample
+        rows, cols = np.nonzero(maybe & vis[:, None])
+        for s, h in zip(rows.tolist(), cols.tolist()):
+            if vis[s] and _between(guards[h], q, samples[s]):
                 vis[s] = False
         depths += vis
     return [int(v) for v in depths]
@@ -427,14 +437,9 @@ def _sampler_points(frame: _Frame, sampler):
     )
 
 
-def sample_depth(P: AnyPolygon, guards, sampler=None, target: Optional[int] = None) -> SampleReport:
-    """Depth at a deterministic set of sample points of the closed P.
-
-    The scan always covers the polygon vertices, the guard positions,
-    and the dark-ray crossing points and gap midpoints inside P; the
-    sampler spec adds more.  With a target, samples below it are
-    collected as failing witnesses.
-    """
+def _scan(P: AnyPolygon, guards, sampler):
+    """(frame, samples, depths): the deduplicated homogeneous samples of
+    sample_depth in scan order, and the depth at each, with no point built."""
     gset = GuardSet.coerce(guards)
     frame = _Frame(P, gset.guards)
     for g, (x, y) in zip(gset.guards, frame.ints):
@@ -452,5 +457,16 @@ def sample_depth(P: AnyPolygon, guards, sampler=None, target: Optional[int] = No
         if key not in seen:
             seen.add(key)
             unique.append(s)
-    depths = _depths(frame, unique)
-    return SampleReport([(frame.point(s), d) for s, d in zip(unique, depths)], target=target)
+    return frame, unique, _depths(frame, unique)
+
+
+def sample_depth(P: AnyPolygon, guards, sampler=None, target: Optional[int] = None) -> SampleReport:
+    """Depth at a deterministic set of sample points of the closed P.
+
+    The scan always covers the polygon vertices, the guard positions,
+    and the dark-ray crossing points and gap midpoints inside P; the
+    sampler spec adds more.  With a target, samples below it are
+    collected as failing witnesses.
+    """
+    frame, samples, depths = _scan(P, guards, sampler)
+    return SampleReport([(frame.point(s), d) for s, d in zip(samples, depths)], target=target)

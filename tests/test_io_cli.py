@@ -168,6 +168,45 @@ def test_placement_and_random_sampler_seeds_are_integers(bad):
             sampler_from_json(spec)
 
 
+_PLACEMENT = PlacementDocument(*builtin_fixture("triangle")).to_dict()
+_WEDGE = region_to_dict(builtin_fixture("wedge")[0])
+
+
+@pytest.mark.parametrize("parse, payload, match", [
+    pytest.param(CertificateDocument.from_dict, dict(_certificate_dict(), j_dark=[1]),
+                 "j_dark", id="j_dark-[1]"),
+    pytest.param(CertificateDocument.from_dict, dict(_certificate_dict(), j_dark="x"),
+                 "j_dark", id="j_dark-str"),
+    pytest.param(PlacementDocument.from_dict, dict(_PLACEMENT, guards=5), "guards",
+                 id="guards-5"),
+    pytest.param(PlacementDocument.from_dict, dict(_PLACEMENT, guards=None), "guards",
+                 id="guards-null"),
+    pytest.param(PlacementDocument.from_dict, dict(_PLACEMENT, guards=[[1, 1], [1, 1]]),
+                 "guards: guards cannot be co-located", id="guards-twice"),
+    pytest.param(region_from_dict, dict(COMB_REGION, vertices=5), "vertices",
+                 id="vertices-5"),
+    pytest.param(region_from_dict, dict(_WEDGE, directions=5), "directions",
+                 id="directions-5"),
+    pytest.param(region_from_dict, dict(_WEDGE, directions=[[1, 0]]), "directions",
+                 id="directions-one"),
+    pytest.param(sampler_from_json, {"kind": "points", "points": 5}, "points",
+                 id="points-5"),
+    pytest.param(region_from_dict, {"kind": "convex", "vertices": [[0, 0], [3, 6], [6, 0]]},
+                 "vertices: vertices must wind counterclockwise", id="clockwise"),
+    pytest.param(region_from_dict,
+                 {"kind": "convex",
+                  "vertices": [[100, 0], [-81, 59], [31, -95], [31, 95], [-81, -59]]},
+                 "vertices: vertices wind around more than once", id="star"),
+    pytest.param(region_from_dict,
+                 {"kind": "simple", "vertices": [[0, 0], [4, 4], [4, 0], [0, 4]]},
+                 r"vertices: edges \d+ and \d+ cross", id="crossing"),
+])
+def test_malformed_documents_raise_document_errors(parse, payload, match):
+    # a DocumentError naming the field, never a TypeError or a bare ValueError
+    with pytest.raises(DocumentError, match=match):
+        parse(payload)
+
+
 def test_placement_documents_are_immutable_and_comparable():
     region, guards = builtin_fixture("triangle")
     doc = PlacementDocument(region, guards, name="triangle")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import random
 from fractions import Fraction
 from math import inf
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darkgallery import geometry, sampling
+from darkgallery import cli, geometry, sampling
 from darkgallery.darkness import GuardSet, darkness_at
+from darkgallery.documents import CertificateDocument, point_to_json, region_to_dict
 from darkgallery.geometry import (
     ConvexPolygon,
     Point2,
@@ -566,3 +568,74 @@ def test_the_sample_path_builds_no_fraction_points(monkeypatch):
     # _Frame.point runs exactly once per reported sample
     assert made == [p for p, _ in report.samples]
     assert len(made) > len(comb.polygon.vertices) + len(gs)
+
+
+def _blocker_scenes():
+    # three or more guards on one line, so a sample beyond them has
+    # several possible blockers, and the nearest of them is not the
+    # first guard; off-line guards add dark rays that cross the line
+    comb = make_comb(3)
+    on_box = [Point2(2, 5), Point2(4, 5), Point2(6, 5), Point2(8, 5)]
+    box_guards = on_box + [Point2(3, 8), Point2(7, 2), Point2(5, 9)]
+    box_line = [Point2(Fraction(x, 2), 5) for x in range(21)]
+    # the comb's line x = 3 runs from the floor through spike 1 to its tip
+    on_comb = [Point2(3, Fraction(1, 2)), Point2(3, 1), Point2(3, Fraction(3, 2)),
+               Point2(3, 4), Point2(3, 7)]
+    comb_guards = on_comb + [Point2(1, 1), Point2(5, 1)]
+    comb_line = [Point2(3, Fraction(y, 4)) for y in range(41)]
+    return [("box", BOX, box_guards, box_line), ("comb-s3", comb.polygon, comb_guards, comb_line)]
+
+
+@pytest.mark.parametrize("scene", _blocker_scenes(), ids=lambda s: s[0])
+def test_several_collinear_blockers_match_the_oracle(scene):
+    _, P, guards, line = scene
+    gs = GuardSet(guards)
+    report = sample_depth(P, gs, sampler=("grid", 10))
+    pts = [p for p, _ in report.samples]
+    pts += [p for p in line if p not in set(pts)]
+    exact = [oracles.depth_at_sample_oracle(P, gs.guards, p) for p in pts]
+    assert batch_depths(P, gs, pts) == exact
+    assert [d for _, d in report.samples] == exact[:len(report.samples)]
+    # some sample on the line loses three guards to blocking
+    assert any(d <= len(gs) - 3 for d in exact)
+
+
+def test_the_cli_builds_only_the_points_it_reports(monkeypatch, tmp_path, capsys):
+    # a sampled certificate needs a Point2 for its witness and for each
+    # j's witness only; each is the first sample sample_depth reports at
+    # that depth
+    comb = make_comb(3)
+    star = random_star_polygon(random.Random(17), 9)
+    scenes = [("comb", comb.polygon, comb_cover(comb, 2)), ("star", star, fisk_cover(star, 1))]
+    js = [1, 2]
+    made = []
+    to_point = _Frame.point
+
+    def spy(self, s):
+        made.append(to_point(self, s))
+        return made[-1]
+
+    for name, P, gs in scenes:
+        region = tmp_path / ("%s-region.json" % name)
+        region.write_text(json.dumps(region_to_dict(P)))
+        placed = tmp_path / ("%s-guards.json" % name)
+        placed.write_text(json.dumps([point_to_json(g) for g in gs]))
+        for grid in (None, 6):
+            samples = sample_depth(P, gs, sampler=None if grid is None else ("grid", grid)).samples
+            argv = ["verify", "--region", str(region), "--guards", str(placed),
+                    "--mode", "sample", "--format", "json"]
+            argv += [a for j in js for a in ("--j", str(j))]
+            argv += [] if grid is None else ["--grid", str(grid)]
+            made.clear()
+            with monkeypatch.context() as m:
+                m.setattr(_Frame, "point", spy)
+                assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_WITNESS)
+            cert = CertificateDocument.loads(capsys.readouterr().out)
+            low = min(d for _, d in samples)
+            assert cert.min_depth == low
+            assert cert.witness == next(p for p, d in samples if d == low)
+            for r in cert.j_dark:
+                hit = next((p for p, d in samples if d <= len(gs) - r.j), None)
+                assert r.found == (hit is not None) and r.witness == hit
+            assert made == [cert.witness] + [r.witness for r in cert.j_dark if r.found]
+            assert len(made) <= 1 + len(js)
