@@ -484,65 +484,49 @@ def place_4n_minus_2(P: ConvexPolygon):
 class _StreamPlacer:
     """Incremental placement with an exact concurrency rejection test.
 
-    Candidates are consumed from a parabola, so no three of them are
-    ever collinear.  A candidate G is rejected when, along some new line
-    G-O, two existing guard lines would cross at the same point: that
-    point would lie on three guard lines, which is exactly what the
-    no-3-concurrent-dark-rays guarantee must rule out.
+    A candidate G is refused when, along some new line G-O, two stored
+    guard lines would cross at the same point: that point would lie on
+    three guard lines, which is exactly what the no-3-concurrent-dark-rays
+    guarantee must rule out.  Keeping three candidates off one line is
+    the caller's job.
 
-    Each stored line carries a primitive integer (A, B, C) with
-    A x + B y = C, so crossing parameters along G-O compare as reduced
-    integer pairs and the hot loop never touches rational arithmetic.
+    Points are homogeneous integers (X, Y, W), W > 0, all in one scale.
+    ``lines`` holds ((a, b, c), i, j): the primitive cross product of
+    points i and j, with a*X + b*Y + c*W = 0 on the line.  A stored line
+    L meets the line through G and O at lam*G + mu*O, where
+    lam : mu = (L.O) : -(L.G); that pair, reduced and signed so that the
+    point's W is positive, keys the crossing along G-O.  A line parallel
+    to G-O meets it at infinity (lam*W_G + mu*W_O == 0) and is skipped.
     """
 
     def __init__(self):
-        self.guards: List[Point2] = []
-        self.lines: List[Tuple[int, int]] = []
-        self._coeffs: List[Tuple[int, int, int]] = []
+        self.points: List[Tuple[int, int, int]] = []
+        self.lines: List[Tuple[Tuple[int, int, int], int, int]] = []
 
-    @staticmethod
-    def _line_coeffs(p: Point2, q: Point2) -> Tuple[int, int, int]:
-        den = p.x.denominator * p.y.denominator * q.x.denominator * q.y.denominator
-        px, py = int(p.x * den), int(p.y * den)
-        qx, qy = int(q.x * den), int(q.y * den)
-        a = (qy - py) * den
-        b = (px - qx) * den
-        c = (qy - py) * px + (px - qx) * py
-        shrink = gcd(gcd(a, b), c)
-        return a // shrink, b // shrink, c // shrink
-
-    def try_add(self, g: Point2) -> bool:
-        gs = self.guards
-        dg = g.x.denominator * g.y.denominator
-        gx, gy = int(g.x * dg), int(g.y * dg)
-        # the numerator of each line's crossing parameter along any ray
-        # out of g is direction-independent: hoist it out of the o loop
-        nums = [c * dg - a * gx - b * gy for (a, b, c) in self._coeffs]
-        for o_idx, o in enumerate(gs):
-            d = o - g
-            u = d.x.numerator * d.y.denominator
-            v = d.y.numerator * d.x.denominator
-            dd = dg * d.x.denominator * d.y.denominator
-            seen = {}
-            for idx, (i, j) in enumerate(self.lines):
-                if i == o_idx or j == o_idx:
+    def try_add(self, g) -> bool:
+        gx, gy, gw = g
+        # -(L.G) does not depend on O: hoist it out of the O loop
+        mus = [-(a * gx + b * gy + c * gw) for (a, b, c), _, _ in self.lines]
+        for o, (ox, oy, ow) in enumerate(self.points):
+            seen = set()
+            for ((a, b, c), i, j), mu in zip(self.lines, mus):
+                if i == o or j == o:
                     continue
-                a, b, _c = self._coeffs[idx]
-                den = (a * u + b * v) * dd
-                if den == 0:
+                lam = a * ox + b * oy + c * ow
+                w = lam * gw + mu * ow
+                if w == 0:
                     continue
-                num = nums[idx]
-                shrink = gcd(num, den)
-                key = (num // shrink, den // shrink) if den > 0 else (
-                    -num // shrink, -den // shrink)
+                d = gcd(lam, mu) if w > 0 else -gcd(lam, mu)
+                key = (lam // d, mu // d)
                 if key in seen:
                     return False
-                seen[key] = (i, j)
-        base = len(gs)
-        self.guards.append(g)
-        for i in range(base):
-            self.lines.append((i, base))
-            self._coeffs.append(self._line_coeffs(gs[i], g))
+                seen.add(key)
+        new = len(self.points)
+        for i, (px, py, pw) in enumerate(self.points):
+            a, b, c = py * gw - pw * gy, pw * gx - px * gw, px * gy - py * gx
+            d = gcd(a, b, c)
+            self.lines.append(((a // d, b // d, c // d), i, new))
+        self.points.append(g)
         return True
 
 
@@ -582,24 +566,31 @@ def place_general_position(region: Region, g: int) -> GuardSet:
 
     Dark rays live on guard lines, so no point of the plane lies on
     three dark rays and the region has no 3-dark point: coverage depth
-    is at least g - 2.  Deterministic: candidates march along a small
-    parabola around an interior anchor, and the placer rejects the rare
-    candidate that would line up three crossings.
+    is at least g - 2.  Deterministic: one stream runs the placer over
+    the integer parabola (t, t^2), t = 1, 2, ..., until g points are
+    accepted.  Collinearity and concurrency survive affine maps, so the
+    accepted t's are then mapped once to anchor + (sx*t, sy*t^2) around
+    an interior anchor, with the span that keeps them inside the region:
+    the first of g+64, 2(g+64), ... that reaches the last accepted t.
     """
+    if type(g) is not int:
+        raise TypeError("g must be an int, got %r" % (g,))
     if g < 1:
         raise ValueError("need at least one guard")
     anchor, margin = _interior_anchor_and_margin(region)
-    budget = g + 64
-    while True:
-        span = budget
-        sx = _floor_pow2(margin / (2 * span))
-        sy = _floor_pow2(margin / (2 * span * span))
-        placer = _StreamPlacer()
-        for t in range(1, span + 1):
-            cand = anchor + Point2(sx * t, sy * t * t)
-            if placer.try_add(cand) and len(placer.guards) == g:
-                return GuardSet(placer.guards)
-        budget *= 2  # extraordinarily unlucky stream; widen and redo
+    placer = _StreamPlacer()
+    ts = []
+    t = 0
+    while len(ts) < g:
+        t += 1
+        if placer.try_add((t, t * t, 1)):
+            ts.append(t)
+    span = g + 64
+    while span < t:
+        span *= 2
+    sx = _floor_pow2(margin / (2 * span))
+    sy = _floor_pow2(margin / (2 * span * span))
+    return GuardSet([anchor + Point2(sx * t, sy * t * t) for t in ts])
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +599,9 @@ def place_general_position(region: Region, g: int) -> GuardSet:
 
 def construct(P: ConvexPolygon, k: int) -> GuardSet:
     """Guard set covering P to depth k with the tight guard count."""
+    if not isinstance(P, ConvexPolygon):
+        raise TypeError("construct covers a ConvexPolygon, got %r; place_wedge covers "
+                        "a Wedge and fisk_cover a SimplePolygon" % (P,))
     pl = plan(len(P.vertices), k)
     if pl.regime == REGIME_VERTEX:
         guards = place_vertex_guards(P, k)

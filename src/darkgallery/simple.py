@@ -37,6 +37,7 @@ from .geometry import (
     SimplePolygon,
     Wedge,
     _Frame,
+    _homogeneous,
     convex_hull,
     orientation,
 )
@@ -412,10 +413,11 @@ def _place_cluster(
     """count guards on a tiny parabolic arc inside cone, near its apex.
 
     Candidates march along m -> apex + offset + m*d1*sx + m^2*d2*sy,
-    which makes any three of them non-collinear; the shared placer
-    additionally rejects a candidate whose guard lines would stack a
-    triple crossing anywhere, across all clusters.  Returns None when
-    the budget runs out (caller shrinks the arc and retries).
+    which makes any three of them non-collinear.  Each one inside the
+    cone, P and the clearance disc goes to the placer that all clusters
+    share, as homogeneous integers in P's scale; it refuses a candidate
+    whose guard lines would stack a triple crossing anywhere.  Returns
+    None when the budget runs out (caller shrinks the arc and retries).
     """
     v = cone.apex
     r2 = clearance2 * scale * scale
@@ -437,7 +439,7 @@ def _place_cluster(
         off = cand - v
         if off.dot(off) > r2:
             continue
-        if placer.try_add(cand):
+        if placer.try_add(_homogeneous(cand, P.scale)):
             got.append(cand)
             if len(got) == count:
                 return got

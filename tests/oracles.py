@@ -17,9 +17,9 @@ The line clipper and convex-polygon membership and validation, the
 simple-polygon predicates (membership, validation, segment-inside,
 visibility, depth), the convex hull, the sampler's glue (sub-piece
 points, suspicious points, grid and random samples, deduplication), the
-concurrent-rays scan and the scene scaling are the library's former
-Fraction bodies; the library now decides them on integer-scaled
-coordinates.
+concurrent-rays scan, the scene scaling and the general-position
+stream (placer and restarts) are the library's former Fraction bodies;
+the library now decides them on integer-scaled coordinates.
 Slow on purpose; exact everywhere.
 """
 
@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from darkgallery.construct import _floor_pow2, _interior_anchor_and_margin
 from darkgallery.darkness import (
     DarknessWitness,
     GuardSet,
@@ -873,6 +874,81 @@ def find_concurrent_dark_rays_oracle(guards):
     if not hits:
         return None
     return min(hits, key=lambda hit: (hit[0].x, hit[0].y))
+
+
+# --- the general-position stream over Fractions ------------------------------
+
+class StreamPlacerOracle:
+    """construct._StreamPlacer on Point2 candidates: each stored line
+    keeps integer (A, B, C) with A x + B y = C, rebuilt from the
+    Fraction denominators of its points, and a crossing along G-O is
+    keyed by its reduced parameter on G + t*(O - G)."""
+
+    def __init__(self):
+        self.guards: List[Point2] = []
+        self.lines: List[Tuple[int, int]] = []
+        self._coeffs: List[Tuple[int, int, int]] = []
+
+    @staticmethod
+    def _line_coeffs(p: Point2, q: Point2) -> Tuple[int, int, int]:
+        den = p.x.denominator * p.y.denominator * q.x.denominator * q.y.denominator
+        px, py = int(p.x * den), int(p.y * den)
+        qx, qy = int(q.x * den), int(q.y * den)
+        a = (qy - py) * den
+        b = (px - qx) * den
+        c = (qy - py) * px + (px - qx) * py
+        shrink = gcd(gcd(a, b), c)
+        return a // shrink, b // shrink, c // shrink
+
+    def try_add(self, g: Point2) -> bool:
+        gs = self.guards
+        dg = g.x.denominator * g.y.denominator
+        gx, gy = int(g.x * dg), int(g.y * dg)
+        nums = [c * dg - a * gx - b * gy for (a, b, c) in self._coeffs]
+        for o_idx, o in enumerate(gs):
+            d = o - g
+            u = d.x.numerator * d.y.denominator
+            v = d.y.numerator * d.x.denominator
+            dd = dg * d.x.denominator * d.y.denominator
+            seen = {}
+            for idx, (i, j) in enumerate(self.lines):
+                if i == o_idx or j == o_idx:
+                    continue
+                a, b, _c = self._coeffs[idx]
+                den = (a * u + b * v) * dd
+                if den == 0:
+                    continue
+                num = nums[idx]
+                shrink = gcd(num, den)
+                key = (num // shrink, den // shrink) if den > 0 else (
+                    -num // shrink, -den // shrink)
+                if key in seen:
+                    return False
+                seen[key] = (i, j)
+        base = len(gs)
+        self.guards.append(g)
+        for i in range(base):
+            self.lines.append((i, base))
+            self._coeffs.append(self._line_coeffs(gs[i], g))
+        return True
+
+
+def place_general_position_oracle(region, g: int) -> GuardSet:
+    """place_general_position by restarts: the stream runs on the mapped
+    candidates anchor + (sx*t, sy*t^2), and when t passes the span it
+    starts again from t = 1 with the span doubled."""
+    anchor, margin = _interior_anchor_and_margin(region)
+    budget = g + 64
+    while True:
+        span = budget
+        sx = _floor_pow2(margin / (2 * span))
+        sy = _floor_pow2(margin / (2 * span * span))
+        placer = StreamPlacerOracle()
+        for t in range(1, span + 1):
+            cand = anchor + Point2(sx * t, sy * t * t)
+            if placer.try_add(cand) and len(placer.guards) == g:
+                return GuardSet(placer.guards)
+        budget *= 2
 
 
 # --- misc ----------------------------------------------------------------------

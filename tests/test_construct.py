@@ -28,7 +28,7 @@ from darkgallery.darkness import (
     min_depth,
 )
 from darkgallery.fixtures import builtin_fixture, wedge_region
-from darkgallery.geometry import ConvexPolygon, Point2, Wedge, strictly_between
+from darkgallery.geometry import ConvexPolygon, Point2, Wedge, _homogeneous, strictly_between
 
 import oracles
 from conftest import random_affine_map, random_convex_polygon
@@ -198,25 +198,84 @@ def test_general_position_rejects_zero_guards():
         place_general_position(TRIANGLE, 0)
 
 
+@pytest.mark.parametrize("g", [2.0, True, Fraction(12)], ids=["float", "bool", "Fraction"])
+def test_general_position_refuses_a_count_that_is_not_an_int(g):
+    with pytest.raises(TypeError, match="g must be an int"):
+        place_general_position(TRIANGLE, g)
+
+
+@pytest.mark.parametrize("region, g, restarts", [
+    pytest.param(TRIANGLE, 12, 0, id="triangle-g12"),
+    pytest.param(wedge_region(), 8, 0, id="wedge-g8"),
+    pytest.param(wedge_region(), 12, 0, id="wedge-g12"),
+    pytest.param(random_convex_polygon(random.Random(1), 8), 20, 1, id="8-gon-g20"),
+    pytest.param(random_convex_polygon(random.Random(1), 5), 30, 2, id="5-gon-g30"),
+])
+def test_general_position_matches_the_restarting_oracle(region, g, restarts, monkeypatch):
+    # one pass over (t, t^2) places what the former loop placed, however
+    # often that loop ran out of span and started again
+    runs = []
+    make = oracles.StreamPlacerOracle
+    monkeypatch.setattr(oracles, "StreamPlacerOracle", lambda: runs.append(1) or make())
+    want = oracles.place_general_position_oracle(region, g)
+    assert len(runs) == restarts + 1
+    assert list(place_general_position(region, g).guards) == list(want.guards)
+
+
 def test_stream_placer_line_coeffs_are_primitive_and_exact():
-    p = Point2(Fraction(1, 3), Fraction(2, 5))
-    q = Point2(Fraction(7, 2), Fraction(-1, 6))
-    a, b, c = _StreamPlacer._line_coeffs(p, q)
+    # (1/3, 2/5) and (7/2, -1/6) as homogeneous integers at scale 1
+    p, q = (5, 6, 15), (21, -1, 6)
+    placer = _StreamPlacer()
+    assert placer.try_add(p) and placer.try_add(q)
+    [((a, b, c), i, j)] = placer.lines
+    assert (i, j) == (0, 1)
     assert all(type(t) is int for t in (a, b, c))
-    assert gcd(gcd(a, b), c) == 1
-    for pt in (p, q):
-        assert a * pt.x + b * pt.y == c
+    assert gcd(a, b, c) == 1
+    for x, y, w in (p, q):
+        assert a * x + b * y + c * w == 0
 
 
 def test_stream_placer_rejects_a_line_through_an_existing_crossing():
     placer = _StreamPlacer()
     for x, y in ((0, 0), (4, 0), (0, 4), (4, 4), (1, 5)):
-        assert placer.try_add(Point2(x, y))
-    guards, lines = list(placer.guards), list(placer.lines)
-    # the line to (1, 5) passes through (2, 2), where the diagonals
-    # (0,0)-(4,4) and (4,0)-(0,4) already cross
-    assert not placer.try_add(Point2(Fraction(5, 2), Fraction(1, 2)))
-    assert placer.guards == guards and placer.lines == lines
+        assert placer.try_add((x, y, 1))
+    points, lines = list(placer.points), list(placer.lines)
+    # the line from (5/2, 1/2) to (1, 5) passes through (2, 2), where the
+    # diagonals (0,0)-(4,4) and (4,0)-(0,4) already cross
+    assert not placer.try_add((5, 1, 2))
+    assert placer.points == points and placer.lines == lines
+
+
+def _lattice_stream(seed):
+    """Distinct points with denominators 1 to 4."""
+    rng = random.Random(seed)
+    return list(dict.fromkeys(
+        Point2(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+               Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        for _ in range(90)))
+
+
+HALF = Fraction(1, 2)
+# (0,0)-(1/2,0) and (0,1/2)-(1/2,1/2) are parallel to the line from
+# (9/2, 7/2) to (5/2, 7/2): they meet it only at infinity, so (9/2, 7/2)
+# is accepted; (7/2, 7/2) is refused
+PARALLEL_STREAM = [Point2(0, 0), Point2(HALF, 0), Point2(0, HALF), Point2(HALF, HALF),
+                   Point2(5 * HALF, 7 * HALF), Point2(9 * HALF, 7 * HALF),
+                   Point2(7 * HALF, 7 * HALF)]
+
+
+@pytest.mark.parametrize("stream, scale", [
+    pytest.param(_lattice_stream(seed), (1, 6, 12)[seed % 3], id="seed-%d" % seed)
+    for seed in range(6)] + [pytest.param(PARALLEL_STREAM, 12, id="parallel")])
+def test_stream_placer_decides_as_the_fraction_placer(stream, scale):
+    # every point goes to both placers, in one scale for the integer one
+    placer, oracle = _StreamPlacer(), oracles.StreamPlacerOracle()
+    decisions = []
+    for p in stream:
+        want = oracle.try_add(p)
+        assert placer.try_add(_homogeneous(p, scale)) == want, p
+        decisions.append(want)
+    assert True in decisions and False in decisions
 
 
 # --- top-level dispatch and tightness ---------------------------------------------
@@ -227,6 +286,11 @@ def test_construct_picks_the_right_regime():
     assert len(construct(TRIANGLE, 4)) == 5
     assert len(construct(SQUARE, 13)) == 14
     assert len(construct(TRIANGLE, 10)) == 12
+
+
+def test_construct_refuses_a_region_that_is_not_a_convex_polygon():
+    with pytest.raises(TypeError, match=r"Wedge\(apex=.*place_wedge.*fisk_cover"):
+        construct(wedge_region(), 3)
 
 
 def test_construct_meets_requested_depth():

@@ -163,6 +163,17 @@ def test_frame_readers_scale_nothing_themselves(path):
     assert scaling_uses(path.read_text(), str(path)) == []
 
 
+def test_stream_placer_scales_nothing_and_builds_no_points():
+    # construct._StreamPlacer decides on homogeneous integers its callers
+    # scale: geometry._homogeneous, or the parabola (t, t^2, 1)
+    path = PACKAGE / "construct.py"
+    source = path.read_text()
+    [cls] = [node for node in ast.parse(source).body
+             if isinstance(node, ast.ClassDef) and node.name == "_StreamPlacer"]
+    assert scaling_uses(ast.get_source_segment(source, cls), str(path)) == []
+    assert "Point2" not in {node.id for node in ast.walk(cls) if isinstance(node, ast.Name)}
+
+
 # one question, one implementation: two functions whose bodies are the
 # same statements are one function written twice
 def duplicate_bodies(sources) -> List[List[str]]:

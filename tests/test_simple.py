@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from darkgallery import simple
 from darkgallery.darkness import max_darkness
 from darkgallery.geometry import ConvexPolygon, Point2, SimplePolygon
 from darkgallery.sampling import depth_at_sample, sample_depth, visible
@@ -23,6 +24,7 @@ from darkgallery.simple import (
     _vertex_cone,
 )
 
+import oracles
 from conftest import random_star_polygon
 
 L_HEXAGON = SimplePolygon(
@@ -216,3 +218,33 @@ def test_fisk_cover_input_checks():
         fisk_cover(ConvexPolygon([Point2(0, 0), Point2(4, 0), Point2(0, 4)]), 1)
     with pytest.raises(ValueError):
         fisk_cover(QUAD, 1, arc_scale=Fraction(1, 2))
+
+
+class _FractionPlacer(oracles.StreamPlacerOracle):
+    """The Fraction placer behind the integer interface: (X, Y, W) in
+    the scale of the polygon goes back to the candidate point."""
+
+    def __init__(self, scale):
+        super().__init__()
+        self.scale = scale
+
+    def try_add(self, g):
+        X, Y, W = g
+        d = W * self.scale
+        return super().try_add(Point2(Fraction(X, d), Fraction(Y, d)))
+
+
+@pytest.mark.parametrize("P, k", [
+    pytest.param(L_HEXAGON, 2, id="L-hexagon-k2"),
+    pytest.param(L_HEXAGON, 3, id="L-hexagon-k3"),
+    pytest.param(QUAD, 1, id="quad-k1"),
+    pytest.param(make_comb(3).polygon, 2, id="comb-s3-k2"),
+    # the shared placer refuses 4 of 24 candidates here
+    pytest.param(make_comb(8).polygon, 2, id="comb-s8-k2"),
+    pytest.param(random_star_polygon(random.Random(17), 12), 1, id="star-12-k1"),
+    pytest.param(random_star_polygon(random.Random(17), 12), 2, id="star-12-k2"),
+])
+def test_fisk_cover_matches_the_fraction_placer(P, k, monkeypatch):
+    got = fisk_cover(P, k).guards
+    monkeypatch.setattr(simple, "_StreamPlacer", lambda: _FractionPlacer(P.scale))
+    assert list(got) == list(fisk_cover(P, k).guards)
