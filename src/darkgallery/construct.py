@@ -14,13 +14,20 @@ Three regimes, dispatched by ``plan``:
 The centerpiece is ``place_4n_minus_2``: three guards clustered near
 each vertex plus one "elbow" guard per triangle of a serpentine
 triangulation, engineered so that every dark ray exits the polygon
-before meeting another.  All intermediate points come from line
-intersections, so coordinates stay rational; guard coordinates are
-additionally snapped to short dyadic parameters in frames that travel
-with the polygon (ratios along edges, coordinates in per-vertex
-triangles), which keeps the verifier fast and the construction exactly
-equivariant under orientation-preserving affine maps.  Every placement
-is certified by the exact verifier before being returned.
+before meeting another.  Its scaffold is built on integers: one
+geometry._Frame scales P, every intermediate point (dividing points,
+elbow hits, exit and fence points, snap targets) is homogeneous
+integers (X, Y, W), W > 0, in that frame, every line is the primitive
+integer cross product of two points, and every accept test is the sign
+of a line at a point.  Guard coordinates are snapped to short dyadic
+parameters in frames that travel with the polygon (ratios along edges,
+coordinates in per-vertex triangles), rounded from integer ratios, so
+each snapped guard is integral in a power-of-two extension of P's
+frame.  That keeps the verifier fast and the construction exactly
+equivariant under orientation-preserving affine maps.  Only the guards
+become ``Point2``; the rest of the scaffold does so once, for the
+placement returned.  Every placement is certified by the exact verifier
+before being returned.
 """
 
 from __future__ import annotations
@@ -37,13 +44,12 @@ from .geometry import (
     Point2,
     Wedge,
     _forward_step,
+    _Frame,
+    _halfplanes,
+    _homogeneous,
     centroid,
     convex_hull,
     halfplane_intersection,
-    lerp,
-    line_intersection,
-    midpoint,
-    strictly_between,
 )
 
 Region = Union[ConvexPolygon, Wedge]
@@ -81,6 +87,8 @@ class RegimePlan:
     __slots__ = ("n", "k", "regime", "g")
 
     def __init__(self, n: int, k: int):
+        if type(k) is not int:
+            raise TypeError("k must be an int, got %r" % (k,))
         if n < 3:
             raise ValueError("a polygon has at least 3 vertices")
         if k < 1:
@@ -176,45 +184,118 @@ def zigzag(P: ConvexPolygon) -> ZigzagTriangulation:
 
 
 # ---------------------------------------------------------------------------
+# homogeneous integers: points (X, Y, W), W > 0, and lines (a, b, c), with
+# a*X + b*Y + c*W = 0 on the line
+
+
+def _primitive(t):
+    """The integer triple t divided by the gcd of its entries, signs
+    kept: equal points, and equal oriented lines, give equal triples."""
+    d = gcd(*t)
+    return t[0] // d, t[1] // d, t[2] // d
+
+
+def _join(p, q):
+    """The primitive line through the distinct points p and q: at a
+    point r, a*X + b*Y + c*W is a positive multiple of the determinant
+    of p, q and r, so it is positive when r is left of p -> q."""
+    px, py, pw = p
+    qx, qy, qw = q
+    return _primitive((py * qw - pw * qy, pw * qx - px * qw, px * qy - py * qx))
+
+
+def _meet(line, other):
+    """The primitive point where two lines cross, or None when they are
+    parallel or one line."""
+    a, b, c = line
+    e, f, g = other
+    x, y, w = b * g - c * f, c * e - a * g, a * f - b * e
+    if w == 0:
+        return None
+    return _primitive((x, y, w) if w > 0 else (-x, -y, -w))
+
+
+def _side(line, p) -> int:
+    """+1 when p is on the positive side of line, -1 on the negative
+    side, 0 on it."""
+    v = line[0] * p[0] + line[1] * p[1] + line[2] * p[2]
+    return (v > 0) - (v < 0)
+
+
+def _halfplanes_of(lines):
+    """The closed positive sides of lines, as Halfplanes of the affine
+    plane X / W, Y / W."""
+    return [Halfplane(Line(a, b, -c)) for a, b, c in lines]
+
+
+def _lerp(p, q, num: int, den: int):
+    """The point p + (num/den)*(q - p), den > 0, over den * W_p * W_q."""
+    (px, py, pw), (qx, qy, qw) = p, q
+    keep = den - num
+    return (keep * px * qw + num * qx * pw, keep * py * qw + num * qy * pw, den * pw * qw)
+
+
+def _edge_param(v, u, p):
+    """(num, den), den > 0, with p = v + (num/den)*(u - v), for the
+    integer points v and u (W = 1) and the point p on line vu."""
+    (vx, vy, _), (ux, uy, _), (X, Y, W) = v, u, p
+    dx, dy = ux - vx, uy - vy
+    return (X - vx * W) * dx + (Y - vy * W) * dy, W * (dx * dx + dy * dy)
+
+
+# ---------------------------------------------------------------------------
 # dyadic snapping in affine-covariant frames
 
 
-def _dyadic(q: Fraction, bits: int) -> Fraction:
-    """Nearest multiple of 2**-bits (ties toward +infinity); exact."""
-    scaled = q * (1 << bits)
-    rounded = (scaled.numerator * 2 + scaled.denominator) // (scaled.denominator * 2)
-    return Fraction(rounded, 1 << bits)
+def _dyadic(num: int, den: int, bits: int) -> int:
+    """r with r / 2**bits the multiple of 2**-bits nearest num / den,
+    den > 0 (ties toward +infinity); exact."""
+    return ((num << (bits + 1)) + den) // (den << 1)
 
 
-def _snap_param(t: Fraction, accept, bits: int = _SNAP_BITS) -> Optional[Fraction]:
-    """Dyadic value near t passing accept(); falls back to t itself."""
-    for step in range(_SNAP_STEPS):
-        cand = _dyadic(t, bits + 4 * step)
-        if accept(cand):
-            return cand
-    return t if accept(t) else None
+def _snap_in_frame(target, origin, ax1, ax2, w: int, accept, bits: int):
+    """Snap the point target to dyadic coordinates (a, b) in the frame
+    (origin + a*ax1 + b*ax2) / w, for integer pairs origin, ax1 and ax2
+    and w > 0.
 
-
-def _snap_in_frame(target: Point2, origin: Point2, ax1: Point2, ax2: Point2, accept,
-                   bits: int = _SNAP_BITS):
-    """Snap target to dyadic coordinates in the frame origin + a*ax1 + b*ax2.
-
-    The frame rides along under affine maps of the whole scene, so the
-    snapped point is exactly equivariant even though its dyadic
-    parameters are absolute.  Returns None if nothing nearby passes.
+    a = rel x ax2 / det and b = ax1 x rel / det, for target's offset rel
+    from origin / w and det = ax1 x ax2, are integer ratios, rounded at
+    bits, bits + 4, ... fractional bits; a candidate is homogeneous
+    integers over w * 2**grid.  The frame rides along under affine maps
+    of the whole scene, so the snapped point is exactly equivariant even
+    though its dyadic parameters are absolute.  Returns the first
+    candidate that passes accept(), else target if it passes, else None.
     """
-    det = ax1.cross(ax2)
+    (ox, oy), (e1x, e1y), (e2x, e2y) = origin, ax1, ax2
+    det = e1x * e2y - e1y * e2x
     if det == 0:
         return None
-    rel = target - origin
-    a = rel.cross(ax2) / det
-    b = ax1.cross(rel) / det
+    tx, ty, tw = target
+    rx, ry = tx * w - ox * tw, ty * w - oy * tw
+    na, nb, den = rx * e2y - ry * e2x, e1x * ry - e1y * rx, tw * det
+    if den < 0:
+        na, nb, den = -na, -nb, -den
     for step in range(_SNAP_STEPS):
         grid = bits + 4 * step
-        cand = origin + ax1 * _dyadic(a, grid) + ax2 * _dyadic(b, grid)
+        ra, rb = _dyadic(na, den, grid), _dyadic(nb, den, grid)
+        cand = ((ox << grid) + ra * e1x + rb * e2x, (oy << grid) + ra * e1y + rb * e2y,
+                w << grid)
         if accept(cand):
             return cand
     return target if accept(target) else None
+
+
+def _snap_along_edge(v, u, num: int, den: int, bits: int):
+    """The edge guard v + t*(u - v) for integer points v and u: the
+    first t that rounds reach / 4 at bits, bits + 4, ... fractional bits
+    and keeps 0 < t < reach = num / den (den > 0), else reach / 4 itself
+    if it does, else None."""
+    for step in range(_SNAP_STEPS):
+        grid = bits + 4 * step
+        r = _dyadic(num, 4 * den, grid)
+        if 0 < r and r * den < num << grid:
+            return _lerp(v, u, r, 1 << grid)
+    return _lerp(v, u, num, 4 * den) if num > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +308,14 @@ class ConstructionScaffold:
     Indexed by vertex: dividing points before/after each vertex, elbow
     guards (apexes only), the exit points bracketing each vertex, safe
     regions, the three per-vertex guards, and the auxiliary crossing
-    point used to fence in the third guard.
+    point used to fence in the third guard.  _build_scaffold fills the
+    guards and leaves the other fields pending until _fill, which
+    place_4n_minus_2 calls on the scaffold it returns.
     """
 
     __slots__ = (
         "polygon", "eps", "zz", "before", "after", "elbow",
-        "exit_before", "exit_after", "safe_region", "x", "y", "z", "fence",
+        "exit_before", "exit_after", "safe_region", "x", "y", "z", "fence", "_pending",
     )
 
     def __init__(self, polygon, eps, zz):
@@ -250,6 +333,7 @@ class ConstructionScaffold:
         self.y: List[Optional[Point2]] = [None] * n
         self.z: List[Optional[Point2]] = [None] * n
         self.fence: List[Optional[Point2]] = [None] * n
+        self._pending = None
 
     def guards(self) -> List[Point2]:
         """Canonical guard order: per-vertex triples, then elbows."""
@@ -261,6 +345,19 @@ class ConstructionScaffold:
             out.append(self.elbow[a])
         return out
 
+    def _fill(self):
+        """Turn the homogeneous points _build_scaffold left pending into
+        the fields that are not guards."""
+        frame, before, after, exit_before, exit_after, safe, fence = self._pending
+        pt = frame.point
+        self.before = [pt(p) for p in before]
+        self.after = [pt(p) for p in after]
+        self.exit_before = [pt(p) for p in exit_before]
+        self.exit_after = [pt(p) for p in exit_after]
+        self.safe_region = [ConvexPolygon([pt(p) for p in ring]) for ring, _ in safe]
+        self.fence = [pt(p) for p in fence]
+        self._pending = None
+
     def __repr__(self):
         return "ConstructionScaffold(n=%d, eps=%s)" % (len(self.polygon.vertices), self.eps)
 
@@ -269,183 +366,178 @@ class _Infeasible(Exception):
     """Internal: this eps produced a degenerate scaffold; retry smaller."""
 
 
-def _edge_param(v: Point2, w: Point2, p: Point2) -> Fraction:
-    """Parameter t with p = v + t*(w - v), for p on line vw."""
-    d = w - v
-    return (p - v).dot(d) / d.dot(d)
-
-
-def _strict_inside(poly: ConvexPolygon, p: Point2) -> bool:
-    return poly.where(p) == "interior"
-
-
 def _build_scaffold(P: ConvexPolygon, eps: Fraction,
                     bits: int = _SNAP_BITS) -> ConstructionScaffold:
-    vs = P.vertices
-    n = len(vs)
-    zz = zigzag(P)
-    sc = ConstructionScaffold(P, eps, zz)
+    """The 4n-2 scaffold for dividing parameter eps, on homogeneous
+    integers of one _Frame of P, or _Infeasible.
 
-    # dividing points: eps of the way from each vertex along both edges
-    for i in range(n):
-        sc.before[i] = lerp(vs[i], vs[i - 1], eps)
-        sc.after[i] = lerp(vs[i], vs[(i + 1) % n], eps)
+    Returns a ConstructionScaffold whose guards (x, y, z, elbow) are
+    filled; its other fields stay pending, as homogeneous points, until
+    _fill.
+    """
+    frame = _Frame(P, [])
+    verts = [(vx, vy, 1) for vx, vy in frame.walls]
+    n = len(verts)
+    zz = zigzag(P)
+    num, den = eps.as_integer_ratio()
+
+    # dividing points: eps of the way from each vertex along both edges,
+    # all over den, so that every vertex has the snapping frame
+    # (before + a*(vertex - before) + b*(after - before)) / den of integer
+    # pairs, and a corner triangle (before, vertex, after), ccw
+    before, after, frames, corner = [], [], [], []
+    for i, v in enumerate(verts):
+        b = _lerp(v, verts[i - 1], num, den)
+        a = _lerp(v, verts[(i + 1) % n], num, den)
+        (bx, by, _), (ax, ay, _) = b, a
+        before.append(b)
+        after.append(a)
+        frames.append(((bx, by), (den * v[0] - bx, den * v[1] - by), (ax - bx, ay - by)))
+        corner.append((_join(b, v), _join(v, a), _join(a, b)))
+
+    def inside(lines):
+        return lambda q: all(_side(line, q) > 0 for line in lines)
 
     # elbow guards, one per triangle, nudged off the dividing chord
     # toward the apex (the safe side: it only pulls the rays through the
     # elbow closer to the apex) and snapped in the local triangle frame
+    elbow = {}
     for apex, j in zz.triangles():
-        m_i, p_i = sc.before[apex], sc.after[apex]
-        base_mid = midpoint(sc.after[j], sc.before[(j + 1) % n])
-        hit = line_intersection(Line.through(m_i, p_i), Line.through(vs[apex], base_mid))
-        if not isinstance(hit, Point2):
+        base_mid = _lerp(after[j], before[(j + 1) % n], 1, 2)
+        hit = _meet(_join(before[apex], after[apex]), _join(verts[apex], base_mid))
+        if hit is None:
             raise _Infeasible("elbow lines for vertex %d are degenerate" % apex)
-        corner = ConvexPolygon([m_i, vs[apex], p_i])
-        target = hit + (vs[apex] - hit) * Fraction(1, 256)
-        elbow = _snap_in_frame(
-            target, m_i, vs[apex] - m_i, p_i - m_i,
-            lambda q: _strict_inside(corner, q), bits,
-        )
-        if elbow is None:
+        target = _lerp(hit, verts[apex], 1, 256)
+        ell = _snap_in_frame(target, *frames[apex], den, inside(corner[apex]), bits)
+        if ell is None:
             raise _Infeasible("no room for the elbow guard at vertex %d" % apex)
-        sc.elbow[apex] = elbow
+        elbow[apex] = ell
 
-    # exit points and safe regions
+    # exit points and safe regions, each kept as its ccw ring of corners
+    # and the lines of its edges.  An exit point lies on its edge's line,
+    # so it is strictly inside a segment of that line exactly when the
+    # segment's ends lie strictly on either side of the exit line.
+    exit_before, exit_after, safe = list(before), list(after), []
     for i in range(n):
-        if i in sc.elbow:
+        if i in elbow:
             j = zz.apex_base[i]
-            ell = sc.elbow[i]
-            edge_cw = Line.through(vs[i - 1], vs[i])
-            edge_ccw = Line.through(vs[i], vs[(i + 1) % n])
-            b = line_intersection(Line.through(sc.after[j], ell), edge_cw)
-            a = line_intersection(Line.through(sc.before[(j + 1) % n], ell), edge_ccw)
-            if not isinstance(b, Point2) or not isinstance(a, Point2):
+            ell = elbow[i]
+            exit_b = _join(after[j], ell)
+            exit_a = _join(before[(j + 1) % n], ell)
+            b = _meet(exit_b, _join(verts[i - 1], verts[i]))
+            a = _meet(exit_a, _join(verts[i], verts[(i + 1) % n]))
+            if b is None or a is None:
                 raise _Infeasible("exit lines at vertex %d are parallel to the edges" % i)
-            if not strictly_between(vs[i], b, sc.before[i]):
+            if _side(exit_b, verts[i]) * _side(exit_b, before[i]) >= 0:
                 raise _Infeasible("exit point before vertex %d misses its segment" % i)
-            if not strictly_between(vs[i], a, sc.after[i]):
+            if _side(exit_a, verts[i]) * _side(exit_a, after[i]) >= 0:
                 raise _Infeasible("exit point after vertex %d misses its segment" % i)
-            sc.exit_before[i], sc.exit_after[i] = b, a
-            try:
-                sc.safe_region[i] = ConvexPolygon([b, vs[i], a, ell])
-            except ValueError:
+            exit_before[i], exit_after[i] = b, a
+            ring = [b, verts[i], a, ell]
+            edges = [_join(p, q) for p, q in zip(ring, ring[1:] + ring[:1])]
+            # four corners that all turn left wind around once
+            if any(_side(e, p) <= 0 for e, p in zip(edges, ring[2:] + ring[:2])):
                 raise _Infeasible("safe region at vertex %d is degenerate" % i)
+            safe.append((ring, edges))
         else:
-            sc.exit_before[i], sc.exit_after[i] = sc.before[i], sc.after[i]
-            sc.safe_region[i] = ConvexPolygon([sc.before[i], vs[i], sc.after[i]])
+            safe.append(([before[i], verts[i], after[i]], corner[i]))
 
     # first two guards per vertex: one on the clockwise edge a quarter
     # of the way to the exit point, one near the middle of the chord
     # between the two quarter points
-    base_end = [None] * n
-    for i in range(n):
-        region = sc.safe_region[i]
-        reach_b = _edge_param(vs[i], vs[i - 1], sc.exit_before[i])
-        t = _snap_param(reach_b / 4, lambda u: 0 < u < reach_b, bits)
-        if t is None:
+    x, base_end = [], []
+    for i, v in enumerate(verts):
+        u, w = verts[i - 1], verts[(i + 1) % n]
+        edge = _snap_along_edge(v, u, *_edge_param(v, u, exit_before[i]), bits)
+        if edge is None:
             raise _Infeasible("cannot place the edge guard at vertex %d" % i)
-        sc.x[i] = lerp(vs[i], vs[i - 1], t)
+        x.append(edge)
 
-        reach_a = _edge_param(vs[i], vs[(i + 1) % n], sc.exit_after[i])
-        base_end[i] = lerp(vs[i], vs[(i + 1) % n], _dyadic(reach_a / 4, bits + 8))
+        reach, per = _edge_param(v, w, exit_after[i])
+        base_end.append(_lerp(v, w, _dyadic(reach, 4 * per, bits + 8), 1 << (bits + 8)))
 
+    y = []
     for i in range(n):
-        region = sc.safe_region[i]
-        lo, hi = Fraction(0), Fraction(1)
-        side_wanted = 0
-        split = None
-        if i in sc.elbow:
+        lines = safe[i][1]
+        t_num, t_den = 1, 2
+        if i in elbow:
             # keep the second guard on the ccw side of the apex-to-elbow
-            # line, so its dark rays exit past the elbow's wedges
-            split = Line.through(vs[i], sc.elbow[i])
-            side_wanted = split.side(sc.after[i])
-            if side_wanted == 0:
+            # line (turned to be its positive side), so its dark rays exit
+            # past the elbow's wedges
+            split = _join(verts[i], elbow[i])
+            wanted = _side(split, after[i])
+            if wanted == 0:
                 raise _Infeasible("elbow line at vertex %d runs along the edge" % i)
-            ex, eq = split.eval(sc.x[i]), split.eval(base_end[i])
-            sx = (ex > 0) - (ex < 0)
-            sq = (eq > 0) - (eq < 0)
-            if sq != side_wanted:
+            if wanted < 0:
+                split = (-split[0], -split[1], -split[2])
+            lines = list(lines) + [split]
+            # the split line at the edge guard and at the base end, both
+            # over the product of their W's
+            (xx, xy, xw), (qx, qy, qw) = x[i], base_end[i]
+            ex = (split[0] * xx + split[1] * xy + split[2] * xw) * qw
+            eq = (split[0] * qx + split[1] * qy + split[2] * qw) * xw
+            if eq <= 0:
                 raise _Infeasible("base chord at vertex %d is on the wrong side" % i)
-            if sx == side_wanted:
-                lo = Fraction(0)
-            else:
-                lo = ex / (ex - eq)
-
-        target = lerp(sc.x[i], base_end[i], (lo + hi) / 2)
-
-        def y_ok(q, region=region, split=split, side_wanted=side_wanted):
-            if not _strict_inside(region, q):
-                return False
-            if split is not None and split.side(q) != side_wanted:
-                return False
-            return True
-
-        y = _snap_in_frame(target, sc.before[i], vs[i] - sc.before[i],
-                           sc.after[i] - sc.before[i], y_ok, bits)
-        if y is None:
+            if ex <= 0:
+                # halfway from where the chord crosses the split line,
+                # ex / (ex - eq) of the way along it, to the base end
+                t_num, t_den = eq - 2 * ex, 2 * (eq - ex)
+        guard = _snap_in_frame(_lerp(x[i], base_end[i], t_num, t_den), *frames[i], den,
+                               inside(lines), bits)
+        if guard is None:
             raise _Infeasible("cannot place the hull guard at vertex %d" % i)
-        sc.y[i] = y
+        y.append(guard)
 
     # the first 2n guards must all be corners of their own hull
-    ring = [g for pair in zip(sc.x, sc.y) for g in pair]
-    hull = convex_hull(ring)
+    pt = frame.point
+    ring = [g for pair in zip(x, y) for g in pair]
+    points = [pt(g) for g in ring]
+    hull = convex_hull(points)
     if hull.degenerate or any(label != "corner" for label in hull.labels):
         raise _Infeasible("an edge or hull guard fell inside the guard hull")
-    hull_planes = [Halfplane.left_of(a, b)
-                   for a, b in ConvexPolygon(hull.corners).edges()]
+    homogeneous = dict(zip(points, ring))
+    corners = [homogeneous[p] for p in hull.corners]
+    hull_lines = [_join(p, q) for p, q in zip(corners, corners[1:] + corners[:1])]
+    hull_planes = _halfplanes_of(hull_lines)
 
     # fence points: where the line from the next vertex's edge guard
     # through this vertex's hull guard crosses the clockwise edge
+    fence = []
     for i in range(n):
-        edge_cw = Line.through(vs[i - 1], vs[i])
-        hit = line_intersection(Line.through(sc.x[(i + 1) % n], sc.y[i]), edge_cw)
-        if not isinstance(hit, Point2) or not strictly_between(vs[i - 1], hit, vs[i]):
+        line = _join(x[(i + 1) % n], y[i])
+        if _side(line, verts[i - 1]) * _side(line, verts[i]) >= 0:
             raise _Infeasible("fence line at vertex %d misses the clockwise edge" % i)
-        sc.fence[i] = hit
+        fence.append(_meet(line, _join(verts[i - 1], verts[i])))
 
     # third guard per vertex: strictly inside the hull of the first 2n,
     # fenced by three lines so its dark rays leave through safe gaps
+    taken = {_primitive(g) for g in ring + list(elbow.values())}
+    z = []
     for i in range(n):
-        constraints = list(hull_planes)
-        sides = []
-
-        def oriented(line, wanted):
-            if wanted < 0:
-                line = Line(-line.a, -line.b, -line.c)
-            constraints.append(Halfplane(line))
-            sides.append(line)
-
-        l1 = Line.through(sc.y[i], sc.exit_before[i])
-        s1 = l1.side(sc.x[i])
-        l2 = Line.through(sc.y[i - 1], sc.fence[i])
-        s2 = l2.side(sc.x[i])
-        l3 = Line.through(sc.x[i], sc.exit_after[i])
-        s3 = l3.side(sc.y[i])
-        if 0 in (s1, s2, s3):
+        fences = [(_join(y[i], exit_before[i]), x[i]), (_join(y[i - 1], fence[i]), x[i]),
+                  (_join(x[i], exit_after[i]), y[i])]
+        sides = [_side(line, p) for line, p in fences]
+        if 0 in sides:
             raise _Infeasible("fence lines at vertex %d pass through their guards" % i)
-        oriented(l1, s1)
-        oriented(l2, s2)
-        oriented(l3, s3)
+        fenced = [line if s > 0 else (-line[0], -line[1], -line[2])
+                  for (line, _), s in zip(fences, sides)]
 
-        feasible = halfplane_intersection(constraints)
+        feasible = halfplane_intersection(hull_planes + _halfplanes_of(fenced))
         if feasible.status != "bounded" or len(feasible.vertices) < 3:
             raise _Infeasible("no room for the interior guard at vertex %d" % i)
 
-        taken = set(sc.elbow.values())
-        taken.update(g for g in ring)
-        taken.update(g for g in sc.z if g is not None)
-
-        def z_ok(q):
-            if q in taken:
-                return False
-            return all(h.line.side(q) > 0 for h in constraints)
-
-        z = _snap_in_frame(centroid(feasible.vertices), sc.before[i],
-                           vs[i] - sc.before[i], sc.after[i] - sc.before[i], z_ok, bits)
-        if z is None:
+        within = inside(hull_lines + fenced)
+        guard = _snap_in_frame(_homogeneous(centroid(feasible.vertices), 1), *frames[i], den,
+                               lambda q: _primitive(q) not in taken and within(q), bits)
+        if guard is None:
             raise _Infeasible("cannot place the interior guard at vertex %d" % i)
-        sc.z[i] = z
+        z.append(guard)
+        taken.add(_primitive(guard))
 
+    sc = ConstructionScaffold(P, eps, zz)
+    sc.x, sc.y, sc.z = points[0::2], points[1::2], [pt(g) for g in z]
+    sc.elbow = {a: pt(g) for a, g in elbow.items()}
+    sc._pending = (frame, before, after, exit_before, exit_after, safe, fence)
     return sc
 
 
@@ -456,25 +548,32 @@ def place_4n_minus_2(P: ConvexPolygon):
     parameter starts at 1/4; each failed attempt (degenerate scaffold or
     a 2-dark point found by the verifier) first refines the dyadic
     snapping grid, then halves the parameter.  The returned placement
-    always carries a clean certificate.
+    always carries a clean certificate.  When every attempt fails, the
+    ConstructionError counts the attempts that had a 2-dark point and
+    those that built no scaffold, with the last one's reason, and its
+    witness is the last 2-dark witness, or None.
     """
     witness = None
+    infeasible, reason = 0, None
     for attempt in range(_MAX_EPS_RETRIES):
         eps = Fraction(1, 4) / (1 << (attempt // 4))
         bits = _SNAP_BITS + 4 * (attempt % 4)
         try:
             sc = _build_scaffold(P, eps, bits)
-        except _Infeasible:
+        except _Infeasible as exc:
+            infeasible, reason = infeasible + 1, exc
             continue
         guards = sc.guards()
         w = max_darkness(P, guards)
         if w.darkness <= 1:
+            sc._fill()
             return GuardSet(guards), sc
         witness = w
-    raise ConstructionError(
-        "could not avoid a 2-dark point after %d attempts" % _MAX_EPS_RETRIES,
-        witness=witness,
-    )
+    message = "no 4n-2 placement after %d attempts: %d had a 2-dark point" % (
+        _MAX_EPS_RETRIES, _MAX_EPS_RETRIES - infeasible)
+    if infeasible:
+        message += ", %d built no scaffold (the last: %s)" % (infeasible, reason)
+    raise ConstructionError(message, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -522,32 +621,33 @@ class _StreamPlacer:
                     return False
                 seen.add(key)
         new = len(self.points)
-        for i, (px, py, pw) in enumerate(self.points):
-            a, b, c = py * gw - pw * gy, pw * gx - px * gw, px * gy - py * gx
-            d = gcd(a, b, c)
-            self.lines.append(((a // d, b // d, c // d), i, new))
+        for i, p in enumerate(self.points):
+            self.lines.append((_join(p, g), i, new))
         self.points.append(g)
         return True
 
 
 def _interior_anchor_and_margin(region: Region):
-    """A strictly interior point and an exact L-inf safety radius."""
+    """A strictly interior point and an exact L-inf safety radius: the
+    least room, a*x + b*y - c over |a| + |b|, that the anchor leaves in
+    the region's integer halfplanes (geometry._halfplanes) on a _Frame
+    of the region and the anchor, divided back by the frame's scale."""
     if isinstance(region, ConvexPolygon):
         anchor = centroid(region.vertices)
-        planes = region.halfplanes()
     elif isinstance(region, Wedge):
         step = _forward_step(region.dir1) + _forward_step(region.dir2)
         shift = 1 << max(abs(step.x.numerator), abs(step.y.numerator)).bit_length()
         anchor = region.apex + step * Fraction(1, shift)
-        planes = region.halfplanes()
     else:
         raise TypeError("region must be ConvexPolygon or Wedge, got %r" % (region,))
+    frame = _Frame(region, [anchor])
+    (X, Y), = frame.ints
     margin = None
-    for h in planes:
-        ln = h.line
-        room = ln.eval(anchor) / (abs(ln.a) + abs(ln.b))
+    for a, b, c in _halfplanes(region, frame.walls):
+        room = a * X + b * Y - c
         if room <= 0:
             raise ValueError("region anchor is not strictly interior")
+        room = Fraction(room, (abs(a) + abs(b)) * frame.scale)
         if margin is None or room < margin:
             margin = room
     return anchor, margin
@@ -625,6 +725,8 @@ def construct(P: ConvexPolygon, k: int) -> GuardSet:
 
 def guards_for_wedge(k: int) -> int:
     """Tight guard count for covering a wedge to depth k."""
+    if type(k) is not int:
+        raise TypeError("k must be an int, got %r" % (k,))
     if k < 1:
         raise ValueError("coverage depth must be at least 1")
     if k <= 2:

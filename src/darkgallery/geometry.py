@@ -343,7 +343,8 @@ def halfplane_intersection(halfplanes: Sequence[Halfplane]) -> HalfplaneResult:
     for h in hs:
         a, b, c = h.line.a, h.line.b, h.line.c
         m = lcm(a.denominator, b.denominator, c.denominator)
-        lines.append((int(a * m), int(b * m), int(c * m)))
+        lines.append((a.numerator * (m // a.denominator), b.numerator * (m // b.denominator),
+                       c.numerator * (m // c.denominator)))
 
     corners = set()
     kept = unbounded = False

@@ -17,9 +17,10 @@ The line clipper and convex-polygon membership and validation, the
 simple-polygon predicates (membership, validation, segment-inside,
 visibility, depth), the convex hull, the sampler's glue (sub-piece
 points, suspicious points, grid and random samples, deduplication), the
-concurrent-rays scan, the scene scaling and the general-position
-stream (placer and restarts) are the library's former Fraction bodies;
-the library now decides them on integer-scaled coordinates.
+concurrent-rays scan, the scene scaling, the general-position
+stream (placer, restarts and interior anchor) and the 4n-2 scaffold are
+the library's former Fraction bodies; the library now decides them on
+integer-scaled coordinates.
 Slow on purpose; exact everywhere.
 """
 
@@ -34,7 +35,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from darkgallery.construct import _floor_pow2, _interior_anchor_and_margin
+from darkgallery.construct import (
+    _MAX_EPS_RETRIES,
+    _SNAP_BITS,
+    _SNAP_STEPS,
+    ConstructionScaffold,
+    _floor_pow2,
+    _Infeasible,
+    zigzag,
+)
 from darkgallery.darkness import (
     DarknessWitness,
     GuardSet,
@@ -44,18 +53,25 @@ from darkgallery.darkness import (
     _pair_hits,
     _point_key,
     _sub_piece_points,
+    max_darkness,
 )
 from darkgallery.geometry import (
     ConvexPolygon,
+    Halfplane,
     HalfplaneResult,
     HullResult,
     Point2,
     SimplePolygon,
     Wedge,
+    _forward_step,
+    centroid,
     collinear,
     convex_hull,
+    halfplane_intersection,
+    lerp,
     line_intersection,
     Line,
+    midpoint,
     on_segment,
     orientation,
     strictly_between,
@@ -933,11 +949,34 @@ class StreamPlacerOracle:
         return True
 
 
+def interior_anchor_and_margin_oracle(region):
+    """construct._interior_anchor_and_margin on the region's Fraction
+    halfplanes: the room of each is Line.eval at the anchor over
+    |a| + |b|."""
+    if isinstance(region, ConvexPolygon):
+        anchor = centroid(region.vertices)
+    elif isinstance(region, Wedge):
+        step = _forward_step(region.dir1) + _forward_step(region.dir2)
+        shift = 1 << max(abs(step.x.numerator), abs(step.y.numerator)).bit_length()
+        anchor = region.apex + step * Fraction(1, shift)
+    else:
+        raise TypeError("region must be ConvexPolygon or Wedge, got %r" % (region,))
+    margin = None
+    for h in region.halfplanes():
+        ln = h.line
+        room = ln.eval(anchor) / (abs(ln.a) + abs(ln.b))
+        if room <= 0:
+            raise ValueError("region anchor is not strictly interior")
+        if margin is None or room < margin:
+            margin = room
+    return anchor, margin
+
+
 def place_general_position_oracle(region, g: int) -> GuardSet:
     """place_general_position by restarts: the stream runs on the mapped
     candidates anchor + (sx*t, sy*t^2), and when t passes the span it
     starts again from t = 1 with the span doubled."""
-    anchor, margin = _interior_anchor_and_margin(region)
+    anchor, margin = interior_anchor_and_margin_oracle(region)
     budget = g + 64
     while True:
         span = budget
@@ -949,6 +988,230 @@ def place_general_position_oracle(region, g: int) -> GuardSet:
             if placer.try_add(cand) and len(placer.guards) == g:
                 return GuardSet(placer.guards)
         budget *= 2
+
+
+# --- the 4n-2 scaffold over Fractions ------------------------------------------
+
+def _dyadic(q: Fraction, bits: int) -> Fraction:
+    """Nearest multiple of 2**-bits (ties toward +infinity); exact."""
+    scaled = q * (1 << bits)
+    rounded = (scaled.numerator * 2 + scaled.denominator) // (scaled.denominator * 2)
+    return Fraction(rounded, 1 << bits)
+
+
+def _snap_param(t: Fraction, accept, bits: int) -> Optional[Fraction]:
+    """Dyadic value near t passing accept(); falls back to t itself."""
+    for step in range(_SNAP_STEPS):
+        cand = _dyadic(t, bits + 4 * step)
+        if accept(cand):
+            return cand
+    return t if accept(t) else None
+
+
+def _snap_in_frame(target: Point2, origin: Point2, ax1: Point2, ax2: Point2, accept,
+                   bits: int):
+    """Snap target to dyadic coordinates in the frame origin + a*ax1 + b*ax2."""
+    det = ax1.cross(ax2)
+    if det == 0:
+        return None
+    rel = target - origin
+    a = rel.cross(ax2) / det
+    b = ax1.cross(rel) / det
+    for step in range(_SNAP_STEPS):
+        grid = bits + 4 * step
+        cand = origin + ax1 * _dyadic(a, grid) + ax2 * _dyadic(b, grid)
+        if accept(cand):
+            return cand
+    return target if accept(target) else None
+
+
+def _edge_param(v: Point2, w: Point2, p: Point2) -> Fraction:
+    """Parameter t with p = v + t*(w - v), for p on line vw."""
+    d = w - v
+    return (p - v).dot(d) / d.dot(d)
+
+
+def _strict_inside(poly: ConvexPolygon, p: Point2) -> bool:
+    return poly.where(p) == "interior"
+
+
+def build_scaffold_oracle(P: ConvexPolygon, eps: Fraction,
+                          bits: int = _SNAP_BITS) -> ConstructionScaffold:
+    """construct._build_scaffold on Point2 and Fraction Line arithmetic:
+    points from line intersections, accept tests by Line.side and
+    polygon membership, and the snaps on Fraction parameters.  Returns
+    the filled ConstructionScaffold or raises _Infeasible."""
+    vs = P.vertices
+    n = len(vs)
+    zz = zigzag(P)
+    sc = ConstructionScaffold(P, eps, zz)
+
+    for i in range(n):
+        sc.before[i] = lerp(vs[i], vs[i - 1], eps)
+        sc.after[i] = lerp(vs[i], vs[(i + 1) % n], eps)
+
+    for apex, j in zz.triangles():
+        m_i, p_i = sc.before[apex], sc.after[apex]
+        base_mid = midpoint(sc.after[j], sc.before[(j + 1) % n])
+        hit = line_intersection(Line.through(m_i, p_i), Line.through(vs[apex], base_mid))
+        if not isinstance(hit, Point2):
+            raise _Infeasible("elbow lines for vertex %d are degenerate" % apex)
+        corner = ConvexPolygon([m_i, vs[apex], p_i])
+        target = hit + (vs[apex] - hit) * Fraction(1, 256)
+        elbow = _snap_in_frame(
+            target, m_i, vs[apex] - m_i, p_i - m_i,
+            lambda q: _strict_inside(corner, q), bits,
+        )
+        if elbow is None:
+            raise _Infeasible("no room for the elbow guard at vertex %d" % apex)
+        sc.elbow[apex] = elbow
+
+    for i in range(n):
+        if i in sc.elbow:
+            j = zz.apex_base[i]
+            ell = sc.elbow[i]
+            edge_cw = Line.through(vs[i - 1], vs[i])
+            edge_ccw = Line.through(vs[i], vs[(i + 1) % n])
+            b = line_intersection(Line.through(sc.after[j], ell), edge_cw)
+            a = line_intersection(Line.through(sc.before[(j + 1) % n], ell), edge_ccw)
+            if not isinstance(b, Point2) or not isinstance(a, Point2):
+                raise _Infeasible("exit lines at vertex %d are parallel to the edges" % i)
+            if not strictly_between(vs[i], b, sc.before[i]):
+                raise _Infeasible("exit point before vertex %d misses its segment" % i)
+            if not strictly_between(vs[i], a, sc.after[i]):
+                raise _Infeasible("exit point after vertex %d misses its segment" % i)
+            sc.exit_before[i], sc.exit_after[i] = b, a
+            try:
+                sc.safe_region[i] = ConvexPolygon([b, vs[i], a, ell])
+            except ValueError:
+                raise _Infeasible("safe region at vertex %d is degenerate" % i)
+        else:
+            sc.exit_before[i], sc.exit_after[i] = sc.before[i], sc.after[i]
+            sc.safe_region[i] = ConvexPolygon([sc.before[i], vs[i], sc.after[i]])
+
+    base_end = [None] * n
+    for i in range(n):
+        reach_b = _edge_param(vs[i], vs[i - 1], sc.exit_before[i])
+        t = _snap_param(reach_b / 4, lambda u: 0 < u < reach_b, bits)
+        if t is None:
+            raise _Infeasible("cannot place the edge guard at vertex %d" % i)
+        sc.x[i] = lerp(vs[i], vs[i - 1], t)
+
+        reach_a = _edge_param(vs[i], vs[(i + 1) % n], sc.exit_after[i])
+        base_end[i] = lerp(vs[i], vs[(i + 1) % n], _dyadic(reach_a / 4, bits + 8))
+
+    for i in range(n):
+        region = sc.safe_region[i]
+        lo, hi = Fraction(0), Fraction(1)
+        side_wanted = 0
+        split = None
+        if i in sc.elbow:
+            split = Line.through(vs[i], sc.elbow[i])
+            side_wanted = split.side(sc.after[i])
+            if side_wanted == 0:
+                raise _Infeasible("elbow line at vertex %d runs along the edge" % i)
+            ex, eq = split.eval(sc.x[i]), split.eval(base_end[i])
+            sx = (ex > 0) - (ex < 0)
+            sq = (eq > 0) - (eq < 0)
+            if sq != side_wanted:
+                raise _Infeasible("base chord at vertex %d is on the wrong side" % i)
+            if sx == side_wanted:
+                lo = Fraction(0)
+            else:
+                lo = ex / (ex - eq)
+
+        target = lerp(sc.x[i], base_end[i], (lo + hi) / 2)
+
+        def y_ok(q, region=region, split=split, side_wanted=side_wanted):
+            if not _strict_inside(region, q):
+                return False
+            if split is not None and split.side(q) != side_wanted:
+                return False
+            return True
+
+        y = _snap_in_frame(target, sc.before[i], vs[i] - sc.before[i],
+                           sc.after[i] - sc.before[i], y_ok, bits)
+        if y is None:
+            raise _Infeasible("cannot place the hull guard at vertex %d" % i)
+        sc.y[i] = y
+
+    ring = [g for pair in zip(sc.x, sc.y) for g in pair]
+    hull = convex_hull(ring)
+    if hull.degenerate or any(label != "corner" for label in hull.labels):
+        raise _Infeasible("an edge or hull guard fell inside the guard hull")
+    hull_planes = [Halfplane.left_of(a, b)
+                   for a, b in ConvexPolygon(hull.corners).edges()]
+
+    for i in range(n):
+        edge_cw = Line.through(vs[i - 1], vs[i])
+        hit = line_intersection(Line.through(sc.x[(i + 1) % n], sc.y[i]), edge_cw)
+        if not isinstance(hit, Point2) or not strictly_between(vs[i - 1], hit, vs[i]):
+            raise _Infeasible("fence line at vertex %d misses the clockwise edge" % i)
+        sc.fence[i] = hit
+
+    for i in range(n):
+        constraints = list(hull_planes)
+
+        def oriented(line, wanted):
+            if wanted < 0:
+                line = Line(-line.a, -line.b, -line.c)
+            constraints.append(Halfplane(line))
+
+        l1 = Line.through(sc.y[i], sc.exit_before[i])
+        s1 = l1.side(sc.x[i])
+        l2 = Line.through(sc.y[i - 1], sc.fence[i])
+        s2 = l2.side(sc.x[i])
+        l3 = Line.through(sc.x[i], sc.exit_after[i])
+        s3 = l3.side(sc.y[i])
+        if 0 in (s1, s2, s3):
+            raise _Infeasible("fence lines at vertex %d pass through their guards" % i)
+        oriented(l1, s1)
+        oriented(l2, s2)
+        oriented(l3, s3)
+
+        feasible = halfplane_intersection(constraints)
+        if feasible.status != "bounded" or len(feasible.vertices) < 3:
+            raise _Infeasible("no room for the interior guard at vertex %d" % i)
+
+        taken = set(sc.elbow.values())
+        taken.update(ring)
+        taken.update(g for g in sc.z if g is not None)
+
+        def z_ok(q):
+            if q in taken:
+                return False
+            return all(h.line.side(q) > 0 for h in constraints)
+
+        z = _snap_in_frame(centroid(feasible.vertices), sc.before[i],
+                           vs[i] - sc.before[i], sc.after[i] - sc.before[i], z_ok, bits)
+        if z is None:
+            raise _Infeasible("cannot place the interior guard at vertex %d" % i)
+        sc.z[i] = z
+
+    return sc
+
+
+def place_4n_minus_2_attempts_oracle(P: ConvexPolygon):
+    """The former place_4n_minus_2 schedule on build_scaffold_oracle:
+    (attempts, accepted), where attempts lists (eps, bits, outcome) per
+    attempt, outcome the _Infeasible message, "2-dark" or "accepted",
+    and accepted is the scaffold taken, or None when all attempts fail.
+    The 2-dark test is the library's max_darkness, which the darkness
+    oracles check on their own."""
+    attempts = []
+    for attempt in range(_MAX_EPS_RETRIES):
+        eps = Fraction(1, 4) / (1 << (attempt // 4))
+        bits = _SNAP_BITS + 4 * (attempt % 4)
+        try:
+            sc = build_scaffold_oracle(P, eps, bits)
+        except _Infeasible as exc:
+            attempts.append((eps, bits, str(exc)))
+            continue
+        if max_darkness(P, sc.guards()).darkness <= 1:
+            attempts.append((eps, bits, "accepted"))
+            return attempts, sc
+        attempts.append((eps, bits, "2-dark"))
+    return attempts, None
 
 
 # --- misc ----------------------------------------------------------------------

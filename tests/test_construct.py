@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from darkgallery.construct import (
+    ConstructionError,
+    _build_scaffold,
+    _dyadic,
+    _Infeasible,
+    _interior_anchor_and_margin,
+    _snap_along_edge,
+    _snap_in_frame,
     _StreamPlacer,
     construct,
     guards_for_wedge,
@@ -28,7 +36,14 @@ from darkgallery.darkness import (
     min_depth,
 )
 from darkgallery.fixtures import builtin_fixture, wedge_region
-from darkgallery.geometry import ConvexPolygon, Point2, Wedge, _homogeneous, strictly_between
+from darkgallery.geometry import (
+    ConvexPolygon,
+    Point2,
+    Wedge,
+    _homogeneous,
+    lerp,
+    strictly_between,
+)
 
 import oracles
 from conftest import random_affine_map, random_convex_polygon
@@ -59,6 +74,26 @@ def test_plan_rejects_bad_inputs():
         plan(2, 1)
     with pytest.raises(ValueError):
         plan(3, 0)
+
+
+NOT_INTS = pytest.mark.parametrize("k", [True, 4.0, Fraction(4)], ids=["bool", "float", "Fraction"])
+
+
+@NOT_INTS
+def test_plan_and_construct_refuse_a_depth_that_is_not_an_int(k):
+    # True once passed as depth 1 and 4.0 died slicing the 4n-2 placement
+    with pytest.raises(TypeError, match="k must be an int"):
+        plan(3, k)
+    with pytest.raises(TypeError, match="k must be an int"):
+        construct(TRIANGLE, k)
+
+
+@NOT_INTS
+def test_wedge_placement_refuses_a_depth_that_is_not_an_int(k):
+    with pytest.raises(TypeError, match="k must be an int"):
+        guards_for_wedge(k)
+    with pytest.raises(TypeError, match="k must be an int"):
+        place_wedge(wedge_region(), k)
 
 
 # --- vertex guards ------------------------------------------------------------
@@ -167,6 +202,199 @@ def test_construction_is_affine_equivariant():
         assert list(moved.guards) == [apply(g) for g in base.guards]
 
 
+def _quad(size):
+    """A thin quad whose exit points miss their segments at eps = 1/4 and
+    12 bits."""
+    return ConvexPolygon([Point2(0, 0), Point2(size, 0), Point2(size, 3), Point2(0, size)])
+
+
+RATIONAL_PENTAGON = ConvexPolygon([
+    Point2(Fraction(1, 3), Fraction(-2, 7)), Point2(Fraction(41, 5), Fraction(1, 9)),
+    Point2(Fraction(19, 2), Fraction(16, 3)), Point2(Fraction(13, 6), Fraction(22, 3)),
+    Point2(Fraction(-3, 4), Fraction(5, 2))])
+
+SCAFFOLD_FIELDS = ("before", "after", "exit_before", "exit_after", "x", "y", "z", "fence")
+
+
+def _scaffold_fields(sc):
+    fields = {name: list(getattr(sc, name)) for name in SCAFFOLD_FIELDS}
+    fields["elbow"] = dict(sc.elbow)
+    fields["safe_region"] = [list(r.vertices) for r in sc.safe_region]
+    fields["eps"] = sc.eps
+    fields["guards"] = sc.guards()
+    return fields
+
+
+def _same_build(P, eps, bits):
+    """Build P's scaffold both ways and assert the same refusal or equal
+    fields; returns the refusal, or "built"."""
+    try:
+        want = _scaffold_fields(oracles.build_scaffold_oracle(P, eps, bits))
+    except _Infeasible as exc:
+        with pytest.raises(_Infeasible) as info:
+            _build_scaffold(P, eps, bits)
+        assert str(info.value) == str(exc)
+        return str(exc)
+    sc = _build_scaffold(P, eps, bits)
+    sc._fill()
+    assert _scaffold_fields(sc) == want
+    return "built"
+
+
+def _library_attempts(P, monkeypatch):
+    """(eps, bits, outcome) for each attempt place_4n_minus_2 makes, in
+    the oracle's terms, and its (GuardSet, scaffold), or None when it
+    raises ConstructionError."""
+    module = sys.modules["darkgallery.construct"]
+    build, log = module._build_scaffold, []
+
+    def spy(P, eps, bits):
+        try:
+            sc = build(P, eps, bits)
+        except _Infeasible as exc:
+            log.append((eps, bits, str(exc)))
+            raise
+        log.append((eps, bits, "2-dark"))
+        return sc
+
+    monkeypatch.setattr(module, "_build_scaffold", spy)
+    try:
+        placed = place_4n_minus_2(P)
+    except ConstructionError:
+        placed = None
+    else:
+        log[-1] = log[-1][:2] + ("accepted",)
+    return log, placed
+
+
+@pytest.mark.parametrize("P", [
+    pytest.param(TRIANGLE, id="triangle"),
+    pytest.param(SQUARE, id="square"),
+    pytest.param(PENTAGON, id="pentagon"),
+    pytest.param(random_convex_polygon(random.Random(77), 7), id="7-gon"),
+    pytest.param(random_convex_polygon(random.Random(6), 6), id="6-gon"),
+    pytest.param(random_convex_polygon(random.Random(8), 8), id="8-gon"),
+    pytest.param(random_convex_polygon(random.Random(10), 10), id="10-gon"),
+    pytest.param(random_convex_polygon(random.Random(12), 12), id="12-gon"),
+    pytest.param(RATIONAL_PENTAGON, id="rational-pentagon"),
+    pytest.param(_quad(10 ** 4), id="quad-1e4"),
+    pytest.param(_quad(10 ** 6), id="quad-1e6"),
+])
+def test_integer_scaffold_matches_the_fraction_oracle(P, monkeypatch):
+    # the same outcome for every attempt of the eps/bits schedule, the
+    # same accepted attempt, and equal scaffold fields whenever one is built
+    want, accepted = oracles.place_4n_minus_2_attempts_oracle(P)
+    got, placed = _library_attempts(P, monkeypatch)
+    assert got == want
+    monkeypatch.undo()
+    for eps, bits, _ in want:
+        _same_build(P, eps, bits)
+    if accepted is None:
+        assert placed is None
+    else:
+        guards, sc = placed
+        assert list(guards.guards) == accepted.guards()
+        assert _scaffold_fields(sc) == _scaffold_fields(accepted)
+
+
+HULL_HEXAGON = ConvexPolygon([Point2(x, y) for x, y in (
+    (315, 0), (361, 278), (362, 288), (109, 382), (0, 402), (126, 74))])
+CHORD_12GON = ConvexPolygon([Point2(x, y) for x, y in (
+    (316, 0), (378, 73), (390, 128), (388, 184), (385, 186), (275, 259),
+    (210, 287), (160, 304), (55, 337), (0, 298), (56, 68), (225, 11))])
+
+
+@pytest.mark.parametrize("P, refusal", [
+    pytest.param(HULL_HEXAGON, "an edge or hull guard fell inside the guard hull", id="hull"),
+    pytest.param(CHORD_12GON, "base chord at vertex 4 is on the wrong side", id="base-chord"),
+])
+def test_integer_scaffold_matches_the_oracle_over_the_whole_schedule(P, refusal):
+    # every (eps, bits) of the schedule, not only those place_4n_minus_2
+    # reaches; at eps 1/16 and 12 bits each scene is refused further on
+    # than at its exit points
+    outcomes = [_same_build(P, Fraction(1, 4 << (attempt // 4)), 12 + 4 * (attempt % 4))
+                for attempt in range(16)]
+    assert outcomes[8] == refusal
+    assert outcomes.count("built") >= 8
+
+
+def _affine(h):
+    X, Y, W = h
+    return Point2(Fraction(X, W), Fraction(Y, W))
+
+
+def test_dyadic_rounds_ties_up_as_the_fraction_rounding():
+    # num / den on and between the half-steps of 2**-bits, negative too
+    for bits in range(4):
+        for den in (1, 2, 3, 4, 8, 12):
+            for num in range(-3 * den, 3 * den + 1):
+                want = oracles._dyadic(Fraction(num, den), bits) * (1 << bits)
+                assert _dyadic(num, den, bits) == want, (num, den, bits)
+    assert _dyadic(-1, 2, 0) == 0 and _dyadic(1, 2, 0) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_snaps_round_as_the_fraction_snaps(seed):
+    # random frames and targets; accept everything, nothing, only the
+    # target (the fallback), or one side of a line close by the target
+    # (coarse grids fail, finer ones pass)
+    rng = random.Random(seed)
+    for _ in range(40):
+        w = rng.choice((1, 3, 4, 64))
+        o, e1, e2 = [(rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(3)]
+        target = (rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6),
+                  rng.randint(1, 10 ** 4))
+        t = _affine(target)
+        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+        c = a * t.x + b * t.y + Fraction(rng.randint(-3, 3), rng.choice((1, 10 ** 3, 10 ** 9)))
+        for accept in (lambda p: True, lambda p: False, lambda p: p == t,
+                       lambda p: a * p.x + b * p.y > c):
+            got = _snap_in_frame(target, o, e1, e2, w, lambda q: accept(_affine(q)), 12)
+            want = oracles._snap_in_frame(
+                t, _affine(o + (w,)), _affine(e1 + (w,)), _affine(e2 + (w,)), accept, 12)
+            assert (got if got is None else _affine(got)) == want
+        v, u = o, e1
+        if v == u:
+            continue
+        num = rng.choice((1, -1)) * rng.randint(1, 10 ** 6)
+        den = rng.choice((1, 7, 10 ** 3, 1 << 70))
+        reach = Fraction(num, den)
+        got = _snap_along_edge(v + (1,), u + (1,), num, den, 12)
+        param = oracles._snap_param(reach / 4, lambda q: 0 < q < reach, 12)
+        want = None if param is None else lerp(Point2(*v), Point2(*u), param)
+        assert (got if got is None else _affine(got)) == want
+
+
+def test_thin_quads_take_later_attempts_or_fail():
+    # the 10^4 quad builds no scaffold at attempts 0 and 1 and is accepted
+    # at attempt 2, eps 1/4 with 20 bits; the 10^6 quad fails all 16
+    want, accepted = oracles.place_4n_minus_2_attempts_oracle(_quad(10 ** 4))
+    assert [outcome.split(" misses")[0] for _, _, outcome in want] == [
+        "exit point before vertex 1", "exit point after vertex 1", "accepted"]
+    assert want[-1][:2] == (Fraction(1, 4), 20) and accepted.eps == Fraction(1, 4)
+    want, accepted = oracles.place_4n_minus_2_attempts_oracle(_quad(10 ** 6))
+    assert len(want) == 16 and accepted is None
+    assert all(outcome.startswith("exit point") for _, _, outcome in want)
+
+
+def test_a_placement_that_builds_no_scaffold_says_so():
+    with pytest.raises(ConstructionError) as info:
+        place_4n_minus_2(_quad(10 ** 6))
+    assert str(info.value) == (
+        "no 4n-2 placement after 16 attempts: 0 had a 2-dark point, 16 built no "
+        "scaffold (the last: exit point before vertex 1 misses its segment)")
+    assert info.value.witness is None
+
+
+def test_snapped_guards_are_dyadic_in_the_polygon_frame():
+    # every guard is integral in a power-of-two extension of P's frame
+    P = RATIONAL_PENTAGON
+    gs, _ = place_4n_minus_2(P)
+    for g in gs.guards:
+        X, Y, W = _homogeneous(g, P.scale)
+        assert W & (W - 1) == 0, g
+
+
 # --- general position ------------------------------------------------------------
 
 def test_general_position_has_no_triple_alignments():
@@ -220,6 +448,19 @@ def test_general_position_matches_the_restarting_oracle(region, g, restarts, mon
     want = oracles.place_general_position_oracle(region, g)
     assert len(runs) == restarts + 1
     assert list(place_general_position(region, g).guards) == list(want.guards)
+
+
+@pytest.mark.parametrize("region", [
+    pytest.param(TRIANGLE, id="triangle"),
+    pytest.param(RATIONAL_PENTAGON, id="rational-pentagon"),
+    pytest.param(random_convex_polygon(random.Random(1), 8), id="8-gon"),
+    pytest.param(wedge_region(), id="fixture-wedge"),
+    pytest.param(Wedge(Point2(5, -3), Point2(1, 2), Point2(-2, 1)), id="wedge"),
+    pytest.param(Wedge(Point2(Fraction(1, 3), Fraction(7, 5)), Point2(Fraction(3, 2), 1),
+                       Point2(-1, Fraction(4, 7))), id="rational-wedge"),
+])
+def test_interior_anchor_and_margin_match_the_fraction_halfplanes(region):
+    assert _interior_anchor_and_margin(region) == oracles.interior_anchor_and_margin_oracle(region)
 
 
 def test_stream_placer_line_coeffs_are_primitive_and_exact():

@@ -174,6 +174,61 @@ def test_stream_placer_scales_nothing_and_builds_no_points():
     assert "Point2" not in {node.id for node in ast.walk(cls) if isinstance(node, ast.Name)}
 
 
+# construct.py builds the 4n-2 scaffold on homogeneous integers: its
+# points are integer triples, its lines integer cross products and its
+# accept tests signs, so it calls none of geometry's Fraction line helpers
+FRACTION_LINE_HELPERS = {"line_intersection", "lerp", "midpoint", "strictly_between"}
+FRACTION_LINE_METHODS = {"eval", "side"}
+
+
+def fraction_line_calls(source: str, filename: str) -> List[Tuple[str, int]]:
+    """(what, line) for each call of Line.through, of a ``.eval`` or
+    ``.side`` method, or of one of FRACTION_LINE_HELPERS (by name or as
+    an attribute, such as ``geometry.lerp``)."""
+    out: List[Tuple[str, int]] = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in FRACTION_LINE_HELPERS:
+            out.append((f.id + "()", node.lineno))
+        elif isinstance(f, ast.Attribute):
+            if f.attr in FRACTION_LINE_HELPERS or f.attr in FRACTION_LINE_METHODS:
+                out.append(("." + f.attr + "()", node.lineno))
+            elif f.attr == "through" and isinstance(f.value, ast.Name) and f.value.id == "Line":
+                out.append(("Line.through()", node.lineno))
+    return sorted(out)
+
+
+def test_fraction_line_calls_flags_each_helper_and_method():
+    source = (
+        "from . import geometry\n"
+        "def f(p, q, ln):\n"
+        "    a = Line.through(p, q).eval(p) + ln.side(q)\n"
+        "    return lerp(p, q, 2), geometry.midpoint(p, q), strictly_between(p, q, p)\n"
+        "def g(p, q):\n"
+        "    return line_intersection(p, q), Line(1, 2, 3), p.cross(q)\n"
+    )
+    assert fraction_line_calls(source, "example.py") == [
+        (".eval()", 3), (".midpoint()", 4), (".side()", 3), ("Line.through()", 3),
+        ("lerp()", 4), ("line_intersection()", 6), ("strictly_between()", 4)]
+
+
+def test_construct_calls_no_fraction_line_helper():
+    path = PACKAGE / "construct.py"
+    assert fraction_line_calls(path.read_text(), str(path)) == []
+
+
+def test_scaffold_builder_scales_nothing_itself():
+    # construct._build_scaffold scales P through geometry._Frame and a
+    # snap target through geometry._homogeneous
+    path = PACKAGE / "construct.py"
+    source = path.read_text()
+    [fn] = [node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name == "_build_scaffold"]
+    assert scaling_uses(ast.get_source_segment(source, fn), str(path)) == []
+
+
 # one question, one implementation: two functions whose bodies are the
 # same statements are one function written twice
 def duplicate_bodies(sources) -> List[List[str]]:
