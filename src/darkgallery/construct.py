@@ -65,7 +65,10 @@ REGIME_TWO_EXTRA = "two-extra"       # g = k + 2
 _SNAP_BITS = 12
 _SNAP_STEPS = 10
 
-_MAX_EPS_RETRIES = 16
+# eps halves every 4 attempts while the snapping bits cycle 12/16/20/24:
+# 36 attempts reach eps = 1/1024, which thin polygons such as the quad
+# (0, 0), (10^6, 0), (10^6, 3), (0, 10^6) need
+_MAX_EPS_RETRIES = 36
 
 
 class ConstructionError(RuntimeError):
@@ -309,8 +312,9 @@ class ConstructionScaffold:
     guards (apexes only), the exit points bracketing each vertex, safe
     regions, the three per-vertex guards, and the auxiliary crossing
     point used to fence in the third guard.  _build_scaffold fills the
-    guards and leaves the other fields pending until _fill, which
-    place_4n_minus_2 calls on the scaffold it returns.
+    guards and passes the other fields as pending homogeneous points;
+    they are built on first read (_fill), so a caller that keeps only
+    the guards, such as construct, never builds them.
     """
 
     __slots__ = (
@@ -318,22 +322,28 @@ class ConstructionScaffold:
         "exit_before", "exit_after", "safe_region", "x", "y", "z", "fence", "_pending",
     )
 
-    def __init__(self, polygon, eps, zz):
+    _LAZY = ("before", "after", "exit_before", "exit_after", "safe_region", "fence")
+
+    def __init__(self, polygon, eps, zz, pending=None):
         n = len(polygon.vertices)
         self.polygon = polygon
         self.eps = eps
         self.zz = zz
-        self.before: List[Optional[Point2]] = [None] * n
-        self.after: List[Optional[Point2]] = [None] * n
         self.elbow: Dict[int, Point2] = {}
-        self.exit_before: List[Optional[Point2]] = [None] * n
-        self.exit_after: List[Optional[Point2]] = [None] * n
-        self.safe_region: List[Optional[ConvexPolygon]] = [None] * n
         self.x: List[Optional[Point2]] = [None] * n
         self.y: List[Optional[Point2]] = [None] * n
         self.z: List[Optional[Point2]] = [None] * n
-        self.fence: List[Optional[Point2]] = [None] * n
-        self._pending = None
+        self._pending = pending
+        if pending is None:
+            for name in self._LAZY:
+                setattr(self, name, [None] * n)
+
+    def __getattr__(self, name):
+        # only reached for an unset slot: a field still pending
+        if name in self._LAZY and self._pending is not None:
+            self._fill()
+            return getattr(self, name)
+        raise AttributeError(name)
 
     def guards(self) -> List[Point2]:
         """Canonical guard order: per-vertex triples, then elbows."""
@@ -373,7 +383,7 @@ def _build_scaffold(P: ConvexPolygon, eps: Fraction,
 
     Returns a ConstructionScaffold whose guards (x, y, z, elbow) are
     filled; its other fields stay pending, as homogeneous points, until
-    _fill.
+    first read.
     """
     frame = _Frame(P, [])
     verts = [(vx, vy, 1) for vx, vy in frame.walls]
@@ -534,10 +544,10 @@ def _build_scaffold(P: ConvexPolygon, eps: Fraction,
         z.append(guard)
         taken.add(_primitive(guard))
 
-    sc = ConstructionScaffold(P, eps, zz)
+    sc = ConstructionScaffold(P, eps, zz, (frame, before, after, exit_before, exit_after,
+                                          safe, fence))
     sc.x, sc.y, sc.z = points[0::2], points[1::2], [pt(g) for g in z]
     sc.elbow = {a: pt(g) for a, g in elbow.items()}
-    sc._pending = (frame, before, after, exit_before, exit_after, safe, fence)
     return sc
 
 
@@ -566,7 +576,6 @@ def place_4n_minus_2(P: ConvexPolygon):
         guards = sc.guards()
         w = max_darkness(P, guards)
         if w.darkness <= 1:
-            sc._fill()
             return GuardSet(guards), sc
         witness = w
     message = "no 4n-2 placement after %d attempts: %d had a 2-dark point" % (

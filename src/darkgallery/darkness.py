@@ -61,6 +61,8 @@ from .geometry import (
     _Frame,
     _halfplanes,
     _integers,
+    _nearest,
+    _sorted_exact,
     on_segment,
     primitive_direction,
     strictly_between,
@@ -341,16 +343,6 @@ def _confirm(p, q):
     return (un, vn, D)
 
 
-def _nearest(n, d):
-    """n/d (d > 0) rounded to the nearest float, or +-inf past the float
-    range.  The int / int division is correctly rounded; math.copysign
-    would convert n to float and overflow itself."""
-    try:
-        return n / d
-    except OverflowError:
-        return inf if n > 0 else -inf
-
-
 def _piece_boxes(pieces):
     """(x0, y0, fdx, fdy, lox, hix, loy, hiy): every piece's float anchor,
     float direction and conservative float box, one column per piece.
@@ -485,7 +477,7 @@ def _sub_piece_points(piece, cuts):
     for n, d in cuts:
         g = gcd(n, d)
         ts.add((n // g, d // g))
-    bounds = [(0, 1)] + [t for t in sorted(ts, key=_RATIO)
+    bounds = [(0, 1)] + [t for t in _sorted_exact(ts, _RATIO)
                          if hin is None or t[0] * hid < hin * t[1]]
     if hin is None:
         n, d = bounds[-1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
@@ -603,6 +603,45 @@ def _xy_cmp(a, b) -> int:
 
 # sort key of homogeneous points in lexicographic (x, y) order
 _XY = cmp_to_key(_xy_cmp)
+
+
+def _nearest(n, d):
+    """n/d (d > 0) rounded to the nearest float, or +-inf past the float
+    range.  The int / int division is correctly rounded; math.copysign
+    would convert n to float and overflow itself."""
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
+
+
+def _sorted_exact(items, key):
+    """A list of the items in the stable order of key, _XY or _RATIO,
+    sorted on floats first.
+
+    Both keys order first by the ratio item[0] / item[-1] (x = X/W of a
+    homogeneous point, or the value of a ratio (num, den)).  Rounding that
+    ratio to the nearest float is monotone, so the float order can tie two
+    items but never inverts them: a stable sort on the floats, then a
+    stable re-sort of each run of equal floats with key, gives exactly the
+    stable sort on key, with key comparing only within the runs.
+    """
+    items = list(items)
+    n = len(items)
+    if n < 2:
+        return items
+    floats = [_nearest(t[0], t[-1]) for t in items]
+    order = sorted(range(n), key=floats.__getitem__)
+    out = [items[i] for i in order]
+    if len(set(floats)) == n:
+        return out
+    start = 0
+    for end in range(1, n + 1):
+        if end == n or floats[order[end]] != floats[order[start]]:
+            if end - start > 1:
+                out[start:end] = sorted(out[start:end], key=key)
+            start = end
+    return out
 
 
 def _homogeneous(p: Point2, scale: int):

@@ -23,11 +23,12 @@ crossing points and gap midpoints come from the exact analysis (in its
 own frame, which one integer factor maps into this one) as integers, and
 grid and seeded-random points are built in the frame's integers.  This
 module reads no denominator itself.  Samples are ordered by
-cross-multiplication (``geometry._XY``) and deduplicated on
-gcd-normalised keys.  ``_scan`` returns them with their depths and
-builds no point: ``sample_depth`` builds one ``Point2`` per sample of
-its ``SampleReport``, and the CLI certificate one per witness it
-reports.
+``geometry._sorted_exact`` (a sort on correctly rounded floats, with
+the exact cross-multiplication order ``geometry._XY`` only within runs
+of equal floats) and deduplicated on gcd-normalised keys.  ``_scan``
+returns them with their depths and builds no point: ``sample_depth``
+builds one ``Point2`` per sample of its ``SampleReport``, and the CLI
+certificate one per witness it reports.
 
 Every verdict is exact.  Depths and polygon membership take one path at
 every batch size and coordinate scale: a float pass whose only verdicts
@@ -36,7 +37,11 @@ integer kernel for whatever it leaves open.  A NaN, an inf, or any value
 once a product could overflow (the margin is then infinite) decides
 nothing; a frame past the float range divides its float columns by a
 power of two, which changes no verdict, so that this never happens to
-its own points.  ``_wall_free`` decides whether a segment stays inside,
+its own points.  The float pass also settles samples on the boundary:
+whether a sample or a guard lies exactly on an edge's line is decided in
+integers where the float sign is uncertain, and a segment that certainly
+meets no edge and certainly enters the polygon at the guard stays
+inside.  ``_wall_free`` decides whether a segment stays inside,
 ``_between`` whether a guard blocks it, and ``geometry._locate`` (which
 ``SimplePolygon.where`` reads too) decides membership.  Guard blocking
 is decided per guard, over all the (sample, other guard) pairs the float
@@ -57,7 +62,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .darkness import GuardSet, _Analysis, _nearest
+from .darkness import GuardSet, _Analysis
 from .geometry import (
     _RATIO,
     _XY,
@@ -67,6 +72,8 @@ from .geometry import (
     _Frame,
     _hull_corners,
     _locate,
+    _nearest,
+    _sorted_exact,
 )
 
 AnyPolygon = Union[ConvexPolygon, SimplePolygon]
@@ -153,6 +160,19 @@ def _contains_mask(frame: _Frame, samples) -> List[bool]:
     ]
 
 
+def _on_lines(walls, pts, unsure):
+    """[point][edge] -> the homogeneous point lies exactly on the line of
+    the edge from walls[e] to walls[e + 1]; decided in integers only where
+    unsure, False elsewhere."""
+    on = np.zeros(unsure.shape, dtype=bool)
+    n = len(walls)
+    for r, e in zip(*np.nonzero(unsure)):
+        X, Y, W = pts[r]
+        (ax, ay), (bx, by) = walls[e], walls[(e + 1) % n]
+        on[r, e] = (bx - ax) * (Y - ay * W) == (by - ay) * (X - ax * W)
+    return on
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _depths(frame: _Frame, samples) -> List[int]:
     """[depth at each homogeneous sample of the frame], float-prefiltered.
@@ -161,10 +181,25 @@ def _depths(frame: _Frame, samples) -> List[int]:
     frame's points are the guards, validated by the caller.  The float
     pass certifies the clear wall crossings, clear misses, and clear
     non-collinearities; every pair it cannot certify is re-decided by the
-    integer kernel.  Guard blocking is decided per guard q: one batch
-    gives every (sample, other guard) pair the float pass leaves open,
-    and ``_between`` decides them in sample order, skipping the samples
-    q already cannot see.
+    integer kernel.
+
+    Samples on the boundary are settled too.  Whether a sample, or a
+    guard, lies exactly on an edge's line is decided in integers, only
+    where the float sign is uncertain.  An edge whose line holds one end
+    of the segment is missed when the other end is certainly off the
+    line.  For an edge through the guard q, the sample must also be
+    strictly left of it (inside: the walls are ccw), so that the segment
+    enters the polygon at q.  No other rule certifies an edge through an
+    end of the segment.  So when every edge is missed, the open segment
+    meets no wall and starts inside at q, where q is interior or enters
+    across each wall through it: it stays inside, whatever it does at
+    the sample, which needs no side test (a sample at a reflex vertex,
+    or on an edge's line past the edge, is settled from either side).
+
+    Guard blocking is decided per guard q: one batch gives every
+    (sample, other guard) pair the float pass leaves open, and
+    ``_between`` decides them in sample order, skipping the samples q
+    already cannot see.
     """
     guards = frame.ints
     px, py = _columns(frame, samples)
@@ -174,14 +209,20 @@ def _depths(frame: _Frame, samples) -> List[int]:
     cert = m * m * 2.0 ** -_CERT_SHIFT
     convex = frame.convex
     if not convex:
+        walls = frame.walls
         bx = np.roll(ax, -1)
         by = np.roll(ay, -1)
         ex = bx - ax
         ey = by - ay
-        # side of each edge's line each sample falls on: guard-independent
+        # side of each edge's line each sample and each guard falls on
         c4 = ex[None, :] * (py[:, None] - ay[None, :]) - ey[None, :] * (px[:, None] - ax[None, :])
         p4 = c4 > cert
         n4 = c4 < -cert
+        on4 = _on_lines(walls, samples, ~(p4 | n4))
+        c3 = ex[None, :] * (gy[:, None] - ay[None, :]) - ey[None, :] * (gx[:, None] - ax[None, :])
+        p3s = c3 > cert
+        n3s = c3 < -cert
+        on3s = _on_lines(walls, [(x, y, 1) for x, y in guards], ~(p3s | n3s))
 
     depths = np.zeros(len(samples), dtype=np.int64)
     for gi, q in enumerate(guards):
@@ -195,19 +236,21 @@ def _depths(frame: _Frame, samples) -> List[int]:
             wall_unsure = np.zeros(len(samples), dtype=bool)
         else:
             c1 = dx[:, None] * (ay[None, :] - qy) - dy[:, None] * (ax[None, :] - qx)
-            c2 = dx[:, None] * (by[None, :] - qy) - dy[:, None] * (bx[None, :] - qx)
-            c3 = (ex * (qy - ay) - ey * (qx - ax))[None, :]
             p1 = c1 > cert
             n1 = c1 < -cert
-            p2 = c2 > cert
-            n2 = c2 < -cert
-            p3 = c3 > cert
-            n3 = c3 < -cert
+            # edge e ends where edge e + 1 starts
+            p2 = np.roll(p1, -1, axis=1)
+            n2 = np.roll(n1, -1, axis=1)
+            p3 = p3s[gi]
+            n3 = n3s[gi]
             # certain transversal crossing of an open edge: invisible
             crossing = ((p1 & n2) | (n1 & p2)) & ((p3 & n4) | (n3 & p4))
             # certain miss: edge strictly one side of the segment's line,
-            # or both endpoints strictly one side of the edge's line
+            # both ends strictly one side of the edge's line, the sample
+            # on the edge's line and q off it, or q on the edge's line
+            # and the sample strictly inside it
             miss = (p1 & p2) | (n1 & n2) | (p3 & p4) | (n3 & n4)
+            miss |= (on4 & (p3 | n3)) | (on3s[gi] & p4)
             vis = ~crossing.any(axis=1)
             wall_unsure = vis & ~miss.all(axis=1)
         # guard-blocking: only a guard exactly on the segment's line can
@@ -279,7 +322,7 @@ def _wall_free(walls, q, s) -> bool:
             if 0 < t < den and 0 <= u <= den:
                 cuts.append((t, den))
         ax, ay = bx, by
-    cuts.sort(key=_RATIO)
+    cuts = _sorted_exact(cuts, _RATIO)
     for (t0, d0), (t1, d1) in zip(cuts, cuts[1:]):
         if t0 * d1 == t1 * d0:
             continue
@@ -366,9 +409,7 @@ def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
     analysis = _Analysis(region, gset)
     f = frame.scale // analysis.frame.scale
     cands = [(xn * f, yn * f, den) for _total, xn, yn, den in analysis.candidates()]
-    out = [c for c, ok in zip(cands, _contains_mask(frame, cands)) if ok]
-    out.sort(key=_XY)
-    return out
+    return _sorted_exact([c for c, ok in zip(cands, _contains_mask(frame, cands)) if ok], _XY)
 
 
 def _box(frame: _Frame):

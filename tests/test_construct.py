@@ -12,6 +12,7 @@ import pytest
 
 from darkgallery.construct import (
     ConstructionError,
+    ConstructionScaffold,
     _build_scaffold,
     _dyadic,
     _Infeasible,
@@ -367,21 +368,67 @@ def test_integer_snaps_round_as_the_fraction_snaps(seed):
 
 def test_thin_quads_take_later_attempts_or_fail():
     # the 10^4 quad builds no scaffold at attempts 0 and 1 and is accepted
-    # at attempt 2, eps 1/4 with 20 bits; the 10^6 quad fails all 16
+    # at attempt 2, eps 1/4 with 20 bits; the 10^6 quad builds none at
+    # attempts 0-34 and is accepted at the last, eps 1/1024 with 24 bits;
+    # the 10^12 quad fails all 36
     want, accepted = oracles.place_4n_minus_2_attempts_oracle(_quad(10 ** 4))
     assert [outcome.split(" misses")[0] for _, _, outcome in want] == [
         "exit point before vertex 1", "exit point after vertex 1", "accepted"]
     assert want[-1][:2] == (Fraction(1, 4), 20) and accepted.eps == Fraction(1, 4)
     want, accepted = oracles.place_4n_minus_2_attempts_oracle(_quad(10 ** 6))
-    assert len(want) == 16 and accepted is None
+    assert len(want) == 36 and want[-1] == (Fraction(1, 1024), 24, "accepted")
+    assert all(outcome.startswith("exit point") for _, _, outcome in want[:-1])
+    assert accepted.eps == Fraction(1, 1024)
+    want, accepted = oracles.place_4n_minus_2_attempts_oracle(_quad(10 ** 12))
+    assert len(want) == 36 and accepted is None
     assert all(outcome.startswith("exit point") for _, _, outcome in want)
+
+
+def test_the_schedule_keeps_its_first_sixteen_attempts(monkeypatch):
+    # eps halves every 4 attempts and the bits cycle 12/16/20/24, from
+    # (1/4, 12) to (1/1024, 24); the first 16 are the former schedule
+    got, placed = _library_attempts(_quad(10 ** 12), monkeypatch)
+    assert placed is None
+    assert [(eps, bits) for eps, bits, _ in got] == [
+        (Fraction(1, 4 << (a // 4)), 12 + 4 * (a % 4)) for a in range(36)]
+
+
+@pytest.mark.parametrize("k", range(5, 14))
+def test_construct_certifies_the_thin_quad(k):
+    # one-extra regime of a quad: 4 < k < 14; every k used to fail
+    P = _quad(10 ** 6)
+    guards = construct(P, k)
+    assert len(guards) == plan(4, k).g
+    assert len(guards) - max_darkness(P, guards).darkness >= k
+
+
+def test_construct_builds_no_scaffold_field_it_does_not_read(monkeypatch):
+    # the fields that are not guards are built on first read, once
+    fills = []
+    fill = ConstructionScaffold._fill
+
+    def spy(sc):
+        fills.append(sc)
+        fill(sc)
+
+    monkeypatch.setattr(ConstructionScaffold, "_fill", spy)
+    construct(SQUARE, 7)
+    assert fills == []
+    gs, sc = place_4n_minus_2(SQUARE)
+    assert fills == []
+    before = sc.before
+    assert fills == [sc] and sc.before is before
+    assert len(sc.safe_region) == 4 and None not in sc.exit_after
+    assert fills == [sc]
+    with pytest.raises(AttributeError):
+        sc.no_such_field
 
 
 def test_a_placement_that_builds_no_scaffold_says_so():
     with pytest.raises(ConstructionError) as info:
-        place_4n_minus_2(_quad(10 ** 6))
+        place_4n_minus_2(_quad(10 ** 12))
     assert str(info.value) == (
-        "no 4n-2 placement after 16 attempts: 0 had a 2-dark point, 16 built no "
+        "no 4n-2 placement after 36 attempts: 0 had a 2-dark point, 36 built no "
         "scaffold (the last: exit point before vertex 1 misses its segment)")
     assert info.value.witness is None
 

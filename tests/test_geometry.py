@@ -6,12 +6,15 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkgallery.geometry import (
+    _RATIO,
+    _XY,
     COINCIDENT,
     PARALLEL,
     ConvexPolygon,
@@ -20,6 +23,8 @@ from darkgallery.geometry import (
     Point2,
     SimplePolygon,
     Wedge,
+    _nearest,
+    _sorted_exact,
     convex_hull,
     halfplane_intersection,
     line_intersection,
@@ -549,3 +554,54 @@ def test_point_arithmetic_is_exact():
     assert (p + q) == Point2(Fraction(1, 2), Fraction(1, 2))
     assert (p - q) * 6 == Point2(1, -1)
     assert p.cross(q) == Fraction(1, 9) - Fraction(1, 36)
+
+
+# --- the float-first exact sort -------------------------------------------------
+
+def _homogeneous_mix(rng, factor):
+    """Homogeneous points (X, Y, W), W > 0, of one scale: a few x values,
+    the same values 2^-60 apart, each point in several homogeneous forms
+    (such as (2, 4, 2) and (1, 2, 1)), times factor."""
+    xs = [Fraction(v) for v in (-3, 0, 1, Fraction(1, 3), 7)]
+    xs += [x + Fraction(d, 2 ** 60) for x in xs[:3] for d in (-1, 1)]
+    out = []
+    for _ in range(120):
+        x, y = rng.choice(xs) * factor, rng.choice(xs) * factor
+        w = x.denominator * y.denominator * rng.choice((1, 2, 3))
+        out.append((int(x * w), int(y * w), w))
+    return out
+
+
+@pytest.mark.parametrize("factor", [1, 2 ** 520, 2 ** 1100], ids=["1", "2^520", "2^1100"])
+@pytest.mark.parametrize("seed", range(3))
+def test_sorted_exact_is_the_stable_xy_sort(factor, seed):
+    # 2^1100 rounds every nonzero x to +-inf: whole runs tie on the float
+    # and are ordered by _XY alone; equal points in different forms keep
+    # their input order, so comparing the tuples checks stability too
+    items = _homogeneous_mix(random.Random(seed), factor)
+    got = _sorted_exact(items, _XY)
+    assert got == sorted(items, key=_XY)
+    points = {(Fraction(X, W), Fraction(Y, W)) for X, Y, W in items}
+    assert len(points) < len(set(items))  # ties in other forms
+    assert (inf in {_nearest(X, W) for X, _, W in items}) == (factor == 2 ** 1100)
+    assert _sorted_exact([], _XY) == [] and _sorted_exact(items[:1], _XY) == items[:1]
+
+
+@pytest.mark.parametrize("factor", [1, 2 ** 520, 2 ** 1100], ids=["1", "2^520", "2^1100"])
+@pytest.mark.parametrize("seed", range(3))
+def test_sorted_exact_is_the_stable_ratio_sort(factor, seed):
+    # ratios (num, den), den > 0: values 2^-60 apart, equal values in
+    # other forms, and values past the float range, which round to +-inf
+    rng = random.Random(seed)
+    values = [Fraction(v) for v in (-2, 0, Fraction(1, 7), 5)]
+    values += [v + Fraction(d, 2 ** 60) for v in values for d in (-1, 1)]
+    items = []
+    for _ in range(120):
+        v = rng.choice(values) * rng.choice((1, factor))
+        m = rng.choice((1, 2, 5))
+        items.append((v.numerator * m, v.denominator * m))
+    got = _sorted_exact(items, _RATIO)
+    assert got == sorted(items, key=_RATIO)
+    assert len({Fraction(*i) for i in items}) < len(set(items))  # ties in other forms
+    floats = {_nearest(*i) for i in items}
+    assert ({inf, -inf} <= floats) == (factor == 2 ** 1100)

@@ -294,3 +294,56 @@ def test_duplicate_bodies_flags_functions_written_twice():
 
 def test_package_has_no_function_written_twice():
     assert duplicate_bodies([(p.name, p.read_text()) for p in MODULES]) == []
+
+
+# geometry._sorted_exact sorts on floats first and compares exactly only
+# within runs of equal floats; a plain sort keyed on the cmp_to_key keys
+# would compare every pair through Python.  A linear min (max_darkness's
+# witness) is no sort and keeps its key.
+EXACT_KEYS = {"_XY", "_RATIO"}
+EXACT_SORTER = "_sorted_exact"
+
+
+def exact_key_sorts(source: str, filename: str) -> List[Tuple[str, int]]:
+    """(what, line) for each ``sorted(..., key=...)`` or ``.sort(key=...)``
+    whose key names one of EXACT_KEYS, outside a function EXACT_SORTER."""
+    tree = ast.parse(source, filename)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == EXACT_SORTER
+              for node in ast.walk(fn)}
+    out: List[Tuple[str, int]] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "sorted":
+            what = "sorted()"
+        elif isinstance(f, ast.Attribute) and f.attr == "sort":
+            what = ".sort()"
+        else:
+            continue
+        for kw in node.keywords:
+            if kw.arg == "key" and EXACT_KEYS & {
+                    n.id for n in ast.walk(kw.value) if isinstance(n, ast.Name)}:
+                out.append((what, node.lineno))
+    return sorted(out)
+
+
+def test_exact_key_sorts_flags_sorts_outside_the_helper():
+    source = (
+        "def _sorted_exact(items, key):\n"
+        "    return sorted(items, key=key) + sorted(items, key=_XY)\n"
+        "def f(pts, ts):\n"
+        "    pts.sort(key=_XY)\n"
+        "    a = sorted(ts, key=_RATIO)\n"
+        "    b = sorted(ts, key=lambda t: (_RATIO(t), 1))\n"
+        "    c = _sorted_exact(ts, _RATIO)\n"
+        "    return min(pts, key=_XY), sorted(pts), sorted(ts, key=len), c\n"
+    )
+    assert exact_key_sorts(source, "example.py") == [
+        (".sort()", 4), ("sorted()", 5), ("sorted()", 6)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_exact_keys_sort_only_through_the_float_first_helper(path):
+    assert exact_key_sorts(path.read_text(), str(path)) == []

@@ -501,12 +501,22 @@ def test_reports_match_the_fraction_glue(name, factor):
     assert len(report.samples) > len(P.vertices) + len(gs)
 
 
+def _grazing_points(comb, guards):
+    """Points of the comb past each spike mouth's reflex corner r, on the
+    line from a guard q through r: q's view of them grazes r, which no
+    float verdict settles."""
+    reflex = [v for v in comb.polygon.vertices if v.y == 2 and 0 < v.x < 2 * comb.spike_count]
+    pts = [q + (r - q) * t for q in guards for r in reflex for t in (2, Fraction(3, 2))]
+    return [p for p in pts if comb.polygon.contains(p)]
+
+
 def test_the_float_pass_settles_the_same_pairs_past_the_float_range(monkeypatch):
     # past 2^508 a frame divides its float columns by a power of two:
     # every sign test and margin scales by it exactly, so the float pass
     # leaves the integer kernel the same pairs as at scale 1
     comb = make_comb(3)
     gs = comb_cover(comb, 4)
+    grazing = _grazing_points(comb, gs.guards)
     calls = {}
     for name in ("_between", "_wall_free"):
         def counted(*args, _name=name, _real=getattr(sampling, name)):
@@ -515,10 +525,10 @@ def test_the_float_pass_settles_the_same_pairs_past_the_float_range(monkeypatch)
         monkeypatch.setattr(sampling, name, counted)
 
     def run(factor):
-        P, gsb, _ = _scaled(comb.polygon, gs.guards, [], factor)
+        P, gsb, pts = _scaled(comb.polygon, gs.guards, grazing, factor)
         frame = _Frame(P, gsb.guards)
         calls.clear()
-        report = sample_depth(P, gsb)
+        report = sample_depth(P, gsb, sampler=("points", pts))
         return frame.unit // frame.scale, dict(calls), [d for _, d in report.samples]
 
     shift, base_calls, base_depths = run(1)
@@ -529,6 +539,110 @@ def test_the_float_pass_settles_the_same_pairs_past_the_float_range(monkeypatch)
         assert shift > factor // 2 ** 8
         assert got_calls == base_calls
         assert got_depths == base_depths
+
+
+def test_the_float_pass_settles_boundary_samples(monkeypatch):
+    # a sample on the boundary is settled without _wall_free when the
+    # guard is certainly off each edge line through it: the former float
+    # pass left 108 pairs of this scene to _wall_free, and a rule that
+    # settles only guards strictly inside those lines leaves 24, all at
+    # the reflex corners of the spike mouths
+    comb = make_comb(3)
+    gs = comb_cover(comb, 4)
+    calls = []
+    real = sampling._wall_free
+    monkeypatch.setattr(sampling, "_wall_free", lambda *a: calls.append(a) or real(*a))
+    counts = []
+    for factor in (1, 2 ** 520, 2 ** 1100):
+        P, gsb, _ = _scaled(comb.polygon, gs.guards, [], factor)
+        calls.clear()
+        sample_depth(P, gsb)
+        counts.append(len(calls))
+    assert counts[0] < 24
+    assert counts == counts[:1] * 3
+
+
+def test_the_float_pass_settles_guards_on_the_boundary(monkeypatch):
+    # a guard on the boundary is settled when the sample is certainly
+    # inside every edge line through it: the guard at the convex corner
+    # (0, 0) and the one inside the floor edge see all three samples
+    # without _wall_free; the one at the reflex corner (2, 2) settles
+    # only (1, 1), inside both of its lines
+    calls = []
+    real = sampling._wall_free
+    monkeypatch.setattr(sampling, "_wall_free", lambda *a: calls.append(a) or real(*a))
+    gs = GuardSet([Point2(0, 0), Point2(2, 2), Point2(3, 0)])
+    pts = [Point2(1, 1), Point2(3, 1), Point2(1, 3)]
+    frame = _Frame(L_HEXAGON, gs.guards)
+    assert batch_depths(L_HEXAGON, gs, pts) == [3, 3, 3]
+    assert [(q, frame.point(s)) for _, q, s in calls] == [((2, 2), Point2(3, 1)),
+                                                         ((2, 2), Point2(1, 3))]
+
+
+def _vertex_kind(P, i):
+    vs = P.vertices
+    o = geometry.orientation(vs[i - 1], vs[i], vs[(i + 1) % len(vs)])
+    return {1: "convex", 0: "straight", -1: "reflex"}[o]
+
+
+def _boundary_scene(P, guard_vertices, extra_guards):
+    """(polygon, guards, samples, kinds): guards at the given vertices,
+    at the midpoint of the edge after each and at extra_guards; samples
+    at every vertex, inside every edge, and on every edge's line past
+    its ends where that is in the closed polygon; kinds names the kinds
+    of sample and of guard the scene holds."""
+    vs = P.vertices
+    n = len(vs)
+    guards = [vs[i] for i in guard_vertices]
+    guards += [vs[i] + (vs[(i + 1) % n] - vs[i]) * Fraction(1, 2) for i in guard_vertices]
+    guards += list(extra_guards)
+    kinds = {"guard at " + _vertex_kind(P, i) for i in guard_vertices} | {"guard on edge"}
+    samples = list(vs)
+    kinds |= {"sample at " + _vertex_kind(P, i) for i in range(n)}
+    for a, b in P.edges():
+        samples += [a + (b - a) * Fraction(1, 3), a + (b - a) * Fraction(1, 2)]
+        beyond = [a + (b - a) * t for t in (Fraction(-1, 2), Fraction(3, 2), 2, -1)]
+        beyond = [p for p in beyond if oracles.simple_where_oracle(P, p) != "exterior"]
+        samples += beyond
+        kinds |= {"sample inside edge"} | ({"sample on line past edge"} if beyond else set())
+    return P, list(dict.fromkeys(guards)), list(dict.fromkeys(samples)), kinds
+
+
+def _boundary_scenes():
+    comb3, comb5 = make_comb(3), make_comb(5)
+    star = random_star_polygon(random.Random(17), 9)
+    star2 = random_star_polygon(random.Random(3), 10)
+    reflex = [i for i in range(len(star.vertices)) if _vertex_kind(star, i) == "reflex"]
+    convex = [i for i in range(len(star.vertices)) if _vertex_kind(star, i) == "convex"]
+    reflex2 = [i for i in range(len(star2.vertices)) if _vertex_kind(star2, i) == "reflex"]
+    # comb3: the floor corner, a reflex mouth corner and a spike tip;
+    # comb5: a straight floor vertex, a reflex mouth corner and a tip
+    return [
+        _boundary_scene(comb3.polygon, [0, 4, 5], comb_cover(comb3, 2).guards[:2]),
+        _boundary_scene(comb5.polygon, [2, 8, 9], comb_cover(comb5, 2).guards[:2]),
+        _boundary_scene(star, reflex[:2] + convex[:2], [Point2(0, 0)]),
+        _boundary_scene(star2, reflex2[:3], []),
+    ]
+
+
+@pytest.mark.parametrize("factor", [1, 2 ** 520, 2 ** 1100], ids=["1", "2^520", "2^1100"])
+def test_boundary_samples_match_the_exact_kernel(factor):
+    # guards at convex, reflex and straight vertices and inside edges;
+    # samples at every vertex, inside edges and on edge lines past the
+    # edge: the float pass and the exact kernel give the same depths
+    kinds = set()
+    for P, guards, samples, scene_kinds in _boundary_scenes():
+        kinds |= scene_kinds
+        Pb, gsb, ptsb = _scaled(P, guards, samples, factor)
+        frame = _Frame(Pb, gsb.guards)
+        exact = [sum(sampling._sees(frame.walls, frame.ints, q, frame.sample(p))
+                     for q in frame.ints) for p in ptsb]
+        assert batch_depths(Pb, gsb, ptsb) == exact
+        assert exact == [oracles.depth_at_sample_oracle(Pb, gsb.guards, p) for p in ptsb]
+        assert min(exact) < max(exact)
+    assert kinds == {"guard at convex", "guard at reflex", "guard at straight", "guard on edge",
+                     "sample at convex", "sample at reflex", "sample at straight",
+                     "sample inside edge", "sample on line past edge"}
 
 
 @pytest.mark.parametrize("P", [L_HEXAGON, make_comb(3).polygon], ids=["L-hexagon", "comb-s3"])
