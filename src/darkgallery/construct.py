@@ -47,6 +47,7 @@ from .geometry import (
     _Frame,
     _halfplanes,
     _homogeneous,
+    as_int,
     centroid,
     convex_hull,
     halfplane_intersection,
@@ -90,8 +91,7 @@ class RegimePlan:
     __slots__ = ("n", "k", "regime", "g")
 
     def __init__(self, n: int, k: int):
-        if type(k) is not int:
-            raise TypeError("k must be an int, got %r" % (k,))
+        as_int(k, "k")
         if n < 3:
             raise ValueError("a polygon has at least 3 vertices")
         if k < 1:
@@ -125,7 +125,7 @@ def place_vertex_guards(P: ConvexPolygon, k: int) -> GuardSet:
     never re-enter and the placement covers to depth k.
     """
     n = len(P.vertices)
-    if not 1 <= k <= n:
+    if not 1 <= as_int(k, "k") <= n:
         raise ValueError("vertex placement needs 1 <= k <= n, got k=%d, n=%d" % (k, n))
     return GuardSet(P.vertices[:k])
 
@@ -682,9 +682,7 @@ def place_general_position(region: Region, g: int) -> GuardSet:
     an interior anchor, with the span that keeps them inside the region:
     the first of g+64, 2(g+64), ... that reaches the last accepted t.
     """
-    if type(g) is not int:
-        raise TypeError("g must be an int, got %r" % (g,))
-    if g < 1:
+    if as_int(g, "g") < 1:
         raise ValueError("need at least one guard")
     anchor, margin = _interior_anchor_and_margin(region)
     placer = _StreamPlacer()
@@ -734,9 +732,7 @@ def construct(P: ConvexPolygon, k: int) -> GuardSet:
 
 def guards_for_wedge(k: int) -> int:
     """Tight guard count for covering a wedge to depth k."""
-    if type(k) is not int:
-        raise TypeError("k must be an int, got %r" % (k,))
-    if k < 1:
+    if as_int(k, "k") < 1:
         raise ValueError("coverage depth must be at least 1")
     if k <= 2:
         return k

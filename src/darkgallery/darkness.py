@@ -32,14 +32,19 @@ witness.  The j-dark queries read the same candidates: one analysis,
 built on the first query in a region and held on the GuardSet, serves
 every query on that guard set.
 
+The analysis keeps only what the certificates read: the pieces, the
+crossing totals, the point candidates and the witness rescan.  The
+sampler (``sampling._suspicious_points``) takes the pieces and makes its
+own walk of their crossings for the sample points it needs.
+
 One pair scan (`_pair_hits`) finds every crossing, for the certificates,
-the j-dark queries and the concurrency check alike.  It takes one path at
-every piece count and coordinate size: over fixed-size 2-D tiles of the
-pair triangle it keeps a pair only if the pieces' float boxes overlap,
-they lie on different lines and have different anchor guards (exact
-class tests), and a float sign test with a derived rounding-error bound
-cannot rule the crossing out.  Every pair that survives is confirmed
-with exact big-integer arithmetic.
+the j-dark queries, the sampler and the concurrency check alike.  It
+takes one path at every piece count and coordinate size: over fixed-size
+2-D tiles of the pair triangle it keeps a pair only if the pieces' float
+boxes overlap, they lie on different lines and have different anchor
+guards (exact class tests), and a float sign test with a derived
+rounding-error bound cannot rule the crossing out.  Every pair that
+survives is confirmed with exact big-integer arithmetic.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from .geometry import (
     _integers,
     _nearest,
     _sorted_exact,
+    as_int,
     on_segment,
     primitive_direction,
     strictly_between,
@@ -508,9 +514,10 @@ class _Analysis:
     parameter interval starts open at 0.  hin is None where the region
     leaves the piece unbounded (wedges, or region None: the whole plane,
     where the unbounded pieces are exactly the dark rays).  Only pieces
-    blocking >= 1 guard are kept.  It keeps the guards tuple, not the
-    GuardSet that holds it: a reference cycle would wait for the cyclic
-    collector.
+    blocking >= 1 guard are kept.  Beyond the pieces it holds what the
+    certificates read: the crossing totals, the point candidates and the
+    rescan of a witness.  It keeps the guards tuple, not the GuardSet that
+    holds it: a reference cycle would wait for the cyclic collector.
     """
 
     def __init__(self, region: Region, gset: GuardSet):
@@ -524,7 +531,6 @@ class _Analysis:
                 raise ValueError("guard %r lies outside the region" % (g,))
         self.lines = _group_collinear(ints)
         self._crossings = None
-        self._cuts = None
         self._point_candidates = None
 
         pieces = []
@@ -591,12 +597,10 @@ class _Analysis:
         return total, contributions
 
     # -- pairwise crossings of pieces ------------------------------------
-    def _walk(self, cuts=None):
-        """One walk of _pair_hits: {point key (xn, yn, den): darkness} over
-        the in-region crossings of pieces from distinct lines, in the order
-        their first hits come.  With a dict for cuts, every piece index
-        also gets its crossing parameters there, as integer (num, den)
-        pairs with den > 0.
+    def crossings(self):
+        """{point key (xn, yn, den): darkness} over the in-region crossings
+        of pieces from distinct lines, in the order their first hits come
+        in one walk of _pair_hits; built once, callers must not change it.
 
         A crossing is never a guard position (see point_candidates), so
         every line dark there has exactly one piece through it, and every
@@ -606,43 +610,21 @@ class _Analysis:
         once: the darkness is blocked[i] plus their blocked[j].  Hits of
         the key in a later row are skipped.
         """
-        pieces = self.pieces
-        blocked = [p[7] for p in pieces]
-        low = {}
-        totals = {}
-        for i, j, un, vn, D in _pair_hits(pieces):
-            key = _point_key(pieces[i], un, D)
-            first = low.get(key)
-            if first is None:
-                low[key] = i
-                totals[key] = blocked[i] + blocked[j]
-            elif first == i:
-                totals[key] += blocked[j]
-            if cuts is not None:
-                cuts.setdefault(i, []).append((un, D))
-                cuts.setdefault(j, []).append((vn, D))
-        return totals
-
-    def crossings(self):
-        """{point key (xn, yn, den): darkness} at every crossing, in the
-        order of _walk; built once, callers must not change it."""
         if self._crossings is None:
-            self._crossings = self._walk()
+            pieces = self.pieces
+            blocked = [p[7] for p in pieces]
+            low = {}
+            totals = {}
+            for i, j, un, _vn, D in _pair_hits(pieces):
+                key = _point_key(pieces[i], un, D)
+                first = low.get(key)
+                if first is None:
+                    low[key] = i
+                    totals[key] = blocked[i] + blocked[j]
+                elif first == i:
+                    totals[key] += blocked[j]
+            self._crossings = totals
         return self._crossings
-
-    def cuts(self):
-        """{piece index: crossing parameters as (num, den), den > 0}.
-
-        Only the sampler's candidates need them.  On an analysis that has
-        no crossings yet, the one walk that finds them also finds the
-        crossings; an analysis that a certificate already scanned walks
-        the pairs a second time.
-        """
-        if self._cuts is None:
-            cuts = {}
-            self._crossings = self._walk(cuts)
-            self._cuts = cuts
-        return self._cuts
 
     # -- candidate enumeration -------------------------------------------
     def point_candidates(self):
@@ -668,28 +650,6 @@ class _Analysis:
             out += [(d, x, y, 1) for d, (x, y) in zip(dark, self.frame.ints)]
             self._point_candidates = out
         return self._point_candidates
-
-    def candidates(self):
-        """(darkness, xn, yn, den) over the complete candidate set:
-        crossings, guard points, piece representatives.
-
-        Every piece is subdivided at its crossing parameters (cuts()),
-        with one representative per sub-piece.  max_darkness needs none of
-        that (a piece at the top level has no crossings); the full set is
-        for the sampler, which needs every point.
-        """
-        cuts = self.cuts()
-        out = list(self.point_candidates())
-        # Darkness at a sub-piece point is exactly the piece's blocked
-        # count: after subdividing at every crossing parameter no other
-        # portion passes through a sub-piece interior, and no guard can lie
-        # on a piece at all (a guard collinear with a line's members would
-        # itself be a member).
-        for idx, piece in enumerate(self.pieces):
-            blocked = piece[7]
-            for key in _sub_piece_points(piece, cuts.get(idx, ())):
-                out.append((blocked, *key))
-        return out
 
     def witness_from(self, xn, yn, den) -> DarknessWitness:
         """The witness at (xn/den, yn/den): its darkness and contributions
@@ -725,8 +685,9 @@ def max_darkness(region: Region, guards) -> DarknessWitness:
     point of _sub_piece_points(piece, ()).  Only the candidates at top
     need the tie-break, which takes the lexicographically smallest point
     (the first in the order crossings, guards, pieces on equal points), so
-    the certificate does not depend on guard ordering.  The crossings
-    need no cuts, and only the winner gets its per-line breakdown.
+    the certificate does not depend on guard ordering.  No piece is
+    subdivided at its crossings, and only the winner gets its per-line
+    breakdown.
     """
     analysis = _analysis(region, GuardSet.coerce(guards))
     cands = analysis.point_candidates()
@@ -762,7 +723,7 @@ def has_j_dark(region: Region, guards, j: int):
     at darkness >= j is the witness, the one point rescanned for its
     per-line breakdown.
     """
-    if j < 1:
+    if as_int(j, "j") < 1:
         raise ValueError("j must be a positive integer")
     analysis = _analysis(region, GuardSet.coerce(guards))
 

@@ -139,12 +139,19 @@ def _scalar_to_json(value):
     raise DocumentError("unsupported parameter value %r" % (value,))
 
 
-def _scalar_from_json(value):
+def _scalar_from_json(value, field: str):
+    """A metadata parameter value as _scalar_to_json writes it back: null,
+    a bool, an int or a string, with "p/q" strings read as rationals.
+    Anything else (a float, an array, an object) is a DocumentError
+    naming field."""
     if isinstance(value, str):
         m = _RAT_RE.match(value)
         if m:
             return Fraction(int(m.group(1)), int(m.group(2)))
-    return value
+        return value
+    if value is None or type(value) in (bool, int):
+        return value
+    raise DocumentError("%s must be null, a bool, an int or a string, got %r" % (field, value))
 
 
 def _dumps(payload: dict) -> str:
@@ -248,8 +255,8 @@ class PlacementDocument(_Document):
         raw = meta.get("parameters", {})
         if not isinstance(raw, dict):
             raise DocumentError("parameters must be an object, got %r" % (raw,))
-        params = {key: _scalar_from_json(raw[key]) for key in raw}
-        return cls(region, guards, meta.get("name", ""), params, seed)
+        params = {key: _scalar_from_json(raw[key], "parameters.%s" % key) for key in raw}
+        return cls(region, guards, _typed(meta.get("name", ""), str, "name"), params, seed)
 
 
 class JDarkResult:

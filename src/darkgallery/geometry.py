@@ -43,6 +43,15 @@ def as_rat(value: RatLike) -> Rat:
     raise TypeError("cannot interpret %r as a rational number" % (value,))
 
 
+def as_int(value, name: str) -> int:
+    """value, when it is an int: a count, a depth or a seed.  Anything
+    else raises TypeError naming it, bools, integral floats, Fractions
+    and digit strings included, so no caller truncates or rounds."""
+    if type(value) is not int:
+        raise TypeError("%s must be an int, got %r" % (name, value))
+    return value
+
+
 class Point2:
     """Immutable exact point (also used as a 2-vector)."""
 
@@ -672,16 +681,15 @@ class _Frame:
     (ccw) are its walls, a Wedge, whose one wall is its apex, or None,
     the whole plane, with no walls.  ``scale`` is the lcm of every
     denominator of the walls and of the points; ``walls`` and ``ints``
-    hold them times scale, as integer pairs, and ``convex`` tells whether
-    the region is a ConvexPolygon.  ``sample(p)`` gives homogeneous
-    integers (X, Y, W), W > 0, with (X/W, Y/W) = scale * p, and ``point``
-    maps them back.  ``unit`` divides the frame's integers into the
-    sampler's float columns: scale, or past the float range (_FLOAT_BITS)
-    scale times the power of two that brings the largest coordinate into
-    (1, 4).
+    hold them times scale, as integer pairs.  ``sample(p)`` gives
+    homogeneous integers (X, Y, W), W > 0, with (X/W, Y/W) = scale * p,
+    and ``point`` maps them back.  ``unit`` divides the frame's integers
+    into the sampler's float columns: scale, or past the float range
+    (_FLOAT_BITS) scale times the power of two that brings the largest
+    coordinate into (1, 4).
     """
 
-    __slots__ = ("scale", "walls", "ints", "convex", "unit")
+    __slots__ = ("scale", "walls", "ints", "unit")
 
     def __init__(self, region, pts: Sequence[Point2]):
         if isinstance(region, _Polygon):
@@ -695,7 +703,6 @@ class _Frame:
         self.scale, self.ints = _integers(pts, base)
         f = self.scale // base
         self.walls = [(x * f, y * f) for x, y in walls]
-        self.convex = isinstance(region, ConvexPolygon)
         # the largest coordinate lies in (2^(bits-1), 2^(bits+1))
         top = max((max(abs(x), abs(y)) for x, y in self.walls + self.ints), default=0)
         bits = top.bit_length() - self.scale.bit_length()

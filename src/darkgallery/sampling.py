@@ -10,10 +10,12 @@ reports the worst depth it saw.
 
 The default samples are not a blind grid.  Every report includes the
 polygon vertices, the guard positions, and the crossing points and
-crossing-free gap midpoints of the dark rays (computed on the convex
-hull, where the exact machinery applies, then filtered to the polygon):
-those are the points where coverage is most likely to dip.  Grid or
-seeded-random samples are layered on top via the sampler spec.
+crossing-free gap midpoints of the dark rays, filtered to the polygon:
+those are the points where coverage is most likely to dip.  This module
+chooses them itself (``_suspicious_points``): it takes the dark-ray
+pieces of the exact analysis of the convex hull and makes one walk of
+the pair scan over them, summing no darkness.  Grid or seeded-random
+samples are layered on top via the sampler spec.
 
 Every sample is homogeneous integers (X, Y, W), W > 0, in one frame
 from the moment it is generated until the report is built:
@@ -30,10 +32,12 @@ returns them with their depths and builds no point: ``sample_depth``
 builds one ``Point2`` per sample of its ``SampleReport``, and the CLI
 certificate one per witness it reports.
 
-Every verdict is exact.  Depths and polygon membership take one path at
-every batch size and coordinate scale: a float pass whose only verdicts
-are strict comparisons against a certified error margin, then one
-integer kernel for whatever it leaves open.  A NaN, an inf, or any value
+Every verdict is exact.  Depths and polygon membership take one path on
+every polygon, convex or not, at every batch size and coordinate scale,
+reading one float orientation matrix of points against walls
+(``_wall_sides``): a float pass whose only verdicts are strict
+comparisons against a certified error margin, then one integer kernel
+for whatever it leaves open.  A NaN, an inf, or any value
 once a product could overflow (the margin is then infinite) decides
 nothing; a frame past the float range divides its float columns by a
 power of two, which changes no verdict, so that this never happens to
@@ -62,7 +66,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .darkness import GuardSet, _Analysis
+from .darkness import GuardSet, _Analysis, _pair_hits, _point_key, _sub_piece_points
 from .geometry import (
     _RATIO,
     _XY,
@@ -74,6 +78,7 @@ from .geometry import (
     _locate,
     _nearest,
     _sorted_exact,
+    as_int,
 )
 
 AnyPolygon = Union[ConvexPolygon, SimplePolygon]
@@ -116,6 +121,21 @@ def _bound(*columns) -> float:
     return m if 16.0 * m * m < inf else inf
 
 
+def _wall_sides(frame: _Frame, *points):
+    """(ax, ay, by, sides): the float columns of the frame's walls (ccw),
+    the y column of the wall after each, and for each (px, py) pair of
+    point columns the [point][edge] orientation of the points against
+    the edge from walls[e] to walls[e + 1]: positive strictly left of its
+    line (the inside of the edge), negative strictly right."""
+    ax, ay = _columns(frame, frame.walls)
+    ex = np.roll(ax, -1) - ax
+    by = np.roll(ay, -1)
+    ey = by - ay
+    sides = [ex[None, :] * (py[:, None] - ay[None, :]) - ey[None, :] * (px[:, None] - ax[None, :])
+             for px, py in points]
+    return ax, ay, by, sides
+
+
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN only ever defer
 def _contains_mask(frame: _Frame, samples) -> List[bool]:
     """Whether each homogeneous sample of the frame lies in the closed
@@ -127,33 +147,22 @@ def _contains_mask(frame: _Frame, samples) -> List[bool]:
     the plain loop bit for bit.
     """
     px, py = _columns(frame, samples)
-    ax, ay = _columns(frame, frame.walls)
-    bx = np.roll(ax, -1)
-    by = np.roll(ay, -1)
+    ax, ay, by, (o,) = _wall_sides(frame, (px, py))
     m = _bound(px, py, ax, ay)
     cert = m * m * 2.0 ** -_CERT_SHIFT
-    ex = bx - ax
-    ey = by - ay
-    # orientation of each point against each (ccw) edge
-    o = ex[None, :] * (py[:, None] - ay[None, :]) - ey[None, :] * (px[:, None] - ax[None, :])
-    if frame.convex:
-        inside = (o > cert).all(axis=1)
-        certain = inside | (o < -cert).any(axis=1)
-    else:
-        # ray-parity: count edges certainly crossed by the ray x -> +inf
-        eps = m * 2.0 ** -_CERT_SHIFT
-        pyc = py[:, None]
-        lo = np.minimum(ay, by)[None, :]
-        hi = np.maximum(ay, by)[None, :]
-        level = (pyc > lo + eps) & (pyc < hi - eps)
-        upward = (by > ay)[None, :]
-        crossing = level & np.where(upward, o > cert, o < -cert)
-        # parity is certain only when every edge is certainly apart from
-        # the ray's height, or certainly level with it and certainly off
-        # to one side of the point
-        apart = (pyc < lo - eps) | (pyc > hi + eps)
-        certain = (apart | (level & (np.abs(o) > cert))).all(axis=1)
-        inside = (crossing.sum(axis=1) % 2).astype(bool)
+    eps = m * 2.0 ** -_CERT_SHIFT
+    pyc = py[:, None]
+    lo = np.minimum(ay, by)[None, :]
+    hi = np.maximum(ay, by)[None, :]
+    level = (pyc > lo + eps) & (pyc < hi - eps)
+    upward = (by > ay)[None, :]
+    crossing = level & np.where(upward, o > cert, o < -cert)
+    # parity is certain only when every edge is certainly apart from the
+    # ray's height, or certainly level with it and certainly off to one
+    # side of the point
+    apart = (pyc < lo - eps) | (pyc > hi + eps)
+    certain = (apart | (level & (np.abs(o) > cert))).all(axis=1)
+    inside = (crossing.sum(axis=1) % 2).astype(bool)
     return [
         bool(inside[i]) if certain[i] else _locate(frame.walls, *samples[i]) != "exterior"
         for i in range(len(samples))
@@ -177,8 +186,9 @@ def _on_lines(walls, pts, unsure):
 def _depths(frame: _Frame, samples) -> List[int]:
     """[depth at each homogeneous sample of the frame], float-prefiltered.
 
-    Preconditions: every sample lies in the closed polygon and the
-    frame's points are the guards, validated by the caller.  The float
+    Precondition: the frame's points are the guards, in the closed
+    polygon, validated by the caller.  The polygon may be any simple
+    polygon, a ConvexPolygon included: one path serves both.  The float
     pass certifies the clear wall crossings, clear misses, and clear
     non-collinearities; every pair it cannot certify is re-decided by the
     integer kernel.
@@ -194,7 +204,9 @@ def _depths(frame: _Frame, samples) -> List[int]:
     meets no wall and starts inside at q, where q is interior or enters
     across each wall through it: it stays inside, whatever it does at
     the sample, which needs no side test (a sample at a reflex vertex,
-    or on an edge's line past the edge, is settled from either side).
+    or on an edge's line past the edge, is settled from either side).  A
+    sample outside the polygon is never settled that way: the segment
+    would have to meet a wall on its way out.
 
     Guard blocking is decided per guard q: one batch gives every
     (sample, other guard) pair the float pass leaves open, and
@@ -202,27 +214,19 @@ def _depths(frame: _Frame, samples) -> List[int]:
     already cannot see.
     """
     guards = frame.ints
+    walls = frame.walls
     px, py = _columns(frame, samples)
     gx, gy = _columns(frame, guards)
-    ax, ay = _columns(frame, frame.walls)
+    # side of each edge's line each sample (c4) and each guard (c3) falls on
+    ax, ay, _, (c4, c3) = _wall_sides(frame, (px, py), (gx, gy))
     m = _bound(px, py, gx, gy, ax, ay)
     cert = m * m * 2.0 ** -_CERT_SHIFT
-    convex = frame.convex
-    if not convex:
-        walls = frame.walls
-        bx = np.roll(ax, -1)
-        by = np.roll(ay, -1)
-        ex = bx - ax
-        ey = by - ay
-        # side of each edge's line each sample and each guard falls on
-        c4 = ex[None, :] * (py[:, None] - ay[None, :]) - ey[None, :] * (px[:, None] - ax[None, :])
-        p4 = c4 > cert
-        n4 = c4 < -cert
-        on4 = _on_lines(walls, samples, ~(p4 | n4))
-        c3 = ex[None, :] * (gy[:, None] - ay[None, :]) - ey[None, :] * (gx[:, None] - ax[None, :])
-        p3s = c3 > cert
-        n3s = c3 < -cert
-        on3s = _on_lines(walls, [(x, y, 1) for x, y in guards], ~(p3s | n3s))
+    p4 = c4 > cert
+    n4 = c4 < -cert
+    on4 = _on_lines(walls, samples, ~(p4 | n4))
+    p3s = c3 > cert
+    n3s = c3 < -cert
+    on3s = _on_lines(walls, [(x, y, 1) for x, y in guards], ~(p3s | n3s))
 
     depths = np.zeros(len(samples), dtype=np.int64)
     for gi, q in enumerate(guards):
@@ -230,36 +234,31 @@ def _depths(frame: _Frame, samples) -> List[int]:
         qy = gy[gi]
         dx = px - qx
         dy = py - qy
-        if convex:
-            # segment inside iff endpoints inside, which holds by precondition
-            vis = np.ones(len(samples), dtype=bool)
-            wall_unsure = np.zeros(len(samples), dtype=bool)
-        else:
-            c1 = dx[:, None] * (ay[None, :] - qy) - dy[:, None] * (ax[None, :] - qx)
-            p1 = c1 > cert
-            n1 = c1 < -cert
-            # edge e ends where edge e + 1 starts
-            p2 = np.roll(p1, -1, axis=1)
-            n2 = np.roll(n1, -1, axis=1)
-            p3 = p3s[gi]
-            n3 = n3s[gi]
-            # certain transversal crossing of an open edge: invisible
-            crossing = ((p1 & n2) | (n1 & p2)) & ((p3 & n4) | (n3 & p4))
-            # certain miss: edge strictly one side of the segment's line,
-            # both ends strictly one side of the edge's line, the sample
-            # on the edge's line and q off it, or q on the edge's line
-            # and the sample strictly inside it
-            miss = (p1 & p2) | (n1 & n2) | (p3 & p4) | (n3 & n4)
-            miss |= (on4 & (p3 | n3)) | (on3s[gi] & p4)
-            vis = ~crossing.any(axis=1)
-            wall_unsure = vis & ~miss.all(axis=1)
+        c1 = dx[:, None] * (ay[None, :] - qy) - dy[:, None] * (ax[None, :] - qx)
+        p1 = c1 > cert
+        n1 = c1 < -cert
+        # edge e ends where edge e + 1 starts
+        p2 = np.roll(p1, -1, axis=1)
+        n2 = np.roll(n1, -1, axis=1)
+        p3 = p3s[gi]
+        n3 = n3s[gi]
+        # certain transversal crossing of an open edge: invisible
+        crossing = ((p1 & n2) | (n1 & p2)) & ((p3 & n4) | (n3 & p4))
+        # certain miss: edge strictly one side of the segment's line,
+        # both ends strictly one side of the edge's line, the sample on
+        # the edge's line and q off it, or q on the edge's line and the
+        # sample strictly inside it
+        miss = (p1 & p2) | (n1 & n2) | (p3 & p4) | (n3 & n4)
+        miss |= (on4 & (p3 | n3)) | (on3s[gi] & p4)
+        vis = ~crossing.any(axis=1)
+        wall_unsure = vis & ~miss.all(axis=1)
         # guard-blocking: only a guard exactly on the segment's line can
         # block, so certain non-collinearity rules a blocker out
         crh = (gx - qx)[None, :] * dy[:, None] - (gy - qy)[None, :] * dx[:, None]
         maybe = ~(np.abs(crh) > cert)
         maybe[:, gi] = False
         for s in np.nonzero(wall_unsure)[0]:
-            vis[s] = _wall_free(frame.walls, q, samples[s])
+            vis[s] = _wall_free(walls, q, samples[s])
         # every (sample, guard) pair left open, in sample order: the first
         # guard between q and a sample blocks it, and settles the sample
         rows, cols = np.nonzero(maybe & vis[:, None])
@@ -394,21 +393,35 @@ class SampleReport:
 
 
 def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
-    """Dark-ray crossing points and gap midpoints that land inside P, as
-    homogeneous samples of the frame in (x, y) order.
+    """Dark-ray crossing points, guard points and sub-piece points that
+    land inside P, as homogeneous samples of the frame in (x, y) order.
 
-    The rays are analyzed on the convex hull of P and the guards, where
-    the exact dark-portion machinery applies (walls ignored), because a
-    depth dip in the polygon can only happen at guard blockings, and
-    those live on the hull's dark-ray arrangement.  The hull corners are
-    vertices or guards, so the analysis's scale divides the frame's, and
-    one integer factor maps each candidate (xn, yn, den) into the frame.
+    The rays are the pieces of the exact analysis of the convex hull of P
+    and the guards (walls ignored), because a depth dip in the polygon
+    can only happen at guard blockings, and those live on the hull's
+    dark-ray arrangement.  One walk of ``_pair_hits`` collects the
+    crossing points, in the order of their first hits, and every piece's
+    crossing parameters; each piece then gives one point inside each of
+    the sub-pieces its parameters cut it into.  No darkness is summed.
+    The hull corners are vertices or guards, so the analysis's scale
+    divides the frame's, and one integer factor maps each point (xn, yn,
+    den) into the frame.
     """
     pts = list(P.vertices) + list(gset.guards)
     region = ConvexPolygon([pts[i] for i in _hull_corners(frame.walls + frame.ints)])
     analysis = _Analysis(region, gset)
+    pieces = analysis.pieces
+    crossings = {}
+    cuts = [[] for _ in pieces]
+    for i, j, un, vn, D in _pair_hits(pieces):
+        crossings[_point_key(pieces[i], un, D)] = None
+        cuts[i].append((un, D))
+        cuts[j].append((vn, D))
+    keys = list(crossings) + [(x, y, 1) for x, y in analysis.frame.ints]
+    for piece, piece_cuts in zip(pieces, cuts):
+        keys += _sub_piece_points(piece, piece_cuts)
     f = frame.scale // analysis.frame.scale
-    cands = [(xn * f, yn * f, den) for _total, xn, yn, den in analysis.candidates()]
+    cands = [(xn * f, yn * f, den) for xn, yn, den in keys]
     return _sorted_exact([c for c, ok in zip(cands, _contains_mask(frame, cands)) if ok], _XY)
 
 
@@ -454,10 +467,10 @@ def _sampler_points(frame: _Frame, sampler):
         return []
     if isinstance(sampler, (list, tuple)) and sampler and sampler[0] == "grid":
         (_, resolution) = sampler
-        return _grid_points(frame, int(resolution))
+        return _grid_points(frame, as_int(resolution, "grid resolution"))
     if isinstance(sampler, (list, tuple)) and sampler and sampler[0] == "random":
         (_, seed, count) = sampler
-        return _random_points(frame, int(seed), int(count))
+        return _random_points(frame, as_int(seed, "random seed"), as_int(count, "sample count"))
     if isinstance(sampler, (list, tuple)) and sampler and sampler[0] == "points":
         (_, pts) = sampler
         given = []

@@ -38,6 +38,7 @@ from .geometry import (
     Wedge,
     _Frame,
     _homogeneous,
+    as_int,
     convex_hull,
     orientation,
 )
@@ -92,7 +93,7 @@ def make_comb(s: int) -> Comb:
     as the corridor below it: deep spike points are visible only from a
     sliver of corridor barely wider than the spike's own mouth.
     """
-    if s < 2:
+    if as_int(s, "s") < 2:
         raise ValueError("a comb needs at least two spikes")
     verts: List[Point2] = []
     if s == 2:
@@ -129,7 +130,7 @@ def comb_cover(comb: Comb, k: int, staggered: bool = True) -> GuardSet:
     skips the darkness gate and is only good for demonstrating why the
     height offsets exist.
     """
-    if k < 2:
+    if as_int(k, "k") < 2:
         raise ValueError("per-spike arcs need at least two guards")
     s = comb.spike_count
     corridor = comb.corridor()
@@ -459,7 +460,7 @@ def fisk_cover(P: SimplePolygon, k: int, arc_scale=Fraction(1, 4)) -> GuardSet:
     placed or a vertex fails the depth spot-check, which runs every
     vertex and guard through the sampler's batch, as ``sample_depth`` does.
     """
-    if k < 1:
+    if as_int(k, "k") < 1:
         raise ValueError("coverage depth must be at least 1")
     if not isinstance(P, SimplePolygon):
         raise TypeError("fisk_cover wants a SimplePolygon, got %r" % (P,))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -42,9 +43,12 @@ from darkgallery.geometry import (
     Point2,
     Wedge,
     _homogeneous,
+    as_int,
     lerp,
     strictly_between,
 )
+from darkgallery.sampling import sample_depth
+from darkgallery.simple import comb_cover, fisk_cover, make_comb
 
 import oracles
 from conftest import random_affine_map, random_convex_polygon
@@ -95,6 +99,36 @@ def test_wedge_placement_refuses_a_depth_that_is_not_an_int(k):
         guards_for_wedge(k)
     with pytest.raises(TypeError, match="k must be an int"):
         place_wedge(wedge_region(), k)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, Fraction(2), "2", 2.7],
+                         ids=["bool", "float", "Fraction", "str", "2.7"])
+def test_every_count_is_refused_by_the_one_int_check(value):
+    # True once placed a depth-1 cover, 2.0 and Fraction(2) died inside
+    # range(), has_j_dark took 1.5, and the samplers truncated 2.7: every
+    # entry point now refuses what is not an int, naming the argument
+    comb = make_comb(2)
+    guards = list(place_vertex_guards(TRIANGLE, 3))
+    calls = [
+        ("k", lambda: plan(3, value)),
+        ("k", lambda: construct(TRIANGLE, value)),
+        ("k", lambda: place_vertex_guards(TRIANGLE, value)),
+        ("k", lambda: guards_for_wedge(value)),
+        ("k", lambda: place_wedge(wedge_region(), value)),
+        ("g", lambda: place_general_position(TRIANGLE, value)),
+        ("j", lambda: has_j_dark(TRIANGLE, guards, value)),
+        ("k", lambda: fisk_cover(comb.polygon, value)),
+        ("k", lambda: comb_cover(comb, value)),
+        ("s", lambda: make_comb(value)),
+        ("grid resolution", lambda: sample_depth(TRIANGLE, guards, ("grid", value))),
+        ("random seed", lambda: sample_depth(TRIANGLE, guards, ("random", value, 3))),
+        ("sample count", lambda: sample_depth(TRIANGLE, guards, ("random", 1, value))),
+        ("depth", lambda: as_int(value, "depth")),
+    ]
+    for name, call in calls:
+        with pytest.raises(TypeError, match=re.escape("%s must be an int, got %r" % (name, value))):
+            call()
+    assert as_int(2, "depth") == 2
 
 
 # --- vertex guards ------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from darkgallery import cli, darkness
+from darkgallery import cli, darkness, sampling
 from darkgallery.construct import place_4n_minus_2, place_general_position
 from darkgallery.darkness import (
     GuardSet,
@@ -461,10 +461,23 @@ BRANCH_SCENES = {
 }
 
 
+def complete_candidates(analysis):
+    """(darkness, xn, yn, den) over the complete candidate set of the
+    analysis: point_candidates() (crossings, then guard points), then one
+    point inside each sub-piece of every piece, at the piece's blocked
+    count, with the pieces cut at the oracle's crossing parameters."""
+    _, events = oracles.crossings_oracle(analysis.pieces)
+    out = list(analysis.point_candidates())
+    for idx, piece in enumerate(analysis.pieces):
+        out += [(piece[7], *key)
+                for key in oracles.sub_piece_points_oracle(piece, events.get(idx, ()))]
+    return out
+
+
 def test_box_edge_scene_touches_only_at_the_unique_maximum():
     region, guards = BRANCH_SCENES["box-edge"]
     analysis = darkness._Analysis(region, GuardSet(guards))
-    top = [c for c in analysis.candidates() if c[0] >= 4]
+    top = [c for c in complete_candidates(analysis) if c[0] >= 4]
     assert [(c[0], analysis.frame.point(c[1:4])) for c in top] == [(4, Point2(6, 12))]
     points, _ = oracles.crossings_oracle(analysis.pieces)
     i, j = sorted(points[top[0][1:4]])
@@ -672,12 +685,17 @@ def test_crossings_know_their_darkness(scene):
     # the guard points' counts over their lines are the rescan's too
     for total, x, y, den in cands[len(points):]:
         assert total == analysis.darkness_at_scaled(x, y, den)[0]
+    # every sub-piece point is dark by exactly its piece's blocked count,
+    # which lets max_darkness read a piece's count for its sub-pieces
+    complete = complete_candidates(analysis)
+    for total, xn, yn, den in complete[len(cands):]:
+        assert total == analysis.darkness_at_scaled(xn, yn, den)[0]
     top = max([c[0] for c in cands] + [p[7] for p in analysis.pieces])
     # the witness is the smallest point at top of the complete set, and
     # its contributions are the rescan's list at that point
     w = max_darkness(region, guards)
     full = [(analysis.frame.point((xn, yn, den)), (xn, yn, den))
-            for total, xn, yn, den in analysis.candidates() if total == top]
+            for total, xn, yn, den in complete if total == top]
     point, key = min(full, key=lambda c: (c[0].x, c[0].y))
     assert w.darkness == top
     assert w.point == point
@@ -687,8 +705,8 @@ def test_crossings_know_their_darkness(scene):
         [(tuple(i for _, i in analysis.lines[line_id][3]), cnt) for line_id, cnt in contr]
     at_top = [idx for idx, p in enumerate(analysis.pieces) if p[7] == top]
     # top-level pieces have no crossings
-    cuts = analysis.cuts()
-    assert not any(idx in cuts for idx in at_top)
+    _, events = oracles.crossings_oracle(analysis.pieces)
+    assert not any(idx in events for idx in at_top)
     if scene == "lattice-8gon":
         assert len(analysis.pieces) >= 48 and len(points) > 200 and top > 2
     if scene == "4n-2":
@@ -700,10 +718,11 @@ DIFFERENTIAL_SCENES = {"concurrent-star": concurrent_star, "general-position-20"
 
 
 @pytest.mark.parametrize("scene", INVARIANT_SCENES + sorted(DIFFERENTIAL_SCENES))
-def test_crossing_totals_match_the_piece_sets(scene):
+def test_crossing_totals_match_the_piece_sets(scene, monkeypatch):
     # the former crossings() body keeps every crossing's piece set and
     # every piece's crossing parameters; the analysis keeps one total per
-    # key, in the same order, and builds the same candidates from one walk
+    # key, in the same order, and the sampler's own walk finds the same
+    # crossing points and the same parameters for every piece
     region, guards = DIFFERENTIAL_SCENES.get(scene, lambda: invariant_scene(scene))()
     analysis = darkness._Analysis(region, GuardSet(guards))
     pieces = analysis.pieces
@@ -716,11 +735,24 @@ def test_crossing_totals_match_the_piece_sets(scene):
     want = [(sum(pieces[k][7] for k in ids), *key) for key, ids in points.items()]
     want += [(oracles.darkness_oracle(guards, g), x, y, 1)
              for g, (x, y) in zip(guards, fresh.frame.ints)]
-    for idx, piece in enumerate(pieces):
-        want += [(piece[7], *key)
-                 for key in oracles.sub_piece_points_oracle(piece, events.get(idx, ()))]
-    assert fresh.candidates() == want
-    assert fresh.cuts() == analysis.cuts() == events
+    assert fresh.point_candidates() == want
+    if not isinstance(region, ConvexPolygon):
+        return
+    # the sampler analyses the hull of the region and the guards, here the
+    # region itself, and cuts each of its pieces at its own walk's hits
+    calls = []
+    real = sampling._sub_piece_points
+    monkeypatch.setattr(sampling, "_sub_piece_points",
+                        lambda piece, cuts: calls.append((piece, list(cuts))) or real(piece, cuts))
+    frame = _Frame(region, guards)
+    got = sampling._suspicious_points(frame, region, GuardSet(guards))
+    walked = [piece for piece, _ in calls]
+    _, walked_events = oracles.crossings_oracle(walked)
+    assert [cuts for _, cuts in calls] == [walked_events.get(k, []) for k in range(len(walked))]
+    assert sorted(walked_events.values()) == sorted(events.values())
+    expected = [key for _, *key in complete_candidates(fresh)]
+    assert sorted(map(frame.point, got), key=lambda p: (p.x, p.y)) == \
+        sorted(map(fresh.frame.point, expected), key=lambda p: (p.x, p.y))
     if scene == "general-position-20":
         assert len(points) > 1000 and all(len(ids) == 2 for ids in points.values())
     if scene == "concurrent-star":
@@ -734,7 +766,7 @@ def test_sub_piece_points_match_the_fraction_midpoints(scene):
     # bounded piece's far end
     region, guards = BRANCH_SCENES[scene]
     analysis = darkness._Analysis(region, GuardSet(guards))
-    events = analysis.cuts()
+    _, events = oracles.crossings_oracle(analysis.pieces)
     for idx, piece in enumerate(analysis.pieces):
         cuts = list(events.get(idx, ()))
         noisy = cuts + [(3 * n, 3 * d) for n, d in reversed(cuts)] + cuts[:1]
@@ -932,7 +964,8 @@ def test_has_j_dark_matches_the_row_walk(scene):
 
 @pytest.fixture
 def count_scans(monkeypatch):
-    """Call to start counting _Analysis builds and _pair_hits calls."""
+    """Call to start counting _Analysis builds and _pair_hits calls, the
+    certificates' and the sampler's alike."""
     def start():
         counts = {"builds": 0, "scans": 0}
         build, scan = darkness._Analysis.__init__, darkness._pair_hits
@@ -947,6 +980,7 @@ def count_scans(monkeypatch):
 
         monkeypatch.setattr(darkness._Analysis, "__init__", counted_build)
         monkeypatch.setattr(darkness, "_pair_hits", counted_scan)
+        monkeypatch.setattr(sampling, "_pair_hits", counted_scan)
         return counts
     return start
 
@@ -970,7 +1004,8 @@ def test_certificates_scan_once_and_keep_only_totals(count_scans):
     assert min_depth(region, gs).max_darkness == 5
     assert has_j_dark(region, gs, 2)[0] and has_j_dark(region, gs, 3)[0]
     assert scan_counts == {"builds": 1, "scans": 1}
-    assert gs._analysis._cuts is None
+    assert set(gs._analysis.__dict__) == {"region", "guards", "frame", "halfplanes", "lines",
+                                          "pieces", "_crossings", "_point_candidates"}
     assert all(type(total) is int for total in gs._analysis.crossings().values())
 
 
@@ -978,11 +1013,11 @@ def test_candidates_first_scans_once(count_scans):
     region, guards = lattice_octagon()
     scan_counts = count_scans()
     analysis = darkness._Analysis(region, GuardSet(guards))
-    cands = analysis.candidates()
-    analysis.point_candidates()
+    cands = analysis.point_candidates()
     analysis.crossings()
+    analysis.point_candidates()
     assert scan_counts == {"builds": 1, "scans": 1}
-    assert len(cands) > len(analysis.crossings()) + len(guards)
+    assert len(cands) == len(analysis.crossings()) + len(guards) > len(guards)
 
 
 def test_sample_depth_scans_once(count_scans):

@@ -168,6 +168,50 @@ def test_placement_and_random_sampler_seeds_are_integers(bad):
             sampler_from_json(spec)
 
 
+@pytest.mark.parametrize("field, bad", [
+    pytest.param(("parameters", "k"), 2.5, id="parameter-2.5"),
+    pytest.param(("parameters", "k"), [1, 2], id="parameter-array"),
+    pytest.param(("parameters", "k"), {"a": 1}, id="parameter-object"),
+    pytest.param(("name",), 3, id="name-3"),
+    pytest.param(("name",), None, id="name-null"),
+    pytest.param(("name",), ["triangle"], id="name-array"),
+])
+def test_placement_metadata_that_cannot_be_written_back_is_refused(field, bad):
+    # to_dict writes null, bools, ints, strings and rationals; any other
+    # value would load and then fail dumps(), == and hash()
+    region, guards = builtin_fixture("triangle")
+    d = PlacementDocument(region, guards, name="triangle", parameters={"k": 3}).to_dict()
+    node = d["metadata"]
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = bad
+    with pytest.raises(DocumentError, match=field[-1]):
+        PlacementDocument.from_dict(d)
+
+
+def test_every_accepted_placement_value_survives_a_round_trip():
+    region, guards = builtin_fixture("triangle")
+    d = PlacementDocument(region, guards).to_dict()
+    d["metadata"]["name"] = "tri é \"quoted\""
+    d["metadata"]["parameters"] = {
+        "none": None, "yes": True, "no": False, "zero": 0, "big": -(10 ** 40),
+        "word": "grid", "empty": "", "half": "1/2", "whole": "4/2", "neg": "-3/9",
+        "slash": "1/0", "spaced": " 1/2",
+    }
+    d["metadata"]["seed"] = 11
+    text = json.dumps(d)
+    first = PlacementDocument.loads(text)
+    again = PlacementDocument.loads(first.dumps())
+    assert again == first and hash(again) == hash(first)
+    assert again.dumps() == first.dumps()
+    assert again.name == first.name == d["metadata"]["name"]
+    assert again.seed == 11
+    assert again.parameters == first.parameters == {
+        "none": None, "yes": True, "no": False, "zero": 0, "big": -(10 ** 40),
+        "word": "grid", "empty": "", "half": Fraction(1, 2), "whole": 2,
+        "neg": Fraction(-1, 3), "slash": "1/0", "spaced": " 1/2"}
+
+
 _PLACEMENT = PlacementDocument(*builtin_fixture("triangle")).to_dict()
 _WEDGE = region_to_dict(builtin_fixture("wedge")[0])
 

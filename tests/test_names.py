@@ -347,3 +347,43 @@ def test_exact_key_sorts_flags_sorts_outside_the_helper():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_exact_keys_sort_only_through_the_float_first_helper(path):
     assert exact_key_sorts(path.read_text(), str(path)) == []
+
+
+# the sampler takes one path on every polygon: a ConvexPolygon is a simple
+# polygon, and the general float pass is exact on it, so sampling.py never
+# asks which kind of region it holds
+REGION_KINDS = {"ConvexPolygon", "SimplePolygon", "Wedge", "_Polygon", "_Region"}
+
+
+def region_kind_forks(source: str, filename: str) -> List[Tuple[str, int]]:
+    """(what, line) for each read of a ``.convex`` attribute and each
+    ``isinstance`` test against one of REGION_KINDS (by name or as an
+    attribute, such as ``geometry.Wedge``, alone or in a tuple)."""
+    out: List[Tuple[str, int]] = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Attribute) and node.attr == "convex":
+            out.append((".convex", node.lineno))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            names = {k.id if isinstance(k, ast.Name) else getattr(k, "attr", None) for k in kinds}
+            if names & REGION_KINDS:
+                out.append(("isinstance()", node.lineno))
+    return sorted(out)
+
+
+def test_region_kind_forks_flags_convex_reads_and_kind_tests():
+    source = (
+        "from . import geometry\n"
+        "def f(frame, P, spec):\n"
+        "    if frame.convex or isinstance(P, ConvexPolygon):\n"
+        "        return isinstance(P, (list, geometry.Wedge))\n"
+        "    return isinstance(spec, (list, tuple)), isinstance(P, Point2), frame.convexity\n"
+    )
+    assert region_kind_forks(source, "example.py") == [
+        (".convex", 3), ("isinstance()", 3), ("isinstance()", 4)]
+
+
+def test_the_sampler_never_forks_on_the_region_kind():
+    path = PACKAGE / "sampling.py"
+    assert region_kind_forks(path.read_text(), str(path)) == []

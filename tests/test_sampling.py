@@ -585,12 +585,13 @@ def _vertex_kind(P, i):
     return {1: "convex", 0: "straight", -1: "reflex"}[o]
 
 
-def _boundary_scene(P, guard_vertices, extra_guards):
+def _boundary_scene(P, guard_vertices, extra_guards, outside=False):
     """(polygon, guards, samples, kinds): guards at the given vertices,
     at the midpoint of the edge after each and at extra_guards; samples
     at every vertex, inside every edge, and on every edge's line past
-    its ends where that is in the closed polygon; kinds names the kinds
-    of sample and of guard the scene holds."""
+    its ends where that is in the closed polygon, or everywhere with
+    outside (on a convex polygon every such point is outside); kinds
+    names the kinds of sample and of guard the scene holds."""
     vs = P.vertices
     n = len(vs)
     guards = [vs[i] for i in guard_vertices]
@@ -602,7 +603,8 @@ def _boundary_scene(P, guard_vertices, extra_guards):
     for a, b in P.edges():
         samples += [a + (b - a) * Fraction(1, 3), a + (b - a) * Fraction(1, 2)]
         beyond = [a + (b - a) * t for t in (Fraction(-1, 2), Fraction(3, 2), 2, -1)]
-        beyond = [p for p in beyond if oracles.simple_where_oracle(P, p) != "exterior"]
+        if not outside:
+            beyond = [p for p in beyond if oracles.simple_where_oracle(P, p) != "exterior"]
         samples += beyond
         kinds |= {"sample inside edge"} | ({"sample on line past edge"} if beyond else set())
     return P, list(dict.fromkeys(guards)), list(dict.fromkeys(samples)), kinds
@@ -615,9 +617,16 @@ def _boundary_scenes():
     reflex = [i for i in range(len(star.vertices)) if _vertex_kind(star, i) == "reflex"]
     convex = [i for i in range(len(star.vertices)) if _vertex_kind(star, i) == "convex"]
     reflex2 = [i for i in range(len(star2.vertices)) if _vertex_kind(star2, i) == "reflex"]
+    triangle = ConvexPolygon([Point2(0, 0), Point2(8, 0), Point2(4, 8)])
+    square = ConvexPolygon([Point2(0, 0), Point2(6, 0), Point2(6, 6), Point2(0, 6)])
     # comb3: the floor corner, a reflex mouth corner and a spike tip;
-    # comb5: a straight floor vertex, a reflex mouth corner and a tip
+    # comb5: a straight floor vertex, a reflex mouth corner and a tip;
+    # the convex polygons take the same path, with a guard a quarter of
+    # the way along the triangle's floor and one at the square's centre,
+    # which blocks its diagonal
     return [
+        _boundary_scene(triangle, [0, 1], [Point2(2, 0)], outside=True),
+        _boundary_scene(square, [0, 2], [Point2(3, 3)], outside=True),
         _boundary_scene(comb3.polygon, [0, 4, 5], comb_cover(comb3, 2).guards[:2]),
         _boundary_scene(comb5.polygon, [2, 8, 9], comb_cover(comb5, 2).guards[:2]),
         _boundary_scene(star, reflex[:2] + convex[:2], [Point2(0, 0)]),
@@ -629,7 +638,8 @@ def _boundary_scenes():
 def test_boundary_samples_match_the_exact_kernel(factor):
     # guards at convex, reflex and straight vertices and inside edges;
     # samples at every vertex, inside edges and on edge lines past the
-    # edge: the float pass and the exact kernel give the same depths
+    # edge: the float pass and the exact kernel give the same depths, on
+    # convex polygons too, where the points past an edge lie outside
     kinds = set()
     for P, guards, samples, scene_kinds in _boundary_scenes():
         kinds |= scene_kinds
