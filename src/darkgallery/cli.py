@@ -18,6 +18,7 @@ Errors print a one-line JSON object on stderr and exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -262,7 +263,10 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="darkgallery",
         description="guard placement and coverage-depth certification "
@@ -333,8 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (UsageError, DocumentError, ConstructionError, ValueError, TypeError) as exc:

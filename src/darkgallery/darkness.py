@@ -515,9 +515,10 @@ class _Analysis:
     leaves the piece unbounded (wedges, or region None: the whole plane,
     where the unbounded pieces are exactly the dark rays).  Only pieces
     blocking >= 1 guard are kept.  Beyond the pieces it holds what the
-    certificates read: the crossing totals, the point candidates and the
-    rescan of a witness.  It keeps the guards tuple, not the GuardSet that
-    holds it: a reference cycle would wait for the cyclic collector.
+    certificates read: the crossing totals, the point candidates, the
+    darkest point and the rescan of a witness.  It keeps the guards
+    tuple, not the GuardSet that holds it: a reference cycle would wait
+    for the cyclic collector.
     """
 
     def __init__(self, region: Region, gset: GuardSet):
@@ -532,6 +533,7 @@ class _Analysis:
         self.lines = _group_collinear(ints)
         self._crossings = None
         self._point_candidates = None
+        self._darkest = None
 
         pieces = []
         for line_id, (ux, uy, c, members) in enumerate(self.lines):
@@ -661,6 +663,33 @@ class _Analysis:
         point = self.frame.point((xn, yn, den))
         return DarknessWitness(point, total, [(gl, cnt) for gl, (_, cnt) in zip(lines, contr)])
 
+    def darkest(self):
+        """(xn, yn, den) of the max_darkness witness.  Built once.
+
+        Let top be the maximum over the crossing and guard-point totals
+        of point_candidates and every piece's blocked count: it is the
+        maximum darkness, since every sub-piece point has darkness equal
+        to its piece's blocked count.  Top-level pieces have no
+        crossings: a crossing on a piece has darkness >= its blocked
+        count + 1, so a piece with blocked == top has no crossings and
+        its only candidate is the one point of _sub_piece_points(piece,
+        ()).  Only the candidates at top need the tie-break, which takes
+        the lexicographically smallest point (the first in the order
+        crossings, guards, pieces on equal points), so the certificate
+        does not depend on guard ordering.  The least x is found on
+        correctly rounded floats first, which never invert two points,
+        and _XY compares only the points that tie on it.
+        """
+        if self._darkest is None:
+            cands = self.point_candidates()
+            top = max([c[0] for c in cands] + [p[7] for p in self.pieces])
+            at_top = [c[1:] for c in cands if c[0] == top]
+            at_top += [_sub_piece_points(p, ())[0] for p in self.pieces if p[7] == top]
+            xs = [_nearest(X, W) for X, _, W in at_top]
+            low = min(xs)
+            self._darkest = min((c for c, x in zip(at_top, xs) if x == low), key=_XY)
+        return self._darkest
+
 
 def _analysis(region: Region, gset: GuardSet) -> _Analysis:
     """The analysis of gset in region, held on gset until a query names
@@ -676,25 +705,12 @@ def _analysis(region: Region, gset: GuardSet) -> _Analysis:
 def max_darkness(region: Region, guards) -> DarknessWitness:
     """Exact maximum darkness over the closed region, with witness.
 
-    Let top be the maximum over the crossing and guard-point totals of
-    point_candidates and every piece's blocked count: it is the maximum
-    darkness, since every sub-piece point has darkness equal to its
-    piece's blocked count.  Top-level pieces have no crossings: a crossing
-    on a piece has darkness >= its blocked count + 1, so a piece with
-    blocked == top has no crossings and its only candidate is the one
-    point of _sub_piece_points(piece, ()).  Only the candidates at top
-    need the tie-break, which takes the lexicographically smallest point
-    (the first in the order crossings, guards, pieces on equal points), so
-    the certificate does not depend on guard ordering.  No piece is
-    subdivided at its crossings, and only the winner gets its per-line
-    breakdown.
+    The witness is the analysis's darkest point (see _Analysis.darkest),
+    found once per analysis.  No piece is subdivided at its crossings,
+    and only the winner gets its per-line breakdown.
     """
     analysis = _analysis(region, GuardSet.coerce(guards))
-    cands = analysis.point_candidates()
-    top = max([c[0] for c in cands] + [p[7] for p in analysis.pieces])
-    at_top = [c[1:] for c in cands if c[0] == top]
-    at_top += [_sub_piece_points(p, ())[0] for p in analysis.pieces if p[7] == top]
-    return analysis.witness_from(*min(at_top, key=_XY))
+    return analysis.witness_from(*analysis.darkest())
 
 
 def darkness_at(region: Region, guards, p: Point2) -> DarknessWitness:

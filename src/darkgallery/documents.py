@@ -128,15 +128,18 @@ def region_from_dict(d) -> Region:
     raise DocumentError("unknown region kind %r" % (kind,))
 
 
-def _scalar_to_json(value):
-    """Metadata parameter values: bool/int/str pass through, rationals wrap."""
+def _scalar_to_json(value, field: str):
+    """Metadata parameter values: bool/int/str pass through, rationals
+    wrap.  Anything else (a float, an array) is a DocumentError naming
+    field."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction):
         return rat_to_json(value)
-    raise DocumentError("unsupported parameter value %r" % (value,))
+    raise DocumentError("%s must be null, a bool, an int, a string or a rational, got %r"
+                        % (field, value))
 
 
 def _scalar_from_json(value, field: str):
@@ -209,11 +212,15 @@ class PlacementDocument(_Document):
         parameters: Optional[Dict[str, object]] = None,
         seed: Optional[int] = None,
     ):
+        # refuse here what to_dict could not write, with the checks of from_dict
+        parameters = dict(parameters or {})
+        for key, value in parameters.items():
+            _scalar_to_json(value, "parameters.%s" % (_typed(key, str, "parameter name"),))
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "guards", GuardSet.coerce(guards))
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "parameters", dict(parameters or {}))
-        object.__setattr__(self, "seed", None if seed is None else int(seed))
+        object.__setattr__(self, "name", _typed(name, str, "name"))
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "seed", None if seed is None else _typed(seed, int, "seed"))
 
     def __repr__(self):
         return "PlacementDocument(%r, %d guards)" % (self.name, len(self.guards))
@@ -225,7 +232,7 @@ class PlacementDocument(_Document):
             "metadata": {
                 "name": self.name,
                 "parameters": {
-                    key: _scalar_to_json(self.parameters[key])
+                    key: _scalar_to_json(self.parameters[key], "parameters.%s" % key)
                     for key in sorted(self.parameters)
                 },
                 "seed": self.seed,
@@ -249,14 +256,11 @@ class PlacementDocument(_Document):
         meta = d.get("metadata", {})
         if not isinstance(meta, dict):
             raise DocumentError("metadata must be an object, got %r" % (meta,))
-        seed = meta.get("seed")
-        if seed is not None:
-            seed = _typed(seed, int, "seed")
         raw = meta.get("parameters", {})
         if not isinstance(raw, dict):
             raise DocumentError("parameters must be an object, got %r" % (raw,))
         params = {key: _scalar_from_json(raw[key], "parameters.%s" % key) for key in raw}
-        return cls(region, guards, _typed(meta.get("name", ""), str, "name"), params, seed)
+        return cls(region, guards, meta.get("name", ""), params, meta.get("seed"))
 
 
 class JDarkResult:
@@ -277,14 +281,17 @@ class JDarkResult:
 
 
 def sampler_to_json(spec) -> Optional[dict]:
-    """The sampler tuples of the sampling module, as JSON objects."""
+    """The sampler tuples of the sampling module, as JSON objects.  A
+    resolution, seed or count that is not an int is a DocumentError
+    naming it, as in sampler_from_json."""
     if spec is None:
         return None
     kind = spec[0]
     if kind == "grid":
-        return {"kind": "grid", "resolution": int(spec[1])}
+        return {"kind": "grid", "resolution": _typed(spec[1], int, "resolution")}
     if kind == "random":
-        return {"kind": "random", "seed": int(spec[1]), "count": int(spec[2])}
+        return {"kind": "random", "seed": _typed(spec[1], int, "seed"),
+                "count": _typed(spec[2], int, "count")}
     if kind == "points":
         pts = [p if isinstance(p, Point2) else Point2(p[0], p[1]) for p in spec[1]]
         return {"kind": "points", "points": [point_to_json(p) for p in pts]}
@@ -345,6 +352,7 @@ class CertificateDocument(_Document):
             raise DocumentError("mode must be 'exact' or 'sampled', got %r" % (mode,))
         if mode == "exact" and sampler is not None:
             raise DocumentError("exact certificates carry no sampler spec")
+        sampler_to_json(sampler)  # refuse here a spec that to_dict could not write
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "guard_count", int(guard_count))
         object.__setattr__(self, "min_depth", int(min_depth))

@@ -37,10 +37,15 @@ every polygon, convex or not, at every batch size and coordinate scale,
 reading one float orientation matrix of points against walls
 (``_wall_sides``): a float pass whose only verdicts are strict
 comparisons against a certified error margin, then one integer kernel
-for whatever it leaves open.  A NaN, an inf, or any value
-once a product could overflow (the margin is then infinite) decides
-nothing; a frame past the float range divides its float columns by a
-power of two, which changes no verdict, so that this never happens to
+for whatever it leaves open.  The float pass is laid out edge-major,
+[edge][sample] and [guard][sample], so each row is a contiguous run of
+samples and every reduction over edges or guards runs down the columns;
+per guard, one matrix product (``_segment_sides``) orients every wall
+end and every guard against the segments from that guard to the
+samples.  A NaN, an inf, or any value once a product could overflow
+(the margin is then infinite) decides nothing; a frame past the float
+range divides its float columns by a power of two, which scales every
+product exactly and changes no verdict, so that this never happens to
 its own points.  The float pass also settles samples on the boundary:
 whether a sample or a guard lies exactly on an edge's line is decided in
 integers where the float sign is uncertain, and a segment that certainly
@@ -88,8 +93,10 @@ _RANDOM_GRID = 1 << 20
 
 # Float sign-certainty margin: with every |coordinate| <= M stored as a
 # correctly-rounded float, an orientation-style value (two differences
-# multiplied and subtracted) accumulates absolute error below 2^-47*M^2,
-# so anything larger than M^2 * 2^-46 in magnitude has the true sign.
+# multiplied and summed, in either order, with or without a fused
+# multiply-add, as a two-term matrix product computes it) accumulates
+# absolute error below 2^-47*M^2, so anything larger than M^2 * 2^-46
+# in magnitude has the true sign.
 _CERT_SHIFT = 46
 
 
@@ -122,18 +129,19 @@ def _bound(*columns) -> float:
 
 
 def _wall_sides(frame: _Frame, *points):
-    """(ax, ay, by, sides): the float columns of the frame's walls (ccw),
-    the y column of the wall after each, and for each (px, py) pair of
-    point columns the [point][edge] orientation of the points against
-    the edge from walls[e] to walls[e + 1]: positive strictly left of its
-    line (the inside of the edge), negative strictly right."""
-    ax, ay = _columns(frame, frame.walls)
-    ex = np.roll(ax, -1) - ax
-    by = np.roll(ay, -1)
-    ey = by - ay
-    sides = [ex[None, :] * (py[:, None] - ay[None, :]) - ey[None, :] * (px[:, None] - ax[None, :])
-             for px, py in points]
-    return ax, ay, by, sides
+    """(ax, ay, sides): the float columns of the frame's walls (ccw),
+    closed by the first wall again at row E, so that edge e runs from
+    row e to row e + 1; and for each (px, py) pair of point columns the
+    [edge][point] orientation of the points against edge e: positive
+    strictly left of its line (the inside of the edge), negative
+    strictly right.  Each row is a contiguous run of points."""
+    ax, ay = _columns(frame, frame.walls + frame.walls[:1])
+    ex = (ax[1:] - ax[:-1])[:, None]
+    ey = (ay[1:] - ay[:-1])[:, None]
+    x0 = ax[:-1, None]
+    y0 = ay[:-1, None]
+    sides = [ex * (py[None, :] - y0) - ey * (px[None, :] - x0) for px, py in points]
+    return ax, ay, sides
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN only ever defer
@@ -147,22 +155,22 @@ def _contains_mask(frame: _Frame, samples) -> List[bool]:
     the plain loop bit for bit.
     """
     px, py = _columns(frame, samples)
-    ax, ay, by, (o,) = _wall_sides(frame, (px, py))
+    ax, ay, (o,) = _wall_sides(frame, (px, py))
     m = _bound(px, py, ax, ay)
     cert = m * m * 2.0 ** -_CERT_SHIFT
     eps = m * 2.0 ** -_CERT_SHIFT
-    pyc = py[:, None]
-    lo = np.minimum(ay, by)[None, :]
-    hi = np.maximum(ay, by)[None, :]
-    level = (pyc > lo + eps) & (pyc < hi - eps)
-    upward = (by > ay)[None, :]
+    pyr = py[None, :]
+    lo = np.minimum(ay[:-1], ay[1:])[:, None]
+    hi = np.maximum(ay[:-1], ay[1:])[:, None]
+    level = (pyr > lo + eps) & (pyr < hi - eps)
+    upward = (ay[1:] > ay[:-1])[:, None]
     crossing = level & np.where(upward, o > cert, o < -cert)
     # parity is certain only when every edge is certainly apart from the
     # ray's height, or certainly level with it and certainly off to one
     # side of the point
-    apart = (pyc < lo - eps) | (pyc > hi + eps)
-    certain = (apart | (level & (np.abs(o) > cert))).all(axis=1)
-    inside = (crossing.sum(axis=1) % 2).astype(bool)
+    apart = (pyr < lo - eps) | (pyr > hi + eps)
+    certain = (apart | (level & (np.abs(o) > cert))).all(axis=0)
+    inside = (crossing.sum(axis=0) % 2).astype(bool)
     return [
         bool(inside[i]) if certain[i] else _locate(frame.walls, *samples[i]) != "exterior"
         for i in range(len(samples))
@@ -170,16 +178,32 @@ def _contains_mask(frame: _Frame, samples) -> List[bool]:
 
 
 def _on_lines(walls, pts, unsure):
-    """[point][edge] -> the homogeneous point lies exactly on the line of
+    """[edge][point] -> the homogeneous point lies exactly on the line of
     the edge from walls[e] to walls[e + 1]; decided in integers only where
     unsure, False elsewhere."""
     on = np.zeros(unsure.shape, dtype=bool)
     n = len(walls)
-    for r, e in zip(*np.nonzero(unsure)):
+    for e, r in zip(*np.nonzero(unsure)):
         X, Y, W = pts[r]
         (ax, ay), (bx, by) = walls[e], walls[(e + 1) % n]
-        on[r, e] = (bx - ax) * (Y - ay * W) == (by - ay) * (X - ax * W)
+        on[e, r] = (bx - ax) * (Y - ay * W) == (by - ay) * (X - ax * W)
     return on
+
+
+def _segment_sides(xs, ys, qx, qy, px, py):
+    """[point][sample] orientation of each point (xs, ys) against the
+    segment from (qx, qy) to each sample (px, py): positive strictly left
+    of the segment's line, negative strictly right.
+
+    One matrix product: the left factor [a b] holds each point's y offset
+    from q and its negated x offset, a = ys - qy and b = qx - xs, the
+    right factor the samples' offsets dx = px - qx and dy = py - qy.  Each
+    entry a*dx + b*dy is a two-term sum of the same rounded differences
+    as an elementwise orientation; in either summation order, fused or
+    not, it rounds by at most 2u(|a*dx| + |b*dy|), u = 2^-53, which the
+    margin covers.
+    """
+    return np.column_stack((ys - qy, qx - xs)) @ np.stack((px - qx, py - qy))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -192,6 +216,13 @@ def _depths(frame: _Frame, samples) -> List[int]:
     pass certifies the clear wall crossings, clear misses, and clear
     non-collinearities; every pair it cannot certify is re-decided by the
     integer kernel.
+
+    The float pass is laid out [edge][sample] and [guard][sample], so
+    each row is a contiguous run of samples.  For each guard q, one
+    matrix product (``_segment_sides``) orients every wall end (rows
+    0..E, the first wall again as row E) and every guard (rows E+1..)
+    against the segment from q to each sample.  Edge e runs from row e
+    to row e + 1, so both of its ends are slices.
 
     Samples on the boundary are settled too.  Whether a sample, or a
     guard, lies exactly on an edge's line is decided in integers, only
@@ -215,10 +246,11 @@ def _depths(frame: _Frame, samples) -> List[int]:
     """
     guards = frame.ints
     walls = frame.walls
+    E = len(walls)
     px, py = _columns(frame, samples)
     gx, gy = _columns(frame, guards)
     # side of each edge's line each sample (c4) and each guard (c3) falls on
-    ax, ay, _, (c4, c3) = _wall_sides(frame, (px, py), (gx, gy))
+    ax, ay, (c4, c3) = _wall_sides(frame, (px, py), (gx, gy))
     m = _bound(px, py, gx, gy, ax, ay)
     cert = m * m * 2.0 ** -_CERT_SHIFT
     p4 = c4 > cert
@@ -227,21 +259,22 @@ def _depths(frame: _Frame, samples) -> List[int]:
     p3s = c3 > cert
     n3s = c3 < -cert
     on3s = _on_lines(walls, [(x, y, 1) for x, y in guards], ~(p3s | n3s))
+    # rows 0..E of each guard's product: the closed walls; rows E+1..: the guards
+    xs = np.concatenate((ax, gx))
+    ys = np.concatenate((ay, gy))
 
     depths = np.zeros(len(samples), dtype=np.int64)
     for gi, q in enumerate(guards):
-        qx = gx[gi]
-        qy = gy[gi]
-        dx = px - qx
-        dy = py - qy
-        c1 = dx[:, None] * (ay[None, :] - qy) - dy[:, None] * (ax[None, :] - qx)
-        p1 = c1 > cert
-        n1 = c1 < -cert
-        # edge e ends where edge e + 1 starts
-        p2 = np.roll(p1, -1, axis=1)
-        n2 = np.roll(n1, -1, axis=1)
-        p3 = p3s[gi]
-        n3 = n3s[gi]
+        c = _segment_sides(xs, ys, gx[gi], gy[gi], px, py)
+        pos = c > cert
+        neg = c < -cert
+        # edge e runs from row e to row e + 1
+        p1 = pos[:E]
+        n1 = neg[:E]
+        p2 = pos[1:E + 1]
+        n2 = neg[1:E + 1]
+        p3 = p3s[:, gi, None]
+        n3 = n3s[:, gi, None]
         # certain transversal crossing of an open edge: invisible
         crossing = ((p1 & n2) | (n1 & p2)) & ((p3 & n4) | (n3 & p4))
         # certain miss: edge strictly one side of the segment's line,
@@ -249,19 +282,18 @@ def _depths(frame: _Frame, samples) -> List[int]:
         # the edge's line and q off it, or q on the edge's line and the
         # sample strictly inside it
         miss = (p1 & p2) | (n1 & n2) | (p3 & p4) | (n3 & n4)
-        miss |= (on4 & (p3 | n3)) | (on3s[gi] & p4)
-        vis = ~crossing.any(axis=1)
-        wall_unsure = vis & ~miss.all(axis=1)
+        miss |= (on4 & (p3 | n3)) | (on3s[:, gi, None] & p4)
+        vis = ~crossing.any(axis=0)
+        wall_unsure = vis & ~miss.all(axis=0)
         # guard-blocking: only a guard exactly on the segment's line can
         # block, so certain non-collinearity rules a blocker out
-        crh = (gx - qx)[None, :] * dy[:, None] - (gy - qy)[None, :] * dx[:, None]
-        maybe = ~(np.abs(crh) > cert)
-        maybe[:, gi] = False
+        maybe = ~(pos[E + 1:] | neg[E + 1:])
+        maybe[gi] = False
         for s in np.nonzero(wall_unsure)[0]:
             vis[s] = _wall_free(walls, q, samples[s])
         # every (sample, guard) pair left open, in sample order: the first
         # guard between q and a sample blocks it, and settles the sample
-        rows, cols = np.nonzero(maybe & vis[:, None])
+        rows, cols = np.nonzero((maybe & vis).T)
         for s, h in zip(rows.tolist(), cols.tolist()):
             if vis[s] and _between(guards[h], q, samples[s]):
                 vis[s] = False

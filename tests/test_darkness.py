@@ -1005,7 +1005,8 @@ def test_certificates_scan_once_and_keep_only_totals(count_scans):
     assert has_j_dark(region, gs, 2)[0] and has_j_dark(region, gs, 3)[0]
     assert scan_counts == {"builds": 1, "scans": 1}
     assert set(gs._analysis.__dict__) == {"region", "guards", "frame", "halfplanes", "lines",
-                                          "pieces", "_crossings", "_point_candidates"}
+                                          "pieces", "_crossings", "_point_candidates",
+                                          "_darkest"}
     assert all(type(total) is int for total in gs._analysis.crossings().values())
 
 

@@ -189,6 +189,35 @@ def test_placement_metadata_that_cannot_be_written_back_is_refused(field, bad):
         PlacementDocument.from_dict(d)
 
 
+@pytest.mark.parametrize("build, match", [
+    pytest.param(dict(name=5), "name", id="name-5"),
+    pytest.param(dict(name=None), "name", id="name-None"),
+    pytest.param(dict(parameters={"a": 2.5}), "parameters.a", id="parameter-2.5"),
+    pytest.param(dict(parameters={"a": [1]}), "parameters.a", id="parameter-list"),
+    pytest.param(dict(parameters={1: 2}), "parameter name", id="parameter-name-1"),
+    pytest.param(dict(seed=3.7), "seed", id="seed-3.7"),
+    pytest.param(dict(seed=True), "seed", id="seed-true"),
+    pytest.param(dict(seed="3"), "seed", id="seed-str"),
+    pytest.param(dict(sampler=("grid", 2.7)), "resolution", id="grid-2.7"),
+    pytest.param(dict(sampler=("grid", True)), "resolution", id="grid-true"),
+    pytest.param(dict(sampler=("random", 1.5, 3)), "seed", id="random-seed-1.5"),
+    pytest.param(dict(sampler=("random", 1, 3.0)), "count", id="random-count-3.0"),
+])
+def test_documents_that_could_not_be_written_are_refused_when_built(build, match):
+    # each value once built a document whose dumps(), == or hash() failed
+    # later, or that wrote a truncated number back; the constructors now
+    # refuse them with the checks that parsing applies
+    region, guards = builtin_fixture("triangle")
+    with pytest.raises(DocumentError, match=match):
+        if "sampler" in build:
+            CertificateDocument("sampled", 3, 1, 2, Point2(1, 1), **build)
+        else:
+            PlacementDocument(region, guards, **build)
+    if "sampler" in build:
+        with pytest.raises(DocumentError, match=match):
+            sampler_to_json(build["sampler"])
+
+
 def test_every_accepted_placement_value_survives_a_round_trip():
     region, guards = builtin_fixture("triangle")
     d = PlacementDocument(region, guards).to_dict()

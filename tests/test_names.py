@@ -387,3 +387,47 @@ def test_region_kind_forks_flags_convex_reads_and_kind_tests():
 def test_the_sampler_never_forks_on_the_region_kind():
     path = PACKAGE / "sampling.py"
     assert region_kind_forks(path.read_text(), str(path)) == []
+
+
+# the sampler's float pass is laid out [edge][sample] and [guard][sample]:
+# each row is a contiguous run of samples, edge e runs from row e to row
+# e + 1 of the closed wall columns, so no matrix is rolled, and every
+# reduction over edges or guards runs along axis 0; no call names axis 1
+def row_major_passes(source: str, filename: str) -> List[Tuple[str, int]]:
+    """(what, line) for each call of a ``roll`` (``np.roll``, or a bare
+    name) and each call with the keyword ``axis=1`` or ``axis=-1``."""
+    out: List[Tuple[str, int]] = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id == "roll") or (
+                isinstance(f, ast.Attribute) and f.attr == "roll"):
+            out.append(("roll()", node.lineno))
+        for kw in node.keywords:
+            if kw.arg != "axis":
+                continue
+            try:
+                axis = ast.literal_eval(kw.value)
+            except ValueError:  # a name: not a literal row axis
+                continue
+            if axis in (1, -1):
+                out.append(("axis=%d" % axis, node.lineno))
+    return sorted(out)
+
+
+def test_row_major_passes_flags_rolls_and_reductions_along_rows():
+    source = (
+        "import numpy as np\n"
+        "from numpy import roll\n"
+        "def f(a, m):\n"
+        "    b = np.roll(a, -1) - roll(a, 1, axis=0)\n"
+        "    return m.any(axis=1), np.all(m, axis=-1), m.sum(axis=0), m.max(axis=k), b[1:]\n"
+    )
+    assert row_major_passes(source, "example.py") == [
+        ("axis=-1", 5), ("axis=1", 5), ("roll()", 4), ("roll()", 4)]
+
+
+def test_the_sampler_rolls_nothing_and_reduces_along_columns():
+    path = PACKAGE / "sampling.py"
+    assert row_major_passes(path.read_text(), str(path)) == []

@@ -421,10 +421,18 @@ def test_integer_kernel_matches_the_fraction_oracles(scene, factor):
 
 @st.composite
 def star_scenes(draw):
-    """A random star polygon, guards among its vertices, edge points,
-    chords between second neighbours and the origin (plus, sometimes, a
-    guard exactly between two others), and samples at all of those,
-    scaled by 1, 3^-40, 2^520 or 2^1100."""
+    """A star scene (star_parts) scaled by 1, 3^-40, 2^520 or 2^1100."""
+    P, guards, samples = draw(star_parts())
+    factor = draw(st.sampled_from((1, Fraction(1, 3 ** 40), 2 ** 520, 2 ** 1100)))
+    return _scaled(P, guards, samples, factor)
+
+
+@st.composite
+def star_parts(draw):
+    """(polygon, guards, samples): a random star polygon, guards among its
+    vertices, edge points, chords between second neighbours and the
+    origin (plus, sometimes, a guard exactly between two others), and
+    samples at all of those."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     P = random_star_polygon(rng, draw(st.integers(4, 9)), size=draw(st.sampled_from((6, 60))))
     vs = P.vertices
@@ -438,8 +446,7 @@ def star_scenes(draw):
         mid = guards[0] + (guards[1] - guards[0]) * Fraction(1, 2)
         if mid not in guards and oracles.simple_where_oracle(P, mid) != "exterior":
             guards.append(mid)
-    factor = draw(st.sampled_from((1, Fraction(1, 3 ** 40), 2 ** 520, 2 ** 1100)))
-    return _scaled(P, guards, list(dict.fromkeys(cands + guards)), factor)
+    return P, guards, list(dict.fromkeys(cands + guards))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -510,6 +517,102 @@ def _grazing_points(comb, guards):
     return [p for p in pts if comb.polygon.contains(p)]
 
 
+def _exact_sides(ax, ay, bx, by, pts):
+    """[line][point] sign of the orientation of each homogeneous point
+    (X, Y, W) against the directed line from (ax, ay) to (bx, by), one
+    line per entry of the integer columns, in exact integers."""
+    X, Y, W = (np.array([p[k] for p in pts], dtype=object)[None, :] for k in range(3))
+    o = (bx - ax)[:, None] * (Y - ay[:, None] * W) - (by - ay)[:, None] * (X - ax[:, None] * W)
+    return (o > 0).astype(int) - (o < 0).astype(int)
+
+
+def _float_pass_records(monkeypatch):
+    """Spies on the float pass: (name, result) of every margin bound,
+    _wall_sides and _segment_sides call, in call order."""
+    records = []
+    for name in ("_bound", "_wall_sides", "_segment_sides"):
+        def spied(*args, _name=name, _real=getattr(sampling, name)):
+            out = _real(*args)
+            records.append((_name, out))
+            return out
+        monkeypatch.setattr(sampling, name, spied)
+    return records
+
+
+def _check_certain_signs(records, frame, samples):
+    """Every float value the one pass in records calls certain (|c| >
+    cert) has the sign of the exact orientation: the sides of samples and
+    guards against each wall, and of walls and guards against each
+    segment from a guard to a sample.  Returns (certain, uncertain)
+    counts."""
+    wx, wy = np.array(frame.walls + frame.walls[:1], dtype=object).T
+    gx, gy = np.array(frame.ints, dtype=object).T
+    # rows of a _segment_sides result: the closed walls, then the guards
+    xs = np.concatenate((wx, gx))
+    ys = np.concatenate((wy, gy))
+    guards = [(x, y, 1) for x, y in frame.ints]
+    (m,) = [out for name, out in records if name == "_bound"]
+    cert = m * m * 2.0 ** -sampling._CERT_SHIFT
+    certain = uncertain = 0
+    gi = 0
+    for name, out in records:
+        if name == "_bound":
+            continue
+        if name == "_wall_sides":
+            checks = [(c, _exact_sides(wx[:-1], wy[:-1], wx[1:], wy[1:], pts))
+                      for c, pts in zip(out[-1], (samples, guards))]
+        else:
+            qx, qy = frame.ints[gi]
+            gi += 1
+            exact = _exact_sides(np.full(len(xs), qx, dtype=object),
+                                 np.full(len(ys), qy, dtype=object), xs, ys, samples)
+            # w against q -> s turns the other way from s against q -> w
+            checks = [(out, -exact)]
+        for c, exact in checks:
+            sure = np.abs(c) > cert
+            assert (np.sign(c)[sure] == exact[sure]).all()
+            certain += int(sure.sum())
+            uncertain += int((~sure).sum())
+    return certain, uncertain
+
+
+@pytest.mark.parametrize("factor", [1, 2 ** 520, 2 ** 1100], ids=["1", "2^520", "2^1100"])
+def test_certain_float_signs_are_exact_on_the_comb(monkeypatch, factor):
+    # the comb's own samples with points past each reflex mouth corner,
+    # on lines that graze it: every sign the float pass calls certain is
+    # the exact one, and the grazing lines leave some uncertain
+    comb = make_comb(3)
+    guards = comb_cover(comb, 4).guards
+    P, gs, pts = _scaled(comb.polygon, guards, _grazing_points(comb, guards), factor)
+    frame, samples, _ = sampling._scan(P, gs, ("points", pts))
+    records = _float_pass_records(monkeypatch)
+    _depths(frame, samples)
+    certain, uncertain = _check_certain_signs(records, frame, samples)
+    records.clear()
+    _contains_mask(frame, samples)
+    more, _ = _check_certain_signs(records, frame, samples)
+    assert certain > 10 * uncertain > 0 and more > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(star_parts())
+def test_certain_float_signs_are_exact_on_star_polygons(scene):
+    P, guards, samples = scene
+    for factor in (1, 2 ** 520, 2 ** 1100):
+        Pb, gs, pts = _scaled(P, guards, samples, factor)
+        frame = _Frame(Pb, gs.guards)
+        hom = [frame.sample(p) for p in pts]
+        with pytest.MonkeyPatch.context() as mp:
+            records = _float_pass_records(mp)
+            _depths(frame, hom)
+            assert sum(name == "_segment_sides" for name, _ in records) == len(gs)
+            certain, _ = _check_certain_signs(records, frame, hom)
+            records.clear()
+            _contains_mask(frame, hom)
+            more, _ = _check_certain_signs(records, frame, hom)
+        assert certain > 0 and more > 0
+
+
 def test_the_float_pass_settles_the_same_pairs_past_the_float_range(monkeypatch):
     # past 2^508 a frame divides its float columns by a power of two:
     # every sign test and margin scales by it exactly, so the float pass
@@ -532,7 +635,7 @@ def test_the_float_pass_settles_the_same_pairs_past_the_float_range(monkeypatch)
         return frame.unit // frame.scale, dict(calls), [d for _, d in report.samples]
 
     shift, base_calls, base_depths = run(1)
-    assert shift == 1 and base_calls["_between"] > 0 and base_calls["_wall_free"] > 0
+    assert shift == 1 and base_calls == {"_between": 3320, "_wall_free": 40}
     assert len(base_depths) > 1000
     for factor in (2 ** 520, 2 ** 1100):
         shift, got_calls, got_depths = run(factor)
