@@ -16,40 +16,48 @@ clips every line carrying >= 2 guards to them once (``geometry._clip``)
 and cuts it into its "dark portions" as pieces: the two dark rays end
 where the clipped line does, and the gaps between members lie inside.
 The guards and every query point are tested on the same halfplanes.  A
-complete set of candidate
-points is every pairwise crossing of pieces from distinct lines, every
-guard position, and one representative per crossing-free sub-piece.
+complete set of candidate points is every pairwise crossing of pieces
+from distinct lines, every guard position, and one representative per
+crossing-free sub-piece.
 Three facts let the maximum skip most of it: a crossing is never a guard
 position and carries exactly one piece of each line dark there, so its
-darkness is a running total that the walk of the pair scan sums from the
-blocked counts of its lowest piece and of each piece that piece meets
-there (a guard point's darkness is a count over the lines it is a member
-of); a piece whose blocked count is the maximum has no crossing on it,
-so its one representative is its only candidate; and only the candidates
-at the maximum enter the lexicographic tie-break.  A candidate keeps its
-total alone: the per-line breakdown is rescanned for the one reported
-witness.  The j-dark queries read the same candidates: one analysis,
-built on the first query in a region and held on the GuardSet, serves
-every query on that guard set.
+darkness is the sum of the blocked counts of its pieces (a guard point's
+darkness is a count over the lines it is a member of); a piece whose
+blocked count is the maximum has no crossing on it, so its one
+representative is its only candidate; and only the candidates at the
+maximum enter the lexicographic tie-break.  The crossings are a table
+of totals in the order of their first hits (`_crossing_table`), with no
+point key: a crossing's key is built only where it is reported or must
+be compared exactly, and the per-line breakdown is rescanned for the one
+reported witness.  The j-dark queries read the same table: one
+analysis, built on the first query in a region and held on the
+GuardSet, serves every query on that guard set.
 
 The analysis keeps only what the certificates read: the pieces, the
-crossing totals, the point candidates and the witness rescan.  The
-sampler (``sampling._suspicious_points``) takes the pieces and makes its
-own walk of their crossings for the sample points it needs.
+crossing table and the darkest point.  The sampler
+(``sampling._suspicious_points``) takes the pieces and makes its own walk
+of their exact crossings (`_pair_hits`) for the sample points it needs.
 
-One pair scan (`_pair_hits`) finds every crossing, for the certificates,
+One pair scan (`_pair_scan`) finds every crossing, for the certificates,
 the j-dark queries, the sampler and the concurrency check alike.  It
 takes one path at every piece count and coordinate size: over fixed-size
 2-D tiles of the pair triangle it keeps a pair only if the pieces' float
-boxes overlap, they lie on different lines and have different anchor
-guards (exact class tests), and a float sign test with a derived
-rounding-error bound cannot rule the crossing out.  Every pair that
-survives is confirmed with exact big-integer arithmetic.
+boxes overlap, they are not parallel and have no open end at one point
+(exact class tests).  A float verdict with a derived rounding-error
+bound then calls each pair a certain hit, a certain miss or unsure, and
+only the unsure pairs are confirmed with exact big-integer arithmetic.
+The scan returns arrays: each hit's pieces, and its float parameter on
+the first piece with an error bound.  The table groups each row's hits
+by that parameter, comparing exactly only hits whose intervals overlap,
+and bounds each crossing's x in floats; the witness is chosen on those
+bounds, building exact points only for the candidates that may be
+leftmost.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, inf
 from typing import List, Sequence, Union
 
@@ -349,6 +357,16 @@ def _confirm(p, q):
     return (un, vn, D)
 
 
+def _floats(values):
+    """The integers values as correctly rounded floats, +-inf past the
+    float range: numpy converts a Python int by correct rounding, and
+    refuses one past the range, which _nearest then maps to +-inf."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return np.array([_nearest(v, 1) for v in values], dtype=np.float64)
+
+
 def _piece_boxes(pieces):
     """(x0, y0, fdx, fdy, lox, hix, loy, hiy): every piece's float anchor,
     float direction and conservative float box, one column per piece.
@@ -357,20 +375,18 @@ def _piece_boxes(pieces):
     becomes +-inf.  Rounding is monotone (a <= b implies round(a) <=
     round(b)), so two pieces whose true spans overlap keep overlapping
     boxes under <=.  That holds however large the scaled coordinates are.
-    The anchors and directions feed the sign test of _pair_hits.
+    The anchors and directions feed the float verdicts of _pair_scan.
     """
-    out = np.empty((len(pieces), 8))
-    for k, (ax, ay, dx, dy, hin, hid, *_) in enumerate(pieces):
-        x0, y0 = _nearest(ax, 1), _nearest(ay, 1)
-        if hin is None:
-            x1 = x0 if dx == 0 else inf if dx > 0 else -inf
-            y1 = y0 if dy == 0 else inf if dy > 0 else -inf
-        else:
-            x1 = _nearest(ax * hid + dx * hin, hid)
-            y1 = _nearest(ay * hid + dy * hin, hid)
-        out[k] = (x0, y0, _nearest(dx, 1), _nearest(dy, 1),
-                  min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
-    return out.T
+    ax, ay, dx, dy = ([p[c] for p in pieces] for c in range(4))
+    x0, y0, fdx, fdy = _floats(ax), _floats(ay), _floats(dx), _floats(dy)
+    x1 = np.where(fdx == 0, x0, np.copysign(inf, fdx))
+    y1 = np.where(fdy == 0, y0, np.copysign(inf, fdy))
+    for k, (a, b, u, v, hin, hid, *_) in enumerate(pieces):
+        if hin is not None:
+            x1[k] = _nearest(a * hid + u * hin, hid)
+            y1[k] = _nearest(b * hid + v * hin, hid)
+    return (x0, y0, fdx, fdy, np.minimum(x0, x1), np.maximum(x0, x1),
+            np.minimum(y0, y1), np.maximum(y0, y1))
 
 
 def _class_ids(keys):
@@ -379,18 +395,65 @@ def _class_ids(keys):
     return np.array([ids.setdefault(k, len(ids)) for k in keys], dtype=np.int64)
 
 
-# Float sign test of _pair_hits.  With u = 2**-53 and every input a
+def _end_classes(pieces):
+    """(direction, anchor, far): exact class ids of every piece.
+
+    direction is equal exactly for parallel pieces (the same primitive
+    direction up to sign), which never cross: D = 0.  That takes in two
+    pieces of one line; it is found once per line id.  anchor and far
+    share one numbering of points: the anchor, and the far end where it
+    is open (hi_strict); every other far end gets a negative id of its
+    own.  Two pieces with an open end at one point lie on distinct lines
+    through it (or are parallel), which meet only there, where neither
+    piece is: they never cross.
+    """
+    _, first, line = np.unique(np.array([p[8] for p in pieces], dtype=np.int64),
+                               return_index=True, return_inverse=True)
+    dirs = []
+    for k in first.tolist():
+        g = gcd(pieces[k][2], pieces[k][3])
+        dx, dy = pieces[k][2] // g, pieces[k][3] // g
+        dirs.append((dx, dy) if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy))
+    ids = {}
+    anchor = np.array([ids.setdefault((p[0], p[1]), len(ids)) for p in pieces], dtype=np.int64)
+    far = -1 - np.arange(len(pieces), dtype=np.int64)
+    for k, (ax, ay, dx, dy, hin, hid, strict, *_) in enumerate(pieces):
+        if strict:
+            X, Y = ax * hid + hin * dx, ay * hid + hin * dy
+            g = gcd(X, Y, hid)
+            key = (X // g, Y // g) if hid == g else (X // g, Y // g, hid // g)
+            far[k] = ids.setdefault(key, len(ids))
+    return _class_ids(dirs)[line], anchor, far
+
+
+# Float verdicts of _pair_scan.  With u = 2**-53 and every input a
 # correctly rounded integer (no overflow), ex = ax_j - ax_i is off by at
 # most (2u + u^2)*Ax, Ax = |ax_i| + |ax_j|; each product ex*dy_j adds
 # two more roundings, and the final subtraction a third, so
-#     |fl(un) - un| <= (5u + O(u^2)) * (Ax*|dy_j| + Ay*|dx_j|)
-# and likewise for vn (with dy_i, dx_i), while D = dx_i*dy_j - dy_i*dx_j
-# stays within (4u + O(u^2)) * (|dx_i*dy_j| + |dy_i*dx_j|).  Computing
-# the bound in floats loses at most five more roundings, a factor
+#     |fl(un) - un| <= (5u + O(u^2)) * (Ax*|dy_j| + Ay*|dx_j|) = eu
+# and likewise for vn (ev, with dy_i, dx_i), while D = dx_i*dy_j -
+# dy_i*dx_j stays within (4u + O(u^2)) * (|dx_i*dy_j| + |dy_i*dx_j|) = eD.
+# Computing a bound in floats loses at most five more roundings, a factor
 # (1 - u)^5, so 2**-50 = 8u times the float magnitudes covers the error
-# with room to spare.  A value beyond its bound has its true sign; inf or
-# NaN anywhere fails every comparison and keeps the pair.
+# with room to spare: a value beyond its bound has its true sign.
+#
+# Where |D| > eD the sign of D is certain, and with s = sign(fl(D)) the
+# parameter t = un/D on piece i is near T = fl(s*fl(un) / |fl(D)|):
+#     |t - T| <= (eu + |T|*eD) / (|fl(D)| - eD) + u*|T|,
+# from un/D - a/b = ((un - a)*b + a*(b - D)) / (D*b) and one rounding of
+# the quotient.  E, the same sum with the float bounds (8u where 5u is
+# needed) and 8u*|T| for the quotient, stays an upper bound through its
+# own six roundings and that of T +- E.  The far end hin/hid, correctly
+# rounded to h, lies in [h - 8u*h, h + 8u*h].  Below 2**-1022 a rounding
+# is off by up to 2**-1075 whatever the value, so every such bound adds
+# _TINY.  So a pair whose un, vn and both parameters are beyond their
+# bounds on the inside is a certain hit, and a pair with one of them
+# beyond its bound on the outside a certain miss; the rest, and inf or
+# NaN anywhere (every comparison fails), go to _confirm.  No overflow
+# goes unseen: |un| is at most the magnitude sum of eu / 8u, so un
+# overflows only where eu does, and likewise for vn and D.
 _SIGN_SLACK = 2.0 ** -50
+_TINY = 2.0 ** -1022
 
 # elements of one 2-D tile of the pair scan's masks: bounded memory at
 # any piece count, few numpy calls per row
@@ -408,24 +471,59 @@ def _tiles(R):
         i = i1
 
 
-def _pair_hits(pieces):
-    """Every confirmed crossing (i, j, un, vn, D) of pieces from distinct
-    lines, as _confirm reports it, in increasing (i, j) order.
+def _x_bounds(x0, fdx, T, E):
+    """Float bounds (lo, hi) on x = ax + t*dx, for floats x0 and fdx of
+    the integers ax and dx and |t - T| <= E; -inf and inf where a bound
+    is not finite.
+
+    The error of x = x0 + T*fdx is at most E*|dx| + u*(|ax| + |T*dx|)
+    for the roundings of ax and dx, plus u*(|T*fdx| + |x|) for those of
+    the product and the sum, with |dx| <= |fdx|*(1 + u): about
+    E*|fdx|*(1 + u) + 2u*|x0| + 3u*|T*fdx|.  The bound below (8u where 3u
+    is needed) covers that, its own roundings and those of x +- err.  A
+    parameter off by a rounding below 2**-1022 has E >= _TINY, which
+    covers the product's too, as |fdx| >= 1 unless dx = 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        tx = T * fdx
+        x = x0 + tx
+        err = E * np.abs(fdx) * (1 + _SIGN_SLACK) + _SIGN_SLACK * (np.abs(x0) + np.abs(tx))
+        lo = x - err
+        hi = x + err
+    return np.where(np.isfinite(lo), lo, -inf), np.where(np.isfinite(hi), hi, inf)
+
+
+def _pair_scan(pieces, boxes):
+    """(I, J, T, E): every crossing (I[k], J[k]) of pieces from distinct
+    lines, as index arrays in increasing (i, j) order, with T[k] the
+    float parameter of the crossing on piece I[k] and |t - T[k]| <= E[k];
+    boxes is _piece_boxes(pieces).
 
     One path at every size and scale, over the _tiles of the pair
-    triangle.  Three conservative filters run before _confirm: the float
-    boxes of _piece_boxes must overlap; two exact class tests drop pairs
-    on the same line or with the same anchor guard (they meet only there,
-    where both are open); and a float sign test drops a pair
-    whose un/D or vn/D is certainly <= 0 (_SIGN_SLACK).  No filter drops a
-    crossing, so the hits and their order are those of the plain loop over
-    all pairs.
+    triangle.  The float boxes of _piece_boxes must overlap, and the exact
+    class tests of _end_classes drop parallel pieces and pieces with an
+    open end at one point.  Each pair left is a certain hit, a certain
+    miss, or unsure by the float verdicts above (_SIGN_SLACK); only the
+    unsure pairs go to _confirm.  No test drops a crossing or keeps a
+    miss, so the hits and their order are those of the plain loop of
+    _confirm over all pairs.  A hit that _confirm settles gets T, its
+    correctly rounded exact parameter, and E = 8u*|T| + _TINY.
     """
-    x0, y0, dx, dy, lox, hix, loy, hiy = _piece_boxes(pieces)
-    line = np.array([p[8] for p in pieces])
-    anchor = _class_ids((p[0], p[1]) for p in pieces)
+    R = len(pieces)
+    x0, y0, dx, dy, lox, hix, loy, hiy = boxes
+    direction, anchor, far = _end_classes(pieces)
+    S = _SIGN_SLACK
+    # float bounds on each far end's parameter; an unbounded piece never
+    # ends, and a bounded one past the float range has none (NaN)
+    bounded = np.array([p[4] is not None for p in pieces], dtype=bool)
+    h = np.array([inf if p[4] is None else _nearest(p[4], p[5]) for p in pieces])
+    with np.errstate(invalid="ignore"):
+        hlo = np.where(bounded, h - S * h - _TINY, inf)
+        hhi = np.where(bounded, h + S * h + _TINY, inf)
     mx, my, mdx, mdy = np.abs(x0), np.abs(y0), np.abs(dx), np.abs(dy)
-    for i0, i1, j0, j1 in _tiles(len(pieces)):
+    none = np.empty(0, dtype=np.int64)
+    out = [(none, none, np.empty(0), np.empty(0))]
+    for i0, i1, j0, j1 in _tiles(R):
         rows, cols = slice(i0, i1), slice(j0, j1)
         mask = (
             (np.arange(j0, j1) > np.arange(i0, i1)[:, None])
@@ -433,28 +531,58 @@ def _pair_hits(pieces):
             & (lox[rows, None] <= hix[cols])
             & (loy[cols] <= hiy[rows, None])
             & (loy[rows, None] <= hiy[cols])
-            & (line[cols] != line[rows, None])
+            & (direction[cols] != direction[rows, None])
             & (anchor[cols] != anchor[rows, None])
         )
         ii, jj = np.nonzero(mask)
         ii += i0
         jj += j0
-        with np.errstate(over="ignore", invalid="ignore"):
+        shared = (far[ii] == anchor[jj]) | (anchor[ii] == far[jj]) | (far[ii] == far[jj])
+        ii = ii[~shared]
+        jj = jj[~shared]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             D = dx[ii] * dy[jj] - dy[ii] * dx[jj]
             ex = x0[jj] - x0[ii]
             ey = y0[jj] - y0[ii]
-            un = ex * dy[jj] - ey * dx[jj]
-            vn = ex * dy[ii] - ey * dx[ii]
             sx = mx[ii] + mx[jj]
             sy = my[ii] + my[jj]
             s = np.sign(D)
-            keep = ~((np.abs(D) > _SIGN_SLACK * (mdx[ii] * mdy[jj] + mdy[ii] * mdx[jj])) & (
-                (s * un < -_SIGN_SLACK * (sx * mdy[jj] + sy * mdx[jj]))
-                | (s * vn < -_SIGN_SLACK * (sx * mdy[ii] + sy * mdx[ii]))))
-        for i, j in zip(ii[keep].tolist(), jj[keep].tolist()):
-            hit = _confirm(pieces[i], pieces[j])
-            if hit is not None:
-                yield (i, j) + hit
+            su = s * (ex * dy[jj] - ey * dx[jj])
+            sv = s * (ex * dy[ii] - ey * dx[ii])
+            eu = S * (sx * mdy[jj] + sy * mdx[jj])
+            ev = S * (sx * mdy[ii] + sy * mdx[ii])
+            eD = S * (mdx[ii] * mdy[jj] + mdy[ii] * mdx[jj])
+            aD = np.abs(D)
+            room = aD - eD
+            # certain misses on the signs of un and vn first: most pairs
+            # end here, and the parameters are computed for the rest only
+            left = ~((room > 0) & ((su < -eu) | (sv < -ev)))
+            ii, jj, aD, eD, su, sv, eu, ev, room = (
+                a[left] for a in (ii, jj, aD, eD, su, sv, eu, ev, room))
+            T = su / aD
+            V = sv / aD
+            E = (eu + np.abs(T) * eD) / room + S * np.abs(T) + _TINY
+            EV = (ev + np.abs(V) * eD) / room + S * np.abs(V) + _TINY
+            sure = room > 0
+            hit = sure & (su > eu) & (sv > ev) & (T + E < hlo[ii]) & (V + EV < hlo[jj])
+            miss = sure & ((T - E > hhi[ii]) | (V - EV > hhi[jj]))
+        for k in np.nonzero(~(hit | miss))[0].tolist():
+            c = _confirm(pieces[ii[k]], pieces[jj[k]])
+            if c is not None:
+                hit[k] = True
+                T[k] = _nearest(c[0], c[2])
+                E[k] = S * abs(T[k]) + _TINY
+        out.append((ii[hit], jj[hit], T[hit], E[hit]))
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def _pair_hits(pieces):
+    """Every confirmed crossing (i, j, un, vn, D) of pieces from distinct
+    lines, as _confirm reports it, in increasing (i, j) order: the hits
+    of _pair_scan, each with its exact parameters."""
+    I, J, _, _ = _pair_scan(pieces, _piece_boxes(pieces))
+    for i, j in zip(I.tolist(), J.tolist()):
+        yield (i, j) + _confirm(pieces[i], pieces[j])
 
 
 def _point_key(piece, un, D):
@@ -464,6 +592,96 @@ def _point_key(piece, un, D):
     yn = piece[1] * D + un * piece[3]
     g = gcd(xn, yn, D)
     return (xn // g, yn // g, D // g)
+
+
+def _crossing_key(pieces, i, j):
+    """The _point_key of the crossing of pieces i and j: one exact
+    confirmation, for a point that is reported or compared exactly."""
+    un, _, D = _confirm(pieces[i], pieces[j])
+    return _point_key(pieces[i], un, D)
+
+
+def _crossing_table(pieces):
+    """(I, J, XL, XU, total, count): one entry per crossing point of
+    pieces from distinct lines, in the order of its first hit in the
+    (i, j) order of _pair_scan, with (I, J) that first hit, XL and XU
+    float bounds on its x, total the sum of the blocked counts of the
+    pieces through it, and count their number.
+
+    A crossing is never a guard position, so each line dark there has one
+    piece through it, every two of those pieces cross there, and its
+    first hit is (i, j) with i the lowest of them.  The hits of row i at
+    one point are those of one exact parameter on piece i.  Hits are
+    grouped by it without a key: within a row, hits whose float
+    intervals T +- E overlap, directly or through a chain, form a
+    cluster; the parameters of a cluster of two or more hits are compared
+    exactly, and each distinct one is a group.  Equal parameters always
+    share a cluster.  A group of two or more hits marks every pair (j, k)
+    of its other pieces: the hits (j, k) are the same point, found again
+    in row j, and are skipped there.  Two pieces cross at most once, so a
+    mark names one point.
+    """
+    boxes = _piece_boxes(pieces)
+    I, J, T, E = _pair_scan(pieces, boxes)
+    n = len(I)
+    R = len(pieces)
+    blocked = np.array([p[7] for p in pieces], dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = T - E
+        hi = T + E
+    lo = np.where(np.isfinite(lo), lo, -inf)
+    hi = np.where(np.isfinite(hi), hi, inf)
+    # clusters: sort each row by lo and cut where lo passes the running
+    # max of hi in the row; ranking (row, hi) makes one accumulate serve
+    # every row, as each row's ranks exceed those of the rows before it
+    order = np.lexsort((lo, I))
+    rows, los, his = I[order], lo[order], hi[order]
+    by_hi = np.lexsort((his, rows))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_hi] = np.arange(n)
+    reach = his[by_hi][np.maximum.accumulate(rank)]
+    cut = np.ones(n, dtype=bool)
+    cut[1:] = (rows[1:] != rows[:-1]) | (los[1:] > reach[:-1])
+    cluster = np.cumsum(cut) - 1
+    group = np.empty(n, dtype=np.int64)
+    group[order] = cluster
+    tied = np.nonzero(np.bincount(cluster)[cluster] > 1)[0]
+    groups = {}
+    Il, Jl = I.tolist(), J.tolist()
+    for h, c in zip(order[tied].tolist(), cluster[tied].tolist()):
+        un, _, D = _confirm(pieces[Il[h]], pieces[Jl[h]])
+        g = gcd(un, D)
+        groups.setdefault((c, un // g, D // g), []).append(h)
+    marks = []
+    for gid, hs in enumerate(groups.values(), n):
+        group[hs] = gid
+        marks += [a * R + b for a, b in combinations(sorted(Jl[h] for h in hs), 2)]
+    kept = np.nonzero(~np.isin(I * R + J, marks))[0]
+    _, first, inverse = np.unique(group[kept], return_index=True, return_inverse=True)
+    first = kept[first]
+    total = blocked[I[first]] + np.bincount(inverse, blocked[J[kept]]).astype(np.int64)
+    count = np.bincount(inverse) + 1
+    o = np.argsort(first)
+    first = first[o]
+    I, J = I[first], J[first]
+    XL, XU = _x_bounds(boxes[0][I], boxes[2][I], T[first], E[first])
+    return I, J, XL, XU, total[o], count[o]
+
+
+def _leftmost(lo, hi, key):
+    """(k, key(k)) for the lexicographically smallest of candidate points
+    with lo[k] <= x <= hi[k], the first of equal points.
+
+    key(k) builds the exact homogeneous point (X, Y, W) of candidate k,
+    only where lo[k] <= min(hi): every candidate at the least x is among
+    those.  They are compared on correctly rounded floats of x first,
+    which never invert two points, and _XY compares only the points that
+    tie on it.
+    """
+    cands = [(k, key(k)) for k in np.nonzero(lo <= hi.min())[0].tolist()]
+    xs = [_nearest(c[1][0], c[1][2]) for c in cands]
+    low = min(xs)
+    return min((c for c, x in zip(cands, xs) if x == low), key=lambda c: _XY(c[1]))
 
 
 def _sub_piece_points(piece, cuts):
@@ -515,8 +733,8 @@ class _Analysis:
     leaves the piece unbounded (wedges, or region None: the whole plane,
     where the unbounded pieces are exactly the dark rays).  Only pieces
     blocking >= 1 guard are kept.  Beyond the pieces it holds what the
-    certificates read: the crossing totals, the point candidates, the
-    darkest point and the rescan of a witness.  It keeps the guards
+    certificates read: the crossing table, the guard points' darkness,
+    the darkest point and the rescan of a witness.  It keeps the guards
     tuple, not the GuardSet that holds it: a reference cycle would wait
     for the cyclic collector.
     """
@@ -532,7 +750,6 @@ class _Analysis:
                 raise ValueError("guard %r lies outside the region" % (g,))
         self.lines = _group_collinear(ints)
         self._crossings = None
-        self._point_candidates = None
         self._darkest = None
 
         pieces = []
@@ -600,58 +817,38 @@ class _Analysis:
 
     # -- pairwise crossings of pieces ------------------------------------
     def crossings(self):
-        """{point key (xn, yn, den): darkness} over the in-region crossings
-        of pieces from distinct lines, in the order their first hits come
-        in one walk of _pair_hits; built once, callers must not change it.
+        """_crossing_table of the pieces: the in-region crossings of
+        pieces from distinct lines, with their darkness totals, in the
+        order their first hits come in one walk of the pair scan.  Built
+        once; callers must not change it.
 
-        A crossing is never a guard position (see point_candidates), so
-        every line dark there has exactly one piece through it, and every
-        two of those pieces cross.  Hits come in increasing (i, j) order,
-        so the first hit of a key has the lowest of those pieces as i, and
-        the later hits (i, j) of that key bring each other line's piece
-        once: the darkness is blocked[i] plus their blocked[j].  Hits of
-        the key in a later row are skipped.
+        A crossing is never a guard position (see guard_darkness), so
+        every line dark there has exactly one piece through it: the
+        darkness there is the sum of their blocked counts.  No point key
+        is built: _crossing_key builds one for a crossing that is
+        reported or compared exactly.
         """
         if self._crossings is None:
-            pieces = self.pieces
-            blocked = [p[7] for p in pieces]
-            low = {}
-            totals = {}
-            for i, j, un, _vn, D in _pair_hits(pieces):
-                key = _point_key(pieces[i], un, D)
-                first = low.get(key)
-                if first is None:
-                    low[key] = i
-                    totals[key] = blocked[i] + blocked[j]
-                elif first == i:
-                    totals[key] += blocked[j]
-            self._crossings = totals
+            self._crossings = _crossing_table(self.pieces)
         return self._crossings
 
     # -- candidate enumeration -------------------------------------------
-    def point_candidates(self):
-        """(darkness, xn, yn, den) at every crossing, in crossings() order,
-        then at every guard point.  Built once; callers must not change
-        the list.
+    def guard_darkness(self):
+        """The darkness at every guard point, in guard order.
 
         No guard lies on a piece of a line it is not a member of (it would
         be a member), and pieces are open at their own members, so a
-        crossing is never a guard position: its darkness is the total that
-        crossings() summed from the blocked counts of its pieces.  A guard
-        point lies on exactly the lines it is a member of, and on each it
-        is dark to every member but its nearest neighbour on either side:
+        crossing is never a guard position.  A guard point lies on exactly
+        the lines it is a member of, and on each it is dark to every
+        member but its nearest neighbour on either side:
         darkness_at_scaled's count at a member.
         """
-        if self._point_candidates is None:
-            out = [(total, *key) for key, total in self.crossings().items()]
-            dark = [0] * len(self.guards)
-            for _, _, _, members in self.lines:
-                last = len(members) - 1
-                for k, (_, i) in enumerate(members):
-                    dark[i] += last - (k > 0) - (k < last)
-            out += [(d, x, y, 1) for d, (x, y) in zip(dark, self.frame.ints)]
-            self._point_candidates = out
-        return self._point_candidates
+        dark = [0] * len(self.guards)
+        for _, _, _, members in self.lines:
+            last = len(members) - 1
+            for k, (_, i) in enumerate(members):
+                dark[i] += last - (k > 0) - (k < last)
+        return dark
 
     def witness_from(self, xn, yn, den) -> DarknessWitness:
         """The witness at (xn/den, yn/den): its darkness and contributions
@@ -666,28 +863,48 @@ class _Analysis:
     def darkest(self):
         """(xn, yn, den) of the max_darkness witness.  Built once.
 
-        Let top be the maximum over the crossing and guard-point totals
-        of point_candidates and every piece's blocked count: it is the
-        maximum darkness, since every sub-piece point has darkness equal
-        to its piece's blocked count.  Top-level pieces have no
-        crossings: a crossing on a piece has darkness >= its blocked
-        count + 1, so a piece with blocked == top has no crossings and
-        its only candidate is the one point of _sub_piece_points(piece,
-        ()).  Only the candidates at top need the tie-break, which takes
-        the lexicographically smallest point (the first in the order
-        crossings, guards, pieces on equal points), so the certificate
-        does not depend on guard ordering.  The least x is found on
-        correctly rounded floats first, which never invert two points,
-        and _XY compares only the points that tie on it.
+        Let top be the maximum over the crossing totals, the guard points
+        and every piece's blocked count: it is the maximum darkness, since
+        every sub-piece point has darkness equal to its piece's blocked
+        count.  Top-level pieces have no crossings: a crossing on a piece
+        has darkness >= its blocked count + 1, so a piece with blocked ==
+        top has no crossings and its only candidate is the one point of
+        _sub_piece_points(piece, ()), at parameter hin/(2*hid), or 1 on an
+        unbounded piece.  Only the candidates at top need the tie-break,
+        which takes the lexicographically smallest point (the first in
+        the order crossings, guards, pieces on equal points), so the
+        certificate does not depend on guard ordering.  Every candidate
+        has float bounds on its x (_x_bounds), and _leftmost builds exact
+        points only for those that may have the least x.
         """
         if self._darkest is None:
-            cands = self.point_candidates()
-            top = max([c[0] for c in cands] + [p[7] for p in self.pieces])
-            at_top = [c[1:] for c in cands if c[0] == top]
-            at_top += [_sub_piece_points(p, ())[0] for p in self.pieces if p[7] == top]
-            xs = [_nearest(X, W) for X, _, W in at_top]
-            low = min(xs)
-            self._darkest = min((c for c, x in zip(at_top, xs) if x == low), key=_XY)
+            I, J, XL, XU, total, _ = self.crossings()
+            dark = self.guard_darkness()
+            pieces = self.pieces
+            top = max([int(total.max(initial=0)), *dark] + [p[7] for p in pieces])
+            at = np.nonzero(total == top)[0].tolist()
+            guards = [xy for d, xy in zip(dark, self.frame.ints) if d == top]
+            tops = [p for p in pieces if p[7] == top]
+            # a guard is exact at T = 0 on no direction; a piece's point
+            # is at the correctly rounded half of hin/hid, or 1
+            T = np.array([0.0] * len(guards)
+                         + [1.0 if p[4] is None else _nearest(p[4], p[5]) / 2 for p in tops])
+            E = _SIGN_SLACK * T + _TINY
+            E[:len(guards)] = 0.0
+            lo, hi = _x_bounds(_floats([c[0] for c in guards + tops]),
+                               _floats([0] * len(guards) + [p[2] for p in tops]), T, E)
+            lo = np.concatenate((XL[at], lo))
+            hi = np.concatenate((XU[at], hi))
+
+            def key(k):
+                if k < len(at):
+                    return _crossing_key(pieces, I[at[k]], J[at[k]])
+                k -= len(at)
+                if k < len(guards):
+                    return guards[k] + (1,)
+                return _sub_piece_points(tops[k - len(guards)], ())[0]
+
+            self._darkest = _leftmost(lo, hi, key)[1]
         return self._darkest
 
 
@@ -734,10 +951,10 @@ def has_j_dark(region: Region, guards, j: int):
 
     A reader of the one analysis that max_darkness shares.  A portion
     whose own blocked count reaches j settles it at once; otherwise the
-    first of the guard points, then the crossings of point_candidates
-    (in crossings() order, that of a row-by-row walk of the pair scan)
-    at darkness >= j is the witness, the one point rescanned for its
-    per-line breakdown.
+    first of the guard points, then the first crossing (in the order of
+    the analysis's crossings(), that of a row-by-row walk of the pair
+    scan) at darkness >= j is the witness, the one point rescanned for
+    its per-line breakdown and the one crossing whose key is built.
     """
     if as_int(j, "j") < 1:
         raise ValueError("j must be a positive integer")
@@ -750,11 +967,13 @@ def has_j_dark(region: Region, guards, j: int):
 
     # guard positions (3+ collinear guards darken the middle ones' spots),
     # then the crossings where darkness stacks up
-    cands = analysis.point_candidates()
-    crossings = len(analysis.crossings())
-    for cand in cands[crossings:] + cands[:crossings]:
-        if cand[0] >= j:
-            return True, analysis.witness_from(*cand[1:])
+    for d, (x, y) in zip(analysis.guard_darkness(), analysis.frame.ints):
+        if d >= j:
+            return True, analysis.witness_from(x, y, 1)
+    I, J, _, _, total, _ = analysis.crossings()
+    at = np.nonzero(total >= j)[0]
+    if len(at):
+        return True, analysis.witness_from(*_crossing_key(analysis.pieces, I[at[0]], J[at[0]]))
     return False, None
 
 
@@ -775,7 +994,9 @@ def find_concurrent_dark_rays(guards):
     """A point where dark rays from >= 3 distinct guard lines meet.
 
     The scan is plane-wide (no region clipping).  Returns (point, count)
-    for the lexicographically smallest such point, or None.
+    for the lexicographically smallest such point, or None.  The two dark
+    rays of a line are disjoint, so the count of a crossing of the rays
+    is its number of lines.
     """
     gset = GuardSet.coerce(guards)
     frame = _Frame(None, gset.guards)
@@ -789,13 +1010,12 @@ def find_concurrent_dark_rays(guards):
         blocked = len(members) - 1
         rays.append((fx, fy, -ux, -uy, None, None, False, blocked, line_id))
         rays.append((lx, ly, ux, uy, None, None, False, blocked, line_id))
-    points = {}
-    for i, j, un, _, D in _pair_hits(rays):
-        points.setdefault(_point_key(rays[i], un, D), set()).update((rays[i][8], rays[j][8]))
-    hits = [(frame.point(key), len(ids)) for key, ids in points.items() if len(ids) >= 3]
-    if not hits:
+    I, J, XL, XU, _, count = _crossing_table(rays)
+    at = np.nonzero(count >= 3)[0]
+    if not len(at):
         return None
-    return min(hits, key=lambda hit: (hit[0].x, hit[0].y))
+    k, key = _leftmost(XL[at], XU[at], lambda k: _crossing_key(rays, I[at[k]], J[at[k]]))
+    return frame.point(key), int(count[at[k]])
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,12 @@ grid and seeded-random points are built in the frame's integers.  This
 module reads no denominator itself.  Samples are ordered by
 ``geometry._sorted_exact`` (a sort on correctly rounded floats, with
 the exact cross-multiplication order ``geometry._XY`` only within runs
-of equal floats) and deduplicated on gcd-normalised keys.  ``_scan``
-returns them with their depths and builds no point: ``sample_depth``
-builds one ``Point2`` per sample of its ``SampleReport``, and the CLI
-certificate one per witness it reports.
+of equal floats) and deduplicated on gcd-normalised keys.  Each sample
+is converted to float columns (``_columns``) once, where it is made, and
+its columns travel with it through the sort and the deduplication to the
+float pass.  ``_scan`` returns them with their depths and builds no
+point: ``sample_depth`` builds one ``Point2`` per sample of its
+``SampleReport``, and the CLI certificate one per witness it reports.
 
 Every verdict is exact.  Depths and polygon membership take one path on
 every polygon, convex or not, at every batch size and coordinate scale,
@@ -145,16 +147,17 @@ def _wall_sides(frame: _Frame, *points):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN only ever defer
-def _contains_mask(frame: _Frame, samples) -> List[bool]:
+def _contains_mask(frame: _Frame, samples, cols) -> List[bool]:
     """Whether each homogeneous sample of the frame lies in the closed
-    polygon, float-prefiltered.
+    polygon, float-prefiltered, given the samples' float columns cols
+    (_columns).
 
     The float pass settles samples whose membership is certain by the
     sign margin; boundary-grazing samples (and anything else inside the
     margin) are re-decided exactly by ``_locate``, so the result matches
     the plain loop bit for bit.
     """
-    px, py = _columns(frame, samples)
+    px, py = cols
     ax, ay, (o,) = _wall_sides(frame, (px, py))
     m = _bound(px, py, ax, ay)
     cert = m * m * 2.0 ** -_CERT_SHIFT
@@ -207,8 +210,9 @@ def _segment_sides(xs, ys, qx, qy, px, py):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _depths(frame: _Frame, samples) -> List[int]:
-    """[depth at each homogeneous sample of the frame], float-prefiltered.
+def _depths(frame: _Frame, samples, cols) -> List[int]:
+    """[depth at each homogeneous sample of the frame], float-prefiltered,
+    given the samples' float columns cols (_columns).
 
     Precondition: the frame's points are the guards, in the closed
     polygon, validated by the caller.  The polygon may be any simple
@@ -247,7 +251,7 @@ def _depths(frame: _Frame, samples) -> List[int]:
     guards = frame.ints
     walls = frame.walls
     E = len(walls)
-    px, py = _columns(frame, samples)
+    px, py = cols
     gx, gy = _columns(frame, guards)
     # side of each edge's line each sample (c4) and each guard (c3) falls on
     ax, ay, (c4, c3) = _wall_sides(frame, (px, py), (gx, gy))
@@ -425,8 +429,10 @@ class SampleReport:
 
 
 def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
-    """Dark-ray crossing points, guard points and sub-piece points that
-    land inside P, as homogeneous samples of the frame in (x, y) order.
+    """(samples, columns): the dark-ray crossing points, guard points and
+    sub-piece points that land inside P, as homogeneous samples of the
+    frame in (x, y) order, and their float columns (_columns), converted
+    once for the membership test and carried through the sort.
 
     The rays are the pieces of the exact analysis of the convex hull of P
     and the guards (walls ignored), because a depth dip in the polygon
@@ -454,7 +460,13 @@ def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
         keys += _sub_piece_points(piece, piece_cuts)
     f = frame.scale // analysis.frame.scale
     cands = [(xn * f, yn * f, den) for xn, yn, den in keys]
-    return _sorted_exact([c for c, ok in zip(cands, _contains_mask(frame, cands)) if ok], _XY)
+    inside, (px, py) = _inside(frame, cands, _columns(frame, cands))
+    # the sort returns the very tuples of inside, each a distinct object
+    # held by inside, so its id names its position there
+    at = {id(s): k for k, s in enumerate(inside)}
+    out = _sorted_exact(inside, _XY)
+    order = [at[id(s)] for s in out]
+    return out, (px[order], py[order])
 
 
 def _box(frame: _Frame):
@@ -474,7 +486,14 @@ def _grid_points(frame: _Frame, resolution: int):
         for i in range(n + 1)
         for j in range(n + 1)
     ]
-    return [c for c, ok in zip(cands, _contains_mask(frame, cands)) if ok]
+    return _inside(frame, cands, _columns(frame, cands))
+
+
+def _inside(frame: _Frame, samples, cols):
+    """(samples, columns) of the samples in the closed polygon, in their
+    order, given their float columns."""
+    keep = np.nonzero(_contains_mask(frame, samples, cols))[0]
+    return [samples[k] for k in keep.tolist()], (cols[0][keep], cols[1][keep])
 
 
 def _random_points(frame: _Frame, seed: int, count: int):
@@ -495,28 +514,34 @@ def _random_points(frame: _Frame, seed: int, count: int):
 
 
 def _sampler_points(frame: _Frame, sampler):
+    """(samples, columns): the sampler's homogeneous samples in the
+    polygon and their float columns (_columns)."""
     if sampler is None:
-        return []
-    if isinstance(sampler, (list, tuple)) and sampler and sampler[0] == "grid":
-        (_, resolution) = sampler
-        return _grid_points(frame, as_int(resolution, "grid resolution"))
-    if isinstance(sampler, (list, tuple)) and sampler and sampler[0] == "random":
-        (_, seed, count) = sampler
-        return _random_points(frame, as_int(seed, "random seed"), as_int(count, "sample count"))
-    if isinstance(sampler, (list, tuple)) and sampler and sampler[0] == "points":
-        (_, pts) = sampler
+        return [], _columns(frame, [])
+    kind = sampler[0] if isinstance(sampler, (list, tuple)) and sampler else None
+    if kind == "grid" and len(sampler) == 2:
+        return _grid_points(frame, as_int(sampler[1], "grid resolution"))
+    if kind == "random" and len(sampler) == 3:
+        _, seed, count = sampler
+        out = _random_points(frame, as_int(seed, "random seed"), as_int(count, "sample count"))
+        return out, _columns(frame, out)
+    if kind == "points" and len(sampler) == 2:
         given = []
-        for p in pts:
-            if isinstance(p, Point2):
-                given.append(p)
-            else:
-                x, y = p
-                given.append(Point2(x, y))
+        for p in sampler[1]:
+            if not isinstance(p, Point2):
+                try:
+                    x, y = p
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        "sample point %r is not a Point2 or an (x, y) pair" % (p,)) from None
+                p = Point2(x, y)
+            given.append(p)
         out = [frame.sample(p) for p in given]
-        for p, ok in zip(given, _contains_mask(frame, out)):
+        cols = _columns(frame, out)
+        for p, ok in zip(given, _contains_mask(frame, out, cols)):
             if not ok:
                 raise ValueError("sample point %r lies outside the polygon" % (p,))
-        return out
+        return out, cols
     raise ValueError(
         "sampler must be None, ('grid', resolution), ('random', seed, count) "
         "or ('points', iterable), got %r" % (sampler,)
@@ -531,19 +556,23 @@ def _scan(P: AnyPolygon, guards, sampler):
     for g, (x, y) in zip(gset.guards, frame.ints):
         if _locate(frame.walls, x, y, 1) == "exterior":
             raise ValueError("guard %r lies outside the polygon" % (g,))
-    samples = frame.corners()
-    samples += _suspicious_points(frame, P, gset)
-    samples += _sampler_points(frame, sampler)
+    corners = frame.corners()
+    suspicious, (sx, sy) = _suspicious_points(frame, P, gset)
+    extra, (ex, ey) = _sampler_points(frame, sampler)
+    samples = corners + suspicious + extra
+    cx, cy = _columns(frame, corners)
+    px = np.concatenate((cx, sx, ex))
+    py = np.concatenate((cy, sy, ey))
     seen = set()
-    unique = []
-    for s in samples:
-        X, Y, W = s
+    keep = []
+    for k, (X, Y, W) in enumerate(samples):
         g = gcd(gcd(X, Y), W)
         key = (X // g, Y // g, W // g)
         if key not in seen:
             seen.add(key)
-            unique.append(s)
-    return frame, unique, _depths(frame, unique)
+            keep.append(k)
+    unique = [samples[k] for k in keep]
+    return frame, unique, _depths(frame, unique, (px[keep], py[keep]))
 
 
 def sample_depth(P: AnyPolygon, guards, sampler=None, target: Optional[int] = None) -> SampleReport:

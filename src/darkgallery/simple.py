@@ -42,7 +42,7 @@ from .geometry import (
     convex_hull,
     orientation,
 )
-from .sampling import _depths
+from .sampling import _columns, _depths
 
 MOUTH_LEVEL = Fraction(2)  # corridor ceiling: spike mouths sit on this line
 TIP_LEVEL = Fraction(10)   # spike tips: 4x the corridor height above the mouths
@@ -482,7 +482,8 @@ def fisk_cover(P: SimplePolygon, k: int, arc_scale=Fraction(1, 4)) -> GuardSet:
         if complete:
             gset = GuardSet(guards)
             frame = _Frame(P, gset.guards)
-            if min(_depths(frame, frame.corners())) >= k:
+            corners = frame.corners()
+            if min(_depths(frame, corners, _columns(frame, corners))) >= k:
                 return gset
         scale /= 2
     raise ConstructionError(

@@ -49,6 +49,7 @@ from darkgallery.darkness import (
     GuardSet,
     _Analysis,
     _confirm,
+    _crossing_key,
     _guard_lines,
     _pair_hits,
     _point_key,
@@ -384,6 +385,23 @@ def crossings_oracle(pieces):
         events.setdefault(i, []).append((un, D))
         events.setdefault(j, []).append((vn, D))
     return points, events
+
+
+def crossing_totals(analysis):
+    """{point key (xn, yn, den): darkness} over the analysis's crossing
+    table, in its order: the dict the library's crossings() returned
+    before it kept no point keys, with each key built by _crossing_key."""
+    I, J, _, _, total, _ = analysis.crossings()
+    return {_crossing_key(analysis.pieces, i, j): t
+            for i, j, t in zip(I.tolist(), J.tolist(), total.tolist())}
+
+
+def point_candidates(analysis):
+    """(darkness, xn, yn, den) at every crossing, in crossings() order,
+    then at every guard point: the library's former point_candidates()."""
+    out = [(total, *key) for key, total in crossing_totals(analysis).items()]
+    out += [(d, x, y, 1) for d, (x, y) in zip(analysis.guard_darkness(), analysis.frame.ints)]
+    return out
 
 
 def _witness(analysis, key, contr):

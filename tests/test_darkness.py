@@ -14,7 +14,9 @@ import json
 import random
 import weakref
 from fractions import Fraction
+from math import inf
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -44,6 +46,7 @@ from darkgallery.geometry import (
     _Frame,
     _halfplanes,
     _integers,
+    _nearest,
     centroid,
 )
 from darkgallery.sampling import sample_depth
@@ -467,7 +470,7 @@ def complete_candidates(analysis):
     point inside each sub-piece of every piece, at the piece's blocked
     count, with the pieces cut at the oracle's crossing parameters."""
     _, events = oracles.crossings_oracle(analysis.pieces)
-    out = list(analysis.point_candidates())
+    out = oracles.point_candidates(analysis)
     for idx, piece in enumerate(analysis.pieces):
         out += [(piece[7], *key)
                 for key in oracles.sub_piece_points_oracle(piece, events.get(idx, ()))]
@@ -555,7 +558,7 @@ def nudged_lattice_guards(draw):
 @given(nudged_lattice_guards())
 def test_pair_scan_matches_the_oracle_on_nudged_lattices(guards):
     region = ConvexPolygon([Point2(-4, -4), Point2(20, -4), Point2(20, 20), Point2(-4, 20)])
-    assert_scan_matches_the_oracle(darkness._Analysis(region, GuardSet(guards)).pieces)
+    assert_table_matches_the_oracle(darkness._Analysis(region, GuardSet(guards)))
     assert_scan_matches_the_oracle(dark_rays(guards))
 
 
@@ -668,8 +671,8 @@ def test_crossings_know_their_darkness(scene):
     region, guards = invariant_scene(scene)
     analysis = darkness._Analysis(region, GuardSet(guards))
     assert_scan_matches_the_oracle(analysis.pieces)
-    points = analysis.crossings()
-    cands = analysis.point_candidates()
+    points = oracles.crossing_totals(analysis)
+    cands = oracles.point_candidates(analysis)
     assert [c[1:] for c in cands[:len(points)]] == list(points)
     # the total summed from the pieces is the full rescan's and the
     # definition's, at a point of at least two distinct lines, where the
@@ -727,7 +730,7 @@ def test_crossing_totals_match_the_piece_sets(scene, monkeypatch):
     analysis = darkness._Analysis(region, GuardSet(guards))
     pieces = analysis.pieces
     points, events = oracles.crossings_oracle(pieces)
-    totals = analysis.crossings()
+    totals = oracles.crossing_totals(analysis)
     assert list(totals) == list(points)
     assert list(totals.values()) == [sum(pieces[k][7] for k in ids) for ids in points.values()]
 
@@ -735,7 +738,7 @@ def test_crossing_totals_match_the_piece_sets(scene, monkeypatch):
     want = [(sum(pieces[k][7] for k in ids), *key) for key, ids in points.items()]
     want += [(oracles.darkness_oracle(guards, g), x, y, 1)
              for g, (x, y) in zip(guards, fresh.frame.ints)]
-    assert fresh.point_candidates() == want
+    assert oracles.point_candidates(fresh) == want
     if not isinstance(region, ConvexPolygon):
         return
     # the sampler analyses the hull of the region and the guards, here the
@@ -745,7 +748,9 @@ def test_crossing_totals_match_the_piece_sets(scene, monkeypatch):
     monkeypatch.setattr(sampling, "_sub_piece_points",
                         lambda piece, cuts: calls.append((piece, list(cuts))) or real(piece, cuts))
     frame = _Frame(region, guards)
-    got = sampling._suspicious_points(frame, region, GuardSet(guards))
+    got, cols = sampling._suspicious_points(frame, region, GuardSet(guards))
+    # the float columns carried through the sort are those of the samples
+    assert all(np.array_equal(c, d) for c, d in zip(cols, sampling._columns(frame, got)))
     walked = [piece for piece, _ in calls]
     _, walked_events = oracles.crossings_oracle(walked)
     assert [cuts for _, cuts in calls] == [walked_events.get(k, []) for k in range(len(walked))]
@@ -870,7 +875,7 @@ def test_max_darkness_rescans_only_the_witness(monkeypatch):
     # their pieces: the reported witness is the one point rescanned
     region, guards = lattice_octagon()
     analysis = darkness._Analysis(region, GuardSet(guards))
-    points = analysis.crossings()
+    points = oracles.crossing_totals(analysis)
 
     calls = []
     rescan = darkness._Analysis.darkness_at_scaled
@@ -891,7 +896,7 @@ def test_max_darkness_rescans_only_the_witness(monkeypatch):
 def test_has_j_dark_reads_crossing_darkness(monkeypatch, scene):
     region, guards = scene()
     analysis = darkness._Analysis(region, GuardSet(guards))
-    points = analysis.crossings()
+    points = oracles.crossing_totals(analysis)
     dark = {key: oracles.darkness_oracle(guards, analysis.frame.point(key))
             for key in points}
     top = max(dark.values())
@@ -959,28 +964,211 @@ def test_has_j_dark_matches_the_row_walk(scene):
         assert witness_facts(witness) == witness_facts(want_witness), j
 
 
+# --- the float-certified scan and the crossing table ---------------------------
+#
+# _pair_scan calls most pairs a certain hit or a certain miss in floats
+# and confirms only the unsure ones; the crossing table groups hits by
+# their float parameters and compares exactly only overlapping ones; the
+# witness is chosen on float x bounds, with exact points only for the
+# candidates that may be leftmost.  Each must give exactly the answers of
+# the exact walks in tests/oracles.py.
+
+
+def open_end_meeting():
+    """Three 3-guard lines whose gap pieces all end open at the guard
+    (4, 4), the far end they share."""
+    region = ConvexPolygon([Point2(-2, -2), Point2(8, -2), Point2(8, 8), Point2(-2, 8)])
+    return region, [Point2(x, y) for x, y in
+                    ((0, 4), (2, 4), (4, 4), (4, 0), (4, 2), (0, 0), (2, 2), (1, 6), (6, 1))]
+
+
+def parallel_rows():
+    """Three parallel rows of guards, crossed by two slanted pairs."""
+    region = ConvexPolygon([Point2(-6, -6), Point2(12, -6), Point2(12, 12), Point2(-6, 12)])
+    rows = [Point2(x, y) for y in (0, 2, 5) for x in (0, 3, 7)]
+    return region, rows + [Point2(1, 1), Point2(2, 4), Point2(6, 1), Point2(5, 4)]
+
+
+def concurrent_four():
+    """Four guard pairs whose dark rays meet at the rational point c,
+    among guards that bring other crossings near it."""
+    c = Point2(Fraction(1, 3), Fraction(2, 7))
+    region = ConvexPolygon([Point2(-20, -20), Point2(20, -20), Point2(20, 20), Point2(-20, 20)])
+    guards = [c + d * s for d in (Point2(1, 2), Point2(-3, 1), Point2(2, -5), Point2(4, 1))
+              for s in (1, 2)]
+    return region, guards + [Point2(Fraction(7, 3), 5), Point2(-4, Fraction(-9, 7))]
+
+
+def near_2_60():
+    """Guards a few units apart near x = 2**60, in a square there: every
+    x in it rounds to the one float 2**60, so distinct top-level
+    crossings tie on floats and the witness is found exactly."""
+    b = 2 ** 60
+    region = ConvexPolygon([Point2(b - 64, -64), Point2(b + 64, -64), Point2(b + 64, 64),
+                            Point2(b - 64, 64)])
+    rng = random.Random(60)
+    guards = []
+    while len(guards) < 8:
+        p = Point2(b + rng.randint(-30, 30), rng.randint(-30, 30))
+        if p not in guards:
+            guards.append(p)
+    return region, guards
+
+
+@functools.lru_cache(maxsize=None)
+def placement_4n_minus_2_octagon():
+    """A full 4n-2 placement on a random 8-gon (30 guards)."""
+    P = random_convex_polygon(random.Random(8), 8)
+    return P, list(place_4n_minus_2(P)[0])
+
+
+SCAN_SCENES = {
+    "open-end-meeting": open_end_meeting,
+    "parallel-rows": parallel_rows,
+    "concurrent-four": concurrent_four,
+    "concurrent-star": concurrent_star,
+    "near-2^60": near_2_60,
+    "past-2^1100": lambda: frame_scene("past-2^1100"),
+    "4n-2-octagon": placement_4n_minus_2_octagon,
+}
+TABLE_SCENES = sorted(BRANCH_SCENES) + ["4n-2"] + sorted(SCAN_SCENES)
+
+
+def table_scene(name):
+    return SCAN_SCENES[name]() if name in SCAN_SCENES else invariant_scene(name)
+
+
+def _within(lo, value, hi):
+    """lo <= value <= hi for floats lo, hi (-inf / inf allowed) and an
+    exact value."""
+    return (lo == -inf or Fraction(lo) <= value) and (hi == inf or value <= Fraction(hi))
+
+
+def assert_table_matches_the_oracle(analysis):
+    """The crossing table against crossings_oracle: the same points in
+    the same order, each with the oracle's total and piece count; and
+    every float bound of the scan holds the exact value it bounds."""
+    pieces = analysis.pieces
+    assert_scan_matches_the_oracle(pieces)
+    points, _ = oracles.crossings_oracle(pieces)
+    totals = oracles.crossing_totals(analysis)
+    assert list(totals) == list(points)
+    assert list(totals.values()) == [sum(pieces[k][7] for k in ids) for ids in points.values()]
+    I, J, XL, XU, _, count = analysis.crossings()
+    assert count.tolist() == [len(ids) for ids in points.values()]
+    for key, xl, xu in zip(totals, XL.tolist(), XU.tolist()):
+        assert _within(xl, Fraction(key[0], key[2]), xu)
+    I, J, T, E = darkness._pair_scan(pieces, darkness._piece_boxes(pieces))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = T - E, T + E
+    for i, j, l, h in zip(I.tolist(), J.tolist(), lo.tolist(), hi.tolist()):
+        un, _, D = darkness._confirm(pieces[i], pieces[j])
+        assert l != l or h != h or _within(l, Fraction(un, D), h)
+    return points
+
+
+def darkest_oracle(analysis):
+    """(top, point): the maximum darkness over the complete candidate
+    set and the lexicographically smallest point at it."""
+    complete = complete_candidates(analysis)
+    top = max(c[0] for c in complete)
+    return top, min((analysis.frame.point(c[1:]) for c in complete if c[0] == top),
+                    key=lambda p: (p.x, p.y))
+
+
+@pytest.mark.parametrize("scene", TABLE_SCENES)
+def test_crossing_table_and_witnesses_match_the_oracles(scene):
+    region, guards = table_scene(scene)
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    points = assert_table_matches_the_oracle(analysis)
+    assert_table_matches_the_oracle(darkness._Analysis(None, GuardSet(guards)))
+    assert find_concurrent_dark_rays(guards) == oracles.find_concurrent_dark_rays_oracle(guards)
+    gs = GuardSet(guards)
+    w = max_darkness(region, gs)
+    assert (w.darkness, w.point) == darkest_oracle(analysis)
+    for j in range(1, w.darkness + 2):
+        found, witness = has_j_dark(region, gs, j)
+        want, want_witness = oracles.has_j_dark_oracle(region, guards, j)
+        assert found == want == (j <= w.darkness), j
+        assert witness_facts(witness) == witness_facts(want_witness), j
+    if scene == "near-2^60":
+        # distinct top-level crossings whose x are one float
+        top = [k for k, t in oracles.crossing_totals(analysis).items() if t == w.darkness]
+        assert len({Fraction(X, W) for X, _, W in top}) > 1
+        assert len({_nearest(X, W) for X, _, W in top}) == 1
+    if scene == "open-end-meeting":
+        shared = [p for p in analysis.pieces if p[6] and (p[0] + p[4] * p[2], p[1] + p[4] * p[3])
+                  == analysis.frame.ints[2]]
+        assert len(shared) == 3
+    if scene in ("concurrent-four", "concurrent-star"):
+        assert max(len(ids) for ids in points.values()) >= 4
+
+
+def test_scan_settles_far_ends_exactly():
+    # hand-built pieces: a bounded piece along y = 0 that a vertical piece
+    # crosses exactly at its far end (4, 0), open there (strict) or
+    # closed, and just before and past it at 7/2 and 9/2 on a second pair
+    vertical = (4, -3, 0, 1, None, None, False, 1, 1)
+    for strict in (True, False):
+        pieces = [(0, 0, 1, 0, 4, 1, strict, 1, 0), vertical,
+                  (0, 10, 1, 0, 7, 2, strict, 1, 2), (0, 10, 1, 0, 9, 2, strict, 1, 3)]
+        hits = assert_scan_matches_the_oracle(pieces)
+        assert [(i, j) for i, j, *_ in hits] == ([] if strict else [(0, 1)]) + [(1, 3)]
+
+
+def _count_exact_calls(monkeypatch, names=("_confirm", "_point_key")):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(darkness, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(darkness, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("scene, want", [
+    ("lattice-8gon", {"_confirm": 36, "_point_key": 3}),
+    ("general-position-20", {"_confirm": 2, "_point_key": 2}),
+    ("concurrent-star", {"_confirm": 21, "_point_key": 4}),
+    ("4n-2", {"_confirm": 0, "_point_key": 0}),
+])
+def test_certificates_build_few_exact_values(monkeypatch, scene, want):
+    # max_darkness and has_j_dark for every j up to top + 1: _confirm runs
+    # on unsure pairs and on near-tied hits only, and _point_key only for
+    # a reported or exactly compared crossing
+    region, guards = {"lattice-8gon": lattice_octagon, "general-position-20": general_position_20,
+                      "concurrent-star": concurrent_star,
+                      "4n-2": placement_4n_minus_2}[scene]()
+    gs = GuardSet(guards)
+    counts = _count_exact_calls(monkeypatch)
+    top = max_darkness(region, gs).darkness
+    for j in range(1, top + 2):
+        has_j_dark(region, gs, j)
+    assert counts == want
+
+
 # --- one analysis per guard set ---------------------------------------------
 
 
 @pytest.fixture
 def count_scans(monkeypatch):
-    """Call to start counting _Analysis builds and _pair_hits calls, the
-    certificates' and the sampler's alike."""
+    """Call to start counting _Analysis builds and _pair_scan calls, the
+    certificates' (through _crossing_table) and the sampler's (through
+    _pair_hits) alike."""
     def start():
         counts = {"builds": 0, "scans": 0}
-        build, scan = darkness._Analysis.__init__, darkness._pair_hits
+        build, scan = darkness._Analysis.__init__, darkness._pair_scan
 
         def counted_build(self, region, gset):
             counts["builds"] += 1
             build(self, region, gset)
 
-        def counted_scan(pieces):
+        def counted_scan(pieces, boxes):
             counts["scans"] += 1
-            return scan(pieces)
+            return scan(pieces, boxes)
 
         monkeypatch.setattr(darkness._Analysis, "__init__", counted_build)
-        monkeypatch.setattr(darkness, "_pair_hits", counted_scan)
-        monkeypatch.setattr(sampling, "_pair_hits", counted_scan)
+        monkeypatch.setattr(darkness, "_pair_scan", counted_scan)
         return counts
     return start
 
@@ -1005,20 +1193,20 @@ def test_certificates_scan_once_and_keep_only_totals(count_scans):
     assert has_j_dark(region, gs, 2)[0] and has_j_dark(region, gs, 3)[0]
     assert scan_counts == {"builds": 1, "scans": 1}
     assert set(gs._analysis.__dict__) == {"region", "guards", "frame", "halfplanes", "lines",
-                                          "pieces", "_crossings", "_point_candidates",
-                                          "_darkest"}
-    assert all(type(total) is int for total in gs._analysis.crossings().values())
+                                          "pieces", "_crossings", "_darkest"}
+    assert gs._analysis.crossings()[4].dtype == np.int64
+    assert all(type(total) is int for total in oracles.crossing_totals(gs._analysis).values())
 
 
 def test_candidates_first_scans_once(count_scans):
     region, guards = lattice_octagon()
     scan_counts = count_scans()
     analysis = darkness._Analysis(region, GuardSet(guards))
-    cands = analysis.point_candidates()
+    cands = oracles.point_candidates(analysis)
     analysis.crossings()
-    analysis.point_candidates()
+    oracles.point_candidates(analysis)
     assert scan_counts == {"builds": 1, "scans": 1}
-    assert len(cands) == len(analysis.crossings()) + len(guards) > len(guards)
+    assert len(cands) == len(analysis.crossings()[0]) + len(guards) > len(guards)
 
 
 def test_sample_depth_scans_once(count_scans):

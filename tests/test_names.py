@@ -431,3 +431,61 @@ def test_row_major_passes_flags_rolls_and_reductions_along_rows():
 def test_the_sampler_rolls_nothing_and_reduces_along_columns():
     path = PACKAGE / "sampling.py"
     assert row_major_passes(path.read_text(), str(path)) == []
+
+
+# the exact engine builds big-integer values only where floats cannot
+# decide: _point_key where a crossing that is reported or compared exactly
+# gets its key, and _confirm in the scan's unsure path, the crossing
+# table's tie path, that key builder and the exact hits of _pair_hits.
+# A call from anywhere else would run once per hit or per pair.
+EXACT_CALLERS = {
+    "_point_key": {"_crossing_key"},
+    "_confirm": {"_pair_scan", "_crossing_table", "_crossing_key", "_pair_hits"},
+}
+
+
+def exact_calls_outside(source: str, filename: str) -> List[Tuple[str, str, int]]:
+    """(name, function, line) for each call of a name of EXACT_CALLERS from
+    a function (the innermost enclosing def; '<module>' at top level)
+    that is not allowed to make it."""
+    out: List[Tuple[str, str, int]] = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and where not in EXACT_CALLERS.get(child.func.id, {where})):
+                out.append((child.func.id, where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source, filename), "<module>")
+    return sorted(out)
+
+
+def test_exact_calls_outside_flags_per_hit_calls():
+    source = (
+        "def _crossing_key(pieces, i, j):\n"
+        "    un, _, D = _confirm(pieces[i], pieces[j])\n"
+        "    return _point_key(pieces[i], un, D)\n"
+        "class A:\n"
+        "    def crossings(self):\n"
+        "        for i, j, un, _, D in _pair_hits(self.pieces):\n"
+        "            self.keys.append(_point_key(self.pieces[i], un, D))\n"
+        "    def darkest(self):\n"
+        "        def key(k):\n"
+        "            return _crossing_key(self.pieces, k, k + 1)\n"
+        "        return [_confirm(p, q) for p, q in self.pairs], key\n"
+        "def _pair_hits(pieces):\n"
+        "    yield _confirm(pieces[0], pieces[1])\n"
+        "KEY = _point_key((0, 0, 1, 0), 1, 1)\n"
+    )
+    assert exact_calls_outside(source, "example.py") == [
+        ("_confirm", "darkest", 11), ("_point_key", "<module>", 14),
+        ("_point_key", "crossings", 7)]
+
+
+def test_the_exact_engine_builds_keys_and_confirms_only_where_floats_cannot():
+    path = PACKAGE / "darkness.py"
+    assert exact_calls_outside(path.read_text(), str(path)) == []

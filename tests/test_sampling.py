@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import re
 from fractions import Fraction
 from math import inf
 
@@ -26,6 +27,7 @@ from darkgallery.geometry import (
 from darkgallery.sampling import (
     SampleReport,
     _between,
+    _columns,
     _contains_mask,
     _depths,
     _random_points,
@@ -141,6 +143,24 @@ def test_sampler_spec_validation():
         sample_depth(T, [Point2(100, 100)])
 
 
+@pytest.mark.parametrize("sampler", [
+    ("grid",), ("grid", 3, 4), ("random", 1), ("random", 1, 2, 3), ("points",),
+    ("points", [], 1), "everywhere", ("lines", 3), (),
+])
+def test_sampler_specs_of_the_wrong_shape_get_the_documented_message(sampler):
+    T = ConvexPolygon([Point2(0, 0), Point2(8, 0), Point2(4, 8)])
+    with pytest.raises(ValueError, match=r"^sampler must be None, \('grid', resolution\)"):
+        sample_depth(T, T.vertices, sampler=sampler)
+
+
+@pytest.mark.parametrize("point", [(1, 1, 1), (1,), 5, None])
+def test_a_sample_point_of_the_wrong_shape_is_named(point):
+    T = ConvexPolygon([Point2(0, 0), Point2(8, 0), Point2(4, 8)])
+    with pytest.raises(ValueError, match=r"^sample point %s is not a Point2" % re.escape(repr(point))):
+        sample_depth(T, T.vertices, sampler=("points", [Point2(4, 1), point]))
+    assert len(sample_depth(T, T.vertices, sampler=("points", [Point2(4, 1), (4, 2)])).samples) > 3
+
+
 def test_reports_are_immutable_and_need_samples():
     report = sample_depth(BOX, [Point2(5, 5)])
     with pytest.raises(AttributeError):
@@ -201,13 +221,15 @@ def test_adding_a_guard_accounts_exactly_with_walls():
 def batch_depths(P, gs, pts):
     """_depths on the Point2 samples pts, each converted once by the frame."""
     frame = _Frame(P, gs.guards)
-    return _depths(frame, [frame.sample(p) for p in pts])
+    samples = [frame.sample(p) for p in pts]
+    return _depths(frame, samples, _columns(frame, samples))
 
 
 def batch_contains(P, pts):
     """_contains_mask on the Point2 samples pts, through a frame of P."""
     frame = _Frame(P, ())
-    return _contains_mask(frame, [frame.sample(p) for p in pts])
+    samples = [frame.sample(p) for p in pts]
+    return _contains_mask(frame, samples, _columns(frame, samples))
 
 
 def test_fast_depths_match_the_loop_on_convex_scenes():
@@ -586,10 +608,10 @@ def test_certain_float_signs_are_exact_on_the_comb(monkeypatch, factor):
     P, gs, pts = _scaled(comb.polygon, guards, _grazing_points(comb, guards), factor)
     frame, samples, _ = sampling._scan(P, gs, ("points", pts))
     records = _float_pass_records(monkeypatch)
-    _depths(frame, samples)
+    _depths(frame, samples, _columns(frame, samples))
     certain, uncertain = _check_certain_signs(records, frame, samples)
     records.clear()
-    _contains_mask(frame, samples)
+    _contains_mask(frame, samples, _columns(frame, samples))
     more, _ = _check_certain_signs(records, frame, samples)
     assert certain > 10 * uncertain > 0 and more > 0
 
@@ -604,11 +626,11 @@ def test_certain_float_signs_are_exact_on_star_polygons(scene):
         hom = [frame.sample(p) for p in pts]
         with pytest.MonkeyPatch.context() as mp:
             records = _float_pass_records(mp)
-            _depths(frame, hom)
+            _depths(frame, hom, _columns(frame, hom))
             assert sum(name == "_segment_sides" for name, _ in records) == len(gs)
             certain, _ = _check_certain_signs(records, frame, hom)
             records.clear()
-            _contains_mask(frame, hom)
+            _contains_mask(frame, hom, _columns(frame, hom))
             more, _ = _check_certain_signs(records, frame, hom)
         assert certain > 0 and more > 0
 
