@@ -92,7 +92,7 @@ class RegimePlan:
 
     def __init__(self, n: int, k: int):
         as_int(k, "k")
-        if n < 3:
+        if as_int(n, "n") < 3:
             raise ValueError("a polygon has at least 3 vertices")
         if k < 1:
             raise ValueError("coverage depth must be at least 1")

@@ -77,9 +77,7 @@ from .geometry import (
     _nearest,
     _sorted_exact,
     as_int,
-    on_segment,
     primitive_direction,
-    strictly_between,
 )
 
 Region = Union[ConvexPolygon, Wedge]
@@ -993,29 +991,21 @@ def find_collinear_triple(guards):
 def find_concurrent_dark_rays(guards):
     """A point where dark rays from >= 3 distinct guard lines meet.
 
-    The scan is plane-wide (no region clipping).  Returns (point, count)
-    for the lexicographically smallest such point, or None.  The two dark
-    rays of a line are disjoint, so the count of a crossing of the rays
-    is its number of lines.
+    The scan is plane-wide (no region clipping): the dark rays are the
+    unbounded pieces of the analysis of the whole plane, which leave a
+    line's extreme members, open there, pointing away from the other
+    members.  Returns (point, count) for the lexicographically smallest
+    such point, or None.  The two dark rays of a line are disjoint, so
+    the count of a crossing of the rays is its number of lines.
     """
-    gset = GuardSet.coerce(guards)
-    frame = _Frame(None, gset.guards)
-    ints = frame.ints
-    # each line's two dark rays leave its extreme members, open there,
-    # pointing away from the other members: the unbounded pieces of the
-    # plane-wide analysis
-    rays = []
-    for line_id, (ux, uy, _c, members) in enumerate(_group_collinear(ints)):
-        (fx, fy), (lx, ly) = ints[members[0][1]], ints[members[-1][1]]
-        blocked = len(members) - 1
-        rays.append((fx, fy, -ux, -uy, None, None, False, blocked, line_id))
-        rays.append((lx, ly, ux, uy, None, None, False, blocked, line_id))
+    analysis = _Analysis(None, GuardSet.coerce(guards))
+    rays = [p for p in analysis.pieces if p[4] is None]
     I, J, XL, XU, _, count = _crossing_table(rays)
     at = np.nonzero(count >= 3)[0]
     if not len(at):
         return None
     k, key = _leftmost(XL[at], XU[at], lambda k: _crossing_key(rays, I[at[k]], J[at[k]]))
-    return frame.point(key), int(count[at[k]])
+    return analysis.frame.point(key), int(count[at[k]])
 
 
 # ---------------------------------------------------------------------------
@@ -1034,56 +1024,49 @@ def boundary_census(polygon: ConvexPolygon, guards) -> BoundaryCensus:
     carries a guard in its interior or guards at both endpoints, and the
     placement has no 2-dark point.  Violations are reported in `reasons`
     and flip `applicable` to False while the raw counts stay available.
+
+    The counts read the analysis that the 2-dark query shares: edge i is
+    its integer halfplane i, a*x + b*y >= c, and a guard of the convex
+    polygon lies on the closed edge i exactly when a*x + b*y == c there;
+    a guard at vertex i is the frame's wall i.
     """
+    if not isinstance(polygon, ConvexPolygon):
+        raise TypeError("boundary_census wants a ConvexPolygon, got %s"
+                        % type(polygon).__name__)
     gset = GuardSet.coerce(guards)
-    vs = polygon.vertices
-    n = len(vs)
-    reasons = []
-
     for g in gset.guards:
-        w = polygon.where(g)
-        if w == "exterior":
+        if polygon.where(g) == "exterior":
             raise ValueError("guard %r lies outside the polygon" % (g,))
-        if w == "interior":
-            reasons.append("guard %r is not on the boundary" % (g,))
-
-    guard_at = set(gset.guards)
-    vertex_guard = [v in guard_at for v in vs]
-    edge_interior = []  # per edge: guards strictly inside it
-    for a, b in polygon.edges():
-        edge_interior.append([g for g in gset.guards if strictly_between(a, g, b)])
+    analysis = _analysis(polygon, gset)
+    ints = analysis.frame.ints
+    walls = analysis.frame.walls
+    n = len(walls)
+    on_edge = [sum(a * x + b * y == c for x, y in ints) for a, b, c in analysis.halfplanes]
+    reasons = ["guard %r is not on the boundary" % (g,)
+               for g, (x, y) in zip(gset.guards, ints)
+               if all(a * x + b * y != c for a, b, c in analysis.halfplanes)]
+    guarded = set(ints)
+    at_vertex = [w in guarded for w in walls]
 
     weights = []
     ray_counts = []
     for i in range(n):
-        w = Fraction(len(edge_interior[i]))
-        at_a = vertex_guard[i]
-        at_b = vertex_guard[(i + 1) % n]
-        if at_a:
-            w += Fraction(1, 2)
-        if at_b:
-            w += Fraction(1, 2)
-        weights.append(w)
+        at_a = at_vertex[i]
+        at_b = at_vertex[(i + 1) % n]
+        m = on_edge[i]
+        inner = m - at_a - at_b
+        # a vertex guard weighs 1/2 on each incident edge
+        weights.append(inner + Fraction(at_a + at_b, 2))
         # dark rays running along the edge: every guard but the extreme
         # one hides somebody toward each endpoint, except from the
         # endpoint itself
-        m = len(edge_interior[i]) + (1 if at_a else 0) + (1 if at_b else 0)
-        if m >= 2:
-            ray_counts.append(2 * m - 2 - (1 if at_a else 0) - (1 if at_b else 0))
-        else:
-            ray_counts.append(0)
-        if not edge_interior[i] and not (at_a and at_b):
+        ray_counts.append(2 * m - 2 - at_a - at_b if m >= 2 else 0)
+        if not inner and not (at_a and at_b):
             reasons.append(
                 "edge %d has no interior guard and lacks guards at both endpoints" % i
             )
 
-    darkened = []
-    for i, v in enumerate(vs):
-        for a, b in ((vs[i], vs[(i + 1) % n]), (vs[i - 1], vs[i])):
-            others = [g for g in gset.guards if g != v and on_segment(g, a, b)]
-            if len(others) >= 2:
-                darkened.append(i)
-                break
+    darkened = [i for i in range(n) if max(on_edge[i], on_edge[i - 1]) - at_vertex[i] >= 2]
 
     dark2, _ = has_j_dark(polygon, gset, 2)
     if dark2:

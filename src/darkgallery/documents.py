@@ -269,8 +269,8 @@ class JDarkResult:
     __slots__ = ("j", "found", "witness")
 
     def __init__(self, j: int, found: bool, witness: Optional[Point2] = None):
-        object.__setattr__(self, "j", int(j))
-        object.__setattr__(self, "found", bool(found))
+        object.__setattr__(self, "j", _typed(j, int, "j"))
+        object.__setattr__(self, "found", _typed(found, bool, "found"))
         object.__setattr__(self, "witness", witness)
 
     def __setattr__(self, name, value):
@@ -326,6 +326,9 @@ class CertificateDocument(_Document):
     queries that were run alongside.  sampler is the extra sample
     source used in sampled mode; null there means the verifier's own
     built-in set (vertices, guards, and dark-ray crossings) alone.
+    The counts are ints with 0 <= max_darkness <= guard_count and
+    min_depth == guard_count - max_darkness; the constructor refuses
+    anything else with a DocumentError naming the field.
     """
 
     __slots__ = (
@@ -353,10 +356,17 @@ class CertificateDocument(_Document):
         if mode == "exact" and sampler is not None:
             raise DocumentError("exact certificates carry no sampler spec")
         sampler_to_json(sampler)  # refuse here a spec that to_dict could not write
+        g = _typed(guard_count, int, "guard_count")
+        if not 0 <= _typed(max_darkness, int, "max_darkness") <= g:
+            raise DocumentError("max_darkness %d is outside [0, guard_count %d]"
+                                % (max_darkness, g))
+        if _typed(min_depth, int, "min_depth") != g - max_darkness:
+            raise DocumentError("min_depth %d != guard_count %d - max_darkness %d"
+                                % (min_depth, g, max_darkness))
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "guard_count", int(guard_count))
-        object.__setattr__(self, "min_depth", int(min_depth))
-        object.__setattr__(self, "max_darkness", int(max_darkness))
+        object.__setattr__(self, "guard_count", g)
+        object.__setattr__(self, "min_depth", min_depth)
+        object.__setattr__(self, "max_darkness", max_darkness)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "j_dark", tuple(j_dark))
         object.__setattr__(self, "sampler", sampler)
@@ -397,17 +407,17 @@ class CertificateDocument(_Document):
                 raise DocumentError("j_dark entries must be objects, got %r" % (entries,))
             results = [
                 JDarkResult(
-                    _typed(r["j"], int, "j"),
-                    _typed(r["found"], bool, "found"),
+                    r["j"],
+                    r["found"],
                     None if r["witness"] is None else point_from_json(r["witness"]),
                 )
                 for r in entries
             ]
             return cls(
                 d["mode"],
-                _typed(d["guard_count"], int, "guard_count"),
-                _typed(d["min_depth"], int, "min_depth"),
-                _typed(d["max_darkness"], int, "max_darkness"),
+                d["guard_count"],
+                d["min_depth"],
+                d["max_darkness"],
                 None if witness is None else point_from_json(witness),
                 results,
                 sampler_from_json(d.get("sampler")),

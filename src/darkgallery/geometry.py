@@ -1,17 +1,24 @@
 """Exact 2-D geometry kernel built on rational arithmetic.
 
-Points and regions hold ``fractions.Fraction`` coordinates, and every
-orientation test, intersection and containment query is decided exactly.
-Where that is cheaper, a predicate scales its inputs to integers by the
-lcm of their denominators and decides there: both polygon kinds keep
-integer copies of their vertices that their validation and ``where``
-(through ``_locate``) read.  ``_Frame`` is the one place where a scene is
-scaled whole: a region and some points times one lcm, with homogeneous
-integers for any other point and a way back to ``Point2``.  The exact
-darkness engine and the sampler both decide on a frame's integers.  In
-a frame, ``_halfplanes`` gives a convex region as integer halfplanes, and
-``_clip`` is the one line clipper: ``halfplane_intersection``, both
-``clip_line`` methods and the darkness engine clip with it.
+The public API holds ``fractions.Fraction`` coordinates: ``Point2`` (with
+``cross`` and ``orientation``), ``Line``, ``Halfplane`` with
+``line_intersection`` and ``halfplane_intersection``, ``convex_hull``, and
+the regions ``ConvexPolygon``, ``Wedge`` and ``SimplePolygon`` with their
+``where`` and ``clip_line``.  Each is decided exactly, and most decide on
+integers behind the Fraction interface: both polygon kinds keep integer
+copies of their vertices that their validation and ``where`` (through
+``_locate``) read, and ``halfplane_intersection`` and ``clip_line`` clip
+with ``_clip``.
+
+The engine decides only on frame integers.  ``_Frame`` is the one place
+where a scene is scaled whole: a region and some points times one lcm,
+with homogeneous integers for any other point and a way back to
+``Point2``.  The exact darkness engine (its certificates, the boundary
+census and the concurrency check), the sampler, the guard placers and the
+simple-polygon triangulation read a frame's or a polygon's integers, test
+them with integer signs (``_orient``, ``_locate``), take a convex region
+as the frame's integer halfplanes (``_halfplanes``) and clip lines with
+``_clip``; Fractions come back only in the points and values they report.
 Floats are rejected at construction time: if you need to import measured
 data, convert it to rationals yourself and own the rounding.
 """
@@ -119,39 +126,6 @@ def orientation(o: Point2, a: Point2, b: Point2) -> int:
     if c < 0:
         return -1
     return 0
-
-
-def collinear(o: Point2, a: Point2, b: Point2) -> bool:
-    return cross(o, a, b) == 0
-
-
-def strictly_between(a: Point2, p: Point2, b: Point2) -> bool:
-    """True when p lies on the open segment (a, b)."""
-    if not collinear(a, p, b):
-        return False
-    d = b - a
-    t = (p - a).dot(d)
-    return 0 < t < d.dot(d)
-
-
-def on_segment(p: Point2, a: Point2, b: Point2) -> bool:
-    """True when p lies on the closed segment [a, b]."""
-    if not collinear(a, p, b):
-        return False
-    d = b - a
-    if d.is_zero():
-        return p == a
-    t = (p - a).dot(d)
-    return 0 <= t <= d.dot(d)
-
-
-def midpoint(a: Point2, b: Point2) -> Point2:
-    return Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
-
-
-def lerp(a: Point2, b: Point2, t: RatLike) -> Point2:
-    t = as_rat(t)
-    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
 
 def primitive_direction(d: Point2) -> Point2:

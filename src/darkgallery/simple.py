@@ -32,15 +32,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .construct import ConstructionError, _StreamPlacer
 from .darkness import GuardSet, max_darkness
 from .geometry import (
+    _RATIO,
     ConvexPolygon,
     Point2,
     SimplePolygon,
     Wedge,
     _Frame,
     _homogeneous,
+    _orient,
     as_int,
+    as_rat,
     convex_hull,
-    orientation,
 )
 from .sampling import _columns, _depths
 
@@ -187,24 +189,18 @@ def _lines_below_mouths(guards: Sequence[Point2], width: Fraction) -> bool:
 # triangulation and 3-coloring
 
 
-def _in_closed_triangle(p: Point2, a: Point2, b: Point2, c: Point2) -> bool:
-    return (
-        orientation(a, b, p) >= 0
-        and orientation(b, c, p) >= 0
-        and orientation(c, a, p) >= 0
-    )
-
-
 def triangulate(P: SimplePolygon) -> List[Tuple[int, int]]:
     """Diagonals of an ear-clipping triangulation, as vertex index pairs.
 
     Straight vertices (three in a row on one line) are never ear
     apexes, but they block any ear whose chord would run through them,
     so they end up subdividing the triangle fan instead of breaking it.
+    Every turn is an integer sign on P.ints: an ear turns left, and no
+    other active vertex lies in its closed triangle.
     """
     if not isinstance(P, SimplePolygon):
         raise TypeError("triangulate wants a SimplePolygon, got %r" % (P,))
-    vs = P.vertices
+    vs = P.ints
     active = list(range(len(vs)))
     diagonals: List[Tuple[int, int]] = []
     while len(active) > 3:
@@ -212,11 +208,14 @@ def triangulate(P: SimplePolygon) -> List[Tuple[int, int]]:
             ia = active[pos - 1]
             ib = active[pos]
             ic = active[(pos + 1) % len(active)]
-            if orientation(vs[ia], vs[ib], vs[ic]) <= 0:
+            a, b, c = vs[ia], vs[ib], vs[ic]
+            if _orient(a, b, c) <= 0:
                 continue
             if any(
                 idx not in (ia, ib, ic)
-                and _in_closed_triangle(vs[idx], vs[ia], vs[ib], vs[ic])
+                and _orient(a, b, vs[idx]) >= 0
+                and _orient(b, c, vs[idx]) >= 0
+                and _orient(c, a, vs[idx]) >= 0
                 for idx in active
             ):
                 continue
@@ -335,10 +334,11 @@ class FiskPlan:
 
 def _vertex_cone(P: SimplePolygon, i: int) -> Wedge:
     vs = P.vertices
+    n = len(vs)
     v = vs[i]
     prev = vs[i - 1]
-    nxt = vs[(i + 1) % len(vs)]
-    o = orientation(prev, v, nxt)
+    nxt = vs[(i + 1) % n]
+    o = _orient(P.ints[i - 1], P.ints[i], P.ints[(i + 1) % n])
     if o > 0:
         return Wedge(v, nxt - v, prev - v)
     if o < 0:
@@ -366,33 +366,32 @@ def fisk_plan(P: SimplePolygon) -> FiskPlan:
     return FiskPlan(diagonals, coloring, chosen, cones)
 
 
-def _dist2_point_segment(p: Point2, a: Point2, b: Point2) -> Fraction:
-    ab = b - a
-    denom = ab.dot(ab)
-    t = (p - a).dot(ab) / denom
-    if t < 0:
-        t = Fraction(0)
-    elif t > 1:
-        t = Fraction(1)
-    near = Point2(a.x + t * ab.x, a.y + t * ab.y)
-    off = p - near
-    return off.dot(off)
-
-
 def _clearance2(P: SimplePolygon, i: int) -> Fraction:
-    """Squared distance from vertex i to the nearest non-incident edge."""
-    vs = P.vertices
+    """Squared distance from vertex i to the nearest non-incident edge.
+
+    Each distance is a ratio of integers on P.ints: to the nearer end
+    where the foot of the perpendicular leaves the edge, else cross^2 /
+    |edge|^2; the least one, divided by P.scale^2, is the Fraction."""
+    vs = P.ints
     n = len(vs)
-    v = vs[i]
-    best: Optional[Fraction] = None
-    for j in range(n):
-        if j == i or (j + 1) % n == i:
-            continue
-        d2 = _dist2_point_segment(v, vs[j], vs[(j + 1) % n])
-        if best is None or d2 < best:
-            best = d2
-    assert best is not None and best > 0
-    return best
+    px, py = vs[i]
+
+    def dist2(j):
+        (ax, ay), (bx, by) = vs[j], vs[(j + 1) % n]
+        ex, ey = bx - ax, by - ay
+        rx, ry = px - ax, py - ay
+        t = rx * ex + ry * ey
+        den = ex * ex + ey * ey
+        if t <= 0:
+            return rx * rx + ry * ry, 1
+        if t >= den:
+            return (px - bx) ** 2 + (py - by) ** 2, 1
+        c = ex * ry - ey * rx
+        return c * c, den
+
+    num, den = min((dist2(j) for j in range(n) if j != i and (j + 1) % n != i), key=_RATIO)
+    assert num > 0
+    return Fraction(num, den * P.scale ** 2)
 
 
 def _pow2_under(limit_sq: Fraction, weight_sq: Fraction) -> Fraction:
@@ -464,7 +463,7 @@ def fisk_cover(P: SimplePolygon, k: int, arc_scale=Fraction(1, 4)) -> GuardSet:
         raise ValueError("coverage depth must be at least 1")
     if not isinstance(P, SimplePolygon):
         raise TypeError("fisk_cover wants a SimplePolygon, got %r" % (P,))
-    scale = Fraction(arc_scale)
+    scale = as_rat(arc_scale)
     if not 0 < scale <= Fraction(1, 4):
         raise ValueError("arc_scale must be in (0, 1/4]")
     plan = fisk_plan(P)

@@ -12,15 +12,20 @@ checks is the order in which has_j_dark reads the shared candidates;
 crossings_oracle walks them too, keeping the piece set of every crossing
 where the library keeps only a total; and pieces_oracle cuts the
 library's lines and integer halfplanes with one clip per piece, so that
-what it checks is the one clip per line.
-The line clipper and convex-polygon membership and validation, the
-simple-polygon predicates (membership, validation, segment-inside,
-visibility, depth), the convex hull, the sampler's glue (sub-piece
-points, suspicious points, grid and random samples, deduplication), the
-concurrent-rays scan, the scene scaling, the general-position
-stream (placer, restarts and interior anchor) and the 4n-2 scaffold are
-the library's former Fraction bodies; the library now decides them on
-integer-scaled coordinates.
+what it checks is the one clip per line.  Two more call library code
+that they do not check: boundary_census_oracle asks the library's
+has_j_dark for its 2-dark reason, and fisk_plan_oracle colours with the
+library's three_color, which reads indices only.
+The point helpers (collinear, strictly_between, on_segment, midpoint,
+lerp), the line clipper and convex-polygon membership and validation,
+the simple-polygon predicates (membership, validation, segment-inside,
+visibility, depth), the triangulation, vertex cones and clearances of
+the coloring cover, the boundary census, the convex hull, the sampler's
+glue (sub-piece points, suspicious points, grid and random samples,
+deduplication), the concurrent-rays scan, the scene scaling, the
+general-position stream (placer, restarts and interior anchor) and the
+4n-2 scaffold are the library's former Fraction bodies; the library now
+decides them on integer-scaled coordinates.
 Slow on purpose; exact everywhere.
 """
 
@@ -45,6 +50,7 @@ from darkgallery.construct import (
     zigzag,
 )
 from darkgallery.darkness import (
+    BoundaryCensus,
     DarknessWitness,
     GuardSet,
     _Analysis,
@@ -54,6 +60,7 @@ from darkgallery.darkness import (
     _pair_hits,
     _point_key,
     _sub_piece_points,
+    has_j_dark,
     max_darkness,
 )
 from darkgallery.geometry import (
@@ -65,18 +72,53 @@ from darkgallery.geometry import (
     SimplePolygon,
     Wedge,
     _forward_step,
+    as_rat,
     centroid,
-    collinear,
     convex_hull,
+    cross,
     halfplane_intersection,
-    lerp,
     line_intersection,
     Line,
-    midpoint,
-    on_segment,
     orientation,
-    strictly_between,
 )
+from darkgallery.simple import three_color
+
+
+# --- Fraction point helpers ---------------------------------------------------
+# The library's former helpers, kept here as reference arithmetic: the
+# library decides these questions on integers.
+
+def collinear(o: Point2, a: Point2, b: Point2) -> bool:
+    return cross(o, a, b) == 0
+
+
+def strictly_between(a: Point2, p: Point2, b: Point2) -> bool:
+    """True when p lies on the open segment (a, b)."""
+    if not collinear(a, p, b):
+        return False
+    d = b - a
+    t = (p - a).dot(d)
+    return 0 < t < d.dot(d)
+
+
+def on_segment(p: Point2, a: Point2, b: Point2) -> bool:
+    """True when p lies on the closed segment [a, b]."""
+    if not collinear(a, p, b):
+        return False
+    d = b - a
+    if d.is_zero():
+        return p == a
+    t = (p - a).dot(d)
+    return 0 <= t <= d.dot(d)
+
+
+def midpoint(a: Point2, b: Point2) -> Point2:
+    return Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
+
+
+def lerp(a: Point2, b: Point2, t) -> Point2:
+    t = as_rat(t)
+    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
 
 # --- darkness from the definition -------------------------------------------
@@ -299,6 +341,63 @@ def census_oracle(P: ConvexPolygon, guards: Sequence[Point2]):
             if hidden:
                 darkening_edges[vi].append(ei)
     return weights, darkening_edges, shrunken_ok
+
+
+def boundary_census_oracle(polygon: ConvexPolygon, guards) -> BoundaryCensus:
+    """boundary_census over Fractions: where, strictly_between and
+    on_segment per guard and edge (the library's former body)."""
+    gset = GuardSet.coerce(guards)
+    vs = polygon.vertices
+    n = len(vs)
+    reasons = []
+
+    for g in gset.guards:
+        w = polygon.where(g)
+        if w == "exterior":
+            raise ValueError("guard %r lies outside the polygon" % (g,))
+        if w == "interior":
+            reasons.append("guard %r is not on the boundary" % (g,))
+
+    guard_at = set(gset.guards)
+    vertex_guard = [v in guard_at for v in vs]
+    edge_interior = []  # per edge: guards strictly inside it
+    for a, b in polygon.edges():
+        edge_interior.append([g for g in gset.guards if strictly_between(a, g, b)])
+
+    weights = []
+    ray_counts = []
+    for i in range(n):
+        w = Fraction(len(edge_interior[i]))
+        at_a = vertex_guard[i]
+        at_b = vertex_guard[(i + 1) % n]
+        if at_a:
+            w += Fraction(1, 2)
+        if at_b:
+            w += Fraction(1, 2)
+        weights.append(w)
+        m = len(edge_interior[i]) + (1 if at_a else 0) + (1 if at_b else 0)
+        if m >= 2:
+            ray_counts.append(2 * m - 2 - (1 if at_a else 0) - (1 if at_b else 0))
+        else:
+            ray_counts.append(0)
+        if not edge_interior[i] and not (at_a and at_b):
+            reasons.append(
+                "edge %d has no interior guard and lacks guards at both endpoints" % i
+            )
+
+    darkened = []
+    for i, v in enumerate(vs):
+        for a, b in ((vs[i], vs[(i + 1) % n]), (vs[i - 1], vs[i])):
+            others = [g for g in gset.guards if g != v and on_segment(g, a, b)]
+            if len(others) >= 2:
+                darkened.append(i)
+                break
+
+    dark2, _ = has_j_dark(polygon, gset, 2)
+    if dark2:
+        reasons.append("placement has a 2-dark point")
+
+    return BoundaryCensus(weights, ray_counts, darkened, n, not reasons, reasons)
 
 
 # --- scene scaling, one denominator at a time --------------------------------
@@ -754,6 +853,102 @@ def visible_oracle(P, guards: Sequence[Point2], q: Point2, p: Point2) -> bool:
 def depth_at_sample_oracle(P, guards: Sequence[Point2], p: Point2) -> int:
     guards = list(guards)
     return sum(1 for q in guards if visible_oracle(P, guards, q, p))
+
+
+# --- triangulation, vertex cones and clearances over Fractions ---------------
+
+def _in_closed_triangle(p: Point2, a: Point2, b: Point2, c: Point2) -> bool:
+    return (
+        orientation(a, b, p) >= 0
+        and orientation(b, c, p) >= 0
+        and orientation(c, a, p) >= 0
+    )
+
+
+def triangulate_oracle(P: SimplePolygon) -> List[Tuple[int, int]]:
+    """simple.triangulate with Point2 orientation tests (the library's
+    former body)."""
+    vs = P.vertices
+    active = list(range(len(vs)))
+    diagonals: List[Tuple[int, int]] = []
+    while len(active) > 3:
+        for pos in range(len(active)):
+            ia = active[pos - 1]
+            ib = active[pos]
+            ic = active[(pos + 1) % len(active)]
+            if orientation(vs[ia], vs[ib], vs[ic]) <= 0:
+                continue
+            if any(
+                idx not in (ia, ib, ic)
+                and _in_closed_triangle(vs[idx], vs[ia], vs[ib], vs[ic])
+                for idx in active
+            ):
+                continue
+            diagonals.append((min(ia, ic), max(ia, ic)))
+            active.pop(pos)
+            break
+        else:
+            raise ValueError("ran out of ears; the polygon is not simple")
+    return diagonals
+
+
+def vertex_cone_oracle(P: SimplePolygon, i: int) -> Wedge:
+    """simple._vertex_cone with a Point2 orientation test."""
+    vs = P.vertices
+    v = vs[i]
+    prev = vs[i - 1]
+    nxt = vs[(i + 1) % len(vs)]
+    o = orientation(prev, v, nxt)
+    if o > 0:
+        return Wedge(v, nxt - v, prev - v)
+    if o < 0:
+        return Wedge(v, v - prev, v - nxt)
+    along = nxt - prev
+    inward = Point2(-along.y, along.x)
+    return Wedge(v, (nxt - v) * 4 + inward, (prev - v) * 4 + inward)
+
+
+def fisk_plan_oracle(P: SimplePolygon):
+    """(diagonals, coloring, chosen class, cones) of simple.fisk_plan,
+    from triangulate_oracle and vertex_cone_oracle; the coloring is the
+    library's three_color, which reads indices only."""
+    diagonals = triangulate_oracle(P)
+    coloring = three_color(P, diagonals)
+    sizes = {color: 0 for color in (1, 2, 3)}
+    for color in coloring.values():
+        sizes[color] += 1
+    chosen_color = min(sizes, key=lambda c: (sizes[c], c))
+    chosen = sorted(i for i, c in coloring.items() if c == chosen_color)
+    return diagonals, coloring, chosen, {i: vertex_cone_oracle(P, i) for i in chosen}
+
+
+def _dist2_point_segment(p: Point2, a: Point2, b: Point2) -> Fraction:
+    ab = b - a
+    denom = ab.dot(ab)
+    t = (p - a).dot(ab) / denom
+    if t < 0:
+        t = Fraction(0)
+    elif t > 1:
+        t = Fraction(1)
+    near = Point2(a.x + t * ab.x, a.y + t * ab.y)
+    off = p - near
+    return off.dot(off)
+
+
+def clearance2_oracle(P: SimplePolygon, i: int) -> Fraction:
+    """simple._clearance2 over Fractions (the library's former body)."""
+    vs = P.vertices
+    n = len(vs)
+    v = vs[i]
+    best: Optional[Fraction] = None
+    for j in range(n):
+        if j == i or (j + 1) % n == i:
+            continue
+        d2 = _dist2_point_segment(v, vs[j], vs[(j + 1) % n])
+        if best is None or d2 < best:
+            best = d2
+    assert best is not None and best > 0
+    return best
 
 
 # --- the convex hull over Fractions -------------------------------------------

@@ -44,13 +44,12 @@ from darkgallery.geometry import (
     Wedge,
     _homogeneous,
     as_int,
-    lerp,
-    strictly_between,
 )
 from darkgallery.sampling import sample_depth
 from darkgallery.simple import comb_cover, fisk_cover, make_comb
 
 import oracles
+from oracles import lerp, strictly_between
 from conftest import random_affine_map, random_convex_polygon
 from test_darkness import concurrent_star
 
@@ -105,12 +104,14 @@ def test_wedge_placement_refuses_a_depth_that_is_not_an_int(k):
                          ids=["bool", "float", "Fraction", "str", "2.7"])
 def test_every_count_is_refused_by_the_one_int_check(value):
     # True once placed a depth-1 cover, 2.0 and Fraction(2) died inside
-    # range(), has_j_dark took 1.5, and the samplers truncated 2.7: every
+    # range(), has_j_dark took 1.5, plan(3.5, 5) made a plan for n=3,
+    # and the samplers truncated 2.7: every
     # entry point now refuses what is not an int, naming the argument
     comb = make_comb(2)
     guards = list(place_vertex_guards(TRIANGLE, 3))
     calls = [
         ("k", lambda: plan(3, value)),
+        ("n", lambda: plan(value, 5)),
         ("k", lambda: construct(TRIANGLE, value)),
         ("k", lambda: place_vertex_guards(TRIANGLE, value)),
         ("k", lambda: guards_for_wedge(value)),

@@ -1363,3 +1363,58 @@ def test_census_total_is_sum_of_edge_weights():
         weights, _, shrunken_ok = oracles.census_oracle(P, guards)
         assert weights == cen.edge_weights
         assert shrunken_ok
+
+
+def census_scene(rng):
+    """A convex polygon, often on a small grid, with guards at some
+    vertices, one or zero to three per edge inside the edges, and
+    sometimes interior guards, in a shuffled order."""
+    P = random_convex_polygon(rng, rng.randint(3, 7), size=rng.choice((24, 420)))
+    vs = P.vertices
+    per_edge = rng.choice(((1,), (0, 1, 1, 2, 3)))
+    guards = []
+    for i, v in enumerate(vs):
+        if rng.random() < 0.5:
+            guards.append(v)
+        u = vs[(i + 1) % len(vs)]
+        for _ in range(rng.choice(per_edge)):
+            guards.append(v + (u - v) * Fraction(rng.randint(1, 7), 8))
+    if rng.random() < 0.3:
+        guards += distinct_interior_points(rng, P, rng.randint(1, 2))
+    guards = list(dict.fromkeys(guards)) or [vs[0]]
+    rng.shuffle(guards)
+    return P, guards
+
+
+CENSUS_FIELDS = ("edge_weights", "edge_dark_rays", "darkened_vertices", "darkened",
+                 "boundary_total", "n", "applicable", "reasons", "identity_holds")
+
+
+def test_census_matches_the_fraction_census_on_seeded_scenes():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(240):
+        P, guards = census_scene(rng)
+        got = boundary_census(P, guards)
+        want = oracles.boundary_census_oracle(P, guards)
+        for field in CENSUS_FIELDS:
+            assert getattr(got, field) == getattr(want, field), field
+        assert all(type(w) is Fraction for w in got.edge_weights)
+        seen.update(r.split(" ")[0] for r in got.reasons)
+        seen.update(["applicable"] * got.applicable + ["darkened"] * (got.darkened > 0))
+    # every branch of the census ran: interior guards, bare edges, 2-dark
+    # placements, applicable ones and darkened vertices
+    assert seen == {"guard", "edge", "placement", "applicable", "darkened"}
+
+
+def test_census_refuses_outside_guards_and_other_regions():
+    inside = [Point2(2, 0), Point2(4, 2)]
+    for census in (boundary_census, oracles.boundary_census_oracle):
+        with pytest.raises(ValueError, match=r"guard Point2\(5, 5\) lies outside the polygon"):
+            census(SQUARE, inside + [Point2(5, 5)])
+    wedge = Wedge(Point2(0, 0), Point2(1, 0), Point2(0, 1))
+    with pytest.raises(TypeError, match="got Wedge"):
+        boundary_census(wedge, inside)
+    simple = SimplePolygon(list(SQUARE.vertices))
+    with pytest.raises(TypeError, match="got SimplePolygon"):
+        boundary_census(simple, inside)

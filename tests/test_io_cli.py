@@ -20,6 +20,7 @@ import darkgallery
 from darkgallery.documents import (
     CertificateDocument,
     DocumentError,
+    JDarkResult,
     PlacementDocument,
     point_from_json,
     point_to_json,
@@ -138,6 +139,8 @@ def _certificate_dict():
     pytest.param(("guard_count",), "12", id="guard_count-str"),
     pytest.param(("guard_count",), True, id="guard_count-true"),
     pytest.param(("max_darkness",), None, id="max_darkness-null"),
+    pytest.param(("min_depth",), 8, id="min_depth-8"),
+    pytest.param(("max_darkness",), 13, id="max_darkness-13"),
     pytest.param(("sampler", "resolution"), 2.5, id="resolution-2.5"),
     pytest.param(("sampler", "resolution"), "x", id="resolution-x"),
 ])
@@ -216,6 +219,38 @@ def test_documents_that_could_not_be_written_are_refused_when_built(build, match
     if "sampler" in build:
         with pytest.raises(DocumentError, match=match):
             sampler_to_json(build["sampler"])
+
+
+@pytest.mark.parametrize("make, match", [
+    pytest.param(lambda: JDarkResult(2.5, True), "j", id="j-2.5"),
+    pytest.param(lambda: JDarkResult(True, True), "j", id="j-true"),
+    pytest.param(lambda: JDarkResult(2, 1), "found", id="found-1"),
+    pytest.param(lambda: JDarkResult(2, "yes"), "found", id="found-yes"),
+    pytest.param(lambda: CertificateDocument("exact", 2.7, 1, 1, None), "guard_count",
+                 id="guard_count-2.7"),
+    pytest.param(lambda: CertificateDocument("exact", True, 1, 0, None), "guard_count",
+                 id="guard_count-true"),
+    pytest.param(lambda: CertificateDocument("exact", 2, 1.0, 1, None), "min_depth",
+                 id="min_depth-1.0"),
+    pytest.param(lambda: CertificateDocument("exact", 2, False, 2, None), "min_depth",
+                 id="min_depth-false"),
+    pytest.param(lambda: CertificateDocument("exact", 2, 1, 1.9, None), "max_darkness",
+                 id="max_darkness-1.9"),
+    pytest.param(lambda: CertificateDocument("exact", 3, 2, 2, None),
+                 "min_depth 2 != guard_count 3 - max_darkness 2", id="min_depth-not-g-minus-dark"),
+    pytest.param(lambda: CertificateDocument("exact", 3, 4, -1, None), "max_darkness -1 is outside",
+                 id="max_darkness-negative"),
+    pytest.param(lambda: CertificateDocument("exact", 3, -1, 4, None), "max_darkness 4 is outside",
+                 id="max_darkness-over-g"),
+    pytest.param(lambda: CertificateDocument("exact", 2.7, True, 1.9, None,
+                                             [JDarkResult(2, True)]),
+                 "guard_count", id="all-three-coerced"),
+])
+def test_certificate_counts_are_refused_not_coerced(make, match):
+    # each once built: int() and bool() truncated the value, and a
+    # certificate could state a min depth its own counts contradict
+    with pytest.raises(DocumentError, match=match):
+        make()
 
 
 def test_every_accepted_placement_value_survives_a_round_trip():

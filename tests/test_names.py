@@ -229,6 +229,45 @@ def test_scaffold_builder_scales_nothing_itself():
     assert scaling_uses(ast.get_source_segment(source, fn), str(path)) == []
 
 
+# darkness.py and simple.py decide on integers: the boundary census reads
+# its analysis's halfplanes and the triangulation, the vertex cones and
+# the clearances read P.ints, so neither module calls geometry's Fraction
+# point predicates (nor Point2.cross)
+FRACTION_PREDICATES = {"orientation", "cross", "collinear", "strictly_between", "on_segment"}
+INTEGER_DECIDERS = [PACKAGE / "darkness.py", PACKAGE / "simple.py"]
+
+
+def fraction_predicate_calls(source: str, filename: str) -> List[Tuple[str, int]]:
+    """(what, line) for each call of one of FRACTION_PREDICATES, by name
+    or as an attribute (``geometry.on_segment``, ``p.cross``)."""
+    out: List[Tuple[str, int]] = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in FRACTION_PREDICATES:
+                out.append((name + "()", node.lineno))
+    return sorted(out)
+
+
+def test_fraction_predicate_calls_flags_names_and_attributes():
+    source = (
+        "from . import geometry\n"
+        "def f(a, b, c):\n"
+        "    return orientation(a, b, c), geometry.on_segment(a, b, c), a.cross(b)\n"
+        "def g(a, b, c):\n"
+        "    return _orient(a, b, c), collinear(a, b, c) or strictly_between(a, b, c)\n"
+    )
+    assert fraction_predicate_calls(source, "example.py") == [
+        ("collinear()", 5), ("cross()", 3), ("on_segment()", 3), ("orientation()", 3),
+        ("strictly_between()", 5)]
+
+
+@pytest.mark.parametrize("path", INTEGER_DECIDERS, ids=[p.name for p in INTEGER_DECIDERS])
+def test_integer_deciders_call_no_fraction_predicate(path):
+    assert fraction_predicate_calls(path.read_text(), str(path)) == []
+
+
 # one question, one implementation: two functions whose bodies are the
 # same statements are one function written twice
 def duplicate_bodies(sources) -> List[List[str]]:

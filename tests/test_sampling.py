@@ -22,7 +22,6 @@ from darkgallery.geometry import (
     SimplePolygon,
     _Frame,
     _locate,
-    strictly_between,
 )
 from darkgallery.sampling import (
     SampleReport,
@@ -39,6 +38,7 @@ from darkgallery.sampling import (
 from darkgallery.simple import fisk_cover, make_comb, comb_cover
 
 import oracles
+from oracles import strictly_between
 from conftest import distinct_interior_points, random_convex_polygon, random_star_polygon
 
 L_HEXAGON = SimplePolygon(

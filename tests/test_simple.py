@@ -25,7 +25,7 @@ from darkgallery.simple import (
 )
 
 import oracles
-from conftest import random_star_polygon
+from conftest import random_affine_map, random_star_polygon
 
 L_HEXAGON = SimplePolygon(
     [Point2(0, 0), Point2(4, 0), Point2(4, 2), Point2(2, 2), Point2(2, 4), Point2(0, 4)])
@@ -161,6 +161,39 @@ def test_reflex_vertex_gets_the_anticone():
     assert not cone.contains(Point2(3, 3))
 
 
+def _mapped(P, seed):
+    """P under a seeded orientation-preserving rational affine map: its
+    integer form has a scale > 1."""
+    apply = random_affine_map(random.Random(seed))[0]
+    return SimplePolygon([apply(v) for v in P.vertices])
+
+
+SIMPLE_SCENES = (
+    [pytest.param(make_comb(s).polygon, id="comb-%d" % s) for s in range(2, 9)]
+    + [pytest.param(random_star_polygon(random.Random(n), n), id="star-%d" % n)
+       for n in (10, 16, 24, 37, 60)]
+    + [pytest.param(_mapped(make_comb(3).polygon, 5), id="comb-3-mapped"),
+       pytest.param(_mapped(random_star_polygon(random.Random(3), 20), 7), id="star-20-mapped")]
+)
+
+
+@pytest.mark.parametrize("P", SIMPLE_SCENES)
+def test_triangulation_plan_and_clearances_match_the_fraction_bodies(P):
+    # triangulate, the vertex cones and _clearance2 decide on P.ints;
+    # the oracles are their former bodies over Point2
+    assert triangulate(P) == oracles.triangulate_oracle(P)
+    plan = fisk_plan(P)
+    diagonals, coloring, chosen, cones = oracles.fisk_plan_oracle(P)
+    assert plan.triangulation == tuple(diagonals)
+    assert plan.coloring == coloring
+    assert plan.chosen_class == tuple(chosen)
+    assert {i: (w.apex, w.dir1, w.dir2) for i, w in plan.cones.items()} == {
+        i: (w.apex, w.dir1, w.dir2) for i, w in cones.items()}
+    n = len(P.vertices)
+    assert ([simple._clearance2(P, i) for i in range(n)]
+            == [oracles.clearance2_oracle(P, i) for i in range(n)])
+
+
 # --- the coloring cover ------------------------------------------------------------
 
 def test_plan_chooses_at_most_a_third_of_the_vertices():
@@ -218,6 +251,10 @@ def test_fisk_cover_input_checks():
         fisk_cover(ConvexPolygon([Point2(0, 0), Point2(4, 0), Point2(0, 4)]), 1)
     with pytest.raises(ValueError):
         fisk_cover(QUAD, 1, arc_scale=Fraction(1, 2))
+    # a float is refused, as everywhere in the package, not read as the
+    # binary fraction nearest to it
+    with pytest.raises(TypeError, match="float"):
+        fisk_cover(QUAD, 1, arc_scale=0.1)
 
 
 class _FractionPlacer(oracles.StreamPlacerOracle):
