@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
 
-from .darkness import GuardSet, max_darkness
+from .darkness import GuardSet, _prefix, max_darkness
 from .geometry import (
     ConvexPolygon,
     Halfplane,
@@ -558,10 +558,11 @@ def place_4n_minus_2(P: ConvexPolygon):
     parameter starts at 1/4; each failed attempt (degenerate scaffold or
     a 2-dark point found by the verifier) first refines the dyadic
     snapping grid, then halves the parameter.  The returned placement
-    always carries a clean certificate.  When every attempt fails, the
-    ConstructionError counts the attempts that had a 2-dark point and
-    those that built no scaffold, with the last one's reason, and its
-    witness is the last 2-dark witness, or None.
+    always carries a clean certificate: the GuardSet holds the analysis
+    that certified it, from which construct derives its prefix's.  When
+    every attempt fails, the ConstructionError counts the attempts that
+    had a 2-dark point and those that built no scaffold, with the last
+    one's reason, and its witness is the last 2-dark witness, or None.
     """
     witness = None
     infeasible, reason = 0, None
@@ -573,10 +574,10 @@ def place_4n_minus_2(P: ConvexPolygon):
         except _Infeasible as exc:
             infeasible, reason = infeasible + 1, exc
             continue
-        guards = sc.guards()
+        guards = GuardSet(sc.guards())
         w = max_darkness(P, guards)
         if w.darkness <= 1:
-            return GuardSet(guards), sc
+            return guards, sc
         witness = w
     message = "no 4n-2 placement after %d attempts: %d had a 2-dark point" % (
         _MAX_EPS_RETRIES, _MAX_EPS_RETRIES - infeasible)
@@ -714,7 +715,8 @@ def construct(P: ConvexPolygon, k: int) -> GuardSet:
         guards = place_vertex_guards(P, k)
     elif pl.regime == REGIME_ONE_EXTRA:
         full, _ = place_4n_minus_2(P)
-        guards = GuardSet(full.guards[: pl.g])
+        # full holds its certificate, which settles the prefix too
+        guards = _prefix(P, full, pl.g)
     else:
         guards = place_general_position(P, pl.g)
     w = max_darkness(P, guards)

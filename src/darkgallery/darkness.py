@@ -12,9 +12,11 @@ piecewise constant along each line.  The verifier scales the whole scene
 to integer coordinates once, in a ``geometry._Frame`` (the frame the
 sampler uses too; this module reads no denominator itself), and takes the
 region as the frame's integer halfplanes (``geometry._halfplanes``).  It
-clips every line carrying >= 2 guards to them once (``geometry._clip``)
-and cuts it into its "dark portions" as pieces: the two dark rays end
-where the clipped line does, and the gaps between members lie inside.
+clips every line carrying >= 2 guards to them once, all lines in one
+float pass (`_clip_lines`) that leaves only near ties and overflows to
+``geometry._clip``, and cuts each into its "dark portions" as pieces:
+the two dark rays end where the clipped line does, and the gaps between
+members lie inside.
 The guards and every query point are tested on the same halfplanes.  A
 complete set of candidate points is every pairwise crossing of pieces
 from distinct lines, every guard position, and one representative per
@@ -31,7 +33,9 @@ point key: a crossing's key is built only where it is reported or must
 be compared exactly, and the per-line breakdown is rescanned for the one
 reported witness.  The j-dark queries read the same table: one
 analysis, built on the first query in a region and held on the
-GuardSet, serves every query on that guard set.
+GuardSet, serves every query on that guard set.  A prefix of a guard
+set certified to max darkness <= 1 takes an analysis derived from that
+one (`_prefix`), with no clip and no scan of its own.
 
 The analysis keeps only what the certificates read: the pieces, the
 crossing table and the darkest point.  The sampler
@@ -103,6 +107,10 @@ class GuardSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("GuardSet is immutable")
+
+    def __reduce__(self):
+        # a copy starts without the analysis: it would share it otherwise
+        return (GuardSet, (self.guards,))
 
     def __len__(self):
         return len(self.guards)
@@ -718,6 +726,83 @@ def _sub_piece_points(piece, cuts):
 
 
 # ---------------------------------------------------------------------------
+# clipping every guard line at once
+#
+# _clip_lines gives what _clip gives on each line, from one float pass
+# over lines x halfplanes: halfplane j keeps rate*t >= r with rate =
+# a*dx + b*dy and r = c - a*x - b*y.  Each is a sum of at most three
+# integer terms, so by the bounds above _SIGN_SLACK its float is within
+# 8u times the float magnitude sum M.  Where M < 2**52 and nothing
+# overflows, every input is an exact float and every partial sum an
+# integer below 2**53 (a nonzero factor of a product below 2**52 is
+# itself below 2**52, and a zero one makes the product exact), so the
+# float is exact and the bound 0: a halfplane parallel to the line then
+# has rate == 0 certainly.
+_EXACT_SUM = 2.0 ** 52
+
+
+def _clip_lines(starts, dirs, halfplanes):
+    """[_clip(x, y, 1, dx, dy, halfplanes) for (x, y), (dx, dy)] over the
+    lines through the integer points starts along dirs, every point in
+    the region, so that no clip is empty.
+
+    A line whose rates all have a certain sign gets float bounds T +- E
+    on each bound r/rate (the quotient bound of _pair_scan).  An end's
+    candidates are the halfplanes whose interval reaches the tightest
+    certain bound; the true end is among them.  Where each end has at
+    most one, it is the only halfplane setting that end, and its exact
+    (r, rate) is computed alone.  A line with a rate of unsure sign, an
+    end with two or more candidates (the line through a vertex, or any
+    near tie) or a value that is not finite goes to _clip whole.
+    """
+    if not halfplanes or not starts:
+        return [(None, None)] * len(starts)  # the whole plane bounds nothing
+    S = _SIGN_SLACK
+    a, b, c = (_floats(col) for col in zip(*halfplanes))
+    x, y = (_floats(col)[:, None] for col in zip(*starts))
+    dx, dy = (_floats(col)[:, None] for col in zip(*dirs))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pa, pb = a * dx, b * dy
+        rate = pa + pb
+        M = np.abs(pa) + np.abs(pb)
+        erate = np.where(M < _EXACT_SUM, 0.0, S * M)
+        qa, qb = a * x, b * y
+        r = c - qa - qb
+        M = np.abs(c) + np.abs(qa) + np.abs(qb)
+        er = np.where(M < _EXACT_SUM, 0.0, S * M)
+        pos = rate > erate
+        neg = rate < -erate
+        signed = pos | neg
+        T = r / np.where(signed, rate, 1.0)
+        room = np.where(signed, np.abs(rate) - erate, 1.0)
+        E = (er + np.abs(T) * erate) / room + S * np.abs(T) + _TINY
+        lo_top = np.where(pos, T - E, -inf).max(axis=1)
+        hi_top = np.where(neg, T + E, inf).min(axis=1)
+        lo_cand = pos & (T + E >= lo_top[:, None])
+        hi_cand = neg & (T - E <= hi_top[:, None])
+        sure = (signed | ((rate == 0) & (erate == 0))).all(axis=1)
+        finite = (np.isfinite(r) & np.isfinite(E)).all(axis=1)
+    exact = sure & finite & (lo_cand.sum(axis=1) <= 1) & (hi_cand.sum(axis=1) <= 1)
+    lo_j = np.where(lo_cand.any(axis=1), lo_cand.argmax(axis=1), -1)
+    hi_j = np.where(hi_cand.any(axis=1), hi_cand.argmax(axis=1), -1)
+    out = []
+    for (X, Y), (DX, DY), ok, jl, jh in zip(starts, dirs, exact.tolist(), lo_j.tolist(),
+                                            hi_j.tolist()):
+        if not ok:
+            out.append(_clip(X, Y, 1, DX, DY, halfplanes))
+            continue
+        ends = []
+        for j, s in ((jl, 1), (jh, -1)):
+            if j < 0:
+                ends.append(None)
+            else:
+                A, B, C = halfplanes[j]
+                ends.append((s * (C - A * X - B * Y), s * (A * DX + B * DY), j))
+        out.append(tuple(ends))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the exact verifier core
 
 
@@ -750,14 +835,15 @@ class _Analysis:
         self._crossings = None
         self._darkest = None
 
+        # the whole of each line in the region, from its first member: the
+        # guards lie in the region, so lo <= 0 <= t_last <= hi, and each
+        # dark ray runs from its extreme member to that end
+        clips = _clip_lines([ints[rec[3][0][1]] for rec in self.lines],
+                            [rec[:2] for rec in self.lines], self.halfplanes)
         pieces = []
-        for line_id, (ux, uy, c, members) in enumerate(self.lines):
+        for line_id, ((ux, uy, c, members), (lo, hi)) in enumerate(zip(self.lines, clips)):
             m = len(members)
             (fx, fy), (lx, ly) = ints[members[0][1]], ints[members[-1][1]]
-            # the whole line in the region, from its first member: the
-            # guards lie in the region, so lo <= 0 <= t_last <= hi, and
-            # each dark ray runs from its extreme member to that end
-            lo, hi = _clip(fx, fy, 1, ux, uy, self.halfplanes)
             t_last = members[-1][0]
             rays = [(fx, fy, -ux, -uy, (None, None) if lo is None else (-lo[0], lo[1])),
                     (lx, ly, ux, uy, (None, None) if hi is None else (hi[0] - t_last * hi[1], hi[1]))]
@@ -915,6 +1001,44 @@ def _analysis(region: Region, gset: GuardSet) -> _Analysis:
         analysis = _Analysis(region, gset)
         object.__setattr__(gset, "_analysis", analysis)
     return analysis
+
+
+def _prefix(region: Region, full: GuardSet, g: int) -> GuardSet:
+    """GuardSet(full.guards[:g]) holding its analysis in region, derived
+    from the analysis full holds there.
+
+    Darkness cannot grow when guards are removed.  Where full's analysis
+    has max darkness <= 1 (every line has 2 members and no two pieces
+    cross), the prefix's lines are full's lines with both members below
+    g, in full's order (that of the (ux, uy, c) sort, which guard
+    numbering does not change); its pieces are theirs, renumbered; it has
+    no crossings either, so it shares full's empty table; and its frame
+    is full's with the first g points.  Otherwise the prefix gets a fresh
+    analysis.
+    """
+    prefix = GuardSet(full.guards[:g])
+    parent = full._analysis
+    if (parent is None or parent.region is not region
+            or any(len(rec[3]) != 2 for rec in parent.lines) or len(parent.crossings()[0])):
+        analysis = _Analysis(region, prefix)
+    else:
+        ids = {}
+        lines = []
+        for line_id, rec in enumerate(parent.lines):
+            if rec[3][0][1] < g and rec[3][1][1] < g:
+                ids[line_id] = len(lines)
+                lines.append(rec)
+        analysis = _Analysis.__new__(_Analysis)
+        analysis.region = region
+        analysis.guards = prefix.guards
+        analysis.frame = parent.frame.prefix(g)
+        analysis.halfplanes = parent.halfplanes
+        analysis.lines = lines
+        analysis.pieces = [p[:8] + (ids[p[8]],) for p in parent.pieces if p[8] in ids]
+        analysis._crossings = parent.crossings()
+        analysis._darkest = None
+    object.__setattr__(prefix, "_analysis", analysis)
+    return prefix
 
 
 def max_darkness(region: Region, guards) -> DarknessWitness:

@@ -71,6 +71,11 @@ class Point2:
     def __setattr__(self, name, value):
         raise AttributeError("Point2 is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which
+        # __setattr__ would refuse to restore slot by slot
+        return (Point2, (self.x, self.y))
+
     def __eq__(self, other):
         if not isinstance(other, Point2):
             return NotImplemented
@@ -188,6 +193,9 @@ class Line:
     def __setattr__(self, name, value):
         raise AttributeError("Line is immutable")
 
+    def __reduce__(self):
+        return (Line, (self.a, self.b, self.c))
+
     @classmethod
     def through(cls, p: Point2, q: Point2) -> "Line":
         if p == q:
@@ -243,6 +251,9 @@ class Halfplane:
 
     def __setattr__(self, name, value):
         raise AttributeError("Halfplane is immutable")
+
+    def __reduce__(self):
+        return (Halfplane, (self.line,))
 
     @classmethod
     def left_of(cls, p: Point2, q: Point2) -> "Halfplane":
@@ -459,6 +470,9 @@ class _Polygon(_Region):
     def __len__(self):
         return len(self.vertices)
 
+    def __reduce__(self):
+        return (type(self), (self.vertices,))
+
     def __repr__(self):
         return "%s(%d vertices)" % (type(self).__name__, len(self.vertices))
 
@@ -540,6 +554,9 @@ class Wedge(_Region):
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "dir1", dir1)
         object.__setattr__(self, "dir2", dir2)
+
+    def __reduce__(self):
+        return (Wedge, (self.apex, self.dir1, self.dir2))
 
     def __repr__(self):
         return "Wedge(apex=%r)" % (self.apex,)
@@ -677,10 +694,21 @@ class _Frame:
         self.scale, self.ints = _integers(pts, base)
         f = self.scale // base
         self.walls = [(x * f, y * f) for x, y in walls]
+        self._set_unit()
+
+    def _set_unit(self):
         # the largest coordinate lies in (2^(bits-1), 2^(bits+1))
         top = max((max(abs(x), abs(y)) for x, y in self.walls + self.ints), default=0)
         bits = top.bit_length() - self.scale.bit_length()
         self.unit = self.scale << (bits - 1) if bits > _FLOAT_BITS else self.scale
+
+    def prefix(self, g: int) -> "_Frame":
+        """The frame of the same region and the first g points, at this
+        frame's scale (a multiple of the scale theirs alone would take)."""
+        frame = object.__new__(_Frame)
+        frame.scale, frame.walls, frame.ints = self.scale, self.walls, self.ints[:g]
+        frame._set_unit()
+        return frame
 
     def sample(self, p: Point2):
         return _homogeneous(p, self.scale)

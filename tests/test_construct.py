@@ -30,7 +30,12 @@ from darkgallery.construct import (
     plan,
     zigzag,
 )
+from darkgallery import darkness
 from darkgallery.darkness import (
+    BoundaryCensus,
+    GuardSet,
+    boundary_census,
+    darkness_at,
     find_collinear_triple,
     find_concurrent_dark_rays,
     has_j_dark,
@@ -50,8 +55,8 @@ from darkgallery.simple import comb_cover, fisk_cover, make_comb
 
 import oracles
 from oracles import lerp, strictly_between
-from conftest import random_affine_map, random_convex_polygon
-from test_darkness import concurrent_star
+from conftest import distinct_interior_points, random_affine_map, random_convex_polygon
+from test_darkness import concurrent_star, witness_facts
 
 TRIANGLE = ConvexPolygon([Point2(0, 0), Point2(8, 0), Point2(4, 8)])
 SQUARE = ConvexPolygon([Point2(0, 0), Point2(8, 0), Point2(8, 8), Point2(0, 8)])
@@ -640,6 +645,119 @@ def test_one_fewer_guard_breaks_depth_k():
         sub = [g for i, g in enumerate(big.guards) if i != drop]
         found, _ = has_j_dark(TRIANGLE, sub, 2)
         assert found
+
+
+# --- certify once: the prefix's analysis comes from the 4n-2 certificate ------
+
+ONE_EXTRA_POLYGONS = {
+    "triangle": TRIANGLE,
+    "square": SQUARE,
+    "6-gon": random_convex_polygon(random.Random(6), 6),
+    "8-gon": random_convex_polygon(random.Random(8), 8),
+}
+
+
+def _lines_at(analysis, f):
+    """The analysis's lines in a frame f times as fine."""
+    return [(ux, uy, c * f, [(t * f, i) for t, i in members])
+            for ux, uy, c, members in analysis.lines]
+
+
+def _pieces_at(analysis, f):
+    """The analysis's pieces in a frame f times as fine, each far end as
+    its value: a clip of the same line in another frame gives another
+    (hin, hid) for it."""
+    return [(ax * f, ay * f, dx, dy, None if hin is None else Fraction(hin, hid) * f, *rest)
+            for ax, ay, dx, dy, hin, hid, *rest in analysis.pieces]
+
+
+def _census_fields(census):
+    return {name: getattr(census, name) for name in BoundaryCensus.__slots__}
+
+
+def _same_certificates(P, derived_gs, fresh_gs):
+    cert, want = min_depth(P, derived_gs), min_depth(P, fresh_gs)
+    assert (cert.min_depth, witness_facts(cert.witness)) == (want.min_depth,
+                                                             witness_facts(want.witness))
+    for j in (2, 3):
+        got, exp = has_j_dark(P, derived_gs, j), has_j_dark(P, fresh_gs, j)
+        assert (got[0], witness_facts(got[1])) == (exp[0], witness_facts(exp[1]))
+    at = want.witness.point
+    assert (witness_facts(darkness_at(P, derived_gs, at))
+            == witness_facts(darkness_at(P, fresh_gs, at)))
+    assert _census_fields(boundary_census(P, derived_gs)) == _census_fields(
+        boundary_census(P, fresh_gs))
+
+
+def _prefix_builds(monkeypatch, region, full, g):
+    """(prefix, number of analyses built for it)."""
+    builds = []
+    build = darkness._Analysis.__init__
+    with monkeypatch.context() as m:
+        m.setattr(darkness._Analysis, "__init__",
+                  lambda self, *args: builds.append(1) or build(self, *args))
+        prefix = darkness._prefix(region, full, g)
+    return prefix, len(builds)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_EXTRA_POLYGONS))
+def test_a_derived_prefix_analysis_is_a_fresh_one(name, monkeypatch):
+    # every one-extra k: the analysis derived from the 4n-2 certificate
+    # answers every query as one built from scratch on the prefix, with
+    # lines and pieces equal up to the frame's scale
+    P = ONE_EXTRA_POLYGONS[name]
+    n = len(P.vertices)
+    full, _ = place_4n_minus_2(P)
+    parent = full._analysis
+    assert parent is not None and parent.region is P
+    for k in range(n + 1, 4 * n - 2):
+        g = plan(n, k).g
+        prefix, builds = _prefix_builds(monkeypatch, P, full, g)
+        assert builds == 0
+        assert list(prefix.guards) == list(full.guards[:g])
+        derived = prefix._analysis
+        assert derived.frame.scale == parent.frame.scale
+        assert derived.frame.ints == parent.frame.ints[:g]
+        assert derived.frame.walls == parent.frame.walls
+        assert derived.crossings() is parent.crossings()
+        kept = [rec for rec in parent.lines if all(i < g for _, i in rec[3])]
+        assert derived.lines == kept
+        kept_ids = [line_id for line_id, rec in enumerate(parent.lines) if rec in kept]
+        assert [p[:8] for p in derived.pieces] == [p[:8] for p in parent.pieces
+                                                    if p[8] in kept_ids]
+        assert [p[8] for p in derived.pieces] == [kept_ids.index(p[8]) for p in parent.pieces
+                                                    if p[8] in kept_ids]
+
+        fresh_gs = GuardSet(prefix.guards)
+        fresh = darkness._analysis(P, fresh_gs)
+        f, rem = divmod(derived.frame.scale, fresh.frame.scale)
+        assert rem == 0
+        assert derived.lines == _lines_at(fresh, f)
+        assert _pieces_at(derived, 1) == _pieces_at(fresh, f)
+        assert len(derived.crossings()[0]) == len(fresh.crossings()[0]) == 0
+        assert [c.dtype for c in derived.crossings()] == [c.dtype for c in fresh.crossings()]
+        assert derived.frame.point(derived.darkest()) == fresh.frame.point(fresh.darkest())
+        _same_certificates(P, prefix, fresh_gs)
+
+
+def test_an_uncertified_parent_gives_its_prefix_a_fresh_analysis(monkeypatch):
+    # three collinear guards: a line of 3 members, max darkness 2
+    collinear = GuardSet([Point2(1, 1), Point2(2, 2), Point2(3, 3), Point2(6, 1),
+                          Point2(1, 6), Point2(7, 5)])
+    assert max_darkness(SQUARE, collinear).darkness >= 2
+    # lines of 2 members only, but rays that cross: max darkness 2 again
+    crossing = GuardSet(distinct_interior_points(random.Random(5), SQUARE, 7))
+    assert all(len(rec[3]) == 2 for rec in darkness._analysis(SQUARE, crossing).lines)
+    assert len(crossing._analysis.crossings()[0])
+    # no analysis yet, and an analysis of another region
+    unread = GuardSet(list(construct(SQUARE, 13)))
+    elsewhere = GuardSet(list(construct(SQUARE, 13)))
+    max_darkness(ConvexPolygon(SQUARE.vertices), elsewhere)
+    for full, g in ((collinear, 5), (crossing, 6), (unread, 10), (elsewhere, 10)):
+        prefix, builds = _prefix_builds(monkeypatch, SQUARE, full, g)
+        assert builds == 1
+        assert prefix._analysis is not None and prefix._analysis.region is SQUARE
+        _same_certificates(SQUARE, prefix, GuardSet(prefix.guards))
 
 
 # --- wedges ------------------------------------------------------------------------

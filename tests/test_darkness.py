@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from darkgallery import cli, darkness, sampling
-from darkgallery.construct import place_4n_minus_2, place_general_position
+from darkgallery.construct import construct, place_4n_minus_2, place_general_position
 from darkgallery.darkness import (
     GuardSet,
     boundary_census,
@@ -831,7 +831,9 @@ def test_frame_scales_the_scene_as_the_oracle(scene):
 def test_pieces_come_from_one_clip_per_line(scene, monkeypatch):
     # the former loop clipped every dark portion on its own; the analysis
     # clips each guard line once, from its first member, and cuts the same
-    # pieces, in the same order, from that one clip
+    # pieces, in the same order, from that one clip.  The clips of all lines
+    # come from one float pass (_clip_lines): _clip itself runs only on the
+    # lines that pass leaves open, each at most once, in line order
     region, guards = frame_scene(scene)
     calls = []
 
@@ -843,9 +845,107 @@ def test_pieces_come_from_one_clip_per_line(scene, monkeypatch):
     analysis = darkness._Analysis(region, GuardSet(guards))
     assert analysis.pieces == oracles.pieces_oracle(analysis)
     ints = analysis.frame.ints
-    assert calls == [(*ints[members[0][1]], 1, ux, uy) for ux, uy, _, members in analysis.lines]
+    lines = iter([(*ints[members[0][1]], 1, ux, uy) for ux, uy, _, members in analysis.lines])
+    assert all(call in lines for call in calls)
     if scene == "plane":
         assert sum(p[4] is None for p in analysis.pieces) == 2 * len(analysis.lines)
+
+
+# --- one float clip pass for every guard line -------------------------------
+
+
+def _clip_loop(starts, dirs, halfplanes):
+    return [_clip(x, y, 1, dx, dy, halfplanes) for (x, y), (dx, dy) in zip(starts, dirs)]
+
+
+def _clip_pass(monkeypatch, starts, dirs, halfplanes):
+    """(ends, fallbacks): _clip_lines' ends, checked against a loop of
+    _clip, and the indices of the lines it sent to _clip itself."""
+    lines = list(zip(starts, dirs))
+    fallbacks = []
+
+    def spy(X, Y, W, dx, dy, hps):
+        fallbacks.append(lines.index(((X, Y), (dx, dy))))
+        return _clip(X, Y, W, dx, dy, hps)
+
+    with monkeypatch.context() as m:
+        m.setattr(darkness, "_clip", spy)
+        ends = darkness._clip_lines(starts, dirs, halfplanes)
+    assert ends == _clip_loop(starts, dirs, halfplanes)
+    return ends, fallbacks
+
+
+@pytest.mark.parametrize("scene", FRAME_SCENES)
+def test_clip_lines_is_a_loop_of_clip(scene, monkeypatch):
+    # every end tuple as _clip gives it, the halfplane that sets it included
+    region, guards = frame_scene(scene)
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    ints = analysis.frame.ints
+    starts = [ints[members[0][1]] for _, _, _, members in analysis.lines]
+    dirs = [(ux, uy) for ux, uy, _, _ in analysis.lines]
+    _, fallbacks = _clip_pass(monkeypatch, starts, dirs, analysis.halfplanes)
+    if scene == "past-2^1100":
+        # no float survives: every line is clipped exactly
+        assert fallbacks == list(range(len(starts)))
+    elif scene == "plane":
+        assert not analysis.halfplanes and not fallbacks
+    else:
+        assert len(fallbacks) < len(starts)
+
+
+def test_clip_lines_sends_ties_to_clip(monkeypatch):
+    # through a vertex two halfplanes set one end; along an edge and
+    # parallel to one, a rate is exactly 0 and settles nothing
+    square = ConvexPolygon([Point2(0, 0), Point2(12, 0), Point2(12, 12), Point2(0, 12)])
+    hps = _halfplanes(square, _Frame(square, []).walls)
+    starts = [(6, 6), (6, 6), (0, 6), (12, 6), (3, 5), (6, 6)]
+    dirs = [(1, 1), (1, 0), (0, 1), (0, -1), (2, 7), (-1, 1)]
+    ends, fallbacks = _clip_pass(monkeypatch, starts, dirs, hps)
+    assert fallbacks == [0, 5]
+    # t in [-6, 6] from the left and right edges, as unreduced (r, rate)
+    assert ends[1] == ((-72, 12, 3), (72, 12, 1))
+
+
+def test_clip_lines_sends_unsure_signs_to_clip(monkeypatch):
+    # at 2**60 a rate of 0 from two large terms is no longer certain in
+    # floats: the line parallel to the hypotenuse goes to _clip, the
+    # others keep their single candidates
+    L = 2 ** 60
+    tri = ConvexPolygon([Point2(0, 0), Point2(L, 0), Point2(L, L)])
+    hps = _halfplanes(tri, _Frame(tri, []).walls)
+    start = (3 * L // 4, L // 4)
+    starts = [start] * 3
+    dirs = [(1, 1), (1, 5), (2, -1)]
+    _, fallbacks = _clip_pass(monkeypatch, starts, dirs, hps)
+    assert fallbacks == [0]
+
+
+def test_clip_lines_sends_overflow_to_clip(monkeypatch):
+    L = 2 ** 1030
+    square = ConvexPolygon([Point2(0, 0), Point2(L, 0), Point2(L, L), Point2(0, L)])
+    hps = _halfplanes(square, _Frame(square, []).walls)
+    starts = [(L // 2, L // 3), (1, 1)]
+    dirs = [(1, 2), (3, 1)]
+    _, fallbacks = _clip_pass(monkeypatch, starts, dirs, hps)
+    assert fallbacks == [0, 1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_clip_lines_through_vertices_and_lattice_points(seed, monkeypatch):
+    # lines between lattice points of a random polygon and its vertices
+    # pass through vertices and run along edges often
+    rng = random.Random(seed)
+    P = random_convex_polygon(rng, rng.choice((3, 5, 8)), size=24)
+    hps = _halfplanes(P, P.ints)
+    inside = [(x, y) for x in range(25) for y in range(25)
+              if P.where(Point2(x, y)) != "exterior"]
+    starts, dirs = [], []
+    for _ in range(200):
+        (x, y), (u, v) = rng.sample(inside, 2)
+        starts.append((x, y))
+        dirs.append((u - x, v - y))
+    _clip_pass(monkeypatch, starts, dirs, hps)
+    _clip_pass(monkeypatch, [], [], hps)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -1150,6 +1250,11 @@ def test_certificates_build_few_exact_values(monkeypatch, scene, want):
 # --- one analysis per guard set ---------------------------------------------
 
 
+# what an analysis holds, built or derived
+ANALYSIS_FIELDS = {"region", "guards", "frame", "halfplanes", "lines", "pieces", "_crossings",
+                   "_darkest"}
+
+
 @pytest.fixture
 def count_scans(monkeypatch):
     """Call to start counting _Analysis builds and _pair_scan calls, the
@@ -1192,8 +1297,7 @@ def test_certificates_scan_once_and_keep_only_totals(count_scans):
     assert min_depth(region, gs).max_darkness == 5
     assert has_j_dark(region, gs, 2)[0] and has_j_dark(region, gs, 3)[0]
     assert scan_counts == {"builds": 1, "scans": 1}
-    assert set(gs._analysis.__dict__) == {"region", "guards", "frame", "halfplanes", "lines",
-                                          "pieces", "_crossings", "_darkest"}
+    assert set(gs._analysis.__dict__) == ANALYSIS_FIELDS
     assert gs._analysis.crossings()[4].dtype == np.int64
     assert all(type(total) is int for total in oracles.crossing_totals(gs._analysis).values())
 
@@ -1230,24 +1334,52 @@ def test_exact_verify_scans_once_for_every_j(count_scans, tmp_path, capsys):
     assert scan_counts == {"builds": 1, "scans": 1}
 
 
-def test_one_extra_construct_certifies_its_prefix_once(count_scans, monkeypatch, tmp_path, capsys):
-    # every max_darkness call construct.py makes is a scaffold attempt or
-    # construct's check of the prefix; the CLI's min_depth and has_j_dark
-    # then read the prefix's analysis
-    region, _ = placement_4n_minus_2()
-    path = str(tmp_path / "region.json")
-    with open(path, "w") as fh:
-        json.dump(region_to_dict(region), fh)
+def _count_attempts(monkeypatch):
+    """Count the max_darkness calls construct.py makes: one per scaffold
+    attempt, then construct's check of the prefix."""
     calls = []
     construct_module = importlib.import_module("darkgallery.construct")
     certify = construct_module.max_darkness
     monkeypatch.setattr(construct_module, "max_darkness",
                         lambda region, guards: calls.append(1) or certify(region, guards))
+    return calls
+
+
+def test_one_extra_construct_certifies_its_prefix_once(count_scans, monkeypatch, tmp_path, capsys):
+    # only the scaffold attempts build and scan an analysis: the prefix's
+    # is derived from the accepted attempt's, and construct's check, the
+    # CLI's min_depth and has_j_dark read it
+    region, _ = placement_4n_minus_2()
+    path = str(tmp_path / "region.json")
+    with open(path, "w") as fh:
+        json.dump(region_to_dict(region), fh)
+    calls = _count_attempts(monkeypatch)
     scan_counts = count_scans()
-    assert cli.main(["construct", "--shape", path, "--k", "7", "--format", "json"]) == 0
-    assert "placement" in capsys.readouterr().out
-    assert len(calls) >= 2
-    assert scan_counts["builds"] == len(calls)
+    out = str(tmp_path / "out.json")
+    argv = ["construct", "--shape", path, "--k", "7", "--out", out, "--format", "json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    with open(out) as fh:
+        assert "placement" in fh.read()
+    attempts = len(calls) - 1
+    assert attempts >= 1
+    assert scan_counts == {"builds": attempts, "scans": attempts}
+
+
+def test_library_construct_scans_once_per_attempt(count_scans, monkeypatch):
+    region, _ = placement_4n_minus_2()
+    calls = _count_attempts(monkeypatch)
+    scan_counts = count_scans()
+    gs = construct(region, 7)
+    attempts = len(calls) - 1
+    assert len(gs) == 8 and attempts >= 1
+    assert scan_counts == {"builds": attempts, "scans": attempts}
+    assert min_depth(region, gs).min_depth >= 7
+    assert has_j_dark(region, gs, 2) == (False, None)
+    assert scan_counts == {"builds": attempts, "scans": attempts}
+    # the derived analysis holds what a built one holds, and no more
+    assert set(gs._analysis.__dict__) == ANALYSIS_FIELDS
+    assert gs._analysis.crossings()[4].dtype == np.int64
 
 
 def test_a_guard_set_follows_the_region_it_is_asked_about():

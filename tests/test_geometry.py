@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -31,6 +33,7 @@ from darkgallery.geometry import (
     orientation,
 )
 from darkgallery.construct import place_4n_minus_2
+from darkgallery.darkness import GuardSet, max_darkness
 from darkgallery.fixtures import triangle_region, wedge_region
 from darkgallery.simple import make_comb
 
@@ -605,3 +608,65 @@ def test_sorted_exact_is_the_stable_ratio_sort(factor, seed):
     assert len({Fraction(*i) for i in items}) < len(set(items))  # ties in other forms
     floats = {_nearest(*i) for i in items}
     assert ({inf, -inf} <= floats) == (factor == 2 ** 1100)
+
+
+# --- copies and pickles -------------------------------------------------------
+
+def _fields(value):
+    """What a value type holds: the constructor's arguments and, for the
+    polygons, the integer form they validate."""
+    if isinstance(value, Point2):
+        return (value.x, value.y)
+    if isinstance(value, Line):
+        return (value.a, value.b, value.c)
+    if isinstance(value, Halfplane):
+        return _fields(value.line)
+    if isinstance(value, Wedge):
+        return tuple(_fields(p) for p in (value.apex, value.dir1, value.dir2))
+    if isinstance(value, GuardSet):
+        return value.guards
+    return (type(value), tuple(value.vertices), value.scale, tuple(value.ints))
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+VALUES = {
+    "point": Point2(Fraction(-3, 7), 5),
+    "line": Line.through(Point2(1, Fraction(1, 3)), Point2(4, -2)),
+    "halfplane": Halfplane.left_of(Point2(0, 0), Point2(Fraction(5, 2), 1)),
+    "convex": ConvexPolygon([Point2(0, 0), Point2(Fraction(9, 2), 0), Point2(2, 7)]),
+    # given clockwise, stored ccw: the copy keeps the stored order
+    "wedge": Wedge(Point2(1, 1), Point2(-1, 3), Point2(2, Fraction(1, 5))),
+    "simple": make_comb(3).polygon,
+}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_types_copy_and_pickle(name, how):
+    value = VALUES[name]
+    twin = COPIES[how](value)
+    assert type(twin) is type(value)
+    assert _fields(twin) == _fields(value)
+    assert hash(_fields(twin)) == hash(_fields(value))
+    if name == "point":
+        assert twin == value and hash(twin) == hash(value)
+    with pytest.raises(AttributeError, match="immutable"):
+        twin.x = 1
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_guard_set_copies_without_its_analysis(how):
+    region = triangle_region()
+    gs = GuardSet([Point2(1, 1), Point2(2, 1), Point2(Fraction(5, 2), 2), Point2(3, 1)])
+    max_darkness(region, gs)
+    assert gs._analysis is not None
+    twin = COPIES[how](gs)
+    assert twin.guards == gs.guards
+    assert hash(twin.guards) == hash(gs.guards)
+    assert twin._analysis is None
+    assert max_darkness(region, twin).darkness == max_darkness(region, gs).darkness
+    assert twin._analysis is not gs._analysis
