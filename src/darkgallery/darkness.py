@@ -76,6 +76,7 @@ from .geometry import (
     Wedge,
     _clip,
     _Frame,
+    _Frozen,
     _halfplanes,
     _integers,
     _nearest,
@@ -87,9 +88,10 @@ from .geometry import (
 Region = Union[ConvexPolygon, Wedge]
 
 
-class GuardSet:
+class GuardSet(_Frozen):
     """Ordered collection of pairwise-distinct guard positions, immutable
-    to callers; one analysis (_analysis) serves every query on it."""
+    to callers; one analysis (_analysis) serves every query on it, and a
+    copy starts without it."""
 
     __slots__ = ("guards", "_analysis")
 
@@ -104,13 +106,6 @@ class GuardSet:
             raise ValueError("guards cannot be co-located")
         object.__setattr__(self, "guards", tuple(gs))
         object.__setattr__(self, "_analysis", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GuardSet is immutable")
-
-    def __reduce__(self):
-        # a copy starts without the analysis: it would share it otherwise
-        return (GuardSet, (self.guards,))
 
     def __len__(self):
         return len(self.guards)
@@ -1101,15 +1096,6 @@ def has_j_dark(region: Region, guards, j: int):
 
 # ---------------------------------------------------------------------------
 # general-position diagnostics
-
-
-def find_collinear_triple(guards):
-    """Indices of three collinear guards, or None."""
-    gset = GuardSet.coerce(guards)
-    for _, _, _, members in _group_collinear(_integers(gset.guards)[1]):
-        if len(members) >= 3:
-            return tuple(i for _, i in members[:3])
-    return None
 
 
 def find_concurrent_dark_rays(guards):

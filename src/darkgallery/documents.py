@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Union
 
 from .darkness import GuardSet
-from .geometry import ConvexPolygon, Point2, SimplePolygon, Wedge
+from .geometry import ConvexPolygon, Point2, SimplePolygon, Wedge, _Frozen
 
 Region = Union[ConvexPolygon, Wedge, SimplePolygon]
 
@@ -161,14 +161,11 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-class _Document:
+class _Document(_Frozen):
     """An immutable document with a canonical JSON text: subclasses give
     to_dict and from_dict, and compare and hash by them."""
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -263,7 +260,7 @@ class PlacementDocument(_Document):
         return cls(region, guards, meta.get("name", ""), params, meta.get("seed"))
 
 
-class JDarkResult:
+class JDarkResult(_Frozen):
     """Outcome of one has-a-j-dark-point query inside a certificate."""
 
     __slots__ = ("j", "found", "witness")
@@ -273,29 +270,33 @@ class JDarkResult:
         object.__setattr__(self, "found", _typed(found, bool, "found"))
         object.__setattr__(self, "witness", witness)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("JDarkResult is immutable")
-
     def __repr__(self):
         return "JDarkResult(j=%d, found=%r)" % (self.j, self.found)
 
 
 def sampler_to_json(spec) -> Optional[dict]:
     """The sampler tuples of the sampling module, as JSON objects.  A
-    resolution, seed or count that is not an int is a DocumentError
-    naming it, as in sampler_from_json."""
+    spec of another kind or length than the sampler takes is a
+    DocumentError naming it, and so is a resolution, seed or count that
+    is not an int, as in sampler_from_json."""
     if spec is None:
         return None
+    shape = (spec[0], len(spec)) if isinstance(spec, (list, tuple)) and spec else None
+    if shape not in (("grid", 2), ("random", 3), ("points", 2)):
+        raise DocumentError("sampler spec %r is not ('grid', resolution), "
+                            "('random', seed, count) or ('points', points)" % (spec,))
     kind = spec[0]
     if kind == "grid":
         return {"kind": "grid", "resolution": _typed(spec[1], int, "resolution")}
     if kind == "random":
         return {"kind": "random", "seed": _typed(spec[1], int, "seed"),
                 "count": _typed(spec[2], int, "count")}
-    if kind == "points":
-        pts = [p if isinstance(p, Point2) else Point2(p[0], p[1]) for p in spec[1]]
-        return {"kind": "points", "points": [point_to_json(p) for p in pts]}
-    raise DocumentError("unknown sampler spec %r" % (spec,))
+    try:
+        pts = [p if isinstance(p, Point2) else Point2(*p) for p in spec[1]]
+    except (TypeError, ValueError):
+        raise DocumentError("sampler points must be Point2s or (x, y) pairs, got %r"
+                            % (spec[1],)) from None
+    return {"kind": "points", "points": [point_to_json(p) for p in pts]}
 
 
 def sampler_from_json(d):

@@ -21,6 +21,8 @@ as the frame's integer halfplanes (``_halfplanes``) and clip lines with
 ``_clip``; Fractions come back only in the points and values they report.
 Floats are rejected at construction time: if you need to import measured
 data, convert it to rationals yourself and own the rounding.
+Every immutable value type of the package subclasses ``_Frozen``, which
+refuses assignment and deletion and copies and pickles by slot.
 """
 
 from __future__ import annotations
@@ -59,7 +61,38 @@ def as_int(value, name: str) -> int:
     return value
 
 
-class Point2:
+def _thaw(cls, state):
+    """The instance of cls whose slots hold state's (name, value) pairs:
+    what copy and pickle rebuild a _Frozen value with."""
+    obj = cls.__new__(cls)
+    for name, value in state:
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class _Frozen:
+    """An immutable value: assignment and deletion raise AttributeError.
+    Constructors write their slots with object.__setattr__.  copy and
+    pickle restore the slots of every class along the MRO (no
+    constructor reruns), except that a private slot is a cache and comes
+    back as None."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        state = tuple(
+            (name, None if name.startswith("_") else getattr(self, name))
+            for cls in type(self).__mro__ for name in cls.__dict__.get("__slots__", ()))
+        return (_thaw, (type(self), state))
+
+
+class Point2(_Frozen):
     """Immutable exact point (also used as a 2-vector)."""
 
     __slots__ = ("x", "y")
@@ -68,24 +101,10 @@ class Point2:
         object.__setattr__(self, "x", as_rat(x))
         object.__setattr__(self, "y", as_rat(y))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Point2 is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, which
-        # __setattr__ would refuse to restore slot by slot
-        return (Point2, (self.x, self.y))
-
     def __eq__(self, other):
         if not isinstance(other, Point2):
             return NotImplemented
         return self.x == other.x and self.y == other.y
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __hash__(self):
         return hash((self.x, self.y))
@@ -173,7 +192,7 @@ PARALLEL = _LineRelation("PARALLEL")
 COINCIDENT = _LineRelation("COINCIDENT")
 
 
-class Line:
+class Line(_Frozen):
     """Oriented line a*x + b*y = c through two distinct points.
 
     The positive side (side() == +1) is the left side when walking from
@@ -189,12 +208,6 @@ class Line:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Line is immutable")
-
-    def __reduce__(self):
-        return (Line, (self.a, self.b, self.c))
 
     @classmethod
     def through(cls, p: Point2, q: Point2) -> "Line":
@@ -238,7 +251,7 @@ def line_intersection(l1: Line, l2: Line):
     return Point2(x, y)
 
 
-class Halfplane:
+class Halfplane(_Frozen):
     """Closed halfplane: the set of points p with line.eval(p) >= 0.
 
     Built from an oriented line; keeps the left side of p -> q.
@@ -248,12 +261,6 @@ class Halfplane:
 
     def __init__(self, line: Line):
         object.__setattr__(self, "line", line)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Halfplane is immutable")
-
-    def __reduce__(self):
-        return (Halfplane, (self.line,))
 
     @classmethod
     def left_of(cls, p: Point2, q: Point2) -> "Halfplane":
@@ -438,14 +445,11 @@ def centroid(points: Sequence[Point2]) -> Point2:
     return Point2(sx / n, sy / n)
 
 
-class _Region:
+class _Region(_Frozen):
     """A closed region that says where a point lies: 'interior',
     'boundary' or 'exterior'."""
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def contains(self, p: Point2, closed: bool = True) -> bool:
         w = self.where(p)
@@ -469,9 +473,6 @@ class _Polygon(_Region):
 
     def __len__(self):
         return len(self.vertices)
-
-    def __reduce__(self):
-        return (type(self), (self.vertices,))
 
     def __repr__(self):
         return "%s(%d vertices)" % (type(self).__name__, len(self.vertices))
@@ -554,9 +555,6 @@ class Wedge(_Region):
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "dir1", dir1)
         object.__setattr__(self, "dir2", dir2)
-
-    def __reduce__(self):
-        return (Wedge, (self.apex, self.dir1, self.dir2))
 
     def __repr__(self):
         return "Wedge(apex=%r)" % (self.apex,)

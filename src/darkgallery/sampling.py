@@ -81,6 +81,7 @@ from .geometry import (
     Point2,
     SimplePolygon,
     _Frame,
+    _Frozen,
     _hull_corners,
     _locate,
     _nearest,
@@ -394,7 +395,7 @@ def depth_at_sample(P: AnyPolygon, guards, p: Point2) -> int:
     return sum(1 for q in frame.ints if _sees(frame.walls, frame.ints, q, s))
 
 
-class SampleReport:
+class SampleReport(_Frozen):
     """Outcome of a sampled depth scan.
 
     samples: list of (point, depth) in scan order, duplicates removed;
@@ -417,9 +418,6 @@ class SampleReport:
         if target is not None:
             failing = [p for p, depth in samples if depth < target]
         object.__setattr__(self, "failing_samples", failing)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SampleReport is immutable")
 
     def __repr__(self):
         return "SampleReport(%d samples, min depth %d)" % (

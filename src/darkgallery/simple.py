@@ -38,6 +38,7 @@ from .geometry import (
     SimplePolygon,
     Wedge,
     _Frame,
+    _Frozen,
     _homogeneous,
     _orient,
     as_int,
@@ -50,7 +51,7 @@ MOUTH_LEVEL = Fraction(2)  # corridor ceiling: spike mouths sit on this line
 TIP_LEVEL = Fraction(10)   # spike tips: 4x the corridor height above the mouths
 
 
-class Comb:
+class Comb(_Frozen):
     """A comb polygon: spike_count spikes over a convex corridor.
 
     spike_apertures holds one (x_left, x_right) interval per spike: the
@@ -67,9 +68,6 @@ class Comb:
         object.__setattr__(self, "spike_count", spike_count)
         object.__setattr__(self, "polygon", polygon)
         object.__setattr__(self, "spike_apertures", tuple(spike_apertures))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Comb is immutable")
 
     def __repr__(self):
         return "Comb(%d spikes, %d vertices)" % (
@@ -304,7 +302,7 @@ def three_color(P: SimplePolygon, diagonals: Sequence[Tuple[int, int]]) -> Dict[
     return colors
 
 
-class FiskPlan:
+class FiskPlan(_Frozen):
     """Everything the coloring cover decides before placing guards.
 
     triangulation: the diagonals; coloring: vertex index -> color;
@@ -321,9 +319,6 @@ class FiskPlan:
         object.__setattr__(self, "coloring", dict(coloring))
         object.__setattr__(self, "chosen_class", tuple(chosen_class))
         object.__setattr__(self, "cones", dict(cones))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiskPlan is immutable")
 
     def __repr__(self):
         return "FiskPlan(%d chosen of %d vertices)" % (

@@ -12,10 +12,12 @@ checks is the order in which has_j_dark reads the shared candidates;
 crossings_oracle walks them too, keeping the piece set of every crossing
 where the library keeps only a total; and pieces_oracle cuts the
 library's lines and integer halfplanes with one clip per piece, so that
-what it checks is the one clip per line.  Two more call library code
+what it checks is the one clip per line.  Three more call library code
 that they do not check: boundary_census_oracle asks the library's
-has_j_dark for its 2-dark reason, and fisk_plan_oracle colours with the
-library's three_color, which reads indices only.
+has_j_dark for its 2-dark reason, fisk_plan_oracle colours with the
+library's three_color, which reads indices only, and
+find_collinear_triple, a diagnostic the package no longer exports,
+reads the library's collinear groups.
 The point helpers (collinear, strictly_between, on_segment, midpoint,
 lerp), the line clipper and convex-polygon membership and validation,
 the simple-polygon predicates (membership, validation, segment-inside,
@@ -56,6 +58,7 @@ from darkgallery.darkness import (
     _Analysis,
     _confirm,
     _crossing_key,
+    _group_collinear,
     _guard_lines,
     _pair_hits,
     _point_key,
@@ -72,6 +75,7 @@ from darkgallery.geometry import (
     SimplePolygon,
     Wedge,
     _forward_step,
+    _integers,
     as_rat,
     centroid,
     convex_hull,
@@ -1431,6 +1435,15 @@ def place_4n_minus_2_attempts_oracle(P: ConvexPolygon):
 
 def all_points_distinct(points: Sequence[Point2]) -> bool:
     return len(set(points)) == len(points)
+
+
+def find_collinear_triple(guards):
+    """Indices of three collinear guards, or None."""
+    gset = GuardSet.coerce(guards)
+    for _, _, _, members in _group_collinear(_integers(gset.guards)[1]):
+        if len(members) >= 3:
+            return tuple(i for _, i in members[:3])
+    return None
 
 
 def has_collinear_triple(points: Sequence[Point2]) -> bool:

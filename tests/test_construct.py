@@ -36,7 +36,6 @@ from darkgallery.darkness import (
     GuardSet,
     boundary_census,
     darkness_at,
-    find_collinear_triple,
     find_concurrent_dark_rays,
     has_j_dark,
     max_darkness,
@@ -54,7 +53,7 @@ from darkgallery.sampling import sample_depth
 from darkgallery.simple import comb_cover, fisk_cover, make_comb
 
 import oracles
-from oracles import lerp, strictly_between
+from oracles import find_collinear_triple, lerp, strictly_between
 from conftest import distinct_interior_points, random_affine_map, random_convex_polygon
 from test_darkness import concurrent_star, witness_facts
 

@@ -28,7 +28,6 @@ from darkgallery.darkness import (
     collinear_groups,
     dark_portions,
     darkness_at,
-    find_collinear_triple,
     find_concurrent_dark_rays,
     has_j_dark,
     max_darkness,
@@ -53,6 +52,7 @@ from darkgallery.sampling import sample_depth
 from darkgallery.simple import comb_cover, make_comb
 
 import oracles
+from oracles import find_collinear_triple
 from conftest import (
     distinct_interior_points,
     random_affine_map,

@@ -25,6 +25,7 @@ from darkgallery.geometry import (
     Point2,
     SimplePolygon,
     Wedge,
+    _Frozen,
     _nearest,
     _sorted_exact,
     convex_hull,
@@ -34,8 +35,10 @@ from darkgallery.geometry import (
 )
 from darkgallery.construct import place_4n_minus_2
 from darkgallery.darkness import GuardSet, max_darkness
+from darkgallery.documents import CertificateDocument, JDarkResult, PlacementDocument
 from darkgallery.fixtures import triangle_region, wedge_region
-from darkgallery.simple import make_comb
+from darkgallery.sampling import sample_depth
+from darkgallery.simple import fisk_plan, make_comb
 
 from conftest import random_convex_polygon, random_star_polygon
 from oracles import (
@@ -670,3 +673,64 @@ def test_a_guard_set_copies_without_its_analysis(how):
     assert twin._analysis is None
     assert max_darkness(region, twin).darkness == max_darkness(region, gs).darkness
     assert twin._analysis is not gs._analysis
+
+
+def _slots(value):
+    """What a frozen value holds, read down through its public slots,
+    sequences and dicts to values that compare by equality."""
+    if isinstance(value, _Frozen):
+        return (type(value),) + tuple(
+            (name, _slots(getattr(value, name)))
+            for cls in type(value).__mro__ for name in cls.__dict__.get("__slots__", ())
+            if not name.startswith("_"))
+    if isinstance(value, (list, tuple)):
+        return tuple(_slots(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((k, _slots(v)) for k, v in value.items())
+    return value
+
+
+COMB = make_comb(3)
+_GUARDS = GuardSet([Point2(1, 1), Point2(2, 1), Point2(3, 1)])
+FROZEN = dict(VALUES, **{
+    "guards": _GUARDS,
+    "comb": COMB,
+    "fisk-plan": fisk_plan(COMB.polygon),
+    "sample-report": sample_depth(COMB.polygon, [COMB.spike_tip(0)], ("grid", 3), target=1),
+    "j-dark": JDarkResult(2, True, Point2(Fraction(1, 3), 2)),
+    "placement": PlacementDocument(triangle_region(), _GUARDS, "row", {"k": 2}, seed=5),
+    "certificate": CertificateDocument(
+        "sampled", 3, 1, 2, Point2(1, 1), [JDarkResult(2, False)], ("random", 7, 4)),
+})
+
+
+def test_the_frozen_table_holds_every_frozen_type():
+    def public(cls):
+        for sub in cls.__subclasses__():
+            yield from public(sub)
+            if not sub.__name__.startswith("_"):
+                yield sub
+    assert {type(v) for v in FROZEN.values()} == set(public(_Frozen))
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("name", sorted(set(FROZEN) - set(VALUES) - {"guards"}))
+def test_result_and_document_types_copy_and_pickle(name, how):
+    value = FROZEN[name]
+    twin = COPIES[how](value)
+    assert type(twin) is type(value)
+    assert twin is not value and _slots(twin) == _slots(value)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(twin, type(twin).__slots__[0], None)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_frozen_types_refuse_deletion(name):
+    value = FROZEN[name]
+    before = _slots(value)
+    names = [n for cls in type(value).__mro__ for n in cls.__dict__.get("__slots__", ())]
+    assert names
+    for slot in names:
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, slot)
+    assert _slots(value) == before

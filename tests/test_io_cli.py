@@ -205,6 +205,15 @@ def test_placement_metadata_that_cannot_be_written_back_is_refused(field, bad):
     pytest.param(dict(sampler=("grid", True)), "resolution", id="grid-true"),
     pytest.param(dict(sampler=("random", 1.5, 3)), "seed", id="random-seed-1.5"),
     pytest.param(dict(sampler=("random", 1, 3.0)), "count", id="random-count-3.0"),
+    pytest.param(dict(sampler=("grid",)), "sampler spec", id="grid-short"),
+    pytest.param(dict(sampler=("random", 1)), "sampler spec", id="random-short"),
+    pytest.param(dict(sampler=("points",)), "sampler spec", id="points-short"),
+    pytest.param(dict(sampler=[]), "sampler spec", id="empty"),
+    pytest.param(dict(sampler=("grid", 3, 4)), "sampler spec", id="grid-long"),
+    pytest.param(dict(sampler=("points", 5)), "sampler points", id="points-5"),
+    pytest.param(dict(sampler=("points", [(1,)])), "sampler points", id="points-short-pair"),
+    pytest.param(dict(sampler=("points", [(1, 2, 3)])), "sampler points", id="points-triple"),
+    pytest.param(dict(sampler=("points", [(1.5, 2)])), "sampler points", id="points-float"),
 ])
 def test_documents_that_could_not_be_written_are_refused_when_built(build, match):
     # each value once built a document whose dumps(), == or hash() failed

@@ -528,3 +528,57 @@ def test_exact_calls_outside_flags_per_hit_calls():
 def test_the_exact_engine_builds_keys_and_confirms_only_where_floats_cannot():
     path = PACKAGE / "darkness.py"
     assert exact_calls_outside(path.read_text(), str(path)) == []
+
+
+# one frozen value base: geometry._Frozen refuses assignment and deletion
+# and restores slots on copy and pickle, so no other class guards or
+# restores its slots by a method of its own
+SLOT_GUARDS = {"__setattr__", "__delattr__", "__reduce__", "__reduce_ex__",
+               "__getstate__", "__setstate__"}
+
+
+def slot_guard_classes(source: str, filename: str) -> List[Tuple[str, str, int]]:
+    """(class, method, line) for each of SLOT_GUARDS that a class body
+    defines, by a def or by an assignment, nested classes included."""
+    out: List[Tuple[str, str, int]] = []
+    for cls in ast.walk(ast.parse(source, filename)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            out.extend((cls.name, n, node.lineno) for n in names if n in SLOT_GUARDS)
+    return sorted(out)
+
+
+def test_slot_guard_classes_flags_defs_and_assignments():
+    source = (
+        "class A:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError(name)\n"
+        "    __delattr__ = __setattr__\n"
+        "    def __eq__(self, other):\n"
+        "        return self is other\n"
+        "class B(A):\n"
+        "    def __reduce__(self):\n"
+        "        class C:\n"
+        "            def __getstate__(self):\n"
+        "                return {}\n"
+        "        return (B, ())\n"
+        "def __setstate__(self, state):\n"
+        "    object.__setattr__(self, 'x', state)\n"
+    )
+    assert slot_guard_classes(source, "example.py") == [
+        ("A", "__delattr__", 4), ("A", "__setattr__", 2), ("B", "__reduce__", 8),
+        ("C", "__getstate__", 10)]
+
+
+def test_only_the_frozen_base_guards_or_restores_slots():
+    found = {(p.stem, cls) for p in MODULES
+             for cls, _, _ in slot_guard_classes(p.read_text(), str(p))}
+    assert found == {("geometry", "_Frozen")}
