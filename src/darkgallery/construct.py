@@ -324,7 +324,7 @@ class ConstructionScaffold:
 
     _LAZY = ("before", "after", "exit_before", "exit_after", "safe_region", "fence")
 
-    def __init__(self, polygon, eps, zz, pending=None):
+    def __init__(self, polygon, eps, zz, pending):
         n = len(polygon.vertices)
         self.polygon = polygon
         self.eps = eps
@@ -334,9 +334,6 @@ class ConstructionScaffold:
         self.y: List[Optional[Point2]] = [None] * n
         self.z: List[Optional[Point2]] = [None] * n
         self._pending = pending
-        if pending is None:
-            for name in self._LAZY:
-                setattr(self, name, [None] * n)
 
     def __getattr__(self, name):
         # only reached for an unset slot: a field still pending

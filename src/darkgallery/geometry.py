@@ -567,8 +567,10 @@ class Wedge(_Region):
         ]
 
     def where(self, p: Point2) -> str:
-        s1 = self.dir1.cross(p - self.apex)
-        s2 = (p - self.apex).cross(self.dir2)
+        # the signs of p against the integer halfplanes of a frame of it
+        frame = _Frame(self, [p])
+        (X, Y), = frame.ints
+        s1, s2 = (a * X + b * Y - c for a, b, c in _halfplanes(self, frame.walls))
         if s1 < 0 or s2 < 0:
             return "exterior"
         if s1 == 0 or s2 == 0:

@@ -7,10 +7,11 @@ The comb family is the lower bound: s tall, thin spikes over a shallow
 corridor.  The deep part of each spike is visible only from a narrow
 strip of corridor under its own mouth, so k-covering all s spikes needs
 k*s guards; and k*s suffice, by parking k guards on a gently convex arc
-under each spike.  The arcs are staggered in height so no corridor
-point collects three blocked guards, and every pairwise guard line is
-kept strictly below mouth level all the way across the corridor, which
-is an exact, linear certificate that no dark ray reaches into a spike.
+under each spike.  Every pairwise guard line is kept strictly below
+mouth level all the way across the corridor, which is an exact, linear
+certificate that no dark ray reaches into a spike, and the exact
+engine's depth certificate gates the corridor itself: no point of it
+may see fewer than k guards.
 
 The coloring cover is the upper bound: triangulate, 3-color the
 vertices (proper on every triangle, so the smallest class has at most
@@ -27,10 +28,11 @@ two blocked guards: depth k from k+2 per cluster.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .construct import ConstructionError, _StreamPlacer
-from .darkness import GuardSet, max_darkness
+from .darkness import GuardSet, min_depth
 from .geometry import (
     _RATIO,
     ConvexPolygon,
@@ -39,10 +41,10 @@ from .geometry import (
     Wedge,
     _Frame,
     _Frozen,
-    _homogeneous,
+    _halfplanes,
+    _locate,
     _orient,
     as_int,
-    as_rat,
     convex_hull,
 )
 from .sampling import _columns, _depths
@@ -114,55 +116,40 @@ def make_comb(s: int) -> Comb:
     return Comb(s, polygon, apertures)
 
 
-def comb_cover(comb: Comb, k: int, staggered: bool = True) -> GuardSet:
+def comb_cover(comb: Comb, k: int) -> GuardSet:
     """k guards per spike, arranged to k-cover the whole comb.
 
     Each spike gets k guards on a slightly convex arc in the corridor
-    under its mouth.  Two exact checks run before anything is returned:
-    every pairwise guard line stays strictly below mouth level across
-    the corridor (so no dark ray can enter a spike), and -- in the
-    staggered mode -- the convex corridor has no point blocked from
-    more than two guards, which pins corridor depth at >= k*s - 2 >= k.
-
-    staggered=False is a diagnostic mode: all arcs sit at the same
-    height, mirror-image guard pairs of different arcs become collinear
-    quadruples, and the corridor grows points of depth below k.  It
-    skips the darkness gate and is only good for demonstrating why the
-    height offsets exist.
+    under its mouth, the arcs lifted by a little more at each spike.
+    Two exact checks run before anything is returned: every pairwise
+    guard line stays strictly below mouth level across the corridor (so
+    no dark ray can enter a spike), and the exact engine's certificate
+    finds depth at least k everywhere in the convex corridor.
     """
     if as_int(k, "k") < 2:
         raise ValueError("per-spike arcs need at least two guards")
     s = comb.spike_count
     corridor = comb.corridor()
-    width = Fraction(2 * s)
     bend = Fraction(1, 64 * s)          # arc curvature
     lift = Fraction(1, 16 * s * s)      # per-spike height offset
-    for attempt in range(6):
-        tilt = lift / (64 << attempt)   # quadratic tie-break between arcs
-        guards = []
-        for i in range(s):
-            base = Fraction(1)
-            if staggered:
-                base += i * lift + i * i * tilt
-            left = Fraction(2 * i) + Fraction(5, 8)
-            for m in range(k):
-                u = Fraction(2 * m, k - 1) - 1
-                x = left + Fraction(3, 4) * Fraction(m, k - 1)
-                guards.append(Point2(x, base + bend * u * u))
-        for g in guards:
-            if corridor.where(g) != "interior":
-                raise ConstructionError("arc guard %r left the corridor" % (g,))
-        below = _lines_below_mouths(guards, width)
-        if not below:
-            raise ConstructionError("a guard line reached mouth level")
-        if not staggered:
-            return GuardSet(guards)
-        w = max_darkness(corridor, guards)
-        if w.darkness <= 2:
-            return GuardSet(guards)
-    raise ConstructionError(
-        "staggering failed to break up a triple crossing", witness=w
-    )
+    tilt = lift / 64                    # quadratic tie-break between arcs
+    guards = []
+    for i in range(s):
+        base = 1 + i * lift + i * i * tilt
+        left = Fraction(2 * i) + Fraction(5, 8)
+        for m in range(k):
+            u = Fraction(2 * m, k - 1) - 1
+            x = left + Fraction(3, 4) * Fraction(m, k - 1)
+            guards.append(Point2(x, base + bend * u * u))
+    for g in guards:
+        if corridor.where(g) != "interior":
+            raise ConstructionError("arc guard %r left the corridor" % (g,))
+    if not _lines_below_mouths(guards, Fraction(2 * s)):
+        raise ConstructionError("a guard line reached mouth level")
+    cert = min_depth(corridor, guards)
+    if cert.min_depth < k:
+        raise ConstructionError("corridor depth %d < k" % cert.min_depth, witness=cert.witness)
+    return GuardSet(guards)
 
 
 def _lines_below_mouths(guards: Sequence[Point2], width: Fraction) -> bool:
@@ -171,14 +158,15 @@ def _lines_below_mouths(guards: Sequence[Point2], width: Fraction) -> bool:
     The guards all have distinct x (arcs use disjoint x-ranges), so no
     line is vertical, and a line below the ceiling at both corridor
     ends stays below it everywhere between: dark rays can never climb
-    into a spike.
+    into a spike.  In one frame of the guards and the ceiling's ends,
+    with each pair ordered left to right, that is two _orient signs.
     """
-    for i, g in enumerate(guards):
-        for h in guards[i + 1 :]:
-            slope = (h.y - g.y) / (h.x - g.x)
-            y_at_0 = g.y - slope * g.x
-            y_at_w = g.y + slope * (width - g.x)
-            if y_at_0 >= MOUTH_LEVEL or y_at_w >= MOUTH_LEVEL:
+    frame = _Frame(None, [*guards, Point2(0, MOUTH_LEVEL), Point2(width, MOUTH_LEVEL)])
+    *pts, left, right = frame.ints
+    pts.sort()
+    for i, g in enumerate(pts):
+        for h in pts[i + 1 :]:
+            if _orient(g, h, left) <= 0 or _orient(g, h, right) <= 0:
                 return False
     return True
 
@@ -407,12 +395,13 @@ def _place_cluster(
 ) -> Optional[List[Point2]]:
     """count guards on a tiny parabolic arc inside cone, near its apex.
 
-    Candidates march along m -> apex + offset + m*d1*sx + m^2*d2*sy,
-    which makes any three of them non-collinear.  Each one inside the
-    cone, P and the clearance disc goes to the placer that all clusters
-    share, as homogeneous integers in P's scale; it refuses a candidate
-    whose guard lines would stack a triple crossing anywhere.  Returns
-    None when the budget runs out (caller shrinks the arc and retries).
+    Candidates march along m -> apex + t0*axis + m*sx*d1 + m^2*sy*d2,
+    as integers in one frame of P and those terms, which makes any three
+    of them non-collinear.  Each one inside the cone, P and the
+    clearance disc goes to the placer that all clusters share, as
+    homogeneous integers in P's scale; it refuses a candidate whose
+    guard lines would stack a triple crossing anywhere.  Returns None
+    when the budget runs out (caller shrinks the arc and retries).
     """
     v = cone.apex
     r2 = clearance2 * scale * scale
@@ -422,45 +411,46 @@ def _place_cluster(
     budget = 16 * count + 16
     sx = _pow2_under(r2 / 16, d1.dot(d1) * budget * budget)
     sy = _pow2_under(r2 / 16, d2.dot(d2) * budget ** 4)
-    base = Point2(v.x + t0 * axis.x, v.y + t0 * axis.y)
+    frame = _Frame(P, [v, v + axis * t0, d1 * sx, d2 * sy])
+    (ax, ay), (bx, by), (ux, uy), (wx, wy) = frame.ints
+    cone_planes = _halfplanes(cone, [(ax, ay)])
+    rn, rd = (r2 * frame.scale ** 2).as_integer_ratio()
+    f = frame.scale // P.scale  # the frame's integers are P's times f
     got: List[Point2] = []
     for m in range(1, budget + 1):
-        cand = Point2(
-            base.x + sx * m * d1.x + sy * m * m * d2.x,
-            base.y + sx * m * d1.y + sy * m * m * d2.y,
-        )
-        if cone.where(cand) != "interior" or P.where(cand) != "interior":
+        x = bx + m * ux + m * m * wx
+        y = by + m * uy + m * m * wy
+        if (any(a * x + b * y <= c for a, b, c in cone_planes)
+                or _locate(frame.walls, x, y, 1) != "interior"):
             continue
-        off = cand - v
-        if off.dot(off) > r2:
+        if ((x - ax) ** 2 + (y - ay) ** 2) * rd > rn:
             continue
-        if placer.try_add(_homogeneous(cand, P.scale)):
-            got.append(cand)
+        g = gcd(x, y, f)
+        if placer.try_add((x // g, y // g, f // g)):
+            got.append(frame.point((x, y, 1)))
             if len(got) == count:
                 return got
     return None
 
 
-def fisk_cover(P: SimplePolygon, k: int, arc_scale=Fraction(1, 4)) -> GuardSet:
+def fisk_cover(P: SimplePolygon, k: int) -> GuardSet:
     """(k+2) guards per chosen vertex, k-covering the simple polygon.
 
     Every triangle of the triangulation has exactly one corner in the
     chosen class; its cluster of k+2 guards sits in that corner's
     visibility kernel, so the whole triangle sees the whole cluster,
     and the global no-triple-crossing discipline means no point loses
-    more than two of them to blocking.  arc_scale (at most 1/4 of the
-    vertex clearance) controls how tightly the arcs hug their vertices;
-    the construction halves it on its own when a cluster cannot be
-    placed or a vertex fails the depth spot-check, which runs every
-    vertex and guard through the sampler's batch, as ``sample_depth`` does.
+    more than two of them to blocking.  The arcs start at 1/4 of the
+    vertex clearance; the construction halves that on its own when a
+    cluster cannot be placed or a vertex fails the depth spot-check,
+    which runs every vertex and guard through the sampler's batch, as
+    ``sample_depth`` does.
     """
     if as_int(k, "k") < 1:
         raise ValueError("coverage depth must be at least 1")
     if not isinstance(P, SimplePolygon):
         raise TypeError("fisk_cover wants a SimplePolygon, got %r" % (P,))
-    scale = as_rat(arc_scale)
-    if not 0 < scale <= Fraction(1, 4):
-        raise ValueError("arc_scale must be in (0, 1/4]")
+    scale = Fraction(1, 4)
     plan = fisk_plan(P)
     room = {i: _clearance2(P, i) for i in plan.chosen_class}
     for _ in range(8):

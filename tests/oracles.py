@@ -12,17 +12,19 @@ checks is the order in which has_j_dark reads the shared candidates;
 crossings_oracle walks them too, keeping the piece set of every crossing
 where the library keeps only a total; and pieces_oracle cuts the
 library's lines and integer halfplanes with one clip per piece, so that
-what it checks is the one clip per line.  Three more call library code
+what it checks is the one clip per line.  Four more call library code
 that they do not check: boundary_census_oracle asks the library's
 has_j_dark for its 2-dark reason, fisk_plan_oracle colours with the
-library's three_color, which reads indices only, and
+library's three_color, which reads indices only, place_cluster_oracle
+sizes its arc with the library's _pow2_under, and
 find_collinear_triple, a diagnostic the package no longer exports,
 reads the library's collinear groups.
 The point helpers (collinear, strictly_between, on_segment, midpoint,
-lerp), the line clipper and convex-polygon membership and validation,
-the simple-polygon predicates (membership, validation, segment-inside,
-visibility, depth), the triangulation, vertex cones and clearances of
-the coloring cover, the boundary census, the convex hull, the sampler's
+lerp), the line clipper, convex-polygon membership and validation and
+wedge membership, the simple-polygon predicates (membership, validation,
+segment-inside, visibility, depth), the triangulation, vertex cones,
+clearances and arc placer of the coloring cover, the comb's guard-line
+test, the boundary census, the convex hull, the sampler's
 glue (sub-piece points, suspicious points, grid and random samples,
 deduplication), the concurrent-rays scan, the scene scaling, the
 general-position stream (placer, restarts and interior anchor) and the
@@ -75,6 +77,7 @@ from darkgallery.geometry import (
     SimplePolygon,
     Wedge,
     _forward_step,
+    _homogeneous,
     _integers,
     as_rat,
     centroid,
@@ -85,7 +88,7 @@ from darkgallery.geometry import (
     Line,
     orientation,
 )
-from darkgallery.simple import three_color
+from darkgallery.simple import MOUTH_LEVEL, _pow2_under, three_color
 
 
 # --- Fraction point helpers ---------------------------------------------------
@@ -592,12 +595,25 @@ def convex_where_oracle(P: ConvexPolygon, p: Point2) -> str:
     return "boundary" if on_edge else "interior"
 
 
+def wedge_where_oracle(W: Wedge, p: Point2) -> str:
+    """'interior', 'boundary' or 'exterior' of p in the closed wedge W,
+    by the Fraction cross products of p - apex with both rays: the
+    library's former body of Wedge.where."""
+    s1 = W.dir1.cross(p - W.apex)
+    s2 = (p - W.apex).cross(W.dir2)
+    if s1 < 0 or s2 < 0:
+        return "exterior"
+    if s1 == 0 or s2 == 0:
+        return "boundary"
+    return "interior"
+
+
 def where_oracle(region, p: Point2) -> str:
     """Where p lies in a ConvexPolygon (convex_where_oracle) or a Wedge
-    (its own where, over Fractions)."""
+    (wedge_where_oracle)."""
     if isinstance(region, ConvexPolygon):
         return convex_where_oracle(region, p)
-    return region.where(p)
+    return wedge_where_oracle(region, p)
 
 
 def convex_polygon_error_oracle(vertices) -> Optional[str]:
@@ -955,6 +971,71 @@ def clearance2_oracle(P: SimplePolygon, i: int) -> Fraction:
     return best
 
 
+def place_cluster_oracle(P: SimplePolygon, cone: Wedge, clearance2: Fraction,
+                         count: int, scale: Fraction, placer) -> Optional[List[Point2]]:
+    """simple._place_cluster over Fractions (the library's former body):
+    each candidate is a Point2, tested against the cone by
+    wedge_where_oracle, against P by its where and against the
+    clearance disc by a Fraction dot product, then handed to placer as
+    _homogeneous integers in P's scale.  The arc's parameters come from
+    the library's _pow2_under."""
+    v = cone.apex
+    r2 = clearance2 * scale * scale
+    d1, d2 = cone.dir1, cone.dir2
+    axis = d1 + d2
+    t0 = _pow2_under(r2 / 4, axis.dot(axis))
+    budget = 16 * count + 16
+    sx = _pow2_under(r2 / 16, d1.dot(d1) * budget * budget)
+    sy = _pow2_under(r2 / 16, d2.dot(d2) * budget ** 4)
+    base = Point2(v.x + t0 * axis.x, v.y + t0 * axis.y)
+    got: List[Point2] = []
+    for m in range(1, budget + 1):
+        cand = Point2(
+            base.x + sx * m * d1.x + sy * m * m * d2.x,
+            base.y + sx * m * d1.y + sy * m * m * d2.y,
+        )
+        if wedge_where_oracle(cone, cand) != "interior" or P.where(cand) != "interior":
+            continue
+        off = cand - v
+        if off.dot(off) > r2:
+            continue
+        if placer.try_add(_homogeneous(cand, P.scale)):
+            got.append(cand)
+            if len(got) == count:
+                return got
+    return None
+
+
+def lines_below_mouths_oracle(guards: Sequence[Point2], width: Fraction) -> bool:
+    """simple._lines_below_mouths over Fractions (the library's former
+    body): each pairwise guard line's height at x = 0 and x = width,
+    from its slope, is below MOUTH_LEVEL."""
+    for i, g in enumerate(guards):
+        for h in guards[i + 1 :]:
+            slope = (h.y - g.y) / (h.x - g.x)
+            y_at_0 = g.y - slope * g.x
+            y_at_w = g.y + slope * (width - g.x)
+            if y_at_0 >= MOUTH_LEVEL or y_at_w >= MOUTH_LEVEL:
+                return False
+    return True
+
+
+def flat_comb_guards(comb, k: int) -> GuardSet:
+    """The comb's arcs without their per-spike lift, as comb_cover once
+    placed them on request (staggered=False): every arc at the same
+    height, so mirror-image guard pairs of different arcs line up."""
+    s = comb.spike_count
+    bend = Fraction(1, 64 * s)
+    guards = []
+    for i in range(s):
+        left = Fraction(2 * i) + Fraction(5, 8)
+        for m in range(k):
+            u = Fraction(2 * m, k - 1) - 1
+            x = left + Fraction(3, 4) * Fraction(m, k - 1)
+            guards.append(Point2(x, 1 + bend * u * u))
+    return GuardSet(guards)
+
+
 # --- the convex hull over Fractions -------------------------------------------
 
 def convex_hull_oracle(points: Sequence[Point2]) -> HullResult:
@@ -1252,16 +1333,32 @@ def _strict_inside(poly: ConvexPolygon, p: Point2) -> bool:
     return poly.where(p) == "interior"
 
 
+class ScaffoldRecord:
+    """The fields of a ConstructionScaffold, under the same names, each
+    list filled in place as build_scaffold_oracle goes; guards() is the
+    library's canonical order."""
+
+    def __init__(self, P: ConvexPolygon, eps: Fraction, zz):
+        n = len(P.vertices)
+        self.polygon, self.eps, self.zz = P, eps, zz
+        self.elbow: Dict[int, Point2] = {}
+        for name in ("before", "after", "exit_before", "exit_after", "safe_region",
+                     "x", "y", "z", "fence"):
+            setattr(self, name, [None] * n)
+
+    guards = ConstructionScaffold.guards
+
+
 def build_scaffold_oracle(P: ConvexPolygon, eps: Fraction,
-                          bits: int = _SNAP_BITS) -> ConstructionScaffold:
+                          bits: int = _SNAP_BITS) -> ScaffoldRecord:
     """construct._build_scaffold on Point2 and Fraction Line arithmetic:
     points from line intersections, accept tests by Line.side and
     polygon membership, and the snaps on Fraction parameters.  Returns
-    the filled ConstructionScaffold or raises _Infeasible."""
+    the filled ScaffoldRecord or raises _Infeasible."""
     vs = P.vertices
     n = len(vs)
     zz = zigzag(P)
-    sc = ConstructionScaffold(P, eps, zz)
+    sc = ScaffoldRecord(P, eps, zz)
 
     for i in range(n):
         sc.before[i] = lerp(vs[i], vs[i - 1], eps)

@@ -40,6 +40,7 @@ from darkgallery.fixtures import triangle_region, wedge_region
 from darkgallery.sampling import sample_depth
 from darkgallery.simple import fisk_plan, make_comb
 
+import oracles
 from conftest import random_convex_polygon, random_star_polygon
 from oracles import (
     clip_line_oracle,
@@ -414,6 +415,42 @@ def test_convex_where_matches_the_fraction_oracle(factor, shift):
         for p in probes:
             w = P.where(p)
             assert w == convex_where_oracle(P, p)
+            seen.add(w)
+    assert seen == {"interior", "boundary", "exterior"}
+
+
+def _seeded_wedge(rng, base):
+    """A wedge with a rational apex near (base, -base) and two
+    non-parallel rational rays."""
+    def rat(bound):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 9))
+
+    while True:
+        d1, d2 = Point2(rat(20), rat(20)), Point2(rat(20), rat(20))
+        if d1.cross(d2) != 0:
+            return Wedge(Point2(base + rat(50), rat(50) - base), d1, d2)
+
+
+@pytest.mark.parametrize("base", [0, 2 ** 60], ids=["0", "2^60"])
+def test_wedge_where_matches_the_fraction_oracle(base):
+    # the apex, points on both rays and on their extensions behind it,
+    # inside and outside, and points off either ray by 2^-70
+    rng = random.Random(13)
+    tiny = Fraction(1, 2 ** 70)
+    seen = set()
+    for _ in range(150):
+        W = _seeded_wedge(rng, base)
+        v, d1, d2 = W.apex, W.dir1, W.dir2
+        n1, n2 = Point2(-d1.y, d1.x), Point2(d2.y, -d2.x)  # inward normals
+        probes = [v, v + d1, v + d2 * Fraction(7, 3), v - d1, v - d2, v + d1 + d2,
+                  v - d1 - d2, v + d1 - d2, v + d2 - d1]
+        for d, n in ((d1, n1), (d2, n2)):
+            probes += [v + d * Fraction(5, 2) + n * tiny, v + d * Fraction(5, 2) - n * tiny]
+        probes += [v + Point2(Fraction(rng.randint(-90, 90), rng.randint(1, 7)), rng.randint(-30, 30))
+                   for _ in range(8)]
+        for p in probes:
+            w = W.where(p)
+            assert w == oracles.wedge_where_oracle(W, p)
             seen.add(w)
     assert seen == {"interior", "boundary", "exterior"}
 

@@ -174,6 +174,57 @@ def test_stream_placer_scales_nothing_and_builds_no_points():
     assert "Point2" not in {node.id for node in ast.walk(cls) if isinstance(node, ast.Name)}
 
 
+# simple.py's per-candidate and per-pair loops decide on frame integers:
+# the arc placer tests its candidates with integer halfplanes, _locate and
+# an integer disc, and the comb's line test with _orient signs
+POINT_ARITHMETIC = {"Point2", "where", "dot", "cross"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def point_calls_in_loops(source: str, filename: str, functions) -> List[Tuple[str, int]]:
+    """(what, line) for each call of one of POINT_ARITHMETIC, by name or
+    as an attribute (``cone.where``), inside a loop or comprehension of
+    one of the named top-level functions."""
+    out = set()
+    for fn in ast.parse(source, filename).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
+            continue
+        for loop in ast.walk(fn):
+            if not isinstance(loop, LOOPS):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in POINT_ARITHMETIC:
+                        out.add((name + "()", node.lineno))
+    return sorted(out)
+
+
+def test_point_calls_in_loops_flags_points_and_methods_inside_loops():
+    source = (
+        "def f(P, cone, gs):\n"
+        "    base = Point2(0, 0)\n"
+        "    d = base.dot(base)\n"
+        "    for g in gs:\n"
+        "        if cone.where(Point2(g.x, g.y)) != 'interior':\n"
+        "            continue\n"
+        "        while g.cross(base) > d:\n"
+        "            g = g.x\n"
+        "    return [h.dot(h) for h in gs]\n"
+        "def g(gs):\n"
+        "    return [Point2(h, h) for h in gs]\n"
+    )
+    assert point_calls_in_loops(source, "example.py", {"f"}) == [
+        ("Point2()", 5), ("cross()", 7), ("dot()", 9), ("where()", 5)]
+
+
+def test_simple_loops_build_no_points():
+    path = PACKAGE / "simple.py"
+    assert point_calls_in_loops(path.read_text(), str(path),
+                                {"_place_cluster", "_lines_below_mouths"}) == []
+
+
 # construct.py builds the 4n-2 scaffold on homogeneous integers: its
 # points are integer triples, its lines integer cross products and its
 # accept tests signs, so it calls none of geometry's Fraction line helpers

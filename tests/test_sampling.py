@@ -498,7 +498,7 @@ def report_scene(name):
         return comb.polygon, comb_cover(comb, 4).guards
     if name == "comb-s2-flat":
         comb = make_comb(2)
-        return comb.polygon, comb_cover(comb, 2, staggered=False).guards
+        return comb.polygon, oracles.flat_comb_guards(comb, 2).guards
     if name == "fisk-L-k2":
         return L_HEXAGON, fisk_cover(L_HEXAGON, 2).guards
     if name == "fisk-quad-k1":

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from darkgallery import simple
-from darkgallery.darkness import max_darkness
+from darkgallery.construct import ConstructionError
+from darkgallery.darkness import DepthCertificate, max_darkness, min_depth
 from darkgallery.geometry import ConvexPolygon, Point2, SimplePolygon
 from darkgallery.sampling import depth_at_sample, sample_depth, visible
 from darkgallery.simple import (
@@ -93,17 +94,88 @@ def test_staggering_is_what_keeps_dark_rays_apart():
     # with the height offsets disabled, mirror guards of different arcs
     # line up and corridor points collect 3+ blocked guards
     comb = make_comb(3)
-    flat = comb_cover(comb, 4, staggered=False)
+    flat = oracles.flat_comb_guards(comb, 4)
     assert len(flat) == 12
     corridor = comb.corridor()
     assert max_darkness(corridor, flat).darkness > 2
     assert max_darkness(corridor, comb_cover(comb, 4)).darkness <= 2
     # on the two-spike comb the flat variant visibly drops below depth k
     comb2 = make_comb(2)
-    flat2 = comb_cover(comb2, 2, staggered=False)
+    flat2 = oracles.flat_comb_guards(comb2, 2)
     report = sample_depth(comb2.polygon, flat2, target=2)
     assert report.min_sampled_depth < 2
     assert report.failing_samples
+
+
+@pytest.mark.parametrize("s, k", [(s, k) for s in range(2, 7) for k in range(2, 7)])
+def test_comb_cover_certifies_depth_k_on_every_small_comb(s, k):
+    # the gate is the corridor's exact depth; with s, k >= 4 the arcs
+    # leave corridor points with four blocked guards, which a gate on
+    # darkness <= 2 used to refuse though depth k*s - 4 >= k holds
+    comb = make_comb(s)
+    gs = comb_cover(comb, k)
+    assert len(gs) == k * s
+    assert min_depth(comb.corridor(), gs).min_depth >= k
+    if (s, k) in ((4, 4), (5, 4)):
+        assert sample_depth(comb.polygon, gs, target=k).failing_samples == []
+
+
+def test_comb_cover_takes_its_first_placement():
+    # make_comb(8) at k = 3 has darkness 3 at its first tilt; the
+    # placement stands, with corridor depth 21
+    comb = make_comb(8)
+    gs = comb_cover(comb, 3)
+    cert = min_depth(comb.corridor(), gs)
+    assert (cert.max_darkness, cert.min_depth) == (3, 21)
+    lift = Fraction(1, 16 * 64)
+    assert gs.guards[3].y - gs.guards[0].y == lift + lift / 64
+
+
+@pytest.mark.parametrize("short", [0, 1])
+def test_comb_cover_gates_on_the_corridor_depth(short, monkeypatch):
+    # a certificate of depth exactly k passes; one short of k raises,
+    # carrying the certificate's witness
+    comb, k = make_comb(3), 3
+    certs = []
+
+    def certify(region, guards):
+        cert = min_depth(region, guards)
+        certs.append(DepthCertificate(cert.g, cert.g - k + short, cert.witness))
+        return certs[-1]
+
+    monkeypatch.setattr(simple, "min_depth", certify)
+    if not short:
+        assert len(comb_cover(comb, k)) == 9
+        return
+    with pytest.raises(ConstructionError, match="corridor depth 2 < k") as info:
+        comb_cover(comb, k)
+    assert info.value.witness is certs[0].witness
+
+
+def _lifted(guards, i, y):
+    return [Point2(g.x, y) if j == i else g for j, g in enumerate(guards)]
+
+
+def test_lines_below_mouths_matches_the_fraction_oracle():
+    # the comb's own arcs keep every line under the ceiling; one guard
+    # lifted towards y = 2 tips the lines through it over the edge
+    verdicts = set()
+    for s, k in ((2, 2), (3, 4), (5, 3)):
+        comb = make_comb(s)
+        width = Fraction(2 * s)
+        arcs = list(comb_cover(comb, k).guards)
+        flat = list(oracles.flat_comb_guards(comb, k).guards)
+        scenes = [arcs, flat, arcs[::-1]]
+        for i in (0, len(arcs) // 2, len(arcs) - 1):
+            for y in (Fraction(3, 2), 2 - Fraction(1, 10 ** 6), Fraction(2), Fraction(9, 4)):
+                scenes.append(_lifted(arcs, i, y))
+        # a line through the ceiling's left end reaches mouth level
+        scenes.append([Point2(1, Fraction(3, 2)), Point2(2, 1)])
+        for guards in scenes:
+            got = simple._lines_below_mouths(guards, width)
+            assert got == oracles.lines_below_mouths_oracle(guards, width)
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # --- triangulation and coloring -----------------------------------------------
@@ -249,12 +321,6 @@ def test_fisk_cover_input_checks():
         fisk_cover(QUAD, 0)
     with pytest.raises(TypeError):
         fisk_cover(ConvexPolygon([Point2(0, 0), Point2(4, 0), Point2(0, 4)]), 1)
-    with pytest.raises(ValueError):
-        fisk_cover(QUAD, 1, arc_scale=Fraction(1, 2))
-    # a float is refused, as everywhere in the package, not read as the
-    # binary fraction nearest to it
-    with pytest.raises(TypeError, match="float"):
-        fisk_cover(QUAD, 1, arc_scale=0.1)
 
 
 class _FractionPlacer(oracles.StreamPlacerOracle):
@@ -284,4 +350,21 @@ class _FractionPlacer(oracles.StreamPlacerOracle):
 def test_fisk_cover_matches_the_fraction_placer(P, k, monkeypatch):
     got = fisk_cover(P, k).guards
     monkeypatch.setattr(simple, "_StreamPlacer", lambda: _FractionPlacer(P.scale))
+    monkeypatch.setattr(simple, "_place_cluster", oracles.place_cluster_oracle)
     assert list(got) == list(fisk_cover(P, k).guards)
+
+
+@pytest.mark.parametrize("P", [p for p in SIMPLE_SCENES if len(p.values[0]) <= 24])
+def test_place_cluster_matches_the_fraction_body(P):
+    # every chosen vertex's arc, at the first scale and two halvings,
+    # through one shared placer on each side, which refuses some
+    # candidates
+    plan = fisk_plan(P)
+    mine, theirs = simple._StreamPlacer(), simple._StreamPlacer()
+    for idx in plan.chosen_class:
+        room = simple._clearance2(P, idx)
+        for scale in (Fraction(1, 4), Fraction(1, 16)):
+            got = simple._place_cluster(P, plan.cones[idx], room, 4, scale, mine)
+            want = oracles.place_cluster_oracle(P, plan.cones[idx], room, 4, scale, theirs)
+            assert got == want
+    assert mine.points == theirs.points
