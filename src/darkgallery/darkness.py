@@ -68,7 +68,6 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .geometry import (
-    _RATIO,
     _XY,
     ConvexPolygon,
     Line,
@@ -80,7 +79,6 @@ from .geometry import (
     _halfplanes,
     _integers,
     _nearest,
-    _sorted_exact,
     as_int,
     primitive_direction,
 )
@@ -687,23 +685,27 @@ def _leftmost(lo, hi, key):
 
 def _sub_piece_points(piece, cuts):
     """One scaled point (xn, yn, den) interior to each sub-piece that the
-    crossing parameters cuts, as (num, den) pairs with den > 0, divide the
-    piece into.
+    crossing parameters cuts divide the piece into.
 
-    The cuts are reduced by their gcd, deduplicated and ordered by
-    cross-multiplication; a sub-piece's point is at the midpoint t of its
-    ends, reduced by one gcd, as (ax*den(t) + num(t)*dx, ..., den(t)), so
-    the keys are those of the Fraction midpoints.  An unbounded piece ends
-    its last sub-piece at an imagined bound two past the last cut, so its
-    point is one past that cut.
+    The cuts are (num, den) pairs with num, den > 0, in increasing order
+    of num/den, as a walk of the pair scan gives them once sorted: equal
+    cuts may repeat, in any representation.  A cut equal to the one
+    before it is skipped by one cross-multiplication, and the first cut
+    at or past a bounded piece's far end ends the walk.  A sub-piece's
+    point is at the midpoint t of its ends, reduced by one gcd, as
+    (ax*den(t) + num(t)*dx, ..., den(t)), so the keys are those of the
+    Fraction midpoints.  An unbounded piece ends its last sub-piece at an
+    imagined bound two past the last cut, so its point is one past that
+    cut.
     """
     ax, ay, dx, dy, hin, hid = piece[:6]
-    ts = set()
+    bounds = [(0, 1)]
     for n, d in cuts:
-        g = gcd(n, d)
-        ts.add((n // g, d // g))
-    bounds = [(0, 1)] + [t for t in _sorted_exact(ts, _RATIO)
-                         if hin is None or t[0] * hid < hin * t[1]]
+        if hin is not None and n * hid >= hin * d:
+            break
+        n0, d0 = bounds[-1]
+        if n * d0 != n0 * d:
+            bounds.append((n, d))
     if hin is None:
         n, d = bounds[-1]
         bounds.append((n + 2 * d, d))

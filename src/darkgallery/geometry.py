@@ -615,7 +615,7 @@ def _nearest(n, d):
         return inf if n > 0 else -inf
 
 
-def _sorted_exact(items, key):
+def _sorted_exact(items, key, floats=None):
     """A list of the items in the stable order of key, _XY or _RATIO,
     sorted on floats first.
 
@@ -625,12 +625,19 @@ def _sorted_exact(items, key):
     items but never inverts them: a stable sort on the floats, then a
     stable re-sort of each run of equal floats with key, gives exactly the
     stable sort on key, with key comparing only within the runs.
+
+    floats, when given, are the items' float keys, made by the caller:
+    the ratios correctly rounded, or any other float monotone in them
+    (such as X / (W * unit) for a positive unit), or (group, float)
+    pairs with an integer group first, which sort the items by group
+    and by key within a group.
     """
     items = list(items)
     n = len(items)
     if n < 2:
         return items
-    floats = [_nearest(t[0], t[-1]) for t in items]
+    if floats is None:
+        floats = [_nearest(t[0], t[-1]) for t in items]
     order = sorted(range(n), key=floats.__getitem__)
     out = [items[i] for i in order]
     if len(set(floats)) == n:

@@ -14,8 +14,9 @@ crossing-free gap midpoints of the dark rays, filtered to the polygon:
 those are the points where coverage is most likely to dip.  This module
 chooses them itself (``_suspicious_points``): it takes the dark-ray
 pieces of the exact analysis of the convex hull and makes one walk of
-the pair scan over them, summing no darkness.  Grid or seeded-random
-samples are layered on top via the sampler spec.
+the pair scan over them, summing no darkness and keying no crossing;
+one sort orders the cuts of every piece.  Grid or seeded-random samples
+are layered on top via the sampler spec.
 
 Every sample is homogeneous integers (X, Y, W), W > 0, in one frame
 from the moment it is generated until the report is built:
@@ -24,15 +25,17 @@ with, scales the polygon and the guards to integers once per call, the
 crossing points and gap midpoints come from the exact analysis (in its
 own frame, which one integer factor maps into this one) as integers, and
 grid and seeded-random points are built in the frame's integers.  This
-module reads no denominator itself.  Samples are ordered by
-``geometry._sorted_exact`` (a sort on correctly rounded floats, with
-the exact cross-multiplication order ``geometry._XY`` only within runs
-of equal floats) and deduplicated on gcd-normalised keys.  Each sample
-is converted to float columns (``_columns``) once, where it is made, and
-its columns travel with it through the sort and the deduplication to the
-float pass.  ``_scan`` returns them with their depths and builds no
-point: ``sample_depth`` builds one ``Point2`` per sample of its
-``SampleReport``, and the CLI certificate one per witness it reports.
+module reads no denominator itself.  Each sample is converted to float
+columns (``_columns``) once, where it is made, and its columns travel
+with it through the deduplication and the sort to the float pass.  The
+columns are correctly rounded, so they order and deduplicate the
+samples: ``_distinct`` builds a gcd-normalised key only for samples
+that share both floats, and ``geometry._sorted_exact`` sorts on the x
+column, with the exact cross-multiplication order ``geometry._XY`` only
+within runs of equal floats.  ``_scan`` returns the samples with their
+depths and builds no point: ``sample_depth`` builds one ``Point2`` per
+sample of its ``SampleReport``, and the CLI certificate one per witness
+it reports.
 
 Every verdict is exact.  Depths and polygon membership take one path on
 every polygon, convex or not, at every batch size and coordinate scale,
@@ -55,9 +58,10 @@ meets no edge and certainly enters the polygon at the guard stays
 inside.  ``_wall_free`` decides whether a segment stays inside,
 ``_between`` whether a guard blocks it, and ``geometry._locate`` (which
 ``SimplePolygon.where`` reads too) decides membership.  Guard blocking
-is decided per guard, over all the (sample, other guard) pairs the float
-pass leaves open for it.  ``visible`` and ``depth_at_sample`` are that
-kernel on one pair and one sample.
+is decided per guard, over the (sample, other guard) pairs the float
+pass leaves open for it: near-collinear pairs whose order along the
+segment does not rule the guard out (``_off_segment``).  ``visible``
+and ``depth_at_sample`` are that kernel on one pair and one sample.
 
 A sampled report can prove a placement bad (a witness below target) but
 never certifies it good -- that asymmetry is inherent, and callers
@@ -73,7 +77,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .darkness import GuardSet, _Analysis, _pair_hits, _point_key, _sub_piece_points
+from .darkness import GuardSet, _Analysis, _pair_hits, _sub_piece_points
 from .geometry import (
     _RATIO,
     _XY,
@@ -247,7 +251,10 @@ def _depths(frame: _Frame, samples, cols) -> List[int]:
     Guard blocking is decided per guard q: one batch gives every
     (sample, other guard) pair the float pass leaves open, and
     ``_between`` decides them in sample order, skipping the samples q
-    already cannot see.
+    already cannot see.  A guard h that is not certainly off the
+    segment's line is ruled out by order along the segment when it is
+    certainly behind q or past the sample (``_off_segment``), in the
+    same float columns and under the same margin.
     """
     guards = frame.ints
     walls = frame.walls
@@ -296,14 +303,33 @@ def _depths(frame: _Frame, samples, cols) -> List[int]:
         maybe[gi] = False
         for s in np.nonzero(wall_unsure)[0]:
             vis[s] = _wall_free(walls, q, samples[s])
-        # every (sample, guard) pair left open, in sample order: the first
-        # guard between q and a sample blocks it, and settles the sample
+        # every (sample, guard) pair left open, in sample order, that the
+        # order along the segment cannot rule out: the first guard
+        # between q and a sample blocks it, and settles the sample
         rows, cols = np.nonzero((maybe & vis).T)
+        left = ~_off_segment(gx[cols], gy[cols], gx[gi], gy[gi], px[rows], py[rows], cert)
+        rows, cols = rows[left], cols[left]
         for s, h in zip(rows.tolist(), cols.tolist()):
             if vis[s] and _between(guards[h], q, samples[s]):
                 vis[s] = False
         depths += vis
     return [int(v) for v in depths]
+
+
+def _off_segment(hx, hy, qx, qy, sx, sy, cert):
+    """Float columns of points h, ends q and samples s -> h is certainly
+    not strictly between q and s: h lies behind q, (h - q).(s - q) <
+    -cert, or past s, (h - s).(s - q) > cert.
+
+    A point strictly between has (h - q).(s - q) = t*|s - q|^2 > 0 and
+    (h - s).(s - q) = (t - 1)*|s - q|^2 < 0 for some 0 < t < 1.  Each
+    value is a two-term sum of products of rounded column differences,
+    the form the sign margin cert covers, so neither verdict holds for
+    it.  An inf or NaN fails both comparisons and rules nothing out.
+    """
+    dx = sx - qx
+    dy = sy - qy
+    return ((hx - qx) * dx + (hy - qy) * dy < -cert) | ((hx - sx) * dx + (hy - sy) * dy > cert)
 
 
 def _between(h, q, s) -> bool:
@@ -427,42 +453,62 @@ class SampleReport(_Frozen):
 
 
 def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
-    """(samples, columns): the dark-ray crossing points, guard points and
-    sub-piece points that land inside P, as homogeneous samples of the
-    frame in (x, y) order, and their float columns (_columns), converted
-    once for the membership test and carried through the sort.
+    """(samples, columns): the distinct dark-ray crossing points, guard
+    points and sub-piece points that land inside P, as homogeneous
+    samples of the frame in (x, y) order, and their float columns
+    (_columns), converted once for the deduplication and the membership
+    test and carried through the sort.
 
     The rays are the pieces of the exact analysis of the convex hull of P
     and the guards (walls ignored), because a depth dip in the polygon
     can only happen at guard blockings, and those live on the hull's
-    dark-ray arrangement.  One walk of ``_pair_hits`` collects the
-    crossing points, in the order of their first hits, and every piece's
-    crossing parameters; each piece then gives one point inside each of
-    the sub-pieces its parameters cut it into.  No darkness is summed.
-    The hull corners are vertices or guards, so the analysis's scale
-    divides the frame's, and one integer factor maps each point (xn, yn,
-    den) into the frame.
+    dark-ray arrangement.  One walk of ``_pair_hits`` gives each hit's
+    crossing point (ax*D + un*dx, ay*D + un*dy, D) on piece i, with no
+    key, and two cuts, un/D on piece i and vn/D on piece j.  One sort on
+    (piece, correctly rounded cut) orders every piece's cuts, comparing
+    them exactly only within runs of equal floats; each piece then gives
+    one point inside each of the sub-pieces its cuts divide it into.  No
+    darkness is summed.  Concurrent rays give a point once per pair of
+    its pieces, so the candidates are deduplicated (``_distinct``) on
+    their columns, which leave a gcd key only to points that share both
+    floats; the first of each point is kept.  The inside points are
+    sorted on their x column, correctly rounded and so monotone in x,
+    with ``_XY`` only within runs of equal floats.  The hull corners are
+    vertices or guards, so the analysis's scale divides the frame's, and
+    one integer factor maps each point (xn, yn, den) into the frame; it
+    is 1 unless a vertex off the hull has a denominator of its own.
     """
     pts = list(P.vertices) + list(gset.guards)
     region = ConvexPolygon([pts[i] for i in _hull_corners(frame.walls + frame.ints)])
     analysis = _Analysis(region, gset)
     pieces = analysis.pieces
-    crossings = {}
-    cuts = [[] for _ in pieces]
+    keys = []
+    cuts = []
+    floats = []
+    counts = [0] * len(pieces)
     for i, j, un, vn, D in _pair_hits(pieces):
-        crossings[_point_key(pieces[i], un, D)] = None
-        cuts[i].append((un, D))
-        cuts[j].append((vn, D))
-    keys = list(crossings) + [(x, y, 1) for x, y in analysis.frame.ints]
-    for piece, piece_cuts in zip(pieces, cuts):
-        keys += _sub_piece_points(piece, piece_cuts)
+        ax, ay, dx, dy = pieces[i][:4]
+        keys.append((ax * D + un * dx, ay * D + un * dy, D))
+        cuts += ((un, D), (vn, D))
+        floats += ((i, _nearest(un, D)), (j, _nearest(vn, D)))
+        counts[i] += 1
+        counts[j] += 1
+    keys += [(x, y, 1) for x, y in analysis.frame.ints]
+    # the sorted cuts run piece by piece, each piece's as many as it has
+    ordered = _sorted_exact(cuts, _RATIO, floats)
+    start = 0
+    for piece, count in zip(pieces, counts):
+        keys += _sub_piece_points(piece, ordered[start:start + count])
+        start += count
     f = frame.scale // analysis.frame.scale
-    cands = [(xn * f, yn * f, den) for xn, yn, den in keys]
-    inside, (px, py) = _inside(frame, cands, _columns(frame, cands))
+    cands = keys if f == 1 else [(xn * f, yn * f, den) for xn, yn, den in keys]
+    px, py = _columns(frame, cands)
+    keep = _distinct(cands, px, py)
+    inside, (px, py) = _inside(frame, [cands[k] for k in keep], (px[keep], py[keep]))
     # the sort returns the very tuples of inside, each a distinct object
     # held by inside, so its id names its position there
     at = {id(s): k for k, s in enumerate(inside)}
-    out = _sorted_exact(inside, _XY)
+    out = _sorted_exact(inside, _XY, px.tolist())
     order = [at[id(s)] for s in out]
     return out, (px[order], py[order])
 
@@ -546,6 +592,35 @@ def _sampler_points(frame: _Frame, sampler):
     )
 
 
+def _distinct(samples, px, py):
+    """[index of the first sample of each distinct point], in index order,
+    of the homogeneous samples with float columns (px, py).
+
+    Equal points have equal correctly rounded columns, so two samples
+    can be one point only where both of their floats are equal (-0.0
+    equals 0.0, and inf equals inf): a gcd-normalised key is built only
+    for the samples of such runs, and decides them.
+    """
+    n = len(samples)
+    order = np.lexsort((py, px))
+    sx = px[order]
+    sy = py[order]
+    tie = (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])
+    shared = np.zeros(n, dtype=bool)
+    shared[order[1:][tie]] = True
+    shared[order[:-1][tie]] = True
+    keep = ~shared
+    seen = set()
+    for k in np.nonzero(shared)[0].tolist():
+        X, Y, W = samples[k]
+        g = gcd(X, Y, W)
+        key = (X // g, Y // g, W // g)
+        if key not in seen:
+            seen.add(key)
+            keep[k] = True
+    return np.nonzero(keep)[0].tolist()
+
+
 def _scan(P: AnyPolygon, guards, sampler):
     """(frame, samples, depths): the deduplicated homogeneous samples of
     sample_depth in scan order, and the depth at each, with no point built."""
@@ -561,14 +636,7 @@ def _scan(P: AnyPolygon, guards, sampler):
     cx, cy = _columns(frame, corners)
     px = np.concatenate((cx, sx, ex))
     py = np.concatenate((cy, sy, ey))
-    seen = set()
-    keep = []
-    for k, (X, Y, W) in enumerate(samples):
-        g = gcd(gcd(X, Y), W)
-        key = (X // g, Y // g, W // g)
-        if key not in seen:
-            seen.add(key)
-            keep.append(k)
+    keep = _distinct(samples, px, py)
     unique = [samples[k] for k in keep]
     return frame, unique, _depths(frame, unique, (px[keep], py[keep]))
 

@@ -1107,10 +1107,10 @@ def _inside(P, p: Point2) -> bool:
 
 
 def suspicious_points_oracle(P, guards: Sequence[Point2]) -> List[Point2]:
-    """Dark-ray crossing points and gap midpoints inside P, sorted by
-    their Fraction (x, y): the analysis of the Fraction hull of P and the
-    guards, with every piece subdivided by sub_piece_points_oracle and
-    every candidate unscaled to a Point2."""
+    """The distinct dark-ray crossing points and gap midpoints inside P,
+    sorted by their Fraction (x, y): the analysis of the Fraction hull of
+    P and the guards, with every piece subdivided by
+    sub_piece_points_oracle and every candidate unscaled to a Point2."""
     gset = GuardSet(guards)
     hull = convex_hull_oracle(list(P.vertices) + list(gset.guards))
     analysis = _Analysis(ConvexPolygon(hull.corners), gset)
@@ -1119,7 +1119,7 @@ def suspicious_points_oracle(P, guards: Sequence[Point2]) -> List[Point2]:
     for idx, piece in enumerate(analysis.pieces):
         keys += sub_piece_points_oracle(piece, events.get(idx, ()))
     cands = [analysis.frame.point(key) for key in keys]
-    out = [p for p in cands if _inside(P, p)]
+    out = [p for p in dict.fromkeys(cands) if _inside(P, p)]
     out.sort(key=lambda v: (v.x, v.y))
     return out
 
@@ -1153,6 +1153,21 @@ def random_points_oracle(P, seed: int, count: int) -> List[Point2]:
         if _inside(P, pt):
             out.append(pt)
     return out
+
+
+def distinct_oracle(samples) -> List[int]:
+    """sampling._distinct without its float columns: one gcd-normalised
+    key per homogeneous sample (X, Y, W), and the index of the first
+    sample of each key, in index order."""
+    seen = set()
+    keep = []
+    for k, (X, Y, W) in enumerate(samples):
+        g = gcd(gcd(X, Y), W)
+        key = (X // g, Y // g, W // g)
+        if key not in seen:
+            seen.add(key)
+            keep.append(k)
+    return keep
 
 
 def sample_depth_oracle(P, guards: Sequence[Point2], sampler=None, depth=None):

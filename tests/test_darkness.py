@@ -49,7 +49,7 @@ from darkgallery.geometry import (
     centroid,
 )
 from darkgallery.sampling import sample_depth
-from darkgallery.simple import comb_cover, make_comb
+from darkgallery.simple import comb_cover, fisk_cover, make_comb
 
 import oracles
 from oracles import find_collinear_triple
@@ -58,6 +58,7 @@ from conftest import (
     random_affine_map,
     random_convex_polygon,
     random_interior_point,
+    random_star_polygon,
 )
 
 TRIANGLE = ConvexPolygon([Point2(0, 0), Point2(8, 0), Point2(4, 8)])
@@ -742,7 +743,8 @@ def test_crossing_totals_match_the_piece_sets(scene, monkeypatch):
     if not isinstance(region, ConvexPolygon):
         return
     # the sampler analyses the hull of the region and the guards, here the
-    # region itself, and cuts each of its pieces at its own walk's hits
+    # region itself, and cuts each of its pieces at its own walk's hits,
+    # handed over in increasing order
     calls = []
     real = sampling._sub_piece_points
     monkeypatch.setattr(sampling, "_sub_piece_points",
@@ -753,7 +755,8 @@ def test_crossing_totals_match_the_piece_sets(scene, monkeypatch):
     assert all(np.array_equal(c, d) for c, d in zip(cols, sampling._columns(frame, got)))
     walked = [piece for piece, _ in calls]
     _, walked_events = oracles.crossings_oracle(walked)
-    assert [cuts for _, cuts in calls] == [walked_events.get(k, []) for k in range(len(walked))]
+    assert [cuts for _, cuts in calls] == [sorted(walked_events.get(k, []), key=lambda c: Fraction(*c))
+                                           for k in range(len(walked))]
     assert sorted(walked_events.values()) == sorted(events.values())
     expected = [key for _, *key in complete_candidates(fresh)]
     assert sorted(map(frame.point, got), key=lambda p: (p.x, p.y)) == \
@@ -764,11 +767,67 @@ def test_crossing_totals_match_the_piece_sets(scene, monkeypatch):
         assert max(len(ids) for ids in points.values()) == 5
 
 
+def suspicious_scene(name):
+    """(polygon, guards) of a sampler scene: combs under comb_cover,
+    star polygons under fisk_cover, two scenes of the exact engine, and
+    an L-hexagon whose reflex corner alone has denominators."""
+    if name.startswith("comb-"):
+        s, k = map(int, name[5:].split("-k"))
+        comb = make_comb(s)
+        return comb.polygon, list(comb_cover(comb, k).guards)
+    if name.startswith("star-"):
+        n = int(name[5:])
+        P = random_star_polygon(random.Random(n), n)
+        return P, list(fisk_cover(P, 1).guards)
+    if name == "concurrent-star":
+        return concurrent_star()
+    if name == "L-reflex-thirds":
+        # the only denominators are the reflex corner's, off the hull, so
+        # the sampler's frame is 21 times the hull analysis's
+        P = SimplePolygon([Point2(0, 0), Point2(4, 0), Point2(4, 2),
+                           Point2(Fraction(7, 3), Fraction(16, 7)), Point2(2, 4), Point2(0, 4)])
+        return P, [Point2(1, 1), Point2(2, 1), Point2(3, 1), Point2(1, 2), Point2(1, 3)]
+    return BRANCH_SCENES[name]
+
+
+SUSPICIOUS_SCENES = ["comb-2-k2", "comb-3-k3", "comb-4-k2", "star-10", "star-16",
+                     "concurrent-star", "nudged-2^53+1", "L-reflex-thirds"]
+
+
+@pytest.mark.parametrize("factor", [1, 2 ** 520, 2 ** 1100], ids=["1", "2^520", "2^1100"])
+@pytest.mark.parametrize("scene", SUSPICIOUS_SCENES)
+def test_suspicious_points_match_the_oracle_in_order(scene, factor):
+    # the sampler's one walk, its float-keyed deduplication and its sort
+    # on the x column give the oracle's distinct points in the oracle's
+    # (x, y) order, at every scale
+    region, guards = suspicious_scene(scene)
+    region = type(region)([v * factor for v in region.vertices])
+    guards = [g * factor for g in guards]
+    frame = _Frame(region, guards)
+    got, cols = sampling._suspicious_points(frame, region, GuardSet(guards))
+    assert [frame.point(s) for s in got] == oracles.suspicious_points_oracle(region, guards)
+    assert all(np.array_equal(c, d) for c, d in zip(cols, sampling._columns(frame, got)))
+    if scene == "concurrent-star":
+        # five rays through the origin: ten hits there, one point
+        pieces = darkness._Analysis(region, GuardSet(guards)).pieces
+        hits = [darkness._point_key(pieces[i], un, D) for i, _, un, _, D in darkness._pair_hits(pieces)]
+        assert hits.count((0, 0, 1)) == 10
+        assert [frame.point(s) for s in got].count(Point2(0, 0)) == 1
+    if scene == "nudged-2^53+1":
+        # distinct cuts of one piece that round to one float
+        pieces = darkness._Analysis(region, GuardSet(guards)).pieces
+        cuts = {}
+        for i, j, un, vn, D in darkness._pair_hits(pieces):
+            cuts.setdefault((i, _nearest(un, D)), set()).add(Fraction(un, D))
+            cuts.setdefault((j, _nearest(vn, D)), set()).add(Fraction(vn, D))
+        assert any(len(ts) > 1 for ts in cuts.values())
+
+
 @pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))
 def test_sub_piece_points_match_the_fraction_midpoints(scene):
     # the crossing cuts of every piece as the scan records them, then
-    # repeated, unreduced and out of order, with cuts at and past a
-    # bounded piece's far end
+    # repeated and unreduced, with cuts at and past a bounded piece's far
+    # end, each list in increasing order as the sampler's sort hands it over
     region, guards = BRANCH_SCENES[scene]
     analysis = darkness._Analysis(region, GuardSet(guards))
     _, events = oracles.crossings_oracle(analysis.pieces)
@@ -780,6 +839,7 @@ def test_sub_piece_points_match_the_fraction_midpoints(scene):
         else:
             noisy += [(5 * piece[4], 5 * piece[5]), (2 * piece[4] + 1, piece[5])]
         for c in ((), cuts, noisy):
+            c = sorted(c, key=lambda t: Fraction(*t))
             assert darkness._sub_piece_points(piece, c) == oracles.sub_piece_points_oracle(piece, c)
     # the wedge's pieces include unbounded ones
     assert any(p[4] is None for p in analysis.pieces) == (scene == "wedge")

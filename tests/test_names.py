@@ -533,11 +533,21 @@ EXACT_CALLERS = {
     "_confirm": {"_pair_scan", "_crossing_table", "_crossing_key", "_pair_hits"},
 }
 
+# the sampler orders and deduplicates its samples on their float columns:
+# it builds no point key and confirms no crossing itself, and a gcd key
+# only where two samples share both floats
+SAMPLER_EXACT_CALLERS = {
+    "_point_key": set(),
+    "_confirm": set(),
+    "gcd": {"_distinct"},
+}
 
-def exact_calls_outside(source: str, filename: str) -> List[Tuple[str, str, int]]:
-    """(name, function, line) for each call of a name of EXACT_CALLERS from
-    a function (the innermost enclosing def; '<module>' at top level)
-    that is not allowed to make it."""
+
+def exact_calls_outside(source: str, filename: str,
+                        table=EXACT_CALLERS) -> List[Tuple[str, str, int]]:
+    """(name, function, line) for each call of a name of table from a
+    function (the innermost enclosing def; '<module>' at top level) that
+    is not allowed to make it."""
     out: List[Tuple[str, str, int]] = []
 
     def visit(node, where):
@@ -546,7 +556,7 @@ def exact_calls_outside(source: str, filename: str) -> List[Tuple[str, str, int]
                 visit(child, child.name)
                 continue
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and where not in EXACT_CALLERS.get(child.func.id, {where})):
+                    and where not in table.get(child.func.id, {where})):
                 out.append((child.func.id, where, child.lineno))
             visit(child, where)
 
@@ -579,6 +589,26 @@ def test_exact_calls_outside_flags_per_hit_calls():
 def test_the_exact_engine_builds_keys_and_confirms_only_where_floats_cannot():
     path = PACKAGE / "darkness.py"
     assert exact_calls_outside(path.read_text(), str(path)) == []
+
+
+def test_exact_calls_outside_flags_the_samplers_per_sample_keys():
+    source = (
+        "def _distinct(samples, px, py):\n"
+        "    return [gcd(X, Y, W) for X, Y, W in samples]\n"
+        "def _suspicious_points(pieces):\n"
+        "    for i, j, un, vn, D in _pair_hits(pieces):\n"
+        "        yield _point_key(pieces[i], un, D), _confirm(pieces[i], pieces[j])\n"
+        "def _scan(samples):\n"
+        "    return {(X // gcd(X, Y, W), Y, W) for X, Y, W in samples}\n"
+    )
+    assert exact_calls_outside(source, "example.py", SAMPLER_EXACT_CALLERS) == [
+        ("_confirm", "_suspicious_points", 5), ("_point_key", "_suspicious_points", 5),
+        ("gcd", "_scan", 7)]
+
+
+def test_the_sampler_keys_only_samples_that_tie_in_floats():
+    path = PACKAGE / "sampling.py"
+    assert exact_calls_outside(path.read_text(), str(path), SAMPLER_EXACT_CALLERS) == []
 
 
 # one frozen value base: geometry._Frozen refuses assignment and deletion

@@ -7,7 +7,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import numpy as np
 import pytest
@@ -364,6 +364,94 @@ def test_an_overflowing_product_defers_to_the_exact_test():
     assert [depth_at_sample(square, gs, s) for s in (p, q, h)] == exact
 
 
+# --- float-keyed deduplication and the order test before _between -------------------
+
+BIG = 2 ** 60
+TINY = 2 ** 1100
+DISTINCT_CASES = {
+    # one point in several representations, among distinct points, one
+    # of them level with it in x
+    "multiples": [(3, 5, 7), (1, 1, 1), (6, 10, 14), (-3, 5, 7), (300, 500, 700), (2, 2, 2),
+                  (0, 0, 1), (3, 6, 7), (0, 0, 9)],
+    # adjacent rationals that round to one float pair
+    "one-float-pair": [(3 * BIG + 1, 3 * BIG, 3), (BIG, BIG, 1), (3 * BIG + 2, 3 * BIG - 1, 3),
+                       (BIG + 1, BIG, 1), (2 * BIG + 2, 2 * BIG, 2), (BIG, BIG + 1, 1)],
+    # points on either side of zero closer than the smallest float
+    "signed-zero": [(0, 0, 1), (-1, 1, TINY), (1, -1, TINY), (0, 0, 7), (-2, 2, 2 * TINY),
+                    (1, 0, TINY)],
+    # points past the float range
+    "infinite": [(TINY, -TINY, 1), (TINY + 1, -TINY, 1), (2 * TINY, -2 * TINY, 2), (-TINY, TINY, 1),
+                 (TINY, -TINY - 1, 1), (-2 * TINY, 2 * TINY, 2)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISTINCT_CASES))
+def test_distinct_keeps_the_first_of_each_point(case, monkeypatch):
+    # the float-keyed deduplication keeps what the gcd key of every
+    # sample kept, building a key only for samples that share both floats
+    samples = DISTINCT_CASES[case]
+    px = np.array([geometry._nearest(X, W) for X, _, W in samples])
+    py = np.array([geometry._nearest(Y, W) for _, Y, W in samples])
+    pairs = list(zip(px.tolist(), py.tolist()))
+    keys = []
+    monkeypatch.setattr(sampling, "gcd", lambda *a: keys.append(a) or gcd(*a))
+    for order in (slice(None), slice(None, None, -1)):
+        keys.clear()
+        got = sampling._distinct(samples[order], px[order], py[order])
+        assert got == oracles.distinct_oracle(samples[order])
+        assert len(keys) == sum(pairs.count(p) > 1 for p in pairs)
+    assert len(got) < len(samples)
+    if case == "one-float-pair":
+        assert len(set(pairs)) == 1
+    if case == "signed-zero":
+        assert set(np.signbit(px).tolist()) == set(np.signbit(py).tolist()) == {True, False}
+        assert not px.any() and not py.any()
+    if case == "infinite":
+        assert np.isinf(px).all() and np.isinf(py).all()
+
+
+def _order_triples(rng, base):
+    """(q, h, s) triples of integer points q and h and homogeneous samples
+    s near base, s - q a multiple of a step of 1 to 2^50 times a primitive
+    direction (a, b): h exactly on the line behind q, between q and s,
+    at s, one step past s and one primitive (a, b) past s, each also
+    moved one unit off the line."""
+    out = []
+    for _ in range(300):
+        q = (base + rng.randrange(-2 ** 20, 2 ** 20), base + rng.randrange(-2 ** 20, 2 ** 20))
+        a, b = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1), (3, 5), (-7, 4)])
+        step = 2 ** rng.randrange(51)
+        m = rng.randrange(2, 9)
+        W = rng.choice([1, 1, 3])
+        s = (q[0] * W + m * step * a, q[1] * W + m * step * b, W)
+        on = [(q[0] + k * step * a, q[1] + k * step * b) for k in (-m, -1, 1, m - 1, m, m + 1)]
+        if W == 1:
+            on.append((s[0] + a, s[1] + b))
+        for h in on:
+            for ox, oy in ((0, 0), (1, 0), (0, -1)):
+                out.append((q, (h[0] + ox, h[1] + oy), s))
+    return out
+
+
+@pytest.mark.parametrize("base", [2 ** 53, 2 ** 60], ids=["2^53", "2^60"])
+def test_the_order_test_never_rules_out_a_guard_between(base):
+    # wherever h is strictly between q and s, neither "behind q" nor
+    # "past s" holds in floats, with the margin of the triple's own
+    # largest coordinate
+    triples = _order_triples(random.Random(base + 26), base)
+    qx, qy, hx, hy, sx, sy = (np.array(c) for c in zip(*(
+        (float(q[0]), float(q[1]), float(h[0]), float(h[1]),
+         geometry._nearest(s[0], s[2]), geometry._nearest(s[1], s[2])) for q, h, s in triples)))
+    m = np.maximum.reduce([np.abs(c) for c in (qx, qy, hx, hy, sx, sy)])
+    off = sampling._off_segment(hx, hy, qx, qy, sx, sy, m * m * 2.0 ** -sampling._CERT_SHIFT)
+    between = [_between(h, q, s) for q, h, s in triples]
+    assert between == [strictly_between(Point2(*q), Point2(*h), Point2(Fraction(s[0], s[2]),
+                                                                      Fraction(s[1], s[2])))
+                       for q, h, s in triples]
+    assert not (off & np.array(between)).any()
+    assert 0 < sum(between) < len(triples) and 0 < off.sum() < len(triples) - sum(between)
+
+
 # --- the integer kernel equals the Fraction oracles -----------------------------------
 
 def _kernel_verdicts(P, gs, samples):
@@ -638,7 +726,9 @@ def test_certain_float_signs_are_exact_on_star_polygons(scene):
 def test_the_float_pass_settles_the_same_pairs_past_the_float_range(monkeypatch):
     # past 2^508 a frame divides its float columns by a power of two:
     # every sign test and margin scales by it exactly, so the float pass
-    # leaves the integer kernel the same pairs as at scale 1
+    # leaves the integer kernel the same pairs as at scale 1; the order
+    # test along each segment rules out 1,528 of the 3,320 guard pairs
+    # that collinearity alone leaves open
     comb = make_comb(3)
     gs = comb_cover(comb, 4)
     grazing = _grazing_points(comb, gs.guards)
@@ -657,7 +747,7 @@ def test_the_float_pass_settles_the_same_pairs_past_the_float_range(monkeypatch)
         return frame.unit // frame.scale, dict(calls), [d for _, d in report.samples]
 
     shift, base_calls, base_depths = run(1)
-    assert shift == 1 and base_calls == {"_between": 3320, "_wall_free": 40}
+    assert shift == 1 and base_calls == {"_between": 1792, "_wall_free": 40}
     assert len(base_depths) > 1000
     for factor in (2 ** 520, 2 ** 1100):
         shift, got_calls, got_depths = run(factor)
