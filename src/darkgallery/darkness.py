@@ -47,9 +47,9 @@ the j-dark queries, the sampler and the concurrency check alike.  It
 takes one path at every piece count and coordinate size: over fixed-size
 2-D tiles of the pair triangle it keeps a pair only if the pieces' float
 boxes overlap, they are not parallel and have no open end at one point
-(exact class tests).  A float verdict with a derived rounding-error
-bound then calls each pair a certain hit, a certain miss or unsure, and
-only the unsure pairs are confirmed with exact big-integer arithmetic.
+(exact class tests).  A float verdict with a rounding-error bound
+derived in ``_filter`` then calls each pair a certain hit, a certain
+miss or unsure, and only the unsure pairs are confirmed exactly.
 The scan returns arrays: each hit's pieces, and its float parameter on
 the first piece with an error bound.  The table groups each row's hits
 by that parameter, comparing exactly only hits whose intervals overlap,
@@ -67,8 +67,18 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
+from ._filter import (
+    _floats,
+    _interval,
+    _leftmost,
+    _nearest,
+    _quotient_bound,
+    _rounding_bound,
+    _signs,
+    _sum_bound,
+    _x_bounds,
+)
 from .geometry import (
-    _XY,
     ConvexPolygon,
     Line,
     Point2,
@@ -78,7 +88,6 @@ from .geometry import (
     _Frozen,
     _halfplanes,
     _integers,
-    _nearest,
     as_int,
     primitive_direction,
 )
@@ -356,25 +365,14 @@ def _confirm(p, q):
     return (un, vn, D)
 
 
-def _floats(values):
-    """The integers values as correctly rounded floats, +-inf past the
-    float range: numpy converts a Python int by correct rounding, and
-    refuses one past the range, which _nearest then maps to +-inf."""
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:
-        return np.array([_nearest(v, 1) for v in values], dtype=np.float64)
-
-
 def _piece_boxes(pieces):
     """(x0, y0, fdx, fdy, lox, hix, loy, hiy): every piece's float anchor,
     float direction and conservative float box, one column per piece.
 
     Every coordinate is rounded to the nearest float and an unbounded end
-    becomes +-inf.  Rounding is monotone (a <= b implies round(a) <=
-    round(b)), so two pieces whose true spans overlap keep overlapping
-    boxes under <=.  That holds however large the scaled coordinates are.
-    The anchors and directions feed the float verdicts of _pair_scan.
+    becomes +-inf; rounding is monotone, so pieces whose true spans
+    overlap keep overlapping boxes at any scale.  The anchors and
+    directions feed the float verdicts of _pair_scan.
     """
     ax, ay, dx, dy = ([p[c] for p in pieces] for c in range(4))
     x0, y0, fdx, fdy = _floats(ax), _floats(ay), _floats(dx), _floats(dy)
@@ -425,35 +423,6 @@ def _end_classes(pieces):
     return _class_ids(dirs)[line], anchor, far
 
 
-# Float verdicts of _pair_scan.  With u = 2**-53 and every input a
-# correctly rounded integer (no overflow), ex = ax_j - ax_i is off by at
-# most (2u + u^2)*Ax, Ax = |ax_i| + |ax_j|; each product ex*dy_j adds
-# two more roundings, and the final subtraction a third, so
-#     |fl(un) - un| <= (5u + O(u^2)) * (Ax*|dy_j| + Ay*|dx_j|) = eu
-# and likewise for vn (ev, with dy_i, dx_i), while D = dx_i*dy_j -
-# dy_i*dx_j stays within (4u + O(u^2)) * (|dx_i*dy_j| + |dy_i*dx_j|) = eD.
-# Computing a bound in floats loses at most five more roundings, a factor
-# (1 - u)^5, so 2**-50 = 8u times the float magnitudes covers the error
-# with room to spare: a value beyond its bound has its true sign.
-#
-# Where |D| > eD the sign of D is certain, and with s = sign(fl(D)) the
-# parameter t = un/D on piece i is near T = fl(s*fl(un) / |fl(D)|):
-#     |t - T| <= (eu + |T|*eD) / (|fl(D)| - eD) + u*|T|,
-# from un/D - a/b = ((un - a)*b + a*(b - D)) / (D*b) and one rounding of
-# the quotient.  E, the same sum with the float bounds (8u where 5u is
-# needed) and 8u*|T| for the quotient, stays an upper bound through its
-# own six roundings and that of T +- E.  The far end hin/hid, correctly
-# rounded to h, lies in [h - 8u*h, h + 8u*h].  Below 2**-1022 a rounding
-# is off by up to 2**-1075 whatever the value, so every such bound adds
-# _TINY.  So a pair whose un, vn and both parameters are beyond their
-# bounds on the inside is a certain hit, and a pair with one of them
-# beyond its bound on the outside a certain miss; the rest, and inf or
-# NaN anywhere (every comparison fails), go to _confirm.  No overflow
-# goes unseen: |un| is at most the magnitude sum of eu / 8u, so un
-# overflows only where eu does, and likewise for vn and D.
-_SIGN_SLACK = 2.0 ** -50
-_TINY = 2.0 ** -1022
-
 # elements of one 2-D tile of the pair scan's masks: bounded memory at
 # any piece count, few numpy calls per row
 _TILE = 1 << 16
@@ -470,28 +439,6 @@ def _tiles(R):
         i = i1
 
 
-def _x_bounds(x0, fdx, T, E):
-    """Float bounds (lo, hi) on x = ax + t*dx, for floats x0 and fdx of
-    the integers ax and dx and |t - T| <= E; -inf and inf where a bound
-    is not finite.
-
-    The error of x = x0 + T*fdx is at most E*|dx| + u*(|ax| + |T*dx|)
-    for the roundings of ax and dx, plus u*(|T*fdx| + |x|) for those of
-    the product and the sum, with |dx| <= |fdx|*(1 + u): about
-    E*|fdx|*(1 + u) + 2u*|x0| + 3u*|T*fdx|.  The bound below (8u where 3u
-    is needed) covers that, its own roundings and those of x +- err.  A
-    parameter off by a rounding below 2**-1022 has E >= _TINY, which
-    covers the product's too, as |fdx| >= 1 unless dx = 0.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        tx = T * fdx
-        x = x0 + tx
-        err = E * np.abs(fdx) * (1 + _SIGN_SLACK) + _SIGN_SLACK * (np.abs(x0) + np.abs(tx))
-        lo = x - err
-        hi = x + err
-    return np.where(np.isfinite(lo), lo, -inf), np.where(np.isfinite(hi), hi, inf)
-
-
 def _pair_scan(pieces, boxes):
     """(I, J, T, E): every crossing (I[k], J[k]) of pieces from distinct
     lines, as index arrays in increasing (i, j) order, with T[k] the
@@ -502,23 +449,22 @@ def _pair_scan(pieces, boxes):
     triangle.  The float boxes of _piece_boxes must overlap, and the exact
     class tests of _end_classes drop parallel pieces and pieces with an
     open end at one point.  Each pair left is a certain hit, a certain
-    miss, or unsure by the float verdicts above (_SIGN_SLACK); only the
-    unsure pairs go to _confirm.  No test drops a crossing or keeps a
-    miss, so the hits and their order are those of the plain loop of
-    _confirm over all pairs.  A hit that _confirm settles gets T, its
-    correctly rounded exact parameter, and E = 8u*|T| + _TINY.
+    miss, or unsure by the float bounds of un, vn, D (_sum_bound) and
+    un/D, vn/D (_quotient_bound); only the unsure pairs go to _confirm.
+    No test drops a crossing or keeps a miss, so the hits and their
+    order are those of the plain loop of _confirm over all pairs.  A hit
+    that _confirm settles gets T, its correctly rounded exact parameter,
+    and E its _rounding_bound.
     """
     R = len(pieces)
     x0, y0, dx, dy, lox, hix, loy, hiy = boxes
     direction, anchor, far = _end_classes(pieces)
-    S = _SIGN_SLACK
     # float bounds on each far end's parameter; an unbounded piece never
     # ends, and a bounded one past the float range has none (NaN)
-    bounded = np.array([p[4] is not None for p in pieces], dtype=bool)
     h = np.array([inf if p[4] is None else _nearest(p[4], p[5]) for p in pieces])
+    eh = np.where([p[4] is None for p in pieces], 0.0, _rounding_bound(h))
     with np.errstate(invalid="ignore"):
-        hlo = np.where(bounded, h - S * h - _TINY, inf)
-        hhi = np.where(bounded, h + S * h + _TINY, inf)
+        hlo, hhi = h - eh, h + eh
     mx, my, mdx, mdy = np.abs(x0), np.abs(y0), np.abs(dx), np.abs(dy)
     none = np.empty(0, dtype=np.int64)
     out = [(none, none, np.empty(0), np.empty(0))]
@@ -548,29 +494,30 @@ def _pair_scan(pieces, boxes):
             s = np.sign(D)
             su = s * (ex * dy[jj] - ey * dx[jj])
             sv = s * (ex * dy[ii] - ey * dx[ii])
-            eu = S * (sx * mdy[jj] + sy * mdx[jj])
-            ev = S * (sx * mdy[ii] + sy * mdx[ii])
-            eD = S * (mdx[ii] * mdy[jj] + mdy[ii] * mdx[jj])
+            eu = _sum_bound(sx * mdy[jj] + sy * mdx[jj])
+            ev = _sum_bound(sx * mdy[ii] + sy * mdx[ii])
+            eD = _sum_bound(mdx[ii] * mdy[jj] + mdy[ii] * mdx[jj])
             aD = np.abs(D)
             room = aD - eD
+            (upos, uneg), (vpos, vneg) = _signs(su, eu), _signs(sv, ev)
             # certain misses on the signs of un and vn first: most pairs
             # end here, and the parameters are computed for the rest only
-            left = ~((room > 0) & ((su < -eu) | (sv < -ev)))
-            ii, jj, aD, eD, su, sv, eu, ev, room = (
-                a[left] for a in (ii, jj, aD, eD, su, sv, eu, ev, room))
+            left = ~((room > 0) & (uneg | vneg))
+            ii, jj, aD, eD, su, sv, eu, ev, room, upos, vpos = (
+                a[left] for a in (ii, jj, aD, eD, su, sv, eu, ev, room, upos, vpos))
             T = su / aD
             V = sv / aD
-            E = (eu + np.abs(T) * eD) / room + S * np.abs(T) + _TINY
-            EV = (ev + np.abs(V) * eD) / room + S * np.abs(V) + _TINY
+            E = _quotient_bound(T, eu, eD, room)
+            EV = _quotient_bound(V, ev, eD, room)
             sure = room > 0
-            hit = sure & (su > eu) & (sv > ev) & (T + E < hlo[ii]) & (V + EV < hlo[jj])
+            hit = sure & upos & vpos & (T + E < hlo[ii]) & (V + EV < hlo[jj])
             miss = sure & ((T - E > hhi[ii]) | (V - EV > hhi[jj]))
         for k in np.nonzero(~(hit | miss))[0].tolist():
             c = _confirm(pieces[ii[k]], pieces[jj[k]])
             if c is not None:
                 hit[k] = True
                 T[k] = _nearest(c[0], c[2])
-                E[k] = S * abs(T[k]) + _TINY
+                E[k] = _rounding_bound(T[k])
         out.append((ii[hit], jj[hit], T[hit], E[hit]))
     return tuple(np.concatenate(col) for col in zip(*out))
 
@@ -625,11 +572,7 @@ def _crossing_table(pieces):
     n = len(I)
     R = len(pieces)
     blocked = np.array([p[7] for p in pieces], dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo = T - E
-        hi = T + E
-    lo = np.where(np.isfinite(lo), lo, -inf)
-    hi = np.where(np.isfinite(hi), hi, inf)
+    lo, hi = _interval(T, E)
     # clusters: sort each row by lo and cut where lo passes the running
     # max of hi in the row; ranking (row, hi) makes one accumulate serve
     # every row, as each row's ranks exceed those of the rows before it
@@ -665,22 +608,6 @@ def _crossing_table(pieces):
     I, J = I[first], J[first]
     XL, XU = _x_bounds(boxes[0][I], boxes[2][I], T[first], E[first])
     return I, J, XL, XU, total[o], count[o]
-
-
-def _leftmost(lo, hi, key):
-    """(k, key(k)) for the lexicographically smallest of candidate points
-    with lo[k] <= x <= hi[k], the first of equal points.
-
-    key(k) builds the exact homogeneous point (X, Y, W) of candidate k,
-    only where lo[k] <= min(hi): every candidate at the least x is among
-    those.  They are compared on correctly rounded floats of x first,
-    which never invert two points, and _XY compares only the points that
-    tie on it.
-    """
-    cands = [(k, key(k)) for k in np.nonzero(lo <= hi.min())[0].tolist()]
-    xs = [_nearest(c[1][0], c[1][2]) for c in cands]
-    low = min(xs)
-    return min((c for c, x in zip(cands, xs) if x == low), key=lambda c: _XY(c[1]))
 
 
 def _sub_piece_points(piece, cuts):
@@ -727,15 +654,8 @@ def _sub_piece_points(piece, cuts):
 #
 # _clip_lines gives what _clip gives on each line, from one float pass
 # over lines x halfplanes: halfplane j keeps rate*t >= r with rate =
-# a*dx + b*dy and r = c - a*x - b*y.  Each is a sum of at most three
-# integer terms, so by the bounds above _SIGN_SLACK its float is within
-# 8u times the float magnitude sum M.  Where M < 2**52 and nothing
-# overflows, every input is an exact float and every partial sum an
-# integer below 2**53 (a nonzero factor of a product below 2**52 is
-# itself below 2**52, and a zero one makes the product exact), so the
-# float is exact and the bound 0: a halfplane parallel to the line then
-# has rate == 0 certainly.
-_EXACT_SUM = 2.0 ** 52
+# a*dx + b*dy and r = c - a*x - b*y, each bounded by _sum_bound; a bound
+# of 0 is exact, so a halfplane parallel to the line has rate == 0 certainly.
 
 
 def _clip_lines(starts, dirs, halfplanes):
@@ -744,35 +664,30 @@ def _clip_lines(starts, dirs, halfplanes):
     the region, so that no clip is empty.
 
     A line whose rates all have a certain sign gets float bounds T +- E
-    on each bound r/rate (the quotient bound of _pair_scan).  An end's
-    candidates are the halfplanes whose interval reaches the tightest
-    certain bound; the true end is among them.  Where each end has at
-    most one, it is the only halfplane setting that end, and its exact
-    (r, rate) is computed alone.  A line with a rate of unsure sign, an
-    end with two or more candidates (the line through a vertex, or any
-    near tie) or a value that is not finite goes to _clip whole.
+    on each bound r/rate (_quotient_bound).  An end's candidates are the
+    halfplanes whose interval reaches the tightest certain bound; the
+    true end is among them.  Where each end has at most one, it is the
+    only halfplane setting that end, and its exact (r, rate) is computed
+    alone.  A line with a rate of unsure sign, an end with two or more
+    candidates (the line through a vertex, or any near tie) or a value
+    that is not finite goes to _clip whole.
     """
     if not halfplanes or not starts:
         return [(None, None)] * len(starts)  # the whole plane bounds nothing
-    S = _SIGN_SLACK
     a, b, c = (_floats(col) for col in zip(*halfplanes))
     x, y = (_floats(col)[:, None] for col in zip(*starts))
     dx, dy = (_floats(col)[:, None] for col in zip(*dirs))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pa, pb = a * dx, b * dy
         rate = pa + pb
-        M = np.abs(pa) + np.abs(pb)
-        erate = np.where(M < _EXACT_SUM, 0.0, S * M)
+        erate = _sum_bound(np.abs(pa) + np.abs(pb))
         qa, qb = a * x, b * y
         r = c - qa - qb
-        M = np.abs(c) + np.abs(qa) + np.abs(qb)
-        er = np.where(M < _EXACT_SUM, 0.0, S * M)
-        pos = rate > erate
-        neg = rate < -erate
+        er = _sum_bound(np.abs(c) + np.abs(qa) + np.abs(qb))
+        pos, neg = _signs(rate, erate)
         signed = pos | neg
         T = r / np.where(signed, rate, 1.0)
-        room = np.where(signed, np.abs(rate) - erate, 1.0)
-        E = (er + np.abs(T) * erate) / room + S * np.abs(T) + _TINY
+        E = _quotient_bound(T, er, erate, np.where(signed, np.abs(rate) - erate, 1.0))
         lo_top = np.where(pos, T - E, -inf).max(axis=1)
         hi_top = np.where(neg, T + E, inf).min(axis=1)
         lo_cand = pos & (T + E >= lo_top[:, None])
@@ -970,10 +885,9 @@ class _Analysis:
             # is at the correctly rounded half of hin/hid, or 1
             T = np.array([0.0] * len(guards)
                          + [1.0 if p[4] is None else _nearest(p[4], p[5]) / 2 for p in tops])
-            E = _SIGN_SLACK * T + _TINY
-            E[:len(guards)] = 0.0
             lo, hi = _x_bounds(_floats([c[0] for c in guards + tops]),
-                               _floats([0] * len(guards) + [p[2] for p in tops]), T, E)
+                               _floats([0] * len(guards) + [p[2] for p in tops]), T,
+                               _rounding_bound(T))
             lo = np.concatenate((XL[at], lo))
             hi = np.concatenate((XU[at], hi))
 

@@ -28,9 +28,10 @@ refuses assignment and deletion and copies and pickles by slot.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
+
+from ._filter import _FLOAT_BITS
 
 Rat = Fraction
 RatLike = Union[int, Fraction, str]
@@ -590,67 +591,6 @@ def _integers(points: Sequence[Point2], base: int = 1):
                     p.y.numerator * (scale // p.y.denominator)) for p in points]
 
 
-# sort key of integer ratios (num, den > 0) in value order, by cross-multiplication
-_RATIO = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
-
-
-def _xy_cmp(a, b) -> int:
-    """Sign of the lexicographic (x, y) comparison of two homogeneous
-    points (X, Y, W), W > 0, by cross-multiplication."""
-    c = a[0] * b[2] - b[0] * a[2]
-    return c if c else a[1] * b[2] - b[1] * a[2]
-
-
-# sort key of homogeneous points in lexicographic (x, y) order
-_XY = cmp_to_key(_xy_cmp)
-
-
-def _nearest(n, d):
-    """n/d (d > 0) rounded to the nearest float, or +-inf past the float
-    range.  The int / int division is correctly rounded; math.copysign
-    would convert n to float and overflow itself."""
-    try:
-        return n / d
-    except OverflowError:
-        return inf if n > 0 else -inf
-
-
-def _sorted_exact(items, key, floats=None):
-    """A list of the items in the stable order of key, _XY or _RATIO,
-    sorted on floats first.
-
-    Both keys order first by the ratio item[0] / item[-1] (x = X/W of a
-    homogeneous point, or the value of a ratio (num, den)).  Rounding that
-    ratio to the nearest float is monotone, so the float order can tie two
-    items but never inverts them: a stable sort on the floats, then a
-    stable re-sort of each run of equal floats with key, gives exactly the
-    stable sort on key, with key comparing only within the runs.
-
-    floats, when given, are the items' float keys, made by the caller:
-    the ratios correctly rounded, or any other float monotone in them
-    (such as X / (W * unit) for a positive unit), or (group, float)
-    pairs with an integer group first, which sort the items by group
-    and by key within a group.
-    """
-    items = list(items)
-    n = len(items)
-    if n < 2:
-        return items
-    if floats is None:
-        floats = [_nearest(t[0], t[-1]) for t in items]
-    order = sorted(range(n), key=floats.__getitem__)
-    out = [items[i] for i in order]
-    if len(set(floats)) == n:
-        return out
-    start = 0
-    for end in range(1, n + 1):
-        if end == n or floats[order[end]] != floats[order[start]]:
-            if end - start > 1:
-                out[start:end] = sorted(out[start:end], key=key)
-            start = end
-    return out
-
-
 def _homogeneous(p: Point2, scale: int):
     """Integers (X, Y, W), W > 0, with (X/W, Y/W) = scale * p."""
     x, y = p.x, p.y
@@ -663,15 +603,6 @@ def _homogeneous(p: Point2, scale: int):
             y.numerator * (scale // gy) * (w // dy), w)
 
 
-# A frame whose largest coordinate may pass 2^(_FLOAT_BITS + 1) could
-# overflow 16*M*M, the float margin test of the sampler (sampling._bound),
-# and would leave every verdict to the integer kernel; its float columns
-# are divided by a power of two instead (_Frame.unit).  Every sign test
-# and margin of the float pass scales by that power exactly, so the
-# verdicts do not change.
-_FLOAT_BITS = 508
-
-
 class _Frame:
     """A region and some points, scaled to integers by one factor.
 
@@ -682,9 +613,9 @@ class _Frame:
     hold them times scale, as integer pairs.  ``sample(p)`` gives
     homogeneous integers (X, Y, W), W > 0, with (X/W, Y/W) = scale * p,
     and ``point`` maps them back.  ``unit`` divides the frame's integers
-    into the sampler's float columns: scale, or past the float range
-    (_FLOAT_BITS) scale times the power of two that brings the largest
-    coordinate into (1, 4).
+    into the sampler's float columns: scale, or past 2^_FLOAT_BITS (where
+    ``_filter`` derives it) scale times the power of two that brings the
+    largest coordinate into (1, 4).
     """
 
     __slots__ = ("scale", "walls", "ints", "unit")

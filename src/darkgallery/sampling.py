@@ -30,8 +30,8 @@ columns (``_columns``) once, where it is made, and its columns travel
 with it through the deduplication and the sort to the float pass.  The
 columns are correctly rounded, so they order and deduplicate the
 samples: ``_distinct`` builds a gcd-normalised key only for samples
-that share both floats, and ``geometry._sorted_exact`` sorts on the x
-column, with the exact cross-multiplication order ``geometry._XY`` only
+that share both floats, and ``_filter._sorted_exact`` sorts on the x
+column, with the exact cross-multiplication order ``_filter._XY`` only
 within runs of equal floats.  ``_scan`` returns the samples with their
 depths and builds no point: ``sample_depth`` builds one ``Point2`` per
 sample of its ``SampleReport``, and the CLI certificate one per witness
@@ -41,26 +41,24 @@ Every verdict is exact.  Depths and polygon membership take one path on
 every polygon, convex or not, at every batch size and coordinate scale,
 reading one float orientation matrix of points against walls
 (``_wall_sides``): a float pass whose only verdicts are strict
-comparisons against a certified error margin, then one integer kernel
-for whatever it leaves open.  The float pass is laid out edge-major,
-[edge][sample] and [guard][sample], so each row is a contiguous run of
-samples and every reduction over edges or guards runs down the columns;
-per guard, one matrix product (``_segment_sides``) orients every wall
-end and every guard against the segments from that guard to the
-samples.  A NaN, an inf, or any value once a product could overflow
-(the margin is then infinite) decides nothing; a frame past the float
-range divides its float columns by a power of two, which scales every
-product exactly and changes no verdict, so that this never happens to
-its own points.  The float pass also settles samples on the boundary:
-whether a sample or a guard lies exactly on an edge's line is decided in
-integers where the float sign is uncertain, and a segment that certainly
-meets no edge and certainly enters the polygon at the guard stays
-inside.  ``_wall_free`` decides whether a segment stays inside,
-``_between`` whether a guard blocks it, and ``geometry._locate`` (which
-``SimplePolygon.where`` reads too) decides membership.  Guard blocking
-is decided per guard, over the (sample, other guard) pairs the float
-pass leaves open for it: near-collinear pairs whose order along the
-segment does not rule the guard out (``_off_segment``).  ``visible``
+comparisons against one certified margin per batch (``_filter._margin``,
+where every float bound of the package is derived), then one integer
+kernel for whatever it leaves open.  The float pass is laid out
+edge-major, [edge][sample] and [guard][sample], so each row is a
+contiguous run of samples and every reduction over edges or guards runs
+down the columns; per guard, one matrix product (``_segment_sides``)
+orients every wall end and every guard against the segments from that
+guard to the samples.  A NaN, an inf, or any value once a product could
+overflow decides nothing.  The float pass also settles samples on the
+boundary: whether a sample or a guard lies exactly on an edge's line is
+decided in integers where the float sign is uncertain, and a segment
+that certainly meets no edge and certainly enters the polygon at the
+guard stays inside.  ``_wall_free`` decides whether a segment stays
+inside, ``_between`` whether a guard blocks it, and ``geometry._locate``
+(which ``SimplePolygon.where`` reads too) decides membership.  Guard
+blocking is decided per guard, over the (sample, other guard) pairs the
+float pass leaves open for it: near-collinear pairs whose order along
+the segment does not rule the guard out (``_off_segment``).  ``visible``
 and ``depth_at_sample`` are that kernel on one pair and one sample.
 
 A sampled report can prove a placement bad (a witness below target) but
@@ -72,15 +70,14 @@ minimum depth.
 from __future__ import annotations
 
 import random
-from math import gcd, inf
+from math import gcd
 from typing import List, Optional, Union
 
 import numpy as np
 
+from ._filter import _RATIO, _XY, _margin, _nearest, _signs, _sorted_exact
 from .darkness import GuardSet, _Analysis, _pair_hits, _sub_piece_points
 from .geometry import (
-    _RATIO,
-    _XY,
     ConvexPolygon,
     Point2,
     SimplePolygon,
@@ -88,8 +85,6 @@ from .geometry import (
     _Frozen,
     _hull_corners,
     _locate,
-    _nearest,
-    _sorted_exact,
     as_int,
 )
 
@@ -98,20 +93,12 @@ AnyPolygon = Union[ConvexPolygon, SimplePolygon]
 # resolution of the rational coordinates drawn by the seeded sampler
 _RANDOM_GRID = 1 << 20
 
-# Float sign-certainty margin: with every |coordinate| <= M stored as a
-# correctly-rounded float, an orientation-style value (two differences
-# multiplied and summed, in either order, with or without a fused
-# multiply-add, as a two-term matrix product computes it) accumulates
-# absolute error below 2^-47*M^2, so anything larger than M^2 * 2^-46
-# in magnitude has the true sign.
-_CERT_SHIFT = 46
-
 
 def _columns(frame: _Frame, pts):
     """Float columns (x, y) of the frame's integer pairs or homogeneous
     samples (X, Y, W): each value is X / (W * unit) correctly rounded,
     the float of the coordinate it stands for in the polygon's own units,
-    divided by unit / scale (a power of two, 1 below 2^geometry._FLOAT_BITS)."""
+    divided by unit / scale (a power of two, 1 below 2^_filter._FLOAT_BITS)."""
     s = frame.unit
     xs = []
     ys = []
@@ -120,19 +107,6 @@ def _columns(frame: _Frame, pts):
         xs.append(_nearest(p[0], d))
         ys.append(_nearest(p[1], d))
     return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
-
-
-def _bound(*columns) -> float:
-    """M of the sign margin: the largest |coordinate|, at least 1.
-
-    An orientation value built from these columns is at most 8*M^2.
-    When that could overflow (or a coordinate already rounded to +-inf),
-    M is inf, so every margin is inf and no float verdict is certain.
-    The frame's unit keeps its own points below that, so only a given
-    sample far outside the polygon can reach it.
-    """
-    m = max(1.0, *(float(np.abs(c).max(initial=0.0)) for c in columns))
-    return m if 16.0 * m * m < inf else inf
 
 
 def _wall_sides(frame: _Frame, *points):
@@ -152,37 +126,32 @@ def _wall_sides(frame: _Frame, *points):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN only ever defer
-def _contains_mask(frame: _Frame, samples, cols) -> List[bool]:
-    """Whether each homogeneous sample of the frame lies in the closed
-    polygon, float-prefiltered, given the samples' float columns cols
-    (_columns).
+def _contains_mask(frame: _Frame, samples, cols):
+    """Bool mask: whether each homogeneous sample of the frame lies in
+    the closed polygon, float-prefiltered, given the samples' float
+    columns cols (_columns).
 
-    The float pass settles samples whose membership is certain by the
-    sign margin; boundary-grazing samples (and anything else inside the
-    margin) are re-decided exactly by ``_locate``, so the result matches
-    the plain loop bit for bit.
+    The float pass settles samples whose membership is certain: heights
+    compare on the correctly rounded columns, sides under the batch
+    margin (_margin).  Only the rest, such as boundary-grazing samples,
+    are re-decided exactly by ``_locate``, so the result matches the
+    plain loop bit for bit.
     """
     px, py = cols
     ax, ay, (o,) = _wall_sides(frame, (px, py))
-    m = _bound(px, py, ax, ay)
-    cert = m * m * 2.0 ** -_CERT_SHIFT
-    eps = m * 2.0 ** -_CERT_SHIFT
+    left, right = _signs(o, _margin(px, py, ax, ay))
     pyr = py[None, :]
     lo = np.minimum(ay[:-1], ay[1:])[:, None]
     hi = np.maximum(ay[:-1], ay[1:])[:, None]
-    level = (pyr > lo + eps) & (pyr < hi - eps)
+    level = (pyr > lo) & (pyr < hi)
     upward = (ay[1:] > ay[:-1])[:, None]
-    crossing = level & np.where(upward, o > cert, o < -cert)
-    # parity is certain only when every edge is certainly apart from the
-    # ray's height, or certainly level with it and certainly off to one
-    # side of the point
-    apart = (pyr < lo - eps) | (pyr > hi + eps)
-    certain = (apart | (level & (np.abs(o) > cert))).all(axis=0)
-    inside = (crossing.sum(axis=0) % 2).astype(bool)
-    return [
-        bool(inside[i]) if certain[i] else _locate(frame.walls, *samples[i]) != "exterior"
-        for i in range(len(samples))
-    ]
+    mask = ((level & np.where(upward, left, right)).sum(axis=0) % 2).astype(bool)
+    # parity is certain only when every edge is apart from the ray's
+    # height, or level with it and certainly off to one side of the point
+    apart = (pyr < lo) | (pyr > hi)
+    for i in np.nonzero(~(apart | (level & (left | right))).all(axis=0))[0].tolist():
+        mask[i] = _locate(frame.walls, *samples[i]) != "exterior"
+    return mask
 
 
 def _on_lines(walls, pts, unsure):
@@ -205,11 +174,9 @@ def _segment_sides(xs, ys, qx, qy, px, py):
 
     One matrix product: the left factor [a b] holds each point's y offset
     from q and its negated x offset, a = ys - qy and b = qx - xs, the
-    right factor the samples' offsets dx = px - qx and dy = py - qy.  Each
-    entry a*dx + b*dy is a two-term sum of the same rounded differences
-    as an elementwise orientation; in either summation order, fused or
-    not, it rounds by at most 2u(|a*dx| + |b*dy|), u = 2^-53, which the
-    margin covers.
+    right factor the samples' offsets dx = px - qx and dy = py - qy, so
+    that the batch margin (_margin) covers each entry, as it does an
+    elementwise orientation.
     """
     return np.column_stack((ys - qy, qx - xs)) @ np.stack((px - qx, py - qy))
 
@@ -263,13 +230,10 @@ def _depths(frame: _Frame, samples, cols) -> List[int]:
     gx, gy = _columns(frame, guards)
     # side of each edge's line each sample (c4) and each guard (c3) falls on
     ax, ay, (c4, c3) = _wall_sides(frame, (px, py), (gx, gy))
-    m = _bound(px, py, gx, gy, ax, ay)
-    cert = m * m * 2.0 ** -_CERT_SHIFT
-    p4 = c4 > cert
-    n4 = c4 < -cert
+    cert = _margin(px, py, gx, gy, ax, ay)
+    p4, n4 = _signs(c4, cert)
     on4 = _on_lines(walls, samples, ~(p4 | n4))
-    p3s = c3 > cert
-    n3s = c3 < -cert
+    p3s, n3s = _signs(c3, cert)
     on3s = _on_lines(walls, [(x, y, 1) for x, y in guards], ~(p3s | n3s))
     # rows 0..E of each guard's product: the closed walls; rows E+1..: the guards
     xs = np.concatenate((ax, gx))
@@ -277,9 +241,7 @@ def _depths(frame: _Frame, samples, cols) -> List[int]:
 
     depths = np.zeros(len(samples), dtype=np.int64)
     for gi, q in enumerate(guards):
-        c = _segment_sides(xs, ys, gx[gi], gy[gi], px, py)
-        pos = c > cert
-        neg = c < -cert
+        pos, neg = _signs(_segment_sides(xs, ys, gx[gi], gy[gi], px, py), cert)
         # edge e runs from row e to row e + 1
         p1 = pos[:E]
         n1 = neg[:E]
@@ -322,14 +284,13 @@ def _off_segment(hx, hy, qx, qy, sx, sy, cert):
     -cert, or past s, (h - s).(s - q) > cert.
 
     A point strictly between has (h - q).(s - q) = t*|s - q|^2 > 0 and
-    (h - s).(s - q) = (t - 1)*|s - q|^2 < 0 for some 0 < t < 1.  Each
-    value is a two-term sum of products of rounded column differences,
-    the form the sign margin cert covers, so neither verdict holds for
-    it.  An inf or NaN fails both comparisons and rules nothing out.
+    (h - s).(s - q) = (t - 1)*|s - q|^2 < 0 for some 0 < t < 1, and the
+    batch margin cert covers both values, so neither verdict holds for it.
     """
     dx = sx - qx
     dy = sy - qy
-    return ((hx - qx) * dx + (hy - qy) * dy < -cert) | ((hx - sx) * dx + (hy - sy) * dy > cert)
+    return (_signs((hx - qx) * dx + (hy - qy) * dy, cert)[1]
+            | _signs((hx - sx) * dx + (hy - sy) * dy, cert)[0])
 
 
 def _between(h, q, s) -> bool:
@@ -384,7 +345,7 @@ def _wall_free(walls, q, s) -> bool:
             if 0 < t < den and 0 <= u <= den:
                 cuts.append((t, den))
         ax, ay = bx, by
-    cuts = _sorted_exact(cuts, _RATIO)
+    cuts = [cuts[k] for k in _sorted_exact(cuts, _RATIO)]
     for (t0, d0), (t1, d1) in zip(cuts, cuts[1:]):
         if t0 * d1 == t1 * d0:
             continue
@@ -495,7 +456,7 @@ def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
         counts[j] += 1
     keys += [(x, y, 1) for x, y in analysis.frame.ints]
     # the sorted cuts run piece by piece, each piece's as many as it has
-    ordered = _sorted_exact(cuts, _RATIO, floats)
+    ordered = [cuts[k] for k in _sorted_exact(cuts, _RATIO, floats)]
     start = 0
     for piece, count in zip(pieces, counts):
         keys += _sub_piece_points(piece, ordered[start:start + count])
@@ -505,12 +466,8 @@ def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
     px, py = _columns(frame, cands)
     keep = _distinct(cands, px, py)
     inside, (px, py) = _inside(frame, [cands[k] for k in keep], (px[keep], py[keep]))
-    # the sort returns the very tuples of inside, each a distinct object
-    # held by inside, so its id names its position there
-    at = {id(s): k for k, s in enumerate(inside)}
-    out = _sorted_exact(inside, _XY, px.tolist())
-    order = [at[id(s)] for s in out]
-    return out, (px[order], py[order])
+    order = _sorted_exact(inside, _XY, px.tolist())
+    return [inside[k] for k in order], (px[order], py[order])
 
 
 def _box(frame: _Frame):
@@ -582,9 +539,9 @@ def _sampler_points(frame: _Frame, sampler):
             given.append(p)
         out = [frame.sample(p) for p in given]
         cols = _columns(frame, out)
-        for p, ok in zip(given, _contains_mask(frame, out, cols)):
-            if not ok:
-                raise ValueError("sample point %r lies outside the polygon" % (p,))
+        outside = np.nonzero(~_contains_mask(frame, out, cols))[0]
+        if len(outside):
+            raise ValueError("sample point %r lies outside the polygon" % (given[outside[0]],))
         return out, cols
     raise ValueError(
         "sampler must be None, ('grid', resolution), ('random', seed, count) "

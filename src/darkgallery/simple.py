@@ -31,18 +31,16 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._filter import _RATIO
 from .construct import ConstructionError, _StreamPlacer
 from .darkness import GuardSet, min_depth
 from .geometry import (
-    _RATIO,
     ConvexPolygon,
     Point2,
     SimplePolygon,
     Wedge,
     _Frame,
     _Frozen,
-    _halfplanes,
-    _locate,
     _orient,
     as_int,
     convex_hull,
@@ -397,11 +395,18 @@ def _place_cluster(
 
     Candidates march along m -> apex + t0*axis + m*sx*d1 + m^2*sy*d2,
     as integers in one frame of P and those terms, which makes any three
-    of them non-collinear.  Each one inside the cone, P and the
-    clearance disc goes to the placer that all clusters share, as
-    homogeneous integers in P's scale; it refuses a candidate whose
-    guard lines would stack a triple crossing anywhere.  Returns None
-    when the budget runs out (caller shrinks the arc and retries).
+    of them non-collinear.  Each goes to the placer that all clusters
+    share, as homogeneous integers in P's scale; it refuses a candidate
+    whose guard lines would stack a triple crossing anywhere.  Returns
+    None when the budget runs out (caller shrinks the arc and retries).
+
+    No candidate is tested against the cone, P or the clearance disc of
+    radius r: its offset from the apex is a*d1 + b*d2 with a = t0 + m*sx
+    > 0 and b = t0 + m^2*sy > 0, and the _pow2_under choices bound
+    t0*|axis|, budget*sx*|d1| and budget^2*sy*|d2| by r/2, r/4 and r/4.
+    So the offsets fill a parallelogram inside the cone, whose corners
+    are checked once to lie in the disc; at scale < 1 the disc meets no
+    edge but the two at the apex, and the cone lies in P's angle there.
     """
     v = cone.apex
     r2 = clearance2 * scale * scale
@@ -413,18 +418,15 @@ def _place_cluster(
     sy = _pow2_under(r2 / 16, d2.dot(d2) * budget ** 4)
     frame = _Frame(P, [v, v + axis * t0, d1 * sx, d2 * sy])
     (ax, ay), (bx, by), (ux, uy), (wx, wy) = frame.ints
-    cone_planes = _halfplanes(cone, [(ax, ay)])
     rn, rd = (r2 * frame.scale ** 2).as_integer_ratio()
+    assert scale < 1 and all(
+        ((bx + i * ux + j * wx - ax) ** 2 + (by + i * uy + j * wy - ay) ** 2) * rd <= rn
+        for i in (1, budget) for j in (1, budget * budget))
     f = frame.scale // P.scale  # the frame's integers are P's times f
     got: List[Point2] = []
     for m in range(1, budget + 1):
         x = bx + m * ux + m * m * wx
         y = by + m * uy + m * m * wy
-        if (any(a * x + b * y <= c for a, b, c in cone_planes)
-                or _locate(frame.walls, x, y, 1) != "interior"):
-            continue
-        if ((x - ax) ** 2 + (y - ay) ** 2) * rd > rn:
-            continue
         g = gcd(x, y, f)
         if placer.try_add((x // g, y // g, f // g)):
             got.append(frame.point((x, y, 1)))

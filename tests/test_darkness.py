@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from darkgallery import cli, darkness, sampling
+from darkgallery._filter import _nearest
 from darkgallery.construct import construct, place_4n_minus_2, place_general_position
 from darkgallery.darkness import (
     GuardSet,
@@ -45,7 +46,6 @@ from darkgallery.geometry import (
     _Frame,
     _halfplanes,
     _integers,
-    _nearest,
     centroid,
 )
 from darkgallery.sampling import sample_depth

@@ -1,0 +1,240 @@
+"""The certified float filter against exact Fraction arithmetic.
+
+Each primitive of ``darkgallery._filter`` runs on seeded inputs at scales
+1, 2^53 - 1, 2^53 + 1, 2^520 and 2^1100, with near ties built in: every
+sign it calls certain is the true sign, every bound covers the exact
+error, the float-first sort is the exact stable sort, and values past the
+float range come back unsure.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from math import inf, isfinite, ulp
+
+import numpy as np
+import pytest
+
+from darkgallery._filter import (
+    _RATIO,
+    _XY,
+    _floats,
+    _leftmost,
+    _margin,
+    _nearest,
+    _quotient_bound,
+    _rounding_bound,
+    _signs,
+    _sorted_exact,
+    _sum_bound,
+    _x_bounds,
+)
+
+SCALES = [1, 2 ** 53 - 1, 2 ** 53 + 1, 2 ** 520, 2 ** 1100]
+IDS = ["1", "2^53-1", "2^53+1", "2^520", "2^1100"]
+ROWS = 150
+
+
+def _ints(rng, scale):
+    """An integer near a small multiple of scale."""
+    return scale * rng.randrange(-64, 65) + rng.randrange(-3, 4)
+
+
+def _near_crossings(rng, scale):
+    """Columns (xi, yi, xj, yj, dxi, dyi, dxj, dyj) of integers at the
+    scale: anchors i and j and directions, with j's offset from i within
+    one unit of a multiple of j's direction in some rows, and the
+    directions within one unit or 2^20 of parallel in others, so that
+    un, vn or D nearly cancels."""
+    rows = []
+    for _ in range(ROWS):
+        xi, yi = _ints(rng, scale), _ints(rng, scale)
+        dxi, dyi, dxj, dyj = (_ints(rng, scale) or 1 for _ in range(4))
+        kind = rng.randrange(4)
+        if kind == 1:  # j's offset near a multiple of j's direction: un ~ 0
+            k = rng.randrange(1, 5)
+            xj, yj = xi + k * dxj + rng.randrange(-1, 2), yi + k * dyj + rng.randrange(-1, 2)
+        elif kind == 2:  # directions nearly parallel: D ~ 0, or far below its terms
+            step = rng.choice((1, 2 ** 20))
+            dxj, dyj = 3 * dxi + step * rng.randrange(-1, 2), 3 * dyi + step * rng.randrange(-1, 2)
+            xj, yj = _ints(rng, scale), _ints(rng, scale)
+        else:
+            xj, yj = _ints(rng, scale), _ints(rng, scale)
+        rows.append((xi, yi, xj, yj, dxi, dyi, dxj, dyj))
+    return [list(c) for c in zip(*rows)]
+
+
+def _check(values, bounds, exact):
+    """Every certain sign of values under bounds is the sign of exact,
+    and every finite bound of a finite value covers its error; where the
+    value or its bound is not finite, nothing is certain.  Returns the
+    number of certain signs."""
+    pos, neg = _signs(values, bounds)
+    for v, b, p, n, x in zip(values.tolist(), bounds.tolist(), pos.tolist(), neg.tolist(), exact):
+        assert not (p and x <= 0) and not (n and x >= 0)
+        if isfinite(v) and isfinite(b):
+            assert abs(Fraction(v) - x) <= Fraction(b)
+        else:
+            assert not (p or n)
+    return int((pos | neg).sum())
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=IDS)
+def test_sums_of_products_and_quotients_are_certified(scale):
+    # the pair scan's un, vn and D and its parameter un/D, and the clip
+    # pass's rate and r, as their callers compute them
+    cols = _near_crossings(random.Random(scale % 1000003), scale)
+    xi, yi, xj, yj, dxi, dyi, dxj, dyj = cols
+    Xi, Yi, Xj, Yj, DXi, DYi, DXj, DYj = (_floats(c) for c in cols)
+    ex = [b - a for a, b in zip(xi, xj)]
+    ey = [b - a for a, b in zip(yi, yj)]
+    un = [a * d - b * c for a, b, c, d in zip(ex, ey, dxj, dyj)]
+    vn = [a * d - b * c for a, b, c, d in zip(ex, ey, dxi, dyi)]
+    D = [a * d - b * c for a, b, c, d in zip(dxi, dyi, dxj, dyj)]
+    r = [c - a * x - b * y for a, b, c, x, y in zip(dxi, dyi, xj, xi, yi)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fex, fey = Xj - Xi, Yj - Yi
+        sx, sy = np.abs(Xi) + np.abs(Xj), np.abs(Yi) + np.abs(Yj)
+        fun = fex * DYj - fey * DXj
+        eun = _sum_bound(sx * np.abs(DYj) + sy * np.abs(DXj))
+        fvn = fex * DYi - fey * DXi
+        evn = _sum_bound(sx * np.abs(DYi) + sy * np.abs(DXi))
+        fD = DXi * DYj - DYi * DXj
+        eD = _sum_bound(np.abs(DXi * DYj) + np.abs(DYi * DXj))
+        qa, qb = DXi * Xi, DYi * Yi
+        fr = Xj - qa - qb
+        er = _sum_bound(np.abs(Xj) + np.abs(qa) + np.abs(qb))
+        certain = sum(_check(v, e, x) for v, e, x in (
+            (fun, eun, un), (fvn, evn, vn), (fD, eD, D), (fr, er, r)))
+        room = np.abs(fD) - eD
+        T = np.sign(fD) * fun / np.abs(fD)
+        E = _quotient_bound(T, eun, eD, room)
+    sure = room > 0
+    for t, e, n, d, ok in zip(T.tolist(), E.tolist(), un, D, sure.tolist()):
+        if ok and isfinite(t) and isfinite(e):
+            assert abs(Fraction(t) - Fraction(n, d)) <= Fraction(e)
+    finite = np.isfinite(E) & sure
+    if scale == 1:
+        # every value is exact, and so certain unless it is 0
+        assert not (eun.any() or evn.any() or eD.any() or er.any())
+        assert certain == sum(x != 0 for x in un + vn + D + r)
+        assert finite.tolist() == [d != 0 for d in D]
+    elif scale < 2 ** 60:
+        assert 0 < certain < 4 * ROWS and eD.all() and finite.sum() > ROWS // 2
+    else:
+        # past the float range, or with products past it: nothing certain
+        assert certain == 0 and not finite.any()
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=IDS)
+def test_conversions_and_rounding_bounds_are_certified(scale):
+    # _floats and _nearest round correctly; _rounding_bound covers a
+    # rounded ratio, tiny ones included; _x_bounds holds ax + t*dx, and
+    # _leftmost picks the exact leftmost of those points
+    rng = random.Random(scale % 1000003 + 1)
+    ints = [_ints(rng, scale) for _ in range(ROWS)]
+    fl = _floats(ints)
+    assert fl.tolist() == [_nearest(v, 1) for v in ints]
+    for f, v in zip(fl.tolist(), ints):
+        if isfinite(f):
+            assert abs(Fraction(f) - v) <= Fraction(ulp(f)) / 2
+        else:
+            assert abs(v) >= 2 ** 1024 and f == (inf if v > 0 else -inf)
+    ratios = [(_ints(rng, scale), rng.randrange(1, 2 ** 60)) for _ in range(ROWS)]
+    ratios += [(rng.randrange(-9, 10), rng.randrange(1, 2 ** 60) * scale) for _ in range(ROWS)]
+    T = np.array([_nearest(n, d) for n, d in ratios])
+    E = _rounding_bound(T)
+    for t, e, (n, d) in zip(T.tolist(), E.tolist(), ratios):
+        assert abs(Fraction(t) - Fraction(n, d)) <= Fraction(e) if isfinite(t) else e == inf
+    # points ax + (n/d)*dx on pieces, their x bounded as the witness
+    # choice bounds them, and the exact (X, Y, W) of each
+    ax, dx = ints[:ROWS // 2], [v or 1 for v in ints[ROWS // 2:]]
+    ay = [_ints(rng, scale) for _ in ax]
+    ts = ratios[:len(ax)]
+    # a few exact ties in x, in other forms
+    ax[1], dx[1], ts[1] = ax[0], dx[0] * 2, (ts[0][0], ts[0][1] * 2)
+    pts = []
+    for a, b, u, (n, d) in zip(ax, ay, dx, ts):
+        pts.append((a * d + n * u, b * d + rng.randrange(-1, 2), d))
+    Tp = np.array([_nearest(n, d) for n, d in ts])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = _x_bounds(_floats(ax), _floats(dx), Tp, _rounding_bound(Tp))
+    for low, high, (X, _, W) in zip(lo.tolist(), hi.tolist(), pts):
+        assert low == -inf or Fraction(low) <= Fraction(X, W)
+        assert high == inf or Fraction(X, W) <= Fraction(high)
+    k, key = _leftmost(lo, hi, pts.__getitem__)
+    want = min(range(len(pts)), key=lambda i: (_XY(pts[i]), i))
+    assert (k, key) == (want, pts[want])
+    if scale == 2 ** 1100:
+        assert np.isinf(fl).sum() > ROWS * 9 // 10 and (lo == -inf).sum() > ROWS // 3
+
+
+def _columns(rng, scale, n):
+    """n points near one line at the scale, some one 1/W off it, as
+    exact Fraction pairs, and their correctly rounded float columns."""
+    W = rng.randrange(1, 2 ** 20)
+    a = (_ints(rng, scale), _ints(rng, scale))
+    d = (rng.randrange(1, 9), rng.randrange(-8, 9))
+    pts = []
+    for _ in range(n):
+        k = Fraction(rng.randrange(-40, 41), rng.randrange(1, 5))
+        off = Fraction(rng.randrange(-1, 2), W) if rng.randrange(2) else Fraction(0)
+        pts.append((a[0] + k * d[0] * scale + off, a[1] + k * d[1] * scale))
+    cols = [np.array([_nearest(c.numerator, c.denominator) for c in col])
+            for col in zip(*pts)]
+    return pts, cols
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=IDS)
+def test_the_batch_margin_certifies_the_samplers_values(scale):
+    # orientations of points against segments, elementwise and as one
+    # matrix product, and the order values (h - q).(s - q), all under one
+    # margin of the batch's columns
+    rng = random.Random(scale % 1000003 + 2)
+    pts, (x, y) = _columns(rng, scale, 40)
+    cert = _margin(x, y)
+    q, s = pts[:20], pts[20:]
+    qx, qy, sx, sy = x[:20], y[:20], x[20:], y[20:]
+    certain = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (hx0, hy0) in enumerate(q):
+            # each point q[i] against the segments from q[0] to every s
+            c = (np.column_stack((qy[i:i + 1] - qy[0], qx[0] - qx[i:i + 1]))
+                 @ np.stack((sx - qx[0], sy - qy[0])))[0]
+            exact = [(hy0 - q[0][1]) * (s1[0] - q[0][0]) - (hx0 - q[0][0]) * (s1[1] - q[0][1])
+                     for s1 in s]
+            certain += _check(c, np.full(len(s), cert), exact)
+            o = (sx - qx[0]) * (qy[i] - qy[0]) - (sy - qy[0]) * (qx[i] - qx[0])
+            certain += _check(o, np.full(len(s), cert), exact)
+            dot = (qx[i] - qx[0]) * (sx - qx[0]) + (qy[i] - qy[0]) * (sy - qy[0])
+            exact = [(hx0 - q[0][0]) * (s1[0] - q[0][0]) + (hy0 - q[0][1]) * (s1[1] - q[0][1])
+                     for s1 in s]
+            certain += _check(dot, np.full(len(s), cert), exact)
+    if scale < 2 ** 60:
+        assert isfinite(cert) and certain > 0
+    else:
+        assert cert == inf and certain == 0
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=IDS)
+def test_the_float_first_sort_is_the_exact_stable_sort(scale):
+    # ratios and homogeneous points whose values differ by one unit at
+    # the scale (one float at 2^53 + 1, past the range at 2^1100), in
+    # several forms each; and (group, float) keys
+    rng = random.Random(scale % 1000003 + 3)
+    base = [scale * v + e for v in (-3, 0, 1, 7) for e in (-1, 0, 1)]
+    ratios = []
+    for _ in range(ROWS):
+        m = rng.choice((1, 2, 3))
+        ratios.append((rng.choice(base) * m, rng.choice((1, 3)) * m))
+    points = [(n, rng.choice(base) * d, d) for n, d in ratios]
+    for items, key in ((ratios, _RATIO), (points, _XY)):
+        order = _sorted_exact(items, key)
+        assert [items[i] for i in order] == sorted(items, key=key)
+    groups = [rng.randrange(3) for _ in ratios]
+    order = _sorted_exact(ratios, _RATIO, [(g, _nearest(*r)) for g, r in zip(groups, ratios)])
+    assert order == sorted(range(ROWS), key=lambda i: (groups[i], _RATIO(ratios[i])))
+    floats = {_nearest(*r) for r in ratios}
+    assert len(floats) < len({Fraction(*r) for r in ratios}) or scale < 2 ** 53
+    assert ({inf, -inf} <= floats) == (scale == 2 ** 1100)

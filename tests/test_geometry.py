@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darkgallery._filter import _RATIO, _XY, _nearest, _sorted_exact
 from darkgallery.geometry import (
-    _RATIO,
-    _XY,
     COINCIDENT,
     PARALLEL,
     ConvexPolygon,
@@ -26,8 +25,6 @@ from darkgallery.geometry import (
     SimplePolygon,
     Wedge,
     _Frozen,
-    _nearest,
-    _sorted_exact,
     convex_hull,
     halfplane_intersection,
     line_intersection,
@@ -622,12 +619,12 @@ def test_sorted_exact_is_the_stable_xy_sort(factor, seed):
     # and are ordered by _XY alone; equal points in different forms keep
     # their input order, so comparing the tuples checks stability too
     items = _homogeneous_mix(random.Random(seed), factor)
-    got = _sorted_exact(items, _XY)
+    got = [items[i] for i in _sorted_exact(items, _XY)]
     assert got == sorted(items, key=_XY)
     points = {(Fraction(X, W), Fraction(Y, W)) for X, Y, W in items}
     assert len(points) < len(set(items))  # ties in other forms
     assert (inf in {_nearest(X, W) for X, _, W in items}) == (factor == 2 ** 1100)
-    assert _sorted_exact([], _XY) == [] and _sorted_exact(items[:1], _XY) == items[:1]
+    assert _sorted_exact([], _XY) == [] and _sorted_exact(items[:1], _XY) == [0]
 
 
 @pytest.mark.parametrize("factor", [1, 2 ** 520, 2 ** 1100], ids=["1", "2^520", "2^1100"])
@@ -643,7 +640,7 @@ def test_sorted_exact_is_the_stable_ratio_sort(factor, seed):
         v = rng.choice(values) * rng.choice((1, factor))
         m = rng.choice((1, 2, 5))
         items.append((v.numerator * m, v.denominator * m))
-    got = _sorted_exact(items, _RATIO)
+    got = [items[i] for i in _sorted_exact(items, _RATIO)]
     assert got == sorted(items, key=_RATIO)
     assert len({Fraction(*i) for i in items}) < len(set(items))  # ties in other forms
     floats = {_nearest(*i) for i in items}

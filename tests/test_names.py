@@ -386,7 +386,7 @@ def test_package_has_no_function_written_twice():
     assert duplicate_bodies([(p.name, p.read_text()) for p in MODULES]) == []
 
 
-# geometry._sorted_exact sorts on floats first and compares exactly only
+# _filter._sorted_exact sorts on floats first and compares exactly only
 # within runs of equal floats; a plain sort keyed on the cmp_to_key keys
 # would compare every pair through Python.  A linear min (max_darkness's
 # witness) is no sort and keeps its key.
@@ -437,6 +437,53 @@ def test_exact_key_sorts_flags_sorts_outside_the_helper():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_exact_keys_sort_only_through_the_float_first_helper(path):
     assert exact_key_sorts(path.read_text(), str(path)) == []
+
+
+# every float-error bound of the package is derived once, in _filter: no
+# other module holds a float-error constant (a power of two with a
+# negative exponent, an ldexp) or one of the per-module constants the
+# filter replaced
+FLOAT_ERROR_NAMES = {"ldexp", "_SIGN_SLACK", "_TINY", "_CERT_SHIFT", "_EXACT_SUM"}
+UNFILTERED = [p for p in MODULES if p.name != "_filter.py"]
+
+
+def float_error_constants(source: str, filename: str) -> List[Tuple[str, int]]:
+    """(what, line) for each power of two with a negative exponent, such
+    as ``2.0 ** -50`` or ``2 ** -SHIFT``, and each name, attribute or
+    import of FLOAT_ERROR_NAMES (such as ``math.ldexp``)."""
+    out: List[Tuple[str, int]] = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.left, ast.Constant) and node.left.value == 2
+                and isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)):
+            out.append(("2 ** -", node.lineno))
+        name = (node.id if isinstance(node, ast.Name) else node.attr
+                if isinstance(node, ast.Attribute) else node.name
+                if isinstance(node, ast.alias) else None)
+        if name in FLOAT_ERROR_NAMES:
+            out.append((name, node.lineno))
+    return sorted(out)
+
+
+def test_float_error_constants_flags_powers_ldexp_and_the_old_names():
+    source = (
+        "import math\n"
+        "from math import ldexp\n"
+        "_SIGN_SLACK = 2.0 ** -50\n"
+        "def f(m, x):\n"
+        "    eps = m * 2 ** -_CERT_SHIFT + math.ldexp(1.0, -52)\n"
+        "    return eps + _TINY + ldexp(x, 3) + sampling._EXACT_SUM\n"
+        "def g(n):\n"
+        "    return 2 ** 52 + 2.0 ** (n - 1) + 3 ** -2 + (1 << 20) + 0.5 ** n\n"
+    )
+    assert float_error_constants(source, "example.py") == [
+        ("2 ** -", 3), ("2 ** -", 5), ("_CERT_SHIFT", 5), ("_EXACT_SUM", 6), ("_SIGN_SLACK", 3),
+        ("_TINY", 6), ("ldexp", 2), ("ldexp", 5), ("ldexp", 6)]
+
+
+@pytest.mark.parametrize("path", UNFILTERED, ids=[p.name for p in UNFILTERED])
+def test_float_error_constants_live_only_in_the_filter(path):
+    assert float_error_constants(path.read_text(), str(path)) == []
 
 
 # the sampler takes one path on every polygon: a ConvexPolygon is a simple

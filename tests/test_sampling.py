@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darkgallery import cli, geometry, sampling
+from darkgallery._filter import _nearest
 from darkgallery.darkness import GuardSet, darkness_at
 from darkgallery.documents import CertificateDocument, point_to_json, region_to_dict
 from darkgallery.geometry import (
@@ -229,7 +230,7 @@ def batch_contains(P, pts):
     """_contains_mask on the Point2 samples pts, through a frame of P."""
     frame = _Frame(P, ())
     samples = [frame.sample(p) for p in pts]
-    return _contains_mask(frame, samples, _columns(frame, samples))
+    return _contains_mask(frame, samples, _columns(frame, samples)).tolist()
 
 
 def test_fast_depths_match_the_loop_on_convex_scenes():
@@ -355,7 +356,7 @@ def test_an_overflowing_product_defers_to_the_exact_test():
     h = q + (p - q) * Fraction(3, 11)
     square = ConvexPolygon([Point2(-C, -C), Point2(C, -C), Point2(C, C), Point2(-C, C)])
     gs = GuardSet([q, h])
-    assert sampling._bound(np.array([float(C)])) == inf
+    assert sampling._margin(np.array([float(C)])) == inf
     frame = _Frame(square, gs.guards)
     assert frame.unit > frame.scale
     assert depth_at_sample(square, gs, p) == 1
@@ -390,8 +391,8 @@ def test_distinct_keeps_the_first_of_each_point(case, monkeypatch):
     # the float-keyed deduplication keeps what the gcd key of every
     # sample kept, building a key only for samples that share both floats
     samples = DISTINCT_CASES[case]
-    px = np.array([geometry._nearest(X, W) for X, _, W in samples])
-    py = np.array([geometry._nearest(Y, W) for _, Y, W in samples])
+    px = np.array([_nearest(X, W) for X, _, W in samples])
+    py = np.array([_nearest(Y, W) for _, Y, W in samples])
     pairs = list(zip(px.tolist(), py.tolist()))
     keys = []
     monkeypatch.setattr(sampling, "gcd", lambda *a: keys.append(a) or gcd(*a))
@@ -441,9 +442,9 @@ def test_the_order_test_never_rules_out_a_guard_between(base):
     triples = _order_triples(random.Random(base + 26), base)
     qx, qy, hx, hy, sx, sy = (np.array(c) for c in zip(*(
         (float(q[0]), float(q[1]), float(h[0]), float(h[1]),
-         geometry._nearest(s[0], s[2]), geometry._nearest(s[1], s[2])) for q, h, s in triples)))
-    m = np.maximum.reduce([np.abs(c) for c in (qx, qy, hx, hy, sx, sy)])
-    off = sampling._off_segment(hx, hy, qx, qy, sx, sy, m * m * 2.0 ** -sampling._CERT_SHIFT)
+         _nearest(s[0], s[2]), _nearest(s[1], s[2])) for q, h, s in triples)))
+    cert = np.array([sampling._margin(np.array(c)) for c in zip(qx, qy, hx, hy, sx, sy)])
+    off = sampling._off_segment(hx, hy, qx, qy, sx, sy, cert)
     between = [_between(h, q, s) for q, h, s in triples]
     assert between == [strictly_between(Point2(*q), Point2(*h), Point2(Fraction(s[0], s[2]),
                                                                       Fraction(s[1], s[2])))
@@ -637,10 +638,10 @@ def _exact_sides(ax, ay, bx, by, pts):
 
 
 def _float_pass_records(monkeypatch):
-    """Spies on the float pass: (name, result) of every margin bound,
+    """Spies on the float pass: (name, result) of every batch margin,
     _wall_sides and _segment_sides call, in call order."""
     records = []
-    for name in ("_bound", "_wall_sides", "_segment_sides"):
+    for name in ("_margin", "_wall_sides", "_segment_sides"):
         def spied(*args, _name=name, _real=getattr(sampling, name)):
             out = _real(*args)
             records.append((_name, out))
@@ -661,12 +662,11 @@ def _check_certain_signs(records, frame, samples):
     xs = np.concatenate((wx, gx))
     ys = np.concatenate((wy, gy))
     guards = [(x, y, 1) for x, y in frame.ints]
-    (m,) = [out for name, out in records if name == "_bound"]
-    cert = m * m * 2.0 ** -sampling._CERT_SHIFT
+    (cert,) = [out for name, out in records if name == "_margin"]
     certain = uncertain = 0
     gi = 0
     for name, out in records:
-        if name == "_bound":
+        if name == "_margin":
             continue
         if name == "_wall_sides":
             checks = [(c, _exact_sides(wx[:-1], wy[:-1], wx[1:], wy[1:], pts))
@@ -724,7 +724,7 @@ def test_certain_float_signs_are_exact_on_star_polygons(scene):
 
 
 def test_the_float_pass_settles_the_same_pairs_past_the_float_range(monkeypatch):
-    # past 2^508 a frame divides its float columns by a power of two:
+    # past 2^509 a frame divides its float columns by a power of two:
     # every sign test and margin scales by it exactly, so the float pass
     # leaves the integer kernel the same pairs as at scale 1; the order
     # test along each segment rules out 1,528 of the 3,320 guard pairs
