@@ -87,6 +87,18 @@ def _floats(values):
         return np.array([_nearest(v, 1) for v in values], dtype=np.float64)
 
 
+def _quotients(nums, dens):
+    """The floats of nums[k] / dens[k] (integers, dens[k] > 0), each
+    correctly rounded, +-inf past the float range, as one array.  An int
+    / int division is correctly rounded at any size, and CPython divides
+    the floats themselves where both ints are below 2^53, which is then
+    exact; a quotient past the float range sends the batch to _nearest."""
+    try:
+        return np.array([n / d for n, d in zip(nums, dens)], dtype=np.float64)
+    except OverflowError:
+        return np.array([_nearest(n, d) for n, d in zip(nums, dens)], dtype=np.float64)
+
+
 def _sum_bound(M):
     """Bound on the error of a float sum of products of integers with
     float magnitude sum M: 0 below 2^52, else 8u*M."""

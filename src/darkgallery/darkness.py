@@ -44,10 +44,14 @@ of their exact crossings (`_pair_hits`) for the sample points it needs.
 
 One pair scan (`_pair_scan`) finds every crossing, for the certificates,
 the j-dark queries, the sampler and the concurrency check alike.  It
-takes one path at every piece count and coordinate size: over fixed-size
-2-D tiles of the pair triangle it keeps a pair only if the pieces' float
-boxes overlap, they are not parallel and have no open end at one point
-(exact class tests).  A float verdict with a rounding-error bound
+takes one path at every piece count and coordinate size: a sweep along x
+(one stable sort of the pieces' float boxes by their left ends) yields
+the pairs whose x-spans overlap, in chunks of bounded size, and of those
+it keeps a pair only if the boxes overlap in y too, the pieces are not
+parallel and have no open end at one point (exact class tests).  Only
+the x-overlapping pairs are ever built: on 4n-2 placements, which have
+no crossing at all, about one pair in twelve of the triangle.  A float
+verdict with a rounding-error bound
 derived in ``_filter`` then calls each pair a certain hit, a certain
 miss or unsure, and only the unsure pairs are confirmed exactly.
 The scan returns arrays: each hit's pieces, and its float parameter on
@@ -250,38 +254,42 @@ def _group_collinear(pts):
     direction, c = dx*y - dy*x for every point on the line, and members is
     a list of (t, index) sorted by the integer parameter t along (dx, dy)
     measured from the lowest-index member.
+
+    Each guard i groups the later guards j by the primitive direction
+    (ux, uy) from i to j (one gcd per pair, and one dict per guard).  A
+    direction with one later guard is a line of two, whose params are 0
+    and the gcd; one with several is a line whose lowest member is i,
+    and its other pairs are marked so that its later members skip them.
     """
-    lines = {}
+    n = len(pts)
+    marked = [set() for _ in range(n)]
+    out = []
     for i, (xi, yi) in enumerate(pts):
-        for j in range(i + 1, len(pts)):
+        skip = marked[i]
+        ahead = {}
+        for j in range(i + 1, n):
+            if j in skip:
+                continue
             xj, yj = pts[j]
             ux, uy = xj - xi, yj - yi
-            g = gcd(abs(ux), abs(uy))
-            ux //= g
-            uy //= g
+            g = gcd(ux, uy)
             if ux < 0 or (ux == 0 and uy < 0):
-                ux, uy = -ux, -uy
-            key = (ux, uy, ux * yi - uy * xi)
-            members = lines.get(key)
-            if members is None:
-                lines[key] = {i, j}
-            else:
-                members.add(i)
-                members.add(j)
-
-    out = []
-    for (ux, uy, c), members in lines.items():
-        idx = sorted(members)
-        axp, ayp = pts[idx[0]]
-        withparam = []
-        for i in idx:
+                g = -g
+            ahead.setdefault((ux // g, uy // g), []).append((g, j))
+        for (ux, uy), later in ahead.items():
+            c = ux * yi - uy * xi
+            if len(later) == 1:
+                g, j = later[0]
+                out.append((ux, uy, c, [(0, i), (g, j)] if g > 0 else [(0, j), (-g, i)]))
+                continue
             # deltas between lattice points of the line are exact integer
-            # multiples of its primitive direction
-            t = (pts[i][0] - axp) // ux if ux != 0 else (pts[i][1] - ayp) // uy
-            withparam.append((t, i))
-        withparam.sort()
-        base = withparam[0][0]  # rebase so the first member sits at t = 0
-        out.append((ux, uy, c, [(t - base, i) for t, i in withparam]))
+            # multiples of its primitive direction: g itself
+            withparam = sorted(later + [(0, i)])
+            base = withparam[0][0]  # rebase so the first member sits at t = 0
+            out.append((ux, uy, c, [(t - base, k) for t, k in withparam]))
+            js = sorted(j for _, j in later)
+            for a, j in enumerate(js[:-1]):
+                marked[j].update(js[a + 1:])
     # deterministic order independent of guard numbering
     out.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
     return out
@@ -423,20 +431,38 @@ def _end_classes(pieces):
     return _class_ids(dirs)[line], anchor, far
 
 
-# elements of one 2-D tile of the pair scan's masks: bounded memory at
-# any piece count, few numpy calls per row
-_TILE = 1 << 16
+# pairs of one chunk of the pair scan's sweep: 64 KiB per int64 index
+# column, bounded memory at any piece count, few numpy calls per chunk
+_CHUNK = 1 << 13
 
 
-def _tiles(R):
-    """(i0, i1, j0, j1) blocks of whole rows covering the pairs i < j of R
-    pieces in increasing (i, j) order, each at most _TILE elements unless
-    one row alone is longer."""
-    i = 0
-    while i < R - 1:
-        i1 = min(R - 1, i + max(1, _TILE // (R - 1 - i)))
-        yield i, i1, i + 1, R
-        i = i1
+def _x_overlaps(lox, hix):
+    """(P, Q) index arrays, chunk by chunk, of every pair of pieces
+    whose x-spans [lox, hix] overlap, each pair once.
+
+    Sort and sweep (the broad phase of Cohen, Lin, Manocha and Ponamgi,
+    I-COLLIDE, 1995): in the stable order of lox, the pieces that a piece
+    overlaps later in the order are the run after it up to the last lox
+    <= its hix, found by one searchsorted.  A chunk is whole runs, at
+    most _CHUNK pairs unless one run alone is longer; one cumsum of the
+    run lengths and searchsorted give its cut points.
+    """
+    order = np.argsort(lox, kind="stable")
+    R = len(order)
+    runs = np.searchsorted(lox[order], hix[order], side="right") - np.arange(1, R + 1)
+    total = np.cumsum(runs)
+    # pair k of the run after position r is (r, r + 1 + k), and it is
+    # pair total[r] - runs[r] + k of the sweep
+    shift = total - runs - np.arange(1, R + 1)
+    a = done = 0
+    while done < (total[-1] if R else 0):
+        b = max(a + 1, int(np.searchsorted(total, done + _CHUNK, side="right")))
+        rows = np.repeat(np.arange(a, b), runs[a:b])
+        later = np.arange(done, total[b - 1])
+        later -= np.repeat(shift[a:b], runs[a:b])
+        # the pieces at those positions, written over them
+        yield order.take(rows, out=rows), order.take(later, out=later)
+        a, done = b, total[b - 1]
 
 
 def _pair_scan(pieces, boxes):
@@ -445,18 +471,18 @@ def _pair_scan(pieces, boxes):
     float parameter of the crossing on piece I[k] and |t - T[k]| <= E[k];
     boxes is _piece_boxes(pieces).
 
-    One path at every size and scale, over the _tiles of the pair
-    triangle.  The float boxes of _piece_boxes must overlap, and the exact
+    One path at every size and scale, over the pairs whose x-spans
+    overlap, from the sweep of _x_overlaps in chunks of bounded size.
+    The float boxes of _piece_boxes must overlap in y too, and the exact
     class tests of _end_classes drop parallel pieces and pieces with an
-    open end at one point.  Each pair left is a certain hit, a certain
-    miss, or unsure by the float bounds of un, vn, D (_sum_bound) and
-    un/D, vn/D (_quotient_bound); only the unsure pairs go to _confirm.
-    No test drops a crossing or keeps a miss, so the hits and their
-    order are those of the plain loop of _confirm over all pairs.  A hit
-    that _confirm settles gets T, its correctly rounded exact parameter,
-    and E its _rounding_bound.
+    open end at one point.  Each pair left, as i < j, is a certain hit, a
+    certain miss, or unsure by the float bounds of un, vn, D (_sum_bound)
+    and un/D, vn/D (_quotient_bound); only the unsure pairs go to
+    _confirm.  No test drops a crossing or keeps a miss, so the hits are
+    those of the plain loop of _confirm over all pairs, and one lexsort
+    puts them in its order.  A hit that _confirm settles gets T, its
+    correctly rounded exact parameter, and E its _rounding_bound.
     """
-    R = len(pieces)
     x0, y0, dx, dy, lox, hix, loy, hiy = boxes
     direction, anchor, far = _end_classes(pieces)
     # float bounds on each far end's parameter; an unbounded piece never
@@ -468,23 +494,13 @@ def _pair_scan(pieces, boxes):
     mx, my, mdx, mdy = np.abs(x0), np.abs(y0), np.abs(dx), np.abs(dy)
     none = np.empty(0, dtype=np.int64)
     out = [(none, none, np.empty(0), np.empty(0))]
-    for i0, i1, j0, j1 in _tiles(R):
-        rows, cols = slice(i0, i1), slice(j0, j1)
-        mask = (
-            (np.arange(j0, j1) > np.arange(i0, i1)[:, None])
-            & (lox[cols] <= hix[rows, None])
-            & (lox[rows, None] <= hix[cols])
-            & (loy[cols] <= hiy[rows, None])
-            & (loy[rows, None] <= hiy[cols])
-            & (direction[cols] != direction[rows, None])
-            & (anchor[cols] != anchor[rows, None])
-        )
-        ii, jj = np.nonzero(mask)
-        ii += i0
-        jj += j0
-        shared = (far[ii] == anchor[jj]) | (anchor[ii] == far[jj]) | (far[ii] == far[jj])
-        ii = ii[~shared]
-        jj = jj[~shared]
+    for p, q in _x_overlaps(lox, hix):
+        keep = ((loy[q] <= hiy[p]) & (loy[p] <= hiy[q])
+                & (direction[q] != direction[p]) & (anchor[q] != anchor[p]))
+        p, q = p[keep], q[keep]
+        keep = ~((far[p] == anchor[q]) | (anchor[p] == far[q]) | (far[p] == far[q]))
+        p, q = p[keep], q[keep]
+        ii, jj = np.minimum(p, q), np.maximum(p, q)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             D = dx[ii] * dy[jj] - dy[ii] * dx[jj]
             ex = x0[jj] - x0[ii]
@@ -519,7 +535,9 @@ def _pair_scan(pieces, boxes):
                 T[k] = _nearest(c[0], c[2])
                 E[k] = _rounding_bound(T[k])
         out.append((ii[hit], jj[hit], T[hit], E[hit]))
-    return tuple(np.concatenate(col) for col in zip(*out))
+    I, J, T, E = (np.concatenate(col) for col in zip(*out))
+    order = np.lexsort((J, I))
+    return I[order], J[order], T[order], E[order]
 
 
 def _pair_hits(pieces):

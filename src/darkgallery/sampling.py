@@ -75,7 +75,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ._filter import _RATIO, _XY, _margin, _nearest, _signs, _sorted_exact
+from ._filter import _RATIO, _XY, _margin, _nearest, _quotients, _signs, _sorted_exact
 from .darkness import GuardSet, _Analysis, _pair_hits, _sub_piece_points
 from .geometry import (
     ConvexPolygon,
@@ -100,13 +100,8 @@ def _columns(frame: _Frame, pts):
     the float of the coordinate it stands for in the polygon's own units,
     divided by unit / scale (a power of two, 1 below 2^_filter._FLOAT_BITS)."""
     s = frame.unit
-    xs = []
-    ys = []
-    for p in pts:
-        d = s * p[2] if len(p) == 3 else s
-        xs.append(_nearest(p[0], d))
-        ys.append(_nearest(p[1], d))
-    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+    dens = [s * p[2] if len(p) == 3 else s for p in pts]
+    return _quotients([p[0] for p in pts], dens), _quotients([p[1] for p in pts], dens)
 
 
 def _wall_sides(frame: _Frame, *points):

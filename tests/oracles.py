@@ -29,7 +29,9 @@ glue (sub-piece points, suspicious points, grid and random samples,
 deduplication), the concurrent-rays scan, the scene scaling, the
 general-position stream (placer, restarts and interior anchor) and the
 4n-2 scaffold are the library's former Fraction bodies; the library now
-decides them on integer-scaled coordinates.
+decides them on integer-scaled coordinates.  group_collinear_oracle is
+the library's former collinear grouping, one dict of member sets updated
+per guard pair; the library now groups per guard.
 Slow on purpose; exact everywhere.
 """
 
@@ -178,6 +180,45 @@ def group_lines_oracle(guards: Sequence[Point2]) -> Dict[Tuple[int, int, int], L
             key = _line_key(pts[i], pts[j])
             groups.setdefault(key, set()).update((pts[i], pts[j]))
     return {k: sorted(v, key=lambda p: (p.x, p.y)) for k, v in groups.items()}
+
+
+def group_collinear_oracle(pts):
+    """The records of darkness._group_collinear for integer points,
+    from one dict of member sets keyed by (ux, uy, c), updated per pair."""
+    lines = {}
+    for i, (xi, yi) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            xj, yj = pts[j]
+            ux, uy = xj - xi, yj - yi
+            g = gcd(abs(ux), abs(uy))
+            ux //= g
+            uy //= g
+            if ux < 0 or (ux == 0 and uy < 0):
+                ux, uy = -ux, -uy
+            key = (ux, uy, ux * yi - uy * xi)
+            members = lines.get(key)
+            if members is None:
+                lines[key] = {i, j}
+            else:
+                members.add(i)
+                members.add(j)
+
+    out = []
+    for (ux, uy, c), members in lines.items():
+        idx = sorted(members)
+        axp, ayp = pts[idx[0]]
+        withparam = []
+        for i in idx:
+            # deltas between lattice points of the line are exact integer
+            # multiples of its primitive direction
+            t = (pts[i][0] - axp) // ux if ux != 0 else (pts[i][1] - ayp) // uy
+            withparam.append((t, i))
+        withparam.sort()
+        base = withparam[0][0]  # rebase so the first member sits at t = 0
+        out.append((ux, uy, c, [(t - base, i) for t, i in withparam]))
+    # deterministic order independent of guard numbering
+    out.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
+    return out
 
 
 def dark_ray_crossings_oracle(guards: Sequence[Point2]) -> Dict[Point2, set]:

@@ -1182,7 +1182,16 @@ def placement_4n_minus_2_octagon():
     return P, list(place_4n_minus_2(P)[0])
 
 
+def lattice_columns():
+    """Three columns of five guards: the pieces of a column all start at
+    its x, and the pieces that leave through the left wall at x = 0, so
+    many pieces tie on the left end of their x-span."""
+    region = ConvexPolygon([Point2(0, 0), Point2(12, 0), Point2(12, 12), Point2(0, 12)])
+    return region, [Point2(x, y) for x in (3, 6, 10) for y in (1, 3, 6, 8, 11)]
+
+
 SCAN_SCENES = {
+    "lattice-columns": lattice_columns,
     "open-end-meeting": open_end_meeting,
     "parallel-rows": parallel_rows,
     "concurrent-four": concurrent_four,
@@ -1274,6 +1283,121 @@ def test_scan_settles_far_ends_exactly():
                   (0, 10, 1, 0, 7, 2, strict, 1, 2), (0, 10, 1, 0, 9, 2, strict, 1, 3)]
         hits = assert_scan_matches_the_oracle(pieces)
         assert [(i, j) for i, j, *_ in hits] == ([] if strict else [(0, 1)]) + [(1, 3)]
+
+
+# _confirm calls of one _pair_scan over each TABLE_SCENES analysis's
+# pieces, as the tiled scan over the whole pair triangle made them: the
+# sweep keeps the same pairs and leaves the same ones unsure
+TILED_SCAN_CONFIRMS = {
+    "4n-2": 0, "4n-2-octagon": 0, "big-denominator": 0, "box-edge": 1, "concurrent-four": 0,
+    "concurrent-star": 4, "corner": 5, "dyadic": 0, "far-ends": 4, "lattice": 1,
+    "lattice-columns": 15, "near-2^60": 462, "no-two-dark": 0, "nudged-2^53": 75,
+    "nudged-2^53+1": 73, "open-end-meeting": 12, "parallel-rows": 12, "past-2^1100": 1386,
+    "two-dark": 1, "wedge": 0,
+}
+
+
+@pytest.mark.parametrize("scene", TABLE_SCENES)
+def test_the_sweep_scans_the_same_pairs_at_every_chunk_budget(scene, monkeypatch):
+    # _x_overlaps yields every pair whose x-spans overlap once, in whole
+    # runs of at most _CHUNK pairs unless one run alone is longer; the
+    # scan over its chunks returns the same arrays, in (i, j) order, at
+    # the default budget and at 1 and 7 pairs, with the tiled scan's
+    # _confirm calls.  The scenes hold ties on lox (lattice-columns),
+    # unbounded pieces (wedge) and boxes at +-inf (past-2^1100)
+    region, guards = table_scene(scene)
+    pieces = darkness._Analysis(region, GuardSet(guards)).pieces
+    boxes = darkness._piece_boxes(pieces)
+    lox, hix = boxes[4], boxes[5]
+    overlap = np.triu((lox[None, :] <= hix[:, None]) & (lox[:, None] <= hix[None, :]), 1)
+    want = list(zip(*(a.tolist() for a in np.nonzero(overlap))))
+    sweep, confirm = darkness._x_overlaps, darkness._confirm
+    results = []
+    for budget in (darkness._CHUNK, 1, 7):
+        monkeypatch.setattr(darkness, "_CHUNK", budget)
+        chunks, calls = [], []
+        monkeypatch.setattr(darkness, "_x_overlaps",
+                            lambda lo, hi: (chunks.append(c) or c for c in sweep(lo, hi)))
+        monkeypatch.setattr(darkness, "_confirm", lambda p, q: calls.append(1) or confirm(p, q))
+        results.append(darkness._pair_scan(pieces, boxes))
+        pairs = [(min(p, q), max(p, q)) for P, Q in chunks
+                 for p, q in zip(P.tolist(), Q.tolist())]
+        assert sorted(pairs) == want
+        rows = [set(P.tolist()) for P, _ in chunks]
+        assert all(len(P) <= budget or len(r) == 1 for (P, _), r in zip(chunks, rows))
+        assert sum(map(len, rows)) == len(set().union(*rows))
+        assert len(chunks) > 1 or len(want) <= budget  # 4n-2-octagon: 17,437 pairs
+        if budget == 7 and len(want) > 7:
+            assert any(len(r) > 1 for r in rows)
+        assert len(calls) == TILED_SCAN_CONFIRMS[scene]
+    I, J = results[0][:2]
+    assert all(a < b for a, b in zip(zip(I.tolist(), J.tolist()), zip(I[1:].tolist(), J[1:].tolist())))
+    assert (I < J).all()
+    for other in results[1:]:
+        assert [a.tobytes() for a in other] == [a.tobytes() for a in results[0]]
+    if scene == "lattice-columns":
+        assert len(lox) - len(set(lox.tolist())) > len(lox) // 2
+    if scene == "wedge":
+        assert np.isinf(hix).any() and np.isinf(boxes[7]).any()
+    if scene == "past-2^1100":
+        # most pieces start past the float range, and tie there
+        assert np.isinf(lox).sum() > len(lox) // 2
+
+
+def test_the_sweep_of_no_piece_and_of_one_piece_yields_nothing():
+    for lox, hix in (([], []), ([1.0], [2.0]), ([-inf], [inf])):
+        assert list(darkness._x_overlaps(np.array(lox), np.array(hix))) == []
+
+
+# --- collinear grouping against its former body ------------------------------
+
+
+def square_lattice(m, step=3):
+    """The m x m lattice of the given step: rows, columns and diagonals of
+    m guards, and shorter lines of every slope between them."""
+    region = ConvexPolygon([Point2(-1, -1), Point2(m * step, -1), Point2(m * step, m * step),
+                            Point2(-1, m * step)])
+    return region, [Point2(step * x, step * y) for x in range(m) for y in range(m)]
+
+
+GROUPING_SCENES = {
+    "lattice-3": lambda: BRANCH_SCENES["lattice"],
+    "lattice-4": lambda: square_lattice(4),
+    "lattice-5": lambda: square_lattice(5),
+    "lattice-columns": lattice_columns,
+    "lattice-8gon": lattice_octagon,
+    "concurrent-star": concurrent_star,
+    "4n-2": placement_4n_minus_2,
+    **{name: (lambda name=name: BRANCH_SCENES[name])
+       for name in ("two-dark", "no-two-dark", "dyadic", "big-denominator", "box-edge",
+                    "nudged-2^53+1", "wedge")},
+}
+LONGEST_LINE = {"lattice-3": 3, "lattice-4": 4, "lattice-5": 5, "lattice-columns": 5}
+
+
+@pytest.mark.parametrize("scene", sorted(GROUPING_SCENES))
+def test_group_collinear_matches_the_oracle(scene):
+    # the records, their order and their parameters are those of the
+    # former body, one dict of member sets updated per pair, under the
+    # scene's guard order and its reverse
+    _, guards = GROUPING_SCENES[scene]()
+    pts = _integers(guards)[1]
+    for order in (pts, pts[::-1]):
+        records = darkness._group_collinear(order)
+        assert records == oracles.group_collinear_oracle(order)
+    if scene in LONGEST_LINE:
+        assert max(len(rec[3]) for rec in records) == LONGEST_LINE[scene]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=24,
+                unique=True),
+       st.sampled_from([(1, 0), (-7, 3), (2 ** 70 + 1, 2 ** 64)]))
+def test_group_collinear_matches_the_oracle_on_lattice_subsets(cells, affine):
+    # subsets of a 6 x 6 lattice, scaled by k and shifted by s
+    k, shift = affine
+    pts = [(k * x + shift, k * y - shift) for x, y in cells]
+    assert darkness._group_collinear(pts) == oracles.group_collinear_oracle(pts)
 
 
 def _count_exact_calls(monkeypatch, names=("_confirm", "_point_key")):

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import inf, isfinite, ulp
+from math import inf, isfinite, nextafter, ulp
 
 import numpy as np
 import pytest
 
+from darkgallery import sampling
 from darkgallery._filter import (
+    _FLOAT_BITS,
     _RATIO,
     _XY,
     _floats,
@@ -24,12 +26,14 @@ from darkgallery._filter import (
     _margin,
     _nearest,
     _quotient_bound,
+    _quotients,
     _rounding_bound,
     _signs,
     _sorted_exact,
     _sum_bound,
     _x_bounds,
 )
+from darkgallery.geometry import ConvexPolygon, Point2, _Frame
 
 SCALES = [1, 2 ** 53 - 1, 2 ** 53 + 1, 2 ** 520, 2 ** 1100]
 IDS = ["1", "2^53-1", "2^53+1", "2^520", "2^1100"]
@@ -238,3 +242,65 @@ def test_the_float_first_sort_is_the_exact_stable_sort(scale):
     floats = {_nearest(*r) for r in ratios}
     assert len(floats) < len({Fraction(*r) for r in ratios}) or scale < 2 ** 53
     assert ({inf, -inf} <= floats) == (scale == 2 ** 1100)
+
+
+def _is_nearest(f, x):
+    """Whether the float f is the Fraction x rounded to nearest, ties to
+    even, or +-inf where x is past the float range."""
+    if not isfinite(f):
+        return abs(x) >= 2 ** 1024 - 2 ** 970 and (f > 0) == (x > 0)
+    F = Fraction(f)
+    below = (F + Fraction(nextafter(f, -inf))) / 2
+    above = (F + Fraction(nextafter(f, inf))) / 2
+    if x in (below, above):
+        return (F / Fraction(ulp(f))).numerator % 2 == 0
+    return below < x < above
+
+
+QUOTIENT_SCALES = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1]
+
+
+@pytest.mark.parametrize("scale", QUOTIENT_SCALES, ids=["2^53-1", "2^53", "2^53+1"])
+def test_quotients_round_correctly_across_2_53(scale):
+    # numerators and denominators at, just under and just over 2^53, so
+    # that CPython's float division of the operands covers some and the
+    # integer division the rest; ties and quotients past the float range
+    rng = random.Random(scale)
+    sizes = [scale, 2 * scale, 3, 2 ** 1100, 1]
+    nums, dens = [], []
+    for _ in range(ROWS):
+        nums.append(rng.choice(sizes) * rng.randrange(-9, 10) + rng.randrange(-2, 3))
+        dens.append(max(1, rng.choice(sizes) * rng.randrange(1, 9) + rng.randrange(-2, 3)))
+    # exact halves between two floats at 2^54 and a tie past 2^53
+    nums += [2 ** 54 + 2, 2 ** 53 + 1, -(2 ** 53 + 3), 2 ** 1100, -(2 ** 1100), 0]
+    dens += [2, 1, 1, 1, 1, scale]
+    q = _quotients(nums, dens)
+    assert q.dtype == np.float64 and len(q) == len(nums)
+    assert q.tolist() == [_nearest(n, d) for n, d in zip(nums, dens)]
+    assert all(_is_nearest(f, Fraction(n, d)) for f, n, d in zip(q.tolist(), nums, dens))
+    small = [abs(n) < 2 ** 53 and d < 2 ** 53 for n, d in zip(nums, dens)]
+    assert 0 < sum(small) < len(small) and np.isinf(q).any()
+    assert _quotients([], []).tolist() == []
+
+
+@pytest.mark.parametrize("bits", [0, _FLOAT_BITS + 40], ids=["unit-21", "unit-past-2^509"])
+def test_sampler_columns_are_the_correctly_rounded_coordinates(bits):
+    # a frame of thirds and sevenths, so its unit is 21, or shifted past
+    # 2^_FLOAT_BITS, where the unit is scale times a power of two; the
+    # columns of its integer pairs and of homogeneous samples are each
+    # X / (W * unit) correctly rounded
+    big = 2 ** bits
+    region = ConvexPolygon([Point2(big, 0), Point2(big + 7, 0), Point2(big + 7, 9),
+                            Point2(big, 9)])
+    guards = [Point2(big + Fraction(a, 3), Fraction(b, 7)) for a, b in ((2, 5), (11, 40), (19, 61))]
+    frame = _Frame(region, guards)
+    assert frame.unit != 1 and (frame.unit == frame.scale == 21) == (bits == 0)
+    rng = random.Random(bits)
+    samples = [frame.sample(Point2(big + Fraction(rng.randrange(1, 700), rng.randrange(1, 100)),
+                                   Fraction(rng.randrange(0, 900), rng.randrange(1, 2 ** 60))))
+               for _ in range(ROWS)]
+    for pts in (frame.walls + frame.ints, samples):
+        xs, ys = sampling._columns(frame, pts)
+        for p, x, y in zip(pts, xs.tolist(), ys.tolist()):
+            W = frame.unit * (p[2] if len(p) == 3 else 1)
+            assert _is_nearest(x, Fraction(p[0], W)) and _is_nearest(y, Fraction(p[1], W))
