@@ -529,7 +529,10 @@ def _build_scaffold(P: ConvexPolygon, eps: Fraction,
         fenced = [line if s > 0 else (-line[0], -line[1], -line[2])
                   for (line, _), s in zip(fences, sides)]
 
-        feasible = halfplane_intersection(hull_planes + _halfplanes_of(fenced))
+        # fences first: the result does not depend on the order, and _clip
+        # stops at the first bound that empties a line, which on most
+        # hull lines is a fence
+        feasible = halfplane_intersection(_halfplanes_of(fenced) + hull_planes)
         if feasible.status != "bounded" or len(feasible.vertices) < 3:
             raise _Infeasible("no room for the interior guard at vertex %d" % i)
 

@@ -37,8 +37,10 @@ GuardSet, serves every query on that guard set.  A prefix of a guard
 set certified to max darkness <= 1 takes an analysis derived from that
 one (`_prefix`), with no clip and no scan of its own.
 
-The analysis keeps only what the certificates read: the pieces, the
-crossing table and the darkest point.  The sampler
+The analysis keeps only what the certificates read: the pieces, one set
+of their float columns (`_piece_boxes`, with the blocked counts) that the
+scan and the darkest point both read, the crossing table and the darkest
+point.  The sampler
 (``sampling._suspicious_points``) takes the pieces and makes its own walk
 of their exact crossings (`_pair_hits`) for the sample points it needs.
 
@@ -374,24 +376,32 @@ def _confirm(p, q):
 
 
 def _piece_boxes(pieces):
-    """(x0, y0, fdx, fdy, lox, hix, loy, hiy): every piece's float anchor,
-    float direction and conservative float box, one column per piece.
+    """(x0, y0, fdx, fdy, lox, hix, loy, hiy, h, unbounded): every
+    piece's float anchor, float direction and conservative float box, the
+    correctly rounded parameter h = hin/hid of its far end (inf where it
+    has none) and the mask of the pieces with no far end, one column per
+    piece.
 
     Every coordinate is rounded to the nearest float and an unbounded end
     becomes +-inf; rounding is monotone, so pieces whose true spans
-    overlap keep overlapping boxes at any scale.  The anchors and
-    directions feed the float verdicts of _pair_scan.
+    overlap keep overlapping boxes at any scale.  The anchors, directions
+    and far ends feed the float verdicts of _pair_scan and the candidate
+    bounds of _Analysis.darkest.
     """
     ax, ay, dx, dy = ([p[c] for p in pieces] for c in range(4))
     x0, y0, fdx, fdy = _floats(ax), _floats(ay), _floats(dx), _floats(dy)
     x1 = np.where(fdx == 0, x0, np.copysign(inf, fdx))
     y1 = np.where(fdy == 0, y0, np.copysign(inf, fdy))
+    h = np.full(len(pieces), inf)
+    unbounded = np.ones(len(pieces), dtype=bool)
     for k, (a, b, u, v, hin, hid, *_) in enumerate(pieces):
         if hin is not None:
             x1[k] = _nearest(a * hid + u * hin, hid)
             y1[k] = _nearest(b * hid + v * hin, hid)
+            h[k] = _nearest(hin, hid)
+            unbounded[k] = False
     return (x0, y0, fdx, fdy, np.minimum(x0, x1), np.maximum(x0, x1),
-            np.minimum(y0, y1), np.maximum(y0, y1))
+            np.minimum(y0, y1), np.maximum(y0, y1), h, unbounded)
 
 
 def _class_ids(keys):
@@ -481,14 +491,14 @@ def _pair_scan(pieces, boxes):
     _confirm.  No test drops a crossing or keeps a miss, so the hits are
     those of the plain loop of _confirm over all pairs, and one lexsort
     puts them in its order.  A hit that _confirm settles gets T, its
-    correctly rounded exact parameter, and E its _rounding_bound.
+    correctly rounded exact parameter, and E its _rounding_bound.  The
+    far ends' parameters h come from the boxes' columns too.
     """
-    x0, y0, dx, dy, lox, hix, loy, hiy = boxes
+    x0, y0, dx, dy, lox, hix, loy, hiy, h, unbounded = boxes
     direction, anchor, far = _end_classes(pieces)
     # float bounds on each far end's parameter; an unbounded piece never
     # ends, and a bounded one past the float range has none (NaN)
-    h = np.array([inf if p[4] is None else _nearest(p[4], p[5]) for p in pieces])
-    eh = np.where([p[4] is None for p in pieces], 0.0, _rounding_bound(h))
+    eh = np.where(unbounded, 0.0, _rounding_bound(h))
     with np.errstate(invalid="ignore"):
         hlo, hhi = h - eh, h + eh
     mx, my, mdx, mdy = np.abs(x0), np.abs(y0), np.abs(dx), np.abs(dy)
@@ -565,12 +575,13 @@ def _crossing_key(pieces, i, j):
     return _point_key(pieces[i], un, D)
 
 
-def _crossing_table(pieces):
+def _crossing_table(pieces, boxes, blocked):
     """(I, J, XL, XU, total, count): one entry per crossing point of
     pieces from distinct lines, in the order of its first hit in the
     (i, j) order of _pair_scan, with (I, J) that first hit, XL and XU
     float bounds on its x, total the sum of the blocked counts of the
-    pieces through it, and count their number.
+    pieces through it, and count their number; boxes is
+    _piece_boxes(pieces) and blocked the pieces' blocked counts.
 
     A crossing is never a guard position, so each line dark there has one
     piece through it, every two of those pieces cross there, and its
@@ -585,11 +596,9 @@ def _crossing_table(pieces):
     in row j, and are skipped there.  Two pieces cross at most once, so a
     mark names one point.
     """
-    boxes = _piece_boxes(pieces)
     I, J, T, E = _pair_scan(pieces, boxes)
     n = len(I)
     R = len(pieces)
-    blocked = np.array([p[7] for p in pieces], dtype=np.int64)
     lo, hi = _interval(T, E)
     # clusters: sort each row by lo and cut where lo passes the running
     # max of hi in the row; ranking (row, hi) makes one accumulate serve
@@ -746,8 +755,9 @@ class _Analysis:
     leaves the piece unbounded (wedges, or region None: the whole plane,
     where the unbounded pieces are exactly the dark rays).  Only pieces
     blocking >= 1 guard are kept.  Beyond the pieces it holds what the
-    certificates read: the crossing table, the guard points' darkness,
-    the darkest point and the rescan of a witness.  It keeps the guards
+    certificates read: the pieces' float columns, the crossing table,
+    the guard points' darkness, the darkest point and the rescan of a
+    witness.  It keeps the guards
     tuple, not the GuardSet that holds it: a reference cycle would wait
     for the cyclic collector.
     """
@@ -762,6 +772,7 @@ class _Analysis:
             if self.outside(x, y, 1):
                 raise ValueError("guard %r lies outside the region" % (g,))
         self.lines = _group_collinear(ints)
+        self._columns = None
         self._crossings = None
         self._darkest = None
 
@@ -829,6 +840,16 @@ class _Analysis:
                 contributions.append((line_id, cnt))
         return total, contributions
 
+    def columns(self):
+        """(boxes, blocked): _piece_boxes of the pieces and their blocked
+        counts (int64), one column per piece.  Built once, for the pair
+        scan and the candidates of darkest alike; callers must not change
+        them."""
+        if self._columns is None:
+            self._columns = (_piece_boxes(self.pieces),
+                             np.array([p[7] for p in self.pieces], dtype=np.int64))
+        return self._columns
+
     # -- pairwise crossings of pieces ------------------------------------
     def crossings(self):
         """_crossing_table of the pieces: the in-region crossings of
@@ -843,7 +864,7 @@ class _Analysis:
         reported or compared exactly.
         """
         if self._crossings is None:
-            self._crossings = _crossing_table(self.pieces)
+            self._crossings = _crossing_table(self.pieces, *self.columns())
         return self._crossings
 
     # -- candidate enumeration -------------------------------------------
@@ -889,25 +910,29 @@ class _Analysis:
         the order crossings, guards, pieces on equal points), so the
         certificate does not depend on guard ordering.  Every candidate
         has float bounds on its x (_x_bounds), and _leftmost builds exact
-        points only for those that may have the least x.
+        points only for those that may have the least x.  The top pieces,
+        their parameters T = h/2 (or 1), anchors x0 and directions fdx
+        are read from the columns; on a 4n-2 placement every piece is a
+        top piece.
         """
         if self._darkest is None:
             I, J, XL, XU, total, _ = self.crossings()
+            (x0, _, fdx, _, _, _, _, _, h, unbounded), blocked = self.columns()
             dark = self.guard_darkness()
-            pieces = self.pieces
-            top = max([int(total.max(initial=0)), *dark] + [p[7] for p in pieces])
+            top = max(int(total.max(initial=0)), int(blocked.max(initial=0)), *dark)
             at = np.nonzero(total == top)[0].tolist()
             guards = [xy for d, xy in zip(dark, self.frame.ints) if d == top]
-            tops = [p for p in pieces if p[7] == top]
+            tops = np.nonzero(blocked == top)[0]
             # a guard is exact at T = 0 on no direction; a piece's point
             # is at the correctly rounded half of hin/hid, or 1
-            T = np.array([0.0] * len(guards)
-                         + [1.0 if p[4] is None else _nearest(p[4], p[5]) / 2 for p in tops])
-            lo, hi = _x_bounds(_floats([c[0] for c in guards + tops]),
-                               _floats([0] * len(guards) + [p[2] for p in tops]), T,
-                               _rounding_bound(T))
+            zero = np.zeros(len(guards))
+            T = np.concatenate((zero, np.where(unbounded[tops], 1.0, h[tops] / 2)))
+            lo, hi = _x_bounds(np.concatenate((_floats([x for x, _ in guards]), x0[tops])),
+                               np.concatenate((zero, fdx[tops])), T, _rounding_bound(T))
             lo = np.concatenate((XL[at], lo))
             hi = np.concatenate((XU[at], hi))
+
+            pieces = self.pieces
 
             def key(k):
                 if k < len(at):
@@ -915,10 +940,17 @@ class _Analysis:
                 k -= len(at)
                 if k < len(guards):
                     return guards[k] + (1,)
-                return _sub_piece_points(tops[k - len(guards)], ())[0]
+                return _sub_piece_points(pieces[tops[k - len(guards)]], ())[0]
 
             self._darkest = _leftmost(lo, hi, key)[1]
         return self._darkest
+
+
+def _rows(columns, rows):
+    """The columns of _Analysis.columns at the pieces rows, in order: the
+    columns a fresh build would give those pieces."""
+    boxes, blocked = columns
+    return tuple(c[rows] for c in boxes), blocked[rows]
 
 
 def _analysis(region: Region, gset: GuardSet) -> _Analysis:
@@ -941,9 +973,9 @@ def _prefix(region: Region, full: GuardSet, g: int) -> GuardSet:
     cross), the prefix's lines are full's lines with both members below
     g, in full's order (that of the (ux, uy, c) sort, which guard
     numbering does not change); its pieces are theirs, renumbered; it has
-    no crossings either, so it shares full's empty table; and its frame
-    is full's with the first g points.  Otherwise the prefix gets a fresh
-    analysis.
+    no crossings either, so it shares full's empty table; its columns are
+    full's at its pieces; and its frame is full's with the first g
+    points.  Otherwise the prefix gets a fresh analysis.
     """
     prefix = GuardSet(full.guards[:g])
     parent = full._analysis
@@ -963,7 +995,9 @@ def _prefix(region: Region, full: GuardSet, g: int) -> GuardSet:
         analysis.frame = parent.frame.prefix(g)
         analysis.halfplanes = parent.halfplanes
         analysis.lines = lines
-        analysis.pieces = [p[:8] + (ids[p[8]],) for p in parent.pieces if p[8] in ids]
+        rows = [k for k, p in enumerate(parent.pieces) if p[8] in ids]
+        analysis.pieces = [parent.pieces[k][:8] + (ids[parent.pieces[k][8]],) for k in rows]
+        analysis._columns = _rows(parent.columns(), np.array(rows, dtype=np.int64))
         analysis._crossings = parent.crossings()
         analysis._darkest = None
     object.__setattr__(prefix, "_analysis", analysis)
@@ -1043,8 +1077,10 @@ def find_concurrent_dark_rays(guards):
     the count of a crossing of the rays is its number of lines.
     """
     analysis = _Analysis(None, GuardSet.coerce(guards))
-    rays = [p for p in analysis.pieces if p[4] is None]
-    I, J, XL, XU, _, count = _crossing_table(rays)
+    columns = analysis.columns()
+    rows = np.nonzero(columns[0][9])[0]  # the unbounded pieces: the dark rays
+    rays = [analysis.pieces[k] for k in rows.tolist()]
+    I, J, XL, XU, _, count = _crossing_table(rays, *_rows(columns, rows))
     at = np.nonzero(count >= 3)[0]
     if not len(at):
         return None

@@ -332,11 +332,15 @@ def halfplane_intersection(halfplanes: Sequence[Halfplane]) -> HalfplaneResult:
     """Intersect closed halfplanes exactly in O(h^2) integer steps.
 
     Every constraint line a*x + b*y = c, scaled to integers, is clipped
-    (_clip) by every constraint, from its point (a*c, b*c) / (a^2 + b^2)
-    along (b, -a).  The region is empty when no line keeps a piece,
-    unbounded when a kept piece has an open end, and its corners are the
-    kept pieces' ends: each where its line meets the constraint that set
-    that end.
+    (_clip) by every constraint along (b, -a), from a point with small
+    integers: (X, Y, W) = (0, c, b), or (c, 0, a) where b = 0, with W
+    made positive, so each r of _clip is a product of two coefficients.
+    The region is empty when no line keeps a piece, unbounded when a
+    kept piece has an open end, and its corners are the kept pieces'
+    ends: each where its line meets the constraint that set that end,
+    kept as a primitive integer triple (X, Y, W), W > 0.  _hull_corners
+    orders them at one lcm of their W's, and a Point2 is built only for
+    each corner it returns.
     """
     hs = list(halfplanes)
     if not hs:
@@ -351,7 +355,10 @@ def halfplane_intersection(halfplanes: Sequence[Halfplane]) -> HalfplaneResult:
     corners = set()
     kept = unbounded = False
     for a, b, c in lines:
-        ends = _clip(a * c, b * c, a * a + b * b, b, -a, lines)
+        X, Y, W = (0, c, b) if b else (c, 0, a)
+        if W < 0:
+            X, Y, W = -X, -Y, -W
+        ends = _clip(X, Y, W, b, -a, lines)
         if ends is None:
             continue
         kept = True
@@ -360,12 +367,17 @@ def halfplane_intersection(halfplanes: Sequence[Halfplane]) -> HalfplaneResult:
                 unbounded = True
                 continue
             aj, bj, cj = lines[end[2]]
-            w = a * bj - aj * b
-            corners.add(Point2(Fraction(c * bj - cj * b, w), Fraction(a * cj - aj * c, w)))
+            x, y, w = c * bj - cj * b, a * cj - aj * c, a * bj - aj * b
+            g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
+            corners.add((x // g, y // g, w // g))
     if not kept:
         return HalfplaneResult("empty", [])
+    corners = list(corners)
+    m = lcm(*(W for _, _, W in corners))
+    ring = _hull_corners([(X * (m // W), Y * (m // W)) for X, Y, W in corners])
     return HalfplaneResult("unbounded" if unbounded else "bounded",
-                           convex_hull(list(corners)).corners)
+                           [Point2(Fraction(X, W), Fraction(Y, W))
+                            for X, Y, W in (corners[i] for i in ring)])
 
 
 class HullResult:
@@ -390,14 +402,15 @@ def _hull_corners(pairs) -> list:
     from the lexicographically smallest pair: a monotone chain.
 
     Points on a hull edge are not corners.  Collinear input gives the
-    indices of its two extreme pairs, and a single distinct pair one
-    index; where pairs repeat, the first index of each is used.
+    indices of its two extreme pairs, a single distinct pair one index
+    and no pairs none; where pairs repeat, the first index of each is
+    used.
     """
     order = []
     for i in sorted(range(len(pairs)), key=pairs.__getitem__):
         if not order or pairs[order[-1]] != pairs[i]:
             order.append(i)
-    if len(order) == 1:
+    if len(order) <= 1:
         return order
 
     def build(seq):

@@ -369,11 +369,25 @@ def visible(P: AnyPolygon, guards, q: Point2, p: Point2) -> bool:
     return _sees(frame.walls, frame.ints[:-1], frame.ints[-1], frame.sample(p))
 
 
-def depth_at_sample(P: AnyPolygon, guards, p: Point2) -> int:
-    """Number of guards that see p (exact, wall- and guard-blocking)."""
-    gset = GuardSet.coerce(guards)
+def _guard_frame(P: AnyPolygon, gset: GuardSet) -> _Frame:
+    """The frame of P and the guards, each guard checked to lie in the
+    closed P."""
     frame = _Frame(P, gset.guards)
+    for g, (x, y) in zip(gset.guards, frame.ints):
+        if _locate(frame.walls, x, y, 1) == "exterior":
+            raise ValueError("guard %r lies outside the polygon" % (g,))
+    return frame
+
+
+def depth_at_sample(P: AnyPolygon, guards, p: Point2) -> int:
+    """Number of guards that see p (exact, wall- and guard-blocking).
+
+    Like sample_depth, it refuses a guard or a point p outside the
+    closed P."""
+    frame = _guard_frame(P, GuardSet.coerce(guards))
     s = frame.sample(p)
+    if _locate(frame.walls, *s) == "exterior":
+        raise ValueError("sample point %r lies outside the polygon" % (p,))
     return sum(1 for q in frame.ints if _sees(frame.walls, frame.ints, q, s))
 
 
@@ -577,10 +591,7 @@ def _scan(P: AnyPolygon, guards, sampler):
     """(frame, samples, depths): the deduplicated homogeneous samples of
     sample_depth in scan order, and the depth at each, with no point built."""
     gset = GuardSet.coerce(guards)
-    frame = _Frame(P, gset.guards)
-    for g, (x, y) in zip(gset.guards, frame.ints):
-        if _locate(frame.walls, x, y, 1) == "exterior":
-            raise ValueError("guard %r lies outside the polygon" % (g,))
+    frame = _guard_frame(P, gset)
     corners = frame.corners()
     suspicious, (sx, sy) = _suspicious_points(frame, P, gset)
     extra, (ex, ey) = _sampler_points(frame, sampler)

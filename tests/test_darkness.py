@@ -485,7 +485,8 @@ def test_box_edge_scene_touches_only_at_the_unique_maximum():
     assert [(c[0], analysis.frame.point(c[1:4])) for c in top] == [(4, Point2(6, 12))]
     points, _ = oracles.crossings_oracle(analysis.pieces)
     i, j = sorted(points[top[0][1:4]])
-    _, _, _, _, lox, hix, _, _ = darkness._piece_boxes(analysis.pieces)
+    boxes = darkness._piece_boxes(analysis.pieces)
+    lox, hix = boxes[4], boxes[5]
     assert analysis.pieces[i][8] != analysis.pieces[j][8]
     assert hix[i] == lox[j] == analysis.frame.scale * 6 and lox[i] < hix[i]
 
@@ -1273,6 +1274,24 @@ def test_crossing_table_and_witnesses_match_the_oracles(scene):
         assert max(len(ids) for ids in points.values()) >= 4
 
 
+@pytest.mark.parametrize("scene", TABLE_SCENES)
+def test_darkest_candidate_bounds_hold_their_exact_x(scene, monkeypatch):
+    # every candidate darkest hands _leftmost (crossings, guards, then top
+    # pieces at T = h/2 or 1, read from the columns) has float x bounds
+    # that hold its exact x, so the tie-break never drops the leftmost
+    region, guards = table_scene(scene)
+    analysis = darkness._Analysis(region, GuardSet(guards))
+    calls, leftmost = [], darkness._leftmost
+    monkeypatch.setattr(darkness, "_leftmost",
+                        lambda lo, hi, key: calls.append((lo, hi, key)) or leftmost(lo, hi, key))
+    analysis.darkest()
+    [(lo, hi, key)] = calls
+    assert len(lo) == len(hi) > 0
+    for k, (l, h) in enumerate(zip(lo.tolist(), hi.tolist())):
+        X, _, W = key(k)
+        assert _within(l, Fraction(X, W), h), k
+
+
 def test_scan_settles_far_ends_exactly():
     # hand-built pieces: a bounded piece along y = 0 that a vertical piece
     # crosses exactly at its far end (4, 0), open there (strict) or
@@ -1435,8 +1454,8 @@ def test_certificates_build_few_exact_values(monkeypatch, scene, want):
 
 
 # what an analysis holds, built or derived
-ANALYSIS_FIELDS = {"region", "guards", "frame", "halfplanes", "lines", "pieces", "_crossings",
-                   "_darkest"}
+ANALYSIS_FIELDS = {"region", "guards", "frame", "halfplanes", "lines", "pieces", "_columns",
+                   "_crossings", "_darkest"}
 
 
 @pytest.fixture

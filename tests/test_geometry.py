@@ -8,7 +8,7 @@ import pickle
 import random
 import sys
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -201,7 +201,40 @@ def test_halfplane_intersection_matches_the_oracle_on_scaffold_constraints(monke
         place_4n_minus_2(random_convex_polygon(rng, n))
         assert len(captured) - before >= n
     for hps in captured:
-        _assert_matches_oracle(hps)
+        res = _assert_matches_oracle(hps)
+        # the three fences come first; the result is the same reversed
+        # and with the hull's lines first
+        for order in (hps[::-1], hps[3:] + hps[:3]):
+            got = halfplane_intersection(order)
+            assert (got.status, got.vertices) == (res.status, res.vertices)
+
+
+@pytest.mark.parametrize("factor", [2 ** 200, Fraction(1, 3 ** 40)], ids=["2^200", "3^-40"])
+def test_halfplane_intersection_matches_the_oracle_at_large_coefficients(factor):
+    # each coefficient is a small rational, times factor or not, so the
+    # corners' W's are products of big and small coefficients and their
+    # lcm is far past the float range; the status and the corners match
+    # the oracle, with every shape of the degenerate sets turning up
+    rng = random.Random(29)
+
+    def coefficient():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * rng.choice([1, factor])
+
+    shapes, big = set(), 0
+    for _ in range(400):
+        hps = []
+        for _ in range(rng.randint(1, 6)):
+            a, b = coefficient(), coefficient()
+            if a == 0 and b == 0:
+                a = factor
+            hps.append(Halfplane(Line(a, b, coefficient())))
+        res = _assert_matches_oracle(hps)
+        shapes.add((res.status, min(len(res.vertices), 3)))
+        dens = [c.denominator for v in res.vertices for c in (v.x, v.y)]
+        big += lcm(1, *dens) > 2 ** 100
+    assert {("empty", 0), ("bounded", 3), ("unbounded", 0), ("unbounded", 1),
+            ("unbounded", 2), ("unbounded", 3)} <= shapes
+    assert big > 20
 
 
 # shape: (status, corner count, a*x + b*y >= c for each triple); none has

@@ -181,16 +181,18 @@ POINT_ARITHMETIC = {"Point2", "where", "dot", "cross"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def point_calls_in_loops(source: str, filename: str, functions) -> List[Tuple[str, int]]:
+def point_calls_in_loops(source: str, filename: str, functions,
+                         loops=LOOPS) -> List[Tuple[str, int]]:
     """(what, line) for each call of one of POINT_ARITHMETIC, by name or
-    as an attribute (``cone.where``), inside a loop or comprehension of
-    one of the named top-level functions."""
+    as an attribute (``cone.where``), inside a loop or comprehension (a
+    node of one of the types loops) of one of the named top-level
+    functions."""
     out = set()
     for fn in ast.parse(source, filename).body:
         if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
             continue
         for loop in ast.walk(fn):
-            if not isinstance(loop, LOOPS):
+            if not isinstance(loop, loops):
                 continue
             for node in ast.walk(loop):
                 if isinstance(node, ast.Call):
@@ -217,12 +219,28 @@ def test_point_calls_in_loops_flags_points_and_methods_inside_loops():
     )
     assert point_calls_in_loops(source, "example.py", {"f"}) == [
         ("Point2()", 5), ("cross()", 7), ("dot()", 9), ("where()", 5)]
+    # statement loops alone: the comprehension of line 9 is left out
+    assert point_calls_in_loops(source, "example.py", {"f"}, loops=(ast.For, ast.While)) == [
+        ("Point2()", 5), ("cross()", 7), ("where()", 5)]
 
 
 def test_simple_loops_build_no_points():
     path = PACKAGE / "simple.py"
     assert point_calls_in_loops(path.read_text(), str(path),
                                 {"_place_cluster", "_lines_below_mouths"}) == []
+
+
+def test_halfplane_intersection_keeps_integer_corners():
+    # its loop over the constraint lines keeps each corner as an integer
+    # triple, and _hull_corners orders them: a Point2 is built only for
+    # each returned corner, after the loop, and no convex_hull is called
+    path = PACKAGE / "geometry.py"
+    source = path.read_text()
+    assert point_calls_in_loops(source, str(path), {"halfplane_intersection"},
+                                loops=(ast.For, ast.While)) == []
+    [fn] = [node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name == "halfplane_intersection"]
+    assert "convex_hull" not in {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
 
 
 # construct.py builds the 4n-2 scaffold on homogeneous integers: its

@@ -162,6 +162,27 @@ def test_a_sample_point_of_the_wrong_shape_is_named(point):
     assert len(sample_depth(T, T.vertices, sampler=("points", [Point2(4, 1), (4, 2)])).samples) > 3
 
 
+@pytest.mark.parametrize("P", [
+    ConvexPolygon([Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)]),
+    SimplePolygon([Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)]),
+], ids=["convex", "simple"])
+def test_depth_at_sample_refuses_guards_and_points_outside(P):
+    # with sample_depth's messages: the guard check of its scan and the
+    # membership check of its points sampler; the boundary is inside
+    with pytest.raises(ValueError, match=r"^guard Point2\(9, 9\) lies outside the polygon$"):
+        depth_at_sample(P, [Point2(9, 9), Point2(1, 1)], Point2(2, 2))
+    with pytest.raises(ValueError, match=r"^guard Point2\(9, 9\) lies outside the polygon$"):
+        sample_depth(P, [Point2(9, 9), Point2(1, 1)])
+    with pytest.raises(ValueError, match=r"^sample point Point2\(9, 9\) lies outside the polygon$"):
+        depth_at_sample(P, [Point2(1, 1)], Point2(9, 9))
+    with pytest.raises(ValueError, match=r"^sample point Point2\(9, 9\) lies outside the polygon$"):
+        sample_depth(P, [Point2(1, 1)], sampler=("points", [Point2(9, 9)]))
+    with pytest.raises(ValueError, match=r"^sample point Point2\(5, 2\) lies outside the polygon$"):
+        depth_at_sample(P, [Point2(1, 1)], Point2(5, 2))
+    assert depth_at_sample(P, [Point2(1, 1), Point2(4, 4)], Point2(4, 2)) == 2
+    assert depth_at_sample(P, [Point2(0, 0), Point2(1, 1)], Point2(2, 2)) == 1
+
+
 def test_reports_are_immutable_and_need_samples():
     report = sample_depth(BOX, [Point2(5, 5)])
     with pytest.raises(AttributeError):
@@ -481,8 +502,12 @@ def _kernel_verdicts(P, gs, samples):
             # visible_oracle, from the verdicts above
             assert visible(P, gs, q, p) == (inside and not blocked)
             depth += inside and not blocked
-        assert depth_at_sample(P, gs, p) == depth
-        if where != "exterior":
+        if where == "exterior":
+            # the one-sample kernel refuses a point outside, as sample_depth does
+            with pytest.raises(ValueError, match=r"^sample point .* lies outside the polygon$"):
+                depth_at_sample(P, gs, p)
+        else:
+            assert depth_at_sample(P, gs, p) == depth
             inner.append(p)
             inner_depths.append(depth)
     assert batch_depths(P, gs, inner) == inner_depths
