@@ -18,7 +18,11 @@ import numpy as np
 # 2^-1075 below 2^-1022, or +-inf past the float range.  Rounding is
 # monotone, so fl(a) < fl(b) proves a < b with no margin: a float order
 # never inverts the exact one (the pair scan's boxes, the sampler's level
-# tests, _sorted_exact and _leftmost).
+# tests, _sorted_exact and _leftmost).  A float bound lo <= x orders the
+# same way: lo > fl(a) puts lo at or past the float after fl(a), beyond
+# every value that rounds to fl(a), so x > a; likewise hi < fl(a) proves
+# x < a, and lo > hi' of two bounds, x > x'.  So intervals and correctly
+# rounded floats mix in one order (_clusters, _sorted_intervals).
 #
 # Sums of products (_sum_bound).  Let v be a sum of at most three
 # products of inputs or differences of two inputs, in floats in any
@@ -44,11 +48,24 @@ import numpy as np
 # in eN and eD where 7u is needed, the bound holds through its own six
 # roundings and that of T +- E.
 #
-# A point's x (_x_bounds).  x = fl(x0 + T*fdx), for floats x0 and fdx of
-# integers ax and dx and |t - T| <= E, is off from ax + t*dx by about
-# E*|fdx|*(1 + u) + 2u*|x0| + 3u*|T*fdx|; 8u where 3u is needed covers
-# the bound's own roundings and those of x +- err, and E >= 2^-1022
+# A point's x (_affine, _x_bounds).  x = fl(x0 + T*fdx), for floats x0
+# and fdx of integers ax and dx and |t - T| <= E, is off from ax + t*dx by
+# about E*|fdx|*(1 + u) + 2u*|x0| + 3u*|T*fdx|; 8u where 3u is needed
+# covers the bound's own roundings and those of x +- err, and E >= 2^-1022
 # covers an underflow of the product, as |fdx| >= 1 unless dx = 0.
+#
+# A midpoint (_midpoint).  For |t0 - T0| <= E0 and |t1 - T1| <= E1, the
+# float T = fl(T0 + T1)/2 (halving is exact above 2^-1022) is off from
+# (t0 + t1)/2 by (E0 + E1)/2 + u*|T|; (E0 + E1)*(1/2 + 8u) covers the
+# rounding of that sum, and _rounding_bound(T) the rest, underflow
+# included, so the bound is again >= 2^-1022.
+#
+# A scaled value (_scaled).  For |x - X| <= e and c_f the correctly
+# rounded float of a positive rational c, normal (>= 2^-1022), so that
+# |c - c_f| <= u*c_f: x*c - fl(X*c_f) is at most e*c_f*(1 + u) + u*|X|*c_f
+# + u*|X*c_f| + 2^-1075; e*c_f*(1 + 8u) + 8u*|fl(X*c_f)| + 2^-1022 covers
+# it with its own roundings and those of x +- err.  A c_f below 2^-1022
+# gives no bound (inf).
 #
 # The batch margin (_margin).  Each value of the sampler's float pass, a
 # side (b - a) x (p - a) or an order (h - q).(s - q), is a two-term sum of
@@ -58,6 +75,16 @@ import numpy as np
 # frame's coordinates below 2^(b + 1) give 8*m^2 <= 2^(2b + 5), finite for
 # b <= 509 (_FLOAT_BITS); past that, geometry._Frame divides the columns
 # by a power of two, which scales every value and margin exactly.
+# A column with an input error err (the sampler's candidates, built from
+# the pair scan's parameters) is the correctly rounded value of itself,
+# and lies within err of the exact coordinate.  With e >= the err of
+# every input of a value, each difference of the exact inputs is within
+# 2e of that of the floats, at most 2m in size, so a product of two moves
+# by at most 2m*2e + (2m + 2e)*2e and a two-term sum by 16*m*e + 8*e^2:
+# the margin grows by that, as 17*m*e + 9*e^2 to cover its own
+# roundings, and is the former margin where e = 0.  Each value of the
+# float pass reads one sample and walls and guards, correctly rounded,
+# so each sample's values take the margin grown by its own err.
 #
 # Every certain verdict is a strict comparison of a value with its bound:
 # a NaN fails it, and so does an overflowed value, whose bound is inf.
@@ -122,11 +149,18 @@ def _signs(value, bound):
     return value > bound, value < -bound
 
 
-def _margin(*columns) -> float:
+def _margin(*columns, err=0.0):
     """The sampler's batch margin: a bound on the error of every two-term
-    sum of products of differences of these columns, inf on overflow."""
+    sum of products of differences of these columns, inf on overflow;
+    given err, input errors (0: correctly rounded), the bound for the
+    values that read inputs within err of their exact values, one per
+    err."""
     m = max(1.0, *(float(np.abs(c).max(initial=0.0)) for c in columns))
-    return _SLACK * (8.0 * m * m)
+    margin = _SLACK * (8.0 * m * m)
+    if not np.any(err):
+        return margin
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(err > 0, margin + err * (17.0 * m + 9.0 * err), margin)
 
 
 def _interval(x, err):
@@ -136,13 +170,57 @@ def _interval(x, err):
     return np.where(np.isfinite(lo), lo, -inf), np.where(np.isfinite(hi), hi, inf)
 
 
+def _affine(x0, fdx, T, E):
+    """(x, err): the float x of ax + t*dx and a bound err on its error,
+    for floats x0 and fdx of the integers ax and dx and |t - T| <= E."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tx = T * fdx
+        return x0 + tx, E * np.abs(fdx) * (1 + _SLACK) + _SLACK * (np.abs(x0) + np.abs(tx))
+
+
 def _x_bounds(x0, fdx, T, E):
     """The _interval of x = ax + t*dx, for floats x0 and fdx of the
     integers ax and dx and |t - T| <= E."""
+    return _interval(*_affine(x0, fdx, T, E))
+
+
+def _midpoint(T0, E0, T1, E1):
+    """(T, E): the float of (t0 + t1)/2 and a bound on its error, for
+    |t0 - T0| <= E0 and |t1 - T1| <= E1."""
     with np.errstate(over="ignore", invalid="ignore"):
-        tx = T * fdx
-        err = E * np.abs(fdx) * (1 + _SLACK) + _SLACK * (np.abs(x0) + np.abs(tx))
-        return _interval(x0 + tx, err)
+        T = (T0 + T1) * 0.5
+        return T, (E0 + E1) * (0.5 + _SLACK) + _rounding_bound(T)
+
+
+def _scaled(x, err, c):
+    """(X, E): the float of x*c and a bound on its error, for |x - fl| <=
+    err at the float x and c the correctly rounded float of a positive
+    rational; no bound (inf) where c is below 2^-1022."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = x * c
+        if not c >= _UNDERFLOW:
+            return X, np.full(np.shape(x), inf)
+        return X, err * c * (1 + _SLACK) + _SLACK * np.abs(X) + _UNDERFLOW
+
+
+def _clusters(group, lo, hi):
+    """(order, cluster): the stable order of the items by (group, lo),
+    and for each position of it the number of its cluster, counted from
+    0 along the order: within a group, items whose intervals [lo, hi]
+    overlap, directly or through a chain, share a cluster, and a cluster
+    lies wholly before the next one.  Ranking (group, hi) makes one
+    accumulate serve every group, as each group's ranks exceed those of
+    the groups before it."""
+    n = len(lo)
+    order = np.lexsort((lo, group))
+    rows, los, his = group[order], lo[order], hi[order]
+    by_hi = np.lexsort((his, rows))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_hi] = np.arange(n)
+    reach = his[by_hi][np.maximum.accumulate(rank)]
+    cut = np.ones(n, dtype=bool)
+    cut[1:] = (rows[1:] != rows[:-1]) | (los[1:] > reach[:-1])
+    return order, np.cumsum(cut) - 1
 
 
 # sort key of integer ratios (num, den > 0) in value order, by cross-multiplication
@@ -189,6 +267,26 @@ def _sorted_exact(items, key, floats=None):
                 order[start:end] = sorted(order[start:end], key=lambda i: key(items[i]))
             start = end
     return order
+
+
+def _sorted_intervals(items, key, lo, hi):
+    """The indices of the items in the stable order of key (_XY), given
+    float bounds lo[k] <= x_k <= hi[k] on the ratio x_k = item[0] /
+    item[-1] up to one positive factor, or lo[k] = hi[k] its correctly
+    rounded float.
+
+    Either way lo[b] > hi[a] proves x_a < x_b (see the comment above), so
+    the clusters of _clusters are ordered; key compares only the items of
+    a cluster of two or more, from index order, so that equal items keep
+    it.
+    """
+    order, cluster = _clusters(np.zeros(len(lo), dtype=np.int64), lo, hi)
+    out = order.tolist()
+    sizes = np.bincount(cluster)
+    ends = np.cumsum(sizes)
+    for end, size in zip(ends[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        out[end - size:end] = sorted(sorted(out[end - size:end]), key=lambda i: key(items[i]))
+    return out
 
 
 def _leftmost(lo, hi, key):

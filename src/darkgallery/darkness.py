@@ -41,8 +41,9 @@ The analysis keeps only what the certificates read: the pieces, one set
 of their float columns (`_piece_boxes`, with the blocked counts) that the
 scan and the darkest point both read, the crossing table and the darkest
 point.  The sampler
-(``sampling._suspicious_points``) takes the pieces and makes its own walk
-of their exact crossings (`_pair_hits`) for the sample points it needs.
+(``sampling._candidates``) takes the pieces and the pair scan's float
+parameters of their crossings, and builds a sample point exactly
+(`_confirm`, `_piece_point`) only where it must.
 
 One pair scan (`_pair_scan`) finds every crossing, for the certificates,
 the j-dark queries, the sampler and the concurrency check alike.  It
@@ -74,6 +75,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from ._filter import (
+    _clusters,
     _floats,
     _interval,
     _leftmost,
@@ -476,10 +478,11 @@ def _x_overlaps(lox, hix):
 
 
 def _pair_scan(pieces, boxes):
-    """(I, J, T, E): every crossing (I[k], J[k]) of pieces from distinct
-    lines, as index arrays in increasing (i, j) order, with T[k] the
-    float parameter of the crossing on piece I[k] and |t - T[k]| <= E[k];
-    boxes is _piece_boxes(pieces).
+    """(I, J, T, E, V, EV): every crossing (I[k], J[k]) of pieces from
+    distinct lines, as index arrays in increasing (i, j) order, with T[k]
+    the float parameter of the crossing on piece I[k], |t - T[k]| <= E[k],
+    and V[k] its parameter on piece J[k], |v - V[k]| <= EV[k]; boxes is
+    _piece_boxes(pieces).
 
     One path at every size and scale, over the pairs whose x-spans
     overlap, from the sweep of _x_overlaps in chunks of bounded size.
@@ -490,9 +493,10 @@ def _pair_scan(pieces, boxes):
     and un/D, vn/D (_quotient_bound); only the unsure pairs go to
     _confirm.  No test drops a crossing or keeps a miss, so the hits are
     those of the plain loop of _confirm over all pairs, and one lexsort
-    puts them in its order.  A hit that _confirm settles gets T, its
-    correctly rounded exact parameter, and E its _rounding_bound.  The
-    far ends' parameters h come from the boxes' columns too.
+    puts them in its order.  A hit that _confirm settles gets T and V,
+    its correctly rounded exact parameters, and E and EV their
+    _rounding_bound.  The far ends' parameters h come from the boxes'
+    columns too.
     """
     x0, y0, dx, dy, lox, hix, loy, hiy, h, unbounded = boxes
     direction, anchor, far = _end_classes(pieces)
@@ -503,7 +507,7 @@ def _pair_scan(pieces, boxes):
         hlo, hhi = h - eh, h + eh
     mx, my, mdx, mdy = np.abs(x0), np.abs(y0), np.abs(dx), np.abs(dy)
     none = np.empty(0, dtype=np.int64)
-    out = [(none, none, np.empty(0), np.empty(0))]
+    out = [(none, none) + (np.empty(0),) * 4]
     for p, q in _x_overlaps(lox, hix):
         keep = ((loy[q] <= hiy[p]) & (loy[p] <= hiy[q])
                 & (direction[q] != direction[p]) & (anchor[q] != anchor[p]))
@@ -543,20 +547,13 @@ def _pair_scan(pieces, boxes):
             if c is not None:
                 hit[k] = True
                 T[k] = _nearest(c[0], c[2])
+                V[k] = _nearest(c[1], c[2])
                 E[k] = _rounding_bound(T[k])
-        out.append((ii[hit], jj[hit], T[hit], E[hit]))
-    I, J, T, E = (np.concatenate(col) for col in zip(*out))
-    order = np.lexsort((J, I))
-    return I[order], J[order], T[order], E[order]
-
-
-def _pair_hits(pieces):
-    """Every confirmed crossing (i, j, un, vn, D) of pieces from distinct
-    lines, as _confirm reports it, in increasing (i, j) order: the hits
-    of _pair_scan, each with its exact parameters."""
-    I, J, _, _ = _pair_scan(pieces, _piece_boxes(pieces))
-    for i, j in zip(I.tolist(), J.tolist()):
-        yield (i, j) + _confirm(pieces[i], pieces[j])
+                EV[k] = _rounding_bound(V[k])
+        out.append((ii[hit], jj[hit], T[hit], E[hit], V[hit], EV[hit]))
+    cols = [np.concatenate(col) for col in zip(*out)]
+    order = np.lexsort((cols[1], cols[0]))
+    return tuple(col[order] for col in cols)
 
 
 def _point_key(piece, un, D):
@@ -596,22 +593,10 @@ def _crossing_table(pieces, boxes, blocked):
     in row j, and are skipped there.  Two pieces cross at most once, so a
     mark names one point.
     """
-    I, J, T, E = _pair_scan(pieces, boxes)
+    I, J, T, E, _, _ = _pair_scan(pieces, boxes)
     n = len(I)
     R = len(pieces)
-    lo, hi = _interval(T, E)
-    # clusters: sort each row by lo and cut where lo passes the running
-    # max of hi in the row; ranking (row, hi) makes one accumulate serve
-    # every row, as each row's ranks exceed those of the rows before it
-    order = np.lexsort((lo, I))
-    rows, los, his = I[order], lo[order], hi[order]
-    by_hi = np.lexsort((his, rows))
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_hi] = np.arange(n)
-    reach = his[by_hi][np.maximum.accumulate(rank)]
-    cut = np.ones(n, dtype=bool)
-    cut[1:] = (rows[1:] != rows[:-1]) | (los[1:] > reach[:-1])
-    cluster = np.cumsum(cut) - 1
+    order, cluster = _clusters(I, *_interval(T, E))
     group = np.empty(n, dtype=np.int64)
     group[order] = cluster
     tied = np.nonzero(np.bincount(cluster)[cluster] > 1)[0]
@@ -637,43 +622,26 @@ def _crossing_table(pieces, boxes, blocked):
     return I, J, XL, XU, total[o], count[o]
 
 
-def _sub_piece_points(piece, cuts):
-    """One scaled point (xn, yn, den) interior to each sub-piece that the
-    crossing parameters cuts divide the piece into.
-
-    The cuts are (num, den) pairs with num, den > 0, in increasing order
-    of num/den, as a walk of the pair scan gives them once sorted: equal
-    cuts may repeat, in any representation.  A cut equal to the one
-    before it is skipped by one cross-multiplication, and the first cut
-    at or past a bounded piece's far end ends the walk.  A sub-piece's
-    point is at the midpoint t of its ends, reduced by one gcd, as
-    (ax*den(t) + num(t)*dx, ..., den(t)), so the keys are those of the
-    Fraction midpoints.  An unbounded piece ends its last sub-piece at an
-    imagined bound two past the last cut, so its point is one past that
-    cut.
+def _piece_point(piece, lo=(0, 1), hi=None):
+    """The scaled point (xn, yn, den) of the piece at the midpoint t of
+    the parameters lo and hi, (num, den) pairs with den > 0; hi None is
+    the piece's far end, or lo + 2 where the piece never ends.  t is
+    reduced by one gcd, and the point is (ax*den(t) + num(t)*dx, ...,
+    den(t)), the key of the Fraction midpoint.  With the defaults it is
+    the piece's one representative, at hin/(2*hid), or 1 on an unbounded
+    piece.
     """
     ax, ay, dx, dy, hin, hid = piece[:6]
-    bounds = [(0, 1)]
-    for n, d in cuts:
-        if hin is not None and n * hid >= hin * d:
-            break
-        n0, d0 = bounds[-1]
-        if n * d0 != n0 * d:
-            bounds.append((n, d))
-    if hin is None:
-        n, d = bounds[-1]
-        bounds.append((n + 2 * d, d))
-    else:
-        bounds.append((hin, hid))
-    out = []
-    for (n0, d0), (n1, d1) in zip(bounds, bounds[1:]):
-        num = n0 * d1 + n1 * d0
-        den = 2 * d0 * d1
-        g = gcd(num, den)
-        num //= g
-        den //= g
-        out.append((ax * den + num * dx, ay * den + num * dy, den))
-    return out
+    n0, d0 = lo
+    if hi is None:
+        hi = (n0 + 2 * d0, d0) if hin is None else (hin, hid)
+    n1, d1 = hi
+    num = n0 * d1 + n1 * d0
+    den = 2 * d0 * d1
+    g = gcd(num, den)
+    num //= g
+    den //= g
+    return (ax * den + num * dx, ay * den + num * dy, den)
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +872,7 @@ class _Analysis:
         count.  Top-level pieces have no crossings: a crossing on a piece
         has darkness >= its blocked count + 1, so a piece with blocked ==
         top has no crossings and its only candidate is the one point of
-        _sub_piece_points(piece, ()), at parameter hin/(2*hid), or 1 on an
+        _piece_point(piece), at parameter hin/(2*hid), or 1 on an
         unbounded piece.  Only the candidates at top need the tie-break,
         which takes the lexicographically smallest point (the first in
         the order crossings, guards, pieces on equal points), so the
@@ -940,7 +908,7 @@ class _Analysis:
                 k -= len(at)
                 if k < len(guards):
                     return guards[k] + (1,)
-                return _sub_piece_points(pieces[tops[k - len(guards)]], ())[0]
+                return _piece_point(pieces[tops[k - len(guards)]])
 
             self._darkest = _leftmost(lo, hi, key)[1]
         return self._darkest
@@ -1048,7 +1016,7 @@ def has_j_dark(region: Region, guards, j: int):
     # pieces whose own blocked count already reaches j
     for piece in analysis.pieces:
         if piece[7] >= j:
-            return True, analysis.witness_from(*_sub_piece_points(piece, ())[0])
+            return True, analysis.witness_from(*_piece_point(piece))
 
     # guard positions (3+ collinear guards darken the middle ones' spots),
     # then the crossings where darkness stacks up

@@ -12,38 +12,44 @@ The default samples are not a blind grid.  Every report includes the
 polygon vertices, the guard positions, and the crossing points and
 crossing-free gap midpoints of the dark rays, filtered to the polygon:
 those are the points where coverage is most likely to dip.  This module
-chooses them itself (``_suspicious_points``): it takes the dark-ray
-pieces of the exact analysis of the convex hull and makes one walk of
-the pair scan over them, summing no darkness and keying no crossing;
-one sort orders the cuts of every piece.  Grid or seeded-random samples
-are layered on top via the sampler spec.
+chooses them itself (``_candidates``, ``_suspicious_points``): it takes
+the dark-ray pieces of the exact analysis of the convex hull and the
+float parameters T +- E and V +- EV of every crossing from one pair scan,
+summing no darkness and confirming no crossing; one sort orders the cuts
+of every piece, exactly only within clusters of overlapping intervals.
+Grid or seeded-random samples are layered on top via the sampler spec.
 
-Every sample is homogeneous integers (X, Y, W), W > 0, in one frame
-from the moment it is generated until the report is built:
-``geometry._Frame``, the same frame the exact engine scales its scene
-with, scales the polygon and the guards to integers once per call, the
-crossing points and gap midpoints come from the exact analysis (in its
-own frame, which one integer factor maps into this one) as integers, and
+Every sample stands for homogeneous integers (X, Y, W), W > 0, in one
+frame: ``geometry._Frame``, the same frame the exact engine scales its
+scene with, scales the polygon and the guards to integers once per call,
+the crossing points and gap midpoints are points of the exact analysis
+(in its own frame, which one integer factor maps into this one), and
 grid and seeded-random points are built in the frame's integers.  This
-module reads no denominator itself.  Each sample is converted to float
-columns (``_columns``) once, where it is made, and its columns travel
-with it through the deduplication and the sort to the float pass.  The
-columns are correctly rounded, so they order and deduplicate the
-samples: ``_distinct`` builds a gcd-normalised key only for samples
-that share both floats, and ``_filter._sorted_exact`` sorts on the x
-column, with the exact cross-multiplication order ``_filter._XY`` only
-within runs of equal floats.  ``_scan`` returns the samples with their
-depths and builds no point: ``sample_depth`` builds one ``Point2`` per
-sample of its ``SampleReport``, and the CLI certificate one per witness
-it reports.
+module reads no denominator itself.  The samples travel as one
+``_Samples`` batch: float columns with a certified bound on their error
+(0 for correctly rounded ones, ``_columns``), and the exact points,
+each built the first time it is read (a crossing from one confirmation
+of its hit, a gap point from its two exact bounds) and then kept.  The
+candidates' columns come from their parameters, bounded by
+``_filter._affine``, ``_midpoint`` and ``_scaled``; a point whose bound
+is not finite is built at once and rounded correctly.  The intervals
+order and deduplicate the samples: ``_distinct`` builds a gcd-normalised
+key only for samples whose intervals overlap in both columns, and
+``_filter._sorted_intervals`` sorts on the x intervals, with the exact
+cross-multiplication order ``_filter._XY`` only within clusters of
+overlapping ones.  So an exact point is built only where an exact
+kernel, a tie or a report reads it: ``sample_depth`` builds one
+``Point2`` per sample of its ``SampleReport``, and the CLI certificate
+one per witness it reports.
 
 Every verdict is exact.  Depths and polygon membership take one path on
 every polygon, convex or not, at every batch size and coordinate scale,
 reading one float orientation matrix of points against walls
 (``_wall_sides``): a float pass whose only verdicts are strict
 comparisons against one certified margin per batch (``_filter._margin``,
-where every float bound of the package is derived), then one integer
-kernel for whatever it leaves open.  The float pass is laid out
+where every float bound of the package is derived), grown for each
+sample by its input error, then one integer kernel for whatever it
+leaves open.  The float pass is laid out
 edge-major, [edge][sample] and [guard][sample], so each row is a
 contiguous run of samples and every reduction over edges or guards runs
 down the columns; per guard, one matrix product (``_segment_sides``)
@@ -56,10 +62,14 @@ that certainly meets no edge and certainly enters the polygon at the
 guard stays inside.  ``_wall_free`` decides whether a segment stays
 inside, ``_between`` whether a guard blocks it, and ``geometry._locate``
 (which ``SimplePolygon.where`` reads too) decides membership.  Guard
-blocking is decided per guard, over the (sample, other guard) pairs the
-float pass leaves open for it: near-collinear pairs whose order along
-the segment does not rule the guard out (``_off_segment``).  ``visible``
-and ``depth_at_sample`` are that kernel on one pair and one sample.
+blocking along a dark ray needs no arithmetic: a sample built on a
+piece knows its line, and a guard on that line is blocked unless it is
+the piece's anchor or, on a gap, the next member (``_line_verdicts``).
+The rest is decided per guard, over the (sample, other guard) pairs the
+float pass leaves open for it: near-collinear pairs off the sample's
+lines whose order along the segment does not rule the guard out
+(``_off_segment``).  ``visible`` and ``depth_at_sample`` are that kernel
+on one pair and one sample.
 
 A sampled report can prove a placement bad (a witness below target) but
 never certifies it good -- that asymmetry is inherent, and callers
@@ -70,13 +80,30 @@ minimum depth.
 from __future__ import annotations
 
 import random
-from math import gcd
+from bisect import bisect_right
+from itertools import accumulate
+from math import gcd, inf
 from typing import List, Optional, Union
 
 import numpy as np
 
-from ._filter import _RATIO, _XY, _margin, _nearest, _quotients, _signs, _sorted_exact
-from .darkness import GuardSet, _Analysis, _pair_hits, _sub_piece_points
+from ._filter import (
+    _RATIO,
+    _XY,
+    _affine,
+    _clusters,
+    _interval,
+    _margin,
+    _midpoint,
+    _nearest,
+    _quotients,
+    _rounding_bound,
+    _scaled,
+    _signs,
+    _sorted_exact,
+    _sorted_intervals,
+)
+from .darkness import GuardSet, _Analysis, _confirm, _pair_scan, _piece_boxes, _piece_point
 from .geometry import (
     ConvexPolygon,
     Point2,
@@ -104,6 +131,109 @@ def _columns(frame: _Frame, pts):
     return _quotients([p[0] for p in pts], dens), _quotients([p[1] for p in pts], dens)
 
 
+class _Samples:
+    """Homogeneous samples (X, Y, W), W > 0, of one frame, by index: each
+    is built on its first read (``_make``) and kept, so that a sample no
+    exact test, tie or report reads is never built.
+
+    Beside them: their float columns px and py, and err, a bound on the
+    error of both (0 where they are correctly rounded: _columns); lines,
+    the ids of up to two guard lines of the one analysis a sample was
+    built on, -1 for none; clear, up to four guards of those lines that
+    see it along them, or the guard at its position, -1 for none; and
+    member, the [line][guard] membership of that analysis's lines, with a
+    last row of False for the id -1.  ``_depths`` decides blocking along
+    the lines from these (``_line_verdicts``).
+    """
+
+    __slots__ = ("_pts", "_make", "px", "py", "err", "lines", "clear", "member")
+
+    def __init__(self, pts, make, px, py, err, lines, clear, member):
+        self._pts = pts  # an object array of the points built so far, None elsewhere
+        self._make = make
+        self.px = px
+        self.py = py
+        self.err = err
+        self.lines = lines
+        self.clear = clear
+        self.member = member
+
+    @classmethod
+    def exact(cls, frame: _Frame, pts) -> "_Samples":
+        """The samples pts, built already, with correctly rounded columns
+        and built on no guard line."""
+        pts = list(pts)
+        n = len(pts)
+        px, py = _columns(frame, pts)
+        return cls(_objects(pts), None, px, py, np.zeros(n), np.full((2, n), -1, dtype=np.int64),
+                   np.full((4, n), -1, dtype=np.int64),
+                   np.zeros((1, len(frame.ints)), dtype=bool))
+
+    def __len__(self):
+        return len(self._pts)
+
+    def __getitem__(self, k):
+        p = self._pts[k]
+        if p is None:
+            p = self._pts[k] = self._make(k)
+        return p
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self._pts)))
+
+    def take(self, idx) -> "_Samples":
+        """The samples at the indices idx, in that order.  They build a
+        point through the batch that builds it (_Fetch), which keeps it
+        too, and hold no other column of self."""
+        idx = np.asarray(idx, dtype=np.int64)
+        make = self._make
+        make = (_Fetch(self._pts, make, idx) if not isinstance(make, _Fetch)
+                else _Fetch(make.pts, make.make, make.index[idx]))
+        return _Samples(self._pts[idx], make, self.px[idx], self.py[idx], self.err[idx],
+                        self.lines[:, idx], self.clear[:, idx], self.member)
+
+    @classmethod
+    def join(cls, parts) -> "_Samples":
+        """The samples of parts, one after another.  At most one part is
+        built on the lines of an analysis; the others' member table has
+        the one row of False, and the join keeps the largest."""
+        starts = list(accumulate([0] + [len(part) for part in parts]))
+        makes = [part._make for part in parts]
+
+        def make(k):
+            i = bisect_right(starts, k) - 1
+            return makes[i](k - starts[i])
+
+        return cls(np.concatenate([part._pts for part in parts]), make,
+                   *(np.hstack([getattr(part, name) for part in parts])
+                     for name in ("px", "py", "err", "lines", "clear")),
+                   max((part.member for part in parts), key=len))
+
+
+class _Fetch:
+    """Point k of a view: point index[k] of the batch with points pts and
+    builder make, built there on its first read and kept there."""
+
+    __slots__ = ("pts", "make", "index")
+
+    def __init__(self, pts, make, index):
+        self.pts = pts
+        self.make = make
+        self.index = index
+
+    def __call__(self, k):
+        j = int(self.index[k])
+        p = self.pts[j]
+        if p is None:
+            p = self.pts[j] = self.make(j)
+        return p
+
+
+def _objects(items):
+    """The items as a one-dimensional object array (tuples stay whole)."""
+    return np.fromiter(items, dtype=object, count=len(items))
+
+
 def _wall_sides(frame: _Frame, *points):
     """(ax, ay, sides): the float columns of the frame's walls (ccw),
     closed by the first wall again at row E, so that edge e runs from
@@ -121,29 +251,33 @@ def _wall_sides(frame: _Frame, *points):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN only ever defer
-def _contains_mask(frame: _Frame, samples, cols):
+def _contains_mask(frame: _Frame, samples, cols, err=0.0):
     """Bool mask: whether each homogeneous sample of the frame lies in
     the closed polygon, float-prefiltered, given the samples' float
-    columns cols (_columns).
+    columns cols (_columns) and a bound err on their error (0: correctly
+    rounded).
 
     The float pass settles samples whose membership is certain: heights
-    compare on the correctly rounded columns, sides under the batch
-    margin (_margin).  Only the rest, such as boundary-grazing samples,
-    are re-decided exactly by ``_locate``, so the result matches the
-    plain loop bit for bit.
+    compare the ends py +- err of each sample's interval with the
+    correctly rounded walls, sides under the batch margin (_margin),
+    grown for each sample by its input error.
+    Only the rest, such as boundary-grazing samples, are re-decided
+    exactly by ``_locate``, so the result matches the plain loop bit for
+    bit.
     """
     px, py = cols
     ax, ay, (o,) = _wall_sides(frame, (px, py))
-    left, right = _signs(o, _margin(px, py, ax, ay))
-    pyr = py[None, :]
+    left, right = _signs(o, _margin(px, py, ax, ay, err=err))
+    below = (py - err)[None, :]
+    above = (py + err)[None, :]
     lo = np.minimum(ay[:-1], ay[1:])[:, None]
     hi = np.maximum(ay[:-1], ay[1:])[:, None]
-    level = (pyr > lo) & (pyr < hi)
+    level = (below > lo) & (above < hi)
     upward = (ay[1:] > ay[:-1])[:, None]
     mask = ((level & np.where(upward, left, right)).sum(axis=0) % 2).astype(bool)
     # parity is certain only when every edge is apart from the ray's
     # height, or level with it and certainly off to one side of the point
-    apart = (pyr < lo) | (pyr > hi)
+    apart = (above < lo) | (below > hi)
     for i in np.nonzero(~(apart | (level & (left | right))).all(axis=0))[0].tolist():
         mask[i] = _locate(frame.walls, *samples[i]) != "exterior"
     return mask
@@ -177,9 +311,11 @@ def _segment_sides(xs, ys, qx, qy, px, py):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _depths(frame: _Frame, samples, cols) -> List[int]:
+def _depths(frame: _Frame, samples, cols, err=0.0, known=None) -> List[int]:
     """[depth at each homogeneous sample of the frame], float-prefiltered,
-    given the samples' float columns cols (_columns).
+    given the samples' float columns cols (_columns), a bound err on
+    their error (0: correctly rounded) and, when known, the guard lines
+    they were built on, (lines, clear, member) of _Samples.
 
     Precondition: the frame's points are the guards, in the closed
     polygon, validated by the caller.  The polygon may be any simple
@@ -193,7 +329,9 @@ def _depths(frame: _Frame, samples, cols) -> List[int]:
     matrix product (``_segment_sides``) orients every wall end (rows
     0..E, the first wall again as row E) and every guard (rows E+1..)
     against the segment from q to each sample.  Edge e runs from row e
-    to row e + 1, so both of its ends are slices.
+    to row e + 1, so both of its ends are slices.  Every sign is taken
+    under the batch margin (_margin), grown for each sample by its input
+    error.
 
     Samples on the boundary are settled too.  Whether a sample, or a
     guard, lies exactly on an edge's line is decided in integers, only
@@ -210,13 +348,16 @@ def _depths(frame: _Frame, samples, cols) -> List[int]:
     sample outside the polygon is never settled that way: the segment
     would have to meet a wall on its way out.
 
-    Guard blocking is decided per guard q: one batch gives every
-    (sample, other guard) pair the float pass leaves open, and
-    ``_between`` decides them in sample order, skipping the samples q
-    already cannot see.  A guard h that is not certainly off the
-    segment's line is ruled out by order along the segment when it is
-    certainly behind q or past the sample (``_off_segment``), in the
-    same float columns and under the same margin.
+    Guard blocking is decided per guard q.  Where q lies on a line a
+    sample was built on, the line decides it with no arithmetic
+    (``_line_verdicts``), and no member of those lines can block q
+    elsewhere.  One batch gives every other (sample, guard) pair the
+    float pass leaves open for q, and ``_between`` decides them in sample
+    order, skipping the samples q already cannot see.  A guard h that is
+    not certainly off the segment's line is ruled out by order along the
+    segment when it is certainly behind q or past the sample
+    (``_off_segment``), in the same float columns and under the same
+    margin.
     """
     guards = frame.ints
     walls = frame.walls
@@ -225,17 +366,22 @@ def _depths(frame: _Frame, samples, cols) -> List[int]:
     gx, gy = _columns(frame, guards)
     # side of each edge's line each sample (c4) and each guard (c3) falls on
     ax, ay, (c4, c3) = _wall_sides(frame, (px, py), (gx, gy))
-    cert = _margin(px, py, gx, gy, ax, ay)
+    # one margin per sample, grown by its input error; the guards' sides
+    # read no sample, and the least margin covers them
+    cert = np.broadcast_to(_margin(px, py, gx, gy, ax, ay, err=err), px.shape)
     p4, n4 = _signs(c4, cert)
     on4 = _on_lines(walls, samples, ~(p4 | n4))
-    p3s, n3s = _signs(c3, cert)
+    p3s, n3s = _signs(c3, cert.min(initial=inf))
     on3s = _on_lines(walls, [(x, y, 1) for x, y in guards], ~(p3s | n3s))
     # rows 0..E of each guard's product: the closed walls; rows E+1..: the guards
     xs = np.concatenate((ax, gx))
     ys = np.concatenate((ay, gy))
 
     depths = np.zeros(len(samples), dtype=np.int64)
+    decided = blocked = np.zeros(len(samples), dtype=bool)
     for gi, q in enumerate(guards):
+        if known is not None:
+            decided, blocked = _line_verdicts(known, gi)
         pos, neg = _signs(_segment_sides(xs, ys, gx[gi], gy[gi], px, py), cert)
         # edge e runs from row e to row e + 1
         p1 = pos[:E]
@@ -252,7 +398,7 @@ def _depths(frame: _Frame, samples, cols) -> List[int]:
         # sample strictly inside it
         miss = (p1 & p2) | (n1 & n2) | (p3 & p4) | (n3 & n4)
         miss |= (on4 & (p3 | n3)) | (on3s[:, gi, None] & p4)
-        vis = ~crossing.any(axis=0)
+        vis = ~crossing.any(axis=0) & ~blocked
         wall_unsure = vis & ~miss.all(axis=0)
         # guard-blocking: only a guard exactly on the segment's line can
         # block, so certain non-collinearity rules a blocker out
@@ -261,16 +407,41 @@ def _depths(frame: _Frame, samples, cols) -> List[int]:
         for s in np.nonzero(wall_unsure)[0]:
             vis[s] = _wall_free(walls, q, samples[s])
         # every (sample, guard) pair left open, in sample order, that the
-        # order along the segment cannot rule out: the first guard
-        # between q and a sample blocks it, and settles the sample
-        rows, cols = np.nonzero((maybe & vis).T)
-        left = ~_off_segment(gx[cols], gy[cols], gx[gi], gy[gi], px[rows], py[rows], cert)
+        # sample's lines and the order along the segment cannot rule out:
+        # the first guard between q and a sample blocks it, and settles it
+        rows, cols = np.nonzero((maybe & (vis & ~decided)).T)
+        left = ~_off_segment(gx[cols], gy[cols], gx[gi], gy[gi], px[rows], py[rows], cert[rows])
+        if known is not None:
+            lines, clear, member = known
+            left &= ~(member[lines[0, rows], cols] | member[lines[1, rows], cols]
+                      | (clear[:, rows] == cols).any(axis=0))
         rows, cols = rows[left], cols[left]
         for s, h in zip(rows.tolist(), cols.tolist()):
             if vis[s] and _between(guards[h], q, samples[s]):
                 vis[s] = False
         depths += vis
-    return [int(v) for v in depths]
+    return depths.tolist()
+
+
+def _line_verdicts(known, gi):
+    """(decided, blocked): the samples whose blocking from guard gi the
+    guard lines they were built on decide, and those of them it blocks.
+
+    A sample built on a piece lies on the piece's line, and q on that line
+    sees it along the line: the guards between are the line's members
+    there.  A dark ray leaves its anchor, the line's extreme member, so
+    every other member is behind the anchor; a gap lies between its
+    anchor and the next member.  So q is blocked unless it is the
+    piece's anchor or, on a gap, the next member: the sample's clear
+    guards.  Two lines through a sample meet only there, never at a
+    guard, so q lies on at most one of them.  A sample at guard i's
+    position (clear i, no line) is seen by guard i itself.
+    """
+    lines, clear, member = known
+    column = member[:, gi]
+    on = column[lines[0]] | column[lines[1]]
+    mine = (clear == gi).any(axis=0)
+    return on | mine, on & ~mine
 
 
 def _off_segment(hx, hy, qx, qy, sx, sy, cert):
@@ -280,7 +451,8 @@ def _off_segment(hx, hy, qx, qy, sx, sy, cert):
 
     A point strictly between has (h - q).(s - q) = t*|s - q|^2 > 0 and
     (h - s).(s - q) = (t - 1)*|s - q|^2 < 0 for some 0 < t < 1, and the
-    batch margin cert covers both values, so neither verdict holds for it.
+    margin cert of each triple covers both values, so neither verdict
+    holds for it.
     """
     dx = sx - qx
     dy = sy - qy
@@ -362,18 +534,19 @@ def visible(P: AnyPolygon, guards, q: Point2, p: Point2) -> bool:
 
     True when the open segment stays in the closed polygon (grazing a
     reflex vertex or running along an edge still counts) and no other
-    guard stands strictly between the two.  Symmetric in p and q.
+    guard stands strictly between the two.  Symmetric in p and q.  Like
+    sample_depth, it refuses a guard, or q, outside the closed P; a p
+    outside P is not seen.
     """
-    gset = GuardSet.coerce(guards)
-    frame = _Frame(P, gset.guards + (q,))
+    frame = _guard_frame(P, GuardSet.coerce(guards).guards + (q,))
     return _sees(frame.walls, frame.ints[:-1], frame.ints[-1], frame.sample(p))
 
 
-def _guard_frame(P: AnyPolygon, gset: GuardSet) -> _Frame:
-    """The frame of P and the guards, each guard checked to lie in the
+def _guard_frame(P: AnyPolygon, guards) -> _Frame:
+    """The frame of P and the guard points, each checked to lie in the
     closed P."""
-    frame = _Frame(P, gset.guards)
-    for g, (x, y) in zip(gset.guards, frame.ints):
+    frame = _Frame(P, guards)
+    for g, (x, y) in zip(guards, frame.ints):
         if _locate(frame.walls, x, y, 1) == "exterior":
             raise ValueError("guard %r lies outside the polygon" % (g,))
     return frame
@@ -384,7 +557,7 @@ def depth_at_sample(P: AnyPolygon, guards, p: Point2) -> int:
 
     Like sample_depth, it refuses a guard or a point p outside the
     closed P."""
-    frame = _guard_frame(P, GuardSet.coerce(guards))
+    frame = _guard_frame(P, GuardSet.coerce(guards).guards)
     s = frame.sample(p)
     if _locate(frame.walls, *s) == "exterior":
         raise ValueError("sample point %r lies outside the polygon" % (p,))
@@ -422,61 +595,181 @@ class SampleReport(_Frozen):
         )
 
 
-def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet):
-    """(samples, columns): the distinct dark-ray crossing points, guard
-    points and sub-piece points that land inside P, as homogeneous
-    samples of the frame in (x, y) order, and their float columns
-    (_columns), converted once for the deduplication and the membership
-    test and carried through the sort.
+def _candidates(frame: _Frame, analysis: _Analysis) -> _Samples:
+    """The candidate samples of the analysis's pieces in the frame: the
+    point of every hit of the pair scan, in its (i, j) order, on piece i;
+    every guard point; then, piece by piece, one point inside each
+    sub-piece that the hits cut the piece into.  The analysis's scale
+    divides the frame's, and one integer factor f maps its points in.
+
+    Each hit gives two cuts, its parameters T +- E on piece i and V +- EV
+    on piece j (_pair_scan).  A cut is dropped where it is the far end of
+    its piece, which bounds a sub-piece anyway; only a cut whose interval
+    reaches the end's is tested exactly.  One sort of the cuts on (piece,
+    lower end) orders them, and _clusters groups those whose intervals
+    overlap: only a cluster of two or more is ordered exactly, and equal
+    cuts in it are kept once.  Each sub-piece point is at the midpoint of
+    its two bounds (0, the cuts, the far end), as _piece_point builds it.
+
+    The columns come from the parameters: ax + t*dx in the analysis's
+    floats (_affine), times f / unit (_scaled), with a bound on their
+    error.  Where that is not finite, the point is built and its columns
+    rounded correctly.  Otherwise a point is built only when read: a
+    crossing from one exact confirmation of its hit, a sub-piece point
+    from its bounds.  The guard points are built at once.  Each sample
+    keeps the lines of its pieces and their clear guards: the anchors,
+    and on a gap the next member too (_line_verdicts).
+    """
+    pieces = analysis.pieces
+    R = len(pieces)
+    boxes = _piece_boxes(pieces)
+    x0, y0, fdx, fdy, _, _, _, _, h, unbounded = boxes
+    I, J, T, E, V, EV = _pair_scan(pieces, boxes)
+    H = len(I)
+    hits = {}
+
+    def exact_hit(k):
+        """(un, vn, D) of hit k, confirmed once."""
+        c = hits.get(k)
+        if c is None:
+            c = hits[k] = _confirm(pieces[I[k]], pieces[J[k]])
+        return c
+
+    def cut(c):
+        """The exact parameter (num, den) of cut c: hit c on its first
+        piece, or hit c - H on its second."""
+        un, vn, D = exact_hit(int(c) % H)
+        return (un, D) if c < H else (vn, D)
+
+    cp = np.concatenate((I, J))
+    ct = np.concatenate((T, V))
+    ce = np.concatenate((E, EV))
+    lo, hi = _interval(ct, ce)
+    keep = np.ones(2 * H, dtype=bool)
+    end = _interval(h, _rounding_bound(h))[0]
+    for c in np.nonzero(~unbounded[cp] & ~(hi < end[cp]))[0].tolist():
+        (n, d), p = cut(c), pieces[cp[c]]
+        keep[c] = n * p[5] < p[4] * d
+    cuts = np.nonzero(keep)[0]
+    order, cluster = _clusters(cp[cuts], lo[cuts], hi[cuts])
+    ordered = cuts[order]
+    sizes = np.bincount(cluster)
+    ends = np.cumsum(sizes)
+    same = np.zeros(len(ordered), dtype=bool)
+    for stop, size in zip(ends[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        run = ordered[stop - size:stop].tolist()
+        exact = [cut(c) for c in run]
+        ranked = _sorted_exact(exact, _RATIO)
+        ordered[stop - size:stop] = [run[k] for k in ranked]
+        for k in range(1, size):
+            (n0, d0), (n1, d1) = exact[ranked[k - 1]], exact[ranked[k]]
+            same[stop - size + k] = n0 * d1 == n1 * d0
+    dist = ordered[~same]
+
+    # sub-piece m of piece mp[m] runs from bound lref[m] to rref[m]: cut
+    # numbers, -1 for 0 on the left and for the far end on the right
+    dp = cp[dist]
+    count = np.bincount(dp, minlength=R)
+    M = R + len(dist)
+    mp = np.repeat(np.arange(R), count + 1)
+    first = np.cumsum(count + 1) - count - 1
+    # the sub-piece that each distinct cut ends: its piece's first, plus
+    # the cut's rank among that piece's cuts
+    right = first[dp] + np.arange(len(dist)) - (np.cumsum(count) - count)[dp]
+    lref = np.full(M, -1, dtype=np.int64)
+    rref = np.full(M, -1, dtype=np.int64)
+    lref[right + 1] = dist
+    rref[right] = dist
+    LT = np.zeros(M)
+    LE = np.zeros(M)
+    LT[right + 1] = ct[dist]
+    LE[right + 1] = ce[dist]
+    RT = h[mp]
+    RE = _rounding_bound(RT)
+    RT[right] = ct[dist]
+    RE[right] = ce[dist]
+    Tm, Em = _midpoint(LT, LE, RT, RE)
+
+    f = frame.scale // analysis.frame.scale
+    on = np.concatenate((I, mp))
+    t = np.concatenate((T, Tm))
+    e = np.concatenate((E, Em))
+    unit = _nearest(f, frame.unit)  # one of the analysis's integers, in columns
+    px, ex = _scaled(*_affine(x0[on], fdx[on], t, e), unit)
+    py, ey = _scaled(*_affine(y0[on], fdy[on], t, e), unit)
+    ints = analysis.frame.ints
+    G = len(ints)
+    gpts = [(x * f, y * f, 1) for x, y in ints]
+    gx, gy = _columns(frame, gpts)
+    px = np.concatenate((px[:H], gx, px[H:]))
+    py = np.concatenate((py[:H], gy, py[H:]))
+    err = np.concatenate((np.maximum(ex[:H], ey[:H]), np.zeros(G), np.maximum(ex[H:], ey[H:])))
+
+    def make(k):
+        if k < H:
+            un, _, D = exact_hit(k)
+            ax, ay, dx, dy = pieces[I[k]][:4]
+            X, Y, W = ax * D + un * dx, ay * D + un * dy, D
+        else:
+            m = k - H - G
+            left, rt = int(lref[m]), int(rref[m])
+            X, Y, W = _piece_point(pieces[mp[m]], (0, 1) if left < 0 else cut(left),
+                                   None if rt < 0 else cut(rt))
+        return (X * f, Y * f, W)
+
+    pts = [None] * H + gpts + [None] * M
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.nonzero(~(np.isfinite(np.abs(px) + err) & np.isfinite(np.abs(py) + err)))[0]
+    if len(bad):
+        exact = [make(k) for k in bad.tolist()]
+        for k, p in zip(bad.tolist(), exact):
+            pts[k] = p
+        px[bad], py[bad] = _columns(frame, exact)
+        err[bad] = 0.0
+
+    index = {xy: k for k, xy in enumerate(ints)}
+    anchor = np.array([index[p[:2]] for p in pieces], dtype=np.int64)
+    # a gap's far end is the next member, at the integer parameter hin
+    nxt = np.array([index[p[0] + p[4] * p[2], p[1] + p[4] * p[3]] if p[6] else -1
+                    for p in pieces], dtype=np.int64)
+    line = np.array([p[8] for p in pieces], dtype=np.int64)
+    n = H + G + M
+    lines = np.full((2, n), -1, dtype=np.int64)
+    clear = np.full((4, n), -1, dtype=np.int64)
+    lines[:, :H] = line[I], line[J]
+    clear[:, :H] = anchor[I], nxt[I], anchor[J], nxt[J]
+    clear[0, H:H + G] = np.arange(G)
+    lines[0, H + G:] = line[mp]
+    clear[:2, H + G:] = anchor[mp], nxt[mp]
+    member = np.zeros((len(analysis.lines) + 1, G), dtype=bool)
+    for k, rec in enumerate(analysis.lines):
+        member[k, [i for _, i in rec[3]]] = True
+    return _Samples(_objects(pts), make, px, py, err, lines, clear, member)
+
+
+def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet) -> _Samples:
+    """The distinct dark-ray crossing points, guard points and sub-piece
+    points that land inside P, as samples of the frame in (x, y) order.
 
     The rays are the pieces of the exact analysis of the convex hull of P
     and the guards (walls ignored), because a depth dip in the polygon
     can only happen at guard blockings, and those live on the hull's
-    dark-ray arrangement.  One walk of ``_pair_hits`` gives each hit's
-    crossing point (ax*D + un*dx, ay*D + un*dy, D) on piece i, with no
-    key, and two cuts, un/D on piece i and vn/D on piece j.  One sort on
-    (piece, correctly rounded cut) orders every piece's cuts, comparing
-    them exactly only within runs of equal floats; each piece then gives
-    one point inside each of the sub-pieces its cuts divide it into.  No
-    darkness is summed.  Concurrent rays give a point once per pair of
-    its pieces, so the candidates are deduplicated (``_distinct``) on
-    their columns, which leave a gcd key only to points that share both
-    floats; the first of each point is kept.  The inside points are
-    sorted on their x column, correctly rounded and so monotone in x,
-    with ``_XY`` only within runs of equal floats.  The hull corners are
-    vertices or guards, so the analysis's scale divides the frame's, and
-    one integer factor maps each point (xn, yn, den) into the frame; it
-    is 1 unless a vertex off the hull has a denominator of its own.
+    dark-ray arrangement; ``_candidates`` gives their points, with float
+    columns and error bounds.  Concurrent rays give a point once per pair
+    of its pieces, so the candidates are deduplicated (``_distinct``) on
+    their intervals, which leave a gcd key only to points whose
+    intervals overlap in both columns; the first of each point is kept.
+    The inside points are sorted on their x intervals
+    (``_filter._sorted_intervals``), with ``_XY`` only within clusters
+    of overlapping ones.  The hull corners are vertices or guards, so
+    the analysis's scale divides the frame's.
     """
     pts = list(P.vertices) + list(gset.guards)
     region = ConvexPolygon([pts[i] for i in _hull_corners(frame.walls + frame.ints)])
-    analysis = _Analysis(region, gset)
-    pieces = analysis.pieces
-    keys = []
-    cuts = []
-    floats = []
-    counts = [0] * len(pieces)
-    for i, j, un, vn, D in _pair_hits(pieces):
-        ax, ay, dx, dy = pieces[i][:4]
-        keys.append((ax * D + un * dx, ay * D + un * dy, D))
-        cuts += ((un, D), (vn, D))
-        floats += ((i, _nearest(un, D)), (j, _nearest(vn, D)))
-        counts[i] += 1
-        counts[j] += 1
-    keys += [(x, y, 1) for x, y in analysis.frame.ints]
-    # the sorted cuts run piece by piece, each piece's as many as it has
-    ordered = [cuts[k] for k in _sorted_exact(cuts, _RATIO, floats)]
-    start = 0
-    for piece, count in zip(pieces, counts):
-        keys += _sub_piece_points(piece, ordered[start:start + count])
-        start += count
-    f = frame.scale // analysis.frame.scale
-    cands = keys if f == 1 else [(xn * f, yn * f, den) for xn, yn, den in keys]
-    px, py = _columns(frame, cands)
-    keep = _distinct(cands, px, py)
-    inside, (px, py) = _inside(frame, [cands[k] for k in keep], (px[keep], py[keep]))
-    order = _sorted_exact(inside, _XY, px.tolist())
-    return [inside[k] for k in order], (px[order], py[order])
+    cands = _candidates(frame, _Analysis(region, gset))
+    inside = _inside(frame, cands.take(_distinct(cands, cands.px, cands.py, cands.err)))
+    return inside.take(_sorted_intervals(inside, _XY, inside.px - inside.err,
+                                         inside.px + inside.err))
 
 
 def _box(frame: _Frame):
@@ -496,14 +789,13 @@ def _grid_points(frame: _Frame, resolution: int):
         for i in range(n + 1)
         for j in range(n + 1)
     ]
-    return _inside(frame, cands, _columns(frame, cands))
+    return _inside(frame, _Samples.exact(frame, cands))
 
 
-def _inside(frame: _Frame, samples, cols):
-    """(samples, columns) of the samples in the closed polygon, in their
-    order, given their float columns."""
-    keep = np.nonzero(_contains_mask(frame, samples, cols))[0]
-    return [samples[k] for k in keep.tolist()], (cols[0][keep], cols[1][keep])
+def _inside(frame: _Frame, samples: _Samples) -> _Samples:
+    """The samples in the closed polygon, in their order."""
+    mask = _contains_mask(frame, samples, (samples.px, samples.py), samples.err)
+    return samples.take(np.nonzero(mask)[0].tolist())
 
 
 def _random_points(frame: _Frame, seed: int, count: int):
@@ -523,18 +815,17 @@ def _random_points(frame: _Frame, seed: int, count: int):
     return out
 
 
-def _sampler_points(frame: _Frame, sampler):
-    """(samples, columns): the sampler's homogeneous samples in the
-    polygon and their float columns (_columns)."""
+def _sampler_points(frame: _Frame, sampler) -> _Samples:
+    """The sampler's homogeneous samples in the polygon."""
     if sampler is None:
-        return [], _columns(frame, [])
+        return _Samples.exact(frame, [])
     kind = sampler[0] if isinstance(sampler, (list, tuple)) and sampler else None
     if kind == "grid" and len(sampler) == 2:
         return _grid_points(frame, as_int(sampler[1], "grid resolution"))
     if kind == "random" and len(sampler) == 3:
         _, seed, count = sampler
         out = _random_points(frame, as_int(seed, "random seed"), as_int(count, "sample count"))
-        return out, _columns(frame, out)
+        return _Samples.exact(frame, out)
     if kind == "points" and len(sampler) == 2:
         given = []
         for p in sampler[1]:
@@ -546,38 +837,38 @@ def _sampler_points(frame: _Frame, sampler):
                         "sample point %r is not a Point2 or an (x, y) pair" % (p,)) from None
                 p = Point2(x, y)
             given.append(p)
-        out = [frame.sample(p) for p in given]
-        cols = _columns(frame, out)
-        outside = np.nonzero(~_contains_mask(frame, out, cols))[0]
+        out = _Samples.exact(frame, [frame.sample(p) for p in given])
+        outside = np.nonzero(~_contains_mask(frame, out, (out.px, out.py)))[0]
         if len(outside):
             raise ValueError("sample point %r lies outside the polygon" % (given[outside[0]],))
-        return out, cols
+        return out
     raise ValueError(
         "sampler must be None, ('grid', resolution), ('random', seed, count) "
         "or ('points', iterable), got %r" % (sampler,)
     )
 
 
-def _distinct(samples, px, py):
+def _distinct(samples, px, py, err=0.0):
     """[index of the first sample of each distinct point], in index order,
-    of the homogeneous samples with float columns (px, py).
+    of the homogeneous samples with float columns (px, py), each within
+    err of its exact value (0: correctly rounded).
 
-    Equal points have equal correctly rounded columns, so two samples
-    can be one point only where both of their floats are equal (-0.0
-    equals 0.0, and inf equals inf): a gcd-normalised key is built only
-    for the samples of such runs, and decides them.
+    Equal points have overlapping intervals in both columns (equal floats
+    where correctly rounded; -0.0 equals 0.0, and inf equals inf): the
+    clusters of overlapping x intervals (_clusters), then of overlapping
+    y intervals within each, leave a gcd-normalised key only to the
+    samples of a cluster of two or more, and it decides them.
     """
     n = len(samples)
-    order = np.lexsort((py, px))
-    sx = px[order]
-    sy = py[order]
-    tie = (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])
-    shared = np.zeros(n, dtype=bool)
-    shared[order[1:][tie]] = True
-    shared[order[:-1][tie]] = True
-    keep = ~shared
+    order, cluster = _clusters(np.zeros(n, dtype=np.int64), px - err, px + err)
+    tied = np.bincount(cluster)[cluster] > 1
+    idx = order[tied]
+    order, cluster = _clusters(cluster[tied], (py - err)[idx], (py + err)[idx])
+    shared = idx[order[np.bincount(cluster)[cluster] > 1]]
+    keep = np.ones(n, dtype=bool)
+    keep[shared] = False
     seen = set()
-    for k in np.nonzero(shared)[0].tolist():
+    for k in np.sort(shared).tolist():
         X, Y, W = samples[k]
         g = gcd(X, Y, W)
         key = (X // g, Y // g, W // g)
@@ -589,19 +880,17 @@ def _distinct(samples, px, py):
 
 def _scan(P: AnyPolygon, guards, sampler):
     """(frame, samples, depths): the deduplicated homogeneous samples of
-    sample_depth in scan order, and the depth at each, with no point built."""
+    sample_depth in scan order (_Samples: a point is built where it is
+    read), and the depth at each."""
     gset = GuardSet.coerce(guards)
-    frame = _guard_frame(P, gset)
-    corners = frame.corners()
-    suspicious, (sx, sy) = _suspicious_points(frame, P, gset)
-    extra, (ex, ey) = _sampler_points(frame, sampler)
-    samples = corners + suspicious + extra
-    cx, cy = _columns(frame, corners)
-    px = np.concatenate((cx, sx, ex))
-    py = np.concatenate((cy, sy, ey))
-    keep = _distinct(samples, px, py)
-    unique = [samples[k] for k in keep]
-    return frame, unique, _depths(frame, unique, (px[keep], py[keep]))
+    frame = _guard_frame(P, gset.guards)
+    corners = _Samples.exact(frame, frame.corners())
+    corners.clear[0, len(frame.walls):] = np.arange(len(frame.ints))
+    samples = _Samples.join([corners, _suspicious_points(frame, P, gset),
+                             _sampler_points(frame, sampler)])
+    unique = samples.take(_distinct(samples, samples.px, samples.py, samples.err))
+    return frame, unique, _depths(frame, unique, (unique.px, unique.py), unique.err,
+                                  (unique.lines, unique.clear, unique.member))
 
 
 def sample_depth(P: AnyPolygon, guards, sampler=None, target: Optional[int] = None) -> SampleReport:

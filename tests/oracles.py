@@ -31,7 +31,11 @@ general-position stream (placer, restarts and interior anchor) and the
 4n-2 scaffold are the library's former Fraction bodies; the library now
 decides them on integer-scaled coordinates.  group_collinear_oracle is
 the library's former collinear grouping, one dict of member sets updated
-per guard pair; the library now groups per guard.
+per guard pair; the library now groups per guard.  pair_hits,
+sub_piece_points and candidates_oracle are the sampler's former walk:
+every hit of the pair scan confirmed, every piece's cuts sorted exactly
+and cut into exact midpoints; the library now reads the scan's float
+parameters and builds a point only where it is read.
 Slow on purpose; exact everywhere.
 """
 
@@ -64,9 +68,10 @@ from darkgallery.darkness import (
     _crossing_key,
     _group_collinear,
     _guard_lines,
-    _pair_hits,
+    _pair_scan,
+    _piece_boxes,
+    _piece_point,
     _point_key,
-    _sub_piece_points,
     has_j_dark,
     max_darkness,
 )
@@ -518,6 +523,16 @@ def pair_hits_oracle(pieces):
                 yield (i, j) + hit
 
 
+def pair_hits(pieces):
+    """Every confirmed crossing (i, j, un, vn, D) of pieces from distinct
+    lines, as _confirm reports it, in increasing (i, j) order: the hits
+    of _pair_scan, each with its exact parameters (the library's former
+    _pair_hits)."""
+    I, J, *_ = _pair_scan(pieces, _piece_boxes(pieces))
+    for i, j in zip(I.tolist(), J.tolist()):
+        yield (i, j) + _confirm(pieces[i], pieces[j])
+
+
 def crossings_oracle(pieces):
     """(points, events) of every crossing of pieces from distinct lines:
     points maps each normalized point key (xn, yn, den) to the set of
@@ -572,7 +587,7 @@ def has_j_dark_oracle(region, guards, j):
     pieces = analysis.pieces
     for piece in pieces:
         if piece[7] >= j:
-            key = _sub_piece_points(piece, ())[0]
+            key = _piece_point(piece)
             return True, _witness(analysis, key, analysis.darkness_at_scaled(*key)[1])
     for x, y in analysis.frame.ints:
         total, contr = analysis.darkness_at_scaled(x, y, 1)
@@ -1127,8 +1142,65 @@ def convex_hull_oracle(points: Sequence[Point2]) -> HullResult:
 
 # --- the sampler's glue over Fractions ----------------------------------------
 
+def sub_piece_points(piece, cuts):
+    """One scaled point (xn, yn, den) interior to each sub-piece that the
+    crossing parameters cuts divide the piece into (the library's former
+    _sub_piece_points).
+
+    The cuts are (num, den) pairs with num, den > 0, in increasing order
+    of num/den: equal cuts may repeat, in any representation.  A cut
+    equal to the one before it is skipped by one cross-multiplication,
+    and the first cut at or past a bounded piece's far end ends the walk.
+    A sub-piece's point is at the midpoint t of its ends, reduced by one
+    gcd; an unbounded piece ends its last sub-piece at an imagined bound
+    two past the last cut, so its point is one past that cut.
+    """
+    ax, ay, dx, dy, hin, hid = piece[:6]
+    bounds = [(0, 1)]
+    for n, d in cuts:
+        if hin is not None and n * hid >= hin * d:
+            break
+        n0, d0 = bounds[-1]
+        if n * d0 != n0 * d:
+            bounds.append((n, d))
+    if hin is None:
+        n, d = bounds[-1]
+        bounds.append((n + 2 * d, d))
+    else:
+        bounds.append((hin, hid))
+    out = []
+    for (n0, d0), (n1, d1) in zip(bounds, bounds[1:]):
+        num = n0 * d1 + n1 * d0
+        den = 2 * d0 * d1
+        g = gcd(num, den)
+        num //= g
+        den //= g
+        out.append((ax * den + num * dx, ay * den + num * dy, den))
+    return out
+
+
+def candidates_oracle(frame, analysis):
+    """The sampler's candidates (sampling._candidates) as its former walk
+    built them: the key of every hit of pair_hits, every guard point,
+    then each piece's sub_piece_points at its hits' cuts in increasing
+    order, each scaled into the frame by its factor over the analysis's."""
+    pieces = analysis.pieces
+    keys = []
+    cuts = {}
+    for i, j, un, vn, D in pair_hits(pieces):
+        ax, ay, dx, dy = pieces[i][:4]
+        keys.append((ax * D + un * dx, ay * D + un * dy, D))
+        cuts.setdefault(i, []).append((un, D))
+        cuts.setdefault(j, []).append((vn, D))
+    keys += [(x, y, 1) for x, y in analysis.frame.ints]
+    for k, piece in enumerate(pieces):
+        keys += sub_piece_points(piece, sorted(cuts.get(k, ()), key=lambda c: Fraction(*c)))
+    f = frame.scale // analysis.frame.scale
+    return [(X * f, Y * f, W) for X, Y, W in keys]
+
+
 def sub_piece_points_oracle(piece, cuts):
-    """_sub_piece_points with the cuts as a sorted set of Fractions and
+    """sub_piece_points with the cuts as a sorted set of Fractions and
     each midpoint a Fraction."""
     ax, ay, dx, dy, hin, hid = piece[:6]
     hi = None if hin is None else Fraction(hin, hid)
@@ -1237,7 +1309,7 @@ def find_concurrent_dark_rays_oracle(guards):
     analysis = _Analysis(None, GuardSet.coerce(guards))
     rays = [p for p in analysis.pieces if p[4] is None]
     points = {}
-    for i, j, un, _, D in _pair_hits(rays):
+    for i, j, un, _, D in pair_hits(rays):
         points.setdefault(_point_key(rays[i], un, D), set()).update((rays[i][8], rays[j][8]))
     hits = [(analysis.frame.point(key), len(ids)) for key, ids in points.items()
             if len(ids) >= 3]

@@ -356,14 +356,21 @@ def test_find_concurrent_dark_rays():
 
 # --- the pair scan -------------------------------------------------------------
 #
-# _pair_hits takes one path at every piece count and coordinate size.  Its
-# filters only drop pairs that cannot cross, so it must yield exactly the
-# hits of the plain loop over all pairs, in the same order.
+# _pair_scan takes one path at every piece count and coordinate size.  Its
+# filters only drop pairs that cannot cross, so the walk of its hits
+# (oracles.pair_hits) must yield exactly the hits of the plain loop over
+# all pairs, in the same order, and its float parameters on both pieces
+# must hold the exact ones.
 
 
 def assert_scan_matches_the_oracle(pieces):
-    hits = list(darkness._pair_hits(pieces))
+    hits = list(oracles.pair_hits(pieces))
     assert hits == list(oracles.pair_hits_oracle(pieces))
+    _, _, T, E, V, EV = darkness._pair_scan(pieces, darkness._piece_boxes(pieces))
+    for (_, _, un, vn, D), t, e, v, ev in zip(hits, T.tolist(), E.tolist(), V.tolist(),
+                                             EV.tolist()):
+        for x, err, n in ((t, e, un), (v, ev, vn)):
+            assert err == inf or abs(Fraction(x) - Fraction(n, D)) <= Fraction(err)
     return hits
 
 
@@ -723,7 +730,7 @@ DIFFERENTIAL_SCENES = {"concurrent-star": concurrent_star, "general-position-20"
 
 
 @pytest.mark.parametrize("scene", INVARIANT_SCENES + sorted(DIFFERENTIAL_SCENES))
-def test_crossing_totals_match_the_piece_sets(scene, monkeypatch):
+def test_crossing_totals_match_the_piece_sets(scene):
     # the former crossings() body keeps every crossing's piece set and
     # every piece's crossing parameters; the analysis keeps one total per
     # key, in the same order, and the sampler's own walk finds the same
@@ -744,21 +751,15 @@ def test_crossing_totals_match_the_piece_sets(scene, monkeypatch):
     if not isinstance(region, ConvexPolygon):
         return
     # the sampler analyses the hull of the region and the guards, here the
-    # region itself, and cuts each of its pieces at its own walk's hits,
-    # handed over in increasing order
-    calls = []
-    real = sampling._sub_piece_points
-    monkeypatch.setattr(sampling, "_sub_piece_points",
-                        lambda piece, cuts: calls.append((piece, list(cuts))) or real(piece, cuts))
+    # region itself: its candidates are those of its former walk, which
+    # confirmed every hit and cut each piece at its sorted exact cuts, and
+    # the float columns carried with them hold the exact coordinates
     frame = _Frame(region, guards)
-    got, cols = sampling._suspicious_points(frame, region, GuardSet(guards))
-    # the float columns carried through the sort are those of the samples
-    assert all(np.array_equal(c, d) for c, d in zip(cols, sampling._columns(frame, got)))
-    walked = [piece for piece, _ in calls]
-    _, walked_events = oracles.crossings_oracle(walked)
-    assert [cuts for _, cuts in calls] == [sorted(walked_events.get(k, []), key=lambda c: Fraction(*c))
-                                           for k in range(len(walked))]
-    assert sorted(walked_events.values()) == sorted(events.values())
+    cands = sampling._candidates(frame, darkness._Analysis(region, GuardSet(guards)))
+    assert list(cands) == oracles.candidates_oracle(frame, fresh)
+    assert_intervals_hold(frame, cands)
+    got = sampling._suspicious_points(frame, region, GuardSet(guards))
+    assert_intervals_hold(frame, got)
     expected = [key for _, *key in complete_candidates(fresh)]
     assert sorted(map(frame.point, got), key=lambda p: (p.x, p.y)) == \
         sorted(map(fresh.frame.point, expected), key=lambda p: (p.x, p.y))
@@ -766,6 +767,21 @@ def test_crossing_totals_match_the_piece_sets(scene, monkeypatch):
         assert len(points) > 1000 and all(len(ids) == 2 for ids in points.values())
     if scene == "concurrent-star":
         assert max(len(ids) for ids in points.values()) == 5
+
+
+def assert_intervals_hold(frame, samples):
+    """Each sample's float columns lie within its err of its exact
+    coordinates X / (W * unit), or, with err 0, are their correctly
+    rounded floats; returns the number of samples with an err."""
+    for k in range(len(samples)):
+        X, Y, W = samples[k]
+        e = samples.err[k]
+        for col, exact in ((samples.px[k], X), (samples.py[k], Y)):
+            if e == 0:
+                assert col == _nearest(exact, W * frame.unit)
+            else:
+                assert abs(Fraction(col) - Fraction(exact, W * frame.unit)) <= Fraction(e)
+    return int((samples.err > 0).sum())
 
 
 def suspicious_scene(name):
@@ -805,23 +821,56 @@ def test_suspicious_points_match_the_oracle_in_order(scene, factor):
     region = type(region)([v * factor for v in region.vertices])
     guards = [g * factor for g in guards]
     frame = _Frame(region, guards)
-    got, cols = sampling._suspicious_points(frame, region, GuardSet(guards))
+    got = sampling._suspicious_points(frame, region, GuardSet(guards))
     assert [frame.point(s) for s in got] == oracles.suspicious_points_oracle(region, guards)
-    assert all(np.array_equal(c, d) for c, d in zip(cols, sampling._columns(frame, got)))
+    # each carried interval holds the exact coordinate
+    assert_intervals_hold(frame, got)
     if scene == "concurrent-star":
         # five rays through the origin: ten hits there, one point
         pieces = darkness._Analysis(region, GuardSet(guards)).pieces
-        hits = [darkness._point_key(pieces[i], un, D) for i, _, un, _, D in darkness._pair_hits(pieces)]
+        hits = [darkness._point_key(pieces[i], un, D)
+                for i, _, un, _, D in oracles.pair_hits(pieces)]
         assert hits.count((0, 0, 1)) == 10
         assert [frame.point(s) for s in got].count(Point2(0, 0)) == 1
     if scene == "nudged-2^53+1":
         # distinct cuts of one piece that round to one float
         pieces = darkness._Analysis(region, GuardSet(guards)).pieces
         cuts = {}
-        for i, j, un, vn, D in darkness._pair_hits(pieces):
+        for i, j, un, vn, D in oracles.pair_hits(pieces):
             cuts.setdefault((i, _nearest(un, D)), set()).add(Fraction(un, D))
             cuts.setdefault((j, _nearest(vn, D)), set()).add(Fraction(vn, D))
         assert any(len(ts) > 1 for ts in cuts.values())
+
+
+@pytest.mark.parametrize("factor", [1, 2 ** 520, 2 ** 1100], ids=["1", "2^520", "2^1100"])
+@pytest.mark.parametrize("scene", SUSPICIOUS_SCENES)
+def test_the_line_rule_matches_between(scene, factor):
+    # every blocking verdict the sampler takes from the guard lines its
+    # samples were built on is _between's: where guard q lies on such a
+    # line, q is blocked exactly when some guard stands between q and the
+    # sample; every guard the rule rules out as a blocker stands between
+    # nowhere
+    region, guards = suspicious_scene(scene)
+    region = type(region)([v * factor for v in region.vertices])
+    guards = [g * factor for g in guards]
+    frame, samples, _ = sampling._scan(region, GuardSet(guards), None)
+    known = (samples.lines, samples.clear, samples.member)
+    ints = frame.ints
+    decided_pairs = ruled_out = 0
+    for gi, q in enumerate(ints):
+        decided, blocked = sampling._line_verdicts(known, gi)
+        for k in range(len(samples)):
+            s = samples[k]
+            if decided[k]:
+                decided_pairs += 1
+                assert blocked[k] == any(sampling._between(h, q, s) for h in ints)
+                continue
+            lines = samples.lines[:, k]
+            for hi, h in enumerate(ints):
+                if samples.member[lines, hi].any() or (samples.clear[:, k] == hi).any():
+                    ruled_out += 1
+                    assert not sampling._between(h, q, s)
+    assert decided_pairs > len(samples) and ruled_out > 0
 
 
 @pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))
@@ -841,7 +890,7 @@ def test_sub_piece_points_match_the_fraction_midpoints(scene):
             noisy += [(5 * piece[4], 5 * piece[5]), (2 * piece[4] + 1, piece[5])]
         for c in ((), cuts, noisy):
             c = sorted(c, key=lambda t: Fraction(*t))
-            assert darkness._sub_piece_points(piece, c) == oracles.sub_piece_points_oracle(piece, c)
+            assert oracles.sub_piece_points(piece, c) == oracles.sub_piece_points_oracle(piece, c)
     # the wedge's pieces include unbounded ones
     assert any(p[4] is None for p in analysis.pieces) == (scene == "wedge")
 
@@ -1228,12 +1277,14 @@ def assert_table_matches_the_oracle(analysis):
     assert count.tolist() == [len(ids) for ids in points.values()]
     for key, xl, xu in zip(totals, XL.tolist(), XU.tolist()):
         assert _within(xl, Fraction(key[0], key[2]), xu)
-    I, J, T, E = darkness._pair_scan(pieces, darkness._piece_boxes(pieces))
+    # the parameters on both pieces of each hit, T +- E and V +- EV
+    I, J, T, E, V, EV = darkness._pair_scan(pieces, darkness._piece_boxes(pieces))
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = T - E, T + E
-    for i, j, l, h in zip(I.tolist(), J.tolist(), lo.tolist(), hi.tolist()):
-        un, _, D = darkness._confirm(pieces[i], pieces[j])
-        assert l != l or h != h or _within(l, Fraction(un, D), h)
+        bounds = (T - E, T + E, V - EV, V + EV)
+    for i, j, tl, th, vl, vh in zip(I.tolist(), J.tolist(), *(b.tolist() for b in bounds)):
+        un, vn, D = darkness._confirm(pieces[i], pieces[j])
+        assert tl != tl or th != th or _within(tl, Fraction(un, D), th)
+        assert vl != vl or vh != vh or _within(vl, Fraction(vn, D), vh)
     return points
 
 
@@ -1462,7 +1513,7 @@ ANALYSIS_FIELDS = {"region", "guards", "frame", "halfplanes", "lines", "pieces",
 def count_scans(monkeypatch):
     """Call to start counting _Analysis builds and _pair_scan calls, the
     certificates' (through _crossing_table) and the sampler's (through
-    _pair_hits) alike."""
+    sampling._candidates) alike."""
     def start():
         counts = {"builds": 0, "scans": 0}
         build, scan = darkness._Analysis.__init__, darkness._pair_scan
@@ -1477,6 +1528,7 @@ def count_scans(monkeypatch):
 
         monkeypatch.setattr(darkness._Analysis, "__init__", counted_build)
         monkeypatch.setattr(darkness, "_pair_scan", counted_scan)
+        monkeypatch.setattr(sampling, "_pair_scan", counted_scan)
         return counts
     return start
 

@@ -21,15 +21,21 @@ from darkgallery._filter import (
     _FLOAT_BITS,
     _RATIO,
     _XY,
+    _affine,
+    _clusters,
     _floats,
+    _interval,
     _leftmost,
     _margin,
+    _midpoint,
     _nearest,
     _quotient_bound,
     _quotients,
     _rounding_bound,
+    _scaled,
     _signs,
     _sorted_exact,
+    _sorted_intervals,
     _sum_bound,
     _x_bounds,
 )
@@ -219,6 +225,124 @@ def test_the_batch_margin_certifies_the_samplers_values(scale):
         assert isfinite(cert) and certain > 0
     else:
         assert cert == inf and certain == 0
+
+
+def _holds(x, err, exact):
+    """x +- err holds the Fraction exact, or the bound is not finite."""
+    if not (isfinite(x) and isfinite(err)):
+        return True
+    return abs(Fraction(x) - exact) <= Fraction(err)
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=IDS)
+def test_sampler_candidate_bounds_are_certified(scale):
+    # the sampler's candidate columns: ax + t*dx for a parameter t known
+    # to T +- E (_affine), the midpoint of two such parameters
+    # (_midpoint), and a value times the float of a positive rational
+    # (_scaled), as its candidates chain them: every bound holds the
+    # exact value, and only values past the float range have none
+    rng = random.Random(scale % 1000003 + 5)
+    ax = [_ints(rng, scale) for _ in range(ROWS)]
+    dx = [_ints(rng, scale) or 1 for _ in range(ROWS)]
+    t0 = [Fraction(_ints(rng, scale), rng.randrange(1, 2 ** 60) * rng.choice((1, scale)))
+          for _ in range(ROWS)]
+    t1 = [t + Fraction(rng.randrange(1, 2 ** 40), rng.randrange(1, 2 ** 60)) for t in t0]
+    T0 = np.array([_nearest(t.numerator, t.denominator) for t in t0])
+    T1 = np.array([_nearest(t.numerator, t.denominator) for t in t1])
+    # parameters off by more than one rounding, as the pair scan's are,
+    # and anywhere within their bounds
+    E0 = _rounding_bound(T0) * 3
+    E1 = _rounding_bound(T1) * rng.choice((1, 2 ** 20))
+    sign = np.array([rng.choice((-1.0, 1.0)) for _ in range(ROWS)])
+    with np.errstate(invalid="ignore"):
+        T0 = T0 + sign * 0.9 * E0
+        T1 = T1 - sign * 0.9 * E1
+    Tm, Em = _midpoint(T0, E0, T1, E1)
+    units = [rng.randrange(1, 2 ** 66) for _ in range(3)] + [2 ** 600, 2 ** 1040]
+    finite = 0
+    for T, E, ts in ((T0, E0, t0), (Tm, Em, [(a + b) / 2 for a, b in zip(t0, t1)])):
+        assert all(_holds(*te, t) for te, t in zip(zip(T.tolist(), E.tolist()), ts))
+        x, err = _affine(_floats(ax), _floats(dx), T, E)
+        exact = [a + t * d for a, t, d in zip(ax, ts, dx)]
+        assert all(_holds(*xe, v) for xe, v in zip(zip(x.tolist(), err.tolist()), exact))
+        for f in (1, 3):
+            for unit in units:
+                X, E2 = _scaled(x, err, _nearest(f, unit))
+                assert all(_holds(*xe, v * f / unit)
+                           for xe, v in zip(zip(X.tolist(), E2.tolist()), exact))
+                assert np.isinf(E2).all() == (unit == 2 ** 1040)
+                finite += int(np.isfinite(E2).sum())
+    # a factor below 2^-1022 gives no bound
+    assert np.isinf(_scaled(np.ones(2), np.zeros(2), 2.0 ** -1030)[1]).all()
+    assert (finite > 0) == (scale < 2 ** 1000)
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=IDS)
+def test_the_batch_margin_grows_by_the_input_error(scale):
+    # columns off from the exact points by more than a rounding, as the
+    # sampler's candidates are: the margin with their largest error
+    # certifies every sign, and is the former margin at error 0
+    rng = random.Random(scale % 1000003 + 6)
+    pts, (x, y) = _columns(rng, scale, 40)
+    assert _margin(x, y, err=0.0) == _margin(x, y)
+    finite = np.isfinite(x) & np.isfinite(y)
+    with np.errstate(invalid="ignore"):
+        x = np.where(finite, x + x * (2.0 ** -48) * np.array([rng.randrange(-2, 3) for _ in x]), x)
+        y = np.where(finite, y - y * (2.0 ** -50) * np.array([rng.randrange(-2, 3) for _ in y]), y)
+    err = 0.0
+    for (px, py), fx, fy in zip(pts, x.tolist(), y.tolist()):
+        if isfinite(fx) and isfinite(fy):
+            err = max(err, float(abs(Fraction(fx) - px)), float(abs(Fraction(fy) - py)))
+    err *= 1 + 2.0 ** -50  # the float of the largest error, rounded up
+    cert = _margin(x, y, err=err)
+    assert cert > _margin(x, y) or cert == inf
+    # one margin per input error: the grown one, and the former at 0
+    both = np.broadcast_to(_margin(x, y, err=np.array([err, 0.0])), 2)
+    assert both.tolist() == [cert, _margin(x, y)]
+    q, s = pts[:20], pts[20:]
+    qx, qy, sx, sy = x[:20], y[:20], x[20:], y[20:]
+    certain = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (hx0, hy0) in enumerate(q):
+            c = (np.column_stack((qy[i:i + 1] - qy[0], qx[0] - qx[i:i + 1]))
+                 @ np.stack((sx - qx[0], sy - qy[0])))[0]
+            exact = [(hy0 - q[0][1]) * (s1[0] - q[0][0]) - (hx0 - q[0][0]) * (s1[1] - q[0][1])
+                     for s1 in s]
+            pos, neg = _signs(c, cert)
+            assert not any((p and v <= 0) or (n and v >= 0)
+                           for p, n, v in zip(pos.tolist(), neg.tolist(), exact))
+            certain += int((pos | neg).sum())
+    if scale == 1:
+        assert certain > 0
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=IDS)
+def test_the_interval_sort_is_the_exact_stable_sort(scale):
+    # homogeneous points one unit apart at the scale, in several forms,
+    # with float x bounds: correctly rounded (lo = hi) or widened by an
+    # error; the clusters come in exact order, and the sort is the exact
+    # stable sort
+    rng = random.Random(scale % 1000003 + 7)
+    base = [scale * v + e for v in (-3, 0, 1, 7) for e in (-1, 0, 1)]
+    points = []
+    for _ in range(ROWS):
+        d = rng.choice((1, 3, 2 ** 30))
+        points.append((rng.choice(base) * d, rng.randrange(9) * d, d))
+    x = np.array([_nearest(p[0], p[2]) for p in points])
+    widths = np.array([rng.choice((0.0, 1.0, 2.0 ** -30)) for _ in points])
+    with np.errstate(invalid="ignore"):
+        wide = np.where(np.isfinite(x), np.abs(x) * widths * 2.0 ** -40, 0.0)
+    for err in (np.zeros(ROWS), wide):
+        lo, hi = _interval(x, err)
+        lo, hi = np.where(err == 0, x, lo), np.where(err == 0, x, hi)
+        order = _sorted_intervals(points, _XY, lo, hi)
+        assert [points[i] for i in order] == sorted(points, key=_XY)
+        assert order == sorted(range(ROWS), key=lambda i: (_XY(points[i]), i))
+        pos, cluster = _clusters(np.zeros(ROWS, dtype=np.int64), lo, hi)
+        xs = [Fraction(points[i][0], points[i][2]) for i in pos.tolist()]
+        cuts = np.nonzero(np.diff(cluster))[0].tolist()
+        assert all(max(xs[:k + 1]) < min(xs[k + 1:]) for k in cuts)
+    assert len(cuts) < len({Fraction(p[0], p[2]) for p in points}) or scale < 2 ** 53
 
 
 @pytest.mark.parametrize("scale", SCALES, ids=IDS)

@@ -591,19 +591,20 @@ def test_the_sampler_rolls_nothing_and_reduces_along_columns():
 # the exact engine builds big-integer values only where floats cannot
 # decide: _point_key where a crossing that is reported or compared exactly
 # gets its key, and _confirm in the scan's unsure path, the crossing
-# table's tie path, that key builder and the exact hits of _pair_hits.
-# A call from anywhere else would run once per hit or per pair.
+# table's tie path and that key builder.  A call from anywhere else would
+# run once per hit or per pair.
 EXACT_CALLERS = {
     "_point_key": {"_crossing_key"},
-    "_confirm": {"_pair_scan", "_crossing_table", "_crossing_key", "_pair_hits"},
+    "_confirm": {"_pair_scan", "_crossing_table", "_crossing_key"},
 }
 
-# the sampler orders and deduplicates its samples on their float columns:
-# it builds no point key and confirms no crossing itself, and a gcd key
-# only where two samples share both floats
+# the sampler orders and deduplicates its samples on their float
+# intervals: it builds no point key, confirms a hit only in the one
+# memoized builder of its candidates (exact_hit, for a point or a cut that
+# is read), and builds a gcd key only where two samples' intervals overlap
 SAMPLER_EXACT_CALLERS = {
     "_point_key": set(),
-    "_confirm": set(),
+    "_confirm": {"exact_hit"},
     "gcd": {"_distinct"},
 }
 
@@ -647,8 +648,8 @@ def test_exact_calls_outside_flags_per_hit_calls():
         "KEY = _point_key((0, 0, 1, 0), 1, 1)\n"
     )
     assert exact_calls_outside(source, "example.py") == [
-        ("_confirm", "darkest", 11), ("_point_key", "<module>", 14),
-        ("_point_key", "crossings", 7)]
+        ("_confirm", "_pair_hits", 13), ("_confirm", "darkest", 11),
+        ("_point_key", "<module>", 14), ("_point_key", "crossings", 7)]
 
 
 def test_the_exact_engine_builds_keys_and_confirms_only_where_floats_cannot():
@@ -665,10 +666,14 @@ def test_exact_calls_outside_flags_the_samplers_per_sample_keys():
         "        yield _point_key(pieces[i], un, D), _confirm(pieces[i], pieces[j])\n"
         "def _scan(samples):\n"
         "    return {(X // gcd(X, Y, W), Y, W) for X, Y, W in samples}\n"
+        "def _candidates(pieces, I, J):\n"
+        "    def exact_hit(k):\n"
+        "        return _confirm(pieces[I[k]], pieces[J[k]])\n"
+        "    return [_confirm(pieces[i], pieces[j]) for i, j in zip(I, J)], exact_hit\n"
     )
     assert exact_calls_outside(source, "example.py", SAMPLER_EXACT_CALLERS) == [
-        ("_confirm", "_suspicious_points", 5), ("_point_key", "_suspicious_points", 5),
-        ("gcd", "_scan", 7)]
+        ("_confirm", "_candidates", 11), ("_confirm", "_suspicious_points", 5),
+        ("_point_key", "_suspicious_points", 5), ("gcd", "_scan", 7)]
 
 
 def test_the_sampler_keys_only_samples_that_tie_in_floats():
