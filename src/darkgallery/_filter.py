@@ -238,7 +238,7 @@ def _xy_cmp(a, b) -> int:
 _XY = cmp_to_key(_xy_cmp)
 
 
-def _sorted_exact(items, key, floats=None):
+def _sorted_exact(items, key):
     """The indices of the items in the stable order of key, _XY or
     _RATIO, sorted on floats first.
 
@@ -247,16 +247,9 @@ def _sorted_exact(items, key, floats=None):
     order never inverts theirs: a stable sort on the floats, then a stable
     re-sort of each run of equal floats with key, is the stable sort on
     key, with key comparing only within the runs.
-
-    floats, when given, are the items' float keys, made by the caller:
-    the ratios correctly rounded, or any other float monotone in them
-    (such as X / (W * unit) for a positive unit), or (group, float)
-    pairs with an integer group first, which sort the items by group
-    and by key within a group.
     """
     n = len(items)
-    if floats is None:
-        floats = [_nearest(t[0], t[-1]) for t in items]
+    floats = [_nearest(t[0], t[-1]) for t in items]
     order = sorted(range(n), key=floats.__getitem__)
     if len(set(floats)) == n:
         return order

@@ -61,6 +61,13 @@ def _typed(value, kind: type, field: str):
     raise DocumentError("%s must be %s, got %r" % (field, kind.__name__, value))
 
 
+def _at_least(value, low: int, field: str):
+    """value when it is an int of at least low, else DocumentError."""
+    if _typed(value, int, field) < low:
+        raise DocumentError("%s must be at least %d, got %r" % (field, low, value))
+    return value
+
+
 def _array(value, field: str):
     """value when it is a JSON array (a list or tuple), else DocumentError."""
     if isinstance(value, (list, tuple)):
@@ -278,7 +285,8 @@ def sampler_to_json(spec) -> Optional[dict]:
     """The sampler tuples of the sampling module, as JSON objects.  A
     spec of another kind or length than the sampler takes is a
     DocumentError naming it, and so is a resolution, seed or count that
-    is not an int, as in sampler_from_json."""
+    is not an int, a resolution below 1 or a negative count, as in
+    sampler_from_json."""
     if spec is None:
         return None
     shape = (spec[0], len(spec)) if isinstance(spec, (list, tuple)) and spec else None
@@ -287,10 +295,10 @@ def sampler_to_json(spec) -> Optional[dict]:
                             "('random', seed, count) or ('points', points)" % (spec,))
     kind = spec[0]
     if kind == "grid":
-        return {"kind": "grid", "resolution": _typed(spec[1], int, "resolution")}
+        return {"kind": "grid", "resolution": _at_least(spec[1], 1, "resolution")}
     if kind == "random":
         return {"kind": "random", "seed": _typed(spec[1], int, "seed"),
-                "count": _typed(spec[2], int, "count")}
+                "count": _at_least(spec[2], 0, "count")}
     try:
         pts = [p if isinstance(p, Point2) else Point2(*p) for p in spec[1]]
     except (TypeError, ValueError):
@@ -307,9 +315,9 @@ def sampler_from_json(d):
     kind = d.get("kind")
     try:
         if kind == "grid":
-            return ("grid", _typed(d["resolution"], int, "resolution"))
+            return ("grid", _at_least(d["resolution"], 1, "resolution"))
         if kind == "random":
-            return ("random", _typed(d["seed"], int, "seed"), _typed(d["count"], int, "count"))
+            return ("random", _typed(d["seed"], int, "seed"), _at_least(d["count"], 0, "count"))
         if kind == "points":
             return ("points", tuple(point_from_json(p) for p in _array(d["points"], "points")))
     except KeyError as exc:

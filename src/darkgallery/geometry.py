@@ -669,10 +669,6 @@ class _Frame:
         d = W * self.scale
         return Point2(Fraction(X, d), Fraction(Y, d))
 
-    def corners(self):
-        """The walls, then the points, as homogeneous samples."""
-        return [(x, y, 1) for x, y in self.walls + self.ints]
-
 
 def _halfplanes(region, walls):
     """The closed convex region as integer halfplanes a*x + b*y >= c,

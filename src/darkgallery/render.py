@@ -32,7 +32,10 @@ _GUARD_RADIUS = 4.5
 
 
 def _fmt(x: float) -> str:
-    """Fixed-format float for SVG attributes: short and deterministic."""
+    """Fixed-format float for SVG attributes: short and deterministic;
+    OverflowError for inf or NaN, a value past the float range."""
+    if not math.isfinite(x):
+        raise OverflowError("%r in the drawing" % x)
     s = "%.4f" % x
     s = s.rstrip("0").rstrip(".")
     return "0" if s in ("-0", "") else s
@@ -65,7 +68,9 @@ def render_svg(
 
     zoom, when given, is the world-coordinate window (xmin, ymin, xmax,
     ymax); by default the window wraps the region (or, for a wedge, its
-    apex and guards) with a small margin.
+    apex and guards) with a small margin.  The drawing is in floats: a
+    window or a placement with coordinates past the float range, or a
+    window whose extent rounds to 0, is a ValueError.
     """
     gset = GuardSet.coerce(guards)
     if zoom is not None:
@@ -74,8 +79,18 @@ def render_svg(
             raise ValueError("zoom window must have positive extent")
     else:
         xmin, ymin, xmax, ymax = _window_of(region, gset)
+    try:
+        return _draw(region, gset, show_dark_rays, xmin, ymin, xmax, ymax)
+    except OverflowError:
+        raise ValueError("cannot draw coordinates past the float range") from None
+
+
+def _draw(region, gset: GuardSet, show_dark_rays: bool, xmin, ymin, xmax, ymax) -> str:
+    """render_svg in the window, or OverflowError past the float range."""
     world_w = float(xmax - xmin)
     world_h = float(ymax - ymin)
+    if not (world_w and world_h):
+        raise ValueError("the window extent rounds to 0 in floats")
     scale = _WIDTH / world_w
     height = world_h * scale
 

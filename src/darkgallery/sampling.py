@@ -26,11 +26,13 @@ the crossing points and gap midpoints are points of the exact analysis
 (in its own frame, which one integer factor maps into this one), and
 grid and seeded-random points are built in the frame's integers.  This
 module reads no denominator itself.  The samples travel as one
-``_Samples`` batch: float columns with a certified bound on their error
-(0 for correctly rounded ones, ``_columns``), and the exact points,
-each built the first time it is read (a crossing from one confirmation
-of its hit, a gap point from its two exact bounds) and then kept.  The
-candidates' columns come from their parameters, bounded by
+``_Samples`` batch, which every pass reads: float columns with a
+certified bound on their error (0 for correctly rounded ones,
+``_columns``), the guard lines each sample was built on, and one store
+of exact points that its views (``take``, ``join``) share, each point
+built the first time it is read through any of them (a crossing from one
+confirmation of its hit, a gap point from its two exact bounds) and then
+kept.  The candidates' columns come from their parameters, bounded by
 ``_filter._affine``, ``_midpoint`` and ``_scaled``; a point whose bound
 is not finite is built at once and rounded correctly.  The intervals
 order and deduplicate the samples: ``_distinct`` builds a gcd-normalised
@@ -132,9 +134,12 @@ def _columns(frame: _Frame, pts):
 
 
 class _Samples:
-    """Homogeneous samples (X, Y, W), W > 0, of one frame, by index: each
-    is built on its first read (``_make``) and kept, so that a sample no
-    exact test, tie or report reads is never built.
+    """Homogeneous samples (X, Y, W), W > 0, of one frame.  Sample k is
+    point index[k] of a store, an object array that a batch shares with
+    every view of it (``take``): each point is built there on its first
+    read through any of them (``_make``, by store index) and kept, so that
+    a sample no exact test, tie or report reads is never built, and none
+    is built twice.
 
     Beside them: their float columns px and py, and err, a bound on the
     error of both (0 where they are correctly rounded: _columns); lines,
@@ -146,11 +151,12 @@ class _Samples:
     the lines from these (``_line_verdicts``).
     """
 
-    __slots__ = ("_pts", "_make", "px", "py", "err", "lines", "clear", "member")
+    __slots__ = ("_pts", "_make", "_index", "px", "py", "err", "lines", "clear", "member")
 
-    def __init__(self, pts, make, px, py, err, lines, clear, member):
-        self._pts = pts  # an object array of the points built so far, None elsewhere
+    def __init__(self, pts, make, index, px, py, err, lines, clear, member):
+        self._pts = pts  # the store: the points built so far, None elsewhere
         self._make = make
+        self._index = index
         self.px = px
         self.py = py
         self.err = err
@@ -165,68 +171,57 @@ class _Samples:
         pts = list(pts)
         n = len(pts)
         px, py = _columns(frame, pts)
-        return cls(_objects(pts), None, px, py, np.zeros(n), np.full((2, n), -1, dtype=np.int64),
-                   np.full((4, n), -1, dtype=np.int64),
+        return cls(_objects(pts), None, np.arange(n, dtype=np.int64), px, py, np.zeros(n),
+                   np.full((2, n), -1, dtype=np.int64), np.full((4, n), -1, dtype=np.int64),
                    np.zeros((1, len(frame.ints)), dtype=bool))
 
     def __len__(self):
-        return len(self._pts)
+        return len(self._index)
 
     def __getitem__(self, k):
-        p = self._pts[k]
+        j = int(self._index[k])
+        p = self._pts[j]
         if p is None:
-            p = self._pts[k] = self._make(k)
+            p = self._pts[j] = self._make(j)
         return p
 
     def __iter__(self):
-        return (self[k] for k in range(len(self._pts)))
+        return (self[k] for k in range(len(self._index)))
 
     def take(self, idx) -> "_Samples":
-        """The samples at the indices idx, in that order.  They build a
-        point through the batch that builds it (_Fetch), which keeps it
-        too, and hold no other column of self."""
+        """The samples at the indices idx, in that order: a view on the
+        same store, whose columns are slices of self's."""
         idx = np.asarray(idx, dtype=np.int64)
-        make = self._make
-        make = (_Fetch(self._pts, make, idx) if not isinstance(make, _Fetch)
-                else _Fetch(make.pts, make.make, make.index[idx]))
-        return _Samples(self._pts[idx], make, self.px[idx], self.py[idx], self.err[idx],
-                        self.lines[:, idx], self.clear[:, idx], self.member)
+        return _Samples(self._pts, self._make, self._index[idx], self.px[idx], self.py[idx],
+                        self.err[idx], self.lines[:, idx], self.clear[:, idx], self.member)
 
     @classmethod
     def join(cls, parts) -> "_Samples":
-        """The samples of parts, one after another.  At most one part is
-        built on the lines of an analysis; the others' member table has
-        the one row of False, and the join keeps the largest."""
-        starts = list(accumulate([0] + [len(part) for part in parts]))
+        """The samples of parts, one after another, on one store: the
+        parts' stores one after another, with the points built so far,
+        and each part's indices offset by its store's start.  At most one
+        part is built on the lines of an analysis; the others' member
+        table has the one row of False, and the join keeps the largest."""
+        starts = list(accumulate([0] + [len(part._pts) for part in parts]))
         makes = [part._make for part in parts]
 
-        def make(k):
-            i = bisect_right(starts, k) - 1
-            return makes[i](k - starts[i])
+        def make(j):
+            i = bisect_right(starts, j) - 1
+            return makes[i](j - starts[i])
 
         return cls(np.concatenate([part._pts for part in parts]), make,
+                   np.concatenate([part._index + start for part, start in zip(parts, starts)]),
                    *(np.hstack([getattr(part, name) for part in parts])
                      for name in ("px", "py", "err", "lines", "clear")),
                    max((part.member for part in parts), key=len))
 
 
-class _Fetch:
-    """Point k of a view: point index[k] of the batch with points pts and
-    builder make, built there on its first read and kept there."""
-
-    __slots__ = ("pts", "make", "index")
-
-    def __init__(self, pts, make, index):
-        self.pts = pts
-        self.make = make
-        self.index = index
-
-    def __call__(self, k):
-        j = int(self.index[k])
-        p = self.pts[j]
-        if p is None:
-            p = self.pts[j] = self.make(j)
-        return p
+def _corners(frame: _Frame) -> _Samples:
+    """The walls, then the guards, as samples built already, each guard
+    clear at its own position (_line_verdicts)."""
+    corners = _Samples.exact(frame, [(x, y, 1) for x, y in frame.walls + frame.ints])
+    corners.clear[0, len(frame.walls):] = np.arange(len(frame.ints))
+    return corners
 
 
 def _objects(items):
@@ -251,11 +246,9 @@ def _wall_sides(frame: _Frame, *points):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN only ever defer
-def _contains_mask(frame: _Frame, samples, cols, err=0.0):
-    """Bool mask: whether each homogeneous sample of the frame lies in
-    the closed polygon, float-prefiltered, given the samples' float
-    columns cols (_columns) and a bound err on their error (0: correctly
-    rounded).
+def _contains_mask(frame: _Frame, samples: _Samples):
+    """Bool mask: whether each sample of the batch lies in the closed
+    polygon of its frame, float-prefiltered.
 
     The float pass settles samples whose membership is certain: heights
     compare the ends py +- err of each sample's interval with the
@@ -265,7 +258,7 @@ def _contains_mask(frame: _Frame, samples, cols, err=0.0):
     exactly by ``_locate``, so the result matches the plain loop bit for
     bit.
     """
-    px, py = cols
+    px, py, err = samples.px, samples.py, samples.err
     ax, ay, (o,) = _wall_sides(frame, (px, py))
     left, right = _signs(o, _margin(px, py, ax, ay, err=err))
     below = (py - err)[None, :]
@@ -311,11 +304,9 @@ def _segment_sides(xs, ys, qx, qy, px, py):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _depths(frame: _Frame, samples, cols, err=0.0, known=None) -> List[int]:
-    """[depth at each homogeneous sample of the frame], float-prefiltered,
-    given the samples' float columns cols (_columns), a bound err on
-    their error (0: correctly rounded) and, when known, the guard lines
-    they were built on, (lines, clear, member) of _Samples.
+def _depths(frame: _Frame, samples: _Samples) -> List[int]:
+    """[depth at each sample of the batch], float-prefiltered: its float
+    columns, their error bounds and the guard lines it was built on.
 
     Precondition: the frame's points are the guards, in the closed
     polygon, validated by the caller.  The polygon may be any simple
@@ -362,7 +353,7 @@ def _depths(frame: _Frame, samples, cols, err=0.0, known=None) -> List[int]:
     guards = frame.ints
     walls = frame.walls
     E = len(walls)
-    px, py = cols
+    px, py, err = samples.px, samples.py, samples.err
     gx, gy = _columns(frame, guards)
     # side of each edge's line each sample (c4) and each guard (c3) falls on
     ax, ay, (c4, c3) = _wall_sides(frame, (px, py), (gx, gy))
@@ -377,11 +368,10 @@ def _depths(frame: _Frame, samples, cols, err=0.0, known=None) -> List[int]:
     xs = np.concatenate((ax, gx))
     ys = np.concatenate((ay, gy))
 
+    lines, clear, member = samples.lines, samples.clear, samples.member
     depths = np.zeros(len(samples), dtype=np.int64)
-    decided = blocked = np.zeros(len(samples), dtype=bool)
     for gi, q in enumerate(guards):
-        if known is not None:
-            decided, blocked = _line_verdicts(known, gi)
+        decided, blocked = _line_verdicts(samples, gi)
         pos, neg = _signs(_segment_sides(xs, ys, gx[gi], gy[gi], px, py), cert)
         # edge e runs from row e to row e + 1
         p1 = pos[:E]
@@ -410,11 +400,9 @@ def _depths(frame: _Frame, samples, cols, err=0.0, known=None) -> List[int]:
         # sample's lines and the order along the segment cannot rule out:
         # the first guard between q and a sample blocks it, and settles it
         rows, cols = np.nonzero((maybe & (vis & ~decided)).T)
-        left = ~_off_segment(gx[cols], gy[cols], gx[gi], gy[gi], px[rows], py[rows], cert[rows])
-        if known is not None:
-            lines, clear, member = known
-            left &= ~(member[lines[0, rows], cols] | member[lines[1, rows], cols]
-                      | (clear[:, rows] == cols).any(axis=0))
+        left = ~(_off_segment(gx[cols], gy[cols], gx[gi], gy[gi], px[rows], py[rows], cert[rows])
+                 | member[lines[0, rows], cols] | member[lines[1, rows], cols]
+                 | (clear[:, rows] == cols).any(axis=0))
         rows, cols = rows[left], cols[left]
         for s, h in zip(rows.tolist(), cols.tolist()):
             if vis[s] and _between(guards[h], q, samples[s]):
@@ -423,9 +411,10 @@ def _depths(frame: _Frame, samples, cols, err=0.0, known=None) -> List[int]:
     return depths.tolist()
 
 
-def _line_verdicts(known, gi):
-    """(decided, blocked): the samples whose blocking from guard gi the
-    guard lines they were built on decide, and those of them it blocks.
+def _line_verdicts(samples: _Samples, gi):
+    """(decided, blocked): the samples of the batch whose blocking from
+    guard gi the guard lines they were built on decide, and those of them
+    it blocks.
 
     A sample built on a piece lies on the piece's line, and q on that line
     sees it along the line: the guards between are the line's members
@@ -437,10 +426,9 @@ def _line_verdicts(known, gi):
     guard, so q lies on at most one of them.  A sample at guard i's
     position (clear i, no line) is seen by guard i itself.
     """
-    lines, clear, member = known
-    column = member[:, gi]
-    on = column[lines[0]] | column[lines[1]]
-    mine = (clear == gi).any(axis=0)
+    column = samples.member[:, gi]
+    on = column[samples.lines[0]] | column[samples.lines[1]]
+    mine = (samples.clear == gi).any(axis=0)
     return on | mine, on & ~mine
 
 
@@ -744,7 +732,8 @@ def _candidates(frame: _Frame, analysis: _Analysis) -> _Samples:
     member = np.zeros((len(analysis.lines) + 1, G), dtype=bool)
     for k, rec in enumerate(analysis.lines):
         member[k, [i for _, i in rec[3]]] = True
-    return _Samples(_objects(pts), make, px, py, err, lines, clear, member)
+    return _Samples(_objects(pts), make, np.arange(n, dtype=np.int64), px, py, err, lines, clear,
+                    member)
 
 
 def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet) -> _Samples:
@@ -767,7 +756,7 @@ def _suspicious_points(frame: _Frame, P: AnyPolygon, gset: GuardSet) -> _Samples
     pts = list(P.vertices) + list(gset.guards)
     region = ConvexPolygon([pts[i] for i in _hull_corners(frame.walls + frame.ints)])
     cands = _candidates(frame, _Analysis(region, gset))
-    inside = _inside(frame, cands.take(_distinct(cands, cands.px, cands.py, cands.err)))
+    inside = _inside(frame, cands.take(_distinct(cands)))
     return inside.take(_sorted_intervals(inside, _XY, inside.px - inside.err,
                                          inside.px + inside.err))
 
@@ -794,8 +783,7 @@ def _grid_points(frame: _Frame, resolution: int):
 
 def _inside(frame: _Frame, samples: _Samples) -> _Samples:
     """The samples in the closed polygon, in their order."""
-    mask = _contains_mask(frame, samples, (samples.px, samples.py), samples.err)
-    return samples.take(np.nonzero(mask)[0].tolist())
+    return samples.take(np.nonzero(_contains_mask(frame, samples))[0])
 
 
 def _random_points(frame: _Frame, seed: int, count: int):
@@ -838,7 +826,7 @@ def _sampler_points(frame: _Frame, sampler) -> _Samples:
                 p = Point2(x, y)
             given.append(p)
         out = _Samples.exact(frame, [frame.sample(p) for p in given])
-        outside = np.nonzero(~_contains_mask(frame, out, (out.px, out.py)))[0]
+        outside = np.nonzero(~_contains_mask(frame, out))[0]
         if len(outside):
             raise ValueError("sample point %r lies outside the polygon" % (given[outside[0]],))
         return out
@@ -848,10 +836,10 @@ def _sampler_points(frame: _Frame, sampler) -> _Samples:
     )
 
 
-def _distinct(samples, px, py, err=0.0):
+def _distinct(samples: _Samples):
     """[index of the first sample of each distinct point], in index order,
-    of the homogeneous samples with float columns (px, py), each within
-    err of its exact value (0: correctly rounded).
+    of the batch, whose float columns (px, py) are each within err of
+    their exact values (0: correctly rounded).
 
     Equal points have overlapping intervals in both columns (equal floats
     where correctly rounded; -0.0 equals 0.0, and inf equals inf): the
@@ -860,6 +848,7 @@ def _distinct(samples, px, py, err=0.0):
     samples of a cluster of two or more, and it decides them.
     """
     n = len(samples)
+    px, py, err = samples.px, samples.py, samples.err
     order, cluster = _clusters(np.zeros(n, dtype=np.int64), px - err, px + err)
     tied = np.bincount(cluster)[cluster] > 1
     idx = order[tied]
@@ -884,13 +873,10 @@ def _scan(P: AnyPolygon, guards, sampler):
     read), and the depth at each."""
     gset = GuardSet.coerce(guards)
     frame = _guard_frame(P, gset.guards)
-    corners = _Samples.exact(frame, frame.corners())
-    corners.clear[0, len(frame.walls):] = np.arange(len(frame.ints))
-    samples = _Samples.join([corners, _suspicious_points(frame, P, gset),
+    samples = _Samples.join([_corners(frame), _suspicious_points(frame, P, gset),
                              _sampler_points(frame, sampler)])
-    unique = samples.take(_distinct(samples, samples.px, samples.py, samples.err))
-    return frame, unique, _depths(frame, unique, (unique.px, unique.py), unique.err,
-                                  (unique.lines, unique.clear, unique.member))
+    unique = samples.take(_distinct(samples))
+    return frame, unique, _depths(frame, unique)
 
 
 def sample_depth(P: AnyPolygon, guards, sampler=None, target: Optional[int] = None) -> SampleReport:

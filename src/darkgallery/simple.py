@@ -45,7 +45,7 @@ from .geometry import (
     as_int,
     convex_hull,
 )
-from .sampling import _columns, _depths
+from .sampling import _corners, _depths
 
 MOUTH_LEVEL = Fraction(2)  # corridor ceiling: spike mouths sit on this line
 TIP_LEVEL = Fraction(10)   # spike tips: 4x the corridor height above the mouths
@@ -445,8 +445,8 @@ def fisk_cover(P: SimplePolygon, k: int) -> GuardSet:
     more than two of them to blocking.  The arcs start at 1/4 of the
     vertex clearance; the construction halves that on its own when a
     cluster cannot be placed or a vertex fails the depth spot-check,
-    which runs every vertex and guard through the sampler's batch, as
-    ``sample_depth`` does.
+    which runs the sampler's batch of every vertex and guard
+    (``_corners``), as ``sample_depth`` does.
     """
     if as_int(k, "k") < 1:
         raise ValueError("coverage depth must be at least 1")
@@ -468,8 +468,7 @@ def fisk_cover(P: SimplePolygon, k: int) -> GuardSet:
         if complete:
             gset = GuardSet(guards)
             frame = _Frame(P, gset.guards)
-            corners = frame.corners()
-            if min(_depths(frame, corners, _columns(frame, corners))) >= k:
+            if min(_depths(frame, _corners(frame))) >= k:
                 return gset
         scale /= 2
     raise ConstructionError(

@@ -854,11 +854,10 @@ def test_the_line_rule_matches_between(scene, factor):
     region = type(region)([v * factor for v in region.vertices])
     guards = [g * factor for g in guards]
     frame, samples, _ = sampling._scan(region, GuardSet(guards), None)
-    known = (samples.lines, samples.clear, samples.member)
     ints = frame.ints
     decided_pairs = ruled_out = 0
     for gi, q in enumerate(ints):
-        decided, blocked = sampling._line_verdicts(known, gi)
+        decided, blocked = sampling._line_verdicts(samples, gi)
         for k in range(len(samples)):
             s = samples[k]
             if decided[k]:
@@ -871,6 +870,41 @@ def test_the_line_rule_matches_between(scene, factor):
                     ruled_out += 1
                     assert not sampling._between(h, q, s)
     assert decided_pairs > len(samples) and ruled_out > 0
+
+
+def test_views_of_a_batch_build_each_point_once():
+    # a point read through two views of one batch, and again through a
+    # join of one of them, is built once: the views share the batch's
+    # store, and the join takes the points built there
+    region, guards = suspicious_scene("concurrent-star")
+    frame = _Frame(region, guards)
+    cands = sampling._candidates(frame, darkness._Analysis(region, GuardSet(guards)))
+    built = []
+    make = cands._make
+    cands._make = lambda j: built.append(j) or make(j)
+    unbuilt = [k for k in range(len(cands)) if cands._pts[k] is None]
+    assert len(unbuilt) > 100
+    forward = cands.take(unbuilt)
+    backward = cands.take(unbuilt[::-1])
+    points = list(forward)
+    assert built == unbuilt
+    assert all(a is b for a, b in zip(backward, points[::-1]))
+    corners = sampling._corners(frame)
+    joined = sampling._Samples.join([corners, backward.take(range(len(backward)))])
+    assert all(a is b for a, b in zip(joined.take(range(len(corners), len(joined))),
+                                      points[::-1]))
+    assert built == unbuilt
+    # a point first read through a join is built once, by its part's
+    # builder, for every view of the join
+    fresh = sampling._candidates(frame, darkness._Analysis(region, GuardSet(guards)))
+    joined = sampling._Samples.join([corners, fresh.take(unbuilt)])
+    builds = []
+    make = joined._make
+    joined._make = lambda j: builds.append(j) or make(j)
+    tail = range(len(corners), len(joined))
+    assert list(joined.take(tail)) == points
+    assert list(joined.take(tail[::-1])) == points[::-1]
+    assert len(builds) == len(unbuilt)
 
 
 @pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))

@@ -349,7 +349,7 @@ def test_the_interval_sort_is_the_exact_stable_sort(scale):
 def test_the_float_first_sort_is_the_exact_stable_sort(scale):
     # ratios and homogeneous points whose values differ by one unit at
     # the scale (one float at 2^53 + 1, past the range at 2^1100), in
-    # several forms each; and (group, float) keys
+    # several forms each
     rng = random.Random(scale % 1000003 + 3)
     base = [scale * v + e for v in (-3, 0, 1, 7) for e in (-1, 0, 1)]
     ratios = []
@@ -360,9 +360,6 @@ def test_the_float_first_sort_is_the_exact_stable_sort(scale):
     for items, key in ((ratios, _RATIO), (points, _XY)):
         order = _sorted_exact(items, key)
         assert [items[i] for i in order] == sorted(items, key=key)
-    groups = [rng.randrange(3) for _ in ratios]
-    order = _sorted_exact(ratios, _RATIO, [(g, _nearest(*r)) for g, r in zip(groups, ratios)])
-    assert order == sorted(range(ROWS), key=lambda i: (groups[i], _RATIO(ratios[i])))
     floats = {_nearest(*r) for r in ratios}
     assert len(floats) < len({Fraction(*r) for r in ratios}) or scale < 2 ** 53
     assert ({inf, -inf} <= floats) == (scale == 2 ** 1100)

@@ -114,7 +114,9 @@ def test_sampler_codec_round_trips():
     specs = [
         None,
         ("grid", 16),
+        ("grid", 1),
         ("random", 7, 50),
+        ("random", 7, 0),
         ("points", (Point2(1, 2), Point2(Fraction(1, 2), 3))),
     ]
     for spec in specs:
@@ -205,6 +207,10 @@ def test_placement_metadata_that_cannot_be_written_back_is_refused(field, bad):
     pytest.param(dict(sampler=("grid", True)), "resolution", id="grid-true"),
     pytest.param(dict(sampler=("random", 1.5, 3)), "seed", id="random-seed-1.5"),
     pytest.param(dict(sampler=("random", 1, 3.0)), "count", id="random-count-3.0"),
+    pytest.param(dict(sampler=("grid", 0)), "resolution must be at least 1", id="grid-0"),
+    pytest.param(dict(sampler=("grid", -3)), "resolution must be at least 1", id="grid--3"),
+    pytest.param(dict(sampler=("random", 1, -5)), "count must be at least 0",
+                 id="random-count--5"),
     pytest.param(dict(sampler=("grid",)), "sampler spec", id="grid-short"),
     pytest.param(dict(sampler=("random", 1)), "sampler spec", id="random-short"),
     pytest.param(dict(sampler=("points",)), "sampler spec", id="points-short"),
@@ -308,6 +314,10 @@ _WEDGE = region_to_dict(builtin_fixture("wedge")[0])
                  id="directions-one"),
     pytest.param(sampler_from_json, {"kind": "points", "points": 5}, "points",
                  id="points-5"),
+    pytest.param(sampler_from_json, {"kind": "grid", "resolution": 0},
+                 "resolution must be at least 1", id="resolution-0"),
+    pytest.param(sampler_from_json, {"kind": "random", "seed": 1, "count": -5},
+                 "count must be at least 0", id="count--5"),
     pytest.param(region_from_dict, {"kind": "convex", "vertices": [[0, 0], [3, 6], [6, 0]]},
                  "vertices: vertices must wind counterclockwise", id="clockwise"),
     pytest.param(region_from_dict,
@@ -544,6 +554,32 @@ def test_render_zoom_window(work):
     run_cli("render", "--placement", wfix, "--out", svg_b,
             "--show-dark-rays", "--zoom=-50,150,50,250")
     assert open(svg_b).read() == text
+
+
+def _huge_triangle():
+    """A placement whose coordinates lie past the float range."""
+    big = 10 ** 400
+    return PlacementDocument(ConvexPolygon([Point2(0, 0), Point2(big, 0), Point2(0, big)]),
+                             [Point2(1, 1), Point2(big // 3, big // 3)])
+
+
+@pytest.mark.parametrize("doc, zoom, error", [
+    pytest.param(_huge_triangle, [], "coordinates past the float range", id="region-1e400"),
+    pytest.param(lambda: PlacementDocument(*builtin_fixture("triangle")),
+                 ["--zoom=-1e400,-1,1e400,1"], "coordinates past the float range",
+                 id="zoom-1e400"),
+    pytest.param(lambda: PlacementDocument(*builtin_fixture("triangle")),
+                 ["--zoom=0,0,1e-400,1e-400"], "window extent rounds to 0", id="zoom-1e-400"),
+])
+def test_render_refuses_what_floats_cannot_draw(tmp_path, doc, zoom, error):
+    # each once died with a traceback: OverflowError converting to
+    # floats, or ZeroDivisionError on an extent that rounds to 0
+    placement = str(tmp_path / "place.json")
+    doc().save(placement)
+    proc = run_cli("render", "--placement", placement, "--out", str(tmp_path / "out.svg"),
+                   "--format", "json", *zoom, expect=1)
+    assert proc.stdout == ""
+    assert error in json.loads(proc.stderr)["error"]
 
 
 # --- failure modes --------------------------------------------------------------------

@@ -163,6 +163,46 @@ def test_frame_readers_scale_nothing_themselves(path):
     assert scaling_uses(path.read_text(), str(path)) == []
 
 
+# the sampler's batch (sampling._Samples) builds the float columns of
+# every sample, and the other modules hand it samples: none of them
+# imports the column builder, by name or through the module
+BATCH_NAMES = {"_columns"}
+NOT_THE_BATCH = [p for p in MODULES if p.name != "sampling.py"]
+
+
+def name_imports(source: str, filename: str, names) -> List[Tuple[str, int]]:
+    """(name, line) for each ``from ... import`` of one of names, renamed
+    or not, and each read of one as an attribute of an imported module
+    (``sampling._columns``)."""
+    tree = ast.parse(source, filename)
+    modules = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    out: List[Tuple[str, int]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out.extend((alias.name, node.lineno) for alias in node.names if alias.name in names)
+        elif (isinstance(node, ast.Attribute) and node.attr in names
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            out.append((node.attr, node.lineno))
+    return sorted(out)
+
+
+def test_name_imports_flags_imports_and_attributes():
+    source = (
+        "from .sampling import _columns as cols, _depths\n"
+        "from . import sampling\n"
+        "def f(frame, pts):\n"
+        "    _columns = cols\n"
+        "    return sampling._columns(frame, pts), _columns, _depths, frame._columns\n"
+    )
+    assert name_imports(source, "example.py", BATCH_NAMES) == [("_columns", 1), ("_columns", 5)]
+
+
+@pytest.mark.parametrize("path", NOT_THE_BATCH, ids=[p.name for p in NOT_THE_BATCH])
+def test_only_the_sampler_batch_builds_float_columns(path):
+    assert name_imports(path.read_text(), str(path), BATCH_NAMES) == []
+
+
 def test_stream_placer_scales_nothing_and_builds_no_points():
     # construct._StreamPlacer decides on homogeneous integers its callers
     # scale: geometry._homogeneous, or the parabola (t, t^2, 1)

@@ -27,9 +27,10 @@ from darkgallery.geometry import (
 )
 from darkgallery.sampling import (
     SampleReport,
+    _Samples,
     _between,
-    _columns,
     _contains_mask,
+    _corners,
     _depths,
     _random_points,
     _wall_free,
@@ -260,15 +261,13 @@ def test_adding_a_guard_accounts_exactly_with_walls():
 def batch_depths(P, gs, pts):
     """_depths on the Point2 samples pts, each converted once by the frame."""
     frame = _Frame(P, gs.guards)
-    samples = [frame.sample(p) for p in pts]
-    return _depths(frame, samples, _columns(frame, samples))
+    return _depths(frame, _Samples.exact(frame, [frame.sample(p) for p in pts]))
 
 
 def batch_contains(P, pts):
     """_contains_mask on the Point2 samples pts, through a frame of P."""
     frame = _Frame(P, ())
-    samples = [frame.sample(p) for p in pts]
-    return _contains_mask(frame, samples, _columns(frame, samples)).tolist()
+    return _contains_mask(frame, _Samples.exact(frame, [frame.sample(p) for p in pts])).tolist()
 
 
 def test_fast_depths_match_the_loop_on_convex_scenes():
@@ -347,11 +346,15 @@ def test_contains_mask_reads_the_interval_ends():
     # from a parameter may be: only the ends of its interval show that it
     # may lie on the boundary, which is inside
     frame = _Frame(L_HEXAGON, ())
-    pts = [frame.sample(Point2(Fraction(k, 4), 0)) for k in range(1, 16)] + frame.corners()
-    px, py = _columns(frame, pts)
-    delta = 2.0 ** -40 * np.maximum(1.0, np.abs(py))
-    assert _contains_mask(frame, pts, (px, py - delta), 2 * delta).all()
-    assert not _contains_mask(frame, pts[:15], (px[:15], (py - delta)[:15])).any()
+    pts = [frame.sample(Point2(Fraction(k, 4), 0)) for k in range(1, 16)] + list(_corners(frame))
+    samples = _Samples.exact(frame, pts)
+    delta = 2.0 ** -40 * np.maximum(1.0, np.abs(samples.py))
+    samples.py = samples.py - delta
+    samples.err = 2 * delta
+    assert _contains_mask(frame, samples).all()
+    floor = samples.take(range(15))
+    floor.err = np.zeros(15)
+    assert not _contains_mask(frame, floor).any()
 
 
 def _scaled(P, guards, pts, factor):
@@ -442,14 +445,17 @@ def test_distinct_keeps_the_first_of_each_point(case, monkeypatch):
     # the float-keyed deduplication keeps what the gcd key of every
     # sample kept, building a key only for samples that share both floats
     samples = DISTINCT_CASES[case]
+    # a frame of unit 1: the columns are X / W correctly rounded
+    batch = _Samples.exact(_Frame(None, ()), samples)
     px = np.array([_nearest(X, W) for X, _, W in samples])
     py = np.array([_nearest(Y, W) for _, Y, W in samples])
+    assert px.tobytes() == batch.px.tobytes() and py.tobytes() == batch.py.tobytes()
     pairs = list(zip(px.tolist(), py.tolist()))
     keys = []
     monkeypatch.setattr(sampling, "gcd", lambda *a: keys.append(a) or gcd(*a))
     for order in (slice(None), slice(None, None, -1)):
         keys.clear()
-        got = sampling._distinct(samples[order], px[order], py[order])
+        got = sampling._distinct(batch.take(range(len(samples))[order]))
         assert got == oracles.distinct_oracle(samples[order])
         assert len(keys) == sum(pairs.count(p) > 1 for p in pairs)
     assert len(got) < len(samples)
@@ -750,11 +756,12 @@ def test_certain_float_signs_are_exact_on_the_comb(monkeypatch, factor):
     guards = comb_cover(comb, 4).guards
     P, gs, pts = _scaled(comb.polygon, guards, _grazing_points(comb, guards), factor)
     frame, samples, _ = sampling._scan(P, gs, ("points", pts))
+    exact = _Samples.exact(frame, list(samples))
     records = _float_pass_records(monkeypatch)
-    _depths(frame, samples, _columns(frame, samples))
+    _depths(frame, exact)
     certain, uncertain = _check_certain_signs(records, frame, samples)
     records.clear()
-    _contains_mask(frame, samples, _columns(frame, samples))
+    _contains_mask(frame, exact)
     more, _ = _check_certain_signs(records, frame, samples)
     assert certain > 10 * uncertain > 0 and more > 0
 
@@ -767,13 +774,14 @@ def test_certain_float_signs_are_exact_on_star_polygons(scene):
         Pb, gs, pts = _scaled(P, guards, samples, factor)
         frame = _Frame(Pb, gs.guards)
         hom = [frame.sample(p) for p in pts]
+        exact = _Samples.exact(frame, hom)
         with pytest.MonkeyPatch.context() as mp:
             records = _float_pass_records(mp)
-            _depths(frame, hom, _columns(frame, hom))
+            _depths(frame, exact)
             assert sum(name == "_segment_sides" for name, _ in records) == len(gs)
             certain, _ = _check_certain_signs(records, frame, hom)
             records.clear()
-            _contains_mask(frame, hom, _columns(frame, hom))
+            _contains_mask(frame, exact)
             more, _ = _check_certain_signs(records, frame, hom)
         assert certain > 0 and more > 0
 
