@@ -54,6 +54,13 @@ import numpy as np
 # covers the bound's own roundings and those of x +- err, and E >= 2^-1022
 # covers an underflow of the product, as |fdx| >= 1 unless dx = 0.
 #
+# A shifted parameter (_shifted).  For |t - T| <= E and F the correctly
+# rounded float of an integer f, H = fl(T - F) is off from t - f by at
+# most E + u*|F| + u*|H|: f is within u*|F| of F, and the subtraction
+# rounds once (a float difference below 2^-1022 is exact).  E*(1 + 8u) +
+# 8u*(|F| + |H|) covers the bound's own roundings and those of H +- EH,
+# and is >= 2^-1022 where E is; H overflows only with the bound (inf).
+#
 # A midpoint (_midpoint).  For |t0 - T0| <= E0 and |t1 - T1| <= E1, the
 # float T = fl(T0 + T1)/2 (halving is exact above 2^-1022) is off from
 # (t0 + t1)/2 by (E0 + E1)/2 + u*|T|; (E0 + E1)*(1/2 + 8u) covers the
@@ -182,6 +189,14 @@ def _x_bounds(x0, fdx, T, E):
     """The _interval of x = ax + t*dx, for floats x0 and fdx of the
     integers ax and dx and |t - T| <= E."""
     return _interval(*_affine(x0, fdx, T, E))
+
+
+def _shifted(T, E, F):
+    """(H, EH): the float of t - f and a bound on its error, for |t - T|
+    <= E and F the correctly rounded float of the integer f."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = T - F
+        return H, E * (1 + _SLACK) + _SLACK * (np.abs(F) + np.abs(H))
 
 
 def _midpoint(T0, E0, T1, E1):

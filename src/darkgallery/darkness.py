@@ -16,7 +16,14 @@ clips every line carrying >= 2 guards to them once, all lines in one
 float pass (`_clip_lines`) that leaves only near ties and overflows to
 ``geometry._clip``, and cuts each into its "dark portions" as pieces:
 the two dark rays end where the clipped line does, and the gaps between
-members lie inside.
+members lie inside.  The pieces are columns first (`_Pieces`): the guard
+each is anchored at, the member a gap ends at, its line, its kind, the
+halfplane a ray leaves by, and the bound h +- eh on its far parameter
+from the clip pass's float one; a ray that starts on the line of the
+halfplane that ends it is empty and dropped, by one exact
+[guard][halfplane] table (`_sides`).  A piece's exact integers are built
+on its first read, and only the pieces that some exact test reads are
+ever built (the lazy exact kernel of Pion and Fabri, 2011).
 The guards and every query point are tested on the same halfplanes.  A
 complete set of candidate points is every pairwise crossing of pieces
 from distinct lines, every guard position, and one representative per
@@ -38,12 +45,12 @@ set certified to max darkness <= 1 takes an analysis derived from that
 one (`_prefix`), with no clip and no scan of its own.
 
 The analysis keeps only what the certificates read: the pieces, one set
-of their float columns (`_piece_boxes`, with the blocked counts) that the
-scan and the darkest point both read, the crossing table and the darkest
-point.  The sampler
-(``sampling._candidates``) takes the pieces and the pair scan's float
-parameters of their crossings, and builds a sample point exactly
-(`_confirm`, `_piece_point`) only where it must.
+of their float columns (`_Columns`, from one float column per guard and
+per line) that the scan and the darkest point both read, the crossing
+table and the darkest point.  The sampler (``sampling._candidates``)
+takes the columns and the pair scan's float parameters of the crossings,
+and builds a sample point exactly (`_confirm`, `_piece_point`) only
+where it must.
 
 One pair scan (`_pair_scan`) finds every crossing, for the certificates,
 the j-dark queries, the sampler and the concurrency check alike.  It
@@ -67,6 +74,7 @@ leftmost.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, inf
@@ -79,9 +87,11 @@ from ._filter import (
     _floats,
     _interval,
     _leftmost,
+    _midpoint,
     _nearest,
     _quotient_bound,
     _rounding_bound,
+    _shifted,
     _signs,
     _sum_bound,
     _x_bounds,
@@ -346,7 +356,9 @@ def dark_portions(line: GuardLine) -> List[DarkPortion]:
 # It covers 0 < t <= hin/hid (hid > 0), open at its anchor because every
 # anchor is a guard position; hin is None when the piece never ends, and
 # hi_strict marks a far end that is open too (another guard).  blocked is
-# the piece's own blocked count.
+# the piece's own blocked count.  An analysis holds its pieces as columns
+# (_Pieces) and builds a tuple where _confirm or _piece_point reads it;
+# the scan reads the columns (_Columns).
 
 
 def _confirm(p, q):
@@ -377,70 +389,120 @@ def _confirm(p, q):
     return (un, vn, D)
 
 
-def _piece_boxes(pieces):
-    """(x0, y0, fdx, fdy, lox, hix, loy, hiy, h, unbounded): every
-    piece's float anchor, float direction and conservative float box, the
-    correctly rounded parameter h = hin/hid of its far end (inf where it
-    has none) and the mask of the pieces with no far end, one column per
-    piece.
+def _exit(ax, ay, dx, dy, halfplane):
+    """(hin, hid): the parameter hin/hid, hid > 0, at which the ray from
+    (ax, ay) along (dx, dy) leaves the integer halfplane a*x + b*y >= c
+    that ends it; hin is 0 where the ray starts on its line."""
+    a, b, c = halfplane
+    return a * ax + b * ay - c, -(a * dx + b * dy)
 
-    Every coordinate is rounded to the nearest float and an unbounded end
-    becomes +-inf; rounding is monotone, so pieces whose true spans
-    overlap keep overlapping boxes at any scale.  The anchors, directions
-    and far ends feed the float verdicts of _pair_scan and the candidate
-    bounds of _Analysis.darkest.
+
+class _Columns(namedtuple("_Columns", "anchor far line kind end blocked h eh unbounded direction"
+                                      " x0 y0 dx dy lox hix loy hiy")):
+    """The pieces as columns, one entry per piece.
+
+    Piece k lies on guard line line[k] and is anchored at guard
+    anchor[k].  kind[k] is 0 for the ray from the line's first member,
+    along the negated direction (ux, uy) of its record, 1 for the ray
+    from its last member and 2 for a gap, which ends open at the next
+    member, far[k] (-1 on a ray).  A ray ends where it leaves halfplane
+    end[k] (_exit), or never (-1: unbounded).  blocked[k] is the piece's
+    blocked count, and h[k] +- eh[k] bounds its far parameter hin/hid
+    (inf and 0 where it has none).  direction is equal exactly for
+    parallel pieces; (x0, y0) and (dx, dy) are the float anchor and
+    direction, and [lox, hix] x [loy, hiy] a float box that holds the
+    piece's span.
     """
-    ax, ay, dx, dy = ([p[c] for p in pieces] for c in range(4))
-    x0, y0, fdx, fdy = _floats(ax), _floats(ay), _floats(dx), _floats(dy)
-    x1 = np.where(fdx == 0, x0, np.copysign(inf, fdx))
-    y1 = np.where(fdy == 0, y0, np.copysign(inf, fdy))
-    h = np.full(len(pieces), inf)
-    unbounded = np.ones(len(pieces), dtype=bool)
-    for k, (a, b, u, v, hin, hid, *_) in enumerate(pieces):
-        if hin is not None:
-            x1[k] = _nearest(a * hid + u * hin, hid)
-            y1[k] = _nearest(b * hid + v * hin, hid)
-            h[k] = _nearest(hin, hid)
-            unbounded[k] = False
-    return (x0, y0, fdx, fdy, np.minimum(x0, x1), np.maximum(x0, x1),
-            np.minimum(y0, y1), np.maximum(y0, y1), h, unbounded)
+
+    __slots__ = ()
+
+    def take(self, rows) -> "_Columns":
+        """The columns at the index array rows, in that order."""
+        return self._make(c[rows] for c in self)
 
 
-def _class_ids(keys):
-    """Small integers, equal exactly where the keys are equal."""
-    ids = {}
-    return np.array([ids.setdefault(k, len(ids)) for k in keys], dtype=np.int64)
+def _piece_columns(ints, lines, anchor, far, line, kind, end, blocked, h, eh) -> _Columns:
+    """The _Columns of pieces given by their int64 columns and far
+    parameters, from one float column per guard of ints and per line
+    record of lines.
 
-
-def _end_classes(pieces):
-    """(direction, anchor, far): exact class ids of every piece.
-
-    direction is equal exactly for parallel pieces (the same primitive
-    direction up to sign), which never cross: D = 0.  That takes in two
-    pieces of one line; it is found once per line id.  anchor and far
-    share one numbering of points: the anchor, and the far end where it
-    is open (hi_strict); every other far end gets a negative id of its
-    own.  Two pieces with an open end at one point lie on distinct lines
-    through it (or are parallel), which meet only there, where neither
-    piece is: they never cross.
+    Parallel pieces lie on lines of one primitive direction, which the
+    records sort together: direction numbers the runs of equal (ux, uy).
+    Each coordinate is rounded to the nearest float.  A gap's box ends at
+    its next member's floats, a bounded ray's at the bounds on ax + h*dx
+    that h +- eh gives (_x_bounds), an unbounded one's at +-inf, and a
+    piece along an axis keeps its anchor's coordinate there.  Rounding is
+    monotone and a bound lo <= x never passes fl(x), so pieces whose
+    true spans overlap keep overlapping boxes at any scale (_filter).
     """
-    _, first, line = np.unique(np.array([p[8] for p in pieces], dtype=np.int64),
-                               return_index=True, return_inverse=True)
-    dirs = []
-    for k in first.tolist():
-        g = gcd(pieces[k][2], pieces[k][3])
-        dx, dy = pieces[k][2] // g, pieces[k][3] // g
-        dirs.append((dx, dy) if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy))
-    ids = {}
-    anchor = np.array([ids.setdefault((p[0], p[1]), len(ids)) for p in pieces], dtype=np.int64)
-    far = -1 - np.arange(len(pieces), dtype=np.int64)
-    for k, (ax, ay, dx, dy, hin, hid, strict, *_) in enumerate(pieces):
-        if strict:
-            X, Y = ax * hid + hin * dx, ay * hid + hin * dy
-            g = gcd(X, Y, hid)
-            key = (X // g, Y // g) if hid == g else (X // g, Y // g, hid // g)
-            far[k] = ids.setdefault(key, len(ids))
-    return _class_ids(dirs)[line], anchor, far
+    gx, gy = _floats([x for x, _ in ints]), _floats([y for _, y in ints])
+    keys = [rec[:2] for rec in lines]
+    turns = np.cumsum([0] + [a != b for a, b in zip(keys, keys[1:])])
+    sign = np.where(kind == 0, -1.0, 1.0)
+    x0, y0 = gx[anchor], gy[anchor]
+    dx = sign * _floats([ux for ux, _ in keys])[line]
+    dy = sign * _floats([uy for _, uy in keys])[line]
+    gap = far >= 0
+    unbounded = (end < 0) & ~gap
+    boxes = []
+    for c0, d, g in ((x0, dx, gx), (y0, dy, gy)):
+        lo, hi = (np.where(d == 0, c0, np.where(gap, g[far],
+                                                np.where(unbounded, np.copysign(inf, d), e)))
+                  for e in _x_bounds(c0, d, h, eh))
+        boxes += [np.minimum(c0, lo), np.maximum(c0, hi)]
+    return _Columns(anchor, far, line, kind, end, blocked, h, eh, unbounded, turns[line],
+                    x0, y0, dx, dy, *boxes)
+
+
+class _Pieces:
+    """The pieces of an analysis: their _Columns, and each piece's tuple
+    (the layout above) built from them on its first read and kept, so
+    that a piece no exact test reads is never built."""
+
+    __slots__ = ("columns", "_ints", "_lines", "_halfplanes", "_built")
+
+    def __init__(self, columns: _Columns, ints, lines, halfplanes):
+        self.columns = columns
+        self._ints = ints
+        self._lines = lines
+        self._halfplanes = halfplanes
+        self._built = [None] * len(columns.anchor)
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, k):
+        p = self._built[k]
+        if p is None:
+            p = self._built[k] = self._build(int(k))
+        return p
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self._built)))
+
+    def _build(self, k):
+        c = self.columns
+        ax, ay = self._ints[c.anchor[k]]
+        line, blocked, far, end = (int(col[k]) for col in (c.line, c.blocked, c.far, c.end))
+        dx, dy = self._lines[line][:2]
+        if c.kind[k] == 0:
+            dx, dy = -dx, -dy
+        if far >= 0:
+            # the next member lies a whole number of steps (dx, dy) on
+            fx, fy = self._ints[far]
+            return (ax, ay, dx, dy, (fx - ax) // dx if dx else (fy - ay) // dy, 1, True,
+                    blocked, line)
+        if end < 0:
+            return (ax, ay, dx, dy, None, None, False, blocked, line)
+        return (ax, ay, dx, dy, *_exit(ax, ay, dx, dy, self._halfplanes[end]), False, blocked,
+                line)
+
+    def take(self, rows, line=None, lines=None) -> "_Pieces":
+        """The pieces at the index array rows, in that order, none built:
+        with line ids line into the records lines where given."""
+        columns = self.columns.take(rows)
+        return _Pieces(columns if line is None else columns._replace(line=line), self._ints,
+                       self._lines if lines is None else lines, self._halfplanes)
 
 
 # pairs of one chunk of the pair scan's sweep: 64 KiB per int64 index
@@ -477,34 +539,38 @@ def _x_overlaps(lox, hix):
         a, done = b, total[b - 1]
 
 
-def _pair_scan(pieces, boxes):
+def _pair_scan(pieces, columns: _Columns):
     """(I, J, T, E, V, EV): every crossing (I[k], J[k]) of pieces from
     distinct lines, as index arrays in increasing (i, j) order, with T[k]
     the float parameter of the crossing on piece I[k], |t - T[k]| <= E[k],
-    and V[k] its parameter on piece J[k], |v - V[k]| <= EV[k]; boxes is
-    _piece_boxes(pieces).
+    and V[k] its parameter on piece J[k], |v - V[k]| <= EV[k]; columns
+    are the pieces' _Columns.
 
     One path at every size and scale, over the pairs whose x-spans
     overlap, from the sweep of _x_overlaps in chunks of bounded size.
-    The float boxes of _piece_boxes must overlap in y too, and the exact
-    class tests of _end_classes drop parallel pieces and pieces with an
-    open end at one point.  Each pair left, as i < j, is a certain hit, a
-    certain miss, or unsure by the float bounds of un, vn, D (_sum_bound)
-    and un/D, vn/D (_quotient_bound); only the unsure pairs go to
-    _confirm.  No test drops a crossing or keeps a miss, so the hits are
-    those of the plain loop of _confirm over all pairs, and one lexsort
-    puts them in its order.  A hit that _confirm settles gets T and V,
-    its correctly rounded exact parameters, and E and EV their
-    _rounding_bound.  The far ends' parameters h come from the boxes'
-    columns too.
+    The float boxes must overlap in y too, and exact class tests drop
+    parallel pieces (equal direction, D = 0) and pieces with an open end
+    at one point: an anchor, or the open far end of a gap, is a guard,
+    and every other far end counts as a point of its own.  Two pieces
+    with an open end at one point lie on distinct lines through it (or
+    are parallel), which meet only there, where neither piece is.  Each
+    pair left, as i < j, is a certain hit, a certain miss, or unsure by
+    the float bounds of un, vn, D (_sum_bound) and un/D, vn/D
+    (_quotient_bound) against the far ends' h +- eh; only the unsure
+    pairs go to _confirm, which reads their exact pieces.  No test drops
+    a crossing or keeps a miss, so the hits are those of the plain loop
+    of _confirm over all pairs, and one lexsort puts them in its order.
+    A hit that _confirm settles gets T and V, its correctly rounded exact
+    parameters, and E and EV their _rounding_bound.
     """
-    x0, y0, dx, dy, lox, hix, loy, hiy, h, unbounded = boxes
-    direction, anchor, far = _end_classes(pieces)
-    # float bounds on each far end's parameter; an unbounded piece never
-    # ends, and a bounded one past the float range has none (NaN)
-    eh = np.where(unbounded, 0.0, _rounding_bound(h))
+    x0, y0, dx, dy = columns.x0, columns.y0, columns.dx, columns.dy
+    lox, hix, loy, hiy = columns.lox, columns.hix, columns.loy, columns.hiy
+    direction, anchor = columns.direction, columns.anchor
+    far = np.where(columns.far >= 0, columns.far, -1 - np.arange(len(anchor)))
+    # an unbounded piece never ends (eh = 0), and a bounded one past the
+    # float range has no bound (NaN)
     with np.errstate(invalid="ignore"):
-        hlo, hhi = h - eh, h + eh
+        hlo, hhi = columns.h - columns.eh, columns.h + columns.eh
     mx, my, mdx, mdy = np.abs(x0), np.abs(y0), np.abs(dx), np.abs(dy)
     none = np.empty(0, dtype=np.int64)
     out = [(none, none) + (np.empty(0),) * 4]
@@ -572,13 +638,13 @@ def _crossing_key(pieces, i, j):
     return _point_key(pieces[i], un, D)
 
 
-def _crossing_table(pieces, boxes, blocked):
+def _crossing_table(pieces, columns: _Columns):
     """(I, J, XL, XU, total, count): one entry per crossing point of
     pieces from distinct lines, in the order of its first hit in the
     (i, j) order of _pair_scan, with (I, J) that first hit, XL and XU
     float bounds on its x, total the sum of the blocked counts of the
-    pieces through it, and count their number; boxes is
-    _piece_boxes(pieces) and blocked the pieces' blocked counts.
+    pieces through it, and count their number; columns are the pieces'
+    _Columns.
 
     A crossing is never a guard position, so each line dark there has one
     piece through it, every two of those pieces cross there, and its
@@ -593,9 +659,10 @@ def _crossing_table(pieces, boxes, blocked):
     in row j, and are skipped there.  Two pieces cross at most once, so a
     mark names one point.
     """
-    I, J, T, E, _, _ = _pair_scan(pieces, boxes)
+    I, J, T, E, _, _ = _pair_scan(pieces, columns)
     n = len(I)
     R = len(pieces)
+    blocked = columns.blocked
     order, cluster = _clusters(I, *_interval(T, E))
     group = np.empty(n, dtype=np.int64)
     group[order] = cluster
@@ -618,7 +685,7 @@ def _crossing_table(pieces, boxes, blocked):
     o = np.argsort(first)
     first = first[o]
     I, J = I[first], J[first]
-    XL, XU = _x_bounds(boxes[0][I], boxes[2][I], T[first], E[first])
+    XL, XU = _x_bounds(columns.x0[I], columns.dx[I], T[first], E[first])
     return I, J, XL, XU, total[o], count[o]
 
 
@@ -654,21 +721,29 @@ def _piece_point(piece, lo=(0, 1), hi=None):
 
 
 def _clip_lines(starts, dirs, halfplanes):
-    """[_clip(x, y, 1, dx, dy, halfplanes) for (x, y), (dx, dy)] over the
-    lines through the integer points starts along dirs, every point in
-    the region, so that no clip is empty.
+    """(ends, T, E, clipped) of the lines through the integer points
+    starts along dirs, every point in the region, so that no clip is
+    empty: ends[0][l] and ends[1][l] are the halfplanes that set line l's
+    lower and upper bound on t, the j of _clip(x, y, 1, dx, dy,
+    halfplanes), or -1 where none does; T +- E bounds each end's
+    parameter r/rate; clipped marks the lines that went to _clip, whose
+    T are their ends correctly rounded.
 
     A line whose rates all have a certain sign gets float bounds T +- E
     on each bound r/rate (_quotient_bound).  An end's candidates are the
     halfplanes whose interval reaches the tightest certain bound; the
     true end is among them.  Where each end has at most one, it is the
-    only halfplane setting that end, and its exact (r, rate) is computed
-    alone.  A line with a rate of unsure sign, an end with two or more
-    candidates (the line through a vertex, or any near tie) or a value
-    that is not finite goes to _clip whole.
+    only halfplane setting that end, the one _clip names.  A line with a
+    rate of unsure sign, an end with two or more candidates (the line
+    through a vertex, or any near tie) or a value that is not finite
+    goes to _clip, which names the first of tied halfplanes.
     """
-    if not halfplanes or not starts:
-        return [(None, None)] * len(starts)  # the whole plane bounds nothing
+    L = len(starts)
+    ends = np.full((2, L), -1, dtype=np.int64)
+    bound = np.full((2, L), inf)
+    err = np.zeros((2, L))
+    if not halfplanes or not L:
+        return ends, bound, err, np.zeros(L, dtype=bool)  # the whole plane bounds nothing
     a, b, c = (_floats(col) for col in zip(*halfplanes))
     x, y = (_floats(col)[:, None] for col in zip(*starts))
     dx, dy = (_floats(col)[:, None] for col in zip(*dirs))
@@ -685,28 +760,47 @@ def _clip_lines(starts, dirs, halfplanes):
         E = _quotient_bound(T, er, erate, np.where(signed, np.abs(rate) - erate, 1.0))
         lo_top = np.where(pos, T - E, -inf).max(axis=1)
         hi_top = np.where(neg, T + E, inf).min(axis=1)
-        lo_cand = pos & (T + E >= lo_top[:, None])
-        hi_cand = neg & (T - E <= hi_top[:, None])
+        cands = (pos & (T + E >= lo_top[:, None]), neg & (T - E <= hi_top[:, None]))
         sure = (signed | ((rate == 0) & (erate == 0))).all(axis=1)
         finite = (np.isfinite(r) & np.isfinite(E)).all(axis=1)
-    exact = sure & finite & (lo_cand.sum(axis=1) <= 1) & (hi_cand.sum(axis=1) <= 1)
-    lo_j = np.where(lo_cand.any(axis=1), lo_cand.argmax(axis=1), -1)
-    hi_j = np.where(hi_cand.any(axis=1), hi_cand.argmax(axis=1), -1)
-    out = []
-    for (X, Y), (DX, DY), ok, jl, jh in zip(starts, dirs, exact.tolist(), lo_j.tolist(),
-                                            hi_j.tolist()):
-        if not ok:
-            out.append(_clip(X, Y, 1, DX, DY, halfplanes))
-            continue
-        ends = []
-        for j, s in ((jl, 1), (jh, -1)):
-            if j < 0:
-                ends.append(None)
+    clipped = ~(sure & finite & (cands[0].sum(axis=1) <= 1) & (cands[1].sum(axis=1) <= 1))
+    rows = np.arange(L)
+    for s, cand in enumerate(cands):
+        j = cand.argmax(axis=1)
+        ends[s] = np.where(cand.any(axis=1), j, -1)
+        bound[s] = np.where(ends[s] < 0, inf, T[rows, j])
+        err[s] = np.where(ends[s] < 0, 0.0, E[rows, j])
+    for l in np.nonzero(clipped)[0].tolist():
+        (X, Y), (DX, DY) = starts[l], dirs[l]
+        for s, end in enumerate(_clip(X, Y, 1, DX, DY, halfplanes)):
+            if end is None:
+                ends[s, l], bound[s, l], err[s, l] = -1, inf, 0.0
             else:
-                A, B, C = halfplanes[j]
-                ends.append((s * (C - A * X - B * Y), s * (A * DX + B * DY), j))
-        out.append(tuple(ends))
-    return out
+                ends[s, l] = end[2]
+                bound[s, l] = _nearest(end[0], end[1])
+                err[s, l] = _rounding_bound(bound[s, l])
+    return ends, bound, err, clipped
+
+
+def _sides(ints, halfplanes):
+    """[guard][halfplane]: the exact sign of a*x + b*y - c at each
+    integer point (x, y) of ints, for each halfplane a*x + b*y >= c: -1
+    outside it, 0 on its line, 1 strictly inside.  Decided in floats,
+    where the sum's bound (_sum_bound) settles it, and in integers
+    elsewhere."""
+    a, b, c = (_floats(col)[None, :] for col in zip(*halfplanes)) if halfplanes else (
+        np.empty((1, 0)),) * 3
+    x, y = (_floats(col)[:, None] for col in zip(*ints))
+    with np.errstate(over="ignore", invalid="ignore"):
+        qa, qb = a * x, b * y
+        v = qa + qb - c
+        e = _sum_bound(np.abs(qa) + np.abs(qb) + np.abs(c))
+        pos, neg = _signs(v, e)
+    sign = pos.astype(np.int8) - neg
+    for g, j in zip(*(k.tolist() for k in np.nonzero(~(pos | neg) & (e != 0)))):
+        (X, Y), (A, B, C) = ints[g], halfplanes[j]
+        sign[g, j] = (A * X + B * Y > C) - (A * X + B * Y < C)
+    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +816,12 @@ class _Analysis:
     parameter interval starts open at 0.  hin is None where the region
     leaves the piece unbounded (wedges, or region None: the whole plane,
     where the unbounded pieces are exactly the dark rays).  Only pieces
-    blocking >= 1 guard are kept.  Beyond the pieces it holds what the
-    certificates read: the pieces' float columns, the crossing table,
-    the guard points' darkness, the darkest point and the rescan of a
-    witness.  It keeps the guards
+    blocking >= 1 guard are kept.  The pieces are built as columns, with
+    no loop over pieces (_Pieces), and each tuple only when read.  Beyond
+    them it holds what the certificates read: the pieces' float columns
+    (columns()), the crossing table, the lines of >= 3 members (the only
+    ones with gaps, and the only ones that darken a guard point), the
+    darkest point and the rescan of a witness.  It keeps the guards
     tuple, not the GuardSet that holds it: a reference cycle would wait
     for the cyclic collector.
     """
@@ -736,36 +832,62 @@ class _Analysis:
         self.frame = _Frame(region, gset.guards)
         ints = self.frame.ints
         self.halfplanes = _halfplanes(region, self.frame.walls)
-        for g, (x, y) in zip(gset.guards, ints):
-            if self.outside(x, y, 1):
+        sides = _sides(ints, self.halfplanes)
+        for g, out in zip(gset.guards, (sides < 0).any(axis=1).tolist()):
+            if out:
                 raise ValueError("guard %r lies outside the region" % (g,))
-        self.lines = _group_collinear(ints)
-        self._columns = None
+        self.lines = lines = _group_collinear(ints)
         self._crossings = None
         self._darkest = None
 
-        # the whole of each line in the region, from its first member: the
-        # guards lie in the region, so lo <= 0 <= t_last <= hi, and each
-        # dark ray runs from its extreme member to that end
-        clips = _clip_lines([ints[rec[3][0][1]] for rec in self.lines],
-                            [rec[:2] for rec in self.lines], self.halfplanes)
-        pieces = []
-        for line_id, ((ux, uy, c, members), (lo, hi)) in enumerate(zip(self.lines, clips)):
-            m = len(members)
-            (fx, fy), (lx, ly) = ints[members[0][1]], ints[members[-1][1]]
-            t_last = members[-1][0]
-            rays = [(fx, fy, -ux, -uy, (None, None) if lo is None else (-lo[0], lo[1])),
-                    (lx, ly, ux, uy, (None, None) if hi is None else (hi[0] - t_last * hi[1], hi[1]))]
-            for ax, ay, dx, dy, (hin, hid) in rays:
-                if hin != 0:  # else the region ends at the anchoring guard
-                    pieces.append((ax, ay, dx, dy, hin, hid, False, m - 1, line_id))
-            if m >= 3:
-                # a gap between members is open at both guards, which lie
-                # in the convex region, so it needs no clip
-                for (t0, i0), (t1, _) in zip(members, members[1:]):
-                    ax, ay = ints[i0]
-                    pieces.append((ax, ay, ux, uy, t1 - t0, 1, True, m - 2, line_id))
-        self.pieces = pieces
+        # the whole of each line l in the region, from its first member:
+        # the guards lie in the region, so lo <= 0 <= t_last <= hi.  Its
+        # dark rays run from the first member back to lo, h = -lo, and
+        # from the last on to hi, h = hi - t_last: rays 2l and 2l + 1
+        first, last, t_last, size = list(zip(*[(rec[3][0][1], rec[3][-1][1], rec[3][-1][0],
+                                                len(rec[3])) for rec in lines])) or [()] * 4
+        L = len(lines)
+        ends, T, E, clipped = _clip_lines([ints[i] for i in first], [rec[:2] for rec in lines],
+                                          self.halfplanes)
+        F = np.zeros((2, L))
+        F[1] = _floats(t_last)
+        h, eh = (c.T.ravel() for c in _shifted(T * np.array([[-1.0], [1.0]]), E, F))
+        anchor = np.array([first, last], dtype=np.int64).T.ravel()
+        end = ends.T.ravel()
+        line = np.repeat(np.arange(L), 2)
+        kind = np.tile(np.arange(2), L)
+        unbounded = end < 0
+        h[unbounded], eh[unbounded] = inf, 0.0
+        # the far ends of the rays of lines that _clip settled, exactly
+        for k in np.nonzero(clipped[line] & ~unbounded)[0].tolist():
+            ux, uy = lines[k // 2][:2]
+            ax, ay = ints[anchor[k]]
+            hin, hid = _exit(ax, ay, ux if k % 2 else -ux, uy if k % 2 else -uy,
+                             self.halfplanes[end[k]])
+            h[k] = _nearest(hin, hid)
+            eh[k] = _rounding_bound(h[k])
+        # a ray whose anchor lies on the line of the halfplane that ends it
+        # is empty: the region ends at the anchoring guard
+        keep = unbounded.copy()
+        keep[~unbounded] = sides[anchor[~unbounded], end[~unbounded]] != 0
+        blocked = np.repeat(np.array(size, dtype=np.int64) - 1, 2)
+
+        # a gap between members is open at both guards, which lie in the
+        # convex region, so it needs no clip; only lines of >= 3 members
+        # have gaps (and darken their members' points: guard_darkness)
+        self._long = [l for l, m in enumerate(size) if m >= 3]
+        gaps = [(i0, i1, l, t1 - t0, size[l] - 2) for l in self._long
+                for (t0, i0), (t1, i1) in zip(lines[l][3], lines[l][3][1:])]
+        ga, gf, gl, gt, gb = (list(c) for c in zip(*gaps)) if gaps else ([],) * 5
+        gh = _floats(gt)
+        cols = [np.concatenate((c[keep], np.array(g, dtype=c.dtype))) for c, g in (
+            (anchor, ga), (np.full(2 * L, -1, dtype=np.int64), gf), (line, gl),
+            (kind, [2] * len(gaps)), (end, [-1] * len(gaps)), (blocked, gb), (h, gh),
+            (eh, _rounding_bound(gh)))]
+        # each line's rays, then its gaps, line by line
+        order = np.argsort(cols[2], kind="stable")
+        self.pieces = _Pieces(_piece_columns(ints, lines, *(c[order] for c in cols)), ints, lines,
+                              self.halfplanes)
 
     def outside(self, X: int, Y: int, W: int) -> bool:
         """The point (X/W, Y/W), W > 0, of the frame lies outside the
@@ -808,15 +930,11 @@ class _Analysis:
                 contributions.append((line_id, cnt))
         return total, contributions
 
-    def columns(self):
-        """(boxes, blocked): _piece_boxes of the pieces and their blocked
-        counts (int64), one column per piece.  Built once, for the pair
-        scan and the candidates of darkest alike; callers must not change
-        them."""
-        if self._columns is None:
-            self._columns = (_piece_boxes(self.pieces),
-                             np.array([p[7] for p in self.pieces], dtype=np.int64))
-        return self._columns
+    def columns(self) -> _Columns:
+        """The _Columns of the pieces, for the pair scan, the candidates
+        of darkest and the sampler alike; callers must not change them.
+        Reading them builds no piece."""
+        return self.pieces.columns
 
     # -- pairwise crossings of pieces ------------------------------------
     def crossings(self):
@@ -832,7 +950,7 @@ class _Analysis:
         reported or compared exactly.
         """
         if self._crossings is None:
-            self._crossings = _crossing_table(self.pieces, *self.columns())
+            self._crossings = _crossing_table(self.pieces, self.columns())
         return self._crossings
 
     # -- candidate enumeration -------------------------------------------
@@ -844,10 +962,12 @@ class _Analysis:
         crossing is never a guard position.  A guard point lies on exactly
         the lines it is a member of, and on each it is dark to every
         member but its nearest neighbour on either side:
-        darkness_at_scaled's count at a member.
+        darkness_at_scaled's count at a member.  A line of two members
+        darkens neither, so only the lines of >= 3 are read.
         """
         dark = [0] * len(self.guards)
-        for _, _, _, members in self.lines:
+        for line_id in self._long:
+            members = self.lines[line_id][3]
             last = len(members) - 1
             for k, (_, i) in enumerate(members):
                 dark[i] += last - (k > 0) - (k < last)
@@ -879,24 +999,28 @@ class _Analysis:
         certificate does not depend on guard ordering.  Every candidate
         has float bounds on its x (_x_bounds), and _leftmost builds exact
         points only for those that may have the least x.  The top pieces,
-        their parameters T = h/2 (or 1), anchors x0 and directions fdx
-        are read from the columns; on a 4n-2 placement every piece is a
-        top piece.
+        their parameters T +- E, the _midpoint of 0 and h +- eh (or 1),
+        anchors x0 and directions dx are read from the columns, and only
+        the pieces that may be leftmost are built; on a 4n-2 placement
+        every piece is a top piece.
         """
         if self._darkest is None:
             I, J, XL, XU, total, _ = self.crossings()
-            (x0, _, fdx, _, _, _, _, _, h, unbounded), blocked = self.columns()
+            cols = self.columns()
             dark = self.guard_darkness()
-            top = max(int(total.max(initial=0)), int(blocked.max(initial=0)), *dark)
+            top = max(int(total.max(initial=0)), int(cols.blocked.max(initial=0)), *dark)
             at = np.nonzero(total == top)[0].tolist()
             guards = [xy for d, xy in zip(dark, self.frame.ints) if d == top]
-            tops = np.nonzero(blocked == top)[0]
-            # a guard is exact at T = 0 on no direction; a piece's point
-            # is at the correctly rounded half of hin/hid, or 1
+            tops = np.nonzero(cols.blocked == top)[0]
+            # a guard is exact at T = 0 on no direction; a piece's point is
+            # at half its far parameter, or at 1 = 2/2 where it has none
             zero = np.zeros(len(guards))
-            T = np.concatenate((zero, np.where(unbounded[tops], 1.0, h[tops] / 2)))
-            lo, hi = _x_bounds(np.concatenate((_floats([x for x, _ in guards]), x0[tops])),
-                               np.concatenate((zero, fdx[tops])), T, _rounding_bound(T))
+            T, E = _midpoint(0.0, 0.0,
+                             np.concatenate((zero, np.where(cols.unbounded[tops], 2.0,
+                                                            cols.h[tops]))),
+                             np.concatenate((zero, cols.eh[tops])))
+            lo, hi = _x_bounds(np.concatenate((_floats([x for x, _ in guards]), cols.x0[tops])),
+                               np.concatenate((zero, cols.dx[tops])), T, E)
             lo = np.concatenate((XL[at], lo))
             hi = np.concatenate((XU[at], hi))
 
@@ -912,13 +1036,6 @@ class _Analysis:
 
             self._darkest = _leftmost(lo, hi, key)[1]
         return self._darkest
-
-
-def _rows(columns, rows):
-    """The columns of _Analysis.columns at the pieces rows, in order: the
-    columns a fresh build would give those pieces."""
-    boxes, blocked = columns
-    return tuple(c[rows] for c in boxes), blocked[rows]
 
 
 def _analysis(region: Region, gset: GuardSet) -> _Analysis:
@@ -942,8 +1059,8 @@ def _prefix(region: Region, full: GuardSet, g: int) -> GuardSet:
     g, in full's order (that of the (ux, uy, c) sort, which guard
     numbering does not change); its pieces are theirs, renumbered; it has
     no crossings either, so it shares full's empty table; its columns are
-    full's at its pieces; and its frame is full's with the first g
-    points.  Otherwise the prefix gets a fresh analysis.
+    full's at its pieces, none of them built; and its frame is full's
+    with the first g points.  Otherwise the prefix gets a fresh analysis.
     """
     prefix = GuardSet(full.guards[:g])
     parent = full._analysis
@@ -951,21 +1068,20 @@ def _prefix(region: Region, full: GuardSet, g: int) -> GuardSet:
             or any(len(rec[3]) != 2 for rec in parent.lines) or len(parent.crossings()[0])):
         analysis = _Analysis(region, prefix)
     else:
-        ids = {}
-        lines = []
-        for line_id, rec in enumerate(parent.lines):
-            if rec[3][0][1] < g and rec[3][1][1] < g:
-                ids[line_id] = len(lines)
-                lines.append(rec)
+        kept = np.array([rec[3][0][1] < g and rec[3][1][1] < g for rec in parent.lines],
+                        dtype=bool)
+        lines = [rec for rec, k in zip(parent.lines, kept.tolist()) if k]
+        line = parent.columns().line
+        rows = np.nonzero(kept[line])[0]
+        ids = (np.cumsum(kept) - 1)[line[rows]]
         analysis = _Analysis.__new__(_Analysis)
         analysis.region = region
         analysis.guards = prefix.guards
         analysis.frame = parent.frame.prefix(g)
         analysis.halfplanes = parent.halfplanes
         analysis.lines = lines
-        rows = [k for k, p in enumerate(parent.pieces) if p[8] in ids]
-        analysis.pieces = [parent.pieces[k][:8] + (ids[parent.pieces[k][8]],) for k in rows]
-        analysis._columns = _rows(parent.columns(), np.array(rows, dtype=np.int64))
+        analysis.pieces = parent.pieces.take(rows, ids, lines)
+        analysis._long = []
         analysis._crossings = parent.crossings()
         analysis._darkest = None
     object.__setattr__(prefix, "_analysis", analysis)
@@ -1014,9 +1130,9 @@ def has_j_dark(region: Region, guards, j: int):
     analysis = _analysis(region, GuardSet.coerce(guards))
 
     # pieces whose own blocked count already reaches j
-    for piece in analysis.pieces:
-        if piece[7] >= j:
-            return True, analysis.witness_from(*_piece_point(piece))
+    at = np.nonzero(analysis.columns().blocked >= j)[0]
+    if len(at):
+        return True, analysis.witness_from(*_piece_point(analysis.pieces[at[0]]))
 
     # guard positions (3+ collinear guards darken the middle ones' spots),
     # then the crossings where darkness stacks up
@@ -1045,10 +1161,9 @@ def find_concurrent_dark_rays(guards):
     the count of a crossing of the rays is its number of lines.
     """
     analysis = _Analysis(None, GuardSet.coerce(guards))
-    columns = analysis.columns()
-    rows = np.nonzero(columns[0][9])[0]  # the unbounded pieces: the dark rays
-    rays = [analysis.pieces[k] for k in rows.tolist()]
-    I, J, XL, XU, _, count = _crossing_table(rays, *_rows(columns, rows))
+    rows = np.nonzero(analysis.columns().unbounded)[0]  # the dark rays
+    rays = analysis.pieces.take(rows)
+    I, J, XL, XU, _, count = _crossing_table(rays, rays.columns)
     at = np.nonzero(count >= 3)[0]
     if not len(at):
         return None
@@ -1089,10 +1204,10 @@ def boundary_census(polygon: ConvexPolygon, guards) -> BoundaryCensus:
     ints = analysis.frame.ints
     walls = analysis.frame.walls
     n = len(walls)
-    on_edge = [sum(a * x + b * y == c for x, y in ints) for a, b, c in analysis.halfplanes]
+    on = _sides(ints, analysis.halfplanes) == 0
+    on_edge = on.sum(axis=0).tolist()
     reasons = ["guard %r is not on the boundary" % (g,)
-               for g, (x, y) in zip(gset.guards, ints)
-               if all(a * x + b * y != c for a, b, c in analysis.halfplanes)]
+               for g, edge in zip(gset.guards, on.any(axis=1).tolist()) if not edge]
     guarded = set(ints)
     at_vertex = [w in guarded for w in walls]
 

@@ -99,13 +99,12 @@ from ._filter import (
     _midpoint,
     _nearest,
     _quotients,
-    _rounding_bound,
     _scaled,
     _signs,
     _sorted_exact,
     _sorted_intervals,
 )
-from .darkness import GuardSet, _Analysis, _confirm, _pair_scan, _piece_boxes, _piece_point
+from .darkness import GuardSet, _Analysis, _confirm, _pair_scan, _piece_point
 from .geometry import (
     ConvexPolygon,
     Point2,
@@ -198,19 +197,22 @@ class _Samples:
     @classmethod
     def join(cls, parts) -> "_Samples":
         """The samples of parts, one after another, on one store: the
-        parts' stores one after another, with the points built so far,
-        and each part's indices offset by its store's start.  At most one
-        part is built on the lines of an analysis; the others' member
+        stores of their distinct batches one after another, each once
+        however many views of it the parts hold, with the points built so
+        far, and each part's indices offset by its store's start.  At most
+        one part is built on the lines of an analysis; the others' member
         table has the one row of False, and the join keeps the largest."""
-        starts = list(accumulate([0] + [len(part._pts) for part in parts]))
-        makes = [part._make for part in parts]
+        batches = list({id(part._pts): part for part in parts}.values())  # views share _make
+        starts = list(accumulate([0] + [len(part._pts) for part in batches]))
+        start = {id(part._pts): s for part, s in zip(batches, starts)}
+        makes = [part._make for part in batches]
 
         def make(j):
             i = bisect_right(starts, j) - 1
             return makes[i](j - starts[i])
 
-        return cls(np.concatenate([part._pts for part in parts]), make,
-                   np.concatenate([part._index + start for part, start in zip(parts, starts)]),
+        return cls(np.concatenate([part._pts for part in batches]), make,
+                   np.concatenate([part._index + start[id(part._pts)] for part in parts]),
                    *(np.hstack([getattr(part, name) for part in parts])
                      for name in ("px", "py", "err", "lines", "clear")),
                    max((part.member for part in parts), key=len))
@@ -606,13 +608,16 @@ def _candidates(frame: _Frame, analysis: _Analysis) -> _Samples:
     crossing from one exact confirmation of its hit, a sub-piece point
     from its bounds.  The guard points are built at once.  Each sample
     keeps the lines of its pieces and their clear guards: the anchors,
-    and on a gap the next member too (_line_verdicts).
+    and on a gap the next member too (_line_verdicts).  All of this reads
+    the analysis's columns (anchor, far and line guards, float anchors
+    and directions, far parameters h +- eh); a piece's exact tuple is
+    built only where a point or a cut near its far end is read.
     """
     pieces = analysis.pieces
     R = len(pieces)
-    boxes = _piece_boxes(pieces)
-    x0, y0, fdx, fdy, _, _, _, _, h, unbounded = boxes
-    I, J, T, E, V, EV = _pair_scan(pieces, boxes)
+    cols = analysis.columns()
+    x0, y0, fdx, fdy, h, unbounded = cols.x0, cols.y0, cols.dx, cols.dy, cols.h, cols.unbounded
+    I, J, T, E, V, EV = _pair_scan(pieces, cols)
     H = len(I)
     hits = {}
 
@@ -634,7 +639,7 @@ def _candidates(frame: _Frame, analysis: _Analysis) -> _Samples:
     ce = np.concatenate((E, EV))
     lo, hi = _interval(ct, ce)
     keep = np.ones(2 * H, dtype=bool)
-    end = _interval(h, _rounding_bound(h))[0]
+    end = _interval(h, cols.eh)[0]
     for c in np.nonzero(~unbounded[cp] & ~(hi < end[cp]))[0].tolist():
         (n, d), p = cut(c), pieces[cp[c]]
         keep[c] = n * p[5] < p[4] * d
@@ -673,7 +678,7 @@ def _candidates(frame: _Frame, analysis: _Analysis) -> _Samples:
     LT[right + 1] = ct[dist]
     LE[right + 1] = ce[dist]
     RT = h[mp]
-    RE = _rounding_bound(RT)
+    RE = cols.eh[mp]
     RT[right] = ct[dist]
     RE[right] = ce[dist]
     Tm, Em = _midpoint(LT, LE, RT, RE)
@@ -715,12 +720,8 @@ def _candidates(frame: _Frame, analysis: _Analysis) -> _Samples:
         px[bad], py[bad] = _columns(frame, exact)
         err[bad] = 0.0
 
-    index = {xy: k for k, xy in enumerate(ints)}
-    anchor = np.array([index[p[:2]] for p in pieces], dtype=np.int64)
-    # a gap's far end is the next member, at the integer parameter hin
-    nxt = np.array([index[p[0] + p[4] * p[2], p[1] + p[4] * p[3]] if p[6] else -1
-                    for p in pieces], dtype=np.int64)
-    line = np.array([p[8] for p in pieces], dtype=np.int64)
+    # a gap's far end is its next member, clear along the line too
+    anchor, nxt, line = cols.anchor, cols.far, cols.line
     n = H + G + M
     lines = np.full((2, n), -1, dtype=np.int64)
     clear = np.full((4, n), -1, dtype=np.int64)

@@ -35,7 +35,11 @@ per guard pair; the library now groups per guard.  pair_hits,
 sub_piece_points and candidates_oracle are the sampler's former walk:
 every hit of the pair scan confirmed, every piece's cuts sorted exactly
 and cut into exact midpoints; the library now reads the scan's float
-parameters and builds a point only where it is read.
+parameters and builds a point only where it is read.  piece_columns
+is the library's former _piece_boxes and _end_classes, one loop over the
+piece tuples, and clip_lines_ends the former exact loop of _clip_lines;
+the library now builds the columns from guard indices and the clip
+pass's float parameters, and a piece's tuple only where it is read.
 Slow on purpose; exact everywhere.
 """
 
@@ -44,7 +48,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import groupby
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,17 +63,19 @@ from darkgallery.construct import (
     _Infeasible,
     zigzag,
 )
+from darkgallery._filter import _floats, _nearest, _rounding_bound
 from darkgallery.darkness import (
     BoundaryCensus,
     DarknessWitness,
     GuardSet,
     _Analysis,
+    _clip_lines,
+    _Columns,
     _confirm,
     _crossing_key,
     _group_collinear,
     _guard_lines,
     _pair_scan,
-    _piece_boxes,
     _piece_point,
     _point_key,
     has_j_dark,
@@ -523,12 +529,108 @@ def pair_hits_oracle(pieces):
                 yield (i, j) + hit
 
 
+def piece_columns(pieces):
+    """The _Columns of pieces given as tuples, by the library's former
+    builders (_piece_boxes and _end_classes), one Python loop over the
+    pieces: every float is correctly rounded from the exact tuple, each
+    far end's h too, with eh its _rounding_bound (0 where there is none),
+    and each box ends at the correctly rounded far end.  Anchors and open
+    far ends share one numbering of their points (-1: no open far end),
+    and parallel pieces one number of their primitive direction up to
+    sign."""
+    R = len(pieces)
+    x0, y0, fdx, fdy = (_floats([p[c] for p in pieces]) for c in range(4))
+    x1 = np.where(fdx == 0, x0, np.copysign(inf, fdx))
+    y1 = np.where(fdy == 0, y0, np.copysign(inf, fdy))
+    h = np.full(R, inf)
+    unbounded = np.ones(R, dtype=bool)
+    points, dirs = {}, {}
+    anchor, far, direction = [], [], []
+    for k, (ax, ay, dx, dy, hin, hid, strict, *_) in enumerate(pieces):
+        if hin is not None:
+            x1[k] = _nearest(ax * hid + dx * hin, hid)
+            y1[k] = _nearest(ay * hid + dy * hin, hid)
+            h[k] = _nearest(hin, hid)
+            unbounded[k] = False
+        g = gcd(dx, dy)
+        ux, uy = dx // g, dy // g
+        direction.append(dirs.setdefault((ux, uy) if ux > 0 or (ux == 0 and uy > 0)
+                                         else (-ux, -uy), len(dirs)))
+        anchor.append(points.setdefault((ax, ay, 1), len(points)))
+        far.append(-1)
+        if strict:
+            X, Y = ax * hid + hin * dx, ay * hid + hin * dy
+            g = gcd(X, Y, hid)
+            far[-1] = points.setdefault((X // g, Y // g, hid // g), len(points))
+    none = [-1] * R  # kind and end, which only the analysis's tuple builder reads
+    ints = [np.array(c, dtype=np.int64) for c in (anchor, far, [p[8] for p in pieces], none,
+                                                 none, [p[7] for p in pieces], direction)]
+    return _Columns(*ints[:6], h, np.where(unbounded, 0.0, _rounding_bound(h)), unbounded,
+                    ints[6], x0, y0, fdx, fdy, np.minimum(x0, x1), np.maximum(x0, x1),
+                    np.minimum(y0, y1), np.maximum(y0, y1))
+
+
+def column_faults(pieces, columns):
+    """[] when the _Columns of pieces hold them, else what fails: every
+    exact far parameter hin/hid lies within h +- eh (h = inf, eh = 0 where
+    there is none); every exact x- and y-span lies within its box (a
+    float bound holds x where it holds x's correctly rounded float, see
+    _filter), up to +-inf where the piece never ends; line ids, blocked
+    counts, the unbounded mask and the float anchors and directions are
+    piece_columns'; and the direction and point numberings (anchors with
+    open far ends) equal its up to renumbering."""
+    want = piece_columns(pieces)
+    faults = [name for name in ("line", "blocked", "unbounded", "x0", "y0", "dx", "dy")
+              if not np.array_equal(getattr(columns, name), getattr(want, name))]
+    for name, own, ref in (("direction", [columns.direction], [want.direction]),
+                           ("points", [columns.anchor, columns.far], [want.anchor, want.far])):
+        pairs = set(zip(np.concatenate(own).tolist(), np.concatenate(ref).tolist()))
+        if not len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs}):
+            faults.append(name)
+    for k, (ax, ay, dx, dy, hin, hid, *_) in enumerate(pieces):
+        h, eh = float(columns.h[k]), float(columns.eh[k])
+        if hin is None:
+            if (h, eh) != (inf, 0.0):
+                faults.append(("h", k))
+        elif eh < inf and abs(Fraction(hin, hid) - Fraction(h)) > Fraction(eh):
+            faults.append(("h", k))
+        for axis, c0, d in (("x", ax, dx), ("y", ay, dy)):
+            lo, hi = (float(getattr(columns, b + axis)[k]) for b in ("lo", "hi"))
+            ends = [_nearest(c0, 1)]
+            if hin is not None:
+                ends.append(_nearest(c0 * hid + d * hin, hid))
+            elif d:
+                ends.append(inf if d > 0 else -inf)
+            if not lo <= min(ends) <= max(ends) <= hi:
+                faults.append((axis, k))
+    return faults
+
+
+def clip_lines_ends(starts, dirs, halfplanes):
+    """[(lo, hi)]: each line's ends as _clip gives them, (num, den, j)
+    or None, from the halfplane j that _clip_lines names for each: the
+    library's former per-line loop, which built every end's exact (r,
+    rate) where its float pass settled the line."""
+    ends = _clip_lines(starts, dirs, halfplanes)[0]
+    out = []
+    for (X, Y), (DX, DY), lo, hi in zip(starts, dirs, ends[0].tolist(), ends[1].tolist()):
+        line = []
+        for j, s in ((lo, 1), (hi, -1)):
+            if j < 0:
+                line.append(None)
+            else:
+                A, B, C = halfplanes[j]
+                line.append((s * (C - A * X - B * Y), s * (A * DX + B * DY), j))
+        out.append(tuple(line))
+    return out
+
+
 def pair_hits(pieces):
     """Every confirmed crossing (i, j, un, vn, D) of pieces from distinct
     lines, as _confirm reports it, in increasing (i, j) order: the hits
-    of _pair_scan, each with its exact parameters (the library's former
-    _pair_hits)."""
-    I, J, *_ = _pair_scan(pieces, _piece_boxes(pieces))
+    of _pair_scan on piece_columns, each with its exact parameters (the
+    library's former _pair_hits)."""
+    I, J, *_ = _pair_scan(pieces, piece_columns(pieces))
     for i, j in zip(I.tolist(), J.tolist()):
         yield (i, j) + _confirm(pieces[i], pieces[j])
 

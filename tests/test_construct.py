@@ -742,22 +742,22 @@ def test_a_derived_prefix_analysis_is_a_fresh_one(name, monkeypatch):
 
 @pytest.mark.parametrize("n", [6, 8, 10])
 def test_derived_columns_are_a_fresh_build_of_the_prefix_pieces(n):
-    # the prefix takes its parent's columns at its pieces: the same bytes
-    # as _piece_boxes and the blocked counts of those pieces, and the same
-    # darkest point as a fresh analysis of the prefix, where every piece
-    # blocks one guard and so is a top piece of darkest
+    # the prefix takes its parent's columns at its pieces: they hold those
+    # pieces as a fresh build's do (oracles.column_faults), with their
+    # renumbered line ids and blocked counts, and give the same darkest
+    # point as a fresh analysis of the prefix, where every piece blocks
+    # one guard and so is a top piece of darkest
     P = random_convex_polygon(random.Random(29 + n), n)
     full, _ = place_4n_minus_2(P)
     for g in sorted({plan(n, k).g for k in range(n + 1, 4 * n - 2)}):
         derived = darkness._prefix(P, full, g)._analysis
-        boxes, blocked = derived._columns
-        want = darkness._piece_boxes(derived.pieces)
-        assert len(boxes) == len(want) == 10
-        assert [(c.dtype, c.tobytes()) for c in boxes] == [(c.dtype, c.tobytes()) for c in want]
+        columns = derived.columns()
+        assert oracles.column_faults(derived.pieces, columns) == []
+        blocked = columns.blocked
         assert blocked.dtype == np.int64 and blocked.tolist() == [1] * len(derived.pieces)
         fresh = darkness._Analysis(P, GuardSet(full.guards[:g]))
         assert derived.frame.point(derived.darkest()) == fresh.frame.point(fresh.darkest())
-        assert derived.columns() is derived._columns
+        assert derived.columns() is derived.pieces.columns
 
 
 def test_an_uncertified_parent_gives_its_prefix_a_fresh_analysis(monkeypatch):

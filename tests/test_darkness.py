@@ -11,6 +11,7 @@ import functools
 import gc
 import importlib
 import json
+import os
 import random
 import weakref
 from fractions import Fraction
@@ -366,7 +367,7 @@ def test_find_concurrent_dark_rays():
 def assert_scan_matches_the_oracle(pieces):
     hits = list(oracles.pair_hits(pieces))
     assert hits == list(oracles.pair_hits_oracle(pieces))
-    _, _, T, E, V, EV = darkness._pair_scan(pieces, darkness._piece_boxes(pieces))
+    _, _, T, E, V, EV = darkness._pair_scan(pieces, oracles.piece_columns(pieces))
     for (_, _, un, vn, D), t, e, v, ev in zip(hits, T.tolist(), E.tolist(), V.tolist(),
                                              EV.tolist()):
         for x, err, n in ((t, e, un), (v, ev, vn)):
@@ -492,10 +493,12 @@ def test_box_edge_scene_touches_only_at_the_unique_maximum():
     assert [(c[0], analysis.frame.point(c[1:4])) for c in top] == [(4, Point2(6, 12))]
     points, _ = oracles.crossings_oracle(analysis.pieces)
     i, j = sorted(points[top[0][1:4]])
-    boxes = darkness._piece_boxes(analysis.pieces)
-    lox, hix = boxes[4], boxes[5]
+    cols = oracles.piece_columns(analysis.pieces)
     assert analysis.pieces[i][8] != analysis.pieces[j][8]
-    assert hix[i] == lox[j] == analysis.frame.scale * 6 and lox[i] < hix[i]
+    assert cols.hix[i] == cols.lox[j] == analysis.frame.scale * 6 and cols.lox[i] < cols.hix[i]
+    # the analysis's own boxes hold those spans, so they overlap there too
+    own = analysis.columns()
+    assert own.lox[j] <= analysis.frame.scale * 6 <= own.hix[i]
 
 
 def test_dyadic_and_big_denominator_scenes_outgrow_int64():
@@ -907,6 +910,27 @@ def test_views_of_a_batch_build_each_point_once():
     assert len(builds) == len(unbuilt)
 
 
+def test_a_join_of_two_views_of_one_batch_builds_each_point_once():
+    # a join holds one store per distinct batch: two views of one batch
+    # index one copy of its store, so a point read through both is built
+    # once, by the batch's builder
+    region, guards = suspicious_scene("concurrent-star")
+    frame = _Frame(region, guards)
+    fresh = sampling._candidates(frame, darkness._Analysis(region, GuardSet(guards)))
+    built = []
+    make = fresh._make
+    fresh._make = lambda j: built.append(j) or make(j)
+    u = [k for k in range(len(fresh)) if fresh._pts[k] is None]
+    assert len(u) > 100
+    corners = sampling._corners(frame)
+    joined = sampling._Samples.join([corners, fresh.take(u), fresh.take(u)])
+    assert len(joined) == len(corners) + 2 * len(u)
+    first = list(joined.take(range(len(corners), len(corners) + len(u))))
+    second = list(joined.take(range(len(corners) + len(u), len(joined))))
+    assert all(a is b for a, b in zip(first, second))
+    assert built == u
+
+
 @pytest.mark.parametrize("scene", sorted(BRANCH_SCENES))
 def test_sub_piece_points_match_the_fraction_midpoints(scene):
     # the crossing cuts of every piece as the scan records them, then
@@ -987,7 +1011,7 @@ def test_pieces_come_from_one_clip_per_line(scene, monkeypatch):
 
     monkeypatch.setattr(darkness, "_clip", spy)
     analysis = darkness._Analysis(region, GuardSet(guards))
-    assert analysis.pieces == oracles.pieces_oracle(analysis)
+    assert list(analysis.pieces) == oracles.pieces_oracle(analysis)
     ints = analysis.frame.ints
     lines = iter([(*ints[members[0][1]], 1, ux, uy) for ux, uy, _, members in analysis.lines])
     assert all(call in lines for call in calls)
@@ -1004,7 +1028,9 @@ def _clip_loop(starts, dirs, halfplanes):
 
 def _clip_pass(monkeypatch, starts, dirs, halfplanes):
     """(ends, fallbacks): _clip_lines' ends, checked against a loop of
-    _clip, and the indices of the lines it sent to _clip itself."""
+    _clip, and the indices of the lines it sent to _clip itself.  Each
+    end's float bound T +- E holds its exact parameter, and the lines
+    sent to _clip are the ones marked clipped."""
     lines = list(zip(starts, dirs))
     fallbacks = []
 
@@ -1014,8 +1040,16 @@ def _clip_pass(monkeypatch, starts, dirs, halfplanes):
 
     with monkeypatch.context() as m:
         m.setattr(darkness, "_clip", spy)
-        ends = darkness._clip_lines(starts, dirs, halfplanes)
+        ends = oracles.clip_lines_ends(starts, dirs, halfplanes)
+        fallbacks.clear()
+        _, T, E, clipped = darkness._clip_lines(starts, dirs, halfplanes)
     assert ends == _clip_loop(starts, dirs, halfplanes)
+    assert [lines[l] for l in np.nonzero(clipped)[0]] == [lines[l] for l in fallbacks]
+    for l, line in enumerate(ends):
+        for s, end in enumerate(line):
+            if end is not None:
+                t, e = float(T[s, l]), float(E[s, l])
+                assert e == inf or abs(Fraction(end[0], end[1]) - Fraction(t)) <= Fraction(e)
     return ends, fallbacks
 
 
@@ -1312,7 +1346,7 @@ def assert_table_matches_the_oracle(analysis):
     for key, xl, xu in zip(totals, XL.tolist(), XU.tolist()):
         assert _within(xl, Fraction(key[0], key[2]), xu)
     # the parameters on both pieces of each hit, T +- E and V +- EV
-    I, J, T, E, V, EV = darkness._pair_scan(pieces, darkness._piece_boxes(pieces))
+    I, J, T, E, V, EV = darkness._pair_scan(pieces, analysis.columns())
     with np.errstate(over="ignore", invalid="ignore"):
         bounds = (T - E, T + E, V - EV, V + EV)
     for i, j, tl, th, vl, vh in zip(I.tolist(), J.tolist(), *(b.tolist() for b in bounds)):
@@ -1389,6 +1423,45 @@ def test_scan_settles_far_ends_exactly():
         assert [(i, j) for i, j, *_ in hits] == ([] if strict else [(0, 1)]) + [(1, 3)]
 
 
+# --- the piece columns against the exact pieces ------------------------------
+#
+# The analysis builds its pieces as columns from the guard indices and the
+# clip pass's float parameters, and a piece's exact tuple only where it is
+# read.  oracles.column_faults checks the columns against the tuples: the
+# far parameters and boxes hold the exact values, and the class numberings
+# are those of the former builders (oracles.piece_columns).
+
+
+def column_scene(name):
+    if name == "guard-corner":
+        return guard_corner()
+    if name in ("fixture-wedge", "fraction-wedge"):
+        return frame_scene(name)
+    return table_scene(name)
+
+
+COLUMN_SCENES = TABLE_SCENES + ["guard-corner", "fixture-wedge", "fraction-wedge"]
+
+
+@pytest.mark.parametrize("scene", COLUMN_SCENES)
+def test_piece_columns_hold_the_exact_pieces(scene):
+    region, guards = column_scene(scene)
+    for analysis in (darkness._Analysis(region, GuardSet(guards)),
+                     darkness._Analysis(None, GuardSet(guards))):
+        columns = analysis.columns()
+        assert oracles.column_faults(analysis.pieces, columns) == []
+        # the rays dropped are exactly those that end at their own anchor
+        assert list(analysis.pieces) == oracles.pieces_oracle(analysis)
+        rows = np.nonzero(columns.unbounded)[0]
+        assert oracles.column_faults(analysis.pieces.take(rows), columns.take(rows)) == []
+    if scene in ("4n-2", "corner", "far-ends"):
+        # guards on edges and at vertices: some rays end where they start
+        region_analysis = darkness._Analysis(region, GuardSet(guards))
+        rays = 2 * len(region_analysis.lines)
+        gaps = sum(len(rec[3]) - 1 for rec in region_analysis.lines if len(rec[3]) >= 3)
+        assert len(region_analysis.pieces) < rays + gaps
+
+
 # _confirm calls of one _pair_scan over each TABLE_SCENES analysis's
 # pieces, as the tiled scan over the whole pair triangle made them: the
 # sweep keeps the same pairs and leaves the same ones unsure
@@ -1411,8 +1484,8 @@ def test_the_sweep_scans_the_same_pairs_at_every_chunk_budget(scene, monkeypatch
     # unbounded pieces (wedge) and boxes at +-inf (past-2^1100)
     region, guards = table_scene(scene)
     pieces = darkness._Analysis(region, GuardSet(guards)).pieces
-    boxes = darkness._piece_boxes(pieces)
-    lox, hix = boxes[4], boxes[5]
+    cols = oracles.piece_columns(pieces)
+    lox, hix = cols.lox, cols.hix
     overlap = np.triu((lox[None, :] <= hix[:, None]) & (lox[:, None] <= hix[None, :]), 1)
     want = list(zip(*(a.tolist() for a in np.nonzero(overlap))))
     sweep, confirm = darkness._x_overlaps, darkness._confirm
@@ -1423,7 +1496,7 @@ def test_the_sweep_scans_the_same_pairs_at_every_chunk_budget(scene, monkeypatch
         monkeypatch.setattr(darkness, "_x_overlaps",
                             lambda lo, hi: (chunks.append(c) or c for c in sweep(lo, hi)))
         monkeypatch.setattr(darkness, "_confirm", lambda p, q: calls.append(1) or confirm(p, q))
-        results.append(darkness._pair_scan(pieces, boxes))
+        results.append(darkness._pair_scan(pieces, cols))
         pairs = [(min(p, q), max(p, q)) for P, Q in chunks
                  for p, q in zip(P.tolist(), Q.tolist())]
         assert sorted(pairs) == want
@@ -1442,7 +1515,7 @@ def test_the_sweep_scans_the_same_pairs_at_every_chunk_budget(scene, monkeypatch
     if scene == "lattice-columns":
         assert len(lox) - len(set(lox.tolist())) > len(lox) // 2
     if scene == "wedge":
-        assert np.isinf(hix).any() and np.isinf(boxes[7]).any()
+        assert np.isinf(hix).any() and np.isinf(cols.hiy).any()
     if scene == "past-2^1100":
         # most pieces start past the float range, and tie there
         assert np.isinf(lox).sum() > len(lox) // 2
@@ -1535,12 +1608,54 @@ def test_certificates_build_few_exact_values(monkeypatch, scene, want):
     assert counts == want
 
 
+def test_one_extra_construct_builds_only_the_pieces_it_reads(monkeypatch, tmp_path):
+    # the seed-1 one-extra ops of the convex-construct benchmark: an exact
+    # piece is built only where _confirm or _piece_point reads it, once,
+    # and columns(), has_j_dark and _prefix build none
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench import harness
+    from perfbench.scenes import scenes_for
+
+    built, read = [], []
+    build, confirm, point = darkness._Pieces._build, darkness._confirm, darkness._piece_point
+    monkeypatch.setattr(darkness._Pieces, "_build",
+                        lambda self, k: built.append(build(self, k)) or built[-1])
+    monkeypatch.setattr(darkness, "_confirm", lambda p, q: read.extend((p, q)) or confirm(p, q))
+    monkeypatch.setattr(darkness, "_piece_point",
+                        lambda piece, *bounds: read.append(piece) or point(piece, *bounds))
+    during = {"columns": 0, "has_j_dark": 0, "_prefix": 0}
+
+    def counted(name, real):
+        def spy(*args):
+            before = len(built)
+            try:
+                return real(*args)
+            finally:
+                during[name] += len(built) - before
+        return spy
+
+    construct_module = importlib.import_module("darkgallery.construct")
+    monkeypatch.setattr(darkness._Analysis, "columns",
+                        counted("columns", darkness._Analysis.columns))
+    monkeypatch.setattr(cli, "has_j_dark", counted("has_j_dark", cli.has_j_dark))
+    monkeypatch.setattr(construct_module, "_prefix", counted("_prefix", construct_module._prefix))
+    scenes = scenes_for("convex-construct", harness.DEFAULT_SEED)
+    prepared = harness.prepare(scenes, str(tmp_path / "work"))
+    picked = [i for i, s in enumerate(scenes) if s.label.startswith("one-extra-")]
+    assert len(picked) == 79
+    for i in picked:
+        assert harness.run_op(cli, prepared[i], i).error is None
+    assert len(built) > 0
+    assert {id(p) for p in built} == {id(p) for p in read}
+    assert during == {"columns": 0, "has_j_dark": 0, "_prefix": 0}
+
+
 # --- one analysis per guard set ---------------------------------------------
 
 
 # what an analysis holds, built or derived
-ANALYSIS_FIELDS = {"region", "guards", "frame", "halfplanes", "lines", "pieces", "_columns",
-                   "_crossings", "_darkest"}
+ANALYSIS_FIELDS = {"region", "guards", "frame", "halfplanes", "lines", "pieces", "_crossings",
+                   "_darkest", "_long"}
 
 
 @pytest.fixture

@@ -203,6 +203,60 @@ def test_only_the_sampler_batch_builds_float_columns(path):
     assert name_imports(path.read_text(), str(path), BATCH_NAMES) == []
 
 
+# the exact engine builds the piece columns (darkness._Pieces, _Columns
+# and their builder) from its guard and line records; the sampler reads
+# them through _Analysis.columns(), and no other module imports them or the
+# per-piece builders they replaced
+PIECE_COLUMN_NAMES = {"_Pieces", "_Columns", "_piece_columns", "_piece_boxes", "_end_classes"}
+NOT_THE_ENGINE = [p for p in MODULES if p.name != "darkness.py"]
+
+
+@pytest.mark.parametrize("path", NOT_THE_ENGINE, ids=[p.name for p in NOT_THE_ENGINE])
+def test_only_the_engine_builds_piece_columns(path):
+    assert name_imports(path.read_text(), str(path), PIECE_COLUMN_NAMES) == []
+
+
+def position_dicts(source: str, filename: str) -> List[Tuple[str, int]]:
+    """(what, line) for each dict comprehension that maps the items of an
+    ``enumerate`` back to their positions, ``{v: k for k, v in
+    enumerate(...)}``, as a guard-position lookup does."""
+    out: List[Tuple[str, int]] = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not (isinstance(node, ast.DictComp) and len(node.generators) == 1):
+            continue
+        gen = node.generators[0]
+        it, target = gen.iter, gen.target
+        if (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                and it.func.id == "enumerate" and isinstance(target, ast.Tuple)
+                and len(target.elts) == 2 and all(isinstance(e, ast.Name) for e in target.elts)
+                and isinstance(node.key, ast.Name) and isinstance(node.value, ast.Name)
+                and node.key.id == target.elts[1].id and node.value.id == target.elts[0].id):
+            out.append(("{item: position}", node.lineno))
+    return sorted(out)
+
+
+def test_position_dicts_flags_inverse_enumerations():
+    source = (
+        "def f(ints, pieces):\n"
+        "    index = {xy: k for k, xy in enumerate(ints)}\n"
+        "    same = {k: xy for k, xy in enumerate(ints)}\n"
+        "    keys = {p[:2]: k for k, p in enumerate(pieces)}\n"
+        "    return {v: i for i, v in enumerate(sorted(ints))}, index, same, keys\n"
+    )
+    assert position_dicts(source, "example.py") == [
+        ("{item: position}", 2), ("{item: position}", 5)]
+
+
+def test_the_sampler_reads_piece_guards_from_the_columns():
+    # the anchor, far and line columns name each piece's guards and line:
+    # the sampler neither rebuilds them through a guard-position lookup
+    # nor imports a column builder
+    path = PACKAGE / "sampling.py"
+    source = path.read_text()
+    assert position_dicts(source, str(path)) == []
+    assert name_imports(source, str(path), PIECE_COLUMN_NAMES) == []
+
+
 def test_stream_placer_scales_nothing_and_builds_no_points():
     # construct._StreamPlacer decides on homogeneous integers its callers
     # scale: geometry._homogeneous, or the parabola (t, t^2, 1)
@@ -501,7 +555,8 @@ def test_exact_keys_sort_only_through_the_float_first_helper(path):
 # other module holds a float-error constant (a power of two with a
 # negative exponent, an ldexp) or one of the per-module constants the
 # filter replaced
-FLOAT_ERROR_NAMES = {"ldexp", "_SIGN_SLACK", "_TINY", "_CERT_SHIFT", "_EXACT_SUM"}
+FLOAT_ERROR_NAMES = {"ldexp", "_SIGN_SLACK", "_TINY", "_CERT_SHIFT", "_EXACT_SUM",
+                     "_SLACK", "_UNDERFLOW", "_EXACT"}
 UNFILTERED = [p for p in MODULES if p.name != "_filter.py"]
 
 
@@ -542,6 +597,46 @@ def test_float_error_constants_flags_powers_ldexp_and_the_old_names():
 @pytest.mark.parametrize("path", UNFILTERED, ids=[p.name for p in UNFILTERED])
 def test_float_error_constants_live_only_in_the_filter(path):
     assert float_error_constants(path.read_text(), str(path)) == []
+
+
+# each error bound of _filter is derived in its comment, under a heading
+# that names the function ("A shifted parameter (_shifted)."), and no
+# other module defines one: the float constants above stay in the filter
+BOUND_FUNCTIONS = {"_sum_bound", "_rounding_bound", "_quotient_bound", "_affine", "_x_bounds",
+                   "_shifted", "_midpoint", "_scaled", "_margin"}
+
+
+def derived_in_comments(source: str) -> Set[str]:
+    """Names that a ``#`` comment of source gives in parentheses, alone
+    or in a list: ``(_affine, _x_bounds)``."""
+    out: Set[str] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            for group in re.findall(r"\(([\w, ]+)\)", tok.string):
+                out.update(name.strip() for name in group.split(","))
+    return out
+
+
+def test_derived_in_comments_reads_parenthesised_names():
+    source = (
+        "# A point's x (_affine, _x_bounds).  For floats\n"
+        "# a scaled value (_scaled); not (a + b) or f(x)\n"
+        "def g(x):\n"
+        "    return x  # the bound (_inline)\n"
+    )
+    assert derived_in_comments(source) >= {"_affine", "_x_bounds", "_scaled", "_inline"}
+    assert "_shifted" not in derived_in_comments(source)
+
+
+def test_every_filter_bound_is_derived_in_the_filter():
+    path = PACKAGE / "_filter.py"
+    source = path.read_text()
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert BOUND_FUNCTIONS <= defined
+    assert BOUND_FUNCTIONS <= derived_in_comments(source)
+    elsewhere = {(p.name, node.name) for p in UNFILTERED for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name in BOUND_FUNCTIONS}
+    assert elsewhere == set()
 
 
 # the sampler takes one path on every polygon: a ConvexPolygon is a simple
