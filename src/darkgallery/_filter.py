@@ -223,19 +223,40 @@ def _clusters(group, lo, hi):
     and for each position of it the number of its cluster, counted from
     0 along the order: within a group, items whose intervals [lo, hi]
     overlap, directly or through a chain, share a cluster, and a cluster
-    lies wholly before the next one.  Ranking (group, hi) makes one
-    accumulate serve every group, as each group's ranks exceed those of
-    the groups before it."""
-    n = len(lo)
+    lies wholly before the next one (_sorted_clusters)."""
     order = np.lexsort((lo, group))
-    rows, los, his = group[order], lo[order], hi[order]
-    by_hi = np.lexsort((his, rows))
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_hi] = np.arange(n)
-    reach = his[by_hi][np.maximum.accumulate(rank)]
-    cut = np.ones(n, dtype=bool)
-    cut[1:] = (rows[1:] != rows[:-1]) | (los[1:] > reach[:-1])
-    return order, np.cumsum(cut) - 1
+    return order, _sorted_clusters(group[order], lo[order], hi[order])
+
+
+def _sorted_clusters(group, lo, hi):
+    """The cluster numbers of _clusters for items already in (group, lo)
+    order.
+
+    A cluster starts where a group starts or where lo passes the reach,
+    the largest hi of the group's items before it; no lo passes a NaN
+    (not >), so a NaN hi reaches as far as inf.  The reach is at least
+    hi[k - 1], so every cut falls where lo[k] > hi[k - 1], and the runs
+    between those points lie whole within clusters.  Each run's largest
+    hi (np.maximum.reduceat) is carried along its group by doubling
+    steps, over windows of 1, 2, 4, ... runs, until a step raises none:
+    then each run's value is at least the one a step back, so by
+    induction it is the largest over the run and all runs before it.
+    Where the values already rise along each group, as with near-point
+    intervals, the first step raises none."""
+    hi = np.where(np.isnan(hi), inf, hi)
+    cut = np.ones(len(lo), dtype=bool)
+    cut[1:] = (group[1:] != group[:-1]) | (lo[1:] > hi[:-1])
+    heads = np.nonzero(cut)[0]
+    rows, reach = group[heads], np.maximum.reduceat(hi, heads)
+    step = 1
+    while step < len(reach):
+        grow = (rows[step:] == rows[:-step]) & (reach[:-step] > reach[step:])
+        if not grow.any():
+            break
+        reach[step:] = np.where(grow, reach[:-step], reach[step:])
+        step *= 2
+    cut[heads[1:]] = (rows[1:] != rows[:-1]) | (lo[heads[1:]] > reach[:-1])
+    return np.cumsum(cut) - 1
 
 
 # sort key of integer ratios (num, den > 0) in value order, by cross-multiplication

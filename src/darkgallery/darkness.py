@@ -65,25 +65,25 @@ verdict with a rounding-error bound
 derived in ``_filter`` then calls each pair a certain hit, a certain
 miss or unsure, and only the unsure pairs are confirmed exactly.
 The scan returns arrays: each hit's pieces, and its float parameter on
-the first piece with an error bound.  The table groups each row's hits
-by that parameter, comparing exactly only hits whose intervals overlap,
-and bounds each crossing's x in floats; the witness is chosen on those
-bounds, building exact points only for the candidates that may be
-leftmost.
+the first piece with an error bound, in one order, by row and the lower
+end of that bound.  The table groups each row's hits by that parameter
+in that order, with no sort of its own, comparing exactly only hits
+whose intervals overlap, and those on exact parameters read from the
+line records; it bounds each crossing's x in floats, and the witness is
+chosen on those bounds, building exact points only for the candidates
+that may be leftmost.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, inf
 from typing import List, Sequence, Union
 
 import numpy as np
 
 from ._filter import (
-    _clusters,
     _floats,
     _interval,
     _leftmost,
@@ -93,6 +93,7 @@ from ._filter import (
     _rounding_bound,
     _shifted,
     _signs,
+    _sorted_clusters,
     _sum_bound,
     _x_bounds,
 )
@@ -497,6 +498,32 @@ class _Pieces:
         return (ax, ay, dx, dy, *_exit(ax, ay, dx, dy, self._halfplanes[end]), False, blocked,
                 line)
 
+    def parameters(self, I, J):
+        """[(num, den)]: for each k, the exact parameter num/den, reduced
+        with den > 0, at which piece I[k] meets the line of piece J[k],
+        read from the anchors and the line records alone, with no piece
+        built: the un/D of _confirm where the two pieces cross.
+
+        Line (ux, uy, c) holds the points with ux*y - uy*x = c, and piece
+        I[k] is a + t*s*(ux', uy') on a line (ux', uy'), with s = -1 on a
+        ray of kind 0, so t*s*(ux*uy' - uy*ux') = c - ux*ay + uy*ax."""
+        cols = self.columns
+        ints, lines = self._ints, self._lines
+        out = []
+        for a, flip, li, lj in zip(cols.anchor[I].tolist(), (cols.kind[I] == 0).tolist(),
+                                   cols.line[I].tolist(), cols.line[J].tolist()):
+            ax, ay = ints[a]
+            dx, dy = lines[li][:2]
+            ux, uy, c = lines[lj][:3]
+            num = c - ux * ay + uy * ax
+            den = ux * dy - uy * dx
+            if flip != (den < 0):
+                num = -num
+            den = abs(den)
+            g = gcd(num, den)
+            out.append((num // g, den // g))
+        return out
+
     def take(self, rows, line=None, lines=None) -> "_Pieces":
         """The pieces at the index array rows, in that order, none built:
         with line ids line into the records lines where given."""
@@ -540,11 +567,13 @@ def _x_overlaps(lox, hix):
 
 
 def _pair_scan(pieces, columns: _Columns):
-    """(I, J, T, E, V, EV): every crossing (I[k], J[k]) of pieces from
-    distinct lines, as index arrays in increasing (i, j) order, with T[k]
-    the float parameter of the crossing on piece I[k], |t - T[k]| <= E[k],
-    and V[k] its parameter on piece J[k], |v - V[k]| <= EV[k]; columns
-    are the pieces' _Columns.
+    """(I, J, T, E, V, EV): every crossing (I[k], J[k]), I[k] < J[k], of
+    pieces from distinct lines, as index arrays, with T[k] the float
+    parameter of the crossing on piece I[k], |t - T[k]| <= E[k], and V[k]
+    its parameter on piece J[k], |v - V[k]| <= EV[k]; columns are the
+    pieces' _Columns.  The hits come in the stable order of (I, T - E),
+    the lower ends of _interval(T, E), in which _crossing_table groups
+    them.
 
     One path at every size and scale, over the pairs whose x-spans
     overlap, from the sweep of _x_overlaps in chunks of bounded size.
@@ -559,9 +588,11 @@ def _pair_scan(pieces, columns: _Columns):
     (_quotient_bound) against the far ends' h +- eh; only the unsure
     pairs go to _confirm, which reads their exact pieces.  No test drops
     a crossing or keeps a miss, so the hits are those of the plain loop
-    of _confirm over all pairs, and one lexsort puts them in its order.
-    A hit that _confirm settles gets T and V, its correctly rounded exact
-    parameters, and E and EV their _rounding_bound.
+    of _confirm over all pairs.  A hit that _confirm settles gets T and
+    V, its correctly rounded exact parameters, and E and EV their
+    _rounding_bound.  Each column's chunks are joined, then reordered by
+    one lexsort, one column at a time, so that at most one column is held
+    twice at once.
     """
     x0, y0, dx, dy = columns.x0, columns.y0, columns.dx, columns.dy
     lox, hix, loy, hiy = columns.lox, columns.hix, columns.loy, columns.hiy
@@ -573,7 +604,7 @@ def _pair_scan(pieces, columns: _Columns):
         hlo, hhi = columns.h - columns.eh, columns.h + columns.eh
     mx, my, mdx, mdy = np.abs(x0), np.abs(y0), np.abs(dx), np.abs(dy)
     none = np.empty(0, dtype=np.int64)
-    out = [(none, none) + (np.empty(0),) * 4]
+    cols = [[none], [none]] + [[np.empty(0)] for _ in range(4)]
     for p, q in _x_overlaps(lox, hix):
         keep = ((loy[q] <= hiy[p]) & (loy[p] <= hiy[q])
                 & (direction[q] != direction[p]) & (anchor[q] != anchor[p]))
@@ -616,10 +647,15 @@ def _pair_scan(pieces, columns: _Columns):
                 V[k] = _nearest(c[1], c[2])
                 E[k] = _rounding_bound(T[k])
                 EV[k] = _rounding_bound(V[k])
-        out.append((ii[hit], jj[hit], T[hit], E[hit], V[hit], EV[hit]))
-    cols = [np.concatenate(col) for col in zip(*out)]
-    order = np.lexsort((cols[1], cols[0]))
-    return tuple(col[order] for col in cols)
+        for col, part in zip(cols, (ii, jj, T, E, V, EV)):
+            col.append(part[hit])
+    # each column replaces its chunks, then its own unordered copy
+    for c, parts in enumerate(cols):
+        cols[c] = np.concatenate(parts)
+    order = np.lexsort((_interval(cols[2], cols[3])[0], cols[0]))
+    for c, col in enumerate(cols):
+        cols[c] = col[order]
+    return tuple(cols)
 
 
 def _point_key(piece, un, D):
@@ -640,53 +676,61 @@ def _crossing_key(pieces, i, j):
 
 def _crossing_table(pieces, columns: _Columns):
     """(I, J, XL, XU, total, count): one entry per crossing point of
-    pieces from distinct lines, in the order of its first hit in the
-    (i, j) order of _pair_scan, with (I, J) that first hit, XL and XU
-    float bounds on its x, total the sum of the blocked counts of the
-    pieces through it, and count their number; columns are the pieces'
-    _Columns.
+    pieces from distinct lines, in the (i, j) order of its first hit,
+    with (I, J) that first hit, XL and XU float bounds on its x, total
+    the sum of the blocked counts of the pieces through it, and count
+    their number; columns are the pieces' _Columns.
 
     A crossing is never a guard position, so each line dark there has one
     piece through it, every two of those pieces cross there, and its
-    first hit is (i, j) with i the lowest of them.  The hits of row i at
-    one point are those of one exact parameter on piece i.  Hits are
-    grouped by it without a key: within a row, hits whose float
-    intervals T +- E overlap, directly or through a chain, form a
-    cluster; the parameters of a cluster of two or more hits are compared
-    exactly, and each distinct one is a group.  Equal parameters always
-    share a cluster.  A group of two or more hits marks every pair (j, k)
-    of its other pieces: the hits (j, k) are the same point, found again
-    in row j, and are skipped there.  Two pieces cross at most once, so a
-    mark names one point.
+    first hit is (i, j) with i the lowest of them and j the next.  The
+    hits of row i at one point are those of one exact parameter on piece
+    i.  Hits are grouped by it without a key, in the (i, T - E) order of
+    _pair_scan: within a row, hits whose float intervals T +- E overlap,
+    directly or through a chain, form a cluster (_sorted_clusters); the
+    hits of a cluster of two or more take their exact parameters from the
+    line records (_Pieces.parameters), and each distinct one is a group.
+    Equal parameters always share a cluster.  A group of two or more hits
+    marks every pair (j, k) of its other pieces: the hits (j, k) are the
+    same point, found again in row j, and are skipped there.  Two pieces
+    cross at most once, so a mark names one point.  A group's first hit
+    is its least j, and one argsort of i*R + j over the first hits gives
+    the table its order.
     """
     I, J, T, E, _, _ = _pair_scan(pieces, columns)
     n = len(I)
     R = len(pieces)
     blocked = columns.blocked
-    order, cluster = _clusters(I, *_interval(T, E))
-    group = np.empty(n, dtype=np.int64)
-    group[order] = cluster
-    tied = np.nonzero(np.bincount(cluster)[cluster] > 1)[0]
-    groups = {}
-    Il, Jl = I.tolist(), J.tolist()
-    for h, c in zip(order[tied].tolist(), cluster[tied].tolist()):
-        un, _, D = _confirm(pieces[Il[h]], pieces[Jl[h]])
-        g = gcd(un, D)
-        groups.setdefault((c, un // g, D // g), []).append(h)
-    marks = []
-    for gid, hs in enumerate(groups.values(), n):
-        group[hs] = gid
-        marks += [a * R + b for a, b in combinations(sorted(Jl[h] for h in hs), 2)]
-    kept = np.nonzero(~np.isin(I * R + J, marks))[0]
-    _, first, inverse = np.unique(group[kept], return_index=True, return_inverse=True)
-    first = kept[first]
-    total = blocked[I[first]] + np.bincount(inverse, blocked[J[kept]]).astype(np.int64)
-    count = np.bincount(inverse) + 1
-    o = np.argsort(first)
-    first = first[o]
+    # each hit's group: its cluster, or for a hit of a cluster of two or
+    # more, n + the number of its exact parameter there
+    group = _sorted_clusters(I, *_interval(T, E))
+    tied = np.nonzero(np.bincount(group)[group] > 1)[0]
+    ids = {}
+    keys = zip(group[tied].tolist(), pieces.parameters(I[tied], J[tied]))
+    group[tied] = n + np.array([ids.setdefault(k, len(ids)) for k in keys], dtype=np.int64)
+    # each group's hits in order of j: the first is its first hit, and
+    # each pairs with the later ones of its group, a mark per pair
+    tied = tied[np.lexsort((J[tied], group[tied]))]
+    start = np.ones(len(tied), dtype=bool)
+    start[1:] = group[tied[1:]] != group[tied[:-1]]
+    bounds = np.append(np.nonzero(start)[0], len(tied))
+    later = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(1, len(tied) + 1)
+    a = np.repeat(np.arange(len(tied)), later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    marks = np.sort(np.append(-1, J[tied[a]] * R + J[tied[b]]))
+    code = I * R + J
+    kept = marks[np.searchsorted(marks, code, side="right") - 1] != code
+    members = np.bincount(group[kept])
+    dark = np.bincount(group[kept], blocked[J[kept]]).astype(np.int64)
+    lead = kept.copy()
+    lead[tied[~start]] = False
+    first = np.nonzero(lead)[0]
+    first = first[np.argsort(code[first])]
+    total = blocked[I[first]] + dark[group[first]]
+    count = members[group[first]] + 1
     I, J = I[first], J[first]
     XL, XU = _x_bounds(columns.x0[I], columns.dx[I], T[first], E[first])
-    return I, J, XL, XU, total[o], count[o]
+    return I, J, XL, XU, total, count
 
 
 def _piece_point(piece, lo=(0, 1), hi=None):
@@ -940,8 +984,8 @@ class _Analysis:
     def crossings(self):
         """_crossing_table of the pieces: the in-region crossings of
         pieces from distinct lines, with their darkness totals, in the
-        order their first hits come in one walk of the pair scan.  Built
-        once; callers must not change it.
+        (i, j) order of their first hits.  Built once; callers must not
+        change it.
 
         A crossing is never a guard position (see guard_darkness), so
         every line dark there has exactly one piece through it: the
@@ -1054,9 +1098,9 @@ def _prefix(region: Region, full: GuardSet, g: int) -> GuardSet:
     from the analysis full holds there.
 
     Darkness cannot grow when guards are removed.  Where full's analysis
-    has max darkness <= 1 (every line has 2 members and no two pieces
-    cross), the prefix's lines are full's lines with both members below
-    g, in full's order (that of the (ux, uy, c) sort, which guard
+    has max darkness <= 1 (no line has 3 members, _long, and no two
+    pieces cross), the prefix's lines are full's lines with both members
+    below g, in full's order (that of the (ux, uy, c) sort, which guard
     numbering does not change); its pieces are theirs, renumbered; it has
     no crossings either, so it shares full's empty table; its columns are
     full's at its pieces, none of them built; and its frame is full's
@@ -1064,8 +1108,7 @@ def _prefix(region: Region, full: GuardSet, g: int) -> GuardSet:
     """
     prefix = GuardSet(full.guards[:g])
     parent = full._analysis
-    if (parent is None or parent.region is not region
-            or any(len(rec[3]) != 2 for rec in parent.lines) or len(parent.crossings()[0])):
+    if parent is None or parent.region is not region or parent._long or len(parent.crossings()[0]):
         analysis = _Analysis(region, prefix)
     else:
         kept = np.array([rec[3][0][1] < g and rec[3][1][1] < g for rec in parent.lines],
@@ -1121,8 +1164,8 @@ def has_j_dark(region: Region, guards, j: int):
     A reader of the one analysis that max_darkness shares.  A portion
     whose own blocked count reaches j settles it at once; otherwise the
     first of the guard points, then the first crossing (in the order of
-    the analysis's crossings(), that of a row-by-row walk of the pair
-    scan) at darkness >= j is the witness, the one point rescanned for
+    the analysis's crossings(), the (i, j) order of their first hits) at
+    darkness >= j is the witness, the one point rescanned for
     its per-line breakdown and the one crossing whose key is built.
     """
     if as_int(j, "j") < 1:

@@ -587,10 +587,11 @@ class SampleReport(_Frozen):
 
 def _candidates(frame: _Frame, analysis: _Analysis) -> _Samples:
     """The candidate samples of the analysis's pieces in the frame: the
-    point of every hit of the pair scan, in its (i, j) order, on piece i;
-    every guard point; then, piece by piece, one point inside each
-    sub-piece that the hits cut the piece into.  The analysis's scale
-    divides the frame's, and one integer factor f maps its points in.
+    point of every hit of the pair scan on piece i, in (i, j) order (one
+    lexsort of the scan's (i, lower end of t) order); every guard point;
+    then, piece by piece, one point inside each sub-piece that the hits
+    cut the piece into.  The analysis's scale divides the frame's, and
+    one integer factor f maps its points in.
 
     Each hit gives two cuts, its parameters T +- E on piece i and V +- EV
     on piece j (_pair_scan).  A cut is dropped where it is the far end of
@@ -617,7 +618,11 @@ def _candidates(frame: _Frame, analysis: _Analysis) -> _Samples:
     R = len(pieces)
     cols = analysis.columns()
     x0, y0, fdx, fdy, h, unbounded = cols.x0, cols.y0, cols.dx, cols.dy, cols.h, cols.unbounded
-    I, J, T, E, V, EV = _pair_scan(pieces, cols)
+    scan = list(_pair_scan(pieces, cols))
+    order = np.lexsort((scan[1], scan[0]))
+    for c, col in enumerate(scan):
+        scan[c] = col[order]
+    I, J, T, E, V, EV = scan
     H = len(I)
     hits = {}
 

@@ -40,6 +40,11 @@ is the library's former _piece_boxes and _end_classes, one loop over the
 piece tuples, and clip_lines_ends the former exact loop of _clip_lines;
 the library now builds the columns from guard indices and the clip
 pass's float parameters, and a piece's tuple only where it is read.
+clusters_oracle is the library's former _clusters, a second sort by
+(group, hi) for the running reach, and tie_groups_oracle the crossing
+table's former tie loop, one _confirm per tied hit; the library now
+carries the reach by doubling steps over runs and reads a tied hit's
+exact parameter from the line records.
 Slow on purpose; exact everywhere.
 """
 
@@ -63,7 +68,7 @@ from darkgallery.construct import (
     _Infeasible,
     zigzag,
 )
-from darkgallery._filter import _floats, _nearest, _rounding_bound
+from darkgallery._filter import _floats, _interval, _nearest, _rounding_bound
 from darkgallery.darkness import (
     BoundaryCensus,
     DarknessWitness,
@@ -628,11 +633,48 @@ def clip_lines_ends(starts, dirs, halfplanes):
 def pair_hits(pieces):
     """Every confirmed crossing (i, j, un, vn, D) of pieces from distinct
     lines, as _confirm reports it, in increasing (i, j) order: the hits
-    of _pair_scan on piece_columns, each with its exact parameters (the
+    of _pair_scan on piece_columns, which come in (i, lower end of t)
+    order, sorted to (i, j), each with its exact parameters (the
     library's former _pair_hits)."""
     I, J, *_ = _pair_scan(pieces, piece_columns(pieces))
-    for i, j in zip(I.tolist(), J.tolist()):
+    for i, j in sorted(zip(I.tolist(), J.tolist())):
         yield (i, j) + _confirm(pieces[i], pieces[j])
+
+
+def clusters_oracle(group, lo, hi):
+    """(order, cluster) of _filter._clusters by the library's former body:
+    the stable order by (group, lo), and a cut wherever a group starts or
+    lo passes the running largest hi of its group, read through a second
+    sort of the items by (group, hi).  Ranking (group, hi) makes one
+    accumulate serve every group, as each group's ranks exceed those of
+    the groups before it; a NaN hi ranks last and passes every later lo."""
+    n = len(lo)
+    order = np.lexsort((lo, group))
+    rows, los, his = group[order], lo[order], hi[order]
+    by_hi = np.lexsort((his, rows))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_hi] = np.arange(n)
+    reach = his[by_hi][np.maximum.accumulate(rank)]
+    cut = np.ones(n, dtype=bool)
+    cut[1:] = (rows[1:] != rows[:-1]) | (los[1:] > reach[:-1])
+    return order, np.cumsum(cut) - 1
+
+
+def tie_groups_oracle(pieces, I, J, T, E):
+    """{(cluster, un, D): [hit]} of the hits (I, J) of _pair_scan with
+    parameters T +- E on piece I, by the library's former tie loop of
+    _crossing_table: clusters_oracle groups each row's hits by their
+    intervals, and each hit of a cluster of two or more is confirmed
+    (_confirm) for its exact parameter un/D on piece I, reduced; the
+    library now reads it from the line records (_Pieces.parameters)."""
+    order, cluster = clusters_oracle(I, *_interval(T, E))
+    tied = np.nonzero(np.bincount(cluster)[cluster] > 1)[0]
+    groups = {}
+    for h, c in zip(order[tied].tolist(), cluster[tied].tolist()):
+        un, _, D = _confirm(pieces[int(I[h])], pieces[int(J[h])])
+        g = gcd(un, D)
+        groups.setdefault((c, un // g, D // g), []).append(h)
+    return groups
 
 
 def crossings_oracle(pieces):

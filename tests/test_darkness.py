@@ -15,14 +15,14 @@ import os
 import random
 import weakref
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from darkgallery import cli, darkness, sampling
-from darkgallery._filter import _nearest
+from darkgallery._filter import _interval, _nearest, _sorted_clusters
 from darkgallery.construct import construct, place_4n_minus_2, place_general_position
 from darkgallery.darkness import (
     GuardSet,
@@ -367,9 +367,10 @@ def test_find_concurrent_dark_rays():
 def assert_scan_matches_the_oracle(pieces):
     hits = list(oracles.pair_hits(pieces))
     assert hits == list(oracles.pair_hits_oracle(pieces))
-    _, _, T, E, V, EV = darkness._pair_scan(pieces, oracles.piece_columns(pieces))
-    for (_, _, un, vn, D), t, e, v, ev in zip(hits, T.tolist(), E.tolist(), V.tolist(),
-                                             EV.tolist()):
+    exact = {(i, j): (un, vn, D) for i, j, un, vn, D in hits}
+    I, J, T, E, V, EV = darkness._pair_scan(pieces, oracles.piece_columns(pieces))
+    for i, j, t, e, v, ev in zip(*(a.tolist() for a in (I, J, T, E, V, EV))):
+        un, vn, D = exact[i, j]
         for x, err, n in ((t, e, un), (v, ev, vn)):
             assert err == inf or abs(Fraction(x) - Fraction(n, D)) <= Fraction(err)
     return hits
@@ -1393,6 +1394,60 @@ def test_crossing_table_and_witnesses_match_the_oracles(scene):
         assert max(len(ids) for ids in points.values()) >= 4
 
 
+def assert_ties_match_the_oracle(pieces):
+    """The crossing table's grouping of the scan's hits against the former
+    bodies: the hits come in (i, T - E) order, so the rank sort of
+    clusters_oracle keeps them in place, and _sorted_clusters numbers
+    them as it does; every hit's parameter from the line records is the
+    reduced un/D of _confirm, so the tie groups are those of the former
+    loop (tie_groups_oracle).  Returns the groups."""
+    I, J, T, E, _, _ = darkness._pair_scan(pieces, pieces.columns)
+    lo, hi = _interval(T, E)
+    order, want = oracles.clusters_oracle(I, lo, hi)
+    assert order.tolist() == list(range(len(I)))
+    cluster = _sorted_clusters(I, lo, hi)
+    assert cluster.tolist() == want.tolist()
+    confirmed = []
+    for i, j in zip(I.tolist(), J.tolist()):
+        un, _, D = darkness._confirm(pieces[i], pieces[j])
+        confirmed.append((un // gcd(un, D), D // gcd(un, D)))
+    assert pieces.parameters(I, J) == confirmed
+    tied = np.nonzero(np.bincount(cluster)[cluster] > 1)[0]
+    groups = {}
+    for h, c, t in zip(tied.tolist(), cluster[tied].tolist(), pieces.parameters(I[tied], J[tied])):
+        groups.setdefault((c, *t), []).append(h)
+    assert groups == oracles.tie_groups_oracle(pieces, I, J, T, E)
+    return groups
+
+
+@pytest.mark.parametrize("scene", TABLE_SCENES)
+def test_the_table_groups_ties_as_the_former_sorts_and_confirms_did(scene):
+    # in the region, in the whole plane, and on the plane's dark rays
+    region, guards = table_scene(scene)
+    groups = assert_ties_match_the_oracle(darkness._Analysis(region, GuardSet(guards)).pieces)
+    plane = darkness._Analysis(None, GuardSet(guards))
+    assert_ties_match_the_oracle(plane.pieces)
+    assert_ties_match_the_oracle(plane.pieces.take(np.nonzero(plane.columns().unbounded)[0]))
+    if scene in ("concurrent-four", "concurrent-star", "lattice-columns"):
+        assert max(map(len, groups.values())) >= 3
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=20,
+                unique=True),
+       st.sampled_from([(1, 0), (-7, 3), (2 ** 70 + 1, 2 ** 64)]))
+def test_the_table_groups_ties_as_the_former_confirms_did_on_lattice_subsets(cells, affine):
+    # subsets of a 6 x 6 lattice in a square around it, scaled by k and
+    # shifted by s: many hits of a row meet at one lattice point
+    k, shift = affine
+    region = ConvexPolygon([Point2(k * x + shift, k * y - shift)
+                            for x, y in ((-1, -1), (6, -1), (6, 6), (-1, 6))])
+    guards = [Point2(k * x + shift, k * y - shift) for x, y in cells]
+    for analysis in (darkness._Analysis(region, GuardSet(guards)),
+                     darkness._Analysis(None, GuardSet(guards))):
+        assert_ties_match_the_oracle(analysis.pieces)
+
+
 @pytest.mark.parametrize("scene", TABLE_SCENES)
 def test_darkest_candidate_bounds_hold_their_exact_x(scene, monkeypatch):
     # every candidate darkest hands _leftmost (crossings, guards, then top
@@ -1478,7 +1533,7 @@ TILED_SCAN_CONFIRMS = {
 def test_the_sweep_scans_the_same_pairs_at_every_chunk_budget(scene, monkeypatch):
     # _x_overlaps yields every pair whose x-spans overlap once, in whole
     # runs of at most _CHUNK pairs unless one run alone is longer; the
-    # scan over its chunks returns the same arrays, in (i, j) order, at
+    # scan over its chunks returns the same arrays, in (i, T - E) order, at
     # the default budget and at 1 and 7 pairs, with the tiled scan's
     # _confirm calls.  The scenes hold ties on lox (lattice-columns),
     # unbounded pieces (wedge) and boxes at +-inf (past-2^1100)
@@ -1507,8 +1562,11 @@ def test_the_sweep_scans_the_same_pairs_at_every_chunk_budget(scene, monkeypatch
         if budget == 7 and len(want) > 7:
             assert any(len(r) > 1 for r in rows)
         assert len(calls) == TILED_SCAN_CONFIRMS[scene]
-    I, J = results[0][:2]
-    assert all(a < b for a, b in zip(zip(I.tolist(), J.tolist()), zip(I[1:].tolist(), J[1:].tolist())))
+    I, J, T, E = results[0][:4]
+    lo = _interval(T, E)[0]
+    rows = list(zip(I.tolist(), lo.tolist()))
+    assert all(a <= b for a, b in zip(rows, rows[1:]))
+    assert len(set(zip(I.tolist(), J.tolist()))) == len(I)
     assert (I < J).all()
     for other in results[1:]:
         assert [a.tobytes() for a in other] == [a.tobytes() for a in results[0]]
@@ -1588,15 +1646,16 @@ def _count_exact_calls(monkeypatch, names=("_confirm", "_point_key")):
 
 
 @pytest.mark.parametrize("scene, want", [
-    ("lattice-8gon", {"_confirm": 36, "_point_key": 3}),
+    ("lattice-8gon", {"_confirm": 3, "_point_key": 3}),
     ("general-position-20", {"_confirm": 2, "_point_key": 2}),
-    ("concurrent-star", {"_confirm": 21, "_point_key": 4}),
+    ("concurrent-star", {"_confirm": 8, "_point_key": 4}),
     ("4n-2", {"_confirm": 0, "_point_key": 0}),
 ])
 def test_certificates_build_few_exact_values(monkeypatch, scene, want):
     # max_darkness and has_j_dark for every j up to top + 1: _confirm runs
-    # on unsure pairs and on near-tied hits only, and _point_key only for
-    # a reported or exactly compared crossing
+    # on unsure pairs and for a crossing's key only (a tied hit's exact
+    # parameter comes from the line records), and _point_key only for a
+    # reported or exactly compared crossing
     region, guards = {"lattice-8gon": lattice_octagon, "general-position-20": general_position_20,
                       "concurrent-star": concurrent_star,
                       "4n-2": placement_4n_minus_2}[scene]()

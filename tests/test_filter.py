@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import inf, isfinite, nextafter, ulp
+from math import inf, isfinite, nan, nextafter, ulp
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from darkgallery import sampling
 from darkgallery._filter import (
@@ -40,6 +41,8 @@ from darkgallery._filter import (
     _x_bounds,
 )
 from darkgallery.geometry import ConvexPolygon, Point2, _Frame
+
+import oracles
 
 SCALES = [1, 2 ** 53 - 1, 2 ** 53 + 1, 2 ** 520, 2 ** 1100]
 IDS = ["1", "2^53-1", "2^53+1", "2^520", "2^1100"]
@@ -425,3 +428,30 @@ def test_sampler_columns_are_the_correctly_rounded_coordinates(bits):
         for p, x, y in zip(pts, xs.tolist(), ys.tolist()):
             W = frame.unit * (p[2] if len(p) == 3 else 1)
             assert _is_nearest(x, Fraction(p[0], W)) and _is_nearest(y, Fraction(p[1], W))
+
+
+# interval ends: nested, equal, touching and disjoint ones, and +-inf and
+# NaN (inf - inf) among them
+ENDS = [-inf, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 8.0, inf, nan]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(ENDS),
+                          st.sampled_from([0.0, 0.5, 1.0, 6.0, inf, nan])),
+                max_size=40))
+@example([(0, 0.0, 8.0)] + [(0, lo, 0.5) for lo in (1.0, 2.0, 3.0, 4.0, 5.0, 9.0)]
+         + [(1, -inf, inf), (1, 0.5, 0.0), (1, 0.5, 0.0), (1, nan, 0.0), (1, 1.0, 0.0),
+            (1, 2.0, 0.0), (1, 3.0, 0.0)])
+def test_clusters_match_the_rank_sort(items):
+    # each interval is [lo, lo + width]; in the example, a wide one ahead
+    # of a chain of disjoint short ones takes several doubling steps, and
+    # a NaN hi (-inf + inf) ahead of one reaches past all of it
+    group = np.array([g for g, _, _ in items], dtype=np.int64)
+    lo = np.array([a for _, a, _ in items])
+    with np.errstate(invalid="ignore"):
+        hi = lo + np.array([w for _, _, w in items])
+    order, cluster = _clusters(group, lo, hi)
+    want_order, want_cluster = oracles.clusters_oracle(group, lo, hi)
+    assert order.tolist() == want_order.tolist()
+    assert cluster.tolist() == want_cluster.tolist()
+    assert cluster.dtype == want_cluster.dtype

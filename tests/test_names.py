@@ -725,12 +725,13 @@ def test_the_sampler_rolls_nothing_and_reduces_along_columns():
 
 # the exact engine builds big-integer values only where floats cannot
 # decide: _point_key where a crossing that is reported or compared exactly
-# gets its key, and _confirm in the scan's unsure path, the crossing
-# table's tie path and that key builder.  A call from anywhere else would
-# run once per hit or per pair.
+# gets its key, and _confirm in the scan's unsure path and that key
+# builder.  The crossing table's tied hits take their exact parameters
+# from the line records (_Pieces.parameters), with no _confirm.  A call
+# from anywhere else would run once per hit or per pair.
 EXACT_CALLERS = {
     "_point_key": {"_crossing_key"},
-    "_confirm": {"_pair_scan", "_crossing_table", "_crossing_key"},
+    "_confirm": {"_pair_scan", "_crossing_key"},
 }
 
 # the sampler orders and deduplicates its samples on their float
